@@ -37,7 +37,7 @@ from .errors import (
     ImpossibleObservationError,
     ModelError,
 )
-from .general import base_case_apd, general_apd, pairwise_isa
+from .general import general_apd, pairwise_isa
 from .graphs import (
     Mec,
     MecUniformPolicy,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractError, HorizonCapError, ModelError
 from .models import Mdp, Mmdp
-from .policy import ActiveSet, DetectionPolicy, active_set
+from .policy import ActiveSet, DetectionPolicy, active_set, survivors
 
 StationaryPolicy = Mapping[str, Mapping[str, float]]
 
@@ -295,13 +295,12 @@ def _expand_aug(
     out: list[tuple[_Aug, float]] = []
     for a, pa in dist:
         ri, rj = mi.row(s, a), mj.row(s, a)
-        for s2 in set(ri) | set(rj):
+        # sorted, so that the summation order does not follow the hash seed
+        for s2 in sorted(set(ri) | set(rj)):
             w = pa * math.sqrt(ri.get(s2, 0.0) * rj.get(s2, 0.0))
             if w == 0.0:
                 continue
-            new_active = active_set(
-                k for k in active if mmdp.model(k).prob(s, a, s2) > 0.0
-            )
+            new_active = survivors(mmdp, active, s, a, s2)
             if new_active == active:
                 tgt = _canonical_aug(policy, entry_key, mec_index, s2)
             else:

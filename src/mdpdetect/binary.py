@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .errors import ModelError
 from .graphs import Mec, almost_sure_reach_set, mec_decompose, mec_uniform_policy, reach_policy
@@ -245,39 +245,63 @@ def _binary_synthesis(
         raise ModelError(f"unknown initial state {initial!r}")
     pair = preprocess(m1, m2)
     ts = informative_structure(pair)
+    entry, diagnostics = _decide_and_build(
+        ts,
+        lambda c: any(p in c for p in pair.isa),
+        initial,
+        active,
+        frozenset({pair.bot1, pair.bot2}),
+    )
+    diagnostics["isa"] = sorted(pair.isa_original)
+    diagnostics["revealing_pairs"] = sorted(pair.classification.revealing_pairs)
+    if entry is None:
+        reachable = _digraph_reachable(ts, initial)
+        diagnostics["witness_noninformative_mecs"] = [
+            c
+            for c in diagnostics["mecs"]
+            if c not in diagnostics["informative_mecs"] and not reachable.isdisjoint(c)
+        ]
+    return entry is not None, entry, diagnostics
+
+
+def _decide_and_build(
+    ts: TransitionSystem,
+    is_informative: Callable[[Mec], bool],
+    initial: str,
+    active: ActiveSet,
+    terminals: frozenset[str],
+) -> tuple[PolicyEntry | None, dict[str, Any]]:
+    """The last step of every synthesis: decide, and build the entry when detection exists.
+
+    Keeps the end components of ``ts`` that ``is_informative`` accepts, takes
+    their almost-sure reach set, and decides whether ``initial`` lies in it.
+    On success the entry reaches those components and randomizes inside them;
+    the ``terminals`` of ``ts`` stand for settled detection outcomes, so they
+    appear neither in the reach table nor among the runtime components.
+    Returns the entry (None when no policy exists) and the diagnostics common
+    to every caller.
+    """
     mecs = mec_decompose(ts)
-    inf_mecs = tuple(c for c in mecs if any(p in c for p in pair.isa))
+    inf_mecs = tuple(c for c in mecs if is_informative(c))
     targets = frozenset(s for c in inf_mecs for s in c.states)
     rmax = almost_sure_reach_set(ts, targets)
-    exists = initial in rmax
-
-    terminals = {pair.bot1, pair.bot2}
     diagnostics: dict[str, Any] = {
         "active": list(active),
         "initial": initial,
-        "isa": sorted(pair.isa_original),
-        "revealing_pairs": sorted(pair.classification.revealing_pairs),
         "rmax": sorted(rmax),
         "mecs": [c.as_dict() for c in mecs],
         "informative_mecs": [c.as_dict() for c in inf_mecs],
     }
-    if not exists:
-        reachable = _digraph_reachable(ts, initial)
-        witnesses = [
-            c.as_dict()
-            for c in mecs
-            if c not in inf_mecs and not reachable.isdisjoint(c.states)
-        ]
-        diagnostics["witness_noninformative_mecs"] = witnesses
-        return False, None, diagnostics
-
+    if initial not in rmax:
+        return None, diagnostics
     fragment = reach_policy(ts, targets, rmax)
-    reach_table = {s: a for s, a in fragment.table.items() if s not in terminals}
-    runtime_mecs = tuple(
-        mec_uniform_policy(c) for c in inf_mecs if terminals.isdisjoint(c.states)
+    entry = PolicyEntry(
+        active=active,
+        entry_state=initial,
+        reach={s: a for s, a in fragment.table.items() if s not in terminals},
+        mecs=tuple(mec_uniform_policy(c) for c in inf_mecs if terminals.isdisjoint(c.states)),
     )
-    entry = PolicyEntry(active=active, entry_state=initial, reach=reach_table, mecs=runtime_mecs)
-    return True, entry, diagnostics
+    return entry, diagnostics
 
 
 def _digraph_reachable(ts: TransitionSystem, start: str) -> frozenset[str]:

@@ -11,16 +11,18 @@ forms a transition system on which the binary machinery decides existence.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
-from .binary import ApdOutcome, _binary_synthesis, classify_pairs
+from .binary import ApdOutcome, _binary_synthesis, _decide_and_build, bi_apd, classify_pairs
 from .errors import ModelError
-from .graphs import Mec, almost_sure_reach_set, mec_decompose, mec_uniform_policy, reach_policy
-from .models import Mdp, Mmdp, TransitionSystem, fresh_name, support
-from .policy import ActiveSet, DetectionPolicy, PolicyEntry, active_set
+# The synthesis tail in ``binary`` calls almost_sure_reach_set, mec_decompose
+# and reach_policy; they stay bound here because bench/tracer.py wraps them
+# in both modules.
+from .graphs import Mec, almost_sure_reach_set, mec_decompose, reach_policy  # noqa: F401
+from .models import Mmdp, TransitionSystem, fresh_name, support
+from .policy import ActiveSet, DetectionPolicy, PolicyEntry, active_set, survivors
 
 PairSet = frozenset[tuple[str, str]]
 
@@ -32,32 +34,6 @@ def pairwise_isa(mmdp: Mmdp, i: int, j: int) -> PairSet:
     return classify_pairs(mmdp.model(i), mmdp.model(j)).informative_pairs
 
 
-def base_case_apd(mmdp: Mmdp, initial: str | None = None) -> ApdOutcome:
-    """Synthesis when all models share one transition structure.
-
-    With no identity-revealing transitions anywhere, the union structure is
-    the structure of any single model, and an end component counts as
-    informative only when it contains an informative pair for every unordered
-    model pair.
-    """
-    if initial is None:
-        initial = mmdp.initial
-    for s in mmdp.states:
-        for a in mmdp.actions[s]:
-            supports = {support(m.row(s, a)) for m in mmdp.models}
-            if len(supports) > 1:
-                raise ModelError(
-                    f"models disagree on the support at ({s}, {a}); use general_apd"
-                )
-    ctx = _Context(mmdp=mmdp, memoize=False)
-    full = active_set(range(1, mmdp.n + 1))
-    exists, entry, diagnostics = _same_structure_synthesis(ctx, full, initial)
-    policy = None
-    if entry is not None:
-        policy = DetectionPolicy(entries={(full, initial): entry})
-    return ApdOutcome(exists=exists, policy=policy, diagnostics=diagnostics)
-
-
 def general_apd(mmdp: Mmdp, initial: str | None = None, memoize: bool = True) -> ApdOutcome:
     """Decide and synthesize detection for any number of candidate models."""
     if mmdp.n < 2:
@@ -67,8 +43,6 @@ def general_apd(mmdp: Mmdp, initial: str | None = None, memoize: bool = True) ->
     if initial not in mmdp.models[0].state_index:
         raise ModelError(f"unknown initial state {initial!r}")
     if mmdp.n == 2:
-        from .binary import bi_apd
-
         return bi_apd(mmdp, initial)
 
     ctx = _Context(mmdp=mmdp, memoize=memoize)
@@ -82,7 +56,7 @@ def general_apd(mmdp: Mmdp, initial: str | None = None, memoize: bool = True) ->
 
 @dataclass
 class _Context:
-    """Shared state of one synthesis run; the memo behaves as an atomic map."""
+    """Shared state of one synthesis run: the subproblem memo and the pairwise sets."""
 
     mmdp: Mmdp
     memoize: bool
@@ -90,16 +64,12 @@ class _Context:
     isa_cache: dict[tuple[int, int], PairSet] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock)
 
     def isa(self, i: int, j: int) -> PairSet:
         key = (min(i, j), max(i, j))
-        with self.lock:
-            cached = self.isa_cache.get(key)
+        cached = self.isa_cache.get(key)
         if cached is None:
-            cached = pairwise_isa(self.mmdp, *key)
-            with self.lock:
-                self.isa_cache[key] = cached
+            cached = self.isa_cache[key] = pairwise_isa(self.mmdp, *key)
         return cached
 
 
@@ -110,11 +80,10 @@ def _solve(
     assert depth <= ctx.mmdp.n - 2, "recursion deeper than the model count allows"
     key = (active, initial)
     if ctx.memoize:
-        with ctx.lock:
-            if key in ctx.memo:
-                ctx.hits += 1
-                return ctx.memo[key]
-            ctx.misses += 1
+        if key in ctx.memo:
+            ctx.hits += 1
+            return ctx.memo[key]
+        ctx.misses += 1
     if len(active) == 2:
         i, j = active
         exists, entry, diagnostics = _binary_synthesis(
@@ -125,8 +94,7 @@ def _solve(
     else:
         result = _general_level(ctx, active, initial, depth)
     if ctx.memoize:
-        with ctx.lock:
-            ctx.memo.setdefault(key, result)
+        ctx.memo[key] = result
     return result
 
 
@@ -161,7 +129,7 @@ def _general_level(
             for m in models.values():
                 union_succ |= support(m.row(s, a))
             for s2 in sorted(union_succ):
-                sub = active_set(i for i in active if models[i].prob(s, a, s2) > 0.0)
+                sub = survivors(ctx.mmdp, active, s, a, s2)
                 if sub == active:
                     triples.add((s, a, s2))
                     if s2 not in explored:
@@ -193,85 +161,22 @@ def _general_level(
         states=ts_states, actions=ts_actions, transitions=frozenset(triples), initial=initial
     )
 
-    mecs = mec_decompose(ts)
-    inf_mecs = _informative_mecs_for(ctx, active, mecs, bot1)
-    targets = frozenset(s for c in inf_mecs for s in c.states)
-    rmax = almost_sure_reach_set(ts, targets)
-    exists = initial in rmax
+    pairs = [(i, j) for k, i in enumerate(active) for j in active[k + 1 :]]
 
-    diagnostics: dict[str, Any] = {
-        "active": list(active),
-        "initial": initial,
-        "explored": sorted(explored),
-        "terminal_edges": terminal_edges,
-        "rmax": sorted(rmax),
-        "mecs": [c.as_dict() for c in mecs],
-        "informative_mecs": [c.as_dict() for c in inf_mecs],
-    }
-    if not exists:
-        return False, {}, diagnostics
+    def is_informative(c: Mec) -> bool:
+        """The good terminal, or a component informative for every active pair."""
+        if c.states == {bot1}:
+            return True
+        member_pairs = list(c.pairs())
+        return all(any(p in ctx.isa(i, j) for p in member_pairs) for (i, j) in pairs)
 
-    fragment = reach_policy(ts, targets, rmax)
-    reach_table = {s: a for s, a in fragment.table.items() if s in explored}
-    runtime_mecs = tuple(
-        mec_uniform_policy(c) for c in inf_mecs if bot1 not in c.states
+    entry, diagnostics = _decide_and_build(
+        ts, is_informative, initial, active, frozenset({bot0, bot1})
     )
-    entry = PolicyEntry(active=active, entry_state=initial, reach=reach_table, mecs=runtime_mecs)
+    diagnostics["explored"] = sorted(explored)
+    diagnostics["terminal_edges"] = terminal_edges
+    if entry is None:
+        return False, {}, diagnostics
     entries = dict(sub_entries)
     entries[(active, initial)] = entry
     return True, entries, diagnostics
-
-
-def _informative_mecs_for(
-    ctx: _Context, active: ActiveSet, mecs: tuple[Mec, ...], bot1: str
-) -> tuple[Mec, ...]:
-    """Components informative for every unordered active pair, plus the good terminal."""
-    pairs = [(i, j) for k, i in enumerate(active) for j in active[k + 1 :]]
-    keep = []
-    for c in mecs:
-        if c.states == frozenset({bot1}):
-            keep.append(c)
-            continue
-        member_pairs = list(c.pairs())
-        if all(any(p in ctx.isa(i, j) for p in member_pairs) for (i, j) in pairs):
-            keep.append(c)
-    return tuple(keep)
-
-
-def _same_structure_synthesis(
-    ctx: _Context, active: ActiveSet, initial: str
-) -> tuple[bool, PolicyEntry | None, dict[str, Any]]:
-    """Synthesis over the common structure (no identity-revealing transitions)."""
-    from .models import induced_transition_system
-
-    base = ctx.mmdp.models[0]
-    if initial not in base.state_index:
-        raise ModelError(f"unknown initial state {initial!r}")
-    ts = induced_transition_system(base)
-    mecs = mec_decompose(ts)
-    pairs = [(i, j) for k, i in enumerate(active) for j in active[k + 1 :]]
-    inf_mecs = tuple(
-        c
-        for c in mecs
-        if all(any(p in ctx.isa(i, j) for p in c.pairs()) for (i, j) in pairs)
-    )
-    targets = frozenset(s for c in inf_mecs for s in c.states)
-    rmax = almost_sure_reach_set(ts, targets)
-    exists = initial in rmax
-    diagnostics: dict[str, Any] = {
-        "active": list(active),
-        "initial": initial,
-        "rmax": sorted(rmax),
-        "mecs": [c.as_dict() for c in mecs],
-        "informative_mecs": [c.as_dict() for c in inf_mecs],
-    }
-    if not exists:
-        return False, None, diagnostics
-    fragment = reach_policy(ts, targets, rmax)
-    entry = PolicyEntry(
-        active=active,
-        entry_state=initial,
-        reach=dict(fragment.table),
-        mecs=tuple(mec_uniform_policy(c) for c in inf_mecs),
-    )
-    return True, entry, diagnostics

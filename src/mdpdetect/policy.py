@@ -24,6 +24,18 @@ def active_set(indices: Iterable[int]) -> ActiveSet:
     return tuple(sorted(set(indices)))
 
 
+def survivors(mmdp: Mmdp, active: ActiveSet, s: str, a: str, s2: str) -> ActiveSet:
+    """The models of ``active`` that give the transition (s, a, s2) positive probability.
+
+    This is the only rule by which a candidate model is eliminated, at
+    synthesis time and at run time alike: by support, never by the size of
+    a posterior.
+    """
+    models = mmdp.models
+    key = (s, a)
+    return tuple([i for i in active if models[i - 1].kernel.get(key, {}).get(s2, 0.0) > 0.0])
+
+
 @dataclass(frozen=True)
 class PolicyEntry:
     """Policy fragments used while ``active`` models remain, entered at ``entry_state``."""
@@ -49,11 +61,6 @@ class DetectionPolicy:
 
     def entry(self, active: ActiveSet, entry_state: str) -> PolicyEntry | None:
         return self.entries.get((active, entry_state))
-
-    def merged_with(self, other: "DetectionPolicy") -> "DetectionPolicy":
-        merged = dict(self.entries)
-        merged.update(other.entries)
-        return DetectionPolicy(entries=merged)
 
 
 def single_entry_policy(entry: PolicyEntry) -> DetectionPolicy:

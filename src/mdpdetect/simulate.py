@@ -17,8 +17,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ContractError, ImpossibleObservationError, ModelError
-from .models import Mdp, Mmdp
-from .policy import ActiveSet, DetectionPolicy, PolicyEntry, active_set
+from .models import Mmdp
+from .policy import ActiveSet, DetectionPolicy, PolicyEntry, active_set, survivors
 
 _MASK64 = (1 << 64) - 1
 
@@ -72,13 +72,13 @@ def belief_update(b: BeliefState, s: str, a: str, s_next: str, mmdp: Mmdp) -> Be
 def _update(
     probs: tuple[float, ...], s: str, a: str, s_next: str, mmdp: Mmdp
 ) -> tuple[float, ...]:
-    weighted = tuple(p * m.prob(s, a, s_next) for p, m in zip(probs, mmdp.models))
+    weighted = [p * m.prob(s, a, s_next) for p, m in zip(probs, mmdp.models)]
     denom = sum(weighted)
     if denom <= 0.0:
         raise ImpossibleObservationError(
             f"transition ({s}, {a}, {s_next}) is impossible under the current belief support"
         )
-    return tuple(w / denom for w in weighted)
+    return tuple([w / denom for w in weighted])
 
 
 def map_decide(b: BeliefState | Sequence[float]) -> int:
@@ -164,6 +164,65 @@ def _check_priors(priors: Sequence[float] | None, n: int, what: str) -> tuple[fl
     return priors
 
 
+def _episode(
+    mmdp: Mmdp,
+    truth: int,
+    controller: _Controller,
+    rng: np.random.Generator,
+    beliefs: tuple[float, ...],
+    max_steps: int,
+    threshold: float,
+    steps: list[TraceStep] | None = None,
+) -> tuple[str, int, str, tuple[float, ...]]:
+    """Run one episode from the initial state against model ``truth``.
+
+    Stops, checked in this order before every step: when the top posterior
+    reaches ``threshold`` or one model remains ("threshold"; a lone survivor
+    holds posterior 1), when the policy has no entry for a new active set
+    ("undetectable"), at ``max_steps`` ("max_steps"), and when the policy has
+    no action at the current state ("undetectable"). A model leaves the active
+    set only when it gives an observed transition probability zero. Appends
+    every played step to ``steps`` when given. Returns the stop reason, the
+    number of steps played, the final state and the final beliefs.
+    """
+    truth_model = mmdp.model(truth)
+    active = active_set(range(1, mmdp.n + 1))
+    state = mmdp.initial
+    if not controller.enter(active, state):
+        raise ContractError(
+            f"policy has no entry for the initial configuration ({active}, {state!r})"
+        )
+    entered = True
+    t = 0
+    while True:
+        if max(beliefs) >= threshold or len(active) == 1:
+            return "threshold", t, state, beliefs
+        if not entered:
+            if not controller.enter(active, state):
+                return "undetectable", t, state, beliefs
+            entered = True
+        if t >= max_steps:
+            return "max_steps", t, state, beliefs
+        dist = controller.action_distribution(state)
+        if dist is None:
+            return "undetectable", t, state, beliefs
+        action = _sample(dist, rng)
+        succ = _sample(truth_model.row(state, action).items(), rng)
+        if steps is not None:
+            steps.append(TraceStep(t=t, state=state, action=action, beliefs=beliefs))
+        beliefs = _update(beliefs, state, action, succ, mmdp)
+        # a positive posterior implies a positive likelihood, so only a zero
+        # posterior (an eliminated or an underflowed model) needs the support
+        remaining = survivors(mmdp, active, state, action, succ) if 0.0 in beliefs else active
+        state = succ
+        t += 1
+        if remaining == active:
+            controller.arrive(state)
+        else:
+            active = remaining
+            entered = False
+
+
 def simulate(
     mmdp: Mmdp,
     truth: int,
@@ -182,48 +241,12 @@ def simulate(
     """
     if not 0.5 < threshold < 1.0:
         raise ModelError(f"threshold must lie in (0.5, 1), got {threshold}")
-    truth_model = mmdp.model(truth)
     beliefs = _check_priors(priors, mmdp.n, "priors")
-    rng = trial_rng(seed, 0)
-
-    controller = _Controller(policy, mec_weights)
-    active = active_set(range(1, mmdp.n + 1))
-    state = mmdp.initial
-    if not controller.enter(active, state):
-        raise ContractError(
-            f"policy has no entry for the initial configuration ({active}, {state!r})"
-        )
-
     steps: list[TraceStep] = []
-    t = 0
-    stop = None
-    if max(beliefs) >= threshold:
-        stop = "threshold"
-    while stop is None:
-        if t >= max_steps:
-            stop = "max_steps"
-            break
-        dist = controller.action_distribution(state)
-        if dist is None:
-            stop = "undetectable"
-            break
-        action = _sample(dist, rng)
-        succ = _sample(truth_model.row(state, action).items(), rng)
-        steps.append(TraceStep(t=t, state=state, action=action, beliefs=beliefs))
-        beliefs = _update(beliefs, state, action, succ, mmdp)
-        state = succ
-        t += 1
-        if max(beliefs) >= threshold:
-            stop = "threshold"
-            break
-        new_active = tuple(i + 1 for i, p in enumerate(beliefs) if p > 0.0)
-        if new_active != active:
-            active = new_active
-            if not controller.enter(active, state):
-                stop = "undetectable"
-                break
-        else:
-            controller.arrive(state)
+    stop, t, state, beliefs = _episode(
+        mmdp, truth, _Controller(policy, mec_weights), trial_rng(seed, 0), beliefs,
+        max_steps, threshold, steps,
+    )
     steps.append(TraceStep(t=t, state=state, action=None, beliefs=beliefs))
     return Trace(seed=seed, truth=truth, steps=tuple(steps), stop_reason=stop)
 
@@ -240,9 +263,9 @@ def monte_carlo_error(
     """Empirical MAP error at horizon ``t`` with its binomial standard error.
 
     Ground truth is drawn from ``theta`` per trial; the decision applies the
-    MAP rule with estimated priors ``q`` after ``t`` observed steps. Once the
-    belief support is a singleton the decision is settled (the survivor is
-    the truth), so the trial ends early.
+    MAP rule with estimated priors ``q`` after ``t`` observed steps. Once a
+    single model remains active the decision is settled (the survivor is the
+    truth), so the trial ends early.
     """
     if trials < 100:
         raise ContractError(f"need at least 100 trials, got {trials}")
@@ -254,32 +277,7 @@ def monte_carlo_error(
     for trial in range(trials):
         rng = trial_rng(seed, trial)
         truth = int(_sample(theta_items, rng))
-        truth_model = mmdp.model(truth)
-        beliefs = q
-        controller = _Controller(policy, None)
-        active = active_set(range(1, mmdp.n + 1))
-        state = mmdp.initial
-        if not controller.enter(active, state):
-            raise ContractError(
-                f"policy has no entry for the initial configuration ({active}, {state!r})"
-            )
-        for _ in range(t):
-            if len(active) == 1:
-                break
-            dist = controller.action_distribution(state)
-            if dist is None:
-                break
-            action = _sample(dist, rng)
-            succ = _sample(truth_model.row(state, action).items(), rng)
-            beliefs = _update(beliefs, state, action, succ, mmdp)
-            state = succ
-            new_active = tuple(i + 1 for i, p in enumerate(beliefs) if p > 0.0)
-            if new_active != active:
-                active = new_active
-                if len(active) >= 2 and not controller.enter(active, state):
-                    break
-            else:
-                controller.arrive(state)
+        _, _, _, beliefs = _episode(mmdp, truth, _Controller(policy, None), rng, q, t, math.inf)
         if map_decide(beliefs) != truth:
             errors += 1
     estimate = errors / trials

@@ -1,13 +1,19 @@
 """Command-line surface: subcommands, file outputs, exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from mdpdetect.cli import main
 from mdpdetect.models import mmdp_to_json, serialize_mmdp
 
-from conftest import example1_mmdp
+from conftest import example1_mmdp, random_multi_mmdp, rng_for
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -203,3 +209,24 @@ def test_gen_invalid_spec_exit_2(tmp_path, capsys):
     bad.write_text(json.dumps({"width": 3, "height": 3, "goal_region": []}))
     assert main(["gen", "grid", str(bad)]) == 2
     assert "goal region" in capsys.readouterr().err
+
+
+def test_bc_bytes_do_not_depend_on_hash_seed(tmp_path):
+    # string hashing, and so set iteration order, changes with PYTHONHASHSEED;
+    # the coefficient sums must not follow it
+    model = tmp_path / "model.json"
+    model.write_text(mmdp_to_json(random_multi_mmdp(rng_for(0), n_models=3, n_states=4)))
+    policy = tmp_path / "policy.json"
+    assert main(["synthesize", str(model), "--out", str(policy)]) == 0
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+        out = tmp_path / f"bc-{hash_seed}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "mdpdetect.cli", "bc", str(model), str(policy),
+             "--horizon", "20", "--out", str(out)],
+            env=env, check=True,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -1,17 +1,21 @@
-"""Multi-model synthesis: pairwise sets, base case, BFS + recursion."""
+"""Multi-model synthesis: pairwise sets, the shared-structure base case, BFS + recursion."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdpdetect.binary import bi_apd
 from mdpdetect.errors import ModelError
-from mdpdetect.general import base_case_apd, general_apd, pairwise_isa
-from mdpdetect.models import Mmdp
+from mdpdetect.general import general_apd, pairwise_isa
+from mdpdetect.models import Mmdp, induced_transition_system
 from mdpdetect.simulate import map_decide, simulate
 
 from conftest import (
     example1_mmdp,
     identical_mmdp,
     mk_mdp,
+    oracle_almost_sure_reach,
+    oracle_mecs,
     random_binary_mmdp,
     random_multi_mmdp,
     rng_for,
@@ -71,12 +75,12 @@ def test_base_case_missing_pair_coverage_fails():
     mmdp = _shared_structure_triple(
         [{"x": 0.5, "y": 0.5}, {"x": 0.3, "y": 0.7}, {"x": 0.3, "y": 0.7}]
     )
-    outcome = base_case_apd(mmdp)
+    outcome = general_apd(mmdp)
     assert outcome.exists is False
 
 
 def test_base_case_identical_models_fail():
-    outcome = base_case_apd(identical_mmdp(n_models=3))
+    outcome = general_apd(identical_mmdp(n_models=3))
     assert outcome.exists is False
 
 
@@ -84,7 +88,7 @@ def test_base_case_pairwise_distinct_component_succeeds():
     mmdp = _shared_structure_triple(
         [{"x": 0.2, "y": 0.8}, {"x": 0.5, "y": 0.5}, {"x": 0.8, "y": 0.2}]
     )
-    outcome = base_case_apd(mmdp)
+    outcome = general_apd(mmdp)
     assert outcome.exists is True
     entry = outcome.policy.entries[((1, 2, 3), "s0")]
     assert entry.reach == {"s0": "g"}
@@ -92,16 +96,47 @@ def test_base_case_pairwise_distinct_component_succeeds():
     assert entry.mecs[0].mec.states == {"x", "y"}
 
 
-def test_base_case_rejects_differing_structures():
-    mmdp = _triple_from_example1()
-    import dataclasses
+@st.composite
+def _same_support_mmdps(draw):
+    """3-4 models on one support structure; rows differ only in their masses."""
+    n_models = draw(st.integers(3, 4))
+    states = tuple(f"s{i}" for i in range(draw(st.integers(2, 5))))
+    actions = {s: tuple(f"a{j}" for j in range(draw(st.integers(1, 2)))) for s in states}
+    kernels = [{} for _ in range(n_models)]
+    for s in states:
+        for a in actions[s]:
+            succ = sorted(draw(st.sets(st.sampled_from(states), min_size=1, max_size=2)))
+            for kernel in kernels:
+                if len(succ) == 1:
+                    kernel[(s, a)] = {succ[0]: 1.0}
+                else:
+                    p = draw(st.sampled_from((0.25, 0.5, 0.75)))
+                    kernel[(s, a)] = {succ[0]: p, succ[1]: 1.0 - p}
+    return Mmdp(
+        models=tuple(
+            mk_mdp(states, actions, k, states[0], f"M{m+1}") for m, k in enumerate(kernels)
+        )
+    )
 
-    kernel3 = dict(mmdp.models[2].kernel)
-    kernel3[("6", "a6")] = {"7": 1.0}
-    m3 = dataclasses.replace(mmdp.models[2], kernel=kernel3)
-    bad = Mmdp(models=(mmdp.models[0], mmdp.models[1], m3))
-    with pytest.raises(ModelError, match="general_apd"):
-        base_case_apd(bad)
+
+def _oracle_same_support_decision(mmdp):
+    """Detection exists iff the initial state almost surely reaches a component
+    that separates every model pair by some differing row."""
+    models = mmdp.models
+    ts = induced_transition_system(models[0])
+    pairs = [(i, j) for i in range(mmdp.n) for j in range(i + 1, mmdp.n)]
+    targets = set()
+    for states, acts in oracle_mecs(ts):
+        members = [(s, a) for s in states for a in acts[s]]
+        if all(any(models[i].row(*p) != models[j].row(*p) for p in members) for i, j in pairs):
+            targets |= states
+    return ts.initial in oracle_almost_sure_reach(ts, targets)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_same_support_mmdps())
+def test_general_same_support_decision_matches_oracles(mmdp):
+    assert general_apd(mmdp).exists == _oracle_same_support_decision(mmdp)
 
 
 def _recursive_instance():

@@ -136,6 +136,32 @@ def test_simulate_undetectable_when_entry_missing():
     assert "undetectable" in reasons
 
 
+def _underflow_triple():
+    """Three self-loop rates at s; the 0.9 model's posterior underflows under truth 1."""
+    states = ("s", "u")
+    actions = {"s": ("a",), "u": ("a",)}
+    models = tuple(
+        mk_mdp(states, actions, {("s", "a"): {"s": p, "u": 1.0 - p}, ("u", "a"): {"s": 1.0}},
+               "s", f"M{m + 1}")
+        for m, p in enumerate((0.5, 0.51, 0.9))
+    )
+    return Mmdp(models=models)
+
+
+def test_simulate_underflowed_posterior_does_not_eliminate_a_model():
+    # every transition is possible under all three models, so none may leave
+    # the active set, even once its posterior rounds to 0.0
+    mmdp = _underflow_triple()
+    outcome = general_apd(mmdp)
+    assert outcome.exists
+    underflowed = False
+    for seed in range(5):
+        trace = simulate(mmdp, 1, outcome.policy, seed=seed)
+        assert trace.stop_reason != "undetectable", seed
+        underflowed |= trace.steps[-1].beliefs[2] == 0.0
+    assert underflowed, "the instance no longer reaches a zero posterior"
+
+
 def test_simulate_missing_initial_entry_is_contract_breach():
     mmdp = identical_mmdp()
     with pytest.raises(ContractError):
