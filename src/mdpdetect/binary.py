@@ -17,7 +17,14 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from .errors import ModelError
-from .graphs import Mec, almost_sure_reach_set, mec_decompose, mec_uniform_policy, reach_policy
+from .graphs import (
+    Mec,
+    MecUniformPolicy,
+    almost_sure_reach_set,
+    mec_decompose,
+    mec_uniform_policy,
+    reach_policy,
+)
 from .models import ROW_EQ_TOL, Mdp, Mmdp, TransitionSystem, fresh_name, support
 from .policy import ActiveSet, DetectionPolicy, PolicyEntry, active_set, single_entry_policy
 
@@ -231,87 +238,141 @@ def bi_apd(mmdp: Mmdp, initial: str | None = None) -> ApdOutcome:
     if initial is None:
         initial = mmdp.initial
     exists, entry, diagnostics = _binary_synthesis(
-        mmdp.models[0], mmdp.models[1], initial, active_set((1, 2))
+        mmdp.models[0], mmdp.models[1], initial, active_set((1, 2)), {}
     )
     policy = single_entry_policy(entry) if entry is not None else None
     return ApdOutcome(exists=exists, policy=policy, diagnostics=diagnostics)
 
 
 def _binary_synthesis(
-    m1: Mdp, m2: Mdp, initial: str, active: ActiveSet
+    m1: Mdp,
+    m2: Mdp,
+    initial: str,
+    active: ActiveSet,
+    decisions: dict[ActiveSet, _Decision],
 ) -> tuple[bool, PolicyEntry | None, dict[str, Any]]:
-    """Full binary pipeline; returns (exists, policy entry, diagnostics)."""
+    """Full binary pipeline; returns (exists, policy entry, diagnostics).
+
+    Only the last step depends on ``initial``: the rest is looked up in
+    ``decisions`` under ``active`` and stored there on a miss, so one pass
+    over a model pair serves every initial state.
+    """
     if initial not in m1.state_index:
         raise ModelError(f"unknown initial state {initial!r}")
-    pair = preprocess(m1, m2)
-    ts = informative_structure(pair)
-    entry, diagnostics = _decide_and_build(
-        ts,
-        lambda c: any(p in c for p in pair.isa),
-        initial,
-        active,
-        frozenset({pair.bot1, pair.bot2}),
-    )
-    diagnostics["isa"] = sorted(pair.isa_original)
-    diagnostics["revealing_pairs"] = sorted(pair.classification.revealing_pairs)
-    if entry is None:
-        reachable = _digraph_reachable(ts, initial)
-        diagnostics["witness_noninformative_mecs"] = [
-            c
-            for c in diagnostics["mecs"]
-            if c not in diagnostics["informative_mecs"] and not reachable.isdisjoint(c)
-        ]
+    decision = decisions.get(active)
+    if decision is None:
+        pair = preprocess(m1, m2)
+        decision = decisions[active] = _decide(
+            informative_structure(pair),
+            lambda c: any(p in c for p in pair.isa),
+            frozenset({pair.bot1, pair.bot2}),
+            {
+                "isa": tuple(sorted(pair.isa_original)),
+                "revealing_pairs": tuple(sorted(pair.classification.revealing_pairs)),
+            },
+            witness=True,
+        )
+    entry, diagnostics = _build(decision, initial, active)
     return entry is not None, entry, diagnostics
 
 
-def _decide_and_build(
+@dataclass(frozen=True)
+class _Decision:
+    """The part of a synthesis level that does not depend on the initial state.
+
+    An entry state in ``rmax`` gets the ``reach`` table and the component
+    fragments ``mecs``. ``diagnostics`` holds the lists every entry reports.
+    ``actions`` and ``successors`` (the structure's own tables, without its
+    transition triples), when kept, serve the walk that finds the
+    non-informative components an undetectable initial state reaches.
+    """
+
+    rmax: frozenset[str]
+    reach: Mapping[str, str]
+    mecs: tuple[MecUniformPolicy, ...]
+    diagnostics: Mapping[str, tuple]
+    actions: Mapping[str, tuple[str, ...]]
+    successors: Mapping[tuple[str, str], frozenset[str]] | None
+
+
+def _decide(
     ts: TransitionSystem,
     is_informative: Callable[[Mec], bool],
-    initial: str,
-    active: ActiveSet,
     terminals: frozenset[str],
-) -> tuple[PolicyEntry | None, dict[str, Any]]:
-    """The last step of every synthesis: decide, and build the entry when detection exists.
+    extra: Mapping[str, tuple] | None = None,
+    witness: bool = False,
+) -> _Decision:
+    """The first step of the tail that ends every synthesis level.
 
     Keeps the end components of ``ts`` that ``is_informative`` accepts, takes
-    their almost-sure reach set, and decides whether ``initial`` lies in it.
-    On success the entry reaches those components and randomizes inside them;
-    the ``terminals`` of ``ts`` stand for settled detection outcomes, so they
+    their almost-sure reach set and the policy that reaches them. The
+    ``terminals`` of ``ts`` stand for settled detection outcomes, so they
     appear neither in the reach table nor among the runtime components.
-    Returns the entry (None when no policy exists) and the diagnostics common
-    to every caller.
+    ``extra`` diagnostics are reported after the common ones; ``witness``
+    keeps what the witness walk of :func:`_build` needs.
     """
     mecs = mec_decompose(ts)
     inf_mecs = tuple(c for c in mecs if is_informative(c))
     targets = frozenset(s for c in inf_mecs for s in c.states)
     rmax = almost_sure_reach_set(ts, targets)
-    diagnostics: dict[str, Any] = {
-        "active": list(active),
-        "initial": initial,
-        "rmax": sorted(rmax),
-        "mecs": [c.as_dict() for c in mecs],
-        "informative_mecs": [c.as_dict() for c in inf_mecs],
-    }
-    if initial not in rmax:
-        return None, diagnostics
     fragment = reach_policy(ts, targets, rmax)
+    return _Decision(
+        rmax=rmax,
+        reach={s: a for s, a in fragment.table.items() if s not in terminals},
+        mecs=tuple(mec_uniform_policy(c) for c in inf_mecs if terminals.isdisjoint(c.states)),
+        diagnostics={
+            "rmax": tuple(sorted(rmax)),
+            "mecs": tuple(c.as_dict() for c in mecs),
+            "informative_mecs": tuple(c.as_dict() for c in inf_mecs),
+            **(extra or {}),
+        },
+        actions=ts.actions,
+        successors=ts.successors if witness else None,
+    )
+
+
+def _build(
+    decision: _Decision, initial: str, active: ActiveSet
+) -> tuple[PolicyEntry | None, dict[str, Any]]:
+    """The last step of every synthesis: the entry for ``initial`` when detection exists.
+
+    Detection exists exactly when ``initial`` lies in the reach set. Returns
+    the entry (None when no policy exists) and the diagnostics, which then
+    name the non-informative components reachable from ``initial`` when the
+    decision kept its successors.
+    """
+    diagnostics: dict[str, Any] = {"active": list(active), "initial": initial}
+    for key, values in decision.diagnostics.items():
+        diagnostics[key] = list(values)
+    if initial not in decision.rmax:
+        if decision.successors is not None:
+            reachable = _reachable(decision.actions, decision.successors, initial)
+            diagnostics["witness_noninformative_mecs"] = [
+                c
+                for c in diagnostics["mecs"]
+                if c not in diagnostics["informative_mecs"] and not reachable.isdisjoint(c)
+            ]
+        return None, diagnostics
     entry = PolicyEntry(
         active=active,
         entry_state=initial,
-        reach={s: a for s, a in fragment.table.items() if s not in terminals},
-        mecs=tuple(mec_uniform_policy(c) for c in inf_mecs if terminals.isdisjoint(c.states)),
+        reach=dict(decision.reach),
+        mecs=decision.mecs,
     )
     return entry, diagnostics
 
 
-def _digraph_reachable(ts: TransitionSystem, start: str) -> frozenset[str]:
-    succ = ts.successors
+def _reachable(
+    actions: Mapping[str, tuple[str, ...]],
+    successors: Mapping[tuple[str, str], frozenset[str]],
+    start: str,
+) -> frozenset[str]:
     seen = {start}
     frontier = deque([start])
     while frontier:
         s = frontier.popleft()
-        for a in ts.actions.get(s, ()):
-            for t in succ[(s, a)]:
+        for a in actions.get(s, ()):
+            for t in successors[(s, a)]:
                 if t not in seen:
                     seen.add(t)
                     frontier.append(t)

@@ -15,14 +15,22 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
-from .binary import ApdOutcome, _binary_synthesis, _decide_and_build, bi_apd, classify_pairs
+from .binary import (
+    ApdOutcome,
+    _binary_synthesis,
+    _build,
+    _decide,
+    _Decision,
+    bi_apd,
+    classify_pairs,
+)
 from .errors import ModelError
 # The synthesis tail in ``binary`` calls almost_sure_reach_set, mec_decompose
 # and reach_policy; they stay bound here because bench/tracer.py wraps them
 # in both modules.
 from .graphs import Mec, almost_sure_reach_set, mec_decompose, reach_policy  # noqa: F401
-from .models import Mmdp, TransitionSystem, fresh_name, support
-from .policy import ActiveSet, DetectionPolicy, PolicyEntry, active_set, survivors
+from .models import Mmdp, TransitionSystem, fresh_name
+from .policy import ActiveSet, DetectionPolicy, PolicyEntry, active_set, members
 
 PairSet = frozenset[tuple[str, str]]
 
@@ -56,12 +64,14 @@ def general_apd(mmdp: Mmdp, initial: str | None = None, memoize: bool = True) ->
 
 @dataclass
 class _Context:
-    """Shared state of one synthesis run: the subproblem memo and the pairwise sets."""
+    """Shared state of one synthesis run: the subproblem memo, the pairwise sets, and
+    the initial-state-independent decision of every model pair solved so far."""
 
     mmdp: Mmdp
     memoize: bool
     memo: dict[tuple[ActiveSet, str], tuple[bool, dict, dict]] = field(default_factory=dict)
     isa_cache: dict[tuple[int, int], PairSet] = field(default_factory=dict)
+    decisions: dict[ActiveSet, _Decision] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
 
@@ -87,7 +97,7 @@ def _solve(
     if len(active) == 2:
         i, j = active
         exists, entry, diagnostics = _binary_synthesis(
-            ctx.mmdp.model(i), ctx.mmdp.model(j), initial, active
+            ctx.mmdp.model(i), ctx.mmdp.model(j), initial, active, ctx.decisions
         )
         entries = {(active, initial): entry} if entry is not None else {}
         result = (exists, entries, diagnostics)
@@ -102,10 +112,11 @@ def _general_level(
     ctx: _Context, active: ActiveSet, initial: str, depth: int
 ) -> tuple[bool, dict[tuple[ActiveSet, str], PolicyEntry], dict[str, Any]]:
     """One BFS + recursion level of the synthesis for ``len(active) >= 3``."""
-    models = {i: ctx.mmdp.model(i) for i in active}
-    base = next(iter(models.values()))
-    bot0 = fresh_name("botg0", base.states)
-    bot1 = fresh_name("botg1", (*base.states, bot0))
+    actions = ctx.mmdp.actions
+    support_masks = ctx.mmdp.support_masks
+    active_mask = sum(1 << (i - 1) for i in active)
+    bot0 = fresh_name("botg0", ctx.mmdp.states)
+    bot1 = fresh_name("botg1", (*ctx.mmdp.states, bot0))
     a_bot0, a_bot1 = f"a_{bot0}", f"a_{bot1}"
 
     explored: set[str] = {initial}
@@ -124,25 +135,24 @@ def _general_level(
 
     while queue:
         s = queue.popleft()
-        for a in base.actions[s]:
-            union_succ: set[str] = set()
-            for m in models.values():
-                union_succ |= support(m.row(s, a))
-            for s2 in sorted(union_succ):
-                sub = survivors(ctx.mmdp, active, s, a, s2)
-                if sub == active:
+        for a in actions[s]:
+            for s2, mask in support_masks(s, a).items():
+                mask &= active_mask
+                if mask == active_mask:
                     triples.add((s, a, s2))
                     if s2 not in explored:
                         explored.add(s2)
                         queue.append(s2)
-                elif len(sub) == 1:
+                    continue
+                sub = members(mask, active)
+                if len(sub) == 1:
                     settle((s, a, s2), sub, flag=1)
                 elif len(sub) == 2:
                     exists, entries, _ = _solve(ctx, sub, s2, depth + 1)
                     if exists:
                         sub_entries.update(entries)
                     settle((s, a, s2), sub, flag=1 if exists else 0)
-                else:
+                elif sub:
                     recursion_jobs.append((sub, (s, a, s2)))
 
     while recursion_jobs:
@@ -154,7 +164,7 @@ def _general_level(
         settle(edge, sub, flag=1 if exists else 0)
 
     ts_states = (*sorted(explored), bot0, bot1)
-    ts_actions: dict[str, tuple[str, ...]] = {s: base.actions[s] for s in explored}
+    ts_actions: dict[str, tuple[str, ...]] = {s: actions[s] for s in explored}
     ts_actions[bot0] = (a_bot0,)
     ts_actions[bot1] = (a_bot1,)
     ts = TransitionSystem(
@@ -170,8 +180,8 @@ def _general_level(
         member_pairs = list(c.pairs())
         return all(any(p in ctx.isa(i, j) for p in member_pairs) for (i, j) in pairs)
 
-    entry, diagnostics = _decide_and_build(
-        ts, is_informative, initial, active, frozenset({bot0, bot1})
+    entry, diagnostics = _build(
+        _decide(ts, is_informative, frozenset({bot0, bot1})), initial, active
     )
     diagnostics["explored"] = sorted(explored)
     diagnostics["terminal_edges"] = terminal_edges

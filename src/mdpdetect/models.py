@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 from .errors import ModelError
@@ -59,6 +60,9 @@ class Mmdp:
     """An ordered set of candidate MDPs over one shared structure skeleton."""
 
     models: tuple[Mdp, ...]
+    _masks: dict[tuple[str, str], Mapping[str, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n(self) -> int:
@@ -81,6 +85,24 @@ class Mmdp:
         if not 1 <= index <= self.n:
             raise ModelError(f"model index {index} outside 1..{self.n}")
         return self.models[index - 1]
+
+    def support_masks(self, state: str, action: str) -> Mapping[str, int]:
+        """Successor -> bitmask of the models giving it positive probability at (state, action).
+
+        Bit ``i - 1`` stands for model ``i``; successors no model allows are
+        absent, and the keys come in sorted order. Each row is built on first
+        use and kept, read-only.
+        """
+        masks = self._masks.get((state, action))
+        if masks is None:
+            acc: dict[str, int] = {}
+            for bit, m in enumerate(self.models):
+                for succ, p in m.row(state, action).items():
+                    if p > 0.0:
+                        acc[succ] = acc.get(succ, 0) | 1 << bit
+            masks = MappingProxyType({t: acc[t] for t in sorted(acc)})
+            self._masks[(state, action)] = masks
+        return masks
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,12 @@ def survivors(mmdp: Mmdp, active: ActiveSet, s: str, a: str, s2: str) -> ActiveS
     synthesis time and at run time alike: by support, never by the size of
     a posterior.
     """
-    models = mmdp.models
-    key = (s, a)
-    return tuple([i for i in active if models[i - 1].kernel.get(key, {}).get(s2, 0.0) > 0.0])
+    return members(mmdp.support_masks(s, a).get(s2, 0), active)
+
+
+def members(mask: int, active: ActiveSet) -> ActiveSet:
+    """The models of ``active`` whose bit (``i - 1`` for model ``i``) is set in ``mask``."""
+    return tuple([i for i in active if mask >> (i - 1) & 1])
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,6 @@ class BeliefState:
 
     probs: tuple[float, ...]
 
-    @property
-    def active(self) -> ActiveSet:
-        return tuple(i + 1 for i, p in enumerate(self.probs) if p > 0.0)
-
     def check(self) -> list[str]:
         problems = []
         if any(p < 0.0 for p in self.probs):

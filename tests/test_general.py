@@ -198,6 +198,7 @@ def test_general_recursive_instance_structure():
         e["state"] == "s0" and e["successor"] == "r" and e["support"] == [1, 2] and e["flag"] == 1
         for e in edges
     )
+    assert outcome.diagnostics["cache"] == {"hits": 0, "misses": 2}
 
 
 def test_general_recursive_instance_detects_all_truths():
@@ -284,6 +285,41 @@ def test_general_cache_hits_on_repeated_subproblems():
     outcome = general_apd(mmdp)
     # (s0, g1, n) and (s0, g2, n) both spawn the ({2, 3}, n) subproblem
     assert outcome.diagnostics["cache"]["hits"] >= 1
+
+
+@pytest.mark.parametrize("n_models", [3, 4])
+def test_general_pair_entries_match_fresh_binary_synthesis(n_models):
+    """A binary subproblem is solved once per model pair and reused for every
+    initial state; each result must equal a fresh single-initial ``bi_apd``."""
+    compared = settled = 0
+    for seed in range(60):
+        mmdp = random_multi_mmdp(rng_for(500 + seed), n_models=n_models, n_states=6)
+        outcome = general_apd(mmdp)
+
+        def fresh(pair, initial):
+            return bi_apd(Mmdp((mmdp.model(pair[0]), mmdp.model(pair[1]))), initial=initial)
+
+        for edge in outcome.diagnostics["terminal_edges"]:
+            if len(edge["support"]) == 2:
+                assert edge["flag"] == int(fresh(edge["support"], edge["successor"]).exists)
+                settled += 1
+        if not outcome.exists:
+            continue
+        pair_entries = [e for (active, _), e in outcome.policy.entries.items() if len(active) == 2]
+        for entry in pair_entries:
+            reference = fresh(entry.active, entry.entry_state)
+            assert reference.exists
+            (expected,) = reference.policy.entries.values()
+            assert (entry.entry_state, entry.reach, entry.mecs) == (
+                expected.entry_state,
+                expected.reach,
+                expected.mecs,
+            )
+            compared += 1
+        assert len({id(e.reach) for e in pair_entries}) == len(pair_entries)
+    assert compared >= 10
+    if n_models == 3:  # with 4 models, pairs settle only below the top level
+        assert settled >= 10
 
 
 def test_general_all_partial_successors_at_initial():

@@ -1,6 +1,10 @@
 """Policy container: canonical active sets, JSON round trip, flattening."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdpdetect.analysis import error_bounds_binary
 from mdpdetect.binary import bi_apd
@@ -12,15 +16,32 @@ from mdpdetect.policy import (
     parse_policy,
     policy_to_json,
     stationary_uniform_policy,
+    survivors,
 )
 
-from conftest import example1_mmdp, identical_mmdp, rng_for
+from conftest import example1_mmdp, identical_mmdp, random_multi_mmdp, rng_for
 from test_general import _recursive_instance
 
 
 def test_active_set_canonicalization():
     assert active_set([3, 1, 2, 1]) == (1, 2, 3)
     assert active_set((2,)) == (2,)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 4), st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_survivors_match_the_kernel_supports(n_models, n_states, seed):
+    mmdp = random_multi_mmdp(rng_for(seed), n_models=n_models, n_states=n_states)
+    subsets = [c for k in range(1, n_models + 1) for c in combinations(range(1, n_models + 1), k)]
+    for s in mmdp.states:
+        for a in mmdp.actions[s]:
+            masks = mmdp.support_masks(s, a)
+            assert list(masks) == sorted(masks)
+            # every state, so also successors that no active model allows
+            for s2 in mmdp.states:
+                for active in subsets:
+                    expected = tuple(i for i in active if mmdp.model(i).prob(s, a, s2) > 0.0)
+                    assert survivors(mmdp, active, s, a, s2) == expected
 
 
 def test_policy_json_round_trip_binary():

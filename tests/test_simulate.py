@@ -9,7 +9,7 @@ from mdpdetect.binary import bi_apd
 from mdpdetect.errors import ContractError, ImpossibleObservationError, ModelError
 from mdpdetect.general import general_apd
 from mdpdetect.models import Mmdp
-from mdpdetect.policy import DetectionPolicy, stationary_uniform_policy
+from mdpdetect.policy import DetectionPolicy, stationary_uniform_policy, survivors
 from mdpdetect.simulate import (
     BeliefState,
     batch_summary,
@@ -33,8 +33,8 @@ def test_belief_update_example1_values(example1):
 
 def test_belief_update_revealing_transition_collapses(example1):
     b = belief_update(BeliefState((0.5, 0.5)), "5", "b5", "5", example1)
-    assert b.probs == (1.0, 0.0)
-    assert b.active == (1,)
+    assert b.probs == (1.0, 0.0)  # an exact zero: model 2 gives (5, b5, 5) probability zero
+    assert survivors(example1, (1, 2), "5", "b5", "5") == (1,)
 
 
 def test_belief_update_equal_likelihoods_keep_belief(example1):
