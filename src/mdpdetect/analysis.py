@@ -9,15 +9,16 @@ controller state. MAP error bounds come in binary and multi-hypothesis forms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ContractError, HorizonCapError, ModelError
 from .models import Mdp, Mmdp
-from .policy import ActiveSet, DetectionPolicy, active_set, survivors
+from .policy import ActiveSet, DetectionPolicy, active_set, members
 
 StationaryPolicy = Mapping[str, Mapping[str, float]]
 
@@ -232,6 +233,13 @@ def pairwise_bc_curve(
 
     The dynamic program is uncapped by default; pass ``cap`` to bound the
     horizon explicitly.
+
+    The augmented states reachable within ``horizon - 1`` steps are
+    enumerated once for all pairs, since their successors do not depend on
+    the pair; each pair keeps its own edge weights. Every step then advances
+    all pairs in one sparse pass, summing in a fixed order: sources in the
+    order the previous step first touched them, each source's edges in
+    action and successor order, and B(t) over the masses in first-touch order.
     """
     if horizon < 0:
         raise ModelError("horizon must be nonnegative")
@@ -241,28 +249,135 @@ def pairwise_bc_curve(
         pairs = [
             (i, j) for i in range(1, mmdp.n + 1) for j in range(i + 1, mmdp.n + 1)
         ]
-    full = active_set(range(1, mmdp.n + 1))
-    start = _canonical_aug(policy, (full, mmdp.initial), None, mmdp.initial)
-    curves: dict[tuple[int, int], BcCurve] = {}
     for (i, j) in pairs:
         if i == j:
             raise ModelError("coefficient pairs need two distinct model indices")
-        expand_cache: dict[_Aug, list[tuple[_Aug, float]]] = {}
-        mass: dict[_Aug, float] = {start: 1.0}
-        values = [1.0]
+        mmdp.model(i), mmdp.model(j)  # ModelError for an index outside 1..n
+    full = active_set(range(1, mmdp.n + 1))
+    start = _canonical_aug(policy, (full, mmdp.initial), None, mmdp.initial)
+    values = _AugGraph(mmdp, policy, start, pairs, horizon).curve_values()
+    return {
+        (i, j): BcCurve(values=tuple(v), pair=(i, j), policy_id="synthesized")
+        for (i, j), v in zip(pairs, values)
+    }
+
+
+class _AugGraph:
+    """The augmented states a DP of ``horizon`` steps expands, with per-pair edges.
+
+    States are numbered breadth first from the start (0). Row
+    ``p * size + k`` holds the edges of state ``k`` under pair ``p``, in
+    summation order: ``indptr[row]:indptr[row + 1]`` indexes ``target`` (a
+    row of the same pair) and ``weight``. A negative target ``-(e + 1)``
+    stands for ``errors[e]``, which the DP of that pair raises on reaching
+    the edge.
+    """
+
+    def __init__(
+        self,
+        mmdp: Mmdp,
+        policy: DetectionPolicy,
+        start: _Aug,
+        pairs: Sequence[tuple[int, int]],
+        horizon: int,
+    ) -> None:
+        bits = {1 << (i - 1) | 1 << (j - 1) for i, j in pairs}
+
+        @functools.cache
+        def relevant(mask: int) -> bool:
+            """Some pair has both its models in ``mask``, so the edge may carry weight."""
+            return any(mask & b == b for b in bits)
+
+        index: dict[_Aug, int] = {start: 0}
+        self.errors: list[Exception] = []
+        source: list[int] = []
+        target: list[int] = []
+        act_prob: list[float] = []
+        transition: list[tuple[str, str, str]] = []
+        always: list[bool] = []  # an edge every pair takes, whatever its weight
+        frontier = [start]
         for _ in range(horizon):
-            nxt: dict[_Aug, float] = {}
-            for aug, w in mass.items():
-                table = expand_cache.get(aug)
-                if table is None:
-                    table = _expand_aug(mmdp, policy, (i, j), aug)
-                    expand_cache[aug] = table
-                for tgt, wt in table:
-                    nxt[tgt] = nxt.get(tgt, 0.0) + w * wt
-            mass = nxt
-            values.append(sum(mass.values()))
-        curves[(i, j)] = BcCurve(values=tuple(values), pair=(i, j), policy_id="synthesized")
-    return curves
+            reached = []
+            for aug in frontier:
+                try:
+                    edges = _expand_aug(mmdp, policy, aug, relevant)
+                    fails = False
+                except (ContractError, KeyError) as exc:
+                    # every pair's DP fails on entering this state
+                    edges = [("", 0.0, "", exc)]
+                    fails = True
+                for a, pa, s2, tgt in edges:
+                    if isinstance(tgt, Exception):
+                        self.errors.append(tgt)
+                        t = -len(self.errors)
+                    else:
+                        t = index.get(tgt)
+                        if t is None:
+                            t = index[tgt] = len(index)
+                            reached.append(tgt)
+                    source.append(index[aug])
+                    target.append(t)
+                    act_prob.append(pa)
+                    transition.append((aug[2], a, s2))
+                    always.append(fails)
+            frontier = reached
+        self.horizon = horizon
+        self.pairs = len(pairs)
+        self.size = size = len(index)
+
+        # the weight of an edge under pair (i, j) is pa * sqrt(P_i * P_j), as
+        # the scalar recurrence computes it; a pair drops its zero-weight edges
+        prob = np.array(
+            [[m.row(s, a).get(s2, 0.0) for (s, a, s2) in transition] for m in mmdp.models]
+        ).reshape(mmdp.n, len(transition))
+        mi = np.array([i - 1 for i, _ in pairs], dtype=np.intp)
+        mj = np.array([j - 1 for _, j in pairs], dtype=np.intp)
+        weight = np.asarray(act_prob) * np.sqrt(prob[mi] * prob[mj])
+        pair, edge = np.nonzero((weight != 0.0) | np.asarray(always, dtype=bool))
+        tgt = np.asarray(target, dtype=np.intp)[edge]
+        self.target = np.where(tgt >= 0, pair * size + tgt, tgt)
+        self.weight = weight[pair, edge]
+        row = pair * size + np.asarray(source, dtype=np.intp)[edge]
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=self.pairs * size))))
+
+    def curve_values(self) -> list[list[float]]:
+        """B(0..horizon) per pair, every pair advanced by one sparse step at a time.
+
+        Raises the error of the first failing pair, as a pair-by-pair run would.
+        """
+        size = self.size
+        rows = np.arange(self.pairs, dtype=np.intp) * size  # live rows, first-touch order
+        mass = np.ones(self.pairs)
+        values: list[list[float]] = [[1.0] for _ in range(self.pairs)]
+        failed: dict[int, Exception] = {}
+        for _ in range(self.horizon):
+            # the edges of the live rows, row by row, each row's in summation order
+            lo = self.indptr[rows]
+            count = self.indptr[rows + 1] - lo
+            source = np.repeat(np.arange(len(rows)), count)
+            pos = np.arange(len(source)) + np.repeat(lo - (np.cumsum(count) - count), count)
+            target = self.target[pos]
+            term = mass[source] * self.weight[pos]
+            bad = np.flatnonzero(target < 0)
+            if len(bad):
+                for b in bad.tolist():
+                    failed.setdefault(int(rows[source[b]]) // size, self.errors[-target[b] - 1])
+                keep = ~np.isin(rows[source] // size, list(failed))
+                target, term = target[keep], term[keep]
+            # targets in first-touch order; bincount adds each target's terms
+            # one after another, in input order
+            first = np.full(self.pairs * size, len(target))
+            np.minimum.at(first, target, np.arange(len(target)))
+            touched = np.flatnonzero(first < len(target))
+            rows = touched[np.argsort(first[touched])]
+            mass = np.bincount(target, weights=term, minlength=self.pairs * size)[rows]
+            cut = np.searchsorted(rows // size, np.arange(self.pairs + 1)).tolist()
+            masses = mass.tolist()
+            for p in range(self.pairs):
+                values[p].append(sum(masses[cut[p] : cut[p + 1]]))
+        if failed:
+            raise failed[min(failed)]
+        return values
 
 
 def _canonical_aug(
@@ -277,8 +392,15 @@ def _canonical_aug(
 
 
 def _expand_aug(
-    mmdp: Mmdp, policy: DetectionPolicy, pair: tuple[int, int], aug: _Aug
-) -> list[tuple[_Aug, float]]:
+    mmdp: Mmdp, policy: DetectionPolicy, aug: _Aug, relevant: Callable[[int], bool]
+) -> list[tuple[str, float, str, _Aug | ContractError]]:
+    """The edges out of one augmented state, common to every pair.
+
+    Each edge is (action, its probability, successor, target), in summation
+    order; only successors whose model bitmask ``relevant`` accepts are kept.
+    A target the policy has no entry for is given as the error its lookup
+    raises.
+    """
     entry_key, mec_index, s = aug
     entry = policy.entries[entry_key]
     active = entry.active
@@ -291,21 +413,20 @@ def _expand_aug(
                 f"policy entry {entry_key} covers neither reach nor component at {s!r}"
             )
         dist = [(a, 1.0)]
-    mi, mj = mmdp.model(pair[0]), mmdp.model(pair[1])
-    out: list[tuple[_Aug, float]] = []
+    out: list[tuple[str, float, str, _Aug | ContractError]] = []
     for a, pa in dist:
-        ri, rj = mi.row(s, a), mj.row(s, a)
-        # sorted, so that the summation order does not follow the hash seed
-        for s2 in sorted(set(ri) | set(rj)):
-            w = pa * math.sqrt(ri.get(s2, 0.0) * rj.get(s2, 0.0))
-            if w == 0.0:
+        for s2, mask in mmdp.support_masks(s, a).items():
+            if not relevant(mask):
                 continue
-            new_active = survivors(mmdp, active, s, a, s2)
-            if new_active == active:
-                tgt = _canonical_aug(policy, entry_key, mec_index, s2)
-            else:
-                tgt = _canonical_aug(policy, (new_active, s2), None, s2)
-            out.append((tgt, w))
+            new_active = members(mask, active)
+            try:
+                if new_active == active:
+                    tgt = _canonical_aug(policy, entry_key, mec_index, s2)
+                else:
+                    tgt = _canonical_aug(policy, (new_active, s2), None, s2)
+            except ContractError as exc:
+                tgt = exc
+            out.append((a, pa, s2, tgt))
     return out
 
 

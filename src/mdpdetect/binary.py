@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Mapping
 
 from .errors import ModelError
@@ -42,7 +43,7 @@ class SaClassification:
     state_labels: Mapping[str, str]
     chosen_revealing: Mapping[str, str]
 
-    @property
+    @cached_property
     def informative_pairs(self) -> frozenset[tuple[str, str]]:
         return frozenset(p for p, lab in self.pair_labels.items() if lab == INFORMATIVE)
 
@@ -120,15 +121,21 @@ class PreprocessedPair:
         return self.isa - self.terminal_pairs
 
 
-def preprocess(m1: Mdp, m2: Mdp, atol: float = ROW_EQ_TOL) -> PreprocessedPair:
+def preprocess(
+    m1: Mdp,
+    m2: Mdp,
+    atol: float = ROW_EQ_TOL,
+    classification: SaClassification | None = None,
+) -> PreprocessedPair:
     """Rewrite a binary pair for synthesis.
 
     Revealing states retain exactly one (the chosen) revealing action, whose
     mass is redirected entirely to the respective terminal. At informative
     pairs, the mass each model puts outside the common support moves to its
-    terminal. Neutral rows are copied unchanged.
+    terminal. Neutral rows are copied unchanged. A caller that already holds
+    ``classify_pairs(m1, m2, atol)`` passes it as ``classification``.
     """
-    cls = classify_pairs(m1, m2, atol)
+    cls = classification if classification is not None else classify_pairs(m1, m2, atol)
     bot1 = fresh_name("bot1", m1.states)
     bot2 = fresh_name("bot2", (*m1.states, bot1))
     a_bot1 = f"a_{bot1}"
@@ -250,18 +257,20 @@ def _binary_synthesis(
     initial: str,
     active: ActiveSet,
     decisions: dict[ActiveSet, _Decision],
+    classification: SaClassification | None = None,
 ) -> tuple[bool, PolicyEntry | None, dict[str, Any]]:
     """Full binary pipeline; returns (exists, policy entry, diagnostics).
 
     Only the last step depends on ``initial``: the rest is looked up in
     ``decisions`` under ``active`` and stored there on a miss, so one pass
-    over a model pair serves every initial state.
+    over a model pair serves every initial state. ``classification``, when
+    given, is the pair's classification on its original kernels.
     """
     if initial not in m1.state_index:
         raise ModelError(f"unknown initial state {initial!r}")
     decision = decisions.get(active)
     if decision is None:
-        pair = preprocess(m1, m2)
+        pair = preprocess(m1, m2, classification=classification)
         decision = decisions[active] = _decide(
             informative_structure(pair),
             lambda c: any(p in c for p in pair.isa),

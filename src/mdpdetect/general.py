@@ -17,6 +17,7 @@ from typing import Any
 
 from .binary import (
     ApdOutcome,
+    SaClassification,
     _binary_synthesis,
     _build,
     _decide,
@@ -64,22 +65,26 @@ def general_apd(mmdp: Mmdp, initial: str | None = None, memoize: bool = True) ->
 
 @dataclass
 class _Context:
-    """Shared state of one synthesis run: the subproblem memo, the pairwise sets, and
-    the initial-state-independent decision of every model pair solved so far."""
+    """Shared state of one synthesis run: the subproblem memo, the classification of
+    every model pair on its original kernels, and the initial-state-independent
+    decision of every model pair solved so far."""
 
     mmdp: Mmdp
     memoize: bool
     memo: dict[tuple[ActiveSet, str], tuple[bool, dict, dict]] = field(default_factory=dict)
-    isa_cache: dict[tuple[int, int], PairSet] = field(default_factory=dict)
+    classifications: dict[ActiveSet, SaClassification] = field(default_factory=dict)
     decisions: dict[ActiveSet, _Decision] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
 
-    def isa(self, i: int, j: int) -> PairSet:
-        key = (min(i, j), max(i, j))
-        cached = self.isa_cache.get(key)
+    def classification(self, i: int, j: int) -> SaClassification:
+        """One classification per pair, shared by the level tests and the binary pipeline."""
+        key = active_set((i, j))
+        cached = self.classifications.get(key)
         if cached is None:
-            cached = self.isa_cache[key] = pairwise_isa(self.mmdp, *key)
+            cached = self.classifications[key] = classify_pairs(
+                self.mmdp.model(key[0]), self.mmdp.model(key[1])
+            )
         return cached
 
 
@@ -97,7 +102,8 @@ def _solve(
     if len(active) == 2:
         i, j = active
         exists, entry, diagnostics = _binary_synthesis(
-            ctx.mmdp.model(i), ctx.mmdp.model(j), initial, active, ctx.decisions
+            ctx.mmdp.model(i), ctx.mmdp.model(j), initial, active, ctx.decisions,
+            ctx.classification(i, j),
         )
         entries = {(active, initial): entry} if entry is not None else {}
         result = (exists, entries, diagnostics)
@@ -178,7 +184,10 @@ def _general_level(
         if c.states == {bot1}:
             return True
         member_pairs = list(c.pairs())
-        return all(any(p in ctx.isa(i, j) for p in member_pairs) for (i, j) in pairs)
+        return all(
+            not ctx.classification(i, j).informative_pairs.isdisjoint(member_pairs)
+            for (i, j) in pairs
+        )
 
     entry, diagnostics = _build(
         _decide(ts, is_informative, frozenset({bot0, bot1})), initial, active

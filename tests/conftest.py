@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 
 import numpy as np
 import pytest
 
+from mdpdetect.analysis import BcCurve
+from mdpdetect.errors import ContractError, HorizonCapError, ModelError
 from mdpdetect.models import Mdp, Mmdp, TransitionSystem
+from mdpdetect.policy import active_set, survivors
 
 
 def mk_mdp(states, actions, kernel, initial, name="M"):
@@ -327,3 +331,82 @@ def chain_reach_probability(rows, targets, tol=1e-13, max_iter=200000):
         if delta < tol:
             break
     return h
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference for the coefficient-curve DP: the per-pair dictionary
+# recurrence that `analysis.pairwise_bc_curve` replaced, kept verbatim so that
+# its values, its summation order and its errors stay the contract.
+# ---------------------------------------------------------------------------
+
+
+def reference_pairwise_bc_curve(mmdp, policy, horizon, pairs=None, cap=None):
+    if horizon < 0:
+        raise ModelError("horizon must be nonnegative")
+    if cap is not None and horizon > cap:
+        raise HorizonCapError(f"horizon {horizon} exceeds the requested cap {cap}")
+    if pairs is None:
+        pairs = [
+            (i, j) for i in range(1, mmdp.n + 1) for j in range(i + 1, mmdp.n + 1)
+        ]
+    full = active_set(range(1, mmdp.n + 1))
+    start = _reference_canonical_aug(policy, (full, mmdp.initial), None, mmdp.initial)
+    curves = {}
+    for (i, j) in pairs:
+        if i == j:
+            raise ModelError("coefficient pairs need two distinct model indices")
+        expand_cache = {}
+        mass = {start: 1.0}
+        values = [1.0]
+        for _ in range(horizon):
+            nxt = {}
+            for aug, w in mass.items():
+                table = expand_cache.get(aug)
+                if table is None:
+                    table = _reference_expand_aug(mmdp, policy, (i, j), aug)
+                    expand_cache[aug] = table
+                for tgt, wt in table:
+                    nxt[tgt] = nxt.get(tgt, 0.0) + w * wt
+            mass = nxt
+            values.append(sum(mass.values()))
+        curves[(i, j)] = BcCurve(values=tuple(values), pair=(i, j), policy_id="synthesized")
+    return curves
+
+
+def _reference_canonical_aug(policy, entry_key, mec_index, state):
+    entry = policy.entries.get(entry_key)
+    if entry is None:
+        raise ContractError(f"policy has no entry for {entry_key}")
+    if mec_index is None:
+        mec_index = entry.committed_mec(state)
+    return (entry_key, mec_index, state)
+
+
+def _reference_expand_aug(mmdp, policy, pair, aug):
+    entry_key, mec_index, s = aug
+    entry = policy.entries[entry_key]
+    active = entry.active
+    if mec_index is not None:
+        dist = list(entry.mecs[mec_index].distribution(s).items())
+    else:
+        a = entry.reach.get(s)
+        if a is None:
+            raise ContractError(
+                f"policy entry {entry_key} covers neither reach nor component at {s!r}"
+            )
+        dist = [(a, 1.0)]
+    mi, mj = mmdp.model(pair[0]), mmdp.model(pair[1])
+    out = []
+    for a, pa in dist:
+        ri, rj = mi.row(s, a), mj.row(s, a)
+        for s2 in sorted(set(ri) | set(rj)):
+            w = pa * math.sqrt(ri.get(s2, 0.0) * rj.get(s2, 0.0))
+            if w == 0.0:
+                continue
+            new_active = survivors(mmdp, active, s, a, s2)
+            if new_active == active:
+                tgt = _reference_canonical_aug(policy, entry_key, mec_index, s2)
+            else:
+                tgt = _reference_canonical_aug(policy, (new_active, s2), None, s2)
+            out.append((tgt, w))
+    return out

@@ -1,9 +1,12 @@
 """Quantitative metrics: coefficient routes, error bounds, decay fits."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdpdetect.analysis import (
     BcCurve,
@@ -17,16 +20,25 @@ from mdpdetect.analysis import (
     pairwise_bc_curve,
 )
 from mdpdetect.binary import bi_apd
-from mdpdetect.errors import HorizonCapError, ModelError
+from mdpdetect.errors import ContractError, HorizonCapError, ModelError
 from mdpdetect.general import general_apd
-from mdpdetect.policy import entry_as_stationary, stationary_uniform_policy
+from mdpdetect.models import Mmdp
+from mdpdetect.policy import (
+    DetectionPolicy,
+    PolicyEntry,
+    entry_as_stationary,
+    stationary_uniform_policy,
+)
 
 from conftest import (
     example1_mmdp,
     identical_mmdp,
+    mk_mdp,
     random_binary_mmdp,
     random_detectable_binary,
+    random_multi_mmdp,
     random_stationary_policy,
+    reference_pairwise_bc_curve,
     rng_for,
     sqrt_half_mmdp,
 )
@@ -272,6 +284,89 @@ def test_pairwise_curves_nonincreasing_on_recursive_instance():
     policy = general_apd(tri).policy
     for curve in pairwise_bc_curve(tri, policy, horizon=25).values():
         assert curve.check() == []
+
+
+def test_pairwise_curve_rejects_bad_pairs_before_any_work():
+    mmdp = example1_mmdp(initial="2")
+    policy = bi_apd(mmdp).policy
+    for pairs in ([(1, 9)], [(0, 1)], [(2, 2)], [(1, 2), (2, 3)]):
+        for horizon in (0, 3):
+            with pytest.raises(ModelError):
+                pairwise_bc_curve(mmdp, policy, horizon, pairs=pairs)
+    # the pairs are checked before the policy is consulted
+    with pytest.raises(ModelError, match=r"model index 9 outside 1\.\.2"):
+        pairwise_bc_curve(mmdp, DetectionPolicy(entries={}), 0, pairs=[(1, 9)])
+
+
+def test_pairwise_curve_reports_the_first_state_it_cannot_expand():
+    # from s0 the policy reaches x and y at once and covers neither of them
+    states = ("s0", "x", "y")
+    actions = {s: ("a",) for s in states}
+    kernels = [
+        {("s0", "a"): {"x": p, "y": 1.0 - p}, ("x", "a"): {"x": 1.0}, ("y", "a"): {"y": 1.0}}
+        for p in (0.3, 0.6)
+    ]
+    mmdp = Mmdp(models=tuple(mk_mdp(states, actions, k, "s0", f"M{i}") for i, k in enumerate(kernels)))
+    policy = DetectionPolicy(entries={((1, 2), "s0"): PolicyEntry((1, 2), "s0", reach={"s0": "a"})})
+    assert pairwise_bc_curve(mmdp, policy, 1)[(1, 2)].values == (1.0, math.sqrt(0.18) + math.sqrt(0.28))
+    with pytest.raises(ContractError, match="at 'x'"):
+        reference_pairwise_bc_curve(mmdp, policy, 2)
+    with pytest.raises(ContractError, match="at 'x'"):
+        pairwise_bc_curve(mmdp, policy, 2)
+
+
+def _random_instance(rng, kind, n_states):
+    if kind == "binary":
+        return random_binary_mmdp(rng, n_states=n_states)
+    return random_multi_mmdp(rng, n_models=int(kind[-1]), n_states=n_states)
+
+
+@settings(max_examples=240, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["binary", "multi3", "multi4"]),
+    policy_kind=st.sampled_from(["synthesized", "uniform", "synthesized elsewhere", "truncated"]),
+    horizon=st.sampled_from([0, 1, 7, 30]),
+    single_pair=st.booleans(),
+)
+def test_pairwise_curve_matches_frozen_reference(seed, kind, policy_kind, horizon, single_pair):
+    """Same values, same CSV bytes and the same errors as the frozen per-pair DP.
+
+    A policy synthesized on a different instance over the same state names,
+    or one with part of its reach tables removed, drives the DP into states
+    its entries do not cover, so the error paths and their order are
+    exercised too.
+    """
+    rng = rng_for(seed)
+    n_states = int(rng.integers(4, 7))
+    mmdp = _random_instance(rng, kind, n_states)
+    if policy_kind == "uniform":
+        policy = stationary_uniform_policy(mmdp)
+    else:
+        source = mmdp if policy_kind != "synthesized elsewhere" else _random_instance(rng, kind, n_states)
+        policy = general_apd(source).policy or DetectionPolicy(entries={})
+    if policy_kind == "truncated":
+        policy = DetectionPolicy(entries={
+            key: dataclasses.replace(e, reach={s: a for s, a in e.reach.items() if rng.random() < 0.7})
+            for key, e in policy.entries.items()
+        })
+    pairs = None
+    if single_pair:
+        i, j = sorted(rng.choice(np.arange(1, mmdp.n + 1), size=2, replace=False).tolist())
+        pairs = [(i, j) if rng.random() < 0.5 else (j, i)]
+    try:
+        expected = reference_pairwise_bc_curve(mmdp, policy, horizon, pairs)
+    except (ContractError, KeyError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            pairwise_bc_curve(mmdp, policy, horizon, pairs)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+        return
+    curves = pairwise_bc_curve(mmdp, policy, horizon, pairs)
+    assert list(curves) == list(expected)
+    for key, curve in curves.items():
+        assert curve == expected[key]
+    assert curve_csv(curves) == curve_csv(expected)
 
 
 def test_decay_fit_exact_geometric():

@@ -179,6 +179,17 @@ def test_bc_curve_and_bounds(tmp_path, model_file):
     assert lines[1] == "0,0.25,0.5,0.5"
 
 
+def test_bc_rejects_a_model_index_out_of_range(tmp_path, model_file, capsys):
+    _, policy_path, _ = _synthesize(tmp_path, model_file)
+    out = tmp_path / "bc.csv"
+    for horizon in ("0", "3"):
+        code = main(["bc", model_file, policy_path, "--horizon", horizon,
+                     "--pair", "1,9", "--out", str(out)])
+        assert code == 2
+        assert "model index 9 outside 1..2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_commands(tmp_path, capsys):
     grid_spec = tmp_path / "grid.json"
     grid_spec.write_text(

@@ -1,9 +1,12 @@
 """Multi-model synthesis: pairwise sets, the shared-structure base case, BFS + recursion."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdpdetect import binary, general
 from mdpdetect.binary import bi_apd
 from mdpdetect.errors import ModelError
 from mdpdetect.general import general_apd, pairwise_isa
@@ -199,6 +202,23 @@ def test_general_recursive_instance_structure():
         for e in edges
     )
     assert outcome.diagnostics["cache"] == {"hits": 0, "misses": 2}
+
+
+def test_general_classifies_each_model_pair_once(monkeypatch):
+    calls = []
+    for module in (binary, general):
+        def counting(m1, m2, *args, _classify=module.classify_pairs, **kwargs):
+            calls.append((m1.name, m2.name))
+            return _classify(m1, m2, *args, **kwargs)
+
+        monkeypatch.setattr(module, "classify_pairs", counting)
+    instances = [_recursive_instance()]
+    instances += [random_multi_mmdp(rng_for(seed), n_models=4, n_states=6) for seed in range(20)]
+    for mmdp in instances:
+        calls.clear()
+        general_apd(mmdp)
+        # original kernels (M1, M2) and rewritten ones (M1^p, M2^p) alike
+        assert calls and Counter(calls).most_common(1)[0][1] == 1, Counter(calls)
 
 
 def test_general_recursive_instance_detects_all_truths():
