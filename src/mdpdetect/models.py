@@ -8,11 +8,14 @@ parse time, so the support of a row is exactly its key set.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping
+
+import numpy as np
 
 from .errors import ModelError
 
@@ -103,6 +106,55 @@ class Mmdp:
             masks = MappingProxyType({t: acc[t] for t in sorted(acc)})
             self._masks[(state, action)] = masks
         return masks
+
+    @cached_property
+    def sampling(self) -> SamplingRows:
+        """Every model's rows laid out for sampling successors, each built on first use."""
+        return SamplingRows(self.models)
+
+
+class SamplingRows:
+    """The rows of all models at each (state, action), over their sorted successors.
+
+    Row (state, action) covers the sorted union of the models' row keys, as
+    entries ``lo .. lo + size`` of ``successors``, ``lik`` and ``cdf``:
+    ``lik[e, m]`` is model ``m + 1``'s probability of successor ``e`` and
+    ``cdf[e, m]`` its running sum from ``lo``. A successor outside the model's
+    row adds 0.0, so the sums at the model's own successors are those of its
+    sorted items. ``last[m]`` is the position of the model's last own
+    successor, which takes any remainder, or -1 for an empty row. Rows are
+    appended as they are first asked for, and never change; the arrays are
+    replaced as they grow.
+    """
+
+    def __init__(self, models: tuple[Mdp, ...]) -> None:
+        self.models = models
+        self.index: dict[tuple[str, str], tuple[int, int, tuple[int, ...]]] = {}
+        self.successors: list[str] = []
+        self.lik = np.empty((64, len(models)))
+        self.cdf = np.empty((64, len(models)))
+
+    def row(self, state: str, action: str) -> tuple[int, int, tuple[int, ...]]:
+        """``(lo, size, last)`` of row (state, action)."""
+        found = self.index.get((state, action))
+        if found is None:
+            rows = [m.row(state, action) for m in self.models]
+            successors = sorted(set().union(*rows))
+            lik = [[r.get(t, 0.0) for r in rows] for t in successors]
+            lo, size = len(self.successors), len(successors)
+            if lo + size > len(self.lik):
+                room = max(2 * len(self.lik), lo + size)
+                for name in ("lik", "cdf"):
+                    column = np.empty((room, len(self.models)))
+                    column[:lo] = getattr(self, name)[:lo]
+                    setattr(self, name, column)
+            if size:
+                self.lik[lo : lo + size] = lik
+                self.cdf[lo : lo + size] = list(zip(*(itertools.accumulate(c) for c in zip(*lik))))
+            self.successors.extend(successors)
+            last = tuple([successors.index(max(r)) if r else -1 for r in rows])
+            found = self.index[(state, action)] = (lo, size, last)
+        return found
 
 
 @dataclass(frozen=True)
@@ -287,18 +339,21 @@ def parse_mmdp(document: str | Mapping[str, Any]) -> Mmdp:
             raise ModelError(f"{path}.delta: expected an array")
         kernel: dict[tuple[str, str], dict[str, float]] = {}
         for ei, entry in enumerate(delta):
-            epath = f"{path}.delta[{ei}]"
-            if not isinstance(entry, Mapping):
-                raise ModelError(f"{epath}: expected an object")
-            src = _expect(entry, "from", str, "string", epath)
-            act = _expect(entry, "action", str, "string", epath)
-            dst = _expect(entry, "to", str, "string", epath)
-            p = entry.get("p")
-            if not isinstance(p, (int, float)) or isinstance(p, bool):
-                raise ModelError(f"{epath}.p: expected a number")
+            # a plain object with plain string and number fields passes without
+            # the checks below, which name the entry's path in their messages
+            plain = type(entry) is dict
+            if plain:
+                src, act, dst = entry.get("from"), entry.get("action"), entry.get("to")
+                p = entry.get("p")
+                plain = (
+                    type(src) is str and type(act) is str and type(dst) is str
+                    and type(p) in (float, int)
+                )
+            if not plain:
+                src, act, dst, p = _check_delta_entry(entry, f"{path}.delta[{ei}]")
             row = kernel.setdefault((src, act), {})
             if dst in row:
-                raise ModelError(f"{epath}: duplicate entry for ({src}, {act}, {dst})")
+                raise ModelError(f"{path}.delta[{ei}]: duplicate entry for ({src}, {act}, {dst})")
             if p != 0.0:
                 row[dst] = float(p)
         models.append(
@@ -334,6 +389,18 @@ def serialize_mmdp(mmdp: Mmdp) -> dict[str, Any]:
 
 def mmdp_to_json(mmdp: Mmdp) -> str:
     return json.dumps(serialize_mmdp(mmdp), indent=2, sort_keys=True) + "\n"
+
+
+def _check_delta_entry(entry: Any, epath: str) -> tuple[str, str, str, int | float]:
+    if not isinstance(entry, Mapping):
+        raise ModelError(f"{epath}: expected an object")
+    src = _expect(entry, "from", str, "string", epath)
+    act = _expect(entry, "action", str, "string", epath)
+    dst = _expect(entry, "to", str, "string", epath)
+    p = entry.get("p")
+    if not isinstance(p, (int, float)) or isinstance(p, bool):
+        raise ModelError(f"{epath}.p: expected a number")
+    return src, act, dst, p
 
 
 def _expect(doc: Mapping, key: str, typ: type, typename: str, prefix: str = "") -> Any:

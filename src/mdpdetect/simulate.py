@@ -5,22 +5,31 @@ runtime: the events they stand for surface as observed transitions of zero
 likelihood under some models, which zero those posteriors exactly and shrink
 the active set. The random streams are counter-based (Philox keyed by
 (seed, trial index)), so trials are independent and reproducible in any
-execution order.
+execution order: Monte Carlo advances all its trials in lockstep, over a
+controller table compiled for just the augmented states they reach, and
+gets the results a trial-by-trial loop would.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .analysis import _Aug, _canonical_aug, _expand_aug
 from .errors import ContractError, ImpossibleObservationError, ModelError
 from .models import Mmdp
 from .policy import ActiveSet, DetectionPolicy, PolicyEntry, active_set, survivors
 
 _MASK64 = (1 << 64) - 1
+_BLOCK = 64  # uniforms a Monte-Carlo trial draws from its stream at a time
+# the action count of an augmented state not compiled yet, and of one where
+# choosing the action raises
+_UNCOMPILED = -1
+_FAILS = -2
 
 
 @dataclass(frozen=True)
@@ -69,7 +78,10 @@ def _update(
     probs: tuple[float, ...], s: str, a: str, s_next: str, mmdp: Mmdp
 ) -> tuple[float, ...]:
     weighted = [p * m.prob(s, a, s_next) for p, m in zip(probs, mmdp.models)]
-    denom = sum(weighted)
+    # in model order, on every Python version (since 3.12, sum() compensates)
+    denom = 0.0
+    for w in weighted:
+        denom += w
     if denom <= 0.0:
         raise ImpossibleObservationError(
             f"transition ({s}, {a}, {s_next}) is impossible under the current belief support"
@@ -127,24 +139,14 @@ class _Controller:
         if self.entry is not None and self.mec_index is None:
             self.mec_index = self.entry.committed_mec(state)
 
-    def action_distribution(self, state: str) -> list[tuple[str, float]] | None:
-        if self.entry is None:
-            return None
-        if self.mec_index is not None:
-            frag = self.entry.mecs[self.mec_index]
-            if state not in frag.mec.states:
-                return None
-            dist = frag.distribution(state)
-            if self.mec_weights is not None:
-                weighted = {a: self.mec_weights.get(a, 0.0) for a in dist}
-                total = sum(weighted.values())
-                if total > 0.0:
-                    return [(a, w / total) for a, w in weighted.items() if w > 0.0]
-            return list(dist.items())
-        a = self.entry.reach.get(state)
-        if a is None:
-            return None
-        return [(a, 1.0)]
+    def action_distribution(self, state: str) -> list[tuple[str, float]]:
+        dist = _action_distribution(self.entry, self.mec_index, state)
+        if dist and self.mec_index is not None and self.mec_weights is not None:
+            weighted = {a: self.mec_weights.get(a, 0.0) for a, _ in dist}
+            total = sum(weighted.values())
+            if total > 0.0:
+                return [(a, w / total) for a, w in weighted.items() if w > 0.0]
+        return dist
 
 
 def _check_priors(priors: Sequence[float] | None, n: int, what: str) -> tuple[float, ...]:
@@ -200,7 +202,7 @@ def _episode(
         if t >= max_steps:
             return "max_steps", t, state, beliefs
         dist = controller.action_distribution(state)
-        if dist is None:
+        if not dist:
             return "undetectable", t, state, beliefs
         action = _sample(dist, rng)
         succ = _sample(truth_model.row(state, action).items(), rng)
@@ -267,18 +269,305 @@ def monte_carlo_error(
         raise ContractError(f"need at least 100 trials, got {trials}")
     q = _check_priors(q, mmdp.n, "estimated priors")
     theta = _check_priors(theta, mmdp.n, "true priors")
-    theta_items = [(str(i + 1), p) for i, p in enumerate(theta)]
-
-    errors = 0
-    for trial in range(trials):
-        rng = trial_rng(seed, trial)
-        truth = int(_sample(theta_items, rng))
-        _, _, _, beliefs = _episode(mmdp, truth, _Controller(policy, None), rng, q, t, math.inf)
-        if map_decide(beliefs) != truth:
-            errors += 1
+    truth, beliefs = _lockstep(mmdp, policy, t, trials, seed, q, theta)
+    # np.argmax takes the first maximum: ties go to the smaller index, as in map_decide
+    errors = int(np.count_nonzero(np.argmax(beliefs, axis=1) != truth))
     estimate = errors / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
     return estimate, stderr
+
+
+def _lockstep(
+    mmdp: Mmdp,
+    policy: DetectionPolicy,
+    t: int,
+    trials: int,
+    seed: int,
+    q: tuple[float, ...],
+    theta: tuple[float, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based truth and the final beliefs of every Monte-Carlo trial.
+
+    All live trials advance one step at a time, as arrays, and each one plays
+    exactly the episode ``_episode`` plays on its own stream ``trial_rng(seed,
+    trial)`` with threshold infinity: the truth is drawn first, over the
+    models in ``str`` order ("10" before "2"), then one uniform picks the
+    action and one the successor, each the first item whose running sum
+    exceeds it (the last item takes any remainder). The belief update sums
+    the weighted likelihoods model by model, as ``_update`` does. A
+    trial stops after ``t`` steps, on a lone survivor, on an active set the
+    policy has no entry for, and at a state where it has no action. An error
+    inside an episode is raised after every trial with a smaller index has
+    finished, as a trial-by-trial run would raise it.
+    """
+    streams = _Streams(seed, trials, 1 + 2 * t)
+    order = sorted(range(mmdp.n), key=lambda i: str(i + 1))
+    theta_cdf = np.fromiter(itertools.accumulate(theta[i] for i in order), float, mmdp.n)
+    drawn = np.searchsorted(theta_cdf, streams.next(), side="right")
+    truth = np.asarray(order)[np.minimum(drawn, mmdp.n - 1)]
+    beliefs = np.tile(np.asarray(q), (trials, 1))
+
+    full = active_set(range(1, mmdp.n + 1))
+    if policy.entry(full, mmdp.initial) is None:
+        raise ContractError(
+            f"policy has no entry for the initial configuration ({full}, {mmdp.initial!r})"
+        )
+    table = _CompiledController(
+        mmdp, policy, _canonical_aug(policy, (full, mmdp.initial), None, mmdp.initial)
+    )
+    rows = mmdp.sampling
+
+    # the trials still running, in trial order, with their augmented state,
+    # beliefs and truth
+    live = np.arange(trials)
+    state = np.full(trials, table.start)
+    b = beliefs.copy()
+    tr = truth
+    failed: dict[int, BaseException] = {}
+
+    def drop(keep: np.ndarray) -> np.ndarray:
+        """Keep the live trials in ``keep`` that a trial-by-trial run would still reach.
+
+        Returns the mask applied; the beliefs of the others are final.
+        """
+        nonlocal live, state, b, tr
+        if failed:
+            keep &= live < min(failed)
+        beliefs[live[~keep]] = b[~keep]
+        live, state, b, tr = live[keep], state[keep], b[keep], tr[keep]
+        streams.keep(keep)
+        return keep
+
+    def record(where: np.ndarray, error: Callable[[int], BaseException]) -> None:
+        for k in np.flatnonzero(where).tolist():
+            failed.setdefault(int(live[k]), error(k))
+
+    def impossible(k: int) -> BaseException:
+        s, a, s_next = (
+            table.augs[state[k]][2], table.actions[slot[k]], rows.successors[entry[k]]
+        )
+        return ImpossibleObservationError(
+            f"transition ({s}, {a}, {s_next}) is impossible under the current belief support"
+        )
+
+    for _ in range(t):
+        if not len(live):
+            break
+        count = table.count[state]
+        if (count == _UNCOMPILED).any():
+            table.compile(sorted(set(state[count == _UNCOMPILED].tolist())))
+            count = table.count[state]
+        if count.min() <= 0:
+            record(count == _FAILS, lambda k: table.errors[state[k]])
+            count = count[drop(count > 0)]
+        first = table.first[state]
+        slot = first + np.minimum(_below(table.act_cdf, first, count, streams.next()), count - 1)
+        last = table.last[slot, tr]
+        u = streams.next()
+        if (last < 0).any():
+            record(last < 0, lambda k: AssertionError("cannot sample from an empty distribution"))
+            keep = drop(last >= 0)
+            slot, last, u = slot[keep], last[keep], u[keep]
+        lo = table.lo[slot]
+        j = np.minimum(_below(rows.cdf, lo, table.size[slot], u, tr), last)
+        entry = lo + j
+        weighted = b * rows.lik[entry]
+        denom = weighted[:, 0].copy()
+        for m in range(1, mmdp.n):
+            denom += weighted[:, m]
+        if (denom <= 0.0).any():
+            record(denom <= 0.0, impossible)
+            keep = drop(denom > 0.0)
+            weighted, denom, slot, j = weighted[keep], denom[keep], slot[keep], j[keep]
+        b = weighted / denom[:, None]
+        state = table.target[table.tlo[slot] + j]
+    beliefs[live] = b
+    if failed:
+        raise failed[min(failed)]
+    return truth, beliefs
+
+
+def _below(
+    cdf: np.ndarray,
+    lo: np.ndarray,
+    size: np.ndarray,
+    u: np.ndarray,
+    column: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per trial, how many of its ``size`` CDF values from ``lo`` are at most its ``u``.
+
+    That is the index of the first value above ``u``, since each run of
+    values is nondecreasing. A 2-D ``cdf`` is read in the trial's ``column``.
+    """
+    row = np.repeat(np.arange(len(lo)), size)
+    pos = np.arange(len(row)) + np.repeat(lo - (np.cumsum(size) - size), size)
+    values = cdf[pos] if column is None else cdf[pos, column[row]]
+    return np.bincount(row[values <= u[row]], minlength=len(lo))
+
+
+class _Streams:
+    """The uniforms of the live trials, drawn from each trial's own stream in blocks.
+
+    Trial ``i`` draws from ``trial_rng(seed, i)``, at most ``need`` uniforms in
+    all. Every live trial has drawn as many as every other, so one position
+    serves them all. A stream is kept only while it has more to give.
+    """
+
+    def __init__(self, seed: int, trials: int, need: int) -> None:
+        self.seed = seed
+        self.need = need
+        self.ids = np.arange(trials)
+        self.rngs: dict[int, np.random.Generator] = {}
+        self.block = np.empty((trials, 0))
+        self.pos = 0
+        self.drawn = 0
+
+    def next(self) -> np.ndarray:
+        """One uniform per live trial: its stream's next."""
+        if self.pos == self.block.shape[1]:
+            width = min(_BLOCK, self.need - self.drawn)
+            rows, rngs = [], {}
+            for i in self.ids.tolist():
+                rng = self.rngs[i] if self.drawn else trial_rng(self.seed, i)
+                rows.append(rng.random(width))
+                if self.drawn + width < self.need:
+                    rngs[i] = rng
+            self.block = np.array(rows).reshape(len(rows), width)
+            self.rngs = rngs
+            self.drawn += width
+            self.pos = 0
+        self.pos += 1
+        return self.block[:, self.pos - 1]
+
+    def keep(self, keep: np.ndarray) -> None:
+        self.ids, self.block = self.ids[keep], self.block[keep]
+
+
+class _CompiledController:
+    """A detection policy compiled into flat tables, one augmented state at a time.
+
+    The augmented states ``(entry key, committed component, state)`` of
+    ``analysis`` are numbered as trials reach them; 0 stands for every
+    configuration in which a trial stops because the policy has no entry for
+    its new active set. State ``k`` has ``count[k]`` action slots from
+    ``first[k]``, in sorted action order; ``count[k]`` is 0 where a trial stops
+    (a lone survivor, or no action at the state), ``_FAILS`` where choosing
+    the action raises ``errors[k]``, and ``_UNCOMPILED`` until a trial needs
+    it. Slot ``g`` holds the action's running sum ``act_cdf[g]``, the row
+    ``lo[g]``, ``size[g]``, ``last[g]`` of (state, action) in ``rows``, and
+    the state each of its successors leads to, as ``target[tlo[g] + j]``.
+    """
+
+    def __init__(self, mmdp: Mmdp, policy: DetectionPolicy, start: _Aug) -> None:
+        self.mmdp, self.policy, self.rows = mmdp, policy, mmdp.sampling
+        self.augs: list[_Aug | None] = [None]
+        self.index: dict[_Aug, int] = {}
+        self.errors: dict[int, BaseException] = {}
+        self.actions: list[str] = []  # per slot, for error messages
+        self.count = np.zeros(1, np.intp)
+        self.first = np.zeros(1, np.intp)
+        self.act_cdf = np.empty(0)
+        self.lo = np.empty(0, np.intp)
+        self.size = np.empty(0, np.intp)
+        self.last = np.empty((0, mmdp.n), np.intp)
+        self.tlo = np.empty(0, np.intp)
+        self.target = np.empty(0, np.intp)
+        self.targets = 0  # entries of target in use
+        self._new: list[int] = []  # initial counts of the states numbered since the last compile
+        self.start = self._number(start)
+        self.compile([])
+
+    def _number(self, aug: _Aug | Exception | None) -> int:
+        """The index of a target state, numbering it on first sight."""
+        if aug is None or isinstance(aug, Exception):
+            return 0
+        k = self.index.get(aug)
+        if k is None:
+            k = self.index[aug] = len(self.augs)
+            self.augs.append(aug)
+            self._new.append(0 if len(aug[0][0]) == 1 else _UNCOMPILED)
+        return k
+
+    def _store(self, name: str, at: int, values: Sequence) -> None:
+        """Write ``values`` into column ``name`` from row ``at``, doubling its room as needed."""
+        column = getattr(self, name)
+        end = at + len(values)
+        if end > len(column):
+            grown = np.empty((max(end, 2 * len(column)),) + column.shape[1:], column.dtype)
+            grown[:at] = column[:at]
+            setattr(self, name, column := grown)
+        if len(values):
+            column[at:end] = values
+
+    def compile(self, ks: list[int]) -> None:
+        """Compile the states ``ks``: their action slots and the targets of their successors."""
+        mmdp, policy, rows, index = self.mmdp, self.policy, self.rows, self.index
+        new0, g0, t0 = len(self.augs) - len(self._new), len(self.actions), self.targets
+        counts, firsts = [], []
+        act_cdf, lo, size, last, tlo, target = [], [], [], [], [], []
+        t_end = t0
+        for k in ks:
+            aug = self.augs[k]
+            entry_key, mec_index, s = aug
+            try:
+                dist = sorted(_action_distribution(policy.entries[entry_key], mec_index, s))
+            except Exception as exc:  # re-raised for the first trial that needs an action here
+                self.errors[k] = exc
+                counts.append(_FAILS)
+                firsts.append(0)
+                continue
+            edges = {
+                (a, s2): tgt
+                # every successor: no mask in a support row is 0
+                for a, _, s2, tgt in (_expand_aug(mmdp, policy, aug, bool) if dist else ())
+            }
+            counts.append(len(dist))
+            firsts.append(g0 + len(act_cdf))
+            act_cdf.extend(itertools.accumulate([p for _, p in dist]))
+            for a, _ in dist:
+                row_lo, row_size, row_last = rows.row(s, a)
+                lo.append(row_lo)
+                size.append(row_size)
+                last.append(row_last)
+                tlo.append(t_end)
+                t_end += row_size
+                for s2 in rows.successors[row_lo : row_lo + row_size]:
+                    tgt = edges.get((a, s2))
+                    k2 = index.get(tgt)
+                    target.append(self._number(tgt) if k2 is None else k2)
+                self.actions.append(a)
+        self._store("act_cdf", g0, act_cdf)
+        self._store("lo", g0, lo)
+        self._store("size", g0, size)
+        self._store("last", g0, np.array(last, np.intp).reshape(len(last), mmdp.n))
+        self._store("tlo", g0, tlo)
+        self._store("target", t0, target)
+        self.targets = t_end
+        self._store("count", new0, self._new)
+        self._store("first", new0, [0] * len(self._new))
+        self._new = []
+        self.count[ks] = counts
+        self.first[ks] = firsts
+
+
+def _action_distribution(
+    entry: PolicyEntry, mec_index: int | None, state: str
+) -> list[tuple[str, float]]:
+    """The action distribution of the controller at ``state``; empty where it has no action.
+
+    A component that offers no action at one of its states is an error, the
+    one ``_sample`` raises for an empty distribution.
+    """
+    if mec_index is not None:
+        frag = entry.mecs[mec_index]
+        if state not in frag.mec.states:
+            return []
+        dist = list(frag.distribution(state).items())
+        if not dist:
+            raise AssertionError("cannot sample from an empty distribution")
+        return dist
+    a = entry.reach.get(state)
+    return [] if a is None else [(a, 1.0)]
 
 
 def trace_to_csv(trace: Trace) -> str:

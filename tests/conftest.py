@@ -8,11 +8,17 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mdpdetect.analysis import BcCurve
-from mdpdetect.errors import ContractError, HorizonCapError, ModelError
+from mdpdetect.errors import ContractError, HorizonCapError, ImpossibleObservationError, ModelError
 from mdpdetect.models import Mdp, Mmdp, TransitionSystem
 from mdpdetect.policy import active_set, survivors
+from mdpdetect.simulate import _check_priors, map_decide, trial_rng
+
+# every property test runs the same examples on every run, however long they take
+settings.register_profile("mdpdetect", deadline=None, derandomize=True, database=None)
+settings.load_profile("mdpdetect")
 
 
 def mk_mdp(states, actions, kernel, initial, name="M"):
@@ -410,3 +416,129 @@ def _reference_expand_aug(mmdp, policy, pair, aug):
                 tgt = _reference_canonical_aug(policy, (new_active, s2), None, s2)
             out.append((tgt, w))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The trial-by-trial Monte-Carlo loop, frozen as the reference for the
+# lockstep kernel of ``monte_carlo_error``, with its own controller, episode,
+# sampling rule and belief update. It shares only the trial streams, the
+# prior checks and the MAP rule with the library; the controller leaves out
+# the component weights, which Monte Carlo never passes.
+# ---------------------------------------------------------------------------
+
+
+def reference_monte_carlo_error(mmdp, policy, t, trials, seed, q=None, theta=None, outcomes=None):
+    """``monte_carlo_error`` as it ran trial by trial; appends each trial's
+    (truth, final beliefs) to ``outcomes`` when given."""
+    if trials < 100:
+        raise ContractError(f"need at least 100 trials, got {trials}")
+    q = _check_priors(q, mmdp.n, "estimated priors")
+    theta = _check_priors(theta, mmdp.n, "true priors")
+    theta_items = [(str(i + 1), p) for i, p in enumerate(theta)]
+
+    errors = 0
+    for trial in range(trials):
+        rng = trial_rng(seed, trial)
+        truth = int(_reference_sample(theta_items, rng))
+        beliefs = _reference_episode(
+            mmdp, truth, _ReferenceController(policy), rng, q, t, math.inf
+        )
+        if outcomes is not None:
+            outcomes.append((truth, beliefs))
+        if map_decide(beliefs) != truth:
+            errors += 1
+    estimate = errors / trials
+    stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
+    return estimate, stderr
+
+
+def _reference_sample(items, rng):
+    u = rng.random()
+    acc = 0.0
+    last = None
+    for value, p in sorted(items):
+        acc += p
+        last = value
+        if u < acc:
+            return value
+    if last is None:  # the library's assert, which pytest would rewrite here
+        raise AssertionError("cannot sample from an empty distribution")
+    return last
+
+
+class _ReferenceController:
+    def __init__(self, policy):
+        self.policy = policy
+        self.entry = None
+        self.mec_index = None
+
+    def enter(self, active, state):
+        self.entry = self.policy.entry(active, state)
+        if self.entry is None:
+            return False
+        self.mec_index = self.entry.committed_mec(state)
+        return True
+
+    def arrive(self, state):
+        if self.entry is not None and self.mec_index is None:
+            self.mec_index = self.entry.committed_mec(state)
+
+    def action_distribution(self, state):
+        if self.entry is None:
+            return None
+        if self.mec_index is not None:
+            frag = self.entry.mecs[self.mec_index]
+            if state not in frag.mec.states:
+                return None
+            return list(frag.distribution(state).items())
+        a = self.entry.reach.get(state)
+        if a is None:
+            return None
+        return [(a, 1.0)]
+
+
+def _reference_update(probs, s, a, s_next, mmdp):
+    weighted = [p * m.prob(s, a, s_next) for p, m in zip(probs, mmdp.models)]
+    denom = 0.0
+    for w in weighted:  # sum() as it added floats before Python 3.12
+        denom += w
+    if denom <= 0.0:
+        raise ImpossibleObservationError(
+            f"transition ({s}, {a}, {s_next}) is impossible under the current belief support"
+        )
+    return tuple([w / denom for w in weighted])
+
+
+def _reference_episode(mmdp, truth, controller, rng, beliefs, max_steps, threshold):
+    truth_model = mmdp.model(truth)
+    active = active_set(range(1, mmdp.n + 1))
+    state = mmdp.initial
+    if not controller.enter(active, state):
+        raise ContractError(
+            f"policy has no entry for the initial configuration ({active}, {state!r})"
+        )
+    entered = True
+    t = 0
+    while True:
+        if max(beliefs) >= threshold or len(active) == 1:
+            return beliefs
+        if not entered:
+            if not controller.enter(active, state):
+                return beliefs
+            entered = True
+        if t >= max_steps:
+            return beliefs
+        dist = controller.action_distribution(state)
+        if dist is None:
+            return beliefs
+        action = _reference_sample(dist, rng)
+        succ = _reference_sample(truth_model.row(state, action).items(), rng)
+        beliefs = _reference_update(beliefs, state, action, succ, mmdp)
+        remaining = survivors(mmdp, active, state, action, succ) if 0.0 in beliefs else active
+        state = succ
+        t += 1
+        if remaining == active:
+            controller.arrive(state)
+        else:
+            active = remaining
+            entered = False

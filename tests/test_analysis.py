@@ -321,7 +321,7 @@ def _random_instance(rng, kind, n_states):
     return random_multi_mmdp(rng, n_models=int(kind[-1]), n_states=n_states)
 
 
-@settings(max_examples=240, deadline=None, derandomize=True, database=None)
+@settings(max_examples=240)
 @given(
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(["binary", "multi3", "multi4"]),

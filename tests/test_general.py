@@ -136,7 +136,7 @@ def _oracle_same_support_decision(mmdp):
     return ts.initial in oracle_almost_sure_reach(ts, targets)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(_same_support_mmdps())
 def test_general_same_support_decision_matches_oracles(mmdp):
     assert general_apd(mmdp).exists == _oracle_same_support_decision(mmdp)

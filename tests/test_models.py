@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from types import MappingProxyType
 
 import pytest
 
@@ -84,11 +85,53 @@ def test_parse_schema_violations_name_offending_path(mutate, path_fragment):
     assert path_fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (["x", "a", "x", 1.0], "models[0].delta[0]: expected an object"),
+        ({"from": True, "action": "a", "to": "x", "p": "high"}, "models[0].delta[0].from: expected a string"),
+        ({"from": "x", "action": 3, "to": "x", "p": 1.0}, "models[0].delta[0].action: expected a string"),
+        ({"from": "x", "action": "a", "p": 1.0}, "models[0].delta[0].to: missing required field"),
+        ({"from": "x", "action": "a", "to": "x", "p": True}, "models[0].delta[0].p: expected a number"),
+        ({"from": "x", "action": "a", "to": "x"}, "models[0].delta[0].p: expected a number"),
+    ],
+)
+def test_parse_delta_entry_messages_in_check_order(entry, message):
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["models"][0]["delta"][0] = entry
+    with pytest.raises(ModelError) as err:
+        parse_mmdp(doc)
+    assert str(err.value) == message
+
+
+def test_parse_accepts_delta_entries_that_are_not_dicts():
+    class Name(str):
+        pass
+
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["models"][0]["delta"][0] = MappingProxyType({"from": Name("x"), "action": "a", "to": "x", "p": 1})
+    mmdp = parse_mmdp(doc)
+    assert mmdp.models[0].row("x", "a") == {"x": 1.0}
+    assert serialize_mmdp(mmdp) == serialize_mmdp(parse_mmdp(MINIMAL_DOC))
+
+
 def test_parse_duplicate_delta_entry_rejected():
     doc = json.loads(json.dumps(MINIMAL_DOC))
     doc["models"][0]["delta"].append({"from": "x", "action": "a", "to": "x", "p": 0.5})
     with pytest.raises(ModelError, match="duplicate"):
         parse_mmdp(doc)
+
+
+def test_sampling_rows_lay_out_every_model_over_the_sorted_successors(example1):
+    rows = example1.sampling
+    lo, size, last = rows.row("2", "b2")  # M1: 2 -> 0.5, 5 -> 0.5; M2: 2 -> 0.5, 6 -> 0.5
+    assert rows.successors[lo : lo + size] == ["2", "5", "6"]
+    assert rows.lik[lo : lo + size].tolist() == [[0.5, 0.5], [0.5, 0.0], [0.0, 0.5]]
+    assert rows.cdf[lo : lo + size].tolist() == [[0.5, 0.5], [1.0, 0.5], [1.0, 1.0]]
+    assert last == (1, 2)
+    assert rows.row("2", "b2") == (lo, size, last)  # built once
+    lo2, size2, last2 = rows.row("2", "nope")
+    assert (lo2, size2, last2) == (lo + size, 0, (-1, -1))
 
 
 def test_roundtrip_is_identity(example1):

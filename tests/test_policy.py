@@ -28,7 +28,7 @@ def test_active_set_canonicalization():
     assert active_set((2,)) == (2,)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.integers(3, 4), st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_survivors_match_the_kernel_supports(n_models, n_states, seed):
     mmdp = random_multi_mmdp(rng_for(seed), n_models=n_models, n_states=n_states)

@@ -1,26 +1,49 @@
 """Runtime: belief updates, MAP rule, policy execution, Monte-Carlo batches."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdpdetect.analysis import error_bounds_binary
 from mdpdetect.binary import bi_apd
 from mdpdetect.errors import ContractError, ImpossibleObservationError, ModelError
 from mdpdetect.general import general_apd
+from mdpdetect.graphs import Mec, MecUniformPolicy
 from mdpdetect.models import Mmdp
-from mdpdetect.policy import DetectionPolicy, stationary_uniform_policy, survivors
+from mdpdetect.policy import (
+    DetectionPolicy,
+    PolicyEntry,
+    single_entry_policy,
+    stationary_uniform_policy,
+    survivors,
+)
 from mdpdetect.simulate import (
     BeliefState,
+    _check_priors,
+    _lockstep,
     batch_summary,
     belief_update,
     map_decide,
     monte_carlo_error,
     simulate,
     trace_to_csv,
+    trial_rng,
 )
 
-from conftest import example1_mmdp, identical_mmdp, mk_mdp, sqrt_half_mmdp
+from conftest import (
+    example1_mmdp,
+    identical_mmdp,
+    mk_mdp,
+    random_binary_mmdp,
+    reference_monte_carlo_error,
+    rng_for,
+    sqrt_half_mmdp,
+)
+from test_analysis import _random_instance
 from test_general import _recursive_instance
 
 
@@ -247,6 +270,164 @@ def test_monte_carlo_argument_validation():
         monte_carlo_error(mmdp, policy, t=3, trials=10, seed=0)
     with pytest.raises(ModelError):
         monte_carlo_error(mmdp, policy, t=3, trials=100, seed=0, q=(0.9, 0.2))
+
+
+def _assert_monte_carlo_matches_reference(mmdp, policy, t, trials, seed, q=None, theta=None):
+    """The same estimate, or the same error, as the frozen trial-by-trial loop.
+
+    The truths and the final beliefs of every trial are compared too, bit for
+    bit, so that a change in the order of the belief sums shows even where it
+    moves no MAP decision. Returns the reference's outcomes, or its error.
+    """
+    outcomes = []
+    try:
+        expected = reference_monte_carlo_error(mmdp, policy, t, trials, seed, q, theta, outcomes)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            monte_carlo_error(mmdp, policy, t, trials, seed, q, theta)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+        return exc
+    assert monte_carlo_error(mmdp, policy, t, trials, seed, q, theta) == expected
+    q, theta = _check_priors(q, mmdp.n, "q"), _check_priors(theta, mmdp.n, "theta")
+    truth, beliefs = _lockstep(mmdp, policy, t, trials, seed, q, theta)
+    assert (truth + 1).tolist() == [tr for tr, _ in outcomes]
+    assert beliefs.tolist() == [list(b) for _, b in outcomes]
+    return outcomes
+
+
+def _random_priors(rng, n):
+    weights = rng.uniform(0.05, 1.0, size=n)
+    return tuple((weights / weights.sum()).tolist())
+
+
+@settings(max_examples=240)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["binary", "multi3", "multi4"]),
+    policy_kind=st.sampled_from(["synthesized", "uniform", "synthesized elsewhere", "truncated"]),
+    t=st.sampled_from([0, 1, 7, 30]),
+    random_priors=st.booleans(),
+)
+def test_monte_carlo_matches_frozen_reference(seed, kind, policy_kind, t, random_priors):
+    """The lockstep kernel against the trial-by-trial loop it replaced.
+
+    A policy synthesized on a different instance over the same state names,
+    or one with part of its reach tables removed, sends trials to states
+    and rows its entries do not cover, so stops and errors are exercised too.
+    """
+    rng = rng_for(seed)
+    n_states = int(rng.integers(4, 7))
+    mmdp = _random_instance(rng, kind, n_states)
+    if policy_kind == "uniform":
+        policy = stationary_uniform_policy(mmdp)
+    else:
+        source = mmdp if policy_kind != "synthesized elsewhere" else _random_instance(rng, kind, n_states)
+        policy = general_apd(source).policy or DetectionPolicy(entries={})
+    if policy_kind == "truncated":
+        policy = DetectionPolicy(entries={
+            key: dataclasses.replace(e, reach={s: a for s, a in e.reach.items() if rng.random() < 0.7})
+            for key, e in policy.entries.items()
+        })
+    q = theta = None
+    if random_priors:
+        q, theta = _random_priors(rng, mmdp.n), _random_priors(rng, mmdp.n)
+    _assert_monte_carlo_matches_reference(mmdp, policy, t, 100, int(rng.integers(0, 2**31)), q, theta)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_monte_carlo_matches_reference_over_several_uniform_blocks(seed):
+    """Shared supports eliminate no model, so every trial plays all 100 steps
+    and draws 201 uniforms, more than one block."""
+    mmdp = random_binary_mmdp(rng_for(80_000 + seed), n_states=5)
+    outcomes = _assert_monte_carlo_matches_reference(mmdp, stationary_uniform_policy(mmdp), 100, 100, seed)
+    assert not isinstance(outcomes, Exception)
+
+
+def test_monte_carlo_draws_the_truth_in_string_order():
+    """With 11 models the truth draw runs over "1", "10", "11", "2", ..., "9"."""
+    mmdp = identical_mmdp(n_models=11)
+    theta = tuple(i / 66 for i in range(1, 12))
+    q = tuple(reversed(theta))
+    outcomes = _assert_monte_carlo_matches_reference(
+        mmdp, stationary_uniform_policy(mmdp), 7, 400, 3, q, theta
+    )
+    order = sorted(range(1, 12), key=str)
+    cdf = np.cumsum([theta[i - 1] for i in order])
+    in_int_order = np.cumsum(theta)
+    for trial, (truth, _) in enumerate(outcomes):
+        u = trial_rng(3, trial).random()
+        assert truth == order[int(np.searchsorted(cdf, u, side="right"))]
+    # the integer order would have drawn other truths
+    assert [tr for tr, _ in outcomes] != [
+        1 + int(np.searchsorted(in_int_order, trial_rng(3, k).random(), side="right"))
+        for k in range(400)
+    ]
+
+
+def test_monte_carlo_ties_go_to_the_next_item():
+    """A uniform equal to a running sum picks the next item: truth, action and successor.
+
+    The priors, the action weights and the successor probabilities of trial
+    0 are set to the very uniforms its stream draws.
+    """
+    seed = 11
+    u_truth, u_action, u_succ = trial_rng(seed, 0).random(3)
+    states = ("s", "x", "y")
+    actions = {"s": ("a", "b"), "x": ("z",), "y": ("z",)}
+    loops = {("x", "z"): {"x": 1.0}, ("y", "z"): {"y": 1.0}}
+    k1 = {**loops, ("s", "a"): {"x": 0.5, "y": 0.5}, ("s", "b"): {"x": 0.3, "y": 0.7}}
+    k2 = {**loops, ("s", "a"): {"x": 0.6, "y": 0.4}, ("s", "b"): {"x": u_succ, "y": 1.0 - u_succ}}
+    mmdp = Mmdp(models=(mk_mdp(states, actions, k1, "s", "M1"), mk_mdp(states, actions, k2, "s", "M2")))
+    mec = Mec(states, actions)
+    probs = {"s": {"a": u_action, "b": 1.0 - u_action}, "x": {"z": 1.0}, "y": {"z": 1.0}}
+    policy = single_entry_policy(PolicyEntry((1, 2), "s", reach={}, mecs=(MecUniformPolicy(mec, probs),)))
+    theta = (u_truth, 1.0 - u_truth)
+    outcomes = _assert_monte_carlo_matches_reference(mmdp, policy, 1, 100, seed, theta=theta)
+    # trial 0: truth 2, action b, successor y
+    assert outcomes[0] == (2, (0.7 / (0.7 + (1.0 - u_succ)), (1.0 - u_succ) / (0.7 + (1.0 - u_succ))))
+
+
+def _leaky(mmdp):
+    """Every row keeps 0.9 of its mass and ends in a successor no model allows.
+
+    A trial then fails with an impossible observation at about one step in
+    ten, at whichever state and action it has reached.
+    """
+    return Mmdp(models=tuple(
+        dataclasses.replace(m, kernel={
+            key: {**{s2: 0.9 * p for s2, p in row.items()}, "~": 0.0} for key, row in m.kernel.items()
+        })
+        for m in mmdp.models
+    ))
+
+
+@pytest.mark.parametrize("kind", ["binary", "multi3", "multi4"])
+def test_monte_carlo_raises_the_error_of_the_lowest_failing_trial(kind):
+    raised = set()
+    for seed in range(4):
+        rng = rng_for(70_000 + seed)
+        mmdp = _leaky(_random_instance(rng, kind, 5))
+        error = _assert_monte_carlo_matches_reference(
+            mmdp, stationary_uniform_policy(mmdp), 30, 100, seed
+        )
+        assert isinstance(error, ImpossibleObservationError)
+        raised.add(str(error))
+    assert len(raised) > 1
+
+
+def test_monte_carlo_checks_its_arguments_in_order():
+    mmdp = identical_mmdp()
+    policy = stationary_uniform_policy(mmdp)
+    for args in [
+        (3, 99, 0, (0.9, 0.2), (0.9, 0.2)),  # too few trials
+        (3, 100, 0, (0.9, 0.2), (0.9, 0.2)),  # then q
+        (3, 100, 0, None, (0.9, 0.2)),  # then theta
+    ]:
+        _assert_monte_carlo_matches_reference(mmdp, policy, *args)
+    error = _assert_monte_carlo_matches_reference(mmdp, DetectionPolicy(entries={}), 3, 100, 0)
+    assert isinstance(error, ContractError)
+    assert str(error) == "policy has no entry for the initial configuration ((1, 2), 'x')"
 
 
 def test_trace_csv_layout():
