@@ -42,6 +42,7 @@ from .graphs import (
     Mec,
     MecUniformPolicy,
     PartialDeterministicPolicy,
+    SupportGraph,
     almost_sure_reach_set,
     mec_decompose,
     mec_uniform_policy,

@@ -12,7 +12,6 @@ kernels.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Mapping
@@ -21,10 +20,12 @@ from .errors import ModelError
 from .graphs import (
     Mec,
     MecUniformPolicy,
+    SupportGraph,
     almost_sure_reach_set,
     mec_decompose,
     mec_uniform_policy,
     reach_policy,
+    reachable_states,
 )
 from .models import ROW_EQ_TOL, Mdp, Mmdp, TransitionSystem, fresh_name, support
 from .policy import ActiveSet, DetectionPolicy, PolicyEntry, active_set, single_entry_policy
@@ -182,17 +183,34 @@ def preprocess(
     return PreprocessedPair(m1=m1p, m2=m2p, bot1=bot1, bot2=bot2, isa=isa, classification=cls)
 
 
+def informative_graph(pair: PreprocessedPair) -> SupportGraph:
+    """Union support of the two rewritten kernels (mixture-weight independent), interned."""
+    m1, m2 = pair.m1, pair.m2
+    names = tuple(sorted(m1.states))
+    index = {s: i for i, s in enumerate(names)}
+    actions: list[str] = []
+    first: list[int] = []
+    succ: list[int] = []
+    for s in names:
+        first.append(len(actions))
+        for a in sorted(m1.actions[s]):
+            bits = 0
+            for row in (m1.row(s, a), m2.row(s, a)):
+                for t, p in row.items():
+                    if p > 0.0:
+                        bits |= 1 << index[t]
+            actions.append(a)
+            succ.append(bits)
+    first.append(len(actions))
+    return SupportGraph(names, index, actions, first, succ, (1 << len(names)) - 1)
+
+
 def informative_structure(pair: PreprocessedPair) -> TransitionSystem:
     """Union support of the two rewritten kernels (mixture-weight independent)."""
-    triples = set()
-    for s in pair.m1.states:
-        for a in pair.m1.actions[s]:
-            for t in support(pair.m1.row(s, a)) | support(pair.m2.row(s, a)):
-                triples.add((s, a, t))
     return TransitionSystem(
         states=pair.m1.states,
         actions=dict(pair.m1.actions),
-        transitions=frozenset(triples),
+        transitions=frozenset(informative_graph(pair).triples()),
         initial=pair.m1.initial,
     )
 
@@ -271,9 +289,11 @@ def _binary_synthesis(
     decision = decisions.get(active)
     if decision is None:
         pair = preprocess(m1, m2, classification=classification)
+        graph = informative_graph(pair)
+        isa_rows = graph.row_bits(pair.isa)
         decision = decisions[active] = _decide(
-            informative_structure(pair),
-            lambda c: any(p in c for p in pair.isa),
+            graph,
+            lambda c: c.rows & isa_rows != 0,
             frozenset({pair.bot1, pair.bot2}),
             {
                 "isa": tuple(sorted(pair.isa_original)),
@@ -291,21 +311,19 @@ class _Decision:
 
     An entry state in ``rmax`` gets the ``reach`` table and the component
     fragments ``mecs``. ``diagnostics`` holds the lists every entry reports.
-    ``actions`` and ``successors`` (the structure's own tables, without its
-    transition triples), when kept, serve the walk that finds the
-    non-informative components an undetectable initial state reaches.
+    ``graph``, when kept, serves the walk that finds the non-informative
+    components an undetectable initial state reaches.
     """
 
     rmax: frozenset[str]
     reach: Mapping[str, str]
     mecs: tuple[MecUniformPolicy, ...]
     diagnostics: Mapping[str, tuple]
-    actions: Mapping[str, tuple[str, ...]]
-    successors: Mapping[tuple[str, str], frozenset[str]] | None
+    graph: SupportGraph | None
 
 
 def _decide(
-    ts: TransitionSystem,
+    graph: SupportGraph,
     is_informative: Callable[[Mec], bool],
     terminals: frozenset[str],
     extra: Mapping[str, tuple] | None = None,
@@ -313,18 +331,18 @@ def _decide(
 ) -> _Decision:
     """The first step of the tail that ends every synthesis level.
 
-    Keeps the end components of ``ts`` that ``is_informative`` accepts, takes
+    Keeps the end components of ``graph`` that ``is_informative`` accepts, takes
     their almost-sure reach set and the policy that reaches them. The
-    ``terminals`` of ``ts`` stand for settled detection outcomes, so they
+    ``terminals`` of ``graph`` stand for settled detection outcomes, so they
     appear neither in the reach table nor among the runtime components.
     ``extra`` diagnostics are reported after the common ones; ``witness``
     keeps what the witness walk of :func:`_build` needs.
     """
-    mecs = mec_decompose(ts)
+    mecs = mec_decompose(graph)
     inf_mecs = tuple(c for c in mecs if is_informative(c))
     targets = frozenset(s for c in inf_mecs for s in c.states)
-    rmax = almost_sure_reach_set(ts, targets)
-    fragment = reach_policy(ts, targets, rmax)
+    rmax = almost_sure_reach_set(graph, targets)
+    fragment = reach_policy(graph, targets, rmax)
     return _Decision(
         rmax=rmax,
         reach={s: a for s, a in fragment.table.items() if s not in terminals},
@@ -335,8 +353,7 @@ def _decide(
             "informative_mecs": tuple(c.as_dict() for c in inf_mecs),
             **(extra or {}),
         },
-        actions=ts.actions,
-        successors=ts.successors if witness else None,
+        graph=graph if witness else None,
     )
 
 
@@ -348,14 +365,14 @@ def _build(
     Detection exists exactly when ``initial`` lies in the reach set. Returns
     the entry (None when no policy exists) and the diagnostics, which then
     name the non-informative components reachable from ``initial`` when the
-    decision kept its successors.
+    decision kept its graph.
     """
     diagnostics: dict[str, Any] = {"active": list(active), "initial": initial}
     for key, values in decision.diagnostics.items():
         diagnostics[key] = list(values)
     if initial not in decision.rmax:
-        if decision.successors is not None:
-            reachable = _reachable(decision.actions, decision.successors, initial)
+        if decision.graph is not None:
+            reachable = reachable_states(decision.graph, initial)
             diagnostics["witness_noninformative_mecs"] = [
                 c
                 for c in diagnostics["mecs"]
@@ -369,23 +386,6 @@ def _build(
         mecs=decision.mecs,
     )
     return entry, diagnostics
-
-
-def _reachable(
-    actions: Mapping[str, tuple[str, ...]],
-    successors: Mapping[tuple[str, str], frozenset[str]],
-    start: str,
-) -> frozenset[str]:
-    seen = {start}
-    frontier = deque([start])
-    while frontier:
-        s = frontier.popleft()
-        for a in actions.get(s, ()):
-            for t in successors[(s, a)]:
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-    return frozenset(seen)
 
 
 def _check_shared_structure(m1: Mdp, m2: Mdp) -> None:

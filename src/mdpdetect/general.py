@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from .binary import (
@@ -29,8 +30,15 @@ from .errors import ModelError
 # The synthesis tail in ``binary`` calls almost_sure_reach_set, mec_decompose
 # and reach_policy; they stay bound here because bench/tracer.py wraps them
 # in both modules.
-from .graphs import Mec, almost_sure_reach_set, mec_decompose, reach_policy  # noqa: F401
-from .models import Mmdp, TransitionSystem, fresh_name
+from .graphs import (  # noqa: F401
+    Mec,
+    SupportGraph,
+    almost_sure_reach_set,
+    bit_indices,
+    mec_decompose,
+    reach_policy,
+)
+from .models import Mmdp, fresh_name
 from .policy import ActiveSet, DetectionPolicy, PolicyEntry, active_set, members
 
 PairSet = frozenset[tuple[str, str]]
@@ -66,14 +74,15 @@ def general_apd(mmdp: Mmdp, initial: str | None = None, memoize: bool = True) ->
 @dataclass
 class _Context:
     """Shared state of one synthesis run: the subproblem memo, the classification of
-    every model pair on its original kernels, and the initial-state-independent
-    decision of every model pair solved so far."""
+    every model pair on its original kernels with its informative rows, and the
+    initial-state-independent decision of every model pair solved so far."""
 
     mmdp: Mmdp
     memoize: bool
     memo: dict[tuple[ActiveSet, str], tuple[bool, dict, dict]] = field(default_factory=dict)
     classifications: dict[ActiveSet, SaClassification] = field(default_factory=dict)
     decisions: dict[ActiveSet, _Decision] = field(default_factory=dict)
+    informative: dict[ActiveSet, int] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
 
@@ -86,6 +95,36 @@ class _Context:
                 self.mmdp.model(key[0]), self.mmdp.model(key[1])
             )
         return cached
+
+    def informative_rows(self, i: int, j: int) -> int:
+        """The rows of ``frame`` that are informative for the (i, j) pair."""
+        key = active_set((i, j))
+        cached = self.informative.get(key)
+        if cached is None:
+            pairs = self.classification(i, j).informative_pairs
+            cached = self.informative[key] = self.frame.row_bits(pairs)
+        return cached
+
+    @cached_property
+    def frame(self) -> SupportGraph:
+        """The states and rows of every level, with no successors yet.
+
+        The models' states and rows come first; then the terminal states
+        "subdetection fails" (bit n) and "succeeds" (bit n + 1), each with one
+        self-loop action.
+        """
+        rows = self.mmdp.support_rows
+        n, r = len(rows.names), len(rows.actions)
+        bot0 = fresh_name("botg0", rows.names)
+        bot1 = fresh_name("botg1", (*rows.names, bot0))
+        return SupportGraph(
+            names=(*rows.names, bot0, bot1),
+            index={**rows.index, bot0: n, bot1: n + 1},
+            actions=(*rows.actions, f"a_{bot0}", f"a_{bot1}"),
+            first=(*rows.first, r + 1, r + 2),
+            succ=(),
+            domain=0,
+        )
 
 
 def _solve(
@@ -118,81 +157,78 @@ def _general_level(
     ctx: _Context, active: ActiveSet, initial: str, depth: int
 ) -> tuple[bool, dict[tuple[ActiveSet, str], PolicyEntry], dict[str, Any]]:
     """One BFS + recursion level of the synthesis for ``len(active) >= 3``."""
-    actions = ctx.mmdp.actions
-    support_masks = ctx.mmdp.support_masks
+    rows, frame = ctx.mmdp.support_rows, ctx.frame
+    names, row_actions = rows.names, rows.actions
+    bot0, bot1 = len(names), len(names) + 1
     active_mask = sum(1 << (i - 1) for i in active)
-    bot0 = fresh_name("botg0", ctx.mmdp.states)
-    bot1 = fresh_name("botg1", (*ctx.mmdp.states, bot0))
-    a_bot0, a_bot1 = f"a_{bot0}", f"a_{bot1}"
 
-    explored: set[str] = {initial}
-    queue: deque[str] = deque([initial])
-    triples: set[tuple[str, str, str]] = {(bot0, a_bot0, bot0), (bot1, a_bot1, bot1)}
-    recursion_jobs: deque[tuple[ActiveSet, tuple[str, str, str]]] = deque()
+    # succ[r]: the successors of row r in this level's structure
+    succ = [0] * len(row_actions) + [1 << bot0, 1 << bot1]
+    start = rows.index[initial]
+    explored = 1 << start
+    queue: deque[int] = deque([start])
+    recursion_jobs: deque[tuple[ActiveSet, int, int, int]] = deque()
     terminal_edges: list[dict[str, Any]] = []
     sub_entries: dict[tuple[ActiveSet, str], PolicyEntry] = {}
 
-    def settle(edge: tuple[str, str, str], sub: ActiveSet, flag: int) -> None:
-        s, a, s2 = edge
-        triples.add((s, a, bot1 if flag else bot0))
-        terminal_edges.append(
-            {"state": s, "action": a, "successor": s2, "support": list(sub), "flag": flag}
-        )
+    def settle(r: int, s: int, s2: int, sub: ActiveSet, flag: int) -> None:
+        succ[r] |= 1 << (bot1 if flag else bot0)
+        terminal_edges.append({
+            "state": names[s], "action": row_actions[r], "successor": names[s2],
+            "support": list(sub), "flag": flag,
+        })
 
     while queue:
         s = queue.popleft()
-        for a in actions[s]:
-            for s2, mask in support_masks(s, a).items():
+        for r, groups in rows.groups[s]:
+            agree = 0
+            partial = []
+            for mask, bits in groups:
                 mask &= active_mask
                 if mask == active_mask:
-                    triples.add((s, a, s2))
-                    if s2 not in explored:
-                        explored.add(s2)
-                        queue.append(s2)
-                    continue
+                    agree |= bits
+                elif mask:
+                    partial.append((mask, bits))
+            succ[r] = agree
+            new = agree & ~explored
+            if new:
+                explored |= new
+                queue.extend(bit_indices(new))
+            if not partial:
+                continue
+            # successors some active model rules out, in successor order
+            for s2, mask in sorted((s2, mask) for mask, bits in partial for s2 in bit_indices(bits)):
                 sub = members(mask, active)
                 if len(sub) == 1:
-                    settle((s, a, s2), sub, flag=1)
+                    settle(r, s, s2, sub, flag=1)
                 elif len(sub) == 2:
-                    exists, entries, _ = _solve(ctx, sub, s2, depth + 1)
+                    exists, entries, _ = _solve(ctx, sub, names[s2], depth + 1)
                     if exists:
                         sub_entries.update(entries)
-                    settle((s, a, s2), sub, flag=1 if exists else 0)
-                elif sub:
-                    recursion_jobs.append((sub, (s, a, s2)))
+                    settle(r, s, s2, sub, flag=1 if exists else 0)
+                else:
+                    recursion_jobs.append((sub, r, s, s2))
 
     while recursion_jobs:
-        sub, edge = recursion_jobs.popleft()
+        sub, r, s, s2 = recursion_jobs.popleft()
         assert len(sub) < len(active), "active sets must shrink on recursion"
-        exists, entries, _ = _solve(ctx, sub, edge[2], depth + 1)
+        exists, entries, _ = _solve(ctx, sub, names[s2], depth + 1)
         if exists:
             sub_entries.update(entries)
-        settle(edge, sub, flag=1 if exists else 0)
+        settle(r, s, s2, sub, flag=1 if exists else 0)
 
-    ts_states = (*sorted(explored), bot0, bot1)
-    ts_actions: dict[str, tuple[str, ...]] = {s: actions[s] for s in explored}
-    ts_actions[bot0] = (a_bot0,)
-    ts_actions[bot1] = (a_bot1,)
-    ts = TransitionSystem(
-        states=ts_states, actions=ts_actions, transitions=frozenset(triples), initial=initial
-    )
-
-    pairs = [(i, j) for k, i in enumerate(active) for j in active[k + 1 :]]
+    graph = frame.over(succ, explored | 1 << bot0 | 1 << bot1)
+    pair_rows = [ctx.informative_rows(i, j) for k, i in enumerate(active) for j in active[k + 1 :]]
+    good = frozenset({frame.names[bot1]})
 
     def is_informative(c: Mec) -> bool:
         """The good terminal, or a component informative for every active pair."""
-        if c.states == {bot1}:
-            return True
-        member_pairs = list(c.pairs())
-        return all(
-            not ctx.classification(i, j).informative_pairs.isdisjoint(member_pairs)
-            for (i, j) in pairs
-        )
+        return c.states == good or all(c.rows & rows_ij for rows_ij in pair_rows)
 
     entry, diagnostics = _build(
-        _decide(ts, is_informative, frozenset({bot0, bot1})), initial, active
+        _decide(graph, is_informative, frozenset(frame.names[bot0:])), initial, active
     )
-    diagnostics["explored"] = sorted(explored)
+    diagnostics["explored"] = [names[i] for i in bit_indices(explored)]
     diagnostics["terminal_edges"] = terminal_edges
     if entry is None:
         return False, {}, diagnostics

@@ -4,16 +4,116 @@ Everything here ignores probability values: maximal end components,
 almost-sure reachability, and the two policy fragments (deterministic reach
 policy, uniform in-component policy) are all functions of the support
 structure alone.
+
+The algorithms run on a :class:`SupportGraph`, whose states are interned to
+bit positions: a set of states is one Python ``int``, and "the support of a
+row stays inside U" is ``succ & ~U == 0``. :func:`mec_decompose`,
+:func:`almost_sure_reach_set` and :func:`reach_policy` take a
+``TransitionSystem`` (interned on the spot) or a ``SupportGraph``, and answer
+in state and action names.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractError
 from .models import TransitionSystem
+
+
+def bit_indices(bits: int) -> list[int]:
+    """The positions of the set bits of ``bits``, ascending."""
+    return [i for i, c in enumerate(bin(bits)[:1:-1]) if c == "1"]
+
+
+class SupportGraph:
+    """A transition system over states interned to bit positions.
+
+    ``names[i]`` is the state of bit ``i`` and ``index`` maps names back. The
+    rows (state-action pairs) of state ``i`` are ``first[i] .. first[i + 1]``,
+    in sorted action order: row ``r`` plays ``actions[r]`` and moves to the
+    states of the bitset ``succ[r]``. The system holds the states of the
+    bitset ``domain``; the rows of the other states are ignored. A successor
+    outside ``names`` is bit ``len(names)``, which no domain holds.
+    """
+
+    __slots__ = ("names", "index", "actions", "first", "succ", "domain")
+
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        index: Mapping[str, int],
+        actions: Sequence[str],
+        first: Sequence[int],
+        succ: Sequence[int],
+        domain: int,
+    ) -> None:
+        self.names = names
+        self.index = index
+        self.actions = actions
+        self.first = first
+        self.succ = succ
+        self.domain = domain
+
+    @classmethod
+    def of(cls, ts: TransitionSystem | SupportGraph) -> SupportGraph:
+        """``ts`` itself if it is interned already, else its states interned in sorted order."""
+        if isinstance(ts, SupportGraph):
+            return ts
+        names = tuple(sorted(set(ts.states)))
+        index = {s: i for i, s in enumerate(names)}
+        outside = 1 << len(names)
+        successors = ts.successors
+        actions: list[str] = []
+        first: list[int] = []
+        succ: list[int] = []
+        for s in names:
+            first.append(len(actions))
+            for a in sorted(ts.actions.get(s, ())):
+                bits = 0
+                for t in successors[(s, a)]:
+                    bits |= 1 << index[t] if t in index else outside
+                actions.append(a)
+                succ.append(bits)
+        first.append(len(actions))
+        return cls(names, index, actions, first, succ, outside - 1)
+
+    def over(self, succ: Sequence[int], domain: int) -> SupportGraph:
+        """The same states and rows with other successor sets and another domain."""
+        return SupportGraph(self.names, self.index, self.actions, self.first, succ, domain)
+
+    @property
+    def states(self) -> tuple[str, ...]:
+        """The names of the states of the system, in bit order."""
+        return tuple([self.names[i] for i in bit_indices(self.domain)])
+
+    def bits(self, states: Iterable[str]) -> int:
+        """The bitset of ``states``; each must belong to the system."""
+        out = 0
+        for s in states:
+            out |= 1 << self.index[s]
+        return out
+
+    def row_bits(self, pairs: Iterable[tuple[str, str]]) -> int:
+        """The bitset of the rows of the (state, action) ``pairs``."""
+        out = 0
+        for s, a in pairs:
+            i = self.index[s]
+            out |= 1 << self.actions.index(a, self.first[i], self.first[i + 1])
+        return out
+
+    def triples(self) -> Iterable[tuple[str, str, str]]:
+        """Every transition (state, action, successor) of the system."""
+        names, actions, first, succ = self.names, self.actions, self.first, self.succ
+        for i in bit_indices(self.domain):
+            for r in range(first[i], first[i + 1]):
+                for j in bit_indices(succ[r]):
+                    yield (names[i], actions[r], names[j])
+
+    def _holds(self, state: str) -> bool:
+        i = self.index.get(state)
+        return i is not None and self.domain >> i & 1 == 1
 
 
 class Mec:
@@ -21,15 +121,23 @@ class Mec:
 
     Closure (every enabled action's successors stay inside) and strong
     connectivity are guaranteed by construction in :func:`mec_decompose`.
+    A component found in a :class:`SupportGraph` also keeps its pairs as the
+    graph's row bitset ``rows``; it is None otherwise.
     """
 
-    __slots__ = ("states", "actions", "_key")
+    __slots__ = ("states", "actions", "rows", "_key")
 
-    def __init__(self, states: Iterable[str], actions: Mapping[str, Iterable[str]]):
+    def __init__(
+        self,
+        states: Iterable[str],
+        actions: Mapping[str, Iterable[str]],
+        rows: int | None = None,
+    ):
         self.states = frozenset(states)
         self.actions: dict[str, frozenset[str]] = {
             s: frozenset(acts) for s, acts in actions.items()
         }
+        self.rows = rows
         self._key = tuple(sorted((s, tuple(sorted(a))) for s, a in self.actions.items()))
 
     def pairs(self) -> Iterable[tuple[str, str]]:
@@ -81,132 +189,125 @@ class MecUniformPolicy:
         return self.probs[state]
 
 
-def mec_decompose(ts: TransitionSystem) -> tuple[Mec, ...]:
-    """The unique set of maximal end components of ``ts``.
+def mec_decompose(ts: TransitionSystem | SupportGraph) -> tuple[Mec, ...]:
+    """The unique set of maximal end components of ``ts``, ordered by their sorted states.
 
-    Standard SCC-refinement: starting from the full state set, repeatedly
+    Standard SCC refinement: starting from the full state set, repeatedly
     drop actions whose support leaves the current block, drop states with no
-    actions left, and split blocks into strongly connected components until
-    nothing changes. Surviving blocks are exactly the MECs.
+    actions left, and split blocks along their strongly connected components
+    until nothing changes. Surviving blocks are exactly the MECs.
     """
-    succ = ts.successors
-    initial_block = sorted(ts.states)
-    work = deque()
-    work.append((initial_block, {s: set(ts.actions.get(s, ())) for s in initial_block}))
+    g = SupportGraph.of(ts)
+    names, actions, first, succ = g.names, g.actions, g.first, g.succ
     result = []
+    work = [g.domain]
     while work:
-        block, acts = work.popleft()
-        members = set(block)
-        changed = True
-        while changed:
-            changed = False
-            for s in list(members):
-                keep = {a for a in acts[s] if succ[(s, a)] <= members}
-                if keep != acts[s]:
-                    acts[s] = keep
-                    changed = True
-                if not keep:
-                    members.discard(s)
-                    del acts[s]
-                    changed = True
-        if not members:
+        block = work.pop()
+        while True:  # the states with an action whose support stays in the block
+            kept = 0
+            for i in bit_indices(block):
+                for r in range(first[i], first[i + 1]):
+                    if not succ[r] & ~block:
+                        kept |= 1 << i
+                        break
+            if kept == block:
+                break
+            block = kept
+        if not block:
             continue
-        edges = {s: sorted({t for a in acts[s] for t in succ[(s, a)]}) for s in members}
-        sccs = _strongly_connected_components(sorted(members), edges)
-        if len(sccs) == 1 and len(sccs[0]) == len(members):
-            result.append(Mec(members, acts))
-        else:
-            for comp in sccs:
-                work.append((sorted(comp), {s: set(acts[s]) for s in comp}))
+        post = {}
+        for i in bit_indices(block):
+            out = 0
+            for r in range(first[i], first[i + 1]):
+                if not succ[r] & ~block:
+                    out |= succ[r]
+            post[i] = out
+        components = _components(block, post)
+        if len(components) > 1:
+            work.extend(components)
+            continue
+        acts: dict[str, list[str]] = {}
+        rows = 0
+        for i in bit_indices(block):
+            acts[names[i]] = kept_here = []
+            for r in range(first[i], first[i + 1]):
+                if not succ[r] & ~block:
+                    kept_here.append(actions[r])
+                    rows |= 1 << r
+        result.append(Mec(acts.keys(), acts, rows))
     result.sort(key=lambda c: sorted(c.states))
     return tuple(result)
 
 
-def _strongly_connected_components(
-    nodes: list[str], edges: Mapping[str, list[str]]
-) -> list[list[str]]:
-    """Iterative Tarjan over the given adjacency lists."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    counter = 0
-    for root in nodes:
-        if root in index:
-            continue
-        call: list[tuple[str, int]] = [(root, 0)]
-        while call:
-            node, ei = call.pop()
-            if ei == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            neighbors = edges[node]
-            while ei < len(neighbors):
-                nxt = neighbors[ei]
-                ei += 1
-                if nxt not in index:
-                    call.append((node, ei))
-                    call.append((nxt, 0))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
-            if call:
-                parent = call[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return sccs
+def _components(block: int, post: Mapping[int, int]) -> list[int]:
+    """The strongly connected components of ``block``, by forward-backward search.
+
+    ``post[i]`` is the set of states an edge leads to from state ``i``, all
+    inside ``block``. The component of a pivot is the states it reaches that
+    also reach it; the states it reaches and the states it does not are each
+    a union of the other components.
+    """
+    found = []
+    work = [block]
+    while work:
+        rest = work.pop()
+        pivot = rest & -rest
+        forward = frontier = pivot
+        while frontier:
+            nxt = 0
+            for i in bit_indices(frontier):
+                nxt |= post[i]
+            frontier = nxt & rest & ~forward
+            forward |= frontier
+        component = pivot
+        grew = True
+        while grew:
+            grew = False
+            for i in bit_indices(forward & ~component):
+                if post[i] & component:
+                    component |= 1 << i
+                    grew = True
+        found.append(component)
+        work.extend(part for part in (forward & ~component, rest & ~forward) if part)
+    return found
 
 
-def almost_sure_reach_set(ts: TransitionSystem, targets: Iterable[str]) -> frozenset[str]:
+def almost_sure_reach_set(
+    ts: TransitionSystem | SupportGraph, targets: Iterable[str]
+) -> frozenset[str]:
     """States from which some policy reaches ``targets`` with probability one.
 
     Double fixpoint: within a shrinking candidate set U, keep the states that
     can reach the targets using only actions whose full support stays in U.
     """
-    target_set = frozenset(targets)
-    unknown = target_set - set(ts.states)
-    if unknown:
-        raise ContractError(f"targets outside the state space: {sorted(unknown)}")
-    succ = ts.successors
-    preds: dict[str, list[tuple[str, str]]] = {s: [] for s in ts.states}
-    for (s, a), dests in succ.items():
-        for t in dests:
-            preds[t].append((s, a))
-
-    candidate = set(ts.states)
+    g = SupportGraph.of(ts)
+    target_bits = _target_bits(g, frozenset(targets))
+    first, succ = g.first, g.succ
+    rows = [(1 << i, succ[r]) for i in bit_indices(g.domain) for r in range(first[i], first[i + 1])]
+    candidate = g.domain
     while True:
-        reached = set(target_set)
-        frontier = deque(target_set)
-        while frontier:
-            t = frontier.popleft()
-            for (s, a) in preds[t]:
-                if s in reached or s not in candidate:
+        live = [(bit, t) for bit, t in rows if bit & candidate and not t & ~candidate]
+        reached = target_bits
+        grew = True
+        while grew:
+            grew = False
+            rest = []
+            for bit, t in live:
+                if bit & reached:
                     continue
-                if succ[(s, a)] <= candidate:
-                    reached.add(s)
-                    frontier.append(s)
+                if t & reached:
+                    reached |= bit
+                    grew = True
+                else:
+                    rest.append((bit, t))
+            live = rest
         if reached == candidate:
-            return frozenset(reached)
+            return frozenset([g.names[i] for i in bit_indices(reached)])
         candidate = reached
 
 
 def reach_policy(
-    ts: TransitionSystem, targets: Iterable[str], rmax: Iterable[str]
+    ts: TransitionSystem | SupportGraph, targets: Iterable[str], rmax: Iterable[str]
 ) -> PartialDeterministicPolicy:
     """Deterministic policy reaching ``targets`` with probability one on ``rmax``.
 
@@ -215,47 +316,69 @@ def reach_policy(
     ``rmax``) of minimal BFS distance to the targets, ties broken by action
     identifier order.
     """
+    g = SupportGraph.of(ts)
     target_set = frozenset(targets)
+    target_bits = _target_bits(g, target_set)
+    names, actions, first, succ = g.names, g.actions, g.first, g.succ
     rmax_set = frozenset(rmax)
-    succ = ts.successors
-    admissible: dict[str, list[str]] = {}
-    for s in sorted(rmax_set - target_set):
-        admissible[s] = [a for a in sorted(ts.actions.get(s, ())) if succ[(s, a)] <= rmax_set]
-        if not admissible[s]:
-            raise ContractError(
-                f"no admissible action at {s!r}: rmax is not an almost-sure reach set"
-            )
+    stuck = [s for s in rmax_set - target_set if not g._holds(s)]
+    rmax_bits = g.bits(rmax_set.difference(stuck))
+    admissible: dict[int, list[int]] = {}
+    for i in bit_indices(rmax_bits & ~target_bits):
+        rows = [r for r in range(first[i], first[i + 1]) if not succ[r] & ~rmax_bits]
+        if rows:
+            admissible[i] = rows
+        else:
+            stuck.append(names[i])
+    if stuck:
+        raise ContractError(
+            f"no admissible action at {min(stuck)!r}: rmax is not an almost-sure reach set"
+        )
 
-    # Multi-source backward BFS over admissible edges.
-    dist: dict[str, int] = {t: 0 for t in target_set}
-    frontier = deque(target_set)
-    preds: dict[str, list[str]] = {s: [] for s in ts.states}
-    for s, acts in admissible.items():
-        for a in acts:
-            for t in succ[(s, a)]:
-                preds[t].append(s)
+    # Backward BFS over admissible edges, one distance layer at a time; a
+    # state's action is its first admissible one into the previous layer.
+    choice: dict[int, int] = {}
+    layer = target_bits
+    while layer and admissible:
+        nxt = 0
+        for i, rows in list(admissible.items()):
+            for r in rows:
+                if succ[r] & layer:
+                    choice[i] = r
+                    nxt |= 1 << i
+                    del admissible[i]
+                    break
+        layer = nxt
+    if admissible:
+        far = min(names[i] for i in admissible)
+        raise ContractError(
+            f"state {far!r} cannot reach the targets: rmax is not an almost-sure reach set"
+        )
+    table = sorted((names[i], actions[r]) for i, r in choice.items())
+    return PartialDeterministicPolicy(table=dict(table))
+
+
+def _target_bits(g: SupportGraph, targets: frozenset[str]) -> int:
+    """The bitset of ``targets``, which must be states of ``g``."""
+    unknown = [s for s in targets if not g._holds(s)]
+    if unknown:
+        raise ContractError(f"targets outside the state space: {sorted(unknown)}")
+    return g.bits(targets)
+
+
+def reachable_states(ts: TransitionSystem | SupportGraph, start: str) -> frozenset[str]:
+    """The states reachable from ``start`` under any actions, ``start`` included."""
+    g = SupportGraph.of(ts)
+    first, succ = g.first, g.succ
+    seen = frontier = 1 << g.index[start]
     while frontier:
-        t = frontier.popleft()
-        for s in preds[t]:
-            if s not in dist:
-                dist[s] = dist[t] + 1
-                frontier.append(s)
-
-    table: dict[str, str] = {}
-    for s, acts in admissible.items():
-        if s not in dist:
-            raise ContractError(
-                f"state {s!r} cannot reach the targets: rmax is not an almost-sure reach set"
-            )
-        best = None
-        best_d = None
-        for a in acts:
-            d = 1 + min(dist.get(t, len(ts.states) + 1) for t in succ[(s, a)])
-            if best_d is None or d < best_d:
-                best, best_d = a, d
-        assert best is not None and best_d == dist[s]
-        table[s] = best
-    return PartialDeterministicPolicy(table=table)
+        nxt = 0
+        for i in bit_indices(frontier):
+            for r in range(first[i], first[i + 1]):
+                nxt |= succ[r]
+        frontier = nxt & g.domain & ~seen
+        seen |= frontier
+    return frozenset([g.names[i] for i in bit_indices(seen)])
 
 
 def mec_uniform_policy(mec: Mec) -> MecUniformPolicy:

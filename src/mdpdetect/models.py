@@ -108,9 +108,48 @@ class Mmdp:
         return masks
 
     @cached_property
+    def support_rows(self) -> SupportRows:
+        """The shared support structure over interned states, built on first use."""
+        return SupportRows(self)
+
+    @cached_property
     def sampling(self) -> SamplingRows:
         """Every model's rows laid out for sampling successors, each built on first use."""
         return SamplingRows(self.models)
+
+
+class SupportRows:
+    """The support structure the models share, over states interned to bit positions.
+
+    ``names[i]`` is the state of bit ``i`` of a state bitset, in sorted name
+    order, so ascending bits visit the states in sorted order; ``index`` maps
+    names back. Row ``r`` is one (state, action) pair: state ``i`` owns rows
+    ``first[i] .. first[i + 1]``, in sorted action order, and ``actions[r]``
+    names the action. ``groups[i]`` lists state ``i``'s rows in its declared
+    action order as ``(r, ((mask, successors), ...))``: the row's successors
+    as one bitset per model bitmask of :meth:`Mmdp.support_masks`, masks
+    ascending. Read-only once built.
+    """
+
+    def __init__(self, mmdp: Mmdp) -> None:
+        self.names = tuple(sorted(mmdp.states))
+        self.index = {s: i for i, s in enumerate(self.names)}
+        actions: list[str] = []
+        first: list[int] = []
+        groups = []
+        for s in self.names:
+            row = {a: len(actions) + k for k, a in enumerate(sorted(mmdp.actions[s]))}
+            first.append(len(actions))
+            actions.extend(row)
+            here = []
+            for a in mmdp.actions[s]:
+                by_mask: dict[int, int] = {}
+                for t, mask in mmdp.support_masks(s, a).items():
+                    by_mask[mask] = by_mask.get(mask, 0) | 1 << self.index[t]
+                here.append((row[a], tuple(sorted(by_mask.items()))))
+            groups.append(tuple(here))
+        first.append(len(actions))
+        self.actions, self.first, self.groups = tuple(actions), tuple(first), tuple(groups)
 
 
 class SamplingRows:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .models import Mmdp
 from .policy import ActiveSet, DetectionPolicy, PolicyEntry, active_set, survivors
 
 _MASK64 = (1 << 64) - 1
-_BLOCK = 64  # uniforms a Monte-Carlo trial draws from its stream at a time
+_BLOCK = 64  # uniforms a Monte-Carlo trial draws from its stream at a time (a multiple of 4)
 # the action count of an augmented state not compiled yet, and of one where
 # choosing the action raises
 _UNCOMPILED = -1
@@ -102,6 +102,45 @@ def map_decide(b: BeliefState | Sequence[float]) -> int:
 def trial_rng(seed: int, stream: int) -> np.random.Generator:
     """Independent counter-based stream for (seed, stream index)."""
     return np.random.Generator(np.random.Philox(key=(seed & _MASK64, stream & _MASK64)))
+
+
+def _philox_key(seed: int, stream: int) -> np.ndarray:
+    """The key ``trial_rng(seed, stream)`` gives Philox.
+
+    numpy converts the pair as an array, through float64 when a component is
+    2**63 or more, so such a component loses its low bits.
+    """
+    return np.asarray((seed & _MASK64, stream & _MASK64)).astype(np.uint64)
+
+
+class _Rekeyed:
+    """One Philox generator that plays, in turn, the streams of ``trial_rng``.
+
+    Setting a key through the generator's state costs a fraction of building
+    a new generator for every stream.
+    """
+
+    def __init__(self) -> None:
+        self.rng = np.random.Generator(np.random.Philox(0))
+        self._counter = np.zeros(4, np.uint64)
+        self._state: dict[str, Any] = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._counter, "key": None},
+            "buffer": np.zeros(4, np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def at(self, key: np.ndarray, drawn: int = 0) -> np.random.Generator:
+        """The stream with Philox key ``key`` once ``drawn`` uniforms are taken.
+
+        ``drawn`` is a multiple of 4: each counter step yields four uniforms.
+        """
+        self._counter[0] = drawn // 4
+        self._state["state"]["key"] = key
+        self.rng.bit_generator.state = self._state
+        return self.rng
 
 
 def _sample(items: Iterable[tuple[str, float]], rng: np.random.Generator) -> str:
@@ -410,14 +449,14 @@ class _Streams:
 
     Trial ``i`` draws from ``trial_rng(seed, i)``, at most ``need`` uniforms in
     all. Every live trial has drawn as many as every other, so one position
-    serves them all. A stream is kept only while it has more to give.
+    serves them all, and one rekeyed generator resumes each stream in turn.
     """
 
     def __init__(self, seed: int, trials: int, need: int) -> None:
-        self.seed = seed
+        self.keys = [_philox_key(seed, i) for i in range(trials)]
+        self.stream = _Rekeyed()
         self.need = need
         self.ids = np.arange(trials)
-        self.rngs: dict[int, np.random.Generator] = {}
         self.block = np.empty((trials, 0))
         self.pos = 0
         self.drawn = 0
@@ -426,14 +465,9 @@ class _Streams:
         """One uniform per live trial: its stream's next."""
         if self.pos == self.block.shape[1]:
             width = min(_BLOCK, self.need - self.drawn)
-            rows, rngs = [], {}
-            for i in self.ids.tolist():
-                rng = self.rngs[i] if self.drawn else trial_rng(self.seed, i)
-                rows.append(rng.random(width))
-                if self.drawn + width < self.need:
-                    rngs[i] = rng
+            at, keys, drawn = self.stream.at, self.keys, self.drawn
+            rows = [at(keys[i], drawn).random(width) for i in self.ids.tolist()]
             self.block = np.array(rows).reshape(len(rows), width)
-            self.rngs = rngs
             self.drawn += width
             self.pos = 0
         self.pos += 1
@@ -604,9 +638,11 @@ def batch_summary(
     }
     errors = 0
     stop_reasons = {"threshold": 0, "max_steps": 0, "undetectable": 0}
+    truths = _Rekeyed()
     for trial in range(trials):
         if truth is None:
-            tr = int(_sample(theta_items, trial_rng(seed ^ 0x9E3779B97F4A7C15, trial)))
+            key = _philox_key(seed ^ 0x9E3779B97F4A7C15, trial)
+            tr = int(_sample(theta_items, truths.at(key)))
         else:
             tr = truth
         trace = simulate(

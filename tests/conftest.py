@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from typing import Iterable, Mapping
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import settings
 
 from mdpdetect.analysis import BcCurve
 from mdpdetect.errors import ContractError, HorizonCapError, ImpossibleObservationError, ModelError
+from mdpdetect.graphs import Mec, PartialDeterministicPolicy
 from mdpdetect.models import Mdp, Mmdp, TransitionSystem
 from mdpdetect.policy import active_set, survivors
 from mdpdetect.simulate import _check_priors, map_decide, trial_rng
@@ -337,6 +339,191 @@ def chain_reach_probability(rows, targets, tol=1e-13, max_iter=200000):
         if delta < tol:
             break
     return h
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference for the graph layer: the string-keyed MEC refinement,
+# almost-sure reach fixpoint and reach policy that the bitset kernels of
+# `mdpdetect.graphs` replaced, kept verbatim so that their component order,
+# reach sets, tie-breaks and errors stay the contract.
+# ---------------------------------------------------------------------------
+
+
+def reference_mec_decompose(ts: TransitionSystem) -> tuple[Mec, ...]:
+    """The unique set of maximal end components of ``ts``.
+
+    Standard SCC-refinement: starting from the full state set, repeatedly
+    drop actions whose support leaves the current block, drop states with no
+    actions left, and split blocks into strongly connected components until
+    nothing changes. Surviving blocks are exactly the MECs.
+    """
+    succ = ts.successors
+    initial_block = sorted(ts.states)
+    work = deque()
+    work.append((initial_block, {s: set(ts.actions.get(s, ())) for s in initial_block}))
+    result = []
+    while work:
+        block, acts = work.popleft()
+        members = set(block)
+        changed = True
+        while changed:
+            changed = False
+            for s in list(members):
+                keep = {a for a in acts[s] if succ[(s, a)] <= members}
+                if keep != acts[s]:
+                    acts[s] = keep
+                    changed = True
+                if not keep:
+                    members.discard(s)
+                    del acts[s]
+                    changed = True
+        if not members:
+            continue
+        edges = {s: sorted({t for a in acts[s] for t in succ[(s, a)]}) for s in members}
+        sccs = _reference_sccs(sorted(members), edges)
+        if len(sccs) == 1 and len(sccs[0]) == len(members):
+            result.append(Mec(members, acts))
+        else:
+            for comp in sccs:
+                work.append((sorted(comp), {s: set(acts[s]) for s in comp}))
+    result.sort(key=lambda c: sorted(c.states))
+    return tuple(result)
+
+
+def _reference_sccs(
+    nodes: list[str], edges: Mapping[str, list[str]]
+) -> list[list[str]]:
+    """Iterative Tarjan over the given adjacency lists."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    sccs: list[list[str]] = []
+    counter = 0
+    for root in nodes:
+        if root in index:
+            continue
+        call: list[tuple[str, int]] = [(root, 0)]
+        while call:
+            node, ei = call.pop()
+            if ei == 0:
+                index[node] = low[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack.add(node)
+            advanced = False
+            neighbors = edges[node]
+            while ei < len(neighbors):
+                nxt = neighbors[ei]
+                ei += 1
+                if nxt not in index:
+                    call.append((node, ei))
+                    call.append((nxt, 0))
+                    advanced = True
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            if advanced:
+                continue
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == node:
+                        break
+                sccs.append(comp)
+            if call:
+                parent = call[-1][0]
+                low[parent] = min(low[parent], low[node])
+    return sccs
+
+
+def reference_almost_sure_reach_set(ts: TransitionSystem, targets: Iterable[str]) -> frozenset[str]:
+    """States from which some policy reaches ``targets`` with probability one.
+
+    Double fixpoint: within a shrinking candidate set U, keep the states that
+    can reach the targets using only actions whose full support stays in U.
+    """
+    target_set = frozenset(targets)
+    unknown = target_set - set(ts.states)
+    if unknown:
+        raise ContractError(f"targets outside the state space: {sorted(unknown)}")
+    succ = ts.successors
+    preds: dict[str, list[tuple[str, str]]] = {s: [] for s in ts.states}
+    for (s, a), dests in succ.items():
+        for t in dests:
+            preds[t].append((s, a))
+
+    candidate = set(ts.states)
+    while True:
+        reached = set(target_set)
+        frontier = deque(target_set)
+        while frontier:
+            t = frontier.popleft()
+            for (s, a) in preds[t]:
+                if s in reached or s not in candidate:
+                    continue
+                if succ[(s, a)] <= candidate:
+                    reached.add(s)
+                    frontier.append(s)
+        if reached == candidate:
+            return frozenset(reached)
+        candidate = reached
+
+
+def reference_reach_policy(
+    ts: TransitionSystem, targets: Iterable[str], rmax: Iterable[str]
+) -> PartialDeterministicPolicy:
+    """Deterministic policy reaching ``targets`` with probability one on ``rmax``.
+
+    Requires ``rmax == almost_sure_reach_set(ts, targets)``. At each state of
+    ``rmax`` minus the targets, picks the admissible action (support inside
+    ``rmax``) of minimal BFS distance to the targets, ties broken by action
+    identifier order.
+    """
+    target_set = frozenset(targets)
+    rmax_set = frozenset(rmax)
+    succ = ts.successors
+    admissible: dict[str, list[str]] = {}
+    for s in sorted(rmax_set - target_set):
+        admissible[s] = [a for a in sorted(ts.actions.get(s, ())) if succ[(s, a)] <= rmax_set]
+        if not admissible[s]:
+            raise ContractError(
+                f"no admissible action at {s!r}: rmax is not an almost-sure reach set"
+            )
+
+    # Multi-source backward BFS over admissible edges.
+    dist: dict[str, int] = {t: 0 for t in target_set}
+    frontier = deque(target_set)
+    preds: dict[str, list[str]] = {s: [] for s in ts.states}
+    for s, acts in admissible.items():
+        for a in acts:
+            for t in succ[(s, a)]:
+                preds[t].append(s)
+    while frontier:
+        t = frontier.popleft()
+        for s in preds[t]:
+            if s not in dist:
+                dist[s] = dist[t] + 1
+                frontier.append(s)
+
+    table: dict[str, str] = {}
+    for s, acts in admissible.items():
+        if s not in dist:
+            raise ContractError(
+                f"state {s!r} cannot reach the targets: rmax is not an almost-sure reach set"
+            )
+        best = None
+        best_d = None
+        for a in acts:
+            d = 1 + min(dist.get(t, len(ts.states) + 1) for t in succ[(s, a)])
+            if best_d is None or d < best_d:
+                best, best_d = a, d
+        assert best is not None and best_d == dist[s]
+        table[s] = best
+    return PartialDeterministicPolicy(table=table)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdpdetect.binary import informative_mdp, informative_structure, preprocess
 from mdpdetect.errors import ContractError
 from mdpdetect.graphs import (
     Mec,
+    SupportGraph,
     almost_sure_reach_set,
     mec_decompose,
     mec_uniform_policy,
@@ -21,6 +24,9 @@ from conftest import (
     oracle_mecs,
     random_detectable_binary,
     random_transition_system,
+    reference_almost_sure_reach_set,
+    reference_mec_decompose,
+    reference_reach_policy,
     rng_for,
 )
 
@@ -263,3 +269,60 @@ def test_mec_uniform_visits_every_pair():
         state = succs[int(rng.integers(0, len(succs)))]
     expected = {(s, a) for s in mec.states for a in mec.actions[s]}
     assert seen == expected
+
+
+@st.composite
+def _structures(draw):
+    """A random transition system, some of whose states lose their actions and
+    some of which nothing leads to, with the states listed in any order."""
+    base = random_transition_system(
+        rng_for(draw(st.integers(0, 10_000))),
+        n_states=draw(st.integers(2, 12)),
+        max_actions=draw(st.integers(1, 3)),
+    )
+    bare = draw(st.sets(st.sampled_from(base.states), max_size=3))
+    unreached = [f"u{k}" for k in range(draw(st.integers(0, 2)))]
+    states = draw(st.permutations((*base.states, *unreached)))
+    actions = {s: acts for s, acts in base.actions.items() if s not in bare}
+    triples = {(s, a, t) for (s, a, t) in base.transitions if s not in bare}
+    for u in unreached:
+        actions[u] = ("b",)
+        triples.add((u, "b", draw(st.sampled_from(states))))
+    return _ts(states, actions, triples, states[0])
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, or the type and text of the ContractError it raises."""
+    try:
+        return fn(*args)
+    except ContractError as exc:
+        return ("ContractError", str(exc))
+
+
+@settings(max_examples=400)
+@given(_structures(), st.data())
+def test_kernels_match_the_frozen_string_kernels(ts, data):
+    got, expected = mec_decompose(ts), reference_mec_decompose(ts)
+    assert [(c.states, c.actions) for c in got] == [(c.states, c.actions) for c in expected]
+    graph = SupportGraph.of(ts)
+    for c in got:
+        assert c.rows == graph.row_bits(c.pairs())
+
+    targets = data.draw(st.sets(st.sampled_from(ts.states)))
+    rmax = reference_almost_sure_reach_set(ts, targets)
+    assert almost_sure_reach_set(ts, targets) == rmax
+    table = reach_policy(ts, targets, rmax).table
+    assert list(table.items()) == list(reference_reach_policy(ts, targets, rmax).table.items())
+
+    # contract breaches: a target outside the state space, a set that is not the reach set
+    outside = (*targets, "nowhere")
+    assert _outcome(almost_sure_reach_set, ts, outside) == _outcome(
+        reference_almost_sure_reach_set, ts, outside
+    )
+    wrong = data.draw(st.sets(st.sampled_from(ts.states)))
+    got_policy = _outcome(reach_policy, ts, targets, wrong)
+    expected_policy = _outcome(reference_reach_policy, ts, targets, wrong)
+    if isinstance(expected_policy, tuple):
+        assert got_policy == expected_policy
+    else:
+        assert list(got_policy.table.items()) == list(expected_policy.table.items())

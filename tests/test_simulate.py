@@ -25,6 +25,8 @@ from mdpdetect.simulate import (
     BeliefState,
     _check_priors,
     _lockstep,
+    _philox_key,
+    _Rekeyed,
     batch_summary,
     belief_update,
     map_decide,
@@ -342,6 +344,23 @@ def test_monte_carlo_matches_reference_over_several_uniform_blocks(seed):
     mmdp = random_binary_mmdp(rng_for(80_000 + seed), n_states=5)
     outcomes = _assert_monte_carlo_matches_reference(mmdp, stationary_uniform_policy(mmdp), 100, 100, seed)
     assert not isinstance(outcomes, Exception)
+
+
+# Keys at the edges of numpy's conversion of the key pair: components of
+# 2**63 and more pass through float64, MASK64 rounds up past 2**64, and
+# negative or wider ints are masked first.
+_EDGE_KEYS = (0, 1, 12345, 2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64, -1, -(2**63))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+def test_rekeyed_stream_matches_trial_rng_on_edge_keys():
+    stream = _Rekeyed()
+    for seed in (*_EDGE_KEYS, 7 ^ 0x9E3779B97F4A7C15):
+        for index in (0, 5, 2**63, 2**64 - 1, -1):
+            expected = trial_rng(seed, index).random(70)
+            key = _philox_key(seed, index)
+            assert stream.at(key).random(70).tolist() == expected.tolist(), (seed, index)
+            assert stream.at(key, 64).random(6).tolist() == expected[64:].tolist(), (seed, index)
 
 
 def test_monte_carlo_draws_the_truth_in_string_order():

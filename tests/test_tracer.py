@@ -35,9 +35,15 @@ def _traced(tmp_path, *cli_args):
 def test_tracer_counts_synthesis_layers(tmp_path):
     model = tmp_path / "model.json"
     model.write_text(mmdp_to_json(_recursive_instance()))
-    spans, _ = _traced(tmp_path, "synthesize", str(model), "--out", str(tmp_path / "policy.json"))
-    for name in ("general.level", "binary.synthesis", "graphs.mec"):
+    spans, counters = _traced(
+        tmp_path, "synthesize", str(model), "--out", str(tmp_path / "policy.json")
+    )
+    for name in (
+        "general.level", "binary.synthesis", "graphs.mec", "graphs.reach", "graphs.reach_policy"
+    ):
         assert spans[name][2] > 0, name  # [total seconds, self seconds, calls]
+    for name in ("graphs.mec_input_states", "general.explored_states"):
+        assert counters.get(name, 0) > 0, name
 
 
 def test_tracer_counts_the_bc_dynamic_program(tmp_path):
