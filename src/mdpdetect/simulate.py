@@ -3,11 +3,12 @@
 Policies run on the original models. Detection terminals never appear at
 runtime: the events they stand for surface as observed transitions of zero
 likelihood under some models, which zero those posteriors exactly and shrink
-the active set. The random streams are counter-based (Philox keyed by
-(seed, trial index)), so trials are independent and reproducible in any
-execution order: Monte Carlo advances all its trials in lockstep, over a
-controller table compiled for just the augmented states they reach, and
-gets the results a trial-by-trial loop would.
+the active set. The random streams are counter-based (Philox keyed per
+trial), so trials are independent and reproducible in any execution order.
+A single trace runs the episode loop ``_episode``; Monte Carlo and the
+batches of ``batch_summary`` advance all their trials in lockstep on one
+kernel, over a controller table compiled for just the augmented states they
+reach, and get the results a trial-by-trial loop would.
 """
 
 from __future__ import annotations
@@ -22,14 +23,17 @@ import numpy as np
 from .analysis import _Aug, _canonical_aug, _expand_aug
 from .errors import ContractError, ImpossibleObservationError, ModelError
 from .models import Mmdp
-from .policy import ActiveSet, DetectionPolicy, PolicyEntry, active_set, survivors
+from .policy import ActiveSet, DetectionPolicy, PolicyEntry, active_set, members, survivors
 
 _MASK64 = (1 << 64) - 1
-_BLOCK = 64  # uniforms a Monte-Carlo trial draws from its stream at a time (a multiple of 4)
+_BLOCK = 64  # uniforms a lockstep trial draws from its stream at a time (a multiple of 4)
 # the action count of an augmented state not compiled yet, and of one where
 # choosing the action raises
 _UNCOMPILED = -1
 _FAILS = -2
+# stop codes of the lockstep kernel, indexing STOP_REASONS
+_THRESHOLD, _MAX_STEPS, _UNDETECTABLE = 0, 1, 2
+STOP_REASONS = ("threshold", "max_steps", "undetectable")
 
 
 @dataclass(frozen=True)
@@ -201,6 +205,13 @@ def _check_priors(priors: Sequence[float] | None, n: int, what: str) -> tuple[fl
     return priors
 
 
+def _check_stops(threshold: float, max_steps: int) -> None:
+    if not 0.5 < threshold < 1.0:
+        raise ModelError(f"threshold must lie in (0.5, 1), got {threshold}")
+    if max_steps < 0:
+        raise ModelError(f"max_steps must be nonnegative, got {max_steps}")
+
+
 def _episode(
     mmdp: Mmdp,
     truth: int,
@@ -209,7 +220,7 @@ def _episode(
     beliefs: tuple[float, ...],
     max_steps: int,
     threshold: float,
-    steps: list[TraceStep] | None = None,
+    steps: list[TraceStep],
 ) -> tuple[str, int, str, tuple[float, ...]]:
     """Run one episode from the initial state against model ``truth``.
 
@@ -219,8 +230,8 @@ def _episode(
     ("undetectable"), at ``max_steps`` ("max_steps"), and when the policy has
     no action at the current state ("undetectable"). A model leaves the active
     set only when it gives an observed transition probability zero. Appends
-    every played step to ``steps`` when given. Returns the stop reason, the
-    number of steps played, the final state and the final beliefs.
+    every played step to ``steps``. Returns the stop reason, the number of
+    steps played, the final state and the final beliefs.
     """
     truth_model = mmdp.model(truth)
     active = active_set(range(1, mmdp.n + 1))
@@ -245,8 +256,7 @@ def _episode(
             return "undetectable", t, state, beliefs
         action = _sample(dist, rng)
         succ = _sample(truth_model.row(state, action).items(), rng)
-        if steps is not None:
-            steps.append(TraceStep(t=t, state=state, action=action, beliefs=beliefs))
+        steps.append(TraceStep(t=t, state=state, action=action, beliefs=beliefs))
         beliefs = _update(beliefs, state, action, succ, mmdp)
         # a positive posterior implies a positive likelihood, so only a zero
         # posterior (an eliminated or an underflowed model) needs the support
@@ -276,8 +286,7 @@ def simulate(
     when the policy has no entry for the reached (active set, state)
     configuration ("undetectable continuation").
     """
-    if not 0.5 < threshold < 1.0:
-        raise ModelError(f"threshold must lie in (0.5, 1), got {threshold}")
+    _check_stops(threshold, max_steps)
     beliefs = _check_priors(priors, mmdp.n, "priors")
     steps: list[TraceStep] = []
     stop, t, state, beliefs = _episode(
@@ -308,7 +317,7 @@ def monte_carlo_error(
         raise ContractError(f"need at least 100 trials, got {trials}")
     q = _check_priors(q, mmdp.n, "estimated priors")
     theta = _check_priors(theta, mmdp.n, "true priors")
-    truth, beliefs = _lockstep(mmdp, policy, t, trials, seed, q, theta)
+    truth, beliefs, _, _ = _monte_carlo_trials(mmdp, policy, t, trials, seed, q, theta)
     # np.argmax takes the first maximum: ties go to the smaller index, as in map_decide
     errors = int(np.count_nonzero(np.argmax(beliefs, axis=1) != truth))
     estimate = errors / trials
@@ -316,7 +325,7 @@ def monte_carlo_error(
     return estimate, stderr
 
 
-def _lockstep(
+def _monte_carlo_trials(
     mmdp: Mmdp,
     policy: DetectionPolicy,
     t: int,
@@ -324,28 +333,58 @@ def _lockstep(
     seed: int,
     q: tuple[float, ...],
     theta: tuple[float, ...],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The 0-based truth and the final beliefs of every Monte-Carlo trial.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The 0-based truth of every Monte-Carlo trial, and what ``_lockstep`` returns.
 
-    All live trials advance one step at a time, as arrays, and each one plays
-    exactly the episode ``_episode`` plays on its own stream ``trial_rng(seed,
-    trial)`` with threshold infinity: the truth is drawn first, over the
-    models in ``str`` order ("10" before "2"), then one uniform picks the
-    action and one the successor, each the first item whose running sum
-    exceeds it (the last item takes any remainder). The belief update sums
-    the weighted likelihoods model by model, as ``_update`` does. A
-    trial stops after ``t`` steps, on a lone survivor, on an active set the
-    policy has no entry for, and at a state where it has no action. An error
-    inside an episode is raised after every trial with a smaller index has
-    finished, as a trial-by-trial run would raise it.
+    Trial ``i`` draws its truth from the first uniform of its stream
+    ``trial_rng(seed, i)`` and then plays ``t`` steps at most on the rest of
+    it, with no threshold.
     """
-    streams = _Streams(seed, trials, 1 + 2 * t)
-    order = sorted(range(mmdp.n), key=lambda i: str(i + 1))
-    theta_cdf = np.fromiter(itertools.accumulate(theta[i] for i in order), float, mmdp.n)
-    drawn = np.searchsorted(theta_cdf, streams.next(), side="right")
-    truth = np.asarray(order)[np.minimum(drawn, mmdp.n - 1)]
-    beliefs = np.tile(np.asarray(q), (trials, 1))
+    streams = _Streams([_philox_key(seed, i) for i in range(trials)], 1 + 2 * t)
+    truth = _draw_truth(streams.next(), theta)
+    return (truth, *_lockstep(mmdp, policy, streams, truth, q, t))
 
+
+def _draw_truth(u: np.ndarray, theta: Sequence[float]) -> np.ndarray:
+    """The 0-based model each uniform picks from ``theta`` as ``_sample`` does.
+
+    The models run in ``str`` order ("10" before "2"); a uniform picks the
+    first one whose running sum exceeds it, and the last takes any remainder.
+    """
+    n = len(theta)
+    order = sorted(range(n), key=lambda i: str(i + 1))
+    cdf = np.fromiter(itertools.accumulate(theta[i] for i in order), float, n)
+    return np.asarray(order)[np.minimum(np.searchsorted(cdf, u, side="right"), n - 1)]
+
+
+def _lockstep(
+    mmdp: Mmdp,
+    policy: DetectionPolicy,
+    streams: _Streams,
+    truth: np.ndarray,
+    beliefs: Sequence[float],
+    max_steps: int,
+    threshold: float | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The final beliefs, the stop step and the stop code of every trial.
+
+    Trial ``i`` plays against the 0-based model ``truth[i]`` from the initial
+    beliefs ``beliefs``, on the uniforms ``streams`` draws for it. All live
+    trials advance one step at a time, as arrays, and each one plays exactly
+    the episode ``_episode`` plays on its own stream: one uniform picks the
+    action and one the successor, each the first item whose running sum
+    exceeds it (the last item takes any remainder), and the belief update
+    sums the weighted likelihoods model by model, as ``_update`` does.
+
+    Before every step a trial stops, in this order: as "threshold" when its
+    top posterior reaches ``threshold`` (never, without one) or one model is
+    left active; as "undetectable" at a new active set the policy has no
+    entry for; as "max_steps" after ``max_steps`` steps; and as
+    "undetectable" at a state where the policy has no action. The codes
+    index ``STOP_REASONS``. An error inside an episode is raised after every
+    trial with a smaller index has finished, as a trial-by-trial run would
+    raise it.
+    """
     full = active_set(range(1, mmdp.n + 1))
     if policy.entry(full, mmdp.initial) is None:
         raise ContractError(
@@ -355,24 +394,32 @@ def _lockstep(
         mmdp, policy, _canonical_aug(policy, (full, mmdp.initial), None, mmdp.initial)
     )
     rows = mmdp.sampling
+    trials = len(truth)
+    final = np.tile(np.asarray(beliefs, float), (trials, 1))
+    stop_step = np.zeros(trials, np.intp)
+    stop_code = np.zeros(trials, np.int8)
 
     # the trials still running, in trial order, with their augmented state,
     # beliefs and truth
     live = np.arange(trials)
     state = np.full(trials, table.start)
-    b = beliefs.copy()
-    tr = truth
+    b = final.copy()
+    tr = np.asarray(truth)
     failed: dict[int, BaseException] = {}
 
-    def drop(keep: np.ndarray) -> np.ndarray:
+    def stop(keep: np.ndarray, code: int | np.ndarray, step: int) -> np.ndarray:
         """Keep the live trials in ``keep`` that a trial-by-trial run would still reach.
 
-        Returns the mask applied; the beliefs of the others are final.
+        The others stop at ``step`` with their ``code`` (never read for a trial
+        that failed), and their beliefs are final. Returns the mask applied.
         """
         nonlocal live, state, b, tr
         if failed:
             keep &= live < min(failed)
-        beliefs[live[~keep]] = b[~keep]
+        gone = live[~keep]
+        final[gone] = b[~keep]
+        stop_step[gone] = step
+        stop_code[gone] = code if np.isscalar(code) else code[~keep]
         live, state, b, tr = live[keep], state[keep], b[keep], tr[keep]
         streams.keep(keep)
         return keep
@@ -389,8 +436,15 @@ def _lockstep(
             f"transition ({s}, {a}, {s_next}) is impossible under the current belief support"
         )
 
-    for _ in range(t):
+    for step in range(max_steps + 1):
+        if threshold is not None and len(live):
+            below = b.max(axis=1) < threshold
+            if not below.all():
+                stop(below, _THRESHOLD, step)
         if not len(live):
+            break
+        if step == max_steps:
+            stop(np.zeros(len(live), bool), table.halt[state], step)
             break
         count = table.count[state]
         if (count == _UNCOMPILED).any():
@@ -398,14 +452,17 @@ def _lockstep(
             count = table.count[state]
         if count.min() <= 0:
             record(count == _FAILS, lambda k: table.errors[state[k]])
-            count = count[drop(count > 0)]
+            # a lone survivor, a missing entry, or else no action at the state
+            halt = table.halt[state]
+            code = np.where(halt == _MAX_STEPS, _UNDETECTABLE, halt)
+            count = count[stop(count > 0, code, step)]
         first = table.first[state]
         slot = first + np.minimum(_below(table.act_cdf, first, count, streams.next()), count - 1)
         last = table.last[slot, tr]
         u = streams.next()
         if (last < 0).any():
             record(last < 0, lambda k: AssertionError("cannot sample from an empty distribution"))
-            keep = drop(last >= 0)
+            keep = stop(last >= 0, _MAX_STEPS, step)
             slot, last, u = slot[keep], last[keep], u[keep]
         lo = table.lo[slot]
         j = np.minimum(_below(rows.cdf, lo, table.size[slot], u, tr), last)
@@ -416,14 +473,13 @@ def _lockstep(
             denom += weighted[:, m]
         if (denom <= 0.0).any():
             record(denom <= 0.0, impossible)
-            keep = drop(denom > 0.0)
+            keep = stop(denom > 0.0, _MAX_STEPS, step)
             weighted, denom, slot, j = weighted[keep], denom[keep], slot[keep], j[keep]
         b = weighted / denom[:, None]
         state = table.target[table.tlo[slot] + j]
-    beliefs[live] = b
     if failed:
         raise failed[min(failed)]
-    return truth, beliefs
+    return final, stop_step, stop_code
 
 
 def _below(
@@ -447,17 +503,18 @@ def _below(
 class _Streams:
     """The uniforms of the live trials, drawn from each trial's own stream in blocks.
 
-    Trial ``i`` draws from ``trial_rng(seed, i)``, at most ``need`` uniforms in
-    all. Every live trial has drawn as many as every other, so one position
-    serves them all, and one rekeyed generator resumes each stream in turn.
+    Trial ``i`` draws from the Philox stream with key ``keys[i]``, at most
+    ``need`` uniforms in all. Every live trial has drawn as many as every
+    other, so one position serves them all, and one rekeyed generator resumes
+    each stream in turn.
     """
 
-    def __init__(self, seed: int, trials: int, need: int) -> None:
-        self.keys = [_philox_key(seed, i) for i in range(trials)]
+    def __init__(self, keys: list[np.ndarray], need: int) -> None:
+        self.keys = keys
         self.stream = _Rekeyed()
         self.need = need
-        self.ids = np.arange(trials)
-        self.block = np.empty((trials, 0))
+        self.ids = np.arange(len(keys))
+        self.block = np.empty((len(keys), 0))
         self.pos = 0
         self.drawn = 0
 
@@ -483,13 +540,18 @@ class _CompiledController:
     The augmented states ``(entry key, committed component, state)`` of
     ``analysis`` are numbered as trials reach them; 0 stands for every
     configuration in which a trial stops because the policy has no entry for
-    its new active set. State ``k`` has ``count[k]`` action slots from
-    ``first[k]``, in sorted action order; ``count[k]`` is 0 where a trial stops
-    (a lone survivor, or no action at the state), ``_FAILS`` where choosing
-    the action raises ``errors[k]``, and ``_UNCOMPILED`` until a trial needs
-    it. Slot ``g`` holds the action's running sum ``act_cdf[g]``, the row
-    ``lo[g]``, ``size[g]``, ``last[g]`` of (state, action) in ``rows``, and
-    the state each of its successors leads to, as ``target[tlo[g] + j]``.
+    its new active set of two or more models. A lone survivor the policy has
+    no entry for is the state ``((survivor,), None, s)``. State ``k`` has
+    ``count[k]`` action slots from ``first[k]``, in sorted action order;
+    ``count[k]`` is 0 where a trial stops (a lone survivor, or no action at
+    the state), ``_FAILS`` where choosing the action raises ``errors[k]``,
+    and ``_UNCOMPILED`` until a trial needs it. ``halt[k]`` is the stop code
+    of a trial that plays no step from ``k`` although the policy may act
+    there: ``_THRESHOLD`` at a lone survivor, ``_UNDETECTABLE`` at 0 and
+    ``_MAX_STEPS`` elsewhere. Slot ``g`` holds the action's running sum
+    ``act_cdf[g]``, the row ``lo[g]``, ``size[g]``, ``last[g]`` of (state,
+    action) in ``rows``, and the state each of its successors leads to, as
+    ``target[tlo[g] + j]``.
     """
 
     def __init__(self, mmdp: Mmdp, policy: DetectionPolicy, start: _Aug) -> None:
@@ -500,6 +562,7 @@ class _CompiledController:
         self.actions: list[str] = []  # per slot, for error messages
         self.count = np.zeros(1, np.intp)
         self.first = np.zeros(1, np.intp)
+        self.halt = np.full(1, _UNDETECTABLE, np.int8)
         self.act_cdf = np.empty(0)
         self.lo = np.empty(0, np.intp)
         self.size = np.empty(0, np.intp)
@@ -555,6 +618,11 @@ class _CompiledController:
                 # every successor: no mask in a support row is 0
                 for a, _, s2, tgt in (_expand_aug(mmdp, policy, aug, bool) if dist else ())
             }
+            for (a, s2), tgt in edges.items():
+                if isinstance(tgt, ContractError):
+                    left = members(mmdp.support_masks(s, a)[s2], entry_key[0])
+                    if len(left) == 1:  # stops as a lone survivor, entry or not
+                        edges[a, s2] = ((left, s2), None, s2)
             counts.append(len(dist))
             firsts.append(g0 + len(act_cdf))
             act_cdf.extend(itertools.accumulate([p for _, p in dist]))
@@ -578,6 +646,7 @@ class _CompiledController:
         self._store("target", t0, target)
         self.targets = t_end
         self._store("count", new0, self._new)
+        self._store("halt", new0, [_THRESHOLD if c == 0 else _MAX_STEPS for c in self._new])
         self._store("first", new0, [0] * len(self._new))
         self._new = []
         self.count[ks] = counts
@@ -628,41 +697,47 @@ def batch_summary(
     """Seeded batch of simulations with per-truth accuracy and stop statistics.
 
     Truth is fixed when given, otherwise drawn per trial from ``priors``
-    (uniform by default). Results merge deterministically in trial order.
+    (uniform by default), trial ``i`` from the stream ``trial_rng(seed ^
+    0x9E3779B97F4A7C15, i)``. Trial ``i`` then plays the episode ``simulate``
+    plays with seed ``seed + i``; all trials run in lockstep, and the results
+    merge deterministically in trial order.
     """
+    if trials < 1:
+        raise ModelError(f"trials must be at least 1, got {trials}")
     priors_t = _check_priors(priors, mmdp.n, "priors")
-    theta_items = [(str(i + 1), p) for i, p in enumerate(priors_t)]
-    per_truth: dict[int, dict[str, int]] = {
-        i: {"runs": 0, "threshold_stops": 0, "threshold_correct": 0, "stop_time_total": 0}
-        for i in range(1, mmdp.n + 1)
-    }
-    errors = 0
-    stop_reasons = {"threshold": 0, "max_steps": 0, "undetectable": 0}
-    truths = _Rekeyed()
-    for trial in range(trials):
-        if truth is None:
-            key = _philox_key(seed ^ 0x9E3779B97F4A7C15, trial)
-            tr = int(_sample(theta_items, truths.at(key)))
-        else:
-            tr = truth
-        trace = simulate(
-            mmdp, tr, policy, seed=seed + trial, max_steps=max_steps,
-            threshold=threshold, priors=priors,
-        )
-        decided = map_decide(trace.steps[-1].beliefs)
-        stats = per_truth[tr]
-        stats["runs"] += 1
-        stats["stop_time_total"] += trace.steps[-1].t
-        stop_reasons[trace.stop_reason] += 1
-        if trace.stop_reason == "threshold":
-            stats["threshold_stops"] += 1
-            stats["threshold_correct"] += int(decided == tr)
-        if decided != tr:
-            errors += 1
-    estimate = errors / trials
+    _check_stops(threshold, max_steps)
+    if truth is None:
+        keys = [_philox_key(seed ^ 0x9E3779B97F4A7C15, i) for i in range(trials)]
+        truths = _draw_truth(_Streams(keys, 1).next(), priors_t)
+    else:
+        mmdp.model(truth)  # ModelError for an index outside 1..n
+        truths = np.full(trials, truth - 1)
+    streams = _Streams([_philox_key(seed + i, 0) for i in range(trials)], 2 * max_steps)
+    beliefs, stop_step, stop_code = _lockstep(
+        mmdp, policy, streams, truths, priors_t, max_steps, threshold
+    )
+    # np.argmax takes the first maximum: ties go to the smaller index, as in map_decide
+    correct = np.argmax(beliefs, axis=1) == truths
+    at_threshold = stop_code == _THRESHOLD
+    per_truth = {}
+    for i in range(mmdp.n):
+        runs = truths == i
+        n_runs = int(np.count_nonzero(runs))
+        stops = int(np.count_nonzero(runs & at_threshold))
+        right = int(np.count_nonzero(runs & at_threshold & correct))
+        per_truth[str(i + 1)] = {
+            "runs": n_runs,
+            "threshold_stops": stops,
+            "threshold_accuracy": right / stops if stops else None,
+            "mean_stop_time": int(stop_step[runs].sum()) / n_runs if n_runs else None,
+        }
+    estimate = (trials - int(np.count_nonzero(correct))) / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
+    stop_reasons = {
+        reason: int(np.count_nonzero(stop_code == code)) for code, reason in enumerate(STOP_REASONS)
+    }
     threshold_stops = stop_reasons["threshold"]
-    total_correct = sum(s["threshold_correct"] for s in per_truth.values())
+    total_correct = int(np.count_nonzero(at_threshold & correct))
     return {
         "trials": trials,
         "seed": seed,
@@ -671,15 +746,5 @@ def batch_summary(
         "stop_reasons": stop_reasons,
         "threshold_stop_fraction": threshold_stops / trials,
         "threshold_accuracy": (total_correct / threshold_stops) if threshold_stops else None,
-        "per_truth": {
-            str(i): {
-                "runs": s["runs"],
-                "threshold_stops": s["threshold_stops"],
-                "threshold_accuracy": (
-                    s["threshold_correct"] / s["threshold_stops"] if s["threshold_stops"] else None
-                ),
-                "mean_stop_time": (s["stop_time_total"] / s["runs"]) if s["runs"] else None,
-            }
-            for i, s in per_truth.items()
-        },
+        "per_truth": per_truth,
     }

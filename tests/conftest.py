@@ -606,17 +606,20 @@ def _reference_expand_aug(mmdp, policy, pair, aug):
 
 
 # ---------------------------------------------------------------------------
-# The trial-by-trial Monte-Carlo loop, frozen as the reference for the
-# lockstep kernel of ``monte_carlo_error``, with its own controller, episode,
-# sampling rule and belief update. It shares only the trial streams, the
-# prior checks and the MAP rule with the library; the controller leaves out
-# the component weights, which Monte Carlo never passes.
+# The trial-by-trial Monte-Carlo and batch loops, frozen as the reference for
+# the lockstep kernel of ``monte_carlo_error`` and ``batch_summary``, with
+# their own controller, episode, sampling rule and belief update. They share
+# only the trial streams, the prior checks and the MAP rule with the library;
+# the controller leaves out the component weights, which neither passes.
 # ---------------------------------------------------------------------------
 
 
-def reference_monte_carlo_error(mmdp, policy, t, trials, seed, q=None, theta=None, outcomes=None):
+def reference_monte_carlo_error(
+    mmdp, policy, t, trials, seed, q=None, theta=None, outcomes=None, stops=None
+):
     """``monte_carlo_error`` as it ran trial by trial; appends each trial's
-    (truth, final beliefs) to ``outcomes`` when given."""
+    (truth, final beliefs) to ``outcomes`` and its (stop reason, steps
+    played) to ``stops`` when given."""
     if trials < 100:
         raise ContractError(f"need at least 100 trials, got {trials}")
     q = _check_priors(q, mmdp.n, "estimated priors")
@@ -627,16 +630,80 @@ def reference_monte_carlo_error(mmdp, policy, t, trials, seed, q=None, theta=Non
     for trial in range(trials):
         rng = trial_rng(seed, trial)
         truth = int(_reference_sample(theta_items, rng))
-        beliefs = _reference_episode(
+        reason, steps, beliefs = _reference_episode(
             mmdp, truth, _ReferenceController(policy), rng, q, t, math.inf
         )
         if outcomes is not None:
             outcomes.append((truth, beliefs))
+        if stops is not None:
+            stops.append((reason, steps))
         if map_decide(beliefs) != truth:
             errors += 1
     estimate = errors / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
     return estimate, stderr
+
+
+def reference_batch_summary(
+    mmdp, policy, trials, seed, truth=None, max_steps=10_000, threshold=0.98, priors=None
+):
+    """``batch_summary`` as it ran trial by trial, one ``simulate`` episode per trial."""
+    priors_t = _check_priors(priors, mmdp.n, "priors")
+    theta_items = [(str(i + 1), p) for i, p in enumerate(priors_t)]
+    per_truth = {
+        i: {"runs": 0, "threshold_stops": 0, "threshold_correct": 0, "stop_time_total": 0}
+        for i in range(1, mmdp.n + 1)
+    }
+    errors = 0
+    stop_reasons = {"threshold": 0, "max_steps": 0, "undetectable": 0}
+    for trial in range(trials):
+        if truth is None:
+            tr = int(_reference_sample(theta_items, trial_rng(seed ^ 0x9E3779B97F4A7C15, trial)))
+        else:
+            tr = truth
+        # simulate(mmdp, tr, policy, seed + trial, max_steps, threshold, priors)
+        if not 0.5 < threshold < 1.0:
+            raise ModelError(f"threshold must lie in (0.5, 1), got {threshold}")
+        beliefs = _check_priors(priors, mmdp.n, "priors")
+        mmdp.model(tr)
+        reason, t, beliefs = _reference_episode(
+            mmdp, tr, _ReferenceController(policy), trial_rng(seed + trial, 0), beliefs,
+            max_steps, threshold,
+        )
+        decided = map_decide(beliefs)
+        stats = per_truth[tr]
+        stats["runs"] += 1
+        stats["stop_time_total"] += t
+        stop_reasons[reason] += 1
+        if reason == "threshold":
+            stats["threshold_stops"] += 1
+            stats["threshold_correct"] += int(decided == tr)
+        if decided != tr:
+            errors += 1
+    estimate = errors / trials
+    stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
+    threshold_stops = stop_reasons["threshold"]
+    total_correct = sum(s["threshold_correct"] for s in per_truth.values())
+    return {
+        "trials": trials,
+        "seed": seed,
+        "error_estimate": estimate,
+        "error_stderr": stderr,
+        "stop_reasons": stop_reasons,
+        "threshold_stop_fraction": threshold_stops / trials,
+        "threshold_accuracy": (total_correct / threshold_stops) if threshold_stops else None,
+        "per_truth": {
+            str(i): {
+                "runs": s["runs"],
+                "threshold_stops": s["threshold_stops"],
+                "threshold_accuracy": (
+                    s["threshold_correct"] / s["threshold_stops"] if s["threshold_stops"] else None
+                ),
+                "mean_stop_time": (s["stop_time_total"] / s["runs"]) if s["runs"] else None,
+            }
+            for i, s in per_truth.items()
+        },
+    }
 
 
 def _reference_sample(items, rng):
@@ -697,6 +764,7 @@ def _reference_update(probs, s, a, s_next, mmdp):
 
 
 def _reference_episode(mmdp, truth, controller, rng, beliefs, max_steps, threshold):
+    """The stop reason, the steps played and the final beliefs of one episode."""
     truth_model = mmdp.model(truth)
     active = active_set(range(1, mmdp.n + 1))
     state = mmdp.initial
@@ -708,16 +776,16 @@ def _reference_episode(mmdp, truth, controller, rng, beliefs, max_steps, thresho
     t = 0
     while True:
         if max(beliefs) >= threshold or len(active) == 1:
-            return beliefs
+            return "threshold", t, beliefs
         if not entered:
             if not controller.enter(active, state):
-                return beliefs
+                return "undetectable", t, beliefs
             entered = True
         if t >= max_steps:
-            return beliefs
+            return "max_steps", t, beliefs
         dist = controller.action_distribution(state)
         if dist is None:
-            return beliefs
+            return "undetectable", t, beliefs
         action = _reference_sample(dist, rng)
         succ = _reference_sample(truth_model.row(state, action).items(), rng)
         beliefs = _reference_update(beliefs, state, action, succ, mmdp)

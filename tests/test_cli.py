@@ -139,6 +139,32 @@ def test_simulate_trace_and_batch(tmp_path, model_file):
     assert summary["threshold_accuracy"] == 1.0
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--trials", "0"], "trials must be at least 1, got 0"),
+    (["--trials", "-3"], "trials must be at least 1, got -3"),
+    (["--trials", "5", "--threshold", "1.0"], "threshold must lie in (0.5, 1), got 1.0"),
+    (["--trials", "5", "--max-steps", "-1"], "max_steps must be nonnegative, got -1"),
+    (["--truth", "1", "--max-steps", "-1"], "max_steps must be nonnegative, got -1"),
+])
+def test_simulate_rejects_invalid_counts_exit_2(tmp_path, model_file, capsys, args, message):
+    _, policy_path, _ = _synthesize(tmp_path, model_file)
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    code = main(["simulate", model_file, policy_path, "--seed", "3", *args, "--out", str(out)])
+    assert code == 2
+    assert f"invalid input: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_accepts_a_zero_step_limit(tmp_path, model_file):
+    _, policy_path, _ = _synthesize(tmp_path, model_file)
+    out = tmp_path / "batch.json"
+    args = ["simulate", model_file, policy_path, "--seed", "3", "--trials", "5", "--max-steps", "0"]
+    assert main([*args, "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    assert summary["stop_reasons"] == {"threshold": 0, "max_steps": 5, "undetectable": 0}
+
+
 def test_simulate_requires_truth_for_single_trace(tmp_path, model_file, capsys):
     _, policy_path, _ = _synthesize(tmp_path, model_file)
     assert main(["simulate", model_file, policy_path, "--seed", "1"]) == 1

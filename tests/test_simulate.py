@@ -22,9 +22,10 @@ from mdpdetect.policy import (
     survivors,
 )
 from mdpdetect.simulate import (
+    STOP_REASONS,
     BeliefState,
     _check_priors,
-    _lockstep,
+    _monte_carlo_trials,
     _philox_key,
     _Rekeyed,
     batch_summary,
@@ -41,6 +42,8 @@ from conftest import (
     identical_mmdp,
     mk_mdp,
     random_binary_mmdp,
+    random_detectable_binary,
+    reference_batch_summary,
     reference_monte_carlo_error,
     rng_for,
     sqrt_half_mmdp,
@@ -279,11 +282,13 @@ def _assert_monte_carlo_matches_reference(mmdp, policy, t, trials, seed, q=None,
 
     The truths and the final beliefs of every trial are compared too, bit for
     bit, so that a change in the order of the belief sums shows even where it
-    moves no MAP decision. Returns the reference's outcomes, or its error.
+    moves no MAP decision, and so are the stop reason and step of the kernel. Returns the reference's outcomes, or its error.
     """
-    outcomes = []
+    outcomes, stops = [], []
     try:
-        expected = reference_monte_carlo_error(mmdp, policy, t, trials, seed, q, theta, outcomes)
+        expected = reference_monte_carlo_error(
+            mmdp, policy, t, trials, seed, q, theta, outcomes, stops
+        )
     except Exception as exc:
         with pytest.raises(type(exc)) as raised:
             monte_carlo_error(mmdp, policy, t, trials, seed, q, theta)
@@ -292,9 +297,13 @@ def _assert_monte_carlo_matches_reference(mmdp, policy, t, trials, seed, q=None,
         return exc
     assert monte_carlo_error(mmdp, policy, t, trials, seed, q, theta) == expected
     q, theta = _check_priors(q, mmdp.n, "q"), _check_priors(theta, mmdp.n, "theta")
-    truth, beliefs = _lockstep(mmdp, policy, t, trials, seed, q, theta)
+    truth, beliefs, stop_step, stop_code = _monte_carlo_trials(
+        mmdp, policy, t, trials, seed, q, theta
+    )
     assert (truth + 1).tolist() == [tr for tr, _ in outcomes]
     assert beliefs.tolist() == [list(b) for _, b in outcomes]
+    # without a threshold only a lone survivor stops a trial as "threshold"
+    assert [(STOP_REASONS[c], k) for c, k in zip(stop_code, stop_step.tolist())] == stops
     return outcomes
 
 
@@ -501,3 +510,163 @@ def test_batch_summary_deterministic_and_shaped():
     assert set(a["per_truth"]) == {"1", "2"}
     assert a["threshold_stop_fraction"] == 1.0
     assert a["threshold_accuracy"] == 1.0
+
+
+def _assert_batch_matches_reference(mmdp, policy, trials, seed, **kwargs):
+    """The same summary, or the same error, as the frozen trial-by-trial batch.
+
+    Returns the reference's summary, or its error.
+    """
+    try:
+        expected = reference_batch_summary(mmdp, policy, trials, seed, **kwargs)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            batch_summary(mmdp, policy, trials, seed, **kwargs)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+        return exc
+    assert batch_summary(mmdp, policy, trials, seed, **kwargs) == expected
+    return expected
+
+
+# 2**63 - 3 with 40 trials makes ``seed + trial`` cross 2**63 mid-batch
+_BATCH_SEEDS = (1, -3, 2**63 + 5, 2**64 - 1, 2**63 - 3)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+@settings(max_examples=240)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["binary", "multi3", "multi4", "detectable"]),
+    policy_kind=st.sampled_from(["synthesized", "uniform", "synthesized elsewhere", "truncated"]),
+    fixed_truth=st.booleans(),
+    random_priors=st.booleans(),
+    threshold=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+    max_steps=st.integers(0, 6),
+    batch_seed=st.sampled_from(_BATCH_SEEDS),
+)
+def test_batch_matches_frozen_reference(
+    seed, kind, policy_kind, fixed_truth, random_priors, threshold, max_steps, batch_seed
+):
+    """The lockstep batch against the trial-by-trial loop it replaced.
+
+    Short episodes and thresholds down to 0.5 make every stop reason occur;
+    foreign and truncated policies exercise missing entries and errors.
+    """
+    rng = rng_for(seed)
+    n_states = int(rng.integers(4, 7))
+    if kind == "detectable":
+        mmdp = random_detectable_binary(rng, n_states=n_states)
+    else:
+        mmdp = _random_instance(rng, kind, n_states)
+    if policy_kind == "uniform":
+        policy = stationary_uniform_policy(mmdp)
+    else:
+        source = mmdp
+        if policy_kind == "synthesized elsewhere":
+            source = _random_instance(rng, "binary" if kind == "detectable" else kind, n_states)
+        policy = general_apd(source).policy or DetectionPolicy(entries={})
+    if policy_kind == "truncated":
+        policy = DetectionPolicy(entries={
+            key: dataclasses.replace(e, reach={s: a for s, a in e.reach.items() if rng.random() < 0.7})
+            for key, e in policy.entries.items()
+        })
+    truth = int(rng.integers(1, mmdp.n + 1)) if fixed_truth else None
+    priors = _random_priors(rng, mmdp.n) if random_priors else None
+    _assert_batch_matches_reference(
+        mmdp, policy, 40, batch_seed, truth=truth, max_steps=max_steps, threshold=threshold,
+        priors=priors,
+    )
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("pruned", [False, True])
+def test_batch_matches_reference_on_every_stop_reason(pruned):
+    """Each stop reason, and a stop on the priors alone at t = 0, against the reference.
+
+    Seeds of 2**63 and more give every trial of a batch the same rounded key,
+    so the reasons are counted over all seeds together.
+    """
+    recursive = _recursive_instance()
+    policy = general_apd(recursive).policy
+    if pruned:
+        policy = DetectionPolicy(
+            entries={k: v for k, v in policy.entries.items() if k != ((1, 2), "r")}
+        )
+    example = example1_mmdp(initial="2")
+    reasons = set()
+    for batch_seed in _BATCH_SEEDS:
+        for mmdp, pol, kwargs in [
+            (recursive, policy, {"max_steps": 300}),
+            (recursive, policy, {"max_steps": 3, "threshold": 0.6}),
+            (example, bi_apd(example).policy, {"priors": (0.95, 0.05), "threshold": 0.9}),
+        ]:
+            summary = _assert_batch_matches_reference(mmdp, pol, 40, batch_seed, **kwargs)
+            reasons |= {r for r, k in summary["stop_reasons"].items() if k}
+            if "priors" in kwargs:
+                assert summary["stop_reasons"]["threshold"] == 40
+                assert summary["per_truth"]["1"]["mean_stop_time"] == 0.0
+    assert "undetectable" in reasons if pruned else "undetectable" not in reasons
+    assert {"threshold", "max_steps"} <= reasons
+
+
+@pytest.mark.parametrize("kind", ["binary", "multi3", "multi4"])
+def test_batch_raises_the_error_of_the_lowest_failing_trial(kind):
+    raised = set()
+    for seed in range(4):
+        rng = rng_for(70_000 + seed)
+        mmdp = _leaky(_random_instance(rng, kind, 5))
+        error = _assert_batch_matches_reference(
+            mmdp, stationary_uniform_policy(mmdp), 40, seed, max_steps=30
+        )
+        assert isinstance(error, ImpossibleObservationError)
+        raised.add(str(error))
+    assert len(raised) > 1
+
+
+def test_batch_checks_its_arguments_in_order():
+    mmdp = identical_mmdp()
+    policy = stationary_uniform_policy(mmdp)
+    for kwargs, message in [
+        ({"priors": (0.9, 0.2), "threshold": 0.4, "truth": 7}, "priors: entries sum to"),
+        ({"threshold": 0.4, "truth": 7}, "threshold must lie in (0.5, 1), got 0.4"),
+        ({"truth": 7}, "model index 7 outside 1..2"),
+    ]:
+        error = _assert_batch_matches_reference(mmdp, policy, 10, 0, **kwargs)
+        assert isinstance(error, ModelError)
+        assert str(error).startswith(message)
+    error = _assert_batch_matches_reference(mmdp, DetectionPolicy(entries={}), 10, 0)
+    assert isinstance(error, ContractError)
+    assert str(error) == "policy has no entry for the initial configuration ((1, 2), 'x')"
+    # checks the trial-by-trial loop lacked: the trial count first, the step
+    # limit after the threshold
+    for trials, kwargs, message in [
+        (0, {"priors": (0.9, 0.2)}, "trials must be at least 1, got 0"),
+        (-3, {}, "trials must be at least 1, got -3"),
+        (10, {"threshold": 0.4, "max_steps": -1}, "threshold must lie in (0.5, 1), got 0.4"),
+        (10, {"max_steps": -1, "truth": 7}, "max_steps must be nonnegative, got -1"),
+    ]:
+        with pytest.raises(ModelError) as raised:
+            batch_summary(mmdp, policy, trials, 0, **kwargs)
+        assert str(raised.value) == message
+    # zero steps is a valid limit: every trial stops before its first step
+    summary = batch_summary(mmdp, policy, 10, 0, max_steps=0)
+    assert summary["stop_reasons"] == {"threshold": 0, "max_steps": 10, "undetectable": 0}
+
+
+def test_simulate_rejects_a_negative_step_limit():
+    mmdp = identical_mmdp()
+    policy = stationary_uniform_policy(mmdp)
+    with pytest.raises(ModelError, match="max_steps must be nonnegative, got -1"):
+        simulate(mmdp, 1, policy, seed=0, max_steps=-1)
+    trace = simulate(mmdp, 1, policy, seed=0, max_steps=0)
+    assert (trace.stop_reason, len(trace.steps)) == ("max_steps", 1)
+
+
+def test_batch_underflowed_posterior_does_not_eliminate_a_model():
+    """The episodes of the simulate underflow test, as one batch: trial ``i``
+    plays seed ``i``, and one of them ends with a posterior of 0.0."""
+    mmdp = _underflow_triple()
+    policy = general_apd(mmdp).policy
+    summary = _assert_batch_matches_reference(mmdp, policy, 5, 0, truth=1)
+    assert summary["stop_reasons"]["undetectable"] == 0
