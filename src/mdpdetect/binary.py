@@ -102,7 +102,8 @@ class PreprocessedPair:
 
     Action identifiers are preserved, so retained pairs map back to the
     original pairs unchanged. ``isa`` holds the informative pairs of the
-    rewritten pair plus the two terminal self-loop pairs.
+    rewritten pair (those of the original pair at states that are not
+    revealing) plus the two terminal self-loop pairs.
     """
 
     m1: Mdp
@@ -178,7 +179,10 @@ def preprocess(
 
     m1p = Mdp(states=states, actions=actions, kernel=kernels[0], initial=m1.initial, name=f"{m1.name}^p")
     m2p = Mdp(states=states, actions=actions, kernel=kernels[1], initial=m2.initial, name=f"{m2.name}^p")
-    isa = classify_pairs(m1p, m2p, atol).informative_pairs
+    # what classifying the rewritten pair would find: the rewrite keeps the
+    # informative pairs of states that are not revealing informative, and
+    # makes no other pair informative
+    isa = frozenset(p for p in cls.informative_pairs if cls.state_labels[p[0]] != REVEALING)
     isa |= {(bot1, a_bot1), (bot2, a_bot2)}
     return PreprocessedPair(m1=m1p, m2=m2p, bot1=bot1, bot2=bot2, isa=isa, classification=cls)
 

@@ -5,10 +5,11 @@ runtime: the events they stand for surface as observed transitions of zero
 likelihood under some models, which zero those posteriors exactly and shrink
 the active set. The random streams are counter-based (Philox keyed per
 trial), so trials are independent and reproducible in any execution order.
-A single trace runs the episode loop ``_episode``; Monte Carlo and the
-batches of ``batch_summary`` advance all their trials in lockstep on one
-kernel, over a controller table compiled for just the augmented states they
-reach, and get the results a trial-by-trial loop would.
+Every episode runs on one kernel, ``_lockstep``: a single trace of
+``simulate`` is one trial of it, and Monte Carlo and the batches of
+``batch_summary`` advance all their trials in lockstep over a controller
+table compiled for just the augmented states they reach, with the results a
+trial-by-trial loop would give.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .analysis import _Aug, _canonical_aug, _expand_aug
 from .errors import ContractError, ImpossibleObservationError, ModelError
 from .models import Mmdp
-from .policy import ActiveSet, DetectionPolicy, PolicyEntry, active_set, members, survivors
+from .policy import DetectionPolicy, PolicyEntry, active_set, members
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 64  # uniforms a lockstep trial draws from its stream at a time (a multiple of 4)
@@ -75,13 +76,7 @@ def belief_update(b: BeliefState, s: str, a: str, s_next: str, mmdp: Mmdp) -> Be
     Models assigning the observed transition probability zero drop to an
     exact posterior of zero and can never re-enter the active set.
     """
-    return BeliefState(probs=_update(b.probs, s, a, s_next, mmdp))
-
-
-def _update(
-    probs: tuple[float, ...], s: str, a: str, s_next: str, mmdp: Mmdp
-) -> tuple[float, ...]:
-    weighted = [p * m.prob(s, a, s_next) for p, m in zip(probs, mmdp.models)]
+    weighted = [p * m.prob(s, a, s_next) for p, m in zip(b.probs, mmdp.models)]
     # in model order, on every Python version (since 3.12, sum() compensates)
     denom = 0.0
     for w in weighted:
@@ -90,7 +85,7 @@ def _update(
         raise ImpossibleObservationError(
             f"transition ({s}, {a}, {s_next}) is impossible under the current belief support"
         )
-    return tuple([w / denom for w in weighted])
+    return BeliefState(probs=tuple([w / denom for w in weighted]))
 
 
 def map_decide(b: BeliefState | Sequence[float]) -> int:
@@ -147,51 +142,6 @@ class _Rekeyed:
         return self.rng
 
 
-def _sample(items: Iterable[tuple[str, float]], rng: np.random.Generator) -> str:
-    u = rng.random()
-    acc = 0.0
-    last = None
-    for value, p in sorted(items):
-        acc += p
-        last = value
-        if u < acc:
-            return value
-    assert last is not None, "cannot sample from an empty distribution"
-    return last
-
-
-class _Controller:
-    """Execution state of a detection policy: active set, entry, committed component."""
-
-    def __init__(self, policy: DetectionPolicy, mec_weights: Mapping[str, float] | None = None):
-        self.policy = policy
-        self.mec_weights = mec_weights
-        self.entry: PolicyEntry | None = None
-        self.mec_index: int | None = None
-
-    def enter(self, active: ActiveSet, state: str) -> bool:
-        self.entry = self.policy.entry(active, state)
-        if self.entry is None:
-            return False
-        self.mec_index = self.entry.committed_mec(state)
-        return True
-
-    def arrive(self, state: str) -> None:
-        # Commitment is permanent per active set; only an uncommitted
-        # controller may lock onto a component.
-        if self.entry is not None and self.mec_index is None:
-            self.mec_index = self.entry.committed_mec(state)
-
-    def action_distribution(self, state: str) -> list[tuple[str, float]]:
-        dist = _action_distribution(self.entry, self.mec_index, state)
-        if dist and self.mec_index is not None and self.mec_weights is not None:
-            weighted = {a: self.mec_weights.get(a, 0.0) for a, _ in dist}
-            total = sum(weighted.values())
-            if total > 0.0:
-                return [(a, w / total) for a, w in weighted.items() if w > 0.0]
-        return dist
-
-
 def _check_priors(priors: Sequence[float] | None, n: int, what: str) -> tuple[float, ...]:
     if priors is None:
         return tuple(1.0 / n for _ in range(n))
@@ -212,64 +162,6 @@ def _check_stops(threshold: float, max_steps: int) -> None:
         raise ModelError(f"max_steps must be nonnegative, got {max_steps}")
 
 
-def _episode(
-    mmdp: Mmdp,
-    truth: int,
-    controller: _Controller,
-    rng: np.random.Generator,
-    beliefs: tuple[float, ...],
-    max_steps: int,
-    threshold: float,
-    steps: list[TraceStep],
-) -> tuple[str, int, str, tuple[float, ...]]:
-    """Run one episode from the initial state against model ``truth``.
-
-    Stops, checked in this order before every step: when the top posterior
-    reaches ``threshold`` or one model remains ("threshold"; a lone survivor
-    holds posterior 1), when the policy has no entry for a new active set
-    ("undetectable"), at ``max_steps`` ("max_steps"), and when the policy has
-    no action at the current state ("undetectable"). A model leaves the active
-    set only when it gives an observed transition probability zero. Appends
-    every played step to ``steps``. Returns the stop reason, the number of
-    steps played, the final state and the final beliefs.
-    """
-    truth_model = mmdp.model(truth)
-    active = active_set(range(1, mmdp.n + 1))
-    state = mmdp.initial
-    if not controller.enter(active, state):
-        raise ContractError(
-            f"policy has no entry for the initial configuration ({active}, {state!r})"
-        )
-    entered = True
-    t = 0
-    while True:
-        if max(beliefs) >= threshold or len(active) == 1:
-            return "threshold", t, state, beliefs
-        if not entered:
-            if not controller.enter(active, state):
-                return "undetectable", t, state, beliefs
-            entered = True
-        if t >= max_steps:
-            return "max_steps", t, state, beliefs
-        dist = controller.action_distribution(state)
-        if not dist:
-            return "undetectable", t, state, beliefs
-        action = _sample(dist, rng)
-        succ = _sample(truth_model.row(state, action).items(), rng)
-        steps.append(TraceStep(t=t, state=state, action=action, beliefs=beliefs))
-        beliefs = _update(beliefs, state, action, succ, mmdp)
-        # a positive posterior implies a positive likelihood, so only a zero
-        # posterior (an eliminated or an underflowed model) needs the support
-        remaining = survivors(mmdp, active, state, action, succ) if 0.0 in beliefs else active
-        state = succ
-        t += 1
-        if remaining == active:
-            controller.arrive(state)
-        else:
-            active = remaining
-            entered = False
-
-
 def simulate(
     mmdp: Mmdp,
     truth: int,
@@ -278,23 +170,28 @@ def simulate(
     max_steps: int = 10_000,
     threshold: float = 0.98,
     priors: Sequence[float] | None = None,
-    mec_weights: Mapping[str, float] | None = None,
 ) -> Trace:
     """Run one seeded detection episode against the ground-truth model.
 
     Stops when the top posterior reaches ``threshold``, at ``max_steps``, or
     when the policy has no entry for the reached (active set, state)
-    configuration ("undetectable continuation").
+    configuration ("undetectable continuation"). The episode is one trial of
+    ``_lockstep`` on the stream ``trial_rng(seed, 0)``.
     """
     _check_stops(threshold, max_steps)
     beliefs = _check_priors(priors, mmdp.n, "priors")
-    steps: list[TraceStep] = []
-    stop, t, state, beliefs = _episode(
-        mmdp, truth, _Controller(policy, mec_weights), trial_rng(seed, 0), beliefs,
-        max_steps, threshold, steps,
+    mmdp.model(truth)  # ModelError for an index outside 1..n
+    path: list[tuple[str, str, str, list[float]]] = []
+    final, _, stop_code = _lockstep(
+        mmdp, policy, _Streams([_philox_key(seed, 0)], 2 * max_steps), np.array([truth - 1]),
+        beliefs, max_steps, threshold, path,
     )
-    steps.append(TraceStep(t=t, state=state, action=None, beliefs=beliefs))
-    return Trace(seed=seed, truth=truth, steps=tuple(steps), stop_reason=stop)
+    steps = [TraceStep(t, s, a, tuple(b)) for t, (s, a, _, b) in enumerate(path)]
+    # the final state is the last successor: a trial that stops at a new
+    # active set without an entry sits at a compiled state with no name
+    state = path[-1][2] if path else mmdp.initial
+    steps.append(TraceStep(len(path), state, None, tuple(final[0].tolist())))
+    return Trace(seed, truth, tuple(steps), STOP_REASONS[stop_code[0]])
 
 
 def monte_carlo_error(
@@ -346,7 +243,7 @@ def _monte_carlo_trials(
 
 
 def _draw_truth(u: np.ndarray, theta: Sequence[float]) -> np.ndarray:
-    """The 0-based model each uniform picks from ``theta`` as ``_sample`` does.
+    """The 0-based model each uniform picks from ``theta``.
 
     The models run in ``str`` order ("10" before "2"); a uniform picks the
     first one whose running sum exceeds it, and the last takes any remainder.
@@ -365,16 +262,21 @@ def _lockstep(
     beliefs: Sequence[float],
     max_steps: int,
     threshold: float | None = None,
+    path: list[tuple[str, str, str, list[float]]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The final beliefs, the stop step and the stop code of every trial.
 
     Trial ``i`` plays against the 0-based model ``truth[i]`` from the initial
     beliefs ``beliefs``, on the uniforms ``streams`` draws for it. All live
-    trials advance one step at a time, as arrays, and each one plays exactly
-    the episode ``_episode`` plays on its own stream: one uniform picks the
+    trials advance one step at a time, as arrays, and each one plays the
+    episode it would play alone on its own stream: one uniform picks the
     action and one the successor, each the first item whose running sum
     exceeds it (the last item takes any remainder), and the belief update
-    sums the weighted likelihoods model by model, as ``_update`` does.
+    sums the weighted likelihoods model by model, as ``belief_update`` does.
+    A model leaves the active set only when it gives an observed transition
+    probability zero. Every step played appends, per live trial in trial
+    order, its state, action, successor and pre-step beliefs to ``path``
+    when given.
 
     Before every step a trial stops, in this order: as "threshold" when its
     top posterior reaches ``threshold`` (never, without one) or one model is
@@ -475,6 +377,13 @@ def _lockstep(
             record(denom <= 0.0, impossible)
             keep = stop(denom > 0.0, _MAX_STEPS, step)
             weighted, denom, slot, j = weighted[keep], denom[keep], slot[keep], j[keep]
+        if path is not None:
+            path.extend(zip(
+                [table.augs[k][2] for k in state.tolist()],
+                [table.actions[g] for g in slot.tolist()],
+                [rows.successors[e] for e in (table.lo[slot] + j).tolist()],
+                b.tolist(),
+            ))
         b = weighted / denom[:, None]
         state = table.target[table.tlo[slot] + j]
     if failed:
@@ -658,8 +567,8 @@ def _action_distribution(
 ) -> list[tuple[str, float]]:
     """The action distribution of the controller at ``state``; empty where it has no action.
 
-    A component that offers no action at one of its states is an error, the
-    one ``_sample`` raises for an empty distribution.
+    A component that offers no action at one of its states is an error,
+    raised for the first trial that needs an action there.
     """
     if mec_index is not None:
         frag = entry.mecs[mec_index]

@@ -16,7 +16,7 @@ from mdpdetect.errors import ContractError, HorizonCapError, ImpossibleObservati
 from mdpdetect.graphs import Mec, PartialDeterministicPolicy
 from mdpdetect.models import Mdp, Mmdp, TransitionSystem
 from mdpdetect.policy import active_set, survivors
-from mdpdetect.simulate import _check_priors, map_decide, trial_rng
+from mdpdetect.simulate import Trace, TraceStep, _check_priors, map_decide, trial_rng
 
 # every property test runs the same examples on every run, however long they take
 settings.register_profile("mdpdetect", deadline=None, derandomize=True, database=None)
@@ -606,12 +606,28 @@ def _reference_expand_aug(mmdp, policy, pair, aug):
 
 
 # ---------------------------------------------------------------------------
-# The trial-by-trial Monte-Carlo and batch loops, frozen as the reference for
-# the lockstep kernel of ``monte_carlo_error`` and ``batch_summary``, with
-# their own controller, episode, sampling rule and belief update. They share
-# only the trial streams, the prior checks and the MAP rule with the library;
-# the controller leaves out the component weights, which neither passes.
+# The single trace and the trial-by-trial Monte-Carlo and batch loops, frozen
+# as the reference for the lockstep kernel of ``simulate``,
+# ``monte_carlo_error`` and ``batch_summary``, with their own controller,
+# episode, sampling rule and belief update. They share only the trial
+# streams, the prior checks, the MAP rule and the trace records with the
+# library.
 # ---------------------------------------------------------------------------
+
+
+def reference_simulate(mmdp, truth, policy, seed, max_steps=10_000, threshold=0.98, priors=None):
+    """``simulate`` as it ran its own episode loop, one Python step at a time."""
+    if not 0.5 < threshold < 1.0:
+        raise ModelError(f"threshold must lie in (0.5, 1), got {threshold}")
+    if max_steps < 0:
+        raise ModelError(f"max_steps must be nonnegative, got {max_steps}")
+    beliefs = _check_priors(priors, mmdp.n, "priors")
+    steps = []
+    reason, _, _ = _reference_episode(
+        mmdp, truth, _ReferenceController(policy), trial_rng(seed, 0), beliefs, max_steps,
+        threshold, steps,
+    )
+    return Trace(seed=seed, truth=truth, steps=tuple(steps), stop_reason=reason)
 
 
 def reference_monte_carlo_error(
@@ -661,15 +677,8 @@ def reference_batch_summary(
             tr = int(_reference_sample(theta_items, trial_rng(seed ^ 0x9E3779B97F4A7C15, trial)))
         else:
             tr = truth
-        # simulate(mmdp, tr, policy, seed + trial, max_steps, threshold, priors)
-        if not 0.5 < threshold < 1.0:
-            raise ModelError(f"threshold must lie in (0.5, 1), got {threshold}")
-        beliefs = _check_priors(priors, mmdp.n, "priors")
-        mmdp.model(tr)
-        reason, t, beliefs = _reference_episode(
-            mmdp, tr, _ReferenceController(policy), trial_rng(seed + trial, 0), beliefs,
-            max_steps, threshold,
-        )
+        trace = reference_simulate(mmdp, tr, policy, seed + trial, max_steps, threshold, priors)
+        reason, t, beliefs = trace.stop_reason, trace.steps[-1].t, trace.steps[-1].beliefs
         decided = map_decide(beliefs)
         stats = per_truth[tr]
         stats["runs"] += 1
@@ -763,8 +772,12 @@ def _reference_update(probs, s, a, s_next, mmdp):
     return tuple([w / denom for w in weighted])
 
 
-def _reference_episode(mmdp, truth, controller, rng, beliefs, max_steps, threshold):
-    """The stop reason, the steps played and the final beliefs of one episode."""
+def _reference_episode(mmdp, truth, controller, rng, beliefs, max_steps, threshold, steps=None):
+    """The stop reason, the steps played and the final beliefs of one episode.
+
+    Appends every played step, and then the final row, to ``steps`` as
+    ``TraceStep`` records when given.
+    """
     truth_model = mmdp.model(truth)
     active = active_set(range(1, mmdp.n + 1))
     state = mmdp.initial
@@ -772,22 +785,30 @@ def _reference_episode(mmdp, truth, controller, rng, beliefs, max_steps, thresho
         raise ContractError(
             f"policy has no entry for the initial configuration ({active}, {state!r})"
         )
+
+    def stop(reason):
+        if steps is not None:
+            steps.append(TraceStep(t=t, state=state, action=None, beliefs=beliefs))
+        return reason, t, beliefs
+
     entered = True
     t = 0
     while True:
         if max(beliefs) >= threshold or len(active) == 1:
-            return "threshold", t, beliefs
+            return stop("threshold")
         if not entered:
             if not controller.enter(active, state):
-                return "undetectable", t, beliefs
+                return stop("undetectable")
             entered = True
         if t >= max_steps:
-            return "max_steps", t, beliefs
+            return stop("max_steps")
         dist = controller.action_distribution(state)
         if dist is None:
-            return "undetectable", t, beliefs
+            return stop("undetectable")
         action = _reference_sample(dist, rng)
         succ = _reference_sample(truth_model.row(state, action).items(), rng)
+        if steps is not None:
+            steps.append(TraceStep(t=t, state=state, action=action, beliefs=beliefs))
         beliefs = _reference_update(beliefs, state, action, succ, mmdp)
         remaining = survivors(mmdp, active, state, action, succ) if 0.0 in beliefs else active
         state = succ

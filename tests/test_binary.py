@@ -1,6 +1,8 @@
 """Binary pipeline: classification, preprocessing, structure, synthesis."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdpdetect.binary import (
     INFORMATIVE,
@@ -16,14 +18,16 @@ from mdpdetect.binary import (
 )
 from mdpdetect.errors import ModelError
 from mdpdetect.graphs import mec_decompose
-from mdpdetect.models import Mmdp, induced_transition_system, support, validate_mmdp
+from mdpdetect.models import ROW_EQ_TOL, Mmdp, induced_transition_system, support, validate_mmdp
 from mdpdetect.simulate import monte_carlo_error, simulate
 
 from conftest import (
     example1_mmdp,
     identical_mmdp,
     mk_mdp,
+    random_binary_mmdp,
     random_detectable_binary,
+    random_multi_mmdp,
     rng_for,
     sqrt_half_mmdp,
 )
@@ -125,6 +129,55 @@ def test_preprocess_isa_includes_terminal_pairs(example1):
     pair = preprocess(*example1.models)
     assert pair.isa_original == {("1", "a1"), ("2", "b2")}
     assert pair.isa == pair.isa_original | pair.terminal_pairs
+
+
+def _random_labeled_pair(rng, n_states):
+    """A model pair whose rows are equal, equal within or just beyond the row
+    tolerance, disjoint, or overlapping, so every label occurs."""
+    states = tuple(f"s{i}" for i in range(n_states))
+    actions = {s: tuple(f"a{j}" for j in range(int(rng.integers(1, 4)))) for s in states}
+    kernels = ({}, {})
+
+    def row():
+        succs = rng.choice(states, size=int(rng.integers(1, min(4, n_states + 1))), replace=False).tolist()
+        weights = rng.uniform(0.1, 1.0, size=len(succs))
+        return dict(zip(succs, (weights / weights.sum()).tolist()))
+
+    for s in states:
+        for a in actions[s]:
+            r1 = row()
+            kind = rng.integers(0, 4)
+            if kind == 0:  # equal, or moved by a multiple of the tolerance
+                r2 = dict(r1)
+                if len(r2) > 1:
+                    x, y = list(r2)[:2]
+                    shift = ROW_EQ_TOL * float(rng.choice([0.5, 3.0]))
+                    r2[x] += shift
+                    r2[y] -= shift
+            elif kind == 1:  # disjoint wherever the state space leaves room
+                rest = [t for t in states if t not in r1]
+                r2 = {rest[0]: 1.0} if rest else dict(r1)
+            else:
+                r2 = row()
+            kernels[0][(s, a)] = r1
+            kernels[1][(s, a)] = r2
+    return tuple(mk_mdp(states, actions, k, states[0], f"M{m + 1}") for m, k in enumerate(kernels))
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["labeled", "binary", "multi"]))
+def test_preprocess_isa_matches_the_rewritten_classification(seed, kind):
+    """``isa`` is what classifying the rewritten pair yields, plus the terminals."""
+    rng = rng_for(seed)
+    n_states = int(rng.integers(2, 7))
+    if kind == "labeled":
+        m1, m2 = _random_labeled_pair(rng, n_states)
+    elif kind == "binary":
+        m1, m2 = random_binary_mmdp(rng, n_states=n_states).models
+    else:
+        m1, m2 = random_multi_mmdp(rng, n_models=2, n_states=n_states, reveal_share=0.6).models
+    pair = preprocess(m1, m2)
+    assert pair.isa == classify_pairs(pair.m1, pair.m2).informative_pairs | pair.terminal_pairs
 
 
 def test_preprocess_reroutes_disjoint_mass():

@@ -1,6 +1,7 @@
 """Runtime: belief updates, MAP rule, policy execution, Monte-Carlo batches."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -45,6 +46,7 @@ from conftest import (
     random_detectable_binary,
     reference_batch_summary,
     reference_monte_carlo_error,
+    reference_simulate,
     rng_for,
     sqrt_half_mmdp,
 )
@@ -201,22 +203,6 @@ def test_simulate_threshold_validation():
     policy = stationary_uniform_policy(mmdp)
     with pytest.raises(ModelError):
         simulate(mmdp, 1, policy, seed=0, threshold=0.4)
-
-
-def test_simulate_mec_weight_override():
-    states = ("x", "y")
-    actions = {"x": ("u", "v"), "y": ("w",)}
-    k1 = {("x", "u"): {"x": 0.5, "y": 0.5}, ("x", "v"): {"x": 0.5, "y": 0.5}, ("y", "w"): {"x": 1.0}}
-    k2 = {("x", "u"): {"x": 0.3, "y": 0.7}, ("x", "v"): {"x": 0.5, "y": 0.5}, ("y", "w"): {"x": 1.0}}
-    mmdp = Mmdp(models=(mk_mdp(states, actions, k1, "x", "M1"), mk_mdp(states, actions, k2, "x", "M2")))
-    outcome = bi_apd(mmdp)
-    assert outcome.exists
-    trace = simulate(mmdp, 1, outcome.policy, seed=3, mec_weights={"u": 1.0, "w": 1.0})
-    for step in trace.steps:
-        assert step.action != "v"
-    # without the override the uniform fragment plays v as well
-    free = simulate(mmdp, 1, outcome.policy, seed=3)
-    assert any(step.action == "v" for step in free.steps)
 
 
 def test_simulate_martingale_mean_belief():
@@ -529,6 +515,32 @@ def _assert_batch_matches_reference(mmdp, policy, trials, seed, **kwargs):
     return expected
 
 
+def _random_case(rng, kind, policy_kind):
+    """A random instance and a policy to play on it.
+
+    The policy is synthesized on the instance or on another one over the same
+    state names, or is that with part of its reach tables removed, or is the
+    uniform one.
+    """
+    n_states = int(rng.integers(4, 7))
+    if kind == "detectable":
+        mmdp = random_detectable_binary(rng, n_states=n_states)
+    else:
+        mmdp = _random_instance(rng, kind, n_states)
+    if policy_kind == "uniform":
+        return mmdp, stationary_uniform_policy(mmdp)
+    source = mmdp
+    if policy_kind == "synthesized elsewhere":
+        source = _random_instance(rng, "binary" if kind == "detectable" else kind, n_states)
+    policy = general_apd(source).policy or DetectionPolicy(entries={})
+    if policy_kind == "truncated":
+        policy = DetectionPolicy(entries={
+            key: dataclasses.replace(e, reach={s: a for s, a in e.reach.items() if rng.random() < 0.7})
+            for key, e in policy.entries.items()
+        })
+    return mmdp, policy
+
+
 # 2**63 - 3 with 40 trials makes ``seed + trial`` cross 2**63 mid-batch
 _BATCH_SEEDS = (1, -3, 2**63 + 5, 2**64 - 1, 2**63 - 3)
 
@@ -554,23 +566,7 @@ def test_batch_matches_frozen_reference(
     foreign and truncated policies exercise missing entries and errors.
     """
     rng = rng_for(seed)
-    n_states = int(rng.integers(4, 7))
-    if kind == "detectable":
-        mmdp = random_detectable_binary(rng, n_states=n_states)
-    else:
-        mmdp = _random_instance(rng, kind, n_states)
-    if policy_kind == "uniform":
-        policy = stationary_uniform_policy(mmdp)
-    else:
-        source = mmdp
-        if policy_kind == "synthesized elsewhere":
-            source = _random_instance(rng, "binary" if kind == "detectable" else kind, n_states)
-        policy = general_apd(source).policy or DetectionPolicy(entries={})
-    if policy_kind == "truncated":
-        policy = DetectionPolicy(entries={
-            key: dataclasses.replace(e, reach={s: a for s, a in e.reach.items() if rng.random() < 0.7})
-            for key, e in policy.entries.items()
-        })
+    mmdp, policy = _random_case(rng, kind, policy_kind)
     truth = int(rng.integers(1, mmdp.n + 1)) if fixed_truth else None
     priors = _random_priors(rng, mmdp.n) if random_priors else None
     _assert_batch_matches_reference(
@@ -629,7 +625,8 @@ def test_batch_checks_its_arguments_in_order():
     policy = stationary_uniform_policy(mmdp)
     for kwargs, message in [
         ({"priors": (0.9, 0.2), "threshold": 0.4, "truth": 7}, "priors: entries sum to"),
-        ({"threshold": 0.4, "truth": 7}, "threshold must lie in (0.5, 1), got 0.4"),
+        ({"threshold": 0.4, "max_steps": -1, "truth": 7}, "threshold must lie in (0.5, 1), got 0.4"),
+        ({"max_steps": -1, "truth": 7}, "max_steps must be nonnegative, got -1"),
         ({"truth": 7}, "model index 7 outside 1..2"),
     ]:
         error = _assert_batch_matches_reference(mmdp, policy, 10, 0, **kwargs)
@@ -638,13 +635,10 @@ def test_batch_checks_its_arguments_in_order():
     error = _assert_batch_matches_reference(mmdp, DetectionPolicy(entries={}), 10, 0)
     assert isinstance(error, ContractError)
     assert str(error) == "policy has no entry for the initial configuration ((1, 2), 'x')"
-    # checks the trial-by-trial loop lacked: the trial count first, the step
-    # limit after the threshold
+    # a check the trial-by-trial loop lacked: the trial count, first
     for trials, kwargs, message in [
         (0, {"priors": (0.9, 0.2)}, "trials must be at least 1, got 0"),
         (-3, {}, "trials must be at least 1, got -3"),
-        (10, {"threshold": 0.4, "max_steps": -1}, "threshold must lie in (0.5, 1), got 0.4"),
-        (10, {"max_steps": -1, "truth": 7}, "max_steps must be nonnegative, got -1"),
     ]:
         with pytest.raises(ModelError) as raised:
             batch_summary(mmdp, policy, trials, 0, **kwargs)
@@ -670,3 +664,157 @@ def test_batch_underflowed_posterior_does_not_eliminate_a_model():
     policy = general_apd(mmdp).policy
     summary = _assert_batch_matches_reference(mmdp, policy, 5, 0, truth=1)
     assert summary["stop_reasons"]["undetectable"] == 0
+
+
+def _assert_simulate_matches_reference(mmdp, truth, policy, seed, **kwargs):
+    """The same trace and CSV bytes, or the same error, as the frozen episode loop.
+
+    Returns the reference's trace, or its error.
+    """
+    try:
+        expected = reference_simulate(mmdp, truth, policy, seed, **kwargs)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            simulate(mmdp, truth, policy, seed, **kwargs)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+        return exc
+    trace = simulate(mmdp, truth, policy, seed, **kwargs)
+    assert trace == expected
+    assert trace_to_csv(trace) == trace_to_csv(expected)
+    return expected
+
+
+_TRACE_SEEDS = (1, -3, 2**63 + 5, 2**64 - 1)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+@settings(max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["binary", "multi3", "multi4", "detectable"]),
+    policy_kind=st.sampled_from(["synthesized", "uniform", "synthesized elsewhere", "truncated"]),
+    leaky=st.booleans(),
+    random_priors=st.booleans(),
+    threshold=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+    max_steps=st.integers(0, 6),
+    trace_seed=st.sampled_from(_TRACE_SEEDS),
+)
+def test_simulate_matches_frozen_reference(
+    seed, kind, policy_kind, leaky, random_priors, threshold, max_steps, trace_seed
+):
+    """One trial of the lockstep kernel against the episode loop it replaced.
+
+    Short episodes and thresholds down to 0.5 make every stop reason occur;
+    foreign and truncated policies, and rows that leak into a successor no
+    model allows, exercise missing entries and errors.
+    """
+    rng = rng_for(seed)
+    mmdp, policy = _random_case(rng, kind, policy_kind)
+    if leaky:
+        mmdp = _leaky(mmdp)
+    truth = int(rng.integers(1, mmdp.n + 1))
+    priors = _random_priors(rng, mmdp.n) if random_priors else None
+    _assert_simulate_matches_reference(
+        mmdp, truth, policy, trace_seed, max_steps=max_steps, threshold=threshold, priors=priors
+    )
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("pruned", [False, True])
+def test_simulate_matches_reference_on_every_stop_reason(pruned):
+    """Each stop reason, a stop on the priors alone at t = 0, and a trace ending
+    at a new active set the policy has no entry for, against the reference."""
+    recursive = _recursive_instance()
+    policy = general_apd(recursive).policy
+    if pruned:
+        policy = DetectionPolicy(
+            entries={k: v for k, v in policy.entries.items() if k != ((1, 2), "r")}
+        )
+    example = example1_mmdp(initial="2")
+    reasons = set()
+    for trace_seed in (*_TRACE_SEEDS, *range(20)):
+        for mmdp, pol, truth, kwargs in [
+            (recursive, policy, 1 + trace_seed % 3, {"max_steps": 300}),
+            (recursive, policy, 1 + trace_seed % 3, {"max_steps": 3, "threshold": 0.6}),
+            (example, bi_apd(example).policy, 1, {"priors": (0.95, 0.05), "threshold": 0.9}),
+        ]:
+            trace = _assert_simulate_matches_reference(mmdp, truth, pol, trace_seed, **kwargs)
+            reasons.add(trace.stop_reason)
+            if "priors" in kwargs:
+                assert (trace.stop_reason, len(trace.steps)) == ("threshold", 1)
+            if trace.stop_reason == "undetectable":
+                assert trace.steps[-1].state == "r"
+    assert "undetectable" in reasons if pruned else "undetectable" not in reasons
+    assert {"threshold", "max_steps"} <= reasons
+
+
+def test_simulate_checks_its_arguments_in_order():
+    mmdp = identical_mmdp()
+    policy = stationary_uniform_policy(mmdp)
+    for truth, kwargs, message in [
+        (7, {"threshold": 0.4, "max_steps": -1, "priors": (0.9, 0.2)},
+         "threshold must lie in (0.5, 1), got 0.4"),
+        (7, {"max_steps": -1, "priors": (0.9, 0.2)}, "max_steps must be nonnegative, got -1"),
+        (7, {"priors": (0.9, 0.2)}, "priors: entries sum to"),
+        (7, {}, "model index 7 outside 1..2"),
+    ]:
+        error = _assert_simulate_matches_reference(mmdp, truth, policy, 0, **kwargs)
+        assert isinstance(error, ModelError)
+        assert str(error).startswith(message)
+    error = _assert_simulate_matches_reference(mmdp, 7, DetectionPolicy(entries={}), 0)
+    assert isinstance(error, ModelError)
+    error = _assert_simulate_matches_reference(mmdp, 1, DetectionPolicy(entries={}), 0)
+    assert isinstance(error, ContractError)
+    assert str(error) == "policy has no entry for the initial configuration ((1, 2), 'x')"
+
+
+def _check_support_elimination(mmdp, trace):
+    """Whether the trace reached a single model consistent with its observations.
+
+    At every row the models with a positive posterior lie among those that
+    give the observed prefix positive probability, read from the kernels'
+    supports; and the trace ends at the first row where only one is left.
+    """
+    consistent = set(range(1, mmdp.n + 1))
+    for row, nxt in itertools.zip_longest(trace.steps, trace.steps[1:]):
+        positive = {m for m, p in enumerate(row.beliefs, 1) if p > 0.0}
+        assert positive <= consistent, row
+        if len(consistent) == 1:
+            assert nxt is None, f"played on from {row} with a lone consistent model"
+            assert trace.stop_reason == "threshold"
+            return True
+        if nxt is not None:
+            consistent = {
+                m for m in consistent
+                if mmdp.model(m).prob(row.state, row.action, nxt.state) > 0.0
+            }
+    return False
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+@settings(max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["binary", "multi3", "multi4", "detectable"]),
+    uniform=st.booleans(),
+    trace_seed=st.integers(-(2**63), 2**63 - 1),
+)
+def test_simulate_eliminates_models_by_support_alone(seed, kind, uniform, trace_seed):
+    """The run-time active set is the set of models the observed prefix allows."""
+    rng = rng_for(seed)
+    mmdp, policy = _random_case(rng, kind, "uniform" if uniform else "synthesized")
+    policy = policy if policy.entries else stationary_uniform_policy(mmdp)  # none synthesized
+    truth = int(rng.integers(1, mmdp.n + 1))
+    trace = simulate(mmdp, truth, policy, trace_seed, max_steps=40, threshold=1 - 1e-9)
+    _check_support_elimination(mmdp, trace)
+
+
+def test_support_elimination_check_reaches_a_lone_model():
+    """The property above is not vacuous: revealing transitions leave one model."""
+    mmdp = example1_mmdp(initial="2")
+    policy = bi_apd(mmdp).policy
+    assert all(
+        _check_support_elimination(mmdp, simulate(mmdp, truth, policy, seed, threshold=1 - 1e-12))
+        for truth in (1, 2) for seed in range(10)
+    )
