@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -227,12 +227,8 @@ def pairwise_bc_curve(
     policy: DetectionPolicy,
     horizon: int,
     pairs: Sequence[tuple[int, int]] | None = None,
-    cap: int | None = None,
 ) -> dict[tuple[int, int], BcCurve]:
-    """Exact B_ij(t) for t = 0..horizon per unordered model pair.
-
-    The dynamic program is uncapped by default; pass ``cap`` to bound the
-    horizon explicitly.
+    """Exact B_ij(t) for t = 0..horizon per unordered model pair, with no horizon cap.
 
     The augmented states reachable within ``horizon - 1`` steps are
     enumerated once for all pairs, since their successors do not depend on
@@ -243,8 +239,6 @@ def pairwise_bc_curve(
     """
     if horizon < 0:
         raise ModelError("horizon must be nonnegative")
-    if cap is not None and horizon > cap:
-        raise HorizonCapError(f"horizon {horizon} exceeds the requested cap {cap}")
     if pairs is None:
         pairs = [
             (i, j) for i in range(1, mmdp.n + 1) for j in range(i + 1, mmdp.n + 1)
@@ -300,13 +294,14 @@ class _AugGraph:
             reached = []
             for aug in frontier:
                 try:
-                    edges = _expand_aug(mmdp, policy, aug, relevant)
-                    fails = False
-                except (ContractError, KeyError) as exc:
-                    # every pair's DP fails on entering this state
-                    edges = [("", 0.0, "", exc)]
-                    fails = True
-                for a, pa, s2, tgt in edges:
+                    _, edges = _expand_aug(mmdp, policy, aug)
+                except (ContractError, AssertionError) as exc:
+                    # every pair's DP fails on entering this state: an edge
+                    # of every pair (all mask bits set), whatever its weight
+                    edges = [("", 0.0, "", -1, exc)]
+                for a, pa, s2, mask, tgt in edges:
+                    if not relevant(mask):
+                        continue
                     if isinstance(tgt, Exception):
                         self.errors.append(tgt)
                         t = -len(self.errors)
@@ -319,7 +314,7 @@ class _AugGraph:
                     target.append(t)
                     act_prob.append(pa)
                     transition.append((aug[2], a, s2))
-                    always.append(fails)
+                    always.append(mask == -1)
             frontier = reached
         self.horizon = horizon
         self.pairs = len(pairs)
@@ -392,32 +387,40 @@ def _canonical_aug(
 
 
 def _expand_aug(
-    mmdp: Mmdp, policy: DetectionPolicy, aug: _Aug, relevant: Callable[[int], bool]
-) -> list[tuple[str, float, str, _Aug | ContractError]]:
-    """The edges out of one augmented state, common to every pair.
+    mmdp: Mmdp, policy: DetectionPolicy, aug: _Aug
+) -> tuple[list[tuple[str, float]], list[tuple[str, float, str, int, _Aug | ContractError]]]:
+    """The controller's move at one augmented state: its action distribution and every edge.
 
-    Each edge is (action, its probability, successor, target), in summation
-    order; only successors whose model bitmask ``relevant`` accepts are kept.
-    A target the policy has no entry for is given as the error its lookup
-    raises.
+    The distribution is the component's, or the one reach action. Edges are
+    (action, its probability, successor, the successor's model bitmask,
+    target), actions in distribution order and each one's successors sorted;
+    a target the policy has no entry for is given as the error its lookup
+    raises. Raises ``ContractError`` where the controller has no action (no
+    reach action and no component, or a state outside the committed one),
+    and ``AssertionError`` where a component offers none.
     """
     entry_key, mec_index, s = aug
     entry = policy.entries[entry_key]
-    active = entry.active
-    if mec_index is not None:
-        dist = list(entry.mecs[mec_index].distribution(s).items())
-    else:
+    if mec_index is None:
         a = entry.reach.get(s)
         if a is None:
             raise ContractError(
                 f"policy entry {entry_key} covers neither reach nor component at {s!r}"
             )
         dist = [(a, 1.0)]
-    out: list[tuple[str, float, str, _Aug | ContractError]] = []
+    else:
+        frag = entry.mecs[mec_index]
+        if s not in frag.mec.states:
+            raise ContractError(
+                f"policy entry {entry_key} leaves its component {mec_index} at {s!r}"
+            )
+        dist = list(frag.distribution(s).items())
+        if not dist:
+            raise AssertionError("cannot sample from an empty distribution")
+    active = entry.active
+    edges: list[tuple[str, float, str, int, _Aug | ContractError]] = []
     for a, pa in dist:
         for s2, mask in mmdp.support_masks(s, a).items():
-            if not relevant(mask):
-                continue
             new_active = members(mask, active)
             try:
                 if new_active == active:
@@ -426,8 +429,8 @@ def _expand_aug(
                     tgt = _canonical_aug(policy, (new_active, s2), None, s2)
             except ContractError as exc:
                 tgt = exc
-            out.append((a, pa, s2, tgt))
-    return out
+            edges.append((a, pa, s2, mask, tgt))
+    return dist, edges
 
 
 @dataclass(frozen=True)

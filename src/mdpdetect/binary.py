@@ -27,7 +27,7 @@ from .graphs import (
     reach_policy,
     reachable_states,
 )
-from .models import ROW_EQ_TOL, Mdp, Mmdp, TransitionSystem, fresh_name, support
+from .models import ROW_EQ_TOL, Mdp, Mmdp, TransitionSystem, fresh_name
 from .policy import ActiveSet, DetectionPolicy, PolicyEntry, active_set, single_entry_policy
 
 REVEALING = "revealing"
@@ -56,12 +56,12 @@ class SaClassification:
         return frozenset(s for s, lab in self.state_labels.items() if lab == label)
 
 
-def rows_equal(r1: Mapping[str, float], r2: Mapping[str, float], atol: float = ROW_EQ_TOL) -> bool:
+def rows_equal(r1: Mapping[str, float], r2: Mapping[str, float]) -> bool:
     keys = set(r1) | set(r2)
-    return all(abs(r1.get(k, 0.0) - r2.get(k, 0.0)) <= atol for k in keys)
+    return all(abs(r1.get(k, 0.0) - r2.get(k, 0.0)) <= ROW_EQ_TOL for k in keys)
 
 
-def classify_pairs(m1: Mdp, m2: Mdp, atol: float = ROW_EQ_TOL) -> SaClassification:
+def classify_pairs(m1: Mdp, m2: Mdp) -> SaClassification:
     """Label every (state, action) pair of a shared-structure model pair.
 
     A pair is revealing when the two supports are disjoint, informative when
@@ -78,10 +78,10 @@ def classify_pairs(m1: Mdp, m2: Mdp, atol: float = ROW_EQ_TOL) -> SaClassificati
         informative_here = False
         for a in m1.actions[s]:
             r1, r2 = m1.row(s, a), m2.row(s, a)
-            if support(r1).isdisjoint(support(r2)):
+            if not any(p > 0.0 and r2.get(t, 0.0) > 0.0 for t, p in r1.items()):
                 pair_labels[(s, a)] = REVEALING
                 revealing_actions.append(a)
-            elif not rows_equal(r1, r2, atol):
+            elif not rows_equal(r1, r2):
                 pair_labels[(s, a)] = INFORMATIVE
                 informative_here = True
             else:
@@ -126,7 +126,6 @@ class PreprocessedPair:
 def preprocess(
     m1: Mdp,
     m2: Mdp,
-    atol: float = ROW_EQ_TOL,
     classification: SaClassification | None = None,
 ) -> PreprocessedPair:
     """Rewrite a binary pair for synthesis.
@@ -135,9 +134,9 @@ def preprocess(
     mass is redirected entirely to the respective terminal. At informative
     pairs, the mass each model puts outside the common support moves to its
     terminal. Neutral rows are copied unchanged. A caller that already holds
-    ``classify_pairs(m1, m2, atol)`` passes it as ``classification``.
+    ``classify_pairs(m1, m2)`` passes it as ``classification``.
     """
-    cls = classification if classification is not None else classify_pairs(m1, m2, atol)
+    cls = classification if classification is not None else classify_pairs(m1, m2)
     bot1 = fresh_name("bot1", m1.states)
     bot2 = fresh_name("bot2", (*m1.states, bot1))
     a_bot1 = f"a_{bot1}"
@@ -163,7 +162,7 @@ def preprocess(
                 for i in range(2):
                     kernels[i][(s, a)] = {bots[i]: 1.0}
             elif label == INFORMATIVE:
-                common = support(rows[0]) & support(rows[1])
+                common = {t for t, p in rows[0].items() if p > 0.0 and rows[1].get(t, 0.0) > 0.0}
                 for i in range(2):
                     new_row = {t: p for t, p in rows[i].items() if t in common}
                     rerouted = sum(p for t, p in rows[i].items() if t not in common)

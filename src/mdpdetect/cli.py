@@ -17,8 +17,8 @@ from .binary import classify_pairs, informative_mecs, informative_structure, pre
 from .errors import ContractError, DetectionError, ModelError
 from .general import general_apd, pairwise_isa
 from .graphs import mec_decompose
-from .models import induced_transition_system, mmdp_to_json, parse_mmdp, validate_mmdp
-from .policy import parse_policy, policy_to_json, serialize_policy
+from .models import Mmdp, induced_transition_system, mmdp_to_json, parse_mmdp, validate_mmdp
+from .policy import DetectionPolicy, parse_policy, policy_to_json
 from .scenarios import gen_grid, gen_recsys, grid_spec_from_json, recsys_spec_from_json
 from .simulate import batch_summary, simulate, trace_to_csv
 
@@ -122,7 +122,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         mmdp = _load_mmdp(args.model)
         if mmdp.n == 2:
             cls = classify_pairs(mmdp.models[0], mmdp.models[1])
-            pair = preprocess(mmdp.models[0], mmdp.models[1])
+            pair = preprocess(mmdp.models[0], mmdp.models[1], classification=cls)
             payload = {
                 "informative_pairs": sorted(pair.isa_original),
                 "revealing_pairs": sorted(cls.revealing_pairs),
@@ -169,7 +169,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "simulate":
         mmdp = _load_mmdp(args.model)
-        policy = parse_policy(_read(args.policy))
+        policy = _load_policy(args.policy, mmdp)
         if args.trials is None:
             if args.truth is None:
                 raise _UsageError("--truth is required for a single trace")
@@ -188,7 +188,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "bc":
         mmdp = _load_mmdp(args.model)
-        policy = parse_policy(_read(args.policy))
+        policy = _load_policy(args.policy, mmdp)
         pairs = None
         if args.pair:
             pairs = [_parse_pair(args.pair)]
@@ -220,6 +220,22 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def _load_mmdp(path: str):
     return parse_mmdp(_read(path))
+
+
+def _load_policy(path: str, mmdp: Mmdp) -> DetectionPolicy:
+    """The policy file at ``path``; a state or action it plays that the model lacks is a breach."""
+    policy = parse_policy(_read(path))
+    offered = {s: frozenset(acts) for s, acts in mmdp.actions.items()}
+    for key, entry in policy.entries.items():
+        plays = [(entry.entry_state, ()), *((s, (a,)) for s, a in entry.reach.items())]
+        plays += [item for frag in entry.mecs for item in frag.mec.actions.items()]
+        for s, acts in plays:
+            if s not in offered:
+                raise ContractError(f"policy entry {key} names {s!r}, which is not a model state")
+            if not offered[s].issuperset(acts):
+                a = min(set(acts) - offered[s])
+                raise ContractError(f"policy entry {key} plays {a!r} at {s!r}, which does not offer it")
+    return policy
 
 
 def _read(path: str) -> str:

@@ -24,7 +24,7 @@ import numpy as np
 from .analysis import _Aug, _canonical_aug, _expand_aug
 from .errors import ContractError, ImpossibleObservationError, ModelError
 from .models import Mmdp
-from .policy import DetectionPolicy, PolicyEntry, active_set, members
+from .policy import DetectionPolicy, active_set, members
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 64  # uniforms a lockstep trial draws from its stream at a time (a multiple of 4)
@@ -514,24 +514,23 @@ class _CompiledController:
         t_end = t0
         for k in ks:
             aug = self.augs[k]
-            entry_key, mec_index, s = aug
             try:
-                dist = sorted(_action_distribution(policy.entries[entry_key], mec_index, s))
+                dist, edges = _expand_aug(mmdp, policy, aug)
+            except ContractError:  # no action here: the trial stops
+                dist, edges = [], []
             except Exception as exc:  # re-raised for the first trial that needs an action here
                 self.errors[k] = exc
                 counts.append(_FAILS)
                 firsts.append(0)
                 continue
-            edges = {
-                (a, s2): tgt
-                # every successor: no mask in a support row is 0
-                for a, _, s2, tgt in (_expand_aug(mmdp, policy, aug, bool) if dist else ())
-            }
-            for (a, s2), tgt in edges.items():
+            s, targets = aug[2], {}
+            for a, _, s2, mask, tgt in edges:
                 if isinstance(tgt, ContractError):
-                    left = members(mmdp.support_masks(s, a)[s2], entry_key[0])
+                    left = members(mask, aug[0][0])
                     if len(left) == 1:  # stops as a lone survivor, entry or not
-                        edges[a, s2] = ((left, s2), None, s2)
+                        tgt = ((left, s2), None, s2)
+                targets[a, s2] = tgt
+            dist = sorted(dist)
             counts.append(len(dist))
             firsts.append(g0 + len(act_cdf))
             act_cdf.extend(itertools.accumulate([p for _, p in dist]))
@@ -543,7 +542,7 @@ class _CompiledController:
                 tlo.append(t_end)
                 t_end += row_size
                 for s2 in rows.successors[row_lo : row_lo + row_size]:
-                    tgt = edges.get((a, s2))
+                    tgt = targets.get((a, s2))
                     k2 = index.get(tgt)
                     target.append(self._number(tgt) if k2 is None else k2)
                 self.actions.append(a)
@@ -560,26 +559,6 @@ class _CompiledController:
         self._new = []
         self.count[ks] = counts
         self.first[ks] = firsts
-
-
-def _action_distribution(
-    entry: PolicyEntry, mec_index: int | None, state: str
-) -> list[tuple[str, float]]:
-    """The action distribution of the controller at ``state``; empty where it has no action.
-
-    A component that offers no action at one of its states is an error,
-    raised for the first trial that needs an action there.
-    """
-    if mec_index is not None:
-        frag = entry.mecs[mec_index]
-        if state not in frag.mec.states:
-            return []
-        dist = list(frag.distribution(state).items())
-        if not dist:
-            raise AssertionError("cannot sample from an empty distribution")
-        return dist
-    a = entry.reach.get(state)
-    return [] if a is None else [(a, 1.0)]
 
 
 def trace_to_csv(trace: Trace) -> str:

@@ -356,8 +356,16 @@ def test_pairwise_curve_matches_frozen_reference(seed, kind, policy_kind, horizo
         pairs = [(i, j) if rng.random() < 0.5 else (j, i)]
     try:
         expected = reference_pairwise_bc_curve(mmdp, policy, horizon, pairs)
-    except (ContractError, KeyError) as exc:
-        with pytest.raises(type(exc)) as raised:
+    except KeyError as exc:
+        # the reference's bare lookup of a state outside the committed
+        # component is a contract breach at that state
+        with pytest.raises(ContractError) as raised:
+            pairwise_bc_curve(mmdp, policy, horizon, pairs)
+        assert type(raised.value) is ContractError
+        assert str(raised.value).endswith(f"at {exc.args[0]!r}")
+        return
+    except ContractError as exc:
+        with pytest.raises(ContractError) as raised:
             pairwise_bc_curve(mmdp, policy, horizon, pairs)
         assert type(raised.value) is type(exc)
         assert str(raised.value) == str(exc)

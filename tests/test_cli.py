@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, file outputs, exit-code contract."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,10 +9,14 @@ from pathlib import Path
 
 import pytest
 
+from mdpdetect.analysis import pairwise_bc_curve
 from mdpdetect.cli import main
-from mdpdetect.models import mmdp_to_json, serialize_mmdp
+from mdpdetect.errors import ContractError
+from mdpdetect.models import Mmdp, mmdp_to_json, serialize_mmdp
+from mdpdetect.policy import parse_policy
+from mdpdetect.simulate import simulate
 
-from conftest import example1_mmdp, random_multi_mmdp, rng_for
+from conftest import example1_mmdp, mk_mdp, random_multi_mmdp, rng_for
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -267,3 +272,87 @@ def test_bc_bytes_do_not_depend_on_hash_seed(tmp_path):
         )
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def _fork_mmdp():
+    """From s0, action a reaches x or y in both models (0.3 / 0.6 to x); x and y loop."""
+    states = ("s0", "x", "y")
+    actions = {s: ("a",) for s in states}
+    kernels = [
+        {("s0", "a"): {"x": p, "y": 1.0 - p}, ("x", "a"): {"x": 1.0}, ("y", "a"): {"y": 1.0}}
+        for p in (0.3, 0.6)
+    ]
+    return Mmdp(models=tuple(mk_mdp(states, actions, k, "s0", f"M{i}") for i, k in enumerate(kernels)))
+
+
+def _fork_policy(reach=None, mecs=()):
+    entry = {"active": [1, 2], "entry_state": "s0", "reach": reach or {},
+             "mecs": [{"states": m} for m in mecs]}
+    return json.dumps({"entries": [entry]})
+
+
+# a component entry over {s0} alone, whose action leaves it for x or y
+LEAVING_COMPONENT = _fork_policy(mecs=[{"s0": ["a"]}])
+# policies naming an action the model does not offer, or a state it lacks
+OFF_MODEL = {
+    "reach action": _fork_policy(reach={"s0": "zz"}),
+    "component action": _fork_policy(mecs=[{"s0": ["a", "zz"]}]),
+    "reach state": _fork_policy(reach={"s0": "a", "q": "a"}),
+    "entry state": json.dumps({"entries": [{"active": [1, 2], "entry_state": "q", "reach": {}}]}),
+}
+_COMMANDS = {
+    "bc": ["bc", "--horizon", "3"],
+    "trace": ["simulate", "--truth", "1", "--seed", "0"],
+    "batch": ["simulate", "--trials", "4", "--seed", "0"],
+}
+
+
+def test_a_component_action_leaving_its_component(tmp_path, capsys):
+    mmdp = _fork_mmdp()
+    policy = parse_policy(LEAVING_COMPONENT)
+    # one step from s0 is covered; the next starts outside the component
+    assert pairwise_bc_curve(mmdp, policy, 1)[(1, 2)].values == (1.0, math.sqrt(0.18) + math.sqrt(0.28))
+    with pytest.raises(ContractError, match="at 'x'$"):
+        pairwise_bc_curve(mmdp, policy, 2)
+    trace = simulate(mmdp, 1, policy, seed=0)
+    assert trace.stop_reason == "undetectable"
+    assert [step.t for step in trace.steps] == [0, 1]
+
+    model, policy_path, out = tmp_path / "m.json", tmp_path / "p.json", tmp_path / "bc.csv"
+    model.write_text(mmdp_to_json(mmdp))
+    policy_path.write_text(LEAVING_COMPONENT)
+    capsys.readouterr()
+    assert main(["bc", str(model), str(policy_path), "--horizon", "2", "--out", str(out)]) == 4
+    assert "contract breach: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(OFF_MODEL))
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_policy_files_are_checked_against_the_model(tmp_path, capsys, kind, command):
+    model, policy, out = tmp_path / "m.json", tmp_path / "p.json", tmp_path / "out"
+    model.write_text(mmdp_to_json(_fork_mmdp()))
+    policy.write_text(OFF_MODEL[kind])
+    name, *options = _COMMANDS[command]
+    assert main([name, str(model), str(policy), *options, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("contract breach: policy entry ((1, 2), ")
+    assert ("'zz'" if "action" in kind else "'q'") in err
+    assert not out.exists()
+
+
+def test_broken_policies_end_in_an_exit_code_not_a_traceback(tmp_path):
+    model = tmp_path / "m.json"
+    model.write_text(mmdp_to_json(_fork_mmdp()))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    for kind, text in [("leaving component", LEAVING_COMPONENT), *sorted(OFF_MODEL.items())]:
+        policy = tmp_path / "p.json"
+        policy.write_text(text)
+        for command, (name, *options) in sorted(_COMMANDS.items()):
+            run = subprocess.run(
+                [sys.executable, "-m", "mdpdetect.cli", name, str(model), str(policy), *options,
+                 "--out", str(tmp_path / "out")],
+                env=env, capture_output=True, text=True,
+            )
+            assert run.returncode in (0, 3, 4), (kind, command, run.stderr)
+            assert "Traceback" not in run.stderr, (kind, command, run.stderr)
