@@ -192,8 +192,8 @@ def error_bounds_multi(
     n = len(q)
     if b.shape != (n, n) or len(theta) != n:
         raise ModelError(f"coefficient matrix shape {b.shape} does not match {n} priors")
-    _validate_prior_vector(q, "estimated priors")
-    _validate_prior_vector(theta, "true priors")
+    q = _check_priors(q, n, "estimated priors")
+    theta = _check_priors(theta, n, "true priors")
     lower = 0.5 * max(
         sum(min(theta[i], theta[k]) * b[i, k] ** 2 for i in range(n) if i != k)
         for k in range(n)
@@ -204,11 +204,18 @@ def error_bounds_multi(
     return ErrorBounds(lower=float(lower), upper=float(upper))
 
 
-def _validate_prior_vector(p: Sequence[float], what: str) -> None:
-    if any(x <= 0.0 for x in p):
+def _check_priors(priors: Sequence[float] | None, n: int, what: str) -> tuple[float, ...]:
+    """``priors`` as ``n`` floats, uniform when ``None``; ``ModelError`` unless a distribution."""
+    if priors is None:
+        return tuple(1.0 / n for _ in range(n))
+    priors = tuple(float(p) for p in priors)
+    if len(priors) != n:
+        raise ModelError(f"{what}: expected {n} entries, got {len(priors)}")
+    if any(p <= 0.0 for p in priors):
         raise ModelError(f"{what}: entries must be strictly positive")
-    if abs(sum(p) - 1.0) > 1e-9:
-        raise ModelError(f"{what}: entries sum to {sum(p)!r}, expected 1")
+    if abs(sum(priors) - 1.0) > 1e-9:
+        raise ModelError(f"{what}: entries sum to {sum(priors)!r}, expected 1")
+    return priors
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,14 @@ class SaClassification:
         return frozenset(p for p, lab in self.pair_labels.items() if lab == INFORMATIVE)
 
     @property
+    def kept_informative_pairs(self) -> frozenset[tuple[str, str]]:
+        """The informative pairs at states that are not revealing: those ``preprocess`` keeps.
+
+        The rewrite makes no other pair of the original states informative.
+        """
+        return frozenset(p for p in self.informative_pairs if self.state_labels[p[0]] != REVEALING)
+
+    @property
     def revealing_pairs(self) -> frozenset[tuple[str, str]]:
         return frozenset(p for p, lab in self.pair_labels.items() if lab == REVEALING)
 
@@ -178,11 +186,8 @@ def preprocess(
 
     m1p = Mdp(states=states, actions=actions, kernel=kernels[0], initial=m1.initial, name=f"{m1.name}^p")
     m2p = Mdp(states=states, actions=actions, kernel=kernels[1], initial=m2.initial, name=f"{m2.name}^p")
-    # what classifying the rewritten pair would find: the rewrite keeps the
-    # informative pairs of states that are not revealing informative, and
-    # makes no other pair informative
-    isa = frozenset(p for p in cls.informative_pairs if cls.state_labels[p[0]] != REVEALING)
-    isa |= {(bot1, a_bot1), (bot2, a_bot2)}
+    # what classifying the rewritten pair would find
+    isa = cls.kept_informative_pairs | {(bot1, a_bot1), (bot2, a_bot2)}
     return PreprocessedPair(m1=m1p, m2=m2p, bot1=bot1, bot2=bot2, isa=isa, classification=cls)
 
 

@@ -122,9 +122,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         mmdp = _load_mmdp(args.model)
         if mmdp.n == 2:
             cls = classify_pairs(mmdp.models[0], mmdp.models[1])
-            pair = preprocess(mmdp.models[0], mmdp.models[1], classification=cls)
             payload = {
-                "informative_pairs": sorted(pair.isa_original),
+                "informative_pairs": sorted(cls.kept_informative_pairs),
                 "revealing_pairs": sorted(cls.revealing_pairs),
                 "revealing_states": sorted(cls.states_labeled("revealing")),
                 "informative_states": sorted(cls.states_labeled("informative")),

@@ -11,10 +11,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-import numpy as np
-
 from .errors import ModelError
 from .models import Mdp, Mmdp
+from .simulate import trial_rng
 
 Cell = tuple[int, int]
 
@@ -221,7 +220,7 @@ def recsys_profile(spec: RecSysSpec) -> RecsysProfile:
     if spec.history_length != 2:
         raise ModelError("only purchase histories of length 2 are supported")
 
-    rng = np.random.Generator(np.random.Philox(key=(spec.seed & ((1 << 64) - 1), 0)))
+    rng = trial_rng(spec.seed, 0)
     items = tuple(f"i{k}" for k in range(spec.item_count))
 
     # Uniform simplex point via exponential spacings.

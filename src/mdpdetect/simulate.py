@@ -7,9 +7,10 @@ the active set. The random streams are counter-based (Philox keyed per
 trial), so trials are independent and reproducible in any execution order.
 Every episode runs on one kernel, ``_lockstep``: a single trace of
 ``simulate`` is one trial of it, and Monte Carlo and the batches of
-``batch_summary`` advance all their trials in lockstep over a controller
-table compiled for just the augmented states they reach, with the results a
-trial-by-trial loop would give.
+``batch_summary`` advance all their trials in lockstep, with the results a
+trial-by-trial loop would give. The kernel reads its moves from a controller
+table compiled up front over every augmented state the policy can reach from
+the initial one.
 """
 
 from __future__ import annotations
@@ -21,17 +22,15 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .analysis import _Aug, _canonical_aug, _expand_aug
+from .analysis import _Aug, _canonical_aug, _check_priors, _expand_aug
 from .errors import ContractError, ImpossibleObservationError, ModelError
 from .models import Mmdp
 from .policy import DetectionPolicy, active_set, members
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 64  # uniforms a lockstep trial draws from its stream at a time (a multiple of 4)
-# the action count of an augmented state not compiled yet, and of one where
-# choosing the action raises
-_UNCOMPILED = -1
-_FAILS = -2
+# the action count of an augmented state where choosing the action raises
+_FAILS = -1
 # stop codes of the lockstep kernel, indexing STOP_REASONS
 _THRESHOLD, _MAX_STEPS, _UNDETECTABLE = 0, 1, 2
 STOP_REASONS = ("threshold", "max_steps", "undetectable")
@@ -100,16 +99,16 @@ def map_decide(b: BeliefState | Sequence[float]) -> int:
 
 def trial_rng(seed: int, stream: int) -> np.random.Generator:
     """Independent counter-based stream for (seed, stream index)."""
-    return np.random.Generator(np.random.Philox(key=(seed & _MASK64, stream & _MASK64)))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
 
 
 def _philox_key(seed: int, stream: int) -> np.ndarray:
-    """The key ``trial_rng(seed, stream)`` gives Philox.
+    """The two-word Philox key of ``trial_rng(seed, stream)``: both values modulo 2**64.
 
-    numpy converts the pair as an array, through float64 when a component is
-    2**63 or more, so such a component loses its low bits.
+    Built as ``uint64`` words, so that no component passes through float64
+    and every seed and stream index below 2**64 has its own key.
     """
-    return np.asarray((seed & _MASK64, stream & _MASK64)).astype(np.uint64)
+    return np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
 
 
 class _Rekeyed:
@@ -140,19 +139,6 @@ class _Rekeyed:
         self._state["state"]["key"] = key
         self.rng.bit_generator.state = self._state
         return self.rng
-
-
-def _check_priors(priors: Sequence[float] | None, n: int, what: str) -> tuple[float, ...]:
-    if priors is None:
-        return tuple(1.0 / n for _ in range(n))
-    priors = tuple(float(p) for p in priors)
-    if len(priors) != n:
-        raise ModelError(f"{what}: expected {n} entries, got {len(priors)}")
-    if any(p <= 0.0 for p in priors):
-        raise ModelError(f"{what}: entries must be strictly positive")
-    if abs(sum(priors) - 1.0) > 1e-9:
-        raise ModelError(f"{what}: entries sum to {sum(priors)!r}, expected 1")
-    return priors
 
 
 def _check_stops(threshold: float, max_steps: int) -> None:
@@ -304,7 +290,7 @@ def _lockstep(
     # the trials still running, in trial order, with their augmented state,
     # beliefs and truth
     live = np.arange(trials)
-    state = np.full(trials, table.start)
+    state = np.ones(trials, np.intp)  # the start
     b = final.copy()
     tr = np.asarray(truth)
     failed: dict[int, BaseException] = {}
@@ -349,9 +335,6 @@ def _lockstep(
             stop(np.zeros(len(live), bool), table.halt[state], step)
             break
         count = table.count[state]
-        if (count == _UNCOMPILED).any():
-            table.compile(sorted(set(state[count == _UNCOMPILED].tolist())))
-            count = table.count[state]
         if count.min() <= 0:
             record(count == _FAILS, lambda k: table.errors[state[k]])
             # a lone survivor, a missing entry, or else no action at the state
@@ -444,121 +427,81 @@ class _Streams:
 
 
 class _CompiledController:
-    """A detection policy compiled into flat tables, one augmented state at a time.
+    """A detection policy compiled into flat tables over the augmented states it can reach.
 
     The augmented states ``(entry key, committed component, state)`` of
-    ``analysis`` are numbered as trials reach them; 0 stands for every
-    configuration in which a trial stops because the policy has no entry for
-    its new active set of two or more models. A lone survivor the policy has
-    no entry for is the state ``((survivor,), None, s)``. State ``k`` has
-    ``count[k]`` action slots from ``first[k]``, in sorted action order;
-    ``count[k]`` is 0 where a trial stops (a lone survivor, or no action at
-    the state), ``_FAILS`` where choosing the action raises ``errors[k]``,
-    and ``_UNCOMPILED`` until a trial needs it. ``halt[k]`` is the stop code
-    of a trial that plays no step from ``k`` although the policy may act
-    there: ``_THRESHOLD`` at a lone survivor, ``_UNDETECTABLE`` at 0 and
+    ``analysis`` that the controller can reach from ``start`` are numbered
+    breadth first from ``start`` (1); 0 stands for every configuration in
+    which a trial stops because the policy has no entry for its new active
+    set of two or more models. A lone survivor the policy has no entry for is
+    the state ``((survivor,), None, s)``. State ``k`` has ``count[k]`` action
+    slots from ``first[k]``, in sorted action order; ``count[k]`` is 0 where
+    a trial stops (a lone survivor, or no action at the state) and ``_FAILS``
+    where choosing the action raises ``errors[k]``, which only a trial that
+    needs an action there raises. ``halt[k]`` is the stop code of a trial
+    that plays no step from ``k`` although the policy may act there:
+    ``_THRESHOLD`` at a lone survivor, ``_UNDETECTABLE`` at 0 and
     ``_MAX_STEPS`` elsewhere. Slot ``g`` holds the action's running sum
     ``act_cdf[g]``, the row ``lo[g]``, ``size[g]``, ``last[g]`` of (state,
-    action) in ``rows``, and the state each of its successors leads to, as
-    ``target[tlo[g] + j]``.
+    action) in ``mmdp.sampling``, and the state each of its successors leads
+    to, as ``target[tlo[g] + j]``.
     """
 
     def __init__(self, mmdp: Mmdp, policy: DetectionPolicy, start: _Aug) -> None:
-        self.mmdp, self.policy, self.rows = mmdp, policy, mmdp.sampling
-        self.augs: list[_Aug | None] = [None]
-        self.index: dict[_Aug, int] = {}
+        rows = mmdp.sampling
+        self.augs: list[_Aug | None] = [None, start]
+        index: dict[_Aug, int] = {start: 1}
         self.errors: dict[int, BaseException] = {}
         self.actions: list[str] = []  # per slot, for error messages
-        self.count = np.zeros(1, np.intp)
-        self.first = np.zeros(1, np.intp)
-        self.halt = np.full(1, _UNDETECTABLE, np.int8)
-        self.act_cdf = np.empty(0)
-        self.lo = np.empty(0, np.intp)
-        self.size = np.empty(0, np.intp)
-        self.last = np.empty((0, mmdp.n), np.intp)
-        self.tlo = np.empty(0, np.intp)
-        self.target = np.empty(0, np.intp)
-        self.targets = 0  # entries of target in use
-        self._new: list[int] = []  # initial counts of the states numbered since the last compile
-        self.start = self._number(start)
-        self.compile([])
-
-    def _number(self, aug: _Aug | Exception | None) -> int:
-        """The index of a target state, numbering it on first sight."""
-        if aug is None or isinstance(aug, Exception):
-            return 0
-        k = self.index.get(aug)
-        if k is None:
-            k = self.index[aug] = len(self.augs)
-            self.augs.append(aug)
-            self._new.append(0 if len(aug[0][0]) == 1 else _UNCOMPILED)
-        return k
-
-    def _store(self, name: str, at: int, values: Sequence) -> None:
-        """Write ``values`` into column ``name`` from row ``at``, doubling its room as needed."""
-        column = getattr(self, name)
-        end = at + len(values)
-        if end > len(column):
-            grown = np.empty((max(end, 2 * len(column)),) + column.shape[1:], column.dtype)
-            grown[:at] = column[:at]
-            setattr(self, name, column := grown)
-        if len(values):
-            column[at:end] = values
-
-    def compile(self, ks: list[int]) -> None:
-        """Compile the states ``ks``: their action slots and the targets of their successors."""
-        mmdp, policy, rows, index = self.mmdp, self.policy, self.rows, self.index
-        new0, g0, t0 = len(self.augs) - len(self._new), len(self.actions), self.targets
-        counts, firsts = [], []
+        count, first, halt = [], [], []
         act_cdf, lo, size, last, tlo, target = [], [], [], [], [], []
-        t_end = t0
-        for k in ks:
-            aug = self.augs[k]
-            try:
-                dist, edges = _expand_aug(mmdp, policy, aug)
-            except ContractError:  # no action here: the trial stops
-                dist, edges = [], []
-            except Exception as exc:  # re-raised for the first trial that needs an action here
-                self.errors[k] = exc
-                counts.append(_FAILS)
-                firsts.append(0)
-                continue
-            s, targets = aug[2], {}
+        # augs grows as new targets are numbered, so the loop visits them breadth first
+        for k, aug in enumerate(self.augs):
+            dist, edges = [], []
+            if aug is None:
+                halt.append(_UNDETECTABLE)
+            elif len(aug[0][0]) == 1:
+                halt.append(_THRESHOLD)
+            else:
+                halt.append(_MAX_STEPS)
+                try:
+                    dist, edges = _expand_aug(mmdp, policy, aug)
+                except ContractError:  # no action here: the trial stops
+                    pass
+                except Exception as exc:  # raised for the first trial that needs an action here
+                    self.errors[k] = exc
+            targets = {}
             for a, _, s2, mask, tgt in edges:
                 if isinstance(tgt, ContractError):
                     left = members(mask, aug[0][0])
-                    if len(left) == 1:  # stops as a lone survivor, entry or not
-                        tgt = ((left, s2), None, s2)
-                targets[a, s2] = tgt
+                    # a lone survivor stops as one, entry or not; any other set at 0
+                    tgt = ((left, s2), None, s2) if len(left) == 1 else None
+                if tgt is not None and tgt not in index:
+                    index[tgt] = len(self.augs)
+                    self.augs.append(tgt)
+                targets[a, s2] = index.get(tgt, 0)
             dist = sorted(dist)
-            counts.append(len(dist))
-            firsts.append(g0 + len(act_cdf))
+            count.append(_FAILS if k in self.errors else len(dist))
+            first.append(len(act_cdf))
             act_cdf.extend(itertools.accumulate([p for _, p in dist]))
             for a, _ in dist:
-                row_lo, row_size, row_last = rows.row(s, a)
+                row_lo, row_size, row_last = rows.row(aug[2], a)
                 lo.append(row_lo)
                 size.append(row_size)
                 last.append(row_last)
-                tlo.append(t_end)
-                t_end += row_size
-                for s2 in rows.successors[row_lo : row_lo + row_size]:
-                    tgt = targets.get((a, s2))
-                    k2 = index.get(tgt)
-                    target.append(self._number(tgt) if k2 is None else k2)
+                tlo.append(len(target))
+                successors = rows.successors[row_lo : row_lo + row_size]
+                target.extend(targets.get((a, s2), 0) for s2 in successors)
                 self.actions.append(a)
-        self._store("act_cdf", g0, act_cdf)
-        self._store("lo", g0, lo)
-        self._store("size", g0, size)
-        self._store("last", g0, np.array(last, np.intp).reshape(len(last), mmdp.n))
-        self._store("tlo", g0, tlo)
-        self._store("target", t0, target)
-        self.targets = t_end
-        self._store("count", new0, self._new)
-        self._store("halt", new0, [_THRESHOLD if c == 0 else _MAX_STEPS for c in self._new])
-        self._store("first", new0, [0] * len(self._new))
-        self._new = []
-        self.count[ks] = counts
-        self.first[ks] = firsts
+        self.count = np.array(count, np.intp)
+        self.first = np.array(first, np.intp)
+        self.halt = np.array(halt, np.int8)
+        self.act_cdf = np.array(act_cdf, float)
+        self.lo = np.array(lo, np.intp)
+        self.size = np.array(size, np.intp)
+        self.last = np.array(last, np.intp).reshape(len(last), mmdp.n)
+        self.tlo = np.array(tlo, np.intp)
+        self.target = np.array(target, np.intp)
 
 
 def trace_to_csv(trace: Trace) -> str:

@@ -180,6 +180,13 @@ def test_recsys_row_audit_against_profile():
     assert checked_revealing == 3
 
 
+def test_recsys_profile_has_its_own_draws_for_every_seed():
+    """Seeds that a float64 key conversion would merge give distinct profiles."""
+    profiles = {recsys_profile(RecSysSpec(item_count=4, type_count=3, seed=s)).v
+                for s in (-1, 0, 2**63 + 1, 2**63 + 2)}
+    assert len(profiles) == 4
+
+
 def test_recsys_exactly_one_revealing_row_per_type():
     spec = RecSysSpec(item_count=4, type_count=3, seed=1)
     mmdp = gen_recsys(spec)

@@ -1,6 +1,7 @@
 """Runtime: belief updates, MAP rule, policy execution, Monte-Carlo batches."""
 
 import dataclasses
+import importlib
 import itertools
 import math
 
@@ -25,6 +26,7 @@ from mdpdetect.policy import (
 from mdpdetect.simulate import (
     STOP_REASONS,
     BeliefState,
+    Trace,
     _check_priors,
     _monte_carlo_trials,
     _philox_key,
@@ -341,21 +343,33 @@ def test_monte_carlo_matches_reference_over_several_uniform_blocks(seed):
     assert not isinstance(outcomes, Exception)
 
 
-# Keys at the edges of numpy's conversion of the key pair: components of
-# 2**63 and more pass through float64, MASK64 rounds up past 2**64, and
-# negative or wider ints are masked first.
+# Keys at the edges of a 64-bit word: components of 2**63 and more, which a
+# conversion through float64 would round, values next to 2**64, and negative
+# or wider ints, which are masked first.
 _EDGE_KEYS = (0, 1, 12345, 2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64, -1, -(2**63))
+_EDGE_STREAMS = (0, 5, 2**63, 2**64 - 1, -1)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 def test_rekeyed_stream_matches_trial_rng_on_edge_keys():
     stream = _Rekeyed()
     for seed in (*_EDGE_KEYS, 7 ^ 0x9E3779B97F4A7C15):
-        for index in (0, 5, 2**63, 2**64 - 1, -1):
+        for index in _EDGE_STREAMS:
             expected = trial_rng(seed, index).random(70)
             key = _philox_key(seed, index)
             assert stream.at(key).random(70).tolist() == expected.tolist(), (seed, index)
             assert stream.at(key, 64).random(6).tolist() == expected[64:].tolist(), (seed, index)
+
+
+def test_philox_key_is_seed_and_stream_modulo_2_to_the_64():
+    """Every key word is exact, so each seed and stream below 2**64 has its own stream."""
+    mask = (1 << 64) - 1
+    for seed in (*_EDGE_KEYS, 7 ^ 0x9E3779B97F4A7C15):
+        for index in _EDGE_STREAMS:
+            key = trial_rng(seed, index).bit_generator.state["state"]["key"]
+            assert key.tolist() == [seed & mask, index & mask], (seed, index)
+    # seeds that a float64 conversion would merge with their neighbours or with 0
+    firsts = {trial_rng(s, 0).random() for s in (-1, 0, 2**63 + 1, 2**63 + 2)}
+    assert len(firsts) == 4
 
 
 def test_monte_carlo_draws_the_truth_in_string_order():
@@ -545,7 +559,6 @@ def _random_case(rng, kind, policy_kind):
 _BATCH_SEEDS = (1, -3, 2**63 + 5, 2**64 - 1, 2**63 - 3)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 @settings(max_examples=240)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -575,13 +588,11 @@ def test_batch_matches_frozen_reference(
     )
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 @pytest.mark.parametrize("pruned", [False, True])
 def test_batch_matches_reference_on_every_stop_reason(pruned):
     """Each stop reason, and a stop on the priors alone at t = 0, against the reference.
 
-    Seeds of 2**63 and more give every trial of a batch the same rounded key,
-    so the reasons are counted over all seeds together.
+    The reasons are counted over all seeds together.
     """
     recursive = _recursive_instance()
     policy = general_apd(recursive).policy
@@ -618,6 +629,91 @@ def test_batch_raises_the_error_of_the_lowest_failing_trial(kind):
         assert isinstance(error, ImpossibleObservationError)
         raised.add(str(error))
     assert len(raised) > 1
+
+
+def _lockstep_calls(monkeypatch):
+    """The truths each ``_lockstep`` call plays against, with its result, call by call."""
+    module = importlib.import_module("mdpdetect.simulate")
+    lockstep, calls = module._lockstep, []
+
+    def recording(mmdp, policy, streams, truth, *args):
+        result = lockstep(mmdp, policy, streams, truth, *args)
+        calls.append((tuple(truth.tolist()), result))
+        return result
+
+    monkeypatch.setattr(module, "_lockstep", recording)
+    return calls
+
+
+def test_batch_draws_other_truths_for_every_seed(monkeypatch):
+    """Each seed keys the truth stream ``seed ^ 0x9E3779B97F4A7C15`` exactly.
+
+    Through float64, seeds 0..1023 all gave that stream one key, and so one
+    truth vector.
+    """
+    calls = _lockstep_calls(monkeypatch)
+    mmdp = identical_mmdp()
+    policy = stationary_uniform_policy(mmdp)
+    for seed in range(1024):
+        batch_summary(mmdp, policy, 40, seed, max_steps=0)
+    assert len({truths for truths, _ in calls}) == 1024
+
+
+def test_batch_past_2_to_the_63_plays_a_stream_per_trial(monkeypatch):
+    """Trial ``i`` plays the stream of seed ``seed + i`` even where that is 2**63 or more.
+
+    Through float64, the 40 seeds from 2**63 + 5 rounded to one key, and so
+    to one episode played 40 times.
+    """
+    calls = _lockstep_calls(monkeypatch)
+    mmdp = example1_mmdp(initial="2")
+    summary = _assert_batch_matches_reference(mmdp, bi_apd(mmdp).policy, 40, 2**63 + 5, truth=1)
+    assert summary["stop_reasons"]["threshold"] == 40
+    ((_, (_, stop_step, _)),) = calls
+    assert len(set(stop_step.tolist())) > 1
+
+
+def _empty_component_case():
+    """Three models, and a policy whose entry for models 2 and 3 cannot act.
+
+    At ``s`` the action ``go`` stays at ``s`` under model 1, while models 2
+    and 3 may move to ``u``, which rules model 1 out. The entry for (2, 3) at
+    ``u`` commits to a component that offers no action at ``u``.
+    """
+    states, actions = ("s", "u"), {"s": ("go",), "u": ("stay",)}
+    rows = ({"s": 1.0}, {"s": 0.5, "u": 0.5}, {"s": 0.4, "u": 0.6})
+    mmdp = Mmdp(models=tuple(
+        mk_mdp(states, actions, {("s", "go"): row, ("u", "stay"): {"u": 1.0}}, "s", f"M{k}")
+        for k, row in enumerate(rows, 1)
+    ))
+    empty = MecUniformPolicy(Mec(("u",), {"u": ("stay",)}), {"u": {}})
+    policy = DetectionPolicy(entries={
+        ((1, 2, 3), "s"): PolicyEntry((1, 2, 3), "s", reach={"s": "go"}),
+        ((2, 3), "u"): PolicyEntry((2, 3), "u", reach={}, mecs=(empty,)),
+    })
+    return mmdp, policy
+
+
+def test_compile_errors_wait_for_a_trial_that_needs_the_state():
+    """The controller is compiled over every augmented state the policy can reach.
+
+    The error of the empty component at ``u`` is raised only by a trial that
+    reaches ``u`` and needs an action there: never under truth 1, and under
+    truth 2 for the lowest such trial, as the trial-by-trial loop raises it.
+    """
+    mmdp, policy = _empty_component_case()
+    for seed in range(10):
+        assert isinstance(_assert_simulate_matches_reference(mmdp, 1, policy, seed), Trace)
+    assert isinstance(_assert_batch_matches_reference(mmdp, policy, 40, 0, truth=1), dict)
+    results = [_assert_simulate_matches_reference(mmdp, 2, policy, seed) for seed in range(10)]
+    results.append(_assert_batch_matches_reference(mmdp, policy, 40, 0, truth=2))
+    # the first trials draw truth 1 and finish before a later one reaches u
+    results.append(_assert_batch_matches_reference(mmdp, policy, 40, 0, priors=(0.9, 0.05, 0.05)))
+    errors = [r for r in results if isinstance(r, Exception)]
+    assert {(type(e), str(e)) for e in errors} == {
+        (AssertionError, "cannot sample from an empty distribution")
+    }
+    assert results[-2] in errors and results[-1] in errors
 
 
 def test_batch_checks_its_arguments_in_order():
@@ -688,7 +784,6 @@ def _assert_simulate_matches_reference(mmdp, truth, policy, seed, **kwargs):
 _TRACE_SEEDS = (1, -3, 2**63 + 5, 2**64 - 1)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 @settings(max_examples=300)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -720,7 +815,6 @@ def test_simulate_matches_frozen_reference(
     )
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 @pytest.mark.parametrize("pruned", [False, True])
 def test_simulate_matches_reference_on_every_stop_reason(pruned):
     """Each stop reason, a stop on the priors alone at t = 0, and a trace ending
@@ -792,7 +886,6 @@ def _check_support_elimination(mmdp, trace):
     return False
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 @settings(max_examples=150)
 @given(
     seed=st.integers(0, 2**32 - 1),
