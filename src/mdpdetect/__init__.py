@@ -83,6 +83,20 @@ from .simulate import (
     trial_rng,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "active_set", "almost_sure_reach_set", "ApdOutcome", "batch_summary", "bc_exact",
+    "bc_matrix", "BcCurve", "BcMatrix", "belief_update", "BeliefState", "bi_apd",
+    "classify_pairs", "ContractError", "decay_fit", "DecayFit", "DetectionError",
+    "DetectionPolicy", "entry_as_stationary", "error_bounds_binary", "error_bounds_multi",
+    "ErrorBounds", "gen_grid", "gen_recsys", "general_apd", "GridSpec", "History",
+    "HorizonCapError", "ImpossibleObservationError", "induced_transition_system",
+    "informative_mdp", "informative_mecs", "informative_structure", "map_decide", "Mdp", "Mec",
+    "mec_decompose", "mec_uniform_policy", "MecUniformPolicy", "Mmdp", "mmdp_to_json",
+    "ModelError", "monte_carlo_error", "pairwise_bc_curve", "pairwise_isa", "parse_mmdp",
+    "parse_policy", "PartialDeterministicPolicy", "policy_to_json", "PolicyEntry", "preprocess",
+    "PreprocessedPair", "reach_policy", "RecSysSpec", "SaClassification", "serialize_mmdp",
+    "serialize_policy", "simulate", "stationary_uniform_policy", "SupportGraph", "Trace",
+    "trace_to_csv", "TraceStep", "TransitionSystem", "trial_rng", "validate_mmdp",
+]
 
 __version__ = "0.1.0"

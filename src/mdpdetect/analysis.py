@@ -302,7 +302,7 @@ class _AugGraph:
             for aug in frontier:
                 try:
                     _, edges = _expand_aug(mmdp, policy, aug)
-                except (ContractError, AssertionError) as exc:
+                except ContractError as exc:
                     # every pair's DP fails on entering this state: an edge
                     # of every pair (all mask bits set), whatever its weight
                     edges = [("", 0.0, "", -1, exc)]
@@ -402,9 +402,9 @@ def _expand_aug(
     (action, its probability, successor, the successor's model bitmask,
     target), actions in distribution order and each one's successors sorted;
     a target the policy has no entry for is given as the error its lookup
-    raises. Raises ``ContractError`` where the controller has no action (no
-    reach action and no component, or a state outside the committed one),
-    and ``AssertionError`` where a component offers none.
+    raises. Raises ``ContractError`` wherever the controller has no move: no
+    reach action and no component, a state outside the committed one, an
+    empty component distribution, or an action some active model lacks.
     """
     entry_key, mec_index, s = aug
     entry = policy.entries[entry_key]
@@ -423,11 +423,15 @@ def _expand_aug(
             )
         dist = list(frag.distribution(s).items())
         if not dist:
-            raise AssertionError("cannot sample from an empty distribution")
+            raise ContractError(
+                f"policy entry {entry_key} plays nothing at {s!r} in its component {mec_index}"
+            )
     active = entry.active
     edges: list[tuple[str, float, str, int, _Aug | ContractError]] = []
     for a, pa in dist:
+        offered = 0
         for s2, mask in mmdp.support_masks(s, a).items():
+            offered |= mask
             new_active = members(mask, active)
             try:
                 if new_active == active:
@@ -437,6 +441,8 @@ def _expand_aug(
             except ContractError as exc:
                 tgt = exc
             edges.append((a, pa, s2, mask, tgt))
+        if members(offered, active) != active:
+            raise ContractError(f"policy entry {entry_key} plays {a!r} at {s!r}, which does not offer it")
     return dist, edges
 
 

@@ -27,9 +27,10 @@ def active_set(indices: Iterable[int]) -> ActiveSet:
 def survivors(mmdp: Mmdp, active: ActiveSet, s: str, a: str, s2: str) -> ActiveSet:
     """The models of ``active`` that give the transition (s, a, s2) positive probability.
 
-    This is the only rule by which a candidate model is eliminated, at
-    synthesis time and at run time alike: by support, never by the size of
-    a posterior.
+    The per-transition form of the one rule that eliminates a model: by
+    support, never by the size of a posterior. The package applies it as
+    ``members(mask, active)`` to the support masks; the tests and the frozen
+    references in ``tests/conftest.py`` call this form.
     """
     return members(mmdp.support_masks(s, a).get(s2, 0), active)
 
@@ -162,12 +163,17 @@ def parse_policy(document: str | Mapping[str, Any]) -> DetectionPolicy:
             isinstance(k, str) and isinstance(v, str) for k, v in reach.items()
         ):
             raise ModelError(f"{path}.reach: expected a string-to-string object")
+        mecs_raw = raw.get("mecs", [])
+        if not isinstance(mecs_raw, list):
+            raise ModelError(f"{path}.mecs: expected an array")
         mecs = []
-        for j, mec_raw in enumerate(raw.get("mecs", [])):
+        for j, mec_raw in enumerate(mecs_raw):
             mpath = f"{path}.mecs[{j}]"
             states = mec_raw.get("states") if isinstance(mec_raw, Mapping) else None
             if not isinstance(states, Mapping) or not all(
-                isinstance(s, str) and isinstance(acts, list) and acts for s, acts in states.items()
+                isinstance(s, str) and isinstance(acts, list) and acts
+                and all(isinstance(a, str) for a in acts)
+                for s, acts in states.items()
             ):
                 raise ModelError(f"{mpath}.states: expected state -> nonempty action list")
             mecs.append(mec_uniform_policy(Mec(states.keys(), states)))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -29,8 +29,6 @@ from .policy import DetectionPolicy, active_set, members
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 64  # uniforms a lockstep trial draws from its stream at a time (a multiple of 4)
-# the action count of an augmented state where choosing the action raises
-_FAILS = -1
 # stop codes of the lockstep kernel, indexing STOP_REASONS
 _THRESHOLD, _MAX_STEPS, _UNDETECTABLE = 0, 1, 2
 STOP_REASONS = ("threshold", "max_steps", "undetectable")
@@ -200,6 +198,8 @@ def monte_carlo_error(
         raise ContractError(f"need at least 100 trials, got {trials}")
     q = _check_priors(q, mmdp.n, "estimated priors")
     theta = _check_priors(theta, mmdp.n, "true priors")
+    if t < 0:
+        raise ModelError("horizon must be nonnegative")
     truth, beliefs, _, _ = _monte_carlo_trials(mmdp, policy, t, trials, seed, q, theta)
     # np.argmax takes the first maximum: ties go to the smaller index, as in map_decide
     errors = int(np.count_nonzero(np.argmax(beliefs, axis=1) != truth))
@@ -268,8 +268,8 @@ def _lockstep(
     top posterior reaches ``threshold`` (never, without one) or one model is
     left active; as "undetectable" at a new active set the policy has no
     entry for; as "max_steps" after ``max_steps`` steps; and as
-    "undetectable" at a state where the policy has no action. The codes
-    index ``STOP_REASONS``. An error inside an episode is raised after every
+    "undetectable" at a state where ``_expand_aug`` finds no move. The codes
+    index ``STOP_REASONS``. An impossible observation is raised after every
     trial with a smaller index has finished, as a trial-by-trial run would
     raise it.
     """
@@ -312,18 +312,6 @@ def _lockstep(
         streams.keep(keep)
         return keep
 
-    def record(where: np.ndarray, error: Callable[[int], BaseException]) -> None:
-        for k in np.flatnonzero(where).tolist():
-            failed.setdefault(int(live[k]), error(k))
-
-    def impossible(k: int) -> BaseException:
-        s, a, s_next = (
-            table.augs[state[k]][2], table.actions[slot[k]], rows.successors[entry[k]]
-        )
-        return ImpossibleObservationError(
-            f"transition ({s}, {a}, {s_next}) is impossible under the current belief support"
-        )
-
     for step in range(max_steps + 1):
         if threshold is not None and len(live):
             below = b.max(axis=1) < threshold
@@ -335,29 +323,27 @@ def _lockstep(
             stop(np.zeros(len(live), bool), table.halt[state], step)
             break
         count = table.count[state]
-        if count.min() <= 0:
-            record(count == _FAILS, lambda k: table.errors[state[k]])
-            # a lone survivor, a missing entry, or else no action at the state
+        if count.min() == 0:
+            # a lone survivor, a missing entry, or else no move at the state
             halt = table.halt[state]
             code = np.where(halt == _MAX_STEPS, _UNDETECTABLE, halt)
             count = count[stop(count > 0, code, step)]
         first = table.first[state]
         slot = first + np.minimum(_below(table.act_cdf, first, count, streams.next()), count - 1)
-        last = table.last[slot, tr]
-        u = streams.next()
-        if (last < 0).any():
-            record(last < 0, lambda k: AssertionError("cannot sample from an empty distribution"))
-            keep = stop(last >= 0, _MAX_STEPS, step)
-            slot, last, u = slot[keep], last[keep], u[keep]
-        lo = table.lo[slot]
-        j = np.minimum(_below(rows.cdf, lo, table.size[slot], u, tr), last)
+        # every model of the entry, the truth among them, has a successor
+        lo, last = table.lo[slot], table.last[slot, tr]
+        j = np.minimum(_below(rows.cdf, lo, table.size[slot], streams.next(), tr), last)
         entry = lo + j
         weighted = b * rows.lik[entry]
         denom = weighted[:, 0].copy()
         for m in range(1, mmdp.n):
             denom += weighted[:, m]
         if (denom <= 0.0).any():
-            record(denom <= 0.0, impossible)
+            k = int(np.flatnonzero(denom <= 0.0)[0])  # stop() drops every later trial
+            s, a, s_next = table.augs[state[k]][2], table.actions[slot[k]], rows.successors[entry[k]]
+            failed[int(live[k])] = ImpossibleObservationError(
+                f"transition ({s}, {a}, {s_next}) is impossible under the current belief support"
+            )
             keep = stop(denom > 0.0, _MAX_STEPS, step)
             weighted, denom, slot, j = weighted[keep], denom[keep], slot[keep], j[keep]
         if path is not None:
@@ -436,9 +422,8 @@ class _CompiledController:
     set of two or more models. A lone survivor the policy has no entry for is
     the state ``((survivor,), None, s)``. State ``k`` has ``count[k]`` action
     slots from ``first[k]``, in sorted action order; ``count[k]`` is 0 where
-    a trial stops (a lone survivor, or no action at the state) and ``_FAILS``
-    where choosing the action raises ``errors[k]``, which only a trial that
-    needs an action there raises. ``halt[k]`` is the stop code of a trial
+    a trial stops: at a lone survivor, or where ``_expand_aug`` finds no
+    move and raises ``ContractError``. ``halt[k]`` is the stop code of a trial
     that plays no step from ``k`` although the policy may act there:
     ``_THRESHOLD`` at a lone survivor, ``_UNDETECTABLE`` at 0 and
     ``_MAX_STEPS`` elsewhere. Slot ``g`` holds the action's running sum
@@ -451,12 +436,11 @@ class _CompiledController:
         rows = mmdp.sampling
         self.augs: list[_Aug | None] = [None, start]
         index: dict[_Aug, int] = {start: 1}
-        self.errors: dict[int, BaseException] = {}
         self.actions: list[str] = []  # per slot, for error messages
         count, first, halt = [], [], []
         act_cdf, lo, size, last, tlo, target = [], [], [], [], [], []
         # augs grows as new targets are numbered, so the loop visits them breadth first
-        for k, aug in enumerate(self.augs):
+        for aug in self.augs:
             dist, edges = [], []
             if aug is None:
                 halt.append(_UNDETECTABLE)
@@ -466,10 +450,8 @@ class _CompiledController:
                 halt.append(_MAX_STEPS)
                 try:
                     dist, edges = _expand_aug(mmdp, policy, aug)
-                except ContractError:  # no action here: the trial stops
+                except ContractError:  # no move here: the trial stops
                     pass
-                except Exception as exc:  # raised for the first trial that needs an action here
-                    self.errors[k] = exc
             targets = {}
             for a, _, s2, mask, tgt in edges:
                 if isinstance(tgt, ContractError):
@@ -481,7 +463,7 @@ class _CompiledController:
                     self.augs.append(tgt)
                 targets[a, s2] = index.get(tgt, 0)
             dist = sorted(dist)
-            count.append(_FAILS if k in self.errors else len(dist))
+            count.append(len(dist))
             first.append(len(act_cdf))
             act_cdf.extend(itertools.accumulate([p for _, p in dist]))
             for a, _ in dist:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from collections import deque
@@ -13,9 +14,9 @@ from hypothesis import settings
 
 from mdpdetect.analysis import BcCurve
 from mdpdetect.errors import ContractError, HorizonCapError, ImpossibleObservationError, ModelError
-from mdpdetect.graphs import Mec, PartialDeterministicPolicy
+from mdpdetect.graphs import Mec, MecUniformPolicy, PartialDeterministicPolicy
 from mdpdetect.models import Mdp, Mmdp, TransitionSystem
-from mdpdetect.policy import active_set, survivors
+from mdpdetect.policy import DetectionPolicy, active_set, survivors
 from mdpdetect.simulate import Trace, TraceStep, _check_priors, map_decide, trial_rng
 
 # every property test runs the same examples on every run, however long they take
@@ -524,6 +525,48 @@ def reference_reach_policy(
         assert best is not None and best_d == dist[s]
         table[s] = best
     return PartialDeterministicPolicy(table=table)
+
+
+# ---------------------------------------------------------------------------
+# The moves the controller refuses, taken out of a policy so that the frozen
+# references below, which predate the rule, find no move where the library
+# finds none.
+# ---------------------------------------------------------------------------
+
+
+def sanitized(mmdp, policy):
+    """``policy`` without the moves that ``analysis._expand_aug`` refuses, or ``policy``
+    itself when it has none.
+
+    A move is refused where some model of the entry's active set has no
+    positive successor under a played action. Such a reach action is
+    dropped. So is every component state whose played distribution is empty
+    or holds such an action, together with that state's reach action, so
+    that a controller arriving there finds no move at all.
+    """
+
+    def refused(active, s, a):
+        return any(not any(p > 0.0 for p in mmdp.model(i).row(s, a).values()) for i in active)
+
+    entries, changed = {}, False
+    for key, entry in policy.entries.items():
+        mecs, dropped = [], set()
+        for frag in entry.mecs:
+            bad = {
+                s for s in frag.mec.states
+                if not frag.distribution(s)
+                or any(refused(entry.active, s, a) for a in frag.distribution(s))
+            }
+            dropped |= bad
+            mec = Mec(frag.mec.states - bad, {s: a for s, a in frag.mec.actions.items() if s not in bad})
+            mecs.append(MecUniformPolicy(mec, {s: d for s, d in frag.probs.items() if s not in bad}))
+        reach = {
+            s: a for s, a in entry.reach.items()
+            if s not in dropped and not refused(entry.active, s, a)
+        }
+        changed = changed or bool(dropped) or len(reach) < len(entry.reach)
+        entries[key] = dataclasses.replace(entry, reach=reach, mecs=tuple(mecs))
+    return DetectionPolicy(entries=entries) if changed else policy
 
 
 # ---------------------------------------------------------------------------

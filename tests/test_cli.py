@@ -11,7 +11,7 @@ import pytest
 
 from mdpdetect.analysis import pairwise_bc_curve
 from mdpdetect.cli import main
-from mdpdetect.errors import ContractError
+from mdpdetect.errors import ContractError, ModelError
 from mdpdetect.models import Mmdp, mmdp_to_json, serialize_mmdp
 from mdpdetect.policy import parse_policy
 from mdpdetect.simulate import simulate
@@ -339,6 +339,28 @@ def test_policy_files_are_checked_against_the_model(tmp_path, capsys, kind, comm
     assert err.startswith("contract breach: policy entry ((1, 2), ")
     assert ("'zz'" if "action" in kind else "'q'") in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mecs, where", [
+    (5, "entries[0].mecs: "),
+    ([{"states": {"s0": ["a", 3]}}], "entries[0].mecs[0].states: "),
+])
+def test_malformed_component_lists_are_invalid_input(tmp_path, capsys, mecs, where):
+    """A component list that is no array, or an action that is no string, is
+    invalid input naming its path (exit 2), not a traceback."""
+    doc = json.loads(_fork_policy())
+    doc["entries"][0]["mecs"] = mecs
+    with pytest.raises(ModelError) as raised:
+        parse_policy(json.dumps(doc))
+    assert str(raised.value).startswith(where)
+    model, policy = tmp_path / "m.json", tmp_path / "p.json"
+    model.write_text(mmdp_to_json(_fork_mmdp()))
+    policy.write_text(json.dumps(doc))
+    for name, *options in _COMMANDS.values():
+        capsys.readouterr()
+        assert main([name, str(model), str(policy), *options, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: {where}") and "Traceback" not in err
 
 
 def test_broken_policies_end_in_an_exit_code_not_a_traceback(tmp_path):

@@ -70,6 +70,12 @@ def test_policy_json_round_trip_recursive():
             "states",
         ),
         ("[]", "entries"),
+        ('{"entries": [{"active": [1, 2], "entry_state": "s", "mecs": 5}]}', r"entries\[0\]\.mecs: "),
+        (
+            '{"entries": [{"active": [1, 2], "entry_state": "s",'
+            ' "mecs": [{"states": {"c0_0": ["move", 3]}}]}]}',
+            r"entries\[0\]\.mecs\[0\]\.states: ",
+        ),
     ],
 )
 def test_policy_json_validation(doc, fragment):

@@ -10,15 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdpdetect.analysis import error_bounds_binary
+from mdpdetect.analysis import error_bounds_binary, pairwise_bc_curve
 from mdpdetect.binary import bi_apd
 from mdpdetect.errors import ContractError, ImpossibleObservationError, ModelError
 from mdpdetect.general import general_apd
 from mdpdetect.graphs import Mec, MecUniformPolicy
-from mdpdetect.models import Mmdp
+from mdpdetect.models import Mmdp, validate_mmdp
 from mdpdetect.policy import (
     DetectionPolicy,
     PolicyEntry,
+    parse_policy,
     single_entry_policy,
     stationary_uniform_policy,
     survivors,
@@ -26,7 +27,6 @@ from mdpdetect.policy import (
 from mdpdetect.simulate import (
     STOP_REASONS,
     BeliefState,
-    Trace,
     _check_priors,
     _monte_carlo_trials,
     _philox_key,
@@ -50,9 +50,11 @@ from conftest import (
     reference_monte_carlo_error,
     reference_simulate,
     rng_for,
+    sanitized,
     sqrt_half_mmdp,
 )
 from test_analysis import _random_instance
+from test_cli import _fork_mmdp, _fork_policy
 from test_general import _recursive_instance
 
 
@@ -268,14 +270,16 @@ def test_monte_carlo_argument_validation():
 def _assert_monte_carlo_matches_reference(mmdp, policy, t, trials, seed, q=None, theta=None):
     """The same estimate, or the same error, as the frozen trial-by-trial loop.
 
-    The truths and the final beliefs of every trial are compared too, bit for
-    bit, so that a change in the order of the belief sums shows even where it
-    moves no MAP decision, and so are the stop reason and step of the kernel. Returns the reference's outcomes, or its error.
+    The reference plays ``sanitized(mmdp, policy)``. The truths and the final
+    beliefs of every trial are compared too, bit for bit, so that a change in
+    the order of the belief sums shows even where it moves no MAP decision,
+    and so are the stop reason and step of the kernel. Returns the
+    reference's outcomes, or its error.
     """
     outcomes, stops = [], []
     try:
         expected = reference_monte_carlo_error(
-            mmdp, policy, t, trials, seed, q, theta, outcomes, stops
+            mmdp, sanitized(mmdp, policy), t, trials, seed, q, theta, outcomes, stops
         )
     except Exception as exc:
         with pytest.raises(type(exc)) as raised:
@@ -458,6 +462,24 @@ def test_monte_carlo_checks_its_arguments_in_order():
     assert str(error) == "policy has no entry for the initial configuration ((1, 2), 'x')"
 
 
+def test_monte_carlo_rejects_a_negative_horizon_after_its_other_arguments():
+    mmdp = identical_mmdp()
+    policy = stationary_uniform_policy(mmdp)
+    for args, error, message in [
+        ((-1, 99, 0, (0.9, 0.2), (0.9, 0.2)), ContractError, "need at least 100 trials, got 99"),
+        ((-1, 100, 0, (0.9, 0.2), (0.9, 0.2)), ModelError, "estimated priors: entries sum to"),
+        ((-1, 100, 0, None, (0.9, 0.2)), ModelError, "true priors: entries sum to"),
+        ((-1, 100, 0), ModelError, "horizon must be nonnegative"),
+    ]:
+        with pytest.raises(error) as raised:
+            monte_carlo_error(mmdp, policy, *args)
+        assert str(raised.value).startswith(message)
+    # the text pairwise_bc_curve uses, and before the policy is consulted
+    with pytest.raises(ModelError) as raised:
+        monte_carlo_error(mmdp, DetectionPolicy(entries={}), -1, 100, 0)
+    assert str(raised.value) == "horizon must be nonnegative"
+
+
 def test_trace_csv_layout():
     mmdp = example1_mmdp(initial="2")
     policy = bi_apd(mmdp).policy
@@ -513,12 +535,13 @@ def test_batch_summary_deterministic_and_shaped():
 
 
 def _assert_batch_matches_reference(mmdp, policy, trials, seed, **kwargs):
-    """The same summary, or the same error, as the frozen trial-by-trial batch.
+    """The same summary, or the same error, as the frozen trial-by-trial batch
+    on ``sanitized(mmdp, policy)``.
 
     Returns the reference's summary, or its error.
     """
     try:
-        expected = reference_batch_summary(mmdp, policy, trials, seed, **kwargs)
+        expected = reference_batch_summary(mmdp, sanitized(mmdp, policy), trials, seed, **kwargs)
     except Exception as exc:
         with pytest.raises(type(exc)) as raised:
             batch_summary(mmdp, policy, trials, seed, **kwargs)
@@ -694,26 +717,80 @@ def _empty_component_case():
     return mmdp, policy
 
 
-def test_compile_errors_wait_for_a_trial_that_needs_the_state():
-    """The controller is compiled over every augmented state the policy can reach.
+def test_an_empty_component_stops_only_the_trials_that_reach_it():
+    """A component that plays nothing at ``u`` is a missing move there, like any other.
 
-    The error of the empty component at ``u`` is raised only by a trial that
-    reaches ``u`` and needs an action there: never under truth 1, and under
-    truth 2 for the lowest such trial, as the trial-by-trial loop raises it.
+    No trial under truth 1 reaches ``u``, so its episodes equal the frozen
+    reference on the policy as it is. Under truth 2 a trial that reaches
+    ``u`` stops there as "undetectable", and the coefficient DP raises
+    ``ContractError`` once a pair's mass reaches ``u``.
     """
     mmdp, policy = _empty_component_case()
+    assert sanitized(mmdp, policy) is not policy
     for seed in range(10):
-        assert isinstance(_assert_simulate_matches_reference(mmdp, 1, policy, seed), Trace)
-    assert isinstance(_assert_batch_matches_reference(mmdp, policy, 40, 0, truth=1), dict)
-    results = [_assert_simulate_matches_reference(mmdp, 2, policy, seed) for seed in range(10)]
-    results.append(_assert_batch_matches_reference(mmdp, policy, 40, 0, truth=2))
-    # the first trials draw truth 1 and finish before a later one reaches u
-    results.append(_assert_batch_matches_reference(mmdp, policy, 40, 0, priors=(0.9, 0.05, 0.05)))
-    errors = [r for r in results if isinstance(r, Exception)]
-    assert {(type(e), str(e)) for e in errors} == {
-        (AssertionError, "cannot sample from an empty distribution")
+        assert simulate(mmdp, 1, policy, seed) == reference_simulate(mmdp, 1, policy, seed)
+    assert batch_summary(mmdp, policy, 40, 0, truth=1) == reference_batch_summary(
+        mmdp, policy, 40, 0, truth=1
+    )
+    traces = [_assert_simulate_matches_reference(mmdp, 2, policy, seed) for seed in range(10)]
+    stopped = [trace for trace in traces if trace.stop_reason == "undetectable"]
+    assert stopped and all(trace.steps[-1].state == "u" for trace in stopped)
+    summary = _assert_batch_matches_reference(mmdp, policy, 40, 0, truth=2)
+    assert summary["stop_reasons"]["undetectable"] > 0
+    _assert_batch_matches_reference(mmdp, policy, 40, 0, priors=(0.9, 0.05, 0.05))
+    assert len(pairwise_bc_curve(mmdp, policy, 1)[(2, 3)].values) == 2
+    with pytest.raises(ContractError, match=r"plays nothing at 'u'"):
+        pairwise_bc_curve(mmdp, policy, 2)
+
+
+@pytest.mark.parametrize("mecs, reach", [
+    ([], {"s0": "zz"}),
+    ([{"s0": ["a", "zz"], "x": ["a"], "y": ["a"]}], {}),
+])
+def test_an_unoffered_action_is_a_missing_move(mecs, reach):
+    """A policy that plays ``zz`` at ``s0``, which the model does not offer.
+
+    The coefficient DP once dropped the mass of ``zz``, a false claim of
+    detection: B = 1, 0, 0, ... for the reach action, and B(1) = 0.477 for
+    the component. The episodes once raised ``AssertionError``. Both now
+    find no move at ``s0``.
+    """
+    mmdp, policy = _fork_mmdp(), parse_policy(_fork_policy(reach, mecs))
+    assert pairwise_bc_curve(mmdp, policy, 0)[(1, 2)].values == (1.0,)
+    with pytest.raises(ContractError, match=r"plays 'zz' at 's0', which does not offer it$"):
+        pairwise_bc_curve(mmdp, policy, 3)
+    for truth in (1, 2):
+        trace = _assert_simulate_matches_reference(mmdp, truth, policy, truth)
+        assert (trace.stop_reason, len(trace.steps)) == ("undetectable", 1)
+    summary = _assert_batch_matches_reference(mmdp, policy, 40, 0)
+    assert summary["stop_reasons"] == {"threshold": 0, "max_steps": 0, "undetectable": 40}
+    _assert_monte_carlo_matches_reference(mmdp, policy, 3, 100, 0)
+    _, _, stop_step, stop_code = _monte_carlo_trials(mmdp, policy, 3, 100, 0, (0.5, 0.5), (0.5, 0.5))
+    assert set(stop_code.tolist()) == {STOP_REASONS.index("undetectable")}
+    assert not stop_step.any()
+
+
+def test_a_model_without_the_row_of_a_played_action_is_a_missing_move():
+    """Model 2 of a hand-built instance has no row for ``b`` at ``x``.
+
+    Under the uniform policy the controller has no move at ``x`` while model 2
+    is active: the coefficient DP raises there, and a trace that reaches
+    ``x`` stops there, where truth 2 once raised ``AssertionError``.
+    """
+    states, actions = ("s0", "x", "y"), {"s0": ("a",), "x": ("a", "b"), "y": ("a",)}
+    loops = {("x", "a"): {"x": 1.0}, ("y", "a"): {"y": 1.0}}
+    k1 = {**loops, ("s0", "a"): {"x": 0.3, "y": 0.7}, ("x", "b"): {"x": 1.0}}
+    k2 = {**loops, ("s0", "a"): {"x": 0.6, "y": 0.4}}
+    mmdp = Mmdp(models=(mk_mdp(states, actions, k1, "s0", "M1"), mk_mdp(states, actions, k2, "s0", "M2")))
+    assert validate_mmdp(mmdp) == ["model M2: missing distribution at (x, b)"]
+    policy = stationary_uniform_policy(mmdp)
+    assert pairwise_bc_curve(mmdp, policy, 1)[(1, 2)].values == (1.0, math.sqrt(0.18) + math.sqrt(0.28))
+    with pytest.raises(ContractError, match=r"plays 'b' at 'x', which does not offer it$"):
+        pairwise_bc_curve(mmdp, policy, 2)
+    traces = [_assert_simulate_matches_reference(mmdp, 2, policy, seed, max_steps=20) for seed in range(10)]
+    assert {(trace.stop_reason, trace.steps[-1].state) for trace in traces} == {
+        ("undetectable", "x"), ("max_steps", "y")
     }
-    assert results[-2] in errors and results[-1] in errors
 
 
 def test_batch_checks_its_arguments_in_order():
@@ -763,12 +840,13 @@ def test_batch_underflowed_posterior_does_not_eliminate_a_model():
 
 
 def _assert_simulate_matches_reference(mmdp, truth, policy, seed, **kwargs):
-    """The same trace and CSV bytes, or the same error, as the frozen episode loop.
+    """The same trace and CSV bytes, or the same error, as the frozen episode loop
+    on ``sanitized(mmdp, policy)``.
 
     Returns the reference's trace, or its error.
     """
     try:
-        expected = reference_simulate(mmdp, truth, policy, seed, **kwargs)
+        expected = reference_simulate(mmdp, truth, sanitized(mmdp, policy), seed, **kwargs)
     except Exception as exc:
         with pytest.raises(type(exc)) as raised:
             simulate(mmdp, truth, policy, seed, **kwargs)
