@@ -7,18 +7,10 @@ policy when one exists, and quantifies detection quality via Bhattacharyya
 coefficients, MAP error bounds, and seeded Bayesian simulation.
 """
 
-from .analysis import (
-    BcCurve,
-    BcMatrix,
-    DecayFit,
-    ErrorBounds,
-    bc_exact,
-    bc_matrix,
-    decay_fit,
-    error_bounds_binary,
-    error_bounds_multi,
-    pairwise_bc_curve,
-)
+import importlib as _importlib
+import sys as _sys
+import types as _types
+
 from .binary import (
     ApdOutcome,
     PreprocessedPair,
@@ -70,18 +62,6 @@ from .policy import (
     stationary_uniform_policy,
 )
 from .scenarios import GridSpec, RecSysSpec, gen_grid, gen_recsys
-from .simulate import (
-    BeliefState,
-    Trace,
-    TraceStep,
-    batch_summary,
-    belief_update,
-    map_decide,
-    monte_carlo_error,
-    simulate,
-    trace_to_csv,
-    trial_rng,
-)
 
 __all__ = [
     "active_set", "almost_sure_reach_set", "ApdOutcome", "batch_summary", "bc_exact",
@@ -100,3 +80,44 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The numpy-backed names load on first use (PEP 562), so that synthesis,
+# validation and the grid generator run without importing numpy.
+_LAZY = {
+    **dict.fromkeys((
+        "BcCurve", "BcMatrix", "DecayFit", "ErrorBounds", "bc_exact", "bc_matrix", "decay_fit",
+        "error_bounds_binary", "error_bounds_multi", "pairwise_bc_curve",
+    ), "analysis"),
+    **dict.fromkeys((
+        "BeliefState", "Trace", "TraceStep", "batch_summary", "belief_update", "map_decide",
+        "monte_carlo_error", "simulate", "trace_to_csv", "trial_rng",
+    ), "simulate"),
+}
+
+
+def __getattr__(name: str):
+    if name == "analysis":
+        return _importlib.import_module(".analysis", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, "analysis"})
+
+
+class _Package(_types.ModuleType):
+    """Keeps ``mdpdetect.simulate`` the function once the submodule of that name is imported.
+
+    The import system binds a loaded submodule as an attribute of its
+    package; for ``simulate`` that binding would shadow the public function.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        if not (name == "simulate" and isinstance(value, _types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+_sys.modules[__name__].__class__ = _Package

@@ -8,11 +8,11 @@ breach.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from typing import Sequence
 
-from .analysis import bounds_csv, curve_csv, error_bounds_multi, pairwise_bc_curve
 from .binary import classify_pairs, informative_mecs, informative_structure, preprocess
 from .errors import ContractError, DetectionError, ModelError
 from .general import general_apd, pairwise_isa
@@ -20,7 +20,12 @@ from .graphs import mec_decompose
 from .models import Mmdp, induced_transition_system, mmdp_to_json, parse_mmdp, validate_mmdp
 from .policy import DetectionPolicy, parse_policy, policy_to_json
 from .scenarios import gen_grid, gen_recsys, grid_spec_from_json, recsys_spec_from_json
-from .simulate import batch_summary, simulate, trace_to_csv
+
+# Only ``simulate`` and ``bc`` load numpy: their names bind on first use.
+_NUMERIC = {
+    **dict.fromkeys(("bounds_csv", "curve_csv", "error_bounds_multi", "pairwise_bc_curve"), "analysis"),
+    **dict.fromkeys(("batch_summary", "simulate", "trace_to_csv"), "simulate"),
+}
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -167,6 +172,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "simulate":
+        _bind_numeric()
         mmdp = _load_mmdp(args.model)
         policy = _load_policy(args.policy, mmdp)
         if args.trials is None:
@@ -186,6 +192,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "bc":
+        _bind_numeric()
         mmdp = _load_mmdp(args.model)
         policy = _load_policy(args.policy, mmdp)
         pairs = None
@@ -215,6 +222,19 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     raise _UsageError(f"unknown command {args.command!r}")
+
+
+def __getattr__(name: str):
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_NUMERIC[name]}", __package__), name)
+    return value
+
+
+def _bind_numeric() -> None:
+    """Bind every name of ``_NUMERIC`` here, keeping a binding made from outside."""
+    for name in _NUMERIC.keys() - globals().keys():
+        __getattr__(name)
 
 
 def _load_mmdp(path: str):

@@ -15,8 +15,6 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
-import numpy as np
-
 from .errors import ModelError
 
 # Tolerance for a kernel row to count as a probability distribution.
@@ -167,6 +165,8 @@ class SamplingRows:
     """
 
     def __init__(self, models: tuple[Mdp, ...]) -> None:
+        import numpy as np  # only sampling needs numpy; synthesis runs without it
+
         self.models = models
         self.index: dict[tuple[str, str], tuple[int, int, tuple[int, ...]]] = {}
         self.successors: list[str] = []
@@ -182,6 +182,8 @@ class SamplingRows:
             lik = [[r.get(t, 0.0) for r in rows] for t in successors]
             lo, size = len(self.successors), len(successors)
             if lo + size > len(self.lik):
+                import numpy as np
+
                 room = max(2 * len(self.lik), lo + size)
                 for name in ("lik", "cdf"):
                     column = np.empty((room, len(self.models)))

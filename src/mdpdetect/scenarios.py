@@ -13,7 +13,6 @@ from typing import Any, Mapping, Sequence
 
 from .errors import ModelError
 from .models import Mdp, Mmdp
-from .simulate import trial_rng
 
 Cell = tuple[int, int]
 
@@ -219,6 +218,8 @@ def recsys_profile(spec: RecSysSpec) -> RecsysProfile:
         raise ModelError("need at least 2 customer types")
     if spec.history_length != 2:
         raise ModelError("only purchase histories of length 2 are supported")
+
+    from .simulate import trial_rng  # numpy's Philox stream; grids need no numpy
 
     rng = trial_rng(spec.seed, 0)
     items = tuple(f"i{k}" for k in range(spec.item_count))

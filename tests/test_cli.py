@@ -378,3 +378,83 @@ def test_broken_policies_end_in_an_exit_code_not_a_traceback(tmp_path):
             )
             assert run.returncode in (0, 3, 4), (kind, command, run.stderr)
             assert "Traceback" not in run.stderr, (kind, command, run.stderr)
+
+
+# Run in a fresh interpreter: every command that samples nothing leaves numpy
+# unloaded, and the sampling commands still work afterwards in that process.
+_NUMPY_FREE = """
+import sys
+from mdpdetect.cli import main
+
+grid_spec, grid, multi, out = sys.argv[1:]
+for argv in (
+    ["gen", "grid", grid_spec, "--out", grid],
+    ["validate", grid],
+    ["classify", grid, "--out", out + "/grid.cls"],
+    ["classify", multi, "--out", out + "/multi.cls"],
+    ["mec", grid, "--out", out + "/grid.mec"],
+    ["mec", grid, "--informative", "--out", out + "/grid.imec"],
+    ["synthesize", grid, "--out", out + "/grid.pol", "--diagnostics", out + "/grid.diag"],
+    ["synthesize", multi, "--out", out + "/multi.pol"],
+):
+    assert main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+for name in ("grid", "multi"):
+    model, policy = (grid if name == "grid" else multi), f"{out}/{name}.pol"
+    assert main(["simulate", model, policy, "--trials", "6", "--seed", "3", "--out", f"{out}/{name}.batch"]) == 0
+    assert main(["simulate", model, policy, "--truth", "1", "--seed", "3", "--out", f"{out}/{name}.trace"]) == 0
+    assert main(["bc", model, policy, "--horizon", "6", "--out", f"{out}/{name}.bc"]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_commands_that_sample_nothing_run_without_numpy(tmp_path):
+    grid_spec = tmp_path / "grid-spec.json"
+    grid_spec.write_text(json.dumps({"width": 3, "height": 2, "goal_region": [[2, 1]]}))
+    multi = tmp_path / "multi.json"
+    multi.write_text(mmdp_to_json(random_multi_mmdp(rng_for(0), n_models=3, n_states=4)))
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    fresh.mkdir(), here.mkdir()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE, str(grid_spec), str(fresh / "grid.json"), str(multi), str(fresh)],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    # the same commands in this process, where numpy is loaded, write the same bytes
+    grid = str(fresh / "grid.json")
+    for name, model in (("grid", grid), ("multi", str(multi))):
+        policy = str(fresh / f"{name}.pol")
+        assert main(["synthesize", model, "--out", str(here / f"{name}.pol")]) == 0
+        assert main(["simulate", model, policy, "--trials", "6", "--seed", "3", "--out", str(here / f"{name}.batch")]) == 0
+        assert main(["simulate", model, policy, "--truth", "1", "--seed", "3", "--out", str(here / f"{name}.trace")]) == 0
+        assert main(["bc", model, policy, "--horizon", "6", "--out", str(here / f"{name}.bc")]) == 0
+    for path in sorted(here.iterdir()):
+        assert path.read_bytes() == (fresh / path.name).read_bytes(), path.name
+
+
+# the names bench/tracer.py reads from mdpdetect.cli and replaces with wrappers
+TRACED_CLI_NAMES = (
+    "batch_summary", "pairwise_bc_curve", "gen_grid", "gen_recsys", "mmdp_to_json",
+    "parse_mmdp", "policy_to_json", "parse_policy", "general_apd",
+)
+
+
+def test_the_cli_calls_the_bindings_a_tracer_replaces(tmp_path, model_file, monkeypatch):
+    import mdpdetect.cli as cli
+
+    assert all(callable(getattr(cli, name)) for name in TRACED_CLI_NAMES)
+    code, policy, _ = _synthesize(tmp_path, model_file)
+    assert code == 0
+    calls = []
+    for name, argv in (
+        ("batch_summary", ["simulate", model_file, policy, "--trials", "4", "--seed", "0"]),
+        ("pairwise_bc_curve", ["bc", model_file, policy, "--horizon", "3"]),
+    ):
+        def spy(*args, _name=name, _real=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert calls == ["batch_summary", "pairwise_bc_curve"]

@@ -1,0 +1,83 @@
+"""What importing the package loads, and what the package itself may import."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh(script):
+    """Run ``script`` in a new interpreter that imports the package from ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_the_package_lists_every_public_name_without_loading_numpy():
+    _fresh("""
+import sys
+import mdpdetect
+
+assert "numpy" not in sys.modules
+assert len(mdpdetect.__all__) == 65 and set(mdpdetect.__all__) <= set(dir(mdpdetect))
+assert "numpy" not in sys.modules
+for name in mdpdetect.__all__:
+    getattr(mdpdetect, name)
+assert "numpy" in sys.modules
+""")
+
+
+@pytest.mark.parametrize("first", [
+    "import mdpdetect.simulate",
+    "from mdpdetect.simulate import Trace",
+    "import mdpdetect.analysis",
+    "from mdpdetect import simulate",
+    "import mdpdetect.cli; mdpdetect.cli.batch_summary",
+])
+def test_simulate_stays_the_function_whatever_is_imported_first(first):
+    _fresh(f"""
+import sys, types
+{first}
+import mdpdetect
+
+assert not isinstance(mdpdetect.simulate, types.ModuleType)
+assert mdpdetect.simulate is sys.modules["mdpdetect.simulate"].simulate
+assert isinstance(mdpdetect.analysis, types.ModuleType)
+from mdpdetect import *
+assert simulate is mdpdetect.simulate and not isinstance(trial_rng, types.ModuleType)
+""")
+
+
+def _imports(tree):
+    """``(node, at_import_time)`` for every import of ``tree``; function bodies run later."""
+    stack = [(node, True) for node in tree.body]
+    while stack:
+        node, now = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node, now
+        inner = now and not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        stack.extend((child, inner) for child in ast.iter_child_nodes(node))
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # scipy and others may be installed, but numpy is the one declared dependency
+    eager_numpy = set()
+    for path in sorted((SRC / "mdpdetect").glob("*.py")):
+        for node, now in _imports(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                roots = [] if node.level else [node.module.split(".")[0]]
+            else:
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            for root in roots:
+                assert root in sys.stdlib_module_names or root in ("numpy", "mdpdetect"), (
+                    f"{path.name}:{node.lineno} imports {root}"
+                )
+                if root == "numpy" and now:
+                    eager_numpy.add(path.name)
+    # every other module loads numpy only inside the function that needs it
+    assert eager_numpy == {"analysis.py", "simulate.py"}
