@@ -1,13 +1,18 @@
 """Binary detection pipeline.
 
 Stages, in order: classify every state-action pair of the two candidate
-kernels, rewrite the pair into its preprocessed form (single action at
-revealing states, detection terminals absorbing the identity-revealing mass),
-take the union support structure, keep the end components that contain an
-informative pair, and decide almost-sure reachability of those components
-from the initial state. The decision and the synthesized policy depend only
-on the support structure, never on the mixture weight used to blend the two
-kernels.
+kernels, rewrite the pair (single action at revealing states, detection
+terminals absorbing the identity-revealing mass), take the union support
+structure, keep the end components that contain an informative pair, and
+decide almost-sure reachability of those components from the initial state.
+The decision and the synthesized policy depend only on the support
+structure, never on the mixture weight used to blend the two kernels.
+
+Synthesis reads the rewritten structure straight from the shared support
+rows (:attr:`Mmdp.support_rows`) and the pair's classification, without
+building the rewritten models. :func:`preprocess` is the explicit form of
+the rewrite, with its probabilities; it serves ``mdpdetect mec
+--informative`` and the tests.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .graphs import (
     reach_policy,
     reachable_states,
 )
-from .models import ROW_EQ_TOL, Mdp, Mmdp, TransitionSystem, fresh_name
+from .models import ROW_EQ_TOL, Mdp, Mmdp, SupportRows, TransitionSystem, fresh_name
 from .policy import ActiveSet, DetectionPolicy, PolicyEntry, active_set, single_entry_policy
 
 REVEALING = "revealing"
@@ -50,9 +55,10 @@ class SaClassification:
 
     @property
     def kept_informative_pairs(self) -> frozenset[tuple[str, str]]:
-        """The informative pairs at states that are not revealing: those ``preprocess`` keeps.
+        """The informative pairs at states that are not revealing: those the rewrite keeps.
 
-        The rewrite makes no other pair of the original states informative.
+        The rewrite makes no other pair of the original states informative;
+        synthesis and :func:`preprocess` both take ``isa`` from here.
         """
         return frozenset(p for p in self.informative_pairs if self.state_labels[p[0]] != REVEALING)
 
@@ -131,20 +137,15 @@ class PreprocessedPair:
         return self.isa - self.terminal_pairs
 
 
-def preprocess(
-    m1: Mdp,
-    m2: Mdp,
-    classification: SaClassification | None = None,
-) -> PreprocessedPair:
+def preprocess(m1: Mdp, m2: Mdp) -> PreprocessedPair:
     """Rewrite a binary pair for synthesis.
 
     Revealing states retain exactly one (the chosen) revealing action, whose
     mass is redirected entirely to the respective terminal. At informative
     pairs, the mass each model puts outside the common support moves to its
-    terminal. Neutral rows are copied unchanged. A caller that already holds
-    ``classify_pairs(m1, m2)`` passes it as ``classification``.
+    terminal. Neutral rows are copied unchanged.
     """
-    cls = classification if classification is not None else classify_pairs(m1, m2)
+    cls = classify_pairs(m1, m2)
     bot1 = fresh_name("bot1", m1.states)
     bot2 = fresh_name("bot2", (*m1.states, bot1))
     a_bot1 = f"a_{bot1}"
@@ -270,47 +271,113 @@ def bi_apd(mmdp: Mmdp, initial: str | None = None) -> ApdOutcome:
         raise ModelError(f"binary synthesis needs exactly 2 models, got {mmdp.n}")
     if initial is None:
         initial = mmdp.initial
+    if initial not in mmdp.models[0].state_index:
+        raise ModelError(f"unknown initial state {initial!r}")
+    classification = classify_pairs(*mmdp.models)
     exists, entry, diagnostics = _binary_synthesis(
-        mmdp.models[0], mmdp.models[1], initial, active_set((1, 2)), {}
+        mmdp, _pair_frame(mmdp.support_rows), initial, active_set((1, 2)), {}, classification
     )
     policy = single_entry_policy(entry) if entry is not None else None
     return ApdOutcome(exists=exists, policy=policy, diagnostics=diagnostics)
 
 
 def _binary_synthesis(
-    m1: Mdp,
-    m2: Mdp,
+    mmdp: Mmdp,
+    frame: SupportGraph,
     initial: str,
     active: ActiveSet,
     decisions: dict[ActiveSet, _Decision],
-    classification: SaClassification | None = None,
+    classification: SaClassification,
 ) -> tuple[bool, PolicyEntry | None, dict[str, Any]]:
-    """Full binary pipeline; returns (exists, policy entry, diagnostics).
+    """Full binary pipeline for the model pair ``active``; returns (exists, entry, diagnostics).
 
+    ``frame`` is :func:`_pair_frame` of the models' support rows and
+    ``classification`` the pair's classification on its original kernels.
     Only the last step depends on ``initial``: the rest is looked up in
     ``decisions`` under ``active`` and stored there on a miss, so one pass
-    over a model pair serves every initial state. ``classification``, when
-    given, is the pair's classification on its original kernels.
+    over a model pair serves every initial state.
     """
-    if initial not in m1.state_index:
-        raise ModelError(f"unknown initial state {initial!r}")
     decision = decisions.get(active)
     if decision is None:
-        pair = preprocess(m1, m2, classification=classification)
-        graph = informative_graph(pair)
-        isa_rows = graph.row_bits(pair.isa)
+        graph, isa_rows = _pair_graph(mmdp.support_rows, frame, active, classification)
         decision = decisions[active] = _decide(
             graph,
             lambda c: c.rows & isa_rows != 0,
-            frozenset({pair.bot1, pair.bot2}),
+            frozenset(frame.names[-2:]),
             {
-                "isa": tuple(sorted(pair.isa_original)),
-                "revealing_pairs": tuple(sorted(pair.classification.revealing_pairs)),
+                "isa": tuple(sorted(classification.kept_informative_pairs)),
+                "revealing_pairs": tuple(sorted(classification.revealing_pairs)),
             },
             witness=True,
         )
     entry, diagnostics = _build(decision, initial, active)
     return entry is not None, entry, diagnostics
+
+
+def _terminal_frame(rows: SupportRows, bases: tuple[str, str]) -> SupportGraph:
+    """The states and rows of ``rows`` plus two terminal states, with no successors yet.
+
+    The terminals take fresh names from ``bases``, bits n and n + 1, and one
+    self-loop row each (``a_<name>``), rows R and R + 1 for R rows in ``rows``.
+    """
+    n, r = len(rows.names), len(rows.actions)
+    bot0 = fresh_name(bases[0], rows.names)
+    bot1 = fresh_name(bases[1], (*rows.names, bot0))
+    return SupportGraph(
+        names=(*rows.names, bot0, bot1),
+        index={**rows.index, bot0: n, bot1: n + 1},
+        actions=(*rows.actions, f"a_{bot0}", f"a_{bot1}"),
+        first=(*rows.first, r + 1, r + 2),
+        succ=(),
+        domain=0,
+    )
+
+
+def _pair_frame(rows: SupportRows) -> SupportGraph:
+    """The frame of every model pair's graph: the terminals of :func:`preprocess`."""
+    return _terminal_frame(rows, ("bot1", "bot2"))
+
+
+def _pair_graph(
+    rows: SupportRows, frame: SupportGraph, pair: ActiveSet, cls: SaClassification
+) -> tuple[SupportGraph, int]:
+    """The union support of the rewritten model ``pair``, read from the support rows.
+
+    Returns the graph over ``frame`` and its ``isa`` rows: the informative
+    rows at states that are not revealing, and the two terminal rows. The
+    graph is ``informative_graph(preprocess(...))`` with the terminals at
+    bits n and n + 1. At a revealing state the chosen row moves to both
+    terminals, and the rows the rewrite drops move outside the graph (bit
+    ``len(names)``), where no kernel keeps them. An informative row keeps
+    the successors both models allow, plus the terminal of each model that
+    puts mass elsewhere; a neutral row keeps the union support.
+    """
+    n, r_end = len(rows.names), len(rows.actions)
+    bot1, bot2, outside = 1 << n, 1 << n + 1, 1 << n + 2
+    mask_i, mask_j = 1 << pair[0] - 1, 1 << pair[1] - 1
+    labels, actions, first = cls.pair_labels, rows.actions, rows.first
+    succ = [outside] * r_end + [bot1, bot2]
+    isa_rows = 3 << r_end
+    for s, name in enumerate(rows.names):
+        if cls.state_labels[name] == REVEALING:
+            succ[actions.index(cls.chosen_revealing[name], first[s], first[s + 1])] = bot1 | bot2
+            continue
+        for r, groups in rows.groups[s]:
+            common = only_i = only_j = 0
+            for mask, bits in groups:
+                if mask & mask_i:
+                    if mask & mask_j:
+                        common |= bits
+                    else:
+                        only_i |= bits
+                elif mask & mask_j:
+                    only_j |= bits
+            if labels[(name, actions[r])] == INFORMATIVE:
+                isa_rows |= 1 << r
+                succ[r] = common | (bot1 if only_i else 0) | (bot2 if only_j else 0)
+            else:
+                succ[r] = common | only_i | only_j
+    return frame.over(succ, outside - 1), isa_rows
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ from .binary import (
     _build,
     _decide,
     _Decision,
+    _pair_frame,
+    _terminal_frame,
     bi_apd,
     classify_pairs,
 )
@@ -38,7 +40,7 @@ from .graphs import (  # noqa: F401
     mec_decompose,
     reach_policy,
 )
-from .models import Mmdp, fresh_name
+from .models import Mmdp
 from .policy import ActiveSet, DetectionPolicy, PolicyEntry, active_set, members
 
 PairSet = frozenset[tuple[str, str]]
@@ -113,18 +115,12 @@ class _Context:
         "subdetection fails" (bit n) and "succeeds" (bit n + 1), each with one
         self-loop action.
         """
-        rows = self.mmdp.support_rows
-        n, r = len(rows.names), len(rows.actions)
-        bot0 = fresh_name("botg0", rows.names)
-        bot1 = fresh_name("botg1", (*rows.names, bot0))
-        return SupportGraph(
-            names=(*rows.names, bot0, bot1),
-            index={**rows.index, bot0: n, bot1: n + 1},
-            actions=(*rows.actions, f"a_{bot0}", f"a_{bot1}"),
-            first=(*rows.first, r + 1, r + 2),
-            succ=(),
-            domain=0,
-        )
+        return _terminal_frame(self.mmdp.support_rows, ("botg0", "botg1"))
+
+    @cached_property
+    def pair_frame(self) -> SupportGraph:
+        """The states and rows of every model pair's graph, shared by all pairs."""
+        return _pair_frame(self.mmdp.support_rows)
 
 
 def _solve(
@@ -141,8 +137,7 @@ def _solve(
     if len(active) == 2:
         i, j = active
         exists, entry, diagnostics = _binary_synthesis(
-            ctx.mmdp.model(i), ctx.mmdp.model(j), initial, active, ctx.decisions,
-            ctx.classification(i, j),
+            ctx.mmdp, ctx.pair_frame, initial, active, ctx.decisions, ctx.classification(i, j)
         )
         entries = {(active, initial): entry} if entry is not None else {}
         result = (exists, entries, diagnostics)

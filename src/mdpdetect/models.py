@@ -96,11 +96,7 @@ class Mmdp:
         """
         masks = self._masks.get((state, action))
         if masks is None:
-            acc: dict[str, int] = {}
-            for bit, m in enumerate(self.models):
-                for succ, p in m.row(state, action).items():
-                    if p > 0.0:
-                        acc[succ] = acc.get(succ, 0) | 1 << bit
+            acc = _successor_masks(self.models, state, action)
             masks = MappingProxyType({t: acc[t] for t in sorted(acc)})
             self._masks[(state, action)] = masks
         return masks
@@ -131,23 +127,37 @@ class SupportRows:
 
     def __init__(self, mmdp: Mmdp) -> None:
         self.names = tuple(sorted(mmdp.states))
-        self.index = {s: i for i, s in enumerate(self.names)}
+        self.index = index = {s: i for i, s in enumerate(self.names)}
+        models, declared = mmdp.models, mmdp.actions
         actions: list[str] = []
         first: list[int] = []
         groups = []
         for s in self.names:
-            row = {a: len(actions) + k for k, a in enumerate(sorted(mmdp.actions[s]))}
+            row = {a: len(actions) + k for k, a in enumerate(sorted(declared[s]))}
             first.append(len(actions))
             actions.extend(row)
             here = []
-            for a in mmdp.actions[s]:
+            for a in declared[s]:
                 by_mask: dict[int, int] = {}
-                for t, mask in mmdp.support_masks(s, a).items():
-                    by_mask[mask] = by_mask.get(mask, 0) | 1 << self.index[t]
+                for t, mask in _successor_masks(models, s, a).items():
+                    by_mask[mask] = by_mask.get(mask, 0) | 1 << index[t]
                 here.append((row[a], tuple(sorted(by_mask.items()))))
             groups.append(tuple(here))
         first.append(len(actions))
         self.actions, self.first, self.groups = tuple(actions), tuple(first), tuple(groups)
+
+
+def _successor_masks(models: tuple[Mdp, ...], state: str, action: str) -> dict[str, int]:
+    """Successor -> bitmask of the ``models`` giving it positive probability at (state, action).
+
+    Bit ``k`` stands for ``models[k]``; successors no model allows are absent.
+    """
+    acc: dict[str, int] = {}
+    for bit, m in enumerate(models):
+        for succ, p in m.row(state, action).items():
+            if p > 0.0:
+                acc[succ] = acc.get(succ, 0) | 1 << bit
+    return acc
 
 
 class SamplingRows:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import settings
 
 from mdpdetect.analysis import BcCurve
+from mdpdetect.binary import _decide, informative_graph, preprocess
 from mdpdetect.errors import ContractError, HorizonCapError, ImpossibleObservationError, ModelError
 from mdpdetect.graphs import Mec, MecUniformPolicy, PartialDeterministicPolicy
 from mdpdetect.models import Mdp, Mmdp, TransitionSystem
@@ -525,6 +526,31 @@ def reference_reach_policy(
         assert best is not None and best_d == dist[s]
         table[s] = best
     return PartialDeterministicPolicy(table=table)
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference for the pair decision: the rewritten model pair built by
+# `preprocess` and read back into bits, the composition that synthesis used
+# before it read the pair graph from the support rows, kept so that its reach
+# sets, components and diagnostics stay the contract.
+# ---------------------------------------------------------------------------
+
+
+def reference_pair_decision(m1, m2):
+    """The initial-state-independent decision of the model pair ``(m1, m2)``."""
+    pair = preprocess(m1, m2)
+    graph = informative_graph(pair)
+    isa_rows = graph.row_bits(pair.isa)
+    return _decide(
+        graph,
+        lambda c: c.rows & isa_rows != 0,
+        frozenset({pair.bot1, pair.bot2}),
+        {
+            "isa": tuple(sorted(pair.isa_original)),
+            "revealing_pairs": tuple(sorted(pair.classification.revealing_pairs)),
+        },
+        witness=True,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Binary pipeline: classification, preprocessing, structure, synthesis."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,15 +11,20 @@ from mdpdetect.binary import (
     NEUTRAL,
     PLAIN,
     REVEALING,
+    _binary_synthesis,
+    _build,
+    _pair_frame,
+    _pair_graph,
     bi_apd,
     classify_pairs,
+    informative_graph,
     informative_mdp,
     informative_mecs,
     informative_structure,
     preprocess,
 )
 from mdpdetect.errors import ModelError
-from mdpdetect.graphs import mec_decompose
+from mdpdetect.graphs import bit_indices, mec_decompose
 from mdpdetect.models import ROW_EQ_TOL, Mmdp, induced_transition_system, support, validate_mmdp
 from mdpdetect.simulate import monte_carlo_error, simulate
 
@@ -28,6 +35,7 @@ from conftest import (
     random_binary_mmdp,
     random_detectable_binary,
     random_multi_mmdp,
+    reference_pair_decision,
     rng_for,
     sqrt_half_mmdp,
 )
@@ -266,6 +274,136 @@ def test_informative_mecs_recurrent_informative_loop():
     assert {frozenset({"p", "q"})} <= {c.states for c in mecs}
 
 
+def _random_mmdp(rng, kind):
+    """A random model pair (``labeled``, ``binary``) or 2 to 4 models (``multi``)."""
+    n_states = int(rng.integers(2, 7))
+    if kind == "labeled":
+        return Mmdp(models=_random_labeled_pair(rng, n_states))
+    if kind == "binary":
+        return random_binary_mmdp(rng, n_states=n_states)
+    n_models = int(rng.integers(2, 5))
+    return random_multi_mmdp(rng, n_models=n_models, n_states=n_states, reveal_share=0.5)
+
+
+def _model_pairs(mmdp):
+    return list(itertools.combinations(range(1, mmdp.n + 1), 2))
+
+
+def _pair_graph_of(mmdp, i, j):
+    rows, cls = mmdp.support_rows, classify_pairs(mmdp.model(i), mmdp.model(j))
+    return _pair_graph(rows, _pair_frame(rows), (i, j), cls)
+
+
+def _enabled_rows(graph):
+    """{(state, action): successor names} of ``graph``, where a successor outside the
+    graph counts as none and a row with no successor left is not enabled."""
+    out = {}
+    for i in bit_indices(graph.domain):
+        for r in range(graph.first[i], graph.first[i + 1]):
+            succ = frozenset(graph.names[k] for k in bit_indices(graph.succ[r] & graph.domain))
+            if succ:
+                out[(graph.names[i], graph.actions[r])] = succ
+    return out
+
+
+def _row_pairs(graph, rows):
+    """The (state, action) pairs of the row bitset ``rows`` of ``graph``."""
+    return {
+        (graph.names[i], graph.actions[r])
+        for i in range(len(graph.names))
+        for r in range(graph.first[i], graph.first[i + 1])
+        if rows >> r & 1
+    }
+
+
+def _assert_pair_graph_matches_the_rewrite(mmdp, i, j):
+    graph, isa_rows = _pair_graph_of(mmdp, i, j)
+    pair = preprocess(mmdp.model(i), mmdp.model(j))
+    expected = informative_graph(pair)
+    assert graph.names[-2:] == (pair.bot1, pair.bot2)
+    assert sorted(graph.states) == sorted(expected.states)
+    assert _enabled_rows(graph) == _enabled_rows(expected)
+    assert _row_pairs(graph, isa_rows) == _row_pairs(expected, expected.row_bits(pair.isa))
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["labeled", "binary", "multi"]))
+def test_pair_graph_matches_the_rewritten_pair(seed, kind):
+    """Synthesis's pair graph is the union support of ``preprocess``'s rewritten pair."""
+    mmdp = _random_mmdp(rng_for(seed), kind)
+    for i, j in _model_pairs(mmdp):
+        _assert_pair_graph_matches_the_rewrite(mmdp, i, j)
+
+
+def test_pair_graph_ignores_explicit_zero_successors():
+    states = ("s", "t", "x", "y", "z")
+    actions = {"s": ("a", "b"), "t": ("c",), "x": ("z",), "y": ("z",), "z": ("z",)}
+    loops = {(u, "z"): {u: 1.0} for u in ("x", "y", "z")}
+    m1 = mk_mdp(
+        states, actions,
+        {
+            ("s", "a"): {"x": 0.4, "y": 0.6, "z": 0.0},
+            ("s", "b"): {"x": 1.0, "y": 0.0},
+            ("t", "c"): {"x": 1.0, "y": 0.0},
+            **loops,
+        },
+        "s",
+    )
+    m2 = mk_mdp(
+        states, actions,
+        {("s", "a"): {"x": 0.4, "z": 0.6}, ("s", "b"): {"x": 1.0}, ("t", "c"): {"y": 1.0}, **loops},
+        "s",
+    )
+    mmdp = Mmdp(models=(m1, m2))
+    cls = classify_pairs(m1, m2)
+    assert [cls.pair_labels[p] for p in (("s", "a"), ("s", "b"), ("t", "c"))] == [
+        INFORMATIVE, NEUTRAL, REVEALING,
+    ]
+    graph, _ = _pair_graph_of(mmdp, 1, 2)
+    bot1, bot2 = graph.names[-2:]
+    rows = _enabled_rows(graph)
+    assert rows[("s", "a")] == {"x", bot1, bot2}
+    assert rows[("s", "b")] == {"x"}
+    assert rows[("t", "c")] == {bot1, bot2}
+    _assert_pair_graph_matches_the_rewrite(mmdp, 1, 2)
+
+
+def test_pair_graph_neutral_row_keeps_the_union_support():
+    states = ("s", "x", "y")
+    actions = {"s": ("a",), "x": ("z",), "y": ("z",)}
+    loops = {("x", "z"): {"x": 1.0}, ("y", "z"): {"y": 1.0}}
+    m1 = mk_mdp(states, actions, {("s", "a"): {"x": 1.0}, **loops}, "s")
+    m2 = mk_mdp(
+        states, actions, {("s", "a"): {"x": 1.0 - ROW_EQ_TOL / 2, "y": ROW_EQ_TOL / 2}, **loops}, "s"
+    )
+    mmdp = Mmdp(models=(m1, m2))
+    assert classify_pairs(m1, m2).pair_labels[("s", "a")] == NEUTRAL
+    graph, isa_rows = _pair_graph_of(mmdp, 1, 2)
+    assert _enabled_rows(graph)[("s", "a")] == {"x", "y"}
+    bot1, bot2 = graph.names[-2:]
+    assert _row_pairs(graph, isa_rows) == {(bot1, f"a_{bot1}"), (bot2, f"a_{bot2}")}
+    _assert_pair_graph_matches_the_rewrite(mmdp, 1, 2)
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["labeled", "binary", "multi"]))
+def test_pair_decision_matches_frozen_reference(seed, kind):
+    """Reach set, reach table, components and diagnostics equal the decision taken
+    on ``informative_graph(preprocess(...))``, and so does every entry built from them."""
+    mmdp = _random_mmdp(rng_for(seed), kind)
+    frame = _pair_frame(mmdp.support_rows)
+    for pair in _model_pairs(mmdp):
+        m_i, m_j = mmdp.model(pair[0]), mmdp.model(pair[1])
+        decisions = {}
+        _binary_synthesis(mmdp, frame, mmdp.initial, pair, decisions, classify_pairs(m_i, m_j))
+        got, ref = decisions[pair], reference_pair_decision(m_i, m_j)
+        assert (got.rmax, got.reach, got.mecs, got.diagnostics) == (
+            ref.rmax, ref.reach, ref.mecs, ref.diagnostics,
+        )
+        for s in mmdp.states:
+            assert _build(got, s, pair) == _build(ref, s, pair)
+
+
 def test_bi_apd_example1_decisions():
     assert bi_apd(example1_mmdp(initial="1")).exists is False
     outcome = bi_apd(example1_mmdp(initial="2"))
@@ -300,6 +438,13 @@ def test_bi_apd_diagnostics_fields(example1):
     assert diag["revealing_pairs"] == [("5", "b5")]
     assert "2" in diag["rmax"] and "1" not in diag["rmax"]
     assert outcome.exists == (diag["initial"] in diag["rmax"])
+
+
+def test_bi_apd_rejects_unknown_initial(example1):
+    # the terminals are states of the pair graph, not of the model
+    for initial in ("ghost", "bot1", "bot2"):
+        with pytest.raises(ModelError, match="unknown initial state"):
+            bi_apd(example1, initial=initial)
 
 
 def test_bi_apd_rejects_non_binary():

@@ -1,6 +1,7 @@
 """Multi-model synthesis: pairwise sets, the shared-structure base case, BFS + recursion."""
 
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 
 from mdpdetect import binary, general
 from mdpdetect.binary import bi_apd
+from mdpdetect.cli import _json, main
 from mdpdetect.errors import ModelError
 from mdpdetect.general import general_apd, pairwise_isa
-from mdpdetect.models import Mmdp, induced_transition_system
+from mdpdetect.models import Mmdp, induced_transition_system, mmdp_to_json
+from mdpdetect.policy import policy_to_json
+from mdpdetect.scenarios import GridSpec, RecSysSpec, gen_grid, gen_recsys
 from mdpdetect.simulate import map_decide, simulate
 
 from conftest import (
@@ -21,6 +25,7 @@ from conftest import (
     oracle_mecs,
     random_binary_mmdp,
     random_multi_mmdp,
+    reference_pair_decision,
     rng_for,
 )
 
@@ -217,7 +222,7 @@ def test_general_classifies_each_model_pair_once(monkeypatch):
     for mmdp in instances:
         calls.clear()
         general_apd(mmdp)
-        # original kernels (M1, M2) and rewritten ones (M1^p, M2^p) alike
+        # each pair of original kernels once; synthesis classifies no rewritten pair
         assert calls and Counter(calls).most_common(1)[0][1] == 1, Counter(calls)
 
 
@@ -378,3 +383,59 @@ def test_general_rejects_single_model():
 def test_general_unknown_initial_rejected():
     with pytest.raises(ModelError):
         general_apd(_recursive_instance(), initial="ghost")
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), n_models=st.integers(2, 4), n_states=st.integers(2, 6))
+def test_general_apd_matches_the_reference_pair_decision(seed, n_models, n_states):
+    """Policy JSON and diagnostics, from every initial state, are those of a run whose
+    pair decisions come from the frozen ``preprocess`` composition."""
+    mmdp = random_multi_mmdp(rng_for(seed), n_models=n_models, n_states=n_states, reveal_share=0.6)
+
+    def outputs():
+        out = []
+        for s in mmdp.states:
+            outcome = general_apd(mmdp, initial=s)
+            policy = policy_to_json(outcome.policy) if outcome.exists else None
+            out.append((policy, _json(outcome.diagnostics)))
+        return out
+
+    got = outputs()
+    synthesis, seeded = binary._binary_synthesis, []
+
+    def from_reference(mmdp_, frame, initial, active, decisions, classification):
+        if active not in decisions:
+            i, j = active
+            decisions[active] = reference_pair_decision(mmdp_.model(i), mmdp_.model(j))
+            seeded.append(active)
+        return synthesis(mmdp_, frame, initial, active, decisions, classification)
+
+    with (
+        mock.patch.object(binary, "_binary_synthesis", from_reference),
+        mock.patch.object(general, "_binary_synthesis", from_reference),
+    ):
+        assert outputs() == got
+    # a run over three or more models reaches a pair only after an elimination
+    assert seeded or n_models > 2
+
+
+def test_synthesis_never_builds_the_rewritten_pair(monkeypatch, tmp_path):
+    """Synthesis reads each pair from the support rows; only the CLI's ``mec
+    --informative`` and the tests build the rewritten pair."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("synthesis built the rewritten model pair")
+
+    monkeypatch.setattr(binary, "preprocess", refuse)
+    monkeypatch.setattr(binary, "informative_graph", refuse)
+    assert general_apd(_recursive_instance()).exists
+    assert general_apd(gen_recsys(RecSysSpec(item_count=5, type_count=4, seed=0))).exists
+    assert bi_apd(example1_mmdp(initial="2")).exists
+    assert bi_apd(gen_grid(GridSpec(width=5, height=5, goal_region=frozenset({(4, 4)})))).exists
+    # the patch is live: `mec --informative` reaches it
+    model = tmp_path / "example1.json"
+    model.write_text(mmdp_to_json(example1_mmdp()))
+    with pytest.raises(AssertionError, match="rewritten model pair"):
+        main(["mec", str(model), "--informative", "--out", str(tmp_path / "imec.json")])
+    monkeypatch.undo()
+    assert main(["mec", str(model), "--informative", "--out", str(tmp_path / "imec.json")]) == 0
