@@ -58,11 +58,21 @@ class Mdp:
 
 @dataclass(frozen=True)
 class Mmdp:
-    """An ordered set of candidate MDPs over one shared structure skeleton."""
+    """An ordered set of candidate MDPs over one shared structure skeleton.
+
+    Read-only once built. The model keeps what it derives on first use: the
+    support masks of :meth:`support_masks`, :attr:`support_rows`, the
+    sampling rows of :attr:`sampling`, and the controller table that
+    ``simulate`` last compiled, with the policy it was compiled for.
+    """
 
     models: tuple[Mdp, ...]
     _masks: dict[tuple[str, str], Mapping[str, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
+    )
+    # at most one (policy, compiled controller) pair; the table indexes ``sampling``
+    _controller: list[tuple[Any, Any]] = field(
+        default_factory=list, init=False, repr=False, compare=False
     )
 
     @property

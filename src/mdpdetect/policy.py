@@ -59,7 +59,12 @@ class PolicyEntry:
 
 @dataclass(frozen=True)
 class DetectionPolicy:
-    """Memory policy: one entry per (active set, entry state) pair."""
+    """Memory policy: one entry per (active set, entry state) pair.
+
+    Read-only once built: ``simulate`` keeps the controller it compiles for a
+    policy on the model and reuses it whenever the same policy object plays
+    again, so a policy changed in place would play its old moves.
+    """
 
     entries: Mapping[tuple[ActiveSet, str], PolicyEntry]
 

@@ -9,8 +9,9 @@ Every episode runs on one kernel, ``_lockstep``: a single trace of
 ``simulate`` is one trial of it, and Monte Carlo and the batches of
 ``batch_summary`` advance all their trials in lockstep, with the results a
 trial-by-trial loop would give. The kernel reads its moves from a controller
-table compiled up front over every augmented state the policy can reach from
-the initial one.
+table compiled over every augmented state the policy can reach from the
+initial one. The table is compiled once per model and policy and kept on the
+model, so repeat calls with the same policy object compile nothing.
 """
 
 from __future__ import annotations
@@ -272,15 +273,24 @@ def _lockstep(
     index ``STOP_REASONS``. An impossible observation is raised after every
     trial with a smaller index has finished, as a trial-by-trial run would
     raise it.
+
+    The moves come from the ``_CompiledController`` kept on ``mmdp`` when it
+    was compiled for this very policy object; otherwise one is compiled and
+    kept in its place.
     """
     full = active_set(range(1, mmdp.n + 1))
     if policy.entry(full, mmdp.initial) is None:
         raise ContractError(
             f"policy has no entry for the initial configuration ({full}, {mmdp.initial!r})"
         )
-    table = _CompiledController(
-        mmdp, policy, _canonical_aug(policy, (full, mmdp.initial), None, mmdp.initial)
-    )
+    held = mmdp._controller
+    if held and held[0][0] is policy:
+        table = held[0][1]
+    else:
+        table = _CompiledController(
+            mmdp, policy, _canonical_aug(policy, (full, mmdp.initial), None, mmdp.initial)
+        )
+        held[:] = [(policy, table)]
     rows = mmdp.sampling
     trials = len(truth)
     final = np.tile(np.asarray(beliefs, float), (trials, 1))
@@ -429,18 +439,19 @@ class _CompiledController:
     ``_MAX_STEPS`` elsewhere. Slot ``g`` holds the action's running sum
     ``act_cdf[g]``, the row ``lo[g]``, ``size[g]``, ``last[g]`` of (state,
     action) in ``mmdp.sampling``, and the state each of its successors leads
-    to, as ``target[tlo[g] + j]``.
+    to, as ``target[tlo[g] + j]``. Every array is read-only, and ``augs`` and
+    ``actions`` are tuples: calls on the same model and policy share the table.
     """
 
     def __init__(self, mmdp: Mmdp, policy: DetectionPolicy, start: _Aug) -> None:
         rows = mmdp.sampling
-        self.augs: list[_Aug | None] = [None, start]
+        augs: list[_Aug | None] = [None, start]
         index: dict[_Aug, int] = {start: 1}
-        self.actions: list[str] = []  # per slot, for error messages
+        actions: list[str] = []  # per slot, for error messages
         count, first, halt = [], [], []
         act_cdf, lo, size, last, tlo, target = [], [], [], [], [], []
         # augs grows as new targets are numbered, so the loop visits them breadth first
-        for aug in self.augs:
+        for aug in augs:
             dist, edges = [], []
             if aug is None:
                 halt.append(_UNDETECTABLE)
@@ -459,8 +470,8 @@ class _CompiledController:
                     # a lone survivor stops as one, entry or not; any other set at 0
                     tgt = ((left, s2), None, s2) if len(left) == 1 else None
                 if tgt is not None and tgt not in index:
-                    index[tgt] = len(self.augs)
-                    self.augs.append(tgt)
+                    index[tgt] = len(augs)
+                    augs.append(tgt)
                 targets[a, s2] = index.get(tgt, 0)
             dist = sorted(dist)
             count.append(len(dist))
@@ -474,7 +485,8 @@ class _CompiledController:
                 tlo.append(len(target))
                 successors = rows.successors[row_lo : row_lo + row_size]
                 target.extend(targets.get((a, s2), 0) for s2 in successors)
-                self.actions.append(a)
+                actions.append(a)
+        self.augs, self.actions = tuple(augs), tuple(actions)
         self.count = np.array(count, np.intp)
         self.first = np.array(first, np.intp)
         self.halt = np.array(halt, np.int8)
@@ -484,6 +496,9 @@ class _CompiledController:
         self.last = np.array(last, np.intp).reshape(len(last), mmdp.n)
         self.tlo = np.array(tlo, np.intp)
         self.target = np.array(target, np.intp)
+        for array in (self.count, self.first, self.halt, self.act_cdf, self.lo, self.size,
+                      self.last, self.tlo, self.target):
+            array.setflags(write=False)
 
 
 def trace_to_csv(trace: Trace) -> str:

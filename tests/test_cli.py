@@ -72,6 +72,18 @@ def test_missing_file_is_usage_error(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--out", "--diagnostics"])
+def test_unwritable_output_is_usage_error(model_file, tmp_path, flag, capsys):
+    """An output path in a missing directory exits 1 with one line, not a traceback."""
+    paths = {"--out": str(tmp_path / "p.json"), "--diagnostics": str(tmp_path / "d.json")}
+    paths[flag] = str(tmp_path / "missing" / "out.json")
+    args = ["synthesize", model_file, "--initial", "2"]
+    assert main(args + [arg for item in paths.items() for arg in item]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot write {paths[flag]}: ")
+    assert err.count("\n") == 1
+
+
 def test_bad_arguments_are_usage_errors(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["synthesize"]) == 1

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from mdpdetect.binary import bi_apd
 from mdpdetect.errors import ContractError, ImpossibleObservationError, ModelError
 from mdpdetect.general import general_apd
 from mdpdetect.graphs import Mec, MecUniformPolicy
-from mdpdetect.models import Mmdp, validate_mmdp
+from mdpdetect.models import Mmdp, mmdp_to_json, parse_mmdp, validate_mmdp
 from mdpdetect.policy import (
     DetectionPolicy,
     PolicyEntry,
@@ -694,6 +695,137 @@ def test_batch_past_2_to_the_63_plays_a_stream_per_trial(monkeypatch):
     assert summary["stop_reasons"]["threshold"] == 40
     ((_, (_, stop_step, _)),) = calls
     assert len(set(stop_step.tolist())) > 1
+
+
+def _compiles(monkeypatch):
+    """The policies ``_CompiledController`` is built for, one per compile."""
+    module = importlib.import_module("mdpdetect.simulate")
+    compiled, built = module._CompiledController, []
+
+    class Counting(compiled):
+        def __init__(self, mmdp, policy, start):
+            built.append(policy)
+            super().__init__(mmdp, policy, start)
+
+    monkeypatch.setattr(module, "_CompiledController", Counting)
+    return built
+
+
+def test_the_controller_is_compiled_once_per_model_and_policy(monkeypatch):
+    built = _compiles(monkeypatch)
+    mmdp = example1_mmdp(initial="2")
+    policy = bi_apd(mmdp).policy
+    for t in (0, 5, 30):
+        monte_carlo_error(mmdp, policy, t, 100, seed=t)
+    batch_summary(mmdp, policy, 40, seed=1)
+    simulate(mmdp, 1, policy, seed=2)
+    assert built == [policy]
+    # a policy equal by value is another object: the slot holds one policy at a time
+    twin = DetectionPolicy(entries=dict(policy.entries))
+    assert twin == policy
+    simulate(mmdp, 1, twin, seed=2)
+    simulate(mmdp, 1, twin, seed=3)
+    assert [id(p) for p in built] == [id(policy), id(twin)]
+    simulate(mmdp, 1, policy, seed=2)
+    assert [id(p) for p in built] == [id(policy), id(twin), id(policy)]
+    # another model compiles its own table
+    simulate(example1_mmdp(initial="2"), 1, policy, seed=2)
+    assert len(built) == 4
+
+
+def test_a_policy_without_the_initial_entry_is_refused_on_every_call(monkeypatch):
+    built = _compiles(monkeypatch)
+    mmdp = identical_mmdp()
+    policy = DetectionPolicy(entries={})
+    for _ in range(2):
+        with pytest.raises(ContractError, match="initial configuration"):
+            monte_carlo_error(mmdp, policy, 3, 100, seed=0)
+        with pytest.raises(ContractError, match="initial configuration"):
+            batch_summary(mmdp, policy, 10, seed=0)
+        with pytest.raises(ContractError, match="initial configuration"):
+            simulate(mmdp, 1, policy, seed=0)
+    assert built == []
+    assert mmdp._controller == []
+
+
+def test_a_compiled_controller_is_read_only():
+    mmdp = example1_mmdp(initial="2")
+    policy = bi_apd(mmdp).policy
+    simulate(mmdp, 1, policy, seed=0)
+    ((held, table),) = mmdp._controller
+    assert held is policy
+    arrays = {k: v for k, v in vars(table).items() if isinstance(v, np.ndarray)}
+    assert set(arrays) == {
+        "count", "first", "halt", "act_cdf", "lo", "size", "last", "tlo", "target"
+    }
+    for array in arrays.values():
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+    assert isinstance(table.augs, tuple) and isinstance(table.actions, tuple)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ContractError, ImpossibleObservationError) as exc:
+        return type(exc), str(exc)
+
+
+def _played(model, policy, truth):
+    """A Monte-Carlo estimate, batch JSON and a trace CSV, or the error each call
+    raises; each call plays on the model ``model()`` gives."""
+    return [
+        _outcome(lambda: monte_carlo_error(model(), policy, 7, 100, 5)),
+        _outcome(lambda: json.dumps(
+            batch_summary(model(), policy, 40, 3, max_steps=6, threshold=0.9), sort_keys=True
+        )),
+        _outcome(lambda: trace_to_csv(
+            simulate(model(), truth, policy, 11, max_steps=6, threshold=0.9)
+        )),
+    ]
+
+
+def _assert_warm_equals_cold(mmdp, policy, truth):
+    """Calls on one parsed model, after the first compile, give the bytes calls on a
+    freshly parsed model give each, and so does the frozen trial-by-trial loop."""
+    text = mmdp_to_json(mmdp)
+    cold = _played(lambda: parse_mmdp(text), policy, truth)
+    warm = parse_mmdp(text)
+    assert [_played(lambda: warm, policy, truth) for _ in range(3)] == [cold] * 3
+    reference = sanitized(mmdp, policy)
+    assert cold == [
+        _outcome(lambda: reference_monte_carlo_error(mmdp, reference, 7, 100, 5)),
+        _outcome(lambda: json.dumps(
+            reference_batch_summary(mmdp, reference, 40, 3, max_steps=6, threshold=0.9),
+            sort_keys=True,
+        )),
+        _outcome(lambda: trace_to_csv(
+            reference_simulate(mmdp, truth, reference, 11, max_steps=6, threshold=0.9)
+        )),
+    ]
+
+
+def test_warm_results_equal_cold_ones_on_example1():
+    mmdp = example1_mmdp(initial="2")
+    _assert_warm_equals_cold(mmdp, bi_apd(mmdp).policy, 1)
+    for initial in ("1", "2"):
+        mmdp = example1_mmdp(initial=initial)
+        _assert_warm_equals_cold(mmdp, stationary_uniform_policy(mmdp), 2)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["binary", "multi3", "multi4", "detectable"]),
+    policy_kind=st.sampled_from(["synthesized", "uniform", "synthesized elsewhere", "truncated"]),
+)
+def test_warm_results_equal_cold_ones_on_random_instances(seed, kind, policy_kind):
+    """Also for the sanitized policy, which the kernel compiles as a policy of its own."""
+    rng = rng_for(seed)
+    mmdp, policy = _random_case(rng, kind, policy_kind)
+    truth = int(rng.integers(1, mmdp.n + 1))
+    _assert_warm_equals_cold(mmdp, policy, truth)
+    _assert_warm_equals_cold(mmdp, sanitized(mmdp, policy), truth)
 
 
 def _empty_component_case():
