@@ -72,11 +72,11 @@ __all__ = [
     "HorizonCapError", "ImpossibleObservationError", "induced_transition_system",
     "informative_mdp", "informative_mecs", "informative_structure", "map_decide", "Mdp", "Mec",
     "mec_decompose", "mec_uniform_policy", "MecUniformPolicy", "Mmdp", "mmdp_to_json",
-    "ModelError", "monte_carlo_error", "pairwise_bc_curve", "pairwise_isa", "parse_mmdp",
-    "parse_policy", "PartialDeterministicPolicy", "policy_to_json", "PolicyEntry", "preprocess",
-    "PreprocessedPair", "reach_policy", "RecSysSpec", "SaClassification", "serialize_mmdp",
-    "serialize_policy", "simulate", "stationary_uniform_policy", "SupportGraph", "Trace",
-    "trace_to_csv", "TraceStep", "TransitionSystem", "trial_rng", "validate_mmdp",
+    "ModelError", "monte_carlo_curve", "monte_carlo_error", "pairwise_bc_curve", "pairwise_isa",
+    "parse_mmdp", "parse_policy", "PartialDeterministicPolicy", "policy_to_json", "PolicyEntry",
+    "preprocess", "PreprocessedPair", "reach_policy", "RecSysSpec", "SaClassification",
+    "serialize_mmdp", "serialize_policy", "simulate", "stationary_uniform_policy", "SupportGraph",
+    "Trace", "trace_to_csv", "TraceStep", "TransitionSystem", "trial_rng", "validate_mmdp",
 ]
 
 __version__ = "0.1.0"
@@ -90,7 +90,7 @@ _LAZY = {
     ), "analysis"),
     **dict.fromkeys((
         "BeliefState", "Trace", "TraceStep", "batch_summary", "belief_update", "map_decide",
-        "monte_carlo_error", "simulate", "trace_to_csv", "trial_rng",
+        "monte_carlo_curve", "monte_carlo_error", "simulate", "trace_to_csv", "trial_rng",
     ), "simulate"),
 }
 

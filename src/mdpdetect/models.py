@@ -70,7 +70,8 @@ class Mmdp:
     _masks: dict[tuple[str, str], Mapping[str, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # at most one (policy, compiled controller) pair; the table indexes ``sampling``
+    # at most one (policy, compiled controller) pair, replaced whole and never
+    # emptied once set; the table indexes ``sampling``
     _controller: list[tuple[Any, Any]] = field(
         default_factory=list, init=False, repr=False, compare=False
     )

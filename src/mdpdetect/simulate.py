@@ -11,7 +11,9 @@ Every episode runs on one kernel, ``_lockstep``: a single trace of
 trial-by-trial loop would give. The kernel reads its moves from a controller
 table compiled over every augmented state the policy can reach from the
 initial one. The table is compiled once per model and policy and kept on the
-model, so repeat calls with the same policy object compile nothing.
+model: the first call on a pair pays for the whole pass, and repeat calls
+with the same policy object, such as the horizons of ``monte_carlo_curve``,
+compile nothing.
 """
 
 from __future__ import annotations
@@ -209,6 +211,25 @@ def monte_carlo_error(
     return estimate, stderr
 
 
+def monte_carlo_curve(
+    mmdp: Mmdp,
+    policy: DetectionPolicy,
+    horizons: Sequence[int],
+    trials: int,
+    seed: int,
+    q: Sequence[float] | None = None,
+    theta: Sequence[float] | None = None,
+) -> list[tuple[int, float, float]]:
+    """``(t, estimate, stderr)`` of ``monte_carlo_error`` at each horizon ``t`` of ``horizons``.
+
+    The empirical MAP-error curve of one policy over time, the Monte-Carlo
+    counterpart of the coefficient curves and their bounds. Every horizon
+    plays the same seeded trials, so the horizons are compared on common
+    random numbers, and the controller is compiled once for the whole curve.
+    """
+    return [(t, *monte_carlo_error(mmdp, policy, t, trials, seed, q, theta)) for t in horizons]
+
+
 def _monte_carlo_trials(
     mmdp: Mmdp,
     policy: DetectionPolicy,
@@ -283,14 +304,15 @@ def _lockstep(
         raise ContractError(
             f"policy has no entry for the initial configuration ({full}, {mmdp.initial!r})"
         )
-    held = mmdp._controller
-    if held and held[0][0] is policy:
-        table = held[0][1]
+    # one read of the slot: another thread may replace its pair at any time
+    held = mmdp._controller[0] if mmdp._controller else None
+    if held is not None and held[0] is policy:
+        table = held[1]
     else:
         table = _CompiledController(
             mmdp, policy, _canonical_aug(policy, (full, mmdp.initial), None, mmdp.initial)
         )
-        held[:] = [(policy, table)]
+        mmdp._controller[:] = [(policy, table)]
     rows = mmdp.sampling
     trials = len(truth)
     final = np.tile(np.asarray(beliefs, float), (trials, 1))

@@ -35,6 +35,7 @@ from mdpdetect.simulate import (
     batch_summary,
     belief_update,
     map_decide,
+    monte_carlo_curve,
     monte_carlo_error,
     simulate,
     trace_to_csv,
@@ -731,6 +732,19 @@ def test_the_controller_is_compiled_once_per_model_and_policy(monkeypatch):
     # another model compiles its own table
     simulate(example1_mmdp(initial="2"), 1, policy, seed=2)
     assert len(built) == 4
+
+
+def test_monte_carlo_curve_compiles_once_for_every_horizon(monkeypatch):
+    horizons, q, theta = (0, 3, 10, 40), (0.3, 0.7), (0.6, 0.4)
+    policy = bi_apd(example1_mmdp(initial="2")).policy
+    # each horizon on a model of its own, so each call compiles its own table
+    cold = [
+        (t, *monte_carlo_error(example1_mmdp(initial="2"), policy, t, 200, 9, q, theta))
+        for t in horizons
+    ]
+    built = _compiles(monkeypatch)
+    assert monte_carlo_curve(example1_mmdp(initial="2"), policy, horizons, 200, 9, q, theta) == cold
+    assert built == [policy]
 
 
 def test_a_policy_without_the_initial_entry_is_refused_on_every_call(monkeypatch):
