@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -450,7 +451,97 @@ def serialize_mmdp(mmdp: Mmdp) -> dict[str, Any]:
 
 
 def mmdp_to_json(mmdp: Mmdp) -> str:
-    return json.dumps(serialize_mmdp(mmdp), indent=2, sort_keys=True) + "\n"
+    """The model file: :func:`serialize_mmdp` as indented JSON text with sorted keys.
+
+    Byte for byte ``json.dumps(serialize_mmdp(mmdp), indent=2,
+    sort_keys=True) + "\\n"``, written straight from the models; the oracle
+    test ``tests/test_models.py::test_writers_match_json_dumps`` holds it to
+    that.
+    """
+    base = mmdp.models[0]
+    actions = {s: list(base.actions[s]) for s in base.states}
+    return _object([
+        ("actions", _json(actions, "  ")),
+        ("initial", _json(base.initial, "  ")),
+        ("models", _array([_model_json(m) for m in mmdp.models], "  ")),
+        ("states", _json(list(base.states), "  ")),
+    ], "") + "\n"
+
+
+def _model_json(m: Mdp) -> str:
+    """One item of the file's ``models`` array, at depth 2."""
+    # an entry of ``delta`` sits at depth 4 and its fields at depth 5; the
+    # fields before "p" are written once per row
+    pad = " " * 10
+    delta = []
+    for s in m.states:
+        source = _json(s, pad)
+        for a in m.actions[s]:
+            head = f'{{\n{pad}"action": {_json(a, pad)},\n{pad}"from": {source},\n{pad}"p": '
+            row = m.row(s, a)
+            for t in sorted(row):
+                # a finite float and a string name inline, anything else through _json
+                p = row[t]
+                prob = float.__repr__(p) if type(p) is float and math.isfinite(p) else _json(p, pad)
+                succ = _string(t) if type(t) is str else _json(t, pad)
+                delta.append(f'{head}{prob},\n{pad}"to": {succ}\n        }}')
+    return _object([("delta", _array(delta, " " * 6)), ("name", _json(m.name, " " * 6))], " " * 4)
+
+
+# ---------------------------------------------------------------------------
+# JSON text as ``json.dumps(..., indent=2, sort_keys=True)`` writes it.
+#
+# Each helper returns a value's text for a value nested at indent ``pad``:
+# lines inside it are indented by ``pad`` plus two spaces, and its closing
+# bracket by ``pad``. json encodes in C only without ``indent``, so the model
+# and policy writers use these instead; strings still go through json's own
+# C escaper, and floats through ``float.__repr__`` as in json.
+# ---------------------------------------------------------------------------
+
+_string = json.encoder.encode_basestring_ascii
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(value: Any, pad: str) -> str:
+    """Any JSON value, as json writes it."""
+    if isinstance(value, str):
+        return _string(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NONFINITE.get(text, text)
+    if isinstance(value, dict):
+        inner = pad + "  "
+        return _object([(k, _json(v, inner)) for k, v in sorted(value.items())], pad)
+    if isinstance(value, (list, tuple)):
+        try:
+            items = list(map(_string, value))  # the usual array of names
+        except TypeError:
+            inner = pad + "  "
+            items = [_json(v, inner) for v in value]
+        return _array(items, pad)
+    return json.dumps(value)  # None, a bool or an int; a TypeError for anything else
+
+
+def _array(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """An array of the written ``items``, or with ``brackets="{}"`` an object of written fields."""
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def _object(fields: list[tuple[Any, str]], pad: str) -> str:
+    """An object of ``(key, written value)`` fields, in the order given."""
+    return _array([f"{_key(k)}: {text}" for k, text in fields], pad, "{}")
+
+
+def _key(key: Any) -> str:
+    """An object key, as json writes it."""
+    if isinstance(key, str):
+        return _string(key)
+    if key is None or isinstance(key, (int, float)):  # bools are ints
+        return _string(_json(key, ""))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _check_delta_entry(entry: Any, epath: str) -> tuple[str, str, str, int | float]:

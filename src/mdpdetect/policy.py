@@ -14,7 +14,7 @@ from typing import Any, Iterable, Mapping
 
 from .errors import ModelError
 from .graphs import Mec, MecUniformPolicy, mec_uniform_policy
-from .models import Mmdp
+from .models import Mmdp, _json
 
 ActiveSet = tuple[int, ...]  # sorted 1-based model indices
 
@@ -137,7 +137,14 @@ def serialize_policy(policy: DetectionPolicy) -> dict[str, Any]:
 
 
 def policy_to_json(policy: DetectionPolicy) -> str:
-    return json.dumps(serialize_policy(policy), indent=2, sort_keys=True) + "\n"
+    """The policy file: :func:`serialize_policy` as indented JSON text with sorted keys.
+
+    Byte for byte ``json.dumps(serialize_policy(policy), indent=2,
+    sort_keys=True) + "\\n"``, written by the JSON helpers of
+    :mod:`mdpdetect.models`; the oracle test
+    ``tests/test_models.py::test_writers_match_json_dumps`` holds it to that.
+    """
+    return _json(serialize_policy(policy), "") + "\n"
 
 
 def parse_policy(document: str | Mapping[str, Any]) -> DetectionPolicy:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -524,14 +525,25 @@ class _CompiledController:
 
 
 def trace_to_csv(trace: Trace) -> str:
-    """CSV rows ``t,state,action,b_1,...,b_N`` (empty action on the final row)."""
+    """CSV rows ``t,state,action,b_1,...,b_N`` (empty action on the final row).
+
+    A state or action name holding a comma, a double quote or a line break is
+    quoted as RFC 4180 says; every other name is written as it is.
+    """
     n = len(trace.steps[0].beliefs)
     header = "t,state,action," + ",".join(f"b_{i + 1}" for i in range(n))
     lines = [header]
     for step in trace.steps:
         beliefs = ",".join(repr(b) for b in step.beliefs)
-        lines.append(f"{step.t},{step.state},{step.action or ''},{beliefs}")
+        lines.append(f"{step.t},{_csv_field(step.state)},{_csv_field(step.action or '')},{beliefs}")
     return "\n".join(lines) + "\n"
+
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
+
+
+def _csv_field(name: str) -> str:
+    return '"' + name.replace('"', '""') + '"' if _NEEDS_QUOTES(name) else name
 
 
 def batch_summary(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 from collections import deque
 from typing import Iterable, Mapping
@@ -16,8 +17,8 @@ from mdpdetect.analysis import BcCurve
 from mdpdetect.binary import _decide, informative_graph, preprocess
 from mdpdetect.errors import ContractError, HorizonCapError, ImpossibleObservationError, ModelError
 from mdpdetect.graphs import Mec, MecUniformPolicy, PartialDeterministicPolicy
-from mdpdetect.models import Mdp, Mmdp, TransitionSystem
-from mdpdetect.policy import DetectionPolicy, active_set, survivors
+from mdpdetect.models import Mdp, Mmdp, TransitionSystem, serialize_mmdp
+from mdpdetect.policy import DetectionPolicy, active_set, serialize_policy, survivors
 from mdpdetect.simulate import Trace, TraceStep, _check_priors, map_decide, trial_rng
 
 # every property test runs the same examples on every run, however long they take
@@ -216,6 +217,24 @@ def random_multi_mmdp(rng, n_models=3, n_states=5, reveal_share=0.25) -> Mmdp:
         mk_mdp(states, actions, kernels[m], states[0], f"M{m+1}") for m in range(n_models)
     )
     return Mmdp(models=models)
+
+
+def renamed(mmdp, state, action) -> Mmdp:
+    """``mmdp`` with each state ``s`` renamed ``state(s)`` and each action ``a`` renamed ``action(a)``."""
+
+    def rename(m):
+        return Mdp(
+            states=tuple(map(state, m.states)),
+            actions={state(s): tuple(map(action, acts)) for s, acts in m.actions.items()},
+            kernel={
+                (state(s), action(a)): {state(t): p for t, p in row.items()}
+                for (s, a), row in m.kernel.items()
+            },
+            initial=state(m.initial),
+            name=m.name,
+        )
+
+    return Mmdp(models=tuple(map(rename, mmdp.models)))
 
 
 def random_stationary_policy(rng, mmdp) -> dict:
@@ -887,3 +906,18 @@ def _reference_episode(mmdp, truth, controller, rng, beliefs, max_steps, thresho
         else:
             active = remaining
             entered = False
+
+
+# ---------------------------------------------------------------------------
+# Frozen writers of the model and policy files: json's indent encoder over the
+# serialized documents, which the direct writers of `mdpdetect.models` and
+# `mdpdetect.policy` replaced and must match byte for byte.
+# ---------------------------------------------------------------------------
+
+
+def reference_mmdp_to_json(mmdp: Mmdp) -> str:
+    return json.dumps(serialize_mmdp(mmdp), indent=2, sort_keys=True) + "\n"
+
+
+def reference_policy_to_json(policy: DetectionPolicy) -> str:
+    return json.dumps(serialize_policy(policy), indent=2, sort_keys=True) + "\n"

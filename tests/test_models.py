@@ -4,9 +4,14 @@ import dataclasses
 import json
 from types import MappingProxyType
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdpdetect.errors import ModelError
+from mdpdetect.general import general_apd
+from mdpdetect.graphs import Mec, mec_uniform_policy
 from mdpdetect.models import (
     History,
     Mmdp,
@@ -17,8 +22,24 @@ from mdpdetect.models import (
     support,
     validate_mmdp,
 )
+from mdpdetect.policy import (
+    DetectionPolicy,
+    PolicyEntry,
+    parse_policy,
+    policy_to_json,
+    stationary_uniform_policy,
+)
 
-from conftest import example1_mmdp, mk_mdp, random_binary_mmdp, rng_for
+from conftest import (
+    example1_mmdp,
+    mk_mdp,
+    random_binary_mmdp,
+    random_multi_mmdp,
+    reference_mmdp_to_json,
+    reference_policy_to_json,
+    renamed,
+    rng_for,
+)
 
 
 MINIMAL_DOC = {
@@ -148,6 +169,113 @@ def test_roundtrip_random_instances():
     for seed in range(10):
         mmdp = random_binary_mmdp(rng_for(seed))
         assert serialize_mmdp(parse_mmdp(mmdp_to_json(mmdp))) == serialize_mmdp(mmdp)
+
+
+# name fragments json escapes: non-ASCII (also beyond the BMP), quotes,
+# backslashes, slashes, control characters, a line separator and commas
+_AFFIX = st.text(
+    st.sampled_from(["é", "Ω", "\U0001f600", '"', "\\", "/", "\x00", "\x1f", "\n", "\u2028", ",", "a"]),
+    max_size=4,
+)
+
+
+def _with_probability(mmdp, p):
+    """``mmdp`` with every certain row giving the int 1, or with ``states[0]`` added at ``p`` to every row."""
+    first = mmdp.states[0]
+
+    def edit(row):
+        if p == 1:
+            return {t: 1 if q == 1.0 else q for t, q in row.items()}
+        return row if first in row else {**row, first: p}
+
+    return Mmdp(models=tuple(
+        dataclasses.replace(m, kernel={k: edit(row) for k, row in m.kernel.items()}) for m in mmdp.models
+    ))
+
+
+def _side_entries(mmdp):
+    """A policy of entries with an empty reach, with no components, and with neither."""
+    s, t = mmdp.states[0], mmdp.states[-1]
+    component = mec_uniform_policy(Mec((s,), {s: mmdp.actions[s]}))
+    entries = (
+        PolicyEntry(active=(1,), entry_state=s, reach={}, mecs=(component,)),
+        PolicyEntry(active=(2,), entry_state=s, reach={t: mmdp.actions[t][0]}),
+        PolicyEntry(active=(1, 2), entry_state=t, reach={}),
+    )
+    return DetectionPolicy(entries={(e.active, e.entry_state): e for e in entries})
+
+
+def _check_writers(mmdp, policies, round_trip=True):
+    text = mmdp_to_json(mmdp)
+    assert text == reference_mmdp_to_json(mmdp)
+    if round_trip:
+        assert serialize_mmdp(parse_mmdp(text)) == serialize_mmdp(mmdp)
+    for policy in policies:
+        text = policy_to_json(policy)
+        assert text == reference_policy_to_json(policy)
+        if round_trip:
+            assert parse_policy(text).entries == policy.entries
+
+
+@settings(max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["binary", "multi"]),
+    prefix=_AFFIX,
+    suffix=_AFFIX,
+    odd_probability=st.sampled_from([None, 1, 5e-324, 1e-17]),
+)
+def test_writers_match_json_dumps(seed, kind, prefix, suffix, odd_probability):
+    """The model and policy writers give json.dumps(..., indent=2, sort_keys=True) byte for byte.
+
+    On random instances with escaped names and odd probabilities, their
+    synthesized policies, the uniform baseline and hand-built entries; every
+    file parses back to what was written.
+    """
+    rng = rng_for(seed)
+    mmdp = random_binary_mmdp(rng) if kind == "binary" else random_multi_mmdp(rng, n_models=3)
+    mmdp = renamed(mmdp, lambda s: prefix + s + suffix, lambda a: suffix + a + prefix)
+    if odd_probability is not None:
+        mmdp = _with_probability(mmdp, odd_probability)
+    assert validate_mmdp(mmdp) == []
+    policies = [stationary_uniform_policy(mmdp), _side_entries(mmdp), DetectionPolicy(entries={})]
+    outcome = general_apd(mmdp)
+    if outcome.exists:
+        policies.append(outcome.policy)
+    _check_writers(mmdp, policies)
+
+
+def _two_state(kernel, states=("x", "y"), actions=None, name="M1"):
+    actions = {s: ("a",) for s in states} if actions is None else actions
+    return mk_mdp(states, actions, kernel, states[0], name)
+
+
+@pytest.mark.parametrize("models", [
+    # unvalidated: a state without actions, and a model with an empty kernel
+    (_two_state({("x", "a"): {"x": 1.0}}, actions={"x": ("a",), "y": ()}),
+     _two_state({}, actions={"x": ("a",), "y": ()}, name="M2")),
+    # values json renders its own way: ints and bools, NaN and infinities, a
+    # numpy float, names that are not strings
+    (_two_state({("x", "a"): {"x": 1, "y": True}, ("y", "a"): {"x": float("nan")}}, name=3),
+     _two_state({("x", "a"): {"x": float("inf")}, ("y", "a"): {"y": float("-inf")}}, name=None)),
+    (_two_state({("x", "a"): {"y": np.float64(0.25)}, ("y", "a"): {"x": -0.0}}, name=["M", 2.5]),
+     _two_state({("x", "a"): {"x": 1.0}}, name="M2")),
+    (_two_state({(9, "a"): {10: 1.0}, (10, "a"): {9: 0.5, 10: 0.5}}, states=(10, 9)),
+     _two_state({(9, "a"): {9: 1.0}, (10, "a"): {10: 1.0}}, states=(10, 9), name="M2")),
+    (_two_state({(None, "a"): {None: 1.0}}, states=(None,)),),
+    (_two_state({(True, "a"): {True: 1.0}}, states=(True,)),),
+    (_two_state({(float("nan"), "a"): {}}, states=(float("nan"),)),),
+])
+def test_writers_match_json_dumps_on_values_outside_the_schema(models):
+    mmdp = Mmdp(models=models)
+    _check_writers(mmdp, [stationary_uniform_policy(mmdp)], round_trip=False)
+
+
+def test_writers_refuse_what_json_refuses():
+    mmdp = Mmdp(models=(_two_state({("x", "a"): {"x": 1.0}}, name=object()),))
+    for write in (mmdp_to_json, reference_mmdp_to_json):
+        with pytest.raises(TypeError):
+            write(mmdp)
 
 
 def test_validate_clean_example(example1):

@@ -1,7 +1,9 @@
 """Runtime: belief updates, MAP rule, policy execution, Monte-Carlo batches."""
 
+import csv
 import dataclasses
 import importlib
+import io
 import itertools
 import json
 import math
@@ -51,6 +53,7 @@ from conftest import (
     reference_batch_summary,
     reference_monte_carlo_error,
     reference_simulate,
+    renamed,
     rng_for,
     sanitized,
     sqrt_half_mmdp,
@@ -491,6 +494,27 @@ def test_trace_csv_layout():
     assert lines[0] == "t,state,action,b_1,b_2"
     assert lines[1].startswith("0,2,b2,0.5,0.5")
     assert lines[-1].split(",")[2] == ""  # no action on the final row
+
+
+def test_trace_csv_quotes_names_that_need_it():
+    # a parsed model whose initial state holds a comma
+    names = {"2": "a,b", "5": 'say "x"', "6": "two\nlines", "b2": "go,now"}
+    mmdp = parse_mmdp(mmdp_to_json(renamed(example1_mmdp(initial="2"), lambda s: names.get(s, s),
+                                           lambda a: names.get(a, a))))
+    assert mmdp.initial == "a,b"
+    policy = bi_apd(mmdp).policy
+    seen = set()
+    for truth, seed in itertools.product((1, 2), range(4)):
+        trace = simulate(mmdp, truth, policy, seed=seed)
+        text = trace_to_csv(trace)
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert [len(row) for row in rows] == [5] * (len(trace.steps) + 1)
+        assert [row[1] for row in rows[1:]] == [step.state for step in trace.steps]
+        assert [row[2] for row in rows[1:]] == [step.action or "" for step in trace.steps]
+        assert text.splitlines()[1].startswith('0,"a,b",')
+        seen.update(step.state for step in trace.steps)
+        seen.update(step.action for step in trace.steps)
+    assert set(names.values()) <= seen
 
 
 def test_trace_invariants_against_truth_kernel():
