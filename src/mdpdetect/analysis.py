@@ -211,6 +211,8 @@ def _check_priors(priors: Sequence[float] | None, n: int, what: str) -> tuple[fl
     priors = tuple(float(p) for p in priors)
     if len(priors) != n:
         raise ModelError(f"{what}: expected {n} entries, got {len(priors)}")
+    if not all(map(math.isfinite, priors)):  # a NaN fails neither check below
+        raise ModelError(f"{what}: entries must be finite, got {priors!r}")
     if any(p <= 0.0 for p in priors):
         raise ModelError(f"{what}: entries must be strictly positive")
     if abs(sum(priors) - 1.0) > 1e-9:
@@ -294,7 +296,7 @@ class _AugGraph:
         source: list[int] = []
         target: list[int] = []
         act_prob: list[float] = []
-        transition: list[tuple[str, str, str]] = []
+        entry: list[int] = []  # the edge's entry of ``mmdp.sampling``; -1, a zero row
         always: list[bool] = []  # an edge every pair takes, whatever its weight
         frontier = [start]
         for _ in range(horizon):
@@ -305,8 +307,8 @@ class _AugGraph:
                 except ContractError as exc:
                     # every pair's DP fails on entering this state: an edge
                     # of every pair (all mask bits set), whatever its weight
-                    edges = [("", 0.0, "", -1, exc)]
-                for a, pa, s2, mask, tgt in edges:
+                    edges = [(-1, 0.0, "", -1, exc)]
+                for e, pa, _, mask, tgt in edges:
                     if not relevant(mask):
                         continue
                     if isinstance(tgt, Exception):
@@ -320,7 +322,7 @@ class _AugGraph:
                     source.append(index[aug])
                     target.append(t)
                     act_prob.append(pa)
-                    transition.append((aug[2], a, s2))
+                    entry.append(e)
                     always.append(mask == -1)
             frontier = reached
         self.horizon = horizon
@@ -329,9 +331,7 @@ class _AugGraph:
 
         # the weight of an edge under pair (i, j) is pa * sqrt(P_i * P_j), as
         # the scalar recurrence computes it; a pair drops its zero-weight edges
-        prob = np.array(
-            [[m.row(s, a).get(s2, 0.0) for (s, a, s2) in transition] for m in mmdp.models]
-        ).reshape(mmdp.n, len(transition))
+        prob = np.append(mmdp.sampling.lik, np.zeros((1, mmdp.n)), axis=0)[entry].T
         mi = np.array([i - 1 for i, _ in pairs], dtype=np.intp)
         mj = np.array([j - 1 for _, j in pairs], dtype=np.intp)
         weight = np.asarray(act_prob) * np.sqrt(prob[mi] * prob[mj])
@@ -395,16 +395,17 @@ def _canonical_aug(
 
 def _expand_aug(
     mmdp: Mmdp, policy: DetectionPolicy, aug: _Aug
-) -> tuple[list[tuple[str, float]], list[tuple[str, float, str, int, _Aug | ContractError]]]:
+) -> tuple[list[tuple[str, float]], list[tuple[int, float, str, int, _Aug | ContractError]]]:
     """The controller's move at one augmented state: its action distribution and every edge.
 
     The distribution is the component's, or the one reach action. Edges are
-    (action, its probability, successor, the successor's model bitmask,
-    target), actions in distribution order and each one's successors sorted;
-    a target the policy has no entry for is given as the error its lookup
-    raises. Raises ``ContractError`` wherever the controller has no move: no
-    reach action and no component, a state outside the committed one, an
-    empty component distribution, or an action some active model lacks.
+    (entry of ``mmdp.sampling``, action probability, successor, the
+    successor's model bitmask, target), actions in distribution order and
+    each one's allowed successors sorted; a target the policy has no entry
+    for is given as the error its lookup raises. Raises ``ContractError``
+    wherever the controller has no move: no reach action and no component, a
+    state outside the committed one, an empty component distribution, or an
+    action some active model lacks.
     """
     entry_key, mec_index, s = aug
     entry = policy.entries[entry_key]
@@ -427,10 +428,15 @@ def _expand_aug(
                 f"policy entry {entry_key} plays nothing at {s!r} in its component {mec_index}"
             )
     active = entry.active
-    edges: list[tuple[str, float, str, int, _Aug | ContractError]] = []
+    rows = mmdp.sampling
+    edges: list[tuple[int, float, str, int, _Aug | ContractError]] = []
     for a, pa in dist:
+        lo, size, _ = rows.row(s, a)
         offered = 0
-        for s2, mask in mmdp.support_masks(s, a).items():
+        for e in range(lo, lo + size):
+            mask, s2 = rows.masks[e], rows.successors[e]
+            if not mask:  # no model allows s2
+                continue
             offered |= mask
             new_active = members(mask, active)
             try:
@@ -440,7 +446,7 @@ def _expand_aug(
                     tgt = _canonical_aug(policy, (new_active, s2), None, s2)
             except ContractError as exc:
                 tgt = exc
-            edges.append((a, pa, s2, mask, tgt))
+            edges.append((e, pa, s2, mask, tgt))
         if members(offered, active) != active:
             raise ContractError(f"policy entry {entry_key} plays {a!r} at {s!r}, which does not offer it")
     return dist, edges

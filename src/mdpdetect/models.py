@@ -8,12 +8,10 @@ parse time, so the support of a row is exactly its key set.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 from .errors import ModelError
@@ -61,16 +59,13 @@ class Mdp:
 class Mmdp:
     """An ordered set of candidate MDPs over one shared structure skeleton.
 
-    Read-only once built. The model keeps what it derives on first use: the
-    support masks of :meth:`support_masks`, :attr:`support_rows`, the
-    sampling rows of :attr:`sampling`, and the controller table that
+    Read-only once built. The model keeps what it derives on first use:
+    :attr:`support_rows` for synthesis, the one read-only row table
+    :attr:`sampling` for run time, and the controller table that
     ``simulate`` last compiled, with the policy it was compiled for.
     """
 
     models: tuple[Mdp, ...]
-    _masks: dict[tuple[str, str], Mapping[str, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     # at most one (policy, compiled controller) pair, replaced whole and never
     # emptied once set; the table indexes ``sampling``
     _controller: list[tuple[Any, Any]] = field(
@@ -99,19 +94,14 @@ class Mmdp:
             raise ModelError(f"model index {index} outside 1..{self.n}")
         return self.models[index - 1]
 
-    def support_masks(self, state: str, action: str) -> Mapping[str, int]:
+    def support_masks(self, state: str, action: str) -> dict[str, int]:
         """Successor -> bitmask of the models giving it positive probability at (state, action).
 
         Bit ``i - 1`` stands for model ``i``; successors no model allows are
-        absent, and the keys come in sorted order. Each row is built on first
-        use and kept, read-only.
+        absent, and the keys come in sorted order. Built afresh on each call.
         """
-        masks = self._masks.get((state, action))
-        if masks is None:
-            acc = _successor_masks(self.models, state, action)
-            masks = MappingProxyType({t: acc[t] for t in sorted(acc)})
-            self._masks[(state, action)] = masks
-        return masks
+        acc = _successor_masks(self.models, state, action)
+        return {t: acc[t] for t in sorted(acc)}
 
     @cached_property
     def support_rows(self) -> SupportRows:
@@ -120,8 +110,8 @@ class Mmdp:
 
     @cached_property
     def sampling(self) -> SamplingRows:
-        """Every model's rows laid out for sampling successors, each built on first use."""
-        return SamplingRows(self.models)
+        """Every model's rows laid out for sampling successors, all built on first use."""
+        return SamplingRows(self)
 
 
 class SupportRows:
@@ -175,49 +165,53 @@ def _successor_masks(models: tuple[Mdp, ...], state: str, action: str) -> dict[s
 class SamplingRows:
     """The rows of all models at each (state, action), over their sorted successors.
 
-    Row (state, action) covers the sorted union of the models' row keys, as
-    entries ``lo .. lo + size`` of ``successors``, ``lik`` and ``cdf``:
-    ``lik[e, m]`` is model ``m + 1``'s probability of successor ``e`` and
-    ``cdf[e, m]`` its running sum from ``lo``. A successor outside the model's
-    row adds 0.0, so the sums at the model's own successors are those of its
-    sorted items. ``last[m]`` is the position of the model's last own
-    successor, which takes any remainder, or -1 for an empty row. Rows are
-    appended as they are first asked for, and never change; the arrays are
-    replaced as they grow.
+    One read-only table, built in one pass over the declared (state, action)
+    pairs and every other pair a model's kernel has; any other pair is an
+    empty row. Row (state, action) covers the sorted union of the models'
+    row keys, as entries ``lo .. lo + size`` of ``successors``, ``masks``,
+    ``lik`` and ``cdf``: ``masks[e]`` is successor ``e``'s model bitmask, as
+    in :meth:`Mmdp.support_masks` (0 where no model allows it), ``lik[e, m]``
+    is model ``m + 1``'s probability of it and ``cdf[e, m]`` the running sum
+    from ``lo``. A successor outside the model's row adds 0.0, so the sums at
+    the model's own successors are those of its sorted items. ``last[m]`` is
+    the position of the model's last own successor, which takes any
+    remainder, or -1 for an empty row. ``lik`` and ``cdf`` are not writable.
     """
 
-    def __init__(self, models: tuple[Mdp, ...]) -> None:
+    def __init__(self, mmdp: Mmdp) -> None:
         import numpy as np  # only sampling needs numpy; synthesis runs without it
 
-        self.models = models
-        self.index: dict[tuple[str, str], tuple[int, int, tuple[int, ...]]] = {}
+        models = mmdp.models
+        keys = [(s, a) for s in mmdp.states for a in mmdp.actions.get(s, ())]
+        keys += [key for m in models for key in m.kernel]
+        self._index: dict[tuple[str, str], tuple[int, int, tuple[int, ...]]] = {}
+        self._empty = (0, 0, (-1,) * len(models))
         self.successors: list[str] = []
-        self.lik = np.empty((64, len(models)))
-        self.cdf = np.empty((64, len(models)))
+        lik, pos = [], []  # per entry: every model's probability, the position in its row
+        for key in dict.fromkeys(keys):
+            rows = [m.row(*key) for m in models]
+            row = sorted(set().union(*rows))
+            last = tuple([row.index(max(r)) if r else -1 for r in rows])
+            self._index[key] = (len(self.successors), len(row), last)
+            self.successors.extend(row)
+            lik.extend([r.get(t, 0.0) for t in row for r in rows])
+            pos.extend(range(len(row)))
+        self.lik = np.array(lik, float).reshape(-1, len(models))
+        # bit m of an entry's mask is set where model m + 1 gives it p > 0.0
+        packed = np.packbits(self.lik > 0.0, axis=1, bitorder="little")
+        self.masks = [int.from_bytes(bits, "little") for bits in packed]
+        # each row's running sums, one addition per entry in row order
+        self.cdf = self.lik.copy()
+        pos = np.array(pos, np.intp)
+        for j in range(1, pos.max(initial=0) + 1):
+            e = np.flatnonzero(pos == j)
+            self.cdf[e] += self.cdf[e - 1]
+        self.lik.setflags(write=False)
+        self.cdf.setflags(write=False)
 
     def row(self, state: str, action: str) -> tuple[int, int, tuple[int, ...]]:
         """``(lo, size, last)`` of row (state, action)."""
-        found = self.index.get((state, action))
-        if found is None:
-            rows = [m.row(state, action) for m in self.models]
-            successors = sorted(set().union(*rows))
-            lik = [[r.get(t, 0.0) for r in rows] for t in successors]
-            lo, size = len(self.successors), len(successors)
-            if lo + size > len(self.lik):
-                import numpy as np
-
-                room = max(2 * len(self.lik), lo + size)
-                for name in ("lik", "cdf"):
-                    column = np.empty((room, len(self.models)))
-                    column[:lo] = getattr(self, name)[:lo]
-                    setattr(self, name, column)
-            if size:
-                self.lik[lo : lo + size] = lik
-                self.cdf[lo : lo + size] = list(zip(*(itertools.accumulate(c) for c in zip(*lik))))
-            self.successors.extend(successors)
-            last = tuple([successors.index(max(r)) if r else -1 for r in rows])
-            found = self.index[(state, action)] = (lo, size, last)
-        return found
+        return self._index.get((state, action), self._empty)
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ def survivors(mmdp: Mmdp, active: ActiveSet, s: str, a: str, s2: str) -> ActiveS
 
     The per-transition form of the one rule that eliminates a model: by
     support, never by the size of a posterior. The package applies it as
-    ``members(mask, active)`` to the support masks; the tests and the frozen
-    references in ``tests/conftest.py`` call this form.
+    ``members(mask, active)`` to the masks of ``Mmdp.sampling``; the tests and
+    the frozen references in ``tests/conftest.py`` call this form.
     """
     return members(mmdp.support_masks(s, a).get(s2, 0), active)
 
@@ -189,11 +189,10 @@ def parse_policy(document: str | Mapping[str, Any]) -> DetectionPolicy:
             ):
                 raise ModelError(f"{mpath}.states: expected state -> nonempty action list")
             mecs.append(mec_uniform_policy(Mec(states.keys(), states)))
-        entry = PolicyEntry(
-            active=active_set(active_raw),
-            entry_state=entry_state,
-            reach=dict(reach),
-            mecs=tuple(mecs),
+        key = (active_set(active_raw), entry_state)
+        if key in entries:
+            raise ModelError(f"{path}: duplicate entry for active set {list(key[0])} at {entry_state!r}")
+        entries[key] = PolicyEntry(
+            active=key[0], entry_state=entry_state, reach=dict(reach), mecs=tuple(mecs)
         )
-        entries[(entry.active, entry.entry_state)] = entry
     return DetectionPolicy(entries=entries)

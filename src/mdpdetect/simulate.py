@@ -486,8 +486,8 @@ class _CompiledController:
                     dist, edges = _expand_aug(mmdp, policy, aug)
                 except ContractError:  # no move here: the trial stops
                     pass
-            targets = {}
-            for a, _, s2, mask, tgt in edges:
+            targets = {}  # per entry of ``rows``
+            for e, _, s2, mask, tgt in edges:
                 if isinstance(tgt, ContractError):
                     left = members(mask, aug[0][0])
                     # a lone survivor stops as one, entry or not; any other set at 0
@@ -495,7 +495,7 @@ class _CompiledController:
                 if tgt is not None and tgt not in index:
                     index[tgt] = len(augs)
                     augs.append(tgt)
-                targets[a, s2] = index.get(tgt, 0)
+                targets[e] = index.get(tgt, 0)
             dist = sorted(dist)
             count.append(len(dist))
             first.append(len(act_cdf))
@@ -506,8 +506,7 @@ class _CompiledController:
                 size.append(row_size)
                 last.append(row_last)
                 tlo.append(len(target))
-                successors = rows.successors[row_lo : row_lo + row_size]
-                target.extend(targets.get((a, s2), 0) for s2 in successors)
+                target.extend(targets.get(e, 0) for e in range(row_lo, row_lo + row_size))
                 actions.append(a)
         self.augs, self.actions = tuple(augs), tuple(actions)
         self.count = np.array(count, np.intp)

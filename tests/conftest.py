@@ -921,3 +921,51 @@ def reference_mmdp_to_json(mmdp: Mmdp) -> str:
 
 def reference_policy_to_json(policy: DetectionPolicy) -> str:
     return json.dumps(serialize_policy(policy), indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Frozen lazy row caches: the support masks and the sampling rows an `Mmdp`
+# built row by row on first use, which the one-pass table `Mmdp.sampling`
+# replaced and must match row for row.
+# ---------------------------------------------------------------------------
+
+
+def reference_support_masks(mmdp: Mmdp, state: str, action: str) -> dict[str, int]:
+    acc: dict[str, int] = {}
+    for bit, m in enumerate(mmdp.models):
+        for succ, p in m.row(state, action).items():
+            if p > 0.0:
+                acc[succ] = acc.get(succ, 0) | 1 << bit
+    return {t: acc[t] for t in sorted(acc)}
+
+
+class ReferenceSamplingRows:
+    """Rows appended as they are first asked for; the arrays regrow as needed."""
+
+    def __init__(self, models):
+        self.models = models
+        self.index = {}
+        self.successors = []
+        self.lik = np.empty((64, len(models)))
+        self.cdf = np.empty((64, len(models)))
+
+    def row(self, state, action):
+        found = self.index.get((state, action))
+        if found is None:
+            rows = [m.row(state, action) for m in self.models]
+            successors = sorted(set().union(*rows))
+            lik = [[r.get(t, 0.0) for r in rows] for t in successors]
+            lo, size = len(self.successors), len(successors)
+            if lo + size > len(self.lik):
+                room = max(2 * len(self.lik), lo + size)
+                for name in ("lik", "cdf"):
+                    column = np.empty((room, len(self.models)))
+                    column[:lo] = getattr(self, name)[:lo]
+                    setattr(self, name, column)
+            if size:
+                self.lik[lo : lo + size] = lik
+                self.cdf[lo : lo + size] = list(zip(*(itertools.accumulate(c) for c in zip(*lik))))
+            self.successors.extend(successors)
+            last = tuple([successors.index(max(r)) if r else -1 for r in rows])
+            found = self.index[(state, action)] = (lo, size, last)
+        return found

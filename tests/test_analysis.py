@@ -20,15 +20,18 @@ from mdpdetect.analysis import (
     pairwise_bc_curve,
 )
 from mdpdetect.binary import bi_apd
+from mdpdetect.cli import main
 from mdpdetect.errors import ContractError, HorizonCapError, ModelError
 from mdpdetect.general import general_apd
-from mdpdetect.models import Mmdp
+from mdpdetect.models import Mmdp, mmdp_to_json
 from mdpdetect.policy import (
     DetectionPolicy,
     PolicyEntry,
     entry_as_stationary,
+    policy_to_json,
     stationary_uniform_policy,
 )
+from mdpdetect.simulate import batch_summary, monte_carlo_error, simulate
 
 from conftest import (
     example1_mmdp,
@@ -435,3 +438,36 @@ def test_csv_emitters():
     bounds = bounds_csv([(0, error_bounds_binary(1.0, 0.5, 0.5))])
     assert bounds.splitlines()[0] == "t,lower,upper_raw,upper_clamped"
     assert bounds.splitlines()[1] == "0,0.25,0.5,0.5"
+
+
+_PRIOR_CALLS = {
+    "simulate": lambda mmdp, policy, priors: simulate(mmdp, 1, policy, seed=0, priors=priors),
+    "batch_summary": lambda mmdp, policy, priors: batch_summary(mmdp, policy, 4, 0, priors=priors),
+    "monte_carlo_error q": lambda mmdp, policy, priors: monte_carlo_error(mmdp, policy, 3, 100, 0, q=priors),
+    "monte_carlo_error theta": lambda mmdp, policy, priors: monte_carlo_error(
+        mmdp, policy, 3, 100, 0, theta=priors
+    ),
+    "error_bounds_multi": lambda mmdp, policy, priors: error_bounds_multi(
+        [[1.0, 0.5], [0.5, 1.0]], priors, (0.5, 0.5)
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", [*_PRIOR_CALLS, "bc --bounds"])
+def test_non_finite_priors_are_refused(where, bad, tmp_path, capsys):
+    # a NaN passes both the positivity and the sum check on its own
+    mmdp = example1_mmdp(initial="2")
+    policy = bi_apd(mmdp).policy
+    priors = (bad, 1.0)
+    if where in _PRIOR_CALLS:
+        with pytest.raises(ModelError, match="entries must be finite"):
+            _PRIOR_CALLS[where](mmdp, policy, priors)
+        return
+    model, policy_path, out = tmp_path / "model.json", tmp_path / "policy.json", tmp_path / "b.csv"
+    model.write_text(mmdp_to_json(mmdp))
+    policy_path.write_text(policy_to_json(policy))
+    args = ["bc", str(model), str(policy_path), "--horizon", "2", "--out", str(out)]
+    assert main([*args, "--bounds", f"{bad},1:0.5,0.5"]) == 2
+    assert "entries must be finite" in capsys.readouterr().err
+    assert not out.exists()

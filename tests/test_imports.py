@@ -53,6 +53,24 @@ assert simulate is mdpdetect.simulate and not isinstance(trial_rng, types.Module
 """)
 
 
+def test_synthesis_and_elimination_by_support_load_no_numpy():
+    # only the row table of run time needs numpy
+    _fresh("""
+import sys
+from mdpdetect.general import general_apd
+from mdpdetect.policy import survivors
+from mdpdetect.scenarios import gen_grid, grid_spec_from_json
+
+mmdp = gen_grid(grid_spec_from_json({"width": 3, "height": 3, "obstacles": [], "goal_region": [[2, 2]]}))
+assert general_apd(mmdp).exists
+mmdp.support_rows
+assert survivors(mmdp, (1, 2), "c0_0", "move", "c1_0") == (1, 2)
+assert "numpy" not in sys.modules
+mmdp.sampling
+assert "numpy" in sys.modules
+""")
+
+
 def _imports(tree):
     """``(node, at_import_time)`` for every import of ``tree``; function bodies run later."""
     stack = [(node, True) for node in tree.body]

@@ -31,15 +31,18 @@ from mdpdetect.policy import (
 )
 
 from conftest import (
+    ReferenceSamplingRows,
     example1_mmdp,
     mk_mdp,
     random_binary_mmdp,
     random_multi_mmdp,
     reference_mmdp_to_json,
     reference_policy_to_json,
+    reference_support_masks,
     renamed,
     rng_for,
 )
+from test_simulate import _leaky
 
 
 MINIMAL_DOC = {
@@ -151,8 +154,52 @@ def test_sampling_rows_lay_out_every_model_over_the_sorted_successors(example1):
     assert rows.cdf[lo : lo + size].tolist() == [[0.5, 0.5], [1.0, 0.5], [1.0, 1.0]]
     assert last == (1, 2)
     assert rows.row("2", "b2") == (lo, size, last)  # built once
-    lo2, size2, last2 = rows.row("2", "nope")
-    assert (lo2, size2, last2) == (lo + size, 0, (-1, -1))
+    _, size2, last2 = rows.row("2", "nope")  # no model has the pair: an empty row
+    assert (size2, last2) == (0, (-1, -1))
+
+
+@settings(max_examples=80, derandomize=True)
+@given(
+    n_models=st.integers(2, 4),
+    n_states=st.integers(2, 6),
+    leaky=st.booleans(),
+    undeclared=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampling_table_matches_the_frozen_lazy_rows(n_models, n_states, leaky, undeclared, seed):
+    """Row for row what the lazy caches built, whatever the layout.
+
+    Covers rows ending in an explicit ``"~": 0.0`` (``_leaky``), a kernel row
+    under an action no state declares, in one model only, and pairs no model
+    has.
+    """
+    mmdp = random_multi_mmdp(rng_for(seed), n_models=n_models, n_states=n_states)
+    if leaky:
+        mmdp = _leaky(mmdp)
+    if undeclared:
+        first = mmdp.models[0]
+        kernel = {**first.kernel, ("s0", "zz"): {"s1": 0.5, "s0": 0.5}}
+        mmdp = Mmdp(models=(dataclasses.replace(first, kernel=kernel), *mmdp.models[1:]))
+    rows, frozen = mmdp.sampling, ReferenceSamplingRows(mmdp.models)
+    known = {(s, a) for s in mmdp.states for a in mmdp.actions[s]}
+    known.update(key for m in mmdp.models for key in m.kernel)
+    for s, a in [*sorted(known), ("s0", "nope"), ("nowhere", "a0")]:
+        lo, size, last = rows.row(s, a)
+        flo, fsize, flast = frozen.row(s, a)
+        assert (size, last) == (fsize, flast)
+        successors = rows.successors[lo : lo + size]
+        assert successors == frozen.successors[flo : flo + fsize]
+        masks = reference_support_masks(mmdp, s, a)
+        assert rows.masks[lo : lo + size] == [masks.get(t, 0) for t in successors]
+        assert rows.lik[lo : lo + size].tolist() == frozen.lik[flo : flo + fsize].tolist()
+        assert rows.cdf[lo : lo + size].tolist() == frozen.cdf[flo : flo + fsize].tolist()
+        assert list(mmdp.support_masks(s, a).items()) == list(masks.items())
+    # the known rows, each once, and nothing else
+    total = sum(rows.row(s, a)[1] for s, a in known)
+    assert len(rows.successors) == len(rows.masks) == len(rows.lik) == len(rows.cdf) == total
+    for array in (rows.lik, rows.cdf):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.5
 
 
 def test_roundtrip_is_identity(example1):

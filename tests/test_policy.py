@@ -1,5 +1,6 @@
 """Policy container: canonical active sets, JSON round trip, flattening."""
 
+import json
 from itertools import combinations
 
 import pytest
@@ -80,6 +81,15 @@ def test_policy_json_round_trip_recursive():
 )
 def test_policy_json_validation(doc, fragment):
     with pytest.raises(ModelError, match=fragment):
+        parse_policy(doc)
+
+
+@pytest.mark.parametrize("active", [[1, 2], [2, 1]])
+def test_parse_policy_rejects_a_duplicate_entry(active):
+    doc = json.loads(policy_to_json(bi_apd(example1_mmdp(initial="2")).policy))
+    (entry,) = doc["entries"]
+    doc["entries"].append({**entry, "active": active, "reach": {}})
+    with pytest.raises(ModelError, match=r"entries\[1\]: duplicate entry for active set \[1, 2\] at '2'"):
         parse_policy(doc)
 
 
