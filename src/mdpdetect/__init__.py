@@ -32,12 +32,9 @@ from .errors import (
 from .general import general_apd, pairwise_isa
 from .graphs import (
     Mec,
-    MecUniformPolicy,
-    PartialDeterministicPolicy,
     SupportGraph,
     almost_sure_reach_set,
     mec_decompose,
-    mec_uniform_policy,
     reach_policy,
 )
 from .models import (
@@ -64,19 +61,19 @@ from .policy import (
 from .scenarios import GridSpec, RecSysSpec, gen_grid, gen_recsys
 
 __all__ = [
-    "active_set", "almost_sure_reach_set", "ApdOutcome", "batch_summary", "bc_exact",
-    "bc_matrix", "BcCurve", "BcMatrix", "belief_update", "BeliefState", "bi_apd",
-    "classify_pairs", "ContractError", "decay_fit", "DecayFit", "DetectionError",
-    "DetectionPolicy", "entry_as_stationary", "error_bounds_binary", "error_bounds_multi",
-    "ErrorBounds", "gen_grid", "gen_recsys", "general_apd", "GridSpec", "History",
-    "HorizonCapError", "ImpossibleObservationError", "induced_transition_system",
-    "informative_mdp", "informative_mecs", "informative_structure", "map_decide", "Mdp", "Mec",
-    "mec_decompose", "mec_uniform_policy", "MecUniformPolicy", "Mmdp", "mmdp_to_json",
-    "ModelError", "monte_carlo_curve", "monte_carlo_error", "pairwise_bc_curve", "pairwise_isa",
-    "parse_mmdp", "parse_policy", "PartialDeterministicPolicy", "policy_to_json", "PolicyEntry",
-    "preprocess", "PreprocessedPair", "reach_policy", "RecSysSpec", "SaClassification",
-    "serialize_mmdp", "serialize_policy", "simulate", "stationary_uniform_policy", "SupportGraph",
-    "Trace", "trace_to_csv", "TraceStep", "TransitionSystem", "trial_rng", "validate_mmdp",
+    "active_set", "almost_sure_reach_set", "ApdOutcome", "batch_summary", "bc_exact", "bc_matrix",
+    "BcCurve", "BcMatrix", "belief_update", "BeliefState", "bi_apd", "classify_pairs",
+    "ContractError", "decay_fit", "DecayFit", "DetectionError", "DetectionPolicy",
+    "entry_as_stationary", "error_bounds_binary", "error_bounds_multi", "ErrorBounds", "gen_grid",
+    "gen_recsys", "general_apd", "GridSpec", "History", "HorizonCapError",
+    "ImpossibleObservationError", "induced_transition_system", "informative_mdp",
+    "informative_mecs", "informative_structure", "map_decide", "Mdp", "Mec", "mec_decompose",
+    "Mmdp", "mmdp_to_json", "ModelError", "monte_carlo_curve", "monte_carlo_error",
+    "pairwise_bc_curve", "pairwise_isa", "parse_mmdp", "parse_policy", "policy_to_json",
+    "PolicyEntry", "preprocess", "PreprocessedPair", "reach_policy", "RecSysSpec",
+    "SaClassification", "serialize_mmdp", "serialize_policy", "simulate",
+    "stationary_uniform_policy", "SupportGraph", "Trace", "trace_to_csv", "TraceStep",
+    "TransitionSystem", "trial_rng", "validate_mmdp",
 ]
 
 __version__ = "0.1.0"

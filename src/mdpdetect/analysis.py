@@ -417,12 +417,12 @@ def _expand_aug(
             )
         dist = [(a, 1.0)]
     else:
-        frag = entry.mecs[mec_index]
-        if s not in frag.mec.states:
+        mec = entry.mecs[mec_index]
+        if s not in mec.states:
             raise ContractError(
                 f"policy entry {entry_key} leaves its component {mec_index} at {s!r}"
             )
-        dist = list(frag.distribution(s).items())
+        dist = list(mec.distribution(s).items())
         if not dist:
             raise ContractError(
                 f"policy entry {entry_key} plays nothing at {s!r} in its component {mec_index}"

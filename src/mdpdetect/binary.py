@@ -24,11 +24,9 @@ from typing import Any, Callable, Mapping
 from .errors import ModelError
 from .graphs import (
     Mec,
-    MecUniformPolicy,
     SupportGraph,
     almost_sure_reach_set,
     mec_decompose,
-    mec_uniform_policy,
     reach_policy,
     reachable_states,
 )
@@ -384,15 +382,16 @@ def _pair_graph(
 class _Decision:
     """The part of a synthesis level that does not depend on the initial state.
 
-    An entry state in ``rmax`` gets the ``reach`` table and the component
-    fragments ``mecs``. ``diagnostics`` holds the lists every entry reports.
-    ``graph``, when kept, serves the walk that finds the non-informative
-    components an undetectable initial state reaches.
+    An entry state in ``rmax`` gets the ``reach`` table and the informative
+    components ``mecs``, in which the policy randomizes uniformly. Every entry
+    of the decision shares both, read-only. ``diagnostics`` holds the lists
+    every entry reports. ``graph``, when kept, serves the walk that finds the
+    non-informative components an undetectable initial state reaches.
     """
 
     rmax: frozenset[str]
     reach: Mapping[str, str]
-    mecs: tuple[MecUniformPolicy, ...]
+    mecs: tuple[Mec, ...]
     diagnostics: Mapping[str, tuple]
     graph: SupportGraph | None
 
@@ -417,11 +416,11 @@ def _decide(
     inf_mecs = tuple(c for c in mecs if is_informative(c))
     targets = frozenset(s for c in inf_mecs for s in c.states)
     rmax = almost_sure_reach_set(graph, targets)
-    fragment = reach_policy(graph, targets, rmax)
+    reach = reach_policy(graph, targets, rmax)
     return _Decision(
         rmax=rmax,
-        reach={s: a for s, a in fragment.table.items() if s not in terminals},
-        mecs=tuple(mec_uniform_policy(c) for c in inf_mecs if terminals.isdisjoint(c.states)),
+        reach={s: a for s, a in reach.items() if s not in terminals},
+        mecs=tuple(c for c in inf_mecs if terminals.isdisjoint(c.states)),
         diagnostics={
             "rmax": tuple(sorted(rmax)),
             "mecs": tuple(c.as_dict() for c in mecs),
@@ -454,13 +453,7 @@ def _build(
                 if c not in diagnostics["informative_mecs"] and not reachable.isdisjoint(c)
             ]
         return None, diagnostics
-    entry = PolicyEntry(
-        active=active,
-        entry_state=initial,
-        reach=dict(decision.reach),
-        mecs=decision.mecs,
-    )
-    return entry, diagnostics
+    return PolicyEntry(active, initial, decision.reach, decision.mecs), diagnostics
 
 
 def _check_shared_structure(m1: Mdp, m2: Mdp) -> None:

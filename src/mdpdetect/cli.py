@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import sys
 from typing import Sequence
 
+from . import models
 from .binary import classify_pairs, informative_mecs, informative_structure, preprocess
 from .errors import ContractError, DetectionError, ModelError
 from .general import general_apd, pairwise_isa
@@ -194,6 +194,10 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "bc":
         _bind_numeric()
         mmdp = _load_mmdp(args.model)
+        if args.pair and args.bounds and mmdp.n > 2:
+            raise _UsageError(
+                f"--bounds needs the curves of every pair of the {mmdp.n} models, not --pair"
+            )
         policy = _load_policy(args.policy, mmdp)
         pairs = None
         if args.pair:
@@ -247,7 +251,7 @@ def _load_policy(path: str, mmdp: Mmdp) -> DetectionPolicy:
     offered = {s: frozenset(acts) for s, acts in mmdp.actions.items()}
     for key, entry in policy.entries.items():
         plays = [(entry.entry_state, ()), *((s, (a,)) for s, a in entry.reach.items())]
-        plays += [item for frag in entry.mecs for item in frag.mec.actions.items()]
+        plays += [item for mec in entry.mecs for item in mec.actions.items()]
         for s, acts in plays:
             if s not in offered:
                 raise ContractError(f"policy entry {key} names {s!r}, which is not a model state")
@@ -277,7 +281,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """JSON text as ``json.dumps(payload, indent=2, sort_keys=True)`` writes it, plus a newline."""
+    return models._json(payload, "") + "\n"
 
 
 def _parse_pair(raw: str) -> tuple[int, int]:

@@ -1,9 +1,9 @@
 """Qualitative graph algorithms on transition systems.
 
 Everything here ignores probability values: maximal end components,
-almost-sure reachability, and the two policy fragments (deterministic reach
-policy, uniform in-component policy) are all functions of the support
-structure alone.
+almost-sure reachability, the deterministic reach table and the uniform
+choice inside a component (:meth:`Mec.distribution`) are all functions of the
+support structure alone.
 
 The algorithms run on a :class:`SupportGraph`, whose states are interned to
 bit positions: a set of states is one Python ``int``, and "the support of a
@@ -15,7 +15,6 @@ in state and action names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractError
@@ -122,10 +121,11 @@ class Mec:
     Closure (every enabled action's successors stay inside) and strong
     connectivity are guaranteed by construction in :func:`mec_decompose`.
     A component found in a :class:`SupportGraph` also keeps its pairs as the
-    graph's row bitset ``rows``; it is None otherwise.
+    graph's row bitset ``rows``; it is None otherwise. A detection policy
+    plays :meth:`distribution` inside it.
     """
 
-    __slots__ = ("states", "actions", "rows", "_key")
+    __slots__ = ("states", "actions", "rows")
 
     def __init__(
         self,
@@ -138,7 +138,11 @@ class Mec:
             s: frozenset(acts) for s, acts in actions.items()
         }
         self.rows = rows
-        self._key = tuple(sorted((s, tuple(sorted(a))) for s, a in self.actions.items()))
+
+    def distribution(self, state: str) -> dict[str, float]:
+        """Uniform over the enabled actions at ``state``, in sorted order; empty if it has none."""
+        acts = sorted(self.actions.get(state, ()))
+        return {a: 1.0 / len(acts) for a in acts}
 
     def pairs(self) -> Iterable[tuple[str, str]]:
         for s in sorted(self.states):
@@ -151,42 +155,20 @@ class Mec:
             return s in self.states and a in self.actions.get(s, frozenset())
         return item in self.states
 
+    def _key(self) -> tuple:
+        return tuple(sorted((s, tuple(sorted(a))) for s, a in self.actions.items()))
+
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Mec) and self._key == other._key
+        return isinstance(other, Mec) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"Mec({sorted(self.states)})"
 
     def as_dict(self) -> dict[str, list[str]]:
         return {s: sorted(self.actions[s]) for s in sorted(self.states)}
-
-
-@dataclass(frozen=True)
-class PartialDeterministicPolicy:
-    """Deterministic state -> action map on an explicit domain."""
-
-    table: Mapping[str, str]
-
-    @property
-    def domain(self) -> frozenset[str]:
-        return frozenset(self.table)
-
-    def action(self, state: str) -> str:
-        return self.table[state]
-
-
-@dataclass(frozen=True)
-class MecUniformPolicy:
-    """Uniform randomization over the enabled actions of one end component."""
-
-    mec: Mec
-    probs: Mapping[str, Mapping[str, float]]
-
-    def distribution(self, state: str) -> Mapping[str, float]:
-        return self.probs[state]
 
 
 def mec_decompose(ts: TransitionSystem | SupportGraph) -> tuple[Mec, ...]:
@@ -308,13 +290,13 @@ def almost_sure_reach_set(
 
 def reach_policy(
     ts: TransitionSystem | SupportGraph, targets: Iterable[str], rmax: Iterable[str]
-) -> PartialDeterministicPolicy:
-    """Deterministic policy reaching ``targets`` with probability one on ``rmax``.
+) -> dict[str, str]:
+    """Deterministic state -> action table reaching ``targets`` with probability one on ``rmax``.
 
     Requires ``rmax == almost_sure_reach_set(ts, targets)``. At each state of
     ``rmax`` minus the targets, picks the admissible action (support inside
     ``rmax``) of minimal BFS distance to the targets, ties broken by action
-    identifier order.
+    identifier order. The table lists the states in sorted order.
     """
     g = SupportGraph.of(ts)
     target_set = frozenset(targets)
@@ -354,8 +336,7 @@ def reach_policy(
         raise ContractError(
             f"state {far!r} cannot reach the targets: rmax is not an almost-sure reach set"
         )
-    table = sorted((names[i], actions[r]) for i, r in choice.items())
-    return PartialDeterministicPolicy(table=dict(table))
+    return dict(sorted((names[i], actions[r]) for i, r in choice.items()))
 
 
 def _target_bits(g: SupportGraph, targets: frozenset[str]) -> int:
@@ -379,12 +360,3 @@ def reachable_states(ts: TransitionSystem | SupportGraph, start: str) -> frozens
         frontier = nxt & g.domain & ~seen
         seen |= frontier
     return frozenset([g.names[i] for i in bit_indices(seen)])
-
-
-def mec_uniform_policy(mec: Mec) -> MecUniformPolicy:
-    """Uniform distribution over the enabled actions at each member state."""
-    probs = {
-        s: {a: 1.0 / len(mec.actions[s]) for a in sorted(mec.actions[s])}
-        for s in sorted(mec.states)
-    }
-    return MecUniformPolicy(mec=mec, probs=probs)

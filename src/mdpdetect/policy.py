@@ -1,9 +1,9 @@
 """Composite detection policies: per active-model-subset reach + in-component phases.
 
 A policy is a table keyed by (active set, entry state). Each entry carries a
-deterministic reach fragment and a list of uniform in-component fragments over
-the informative end components found at that level. Execution semantics live
-in :mod:`mdpdetect.simulate`.
+deterministic reach table and the informative end components found at that
+level, in which it randomizes uniformly (:meth:`Mec.distribution`). Execution
+semantics live in :mod:`mdpdetect.simulate`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from .errors import ModelError
-from .graphs import Mec, MecUniformPolicy, mec_uniform_policy
+from .graphs import Mec
 from .models import Mmdp, _json
 
 ActiveSet = tuple[int, ...]  # sorted 1-based model indices
@@ -42,17 +42,21 @@ def members(mask: int, active: ActiveSet) -> ActiveSet:
 
 @dataclass(frozen=True)
 class PolicyEntry:
-    """Policy fragments used while ``active`` models remain, entered at ``entry_state``."""
+    """The policy while ``active`` models remain, entered at ``entry_state``.
+
+    ``reach`` plays one action per state until the run enters a component of
+    ``mecs``; it then randomizes uniformly inside that component.
+    """
 
     active: ActiveSet
     entry_state: str
     reach: Mapping[str, str]
-    mecs: tuple[MecUniformPolicy, ...] = field(default=())
+    mecs: tuple[Mec, ...] = field(default=())
 
     def committed_mec(self, state: str) -> int | None:
         """Index of the informative component containing ``state``, if any."""
-        for k, frag in enumerate(self.mecs):
-            if state in frag.mec.states:
+        for k, mec in enumerate(self.mecs):
+            if state in mec.states:
                 return k
         return None
 
@@ -88,7 +92,7 @@ def stationary_uniform_policy(mmdp: Mmdp) -> DetectionPolicy:
         active=active_set(range(1, mmdp.n + 1)),
         entry_state=mmdp.initial,
         reach={},
-        mecs=(mec_uniform_policy(mec),),
+        mecs=(mec,),
     )
     return single_entry_policy(entry)
 
@@ -106,10 +110,10 @@ def entry_as_stationary(entry: PolicyEntry, mmdp: Mmdp) -> dict[str, dict[str, f
     for s, a in entry.reach.items():
         if s in table:
             table[s] = {a: 1.0}
-    for frag in entry.mecs:
-        for s in frag.mec.states:
+    for mec in entry.mecs:
+        for s in mec.states:
             if s in table:
-                table[s] = dict(frag.distribution(s))
+                table[s] = mec.distribution(s)
     return table
 
 
@@ -130,7 +134,7 @@ def serialize_policy(policy: DetectionPolicy) -> dict[str, Any]:
                 "active": list(e.active),
                 "entry_state": e.entry_state,
                 "reach": {s: e.reach[s] for s in sorted(e.reach)},
-                "mecs": [{"states": frag.mec.as_dict()} for frag in e.mecs],
+                "mecs": [{"states": mec.as_dict()} for mec in e.mecs],
             }
         )
     return {"entries": entries}
@@ -188,7 +192,7 @@ def parse_policy(document: str | Mapping[str, Any]) -> DetectionPolicy:
                 for s, acts in states.items()
             ):
                 raise ModelError(f"{mpath}.states: expected state -> nonempty action list")
-            mecs.append(mec_uniform_policy(Mec(states.keys(), states)))
+            mecs.append(Mec(states.keys(), states))
         key = (active_set(active_raw), entry_state)
         if key in entries:
             raise ModelError(f"{path}: duplicate entry for active set {list(key[0])} at {entry_state!r}")

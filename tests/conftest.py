@@ -16,7 +16,7 @@ from hypothesis import settings
 from mdpdetect.analysis import BcCurve
 from mdpdetect.binary import _decide, informative_graph, preprocess
 from mdpdetect.errors import ContractError, HorizonCapError, ImpossibleObservationError, ModelError
-from mdpdetect.graphs import Mec, MecUniformPolicy, PartialDeterministicPolicy
+from mdpdetect.graphs import Mec
 from mdpdetect.models import Mdp, Mmdp, TransitionSystem, serialize_mmdp
 from mdpdetect.policy import DetectionPolicy, active_set, serialize_policy, survivors
 from mdpdetect.simulate import Trace, TraceStep, _check_priors, map_decide, trial_rng
@@ -496,8 +496,8 @@ def reference_almost_sure_reach_set(ts: TransitionSystem, targets: Iterable[str]
 
 def reference_reach_policy(
     ts: TransitionSystem, targets: Iterable[str], rmax: Iterable[str]
-) -> PartialDeterministicPolicy:
-    """Deterministic policy reaching ``targets`` with probability one on ``rmax``.
+) -> dict[str, str]:
+    """Deterministic state -> action table reaching ``targets`` with probability one on ``rmax``.
 
     Requires ``rmax == almost_sure_reach_set(ts, targets)``. At each state of
     ``rmax`` minus the targets, picks the admissible action (support inside
@@ -544,7 +544,17 @@ def reference_reach_policy(
                 best, best_d = a, d
         assert best is not None and best_d == dist[s]
         table[s] = best
-    return PartialDeterministicPolicy(table=table)
+    return table
+
+
+def reference_uniform_policy(mec: Mec) -> dict[str, dict[str, float]]:
+    """The in-component distributions of every state of ``mec``, as the
+    ``mec_uniform_policy`` wrapper built them before ``Mec.distribution``
+    replaced it: uniform over the sorted enabled actions."""
+    return {
+        s: {a: 1.0 / len(mec.actions[s]) for a in sorted(mec.actions[s])}
+        for s in sorted(mec.states)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -596,15 +606,14 @@ def sanitized(mmdp, policy):
     entries, changed = {}, False
     for key, entry in policy.entries.items():
         mecs, dropped = [], set()
-        for frag in entry.mecs:
+        for mec in entry.mecs:
             bad = {
-                s for s in frag.mec.states
-                if not frag.distribution(s)
-                or any(refused(entry.active, s, a) for a in frag.distribution(s))
+                s for s in mec.states
+                if not mec.distribution(s)
+                or any(refused(entry.active, s, a) for a in mec.distribution(s))
             }
             dropped |= bad
-            mec = Mec(frag.mec.states - bad, {s: a for s, a in frag.mec.actions.items() if s not in bad})
-            mecs.append(MecUniformPolicy(mec, {s: d for s, d in frag.probs.items() if s not in bad}))
+            mecs.append(Mec(mec.states - bad, {s: a for s, a in mec.actions.items() if s not in bad}))
         reach = {
             s: a for s, a in entry.reach.items()
             if s not in dropped and not refused(entry.active, s, a)
@@ -668,7 +677,8 @@ def _reference_expand_aug(mmdp, policy, pair, aug):
     entry = policy.entries[entry_key]
     active = entry.active
     if mec_index is not None:
-        dist = list(entry.mecs[mec_index].distribution(s).items())
+        # the uniform rule as frozen: a state outside the component is a KeyError
+        dist = list(reference_uniform_policy(entry.mecs[mec_index])[s].items())
     else:
         a = entry.reach.get(s)
         if a is None:
@@ -838,10 +848,10 @@ class _ReferenceController:
         if self.entry is None:
             return None
         if self.mec_index is not None:
-            frag = self.entry.mecs[self.mec_index]
-            if state not in frag.mec.states:
+            mec = self.entry.mecs[self.mec_index]
+            if state not in mec.states:
                 return None
-            return list(frag.distribution(state).items())
+            return list(mec.distribution(state).items())
         a = self.entry.reach.get(state)
         if a is None:
             return None

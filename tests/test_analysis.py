@@ -17,12 +17,14 @@ from mdpdetect.analysis import (
     decay_fit,
     error_bounds_binary,
     error_bounds_multi,
+    _expand_aug,
     pairwise_bc_curve,
 )
 from mdpdetect.binary import bi_apd
 from mdpdetect.cli import main
 from mdpdetect.errors import ContractError, HorizonCapError, ModelError
 from mdpdetect.general import general_apd
+from mdpdetect.graphs import Mec
 from mdpdetect.models import Mmdp, mmdp_to_json
 from mdpdetect.policy import (
     DetectionPolicy,
@@ -471,3 +473,13 @@ def test_non_finite_priors_are_refused(where, bad, tmp_path, capsys):
     assert main([*args, "--bounds", f"{bad},1:0.5,0.5"]) == 2
     assert "entries must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("actions", [{}, {"x": ()}], ids=["missing", "empty"])
+def test_a_component_state_without_actions_plays_nothing(actions):
+    """A hand-built component whose state lists no actions is a missing move, not a KeyError."""
+    mmdp = identical_mmdp()
+    entry = PolicyEntry((1, 2), "x", reach={}, mecs=(Mec(("x",), actions),))
+    policy = DetectionPolicy(entries={((1, 2), "x"): entry})
+    with pytest.raises(ContractError, match=r"plays nothing at 'x' in its component 0"):
+        _expand_aug(mmdp, policy, (((1, 2), "x"), 0, "x"))

@@ -454,7 +454,7 @@ def test_bi_apd_rejects_non_binary():
 
 def test_policy_plays_revealing_action_at_revealing_states():
     # every synthesized policy assigns the chosen revealing action wherever a
-    # revealing state enters the reach fragment
+    # revealing state enters the reach table
     for seed in range(6):
         mmdp = random_detectable_binary(rng_for(2000 + seed))
         outcome = bi_apd(mmdp)
@@ -465,7 +465,7 @@ def test_policy_plays_revealing_action_at_revealing_states():
         for s, a in entry.reach.items():
             if cls.state_labels.get(s) == REVEALING:
                 assert a == cls.chosen_revealing[s]
-    # Example 1 pins the concrete case: state 5 is revealing and in the fragment
+    # Example 1 pins the concrete case: state 5 is revealing and in the reach table
     outcome = bi_apd(example1_mmdp(initial="2"))
     entry = outcome.policy.entries[((1, 2), "2")]
     assert entry.reach["5"] == "b5"

@@ -13,10 +13,10 @@ from mdpdetect.analysis import pairwise_bc_curve
 from mdpdetect.cli import main
 from mdpdetect.errors import ContractError, ModelError
 from mdpdetect.models import Mmdp, mmdp_to_json, serialize_mmdp
-from mdpdetect.policy import parse_policy
+from mdpdetect.policy import parse_policy, policy_to_json, stationary_uniform_policy
 from mdpdetect.simulate import simulate
 
-from conftest import example1_mmdp, mk_mdp, random_multi_mmdp, rng_for
+from conftest import example1_mmdp, identical_mmdp, mk_mdp, random_multi_mmdp, rng_for
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -220,6 +220,33 @@ def test_bc_curve_and_bounds(tmp_path, model_file):
     lines = open(bounds_path).read().splitlines()
     assert lines[0] == "t,lower,upper_raw,upper_clamped"
     assert lines[1] == "0,0.25,0.5,0.5"
+
+
+def test_bc_bounds_of_one_pair_on_two_models(tmp_path, model_file):
+    """On two models the one pair is every pair: ``--pair 1,2`` changes no bound."""
+    _, policy_path, _ = _synthesize(tmp_path, model_file)
+    outputs = []
+    for extra in ([], ["--pair", "1,2"]):
+        out = tmp_path / f"bounds{len(extra)}.csv"
+        assert main(["bc", model_file, policy_path, "--horizon", "6",
+                     "--bounds", "0.3,0.7:0.5,0.5", *extra, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_bc_bounds_refuse_one_pair_of_three_models(tmp_path, capsys):
+    """The bounds of three or more models need every pair's curve, so ``--pair`` is a usage error."""
+    model = tmp_path / "model.json"
+    mmdp = identical_mmdp(n_models=3)
+    model.write_text(mmdp_to_json(mmdp))
+    policy = tmp_path / "policy.json"
+    policy.write_text(policy_to_json(stationary_uniform_policy(mmdp)))
+    args = ["bc", str(model), str(policy), "--horizon", "3", "--bounds", "0.2,0.3,0.5:0.4,0.3,0.3"]
+    out = tmp_path / "bounds.csv"
+    assert main([*args, "--pair", "1,2", "--out", str(out)]) == 1
+    assert "--bounds needs the curves of every pair of the 3 models" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*args, "--out", str(out)]) == 0
 
 
 def test_bc_rejects_a_model_index_out_of_range(tmp_path, model_file, capsys):

@@ -1,4 +1,4 @@
-"""Graph layer: MEC decomposition, almost-sure reachability, policy fragments."""
+"""Graph layer: MEC decomposition, almost-sure reachability, reach tables, in-component choice."""
 
 import numpy as np
 import pytest
@@ -12,10 +12,10 @@ from mdpdetect.graphs import (
     SupportGraph,
     almost_sure_reach_set,
     mec_decompose,
-    mec_uniform_policy,
     reach_policy,
 )
 from mdpdetect.models import TransitionSystem
+from mdpdetect.policy import parse_policy
 
 from conftest import (
     chain_reach_probability,
@@ -27,6 +27,7 @@ from conftest import (
     reference_almost_sure_reach_set,
     reference_mec_decompose,
     reference_reach_policy,
+    reference_uniform_policy,
     rng_for,
 )
 
@@ -172,12 +173,12 @@ def test_reach_policy_example1_plays_b2():
     pair, ts = _e1_structure()
     targets = {pair.bot1, pair.bot2}
     rmax = almost_sure_reach_set(ts, targets)
-    fragment = reach_policy(ts, targets, rmax)
-    assert fragment.table["2"] == "b2"
-    assert fragment.table["5"] == "b5"
-    assert fragment.domain == {"2", "5"}
+    table = reach_policy(ts, targets, rmax)
+    assert table["2"] == "b2"
+    assert table["5"] == "b5"
+    assert set(table) == {"2", "5"}
     # targets get no assignment
-    assert pair.bot1 not in fragment.table
+    assert pair.bot1 not in table
 
 
 def test_reach_policy_supports_stay_inside_rmax():
@@ -189,8 +190,8 @@ def test_reach_policy_supports_stay_inside_rmax():
             s for c in mec_decompose(ts) if any(p in c for p in pair.isa) for s in c.states
         )
         rmax = almost_sure_reach_set(ts, targets)
-        fragment = reach_policy(ts, targets, rmax)
-        for s, a in fragment.table.items():
+        table = reach_policy(ts, targets, rmax)
+        for s, a in table.items():
             assert ts.successors[(s, a)] <= rmax, (s, a)
 
 
@@ -202,14 +203,14 @@ def test_reach_policy_reaches_with_probability_one():
         rmax = almost_sure_reach_set(ts, targets)
         if not (rmax - targets):
             continue
-        fragment = reach_policy(ts, targets, rmax)
+        table = reach_policy(ts, targets, rmax)
         # materialize a compatible chain: uniform over the chosen action's support
         rows = {}
         for s in rmax:
             if s in targets:
                 rows[s] = {s: 1.0}
             else:
-                succs = sorted(ts.successors[(s, fragment.table[s])])
+                succs = sorted(ts.successors[(s, table[s])])
                 rows[s] = {t: 1.0 / len(succs) for t in succs}
         h = chain_reach_probability(rows, targets)
         for s in rmax:
@@ -229,12 +230,11 @@ def test_reach_policy_contract_breach_reported():
 
 def test_mec_uniform_point_mass_and_halves():
     mec1 = Mec({"3", "4"}, {"3": {"a3"}, "4": {"a4"}})
-    frag = mec_uniform_policy(mec1)
-    assert frag.distribution("3") == {"a3": 1.0}
+    assert mec1.distribution("3") == {"a3": 1.0}
     mec2 = Mec({"x"}, {"x": {"a", "b"}})
-    assert mec_uniform_policy(mec2).distribution("x") == {"a": 0.5, "b": 0.5}
+    assert mec2.distribution("x") == {"a": 0.5, "b": 0.5}
     mec3 = Mec({"x"}, {"x": {"a", "b", "c"}})
-    dist = mec_uniform_policy(mec3).distribution("x")
+    dist = mec3.distribution("x")
     assert all(abs(p - 1.0 / 3.0) <= 1e-15 for p in dist.values())
 
 
@@ -255,13 +255,12 @@ def test_mec_uniform_visits_every_pair():
     )
     (mec,) = mec_decompose(ts)
     assert mec.states == {"p", "q", "r"}
-    frag = mec_uniform_policy(mec)
     rng = np.random.Generator(np.random.Philox(key=(11, 0)))
     succ = ts.successors
     state = "p"
     seen = set()
     for _ in range(10_000):
-        dist = frag.distribution(state)
+        dist = mec.distribution(state)
         actions = sorted(dist)
         a = actions[int(rng.choice(len(actions), p=[dist[x] for x in actions]))]
         seen.add((state, a))
@@ -311,8 +310,8 @@ def test_kernels_match_the_frozen_string_kernels(ts, data):
     targets = data.draw(st.sets(st.sampled_from(ts.states)))
     rmax = reference_almost_sure_reach_set(ts, targets)
     assert almost_sure_reach_set(ts, targets) == rmax
-    table = reach_policy(ts, targets, rmax).table
-    assert list(table.items()) == list(reference_reach_policy(ts, targets, rmax).table.items())
+    table = reach_policy(ts, targets, rmax)
+    assert list(table.items()) == list(reference_reach_policy(ts, targets, rmax).items())
 
     # contract breaches: a target outside the state space, a set that is not the reach set
     outside = (*targets, "nowhere")
@@ -325,4 +324,31 @@ def test_kernels_match_the_frozen_string_kernels(ts, data):
     if isinstance(expected_policy, tuple):
         assert got_policy == expected_policy
     else:
-        assert list(got_policy.table.items()) == list(expected_policy.table.items())
+        assert list(got_policy.items()) == list(expected_policy.items())
+
+
+def _distributions(mec):
+    return {s: mec.distribution(s) for s in sorted(mec.states)}
+
+
+def _same_distributions(got, expected):
+    """Equal values in the same key order, at every state."""
+    assert list(got) == list(expected)
+    assert [list(d.items()) for d in got.values()] == [list(d.items()) for d in expected.values()]
+
+
+_names = st.text("abxyz_1", min_size=1, max_size=3)
+
+
+@settings(max_examples=200)
+@given(_structures(), st.dictionaries(_names, st.lists(_names, min_size=1, max_size=4), max_size=5))
+def test_component_distribution_matches_the_frozen_uniform_rule(ts, states):
+    """``Mec.distribution`` plays what ``mec_uniform_policy`` built: on the
+    components of random systems, and on components read from a policy file,
+    whose action lists may repeat an action and come in any order."""
+    for mec in mec_decompose(ts):
+        _same_distributions(_distributions(mec), reference_uniform_policy(mec))
+    doc = {"entries": [{"active": [1, 2], "entry_state": "s", "mecs": [{"states": states}]}]}
+    (entry,) = parse_policy(doc).entries.values()
+    (mec,) = entry.mecs
+    _same_distributions(_distributions(mec), reference_uniform_policy(mec))

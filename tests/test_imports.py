@@ -24,7 +24,7 @@ import sys
 import mdpdetect
 
 assert "numpy" not in sys.modules
-assert len(mdpdetect.__all__) == 66 and set(mdpdetect.__all__) <= set(dir(mdpdetect))
+assert len(mdpdetect.__all__) == 63 and set(mdpdetect.__all__) <= set(dir(mdpdetect))
 assert "numpy" not in sys.modules
 for name in mdpdetect.__all__:
     getattr(mdpdetect, name)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mdpdetect.errors import ModelError
 from mdpdetect.general import general_apd
-from mdpdetect.graphs import Mec, mec_uniform_policy
+from mdpdetect.graphs import Mec
 from mdpdetect.models import (
     History,
     Mmdp,
@@ -243,7 +243,7 @@ def _with_probability(mmdp, p):
 def _side_entries(mmdp):
     """A policy of entries with an empty reach, with no components, and with neither."""
     s, t = mmdp.states[0], mmdp.states[-1]
-    component = mec_uniform_policy(Mec((s,), {s: mmdp.actions[s]}))
+    component = Mec((s,), {s: mmdp.actions[s]})
     entries = (
         PolicyEntry(active=(1,), entry_state=s, reach={}, mecs=(component,)),
         PolicyEntry(active=(2,), entry_state=s, reach={t: mmdp.actions[t][0]}),

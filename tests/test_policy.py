@@ -99,9 +99,9 @@ def test_stationary_uniform_policy_shape():
     (entry,) = policy.entries.values()
     assert entry.active == (1, 2)
     assert entry.reach == {}
-    (frag,) = entry.mecs
-    assert frag.mec.states == set(mmdp.states)
-    assert frag.distribution("x") == {"a": 0.5, "b": 0.5}
+    (mec,) = entry.mecs
+    assert mec.states == set(mmdp.states)
+    assert mec.distribution("x") == {"a": 0.5, "b": 0.5}
 
 
 def test_entry_as_stationary_covers_every_state():

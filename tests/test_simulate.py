@@ -17,7 +17,7 @@ from mdpdetect.analysis import error_bounds_binary, pairwise_bc_curve
 from mdpdetect.binary import bi_apd
 from mdpdetect.errors import ContractError, ImpossibleObservationError, ModelError
 from mdpdetect.general import general_apd
-from mdpdetect.graphs import Mec, MecUniformPolicy
+from mdpdetect.graphs import Mec
 from mdpdetect.models import Mmdp, mmdp_to_json, parse_mmdp, validate_mmdp
 from mdpdetect.policy import (
     DetectionPolicy,
@@ -402,6 +402,19 @@ def test_monte_carlo_draws_the_truth_in_string_order():
     ]
 
 
+class _Weighted(Mec):
+    """A component that plays fixed action weights instead of the uniform choice."""
+
+    __slots__ = ("weights",)
+
+    def __init__(self, weights):
+        super().__init__(weights, weights)
+        self.weights = weights
+
+    def distribution(self, state):
+        return self.weights[state]
+
+
 def test_monte_carlo_ties_go_to_the_next_item():
     """A uniform equal to a running sum picks the next item: truth, action and successor.
 
@@ -416,9 +429,8 @@ def test_monte_carlo_ties_go_to_the_next_item():
     k1 = {**loops, ("s", "a"): {"x": 0.5, "y": 0.5}, ("s", "b"): {"x": 0.3, "y": 0.7}}
     k2 = {**loops, ("s", "a"): {"x": 0.6, "y": 0.4}, ("s", "b"): {"x": u_succ, "y": 1.0 - u_succ}}
     mmdp = Mmdp(models=(mk_mdp(states, actions, k1, "s", "M1"), mk_mdp(states, actions, k2, "s", "M2")))
-    mec = Mec(states, actions)
-    probs = {"s": {"a": u_action, "b": 1.0 - u_action}, "x": {"z": 1.0}, "y": {"z": 1.0}}
-    policy = single_entry_policy(PolicyEntry((1, 2), "s", reach={}, mecs=(MecUniformPolicy(mec, probs),)))
+    weights = {"s": {"a": u_action, "b": 1.0 - u_action}, "x": {"z": 1.0}, "y": {"z": 1.0}}
+    policy = single_entry_policy(PolicyEntry((1, 2), "s", reach={}, mecs=(_Weighted(weights),)))
     theta = (u_truth, 1.0 - u_truth)
     outcomes = _assert_monte_carlo_matches_reference(mmdp, policy, 1, 100, seed, theta=theta)
     # trial 0: truth 2, action b, successor y
@@ -536,12 +548,12 @@ def test_committed_component_is_never_left():
     mmdp = _recursive_instance()
     policy = general_apd(mmdp).policy
     top = policy.entries[((1, 2, 3), "s0")]
-    (frag,) = top.mecs
+    (mec,) = top.mecs
     for seed in range(20):
         trace = simulate(mmdp, 3, policy, seed=seed, threshold=1 - 1e-9, max_steps=300)
         inside = False
         for step in trace.steps:
-            if step.state in frag.mec.states:
+            if step.state in mec.states:
                 inside = True
             elif inside:
                 # model 3 admits no active-set change, so commitment is final
@@ -871,7 +883,7 @@ def _empty_component_case():
 
     At ``s`` the action ``go`` stays at ``s`` under model 1, while models 2
     and 3 may move to ``u``, which rules model 1 out. The entry for (2, 3) at
-    ``u`` commits to a component that offers no action at ``u``.
+    ``u`` commits to a component that holds ``u`` but lists no actions there.
     """
     states, actions = ("s", "u"), {"s": ("go",), "u": ("stay",)}
     rows = ({"s": 1.0}, {"s": 0.5, "u": 0.5}, {"s": 0.4, "u": 0.6})
@@ -879,7 +891,7 @@ def _empty_component_case():
         mk_mdp(states, actions, {("s", "go"): row, ("u", "stay"): {"u": 1.0}}, "s", f"M{k}")
         for k, row in enumerate(rows, 1)
     ))
-    empty = MecUniformPolicy(Mec(("u",), {"u": ("stay",)}), {"u": {}})
+    empty = Mec(("u",), {})
     policy = DetectionPolicy(entries={
         ((1, 2, 3), "s"): PolicyEntry((1, 2, 3), "s", reach={"s": "go"}),
         ((2, 3), "u"): PolicyEntry((2, 3), "u", reach={}, mecs=(empty,)),
