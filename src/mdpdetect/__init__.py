@@ -18,8 +18,6 @@ from .binary import (
     bi_apd,
     classify_pairs,
     informative_mdp,
-    informative_mecs,
-    informative_structure,
     preprocess,
 )
 from .errors import (
@@ -35,14 +33,13 @@ from .graphs import (
     SupportGraph,
     almost_sure_reach_set,
     mec_decompose,
+    model_graph,
     reach_policy,
 )
 from .models import (
     History,
     Mdp,
     Mmdp,
-    TransitionSystem,
-    induced_transition_system,
     mmdp_to_json,
     parse_mmdp,
     serialize_mmdp,
@@ -66,14 +63,13 @@ __all__ = [
     "ContractError", "decay_fit", "DecayFit", "DetectionError", "DetectionPolicy",
     "entry_as_stationary", "error_bounds_binary", "error_bounds_multi", "ErrorBounds", "gen_grid",
     "gen_recsys", "general_apd", "GridSpec", "History", "HorizonCapError",
-    "ImpossibleObservationError", "induced_transition_system", "informative_mdp",
-    "informative_mecs", "informative_structure", "map_decide", "Mdp", "Mec", "mec_decompose",
-    "Mmdp", "mmdp_to_json", "ModelError", "monte_carlo_curve", "monte_carlo_error",
+    "ImpossibleObservationError", "informative_mdp", "map_decide", "Mdp", "Mec", "mec_decompose",
+    "Mmdp", "mmdp_to_json", "model_graph", "ModelError", "monte_carlo_curve", "monte_carlo_error",
     "pairwise_bc_curve", "pairwise_isa", "parse_mmdp", "parse_policy", "policy_to_json",
     "PolicyEntry", "preprocess", "PreprocessedPair", "reach_policy", "RecSysSpec",
     "SaClassification", "serialize_mmdp", "serialize_policy", "simulate",
     "stationary_uniform_policy", "SupportGraph", "Trace", "trace_to_csv", "TraceStep",
-    "TransitionSystem", "trial_rng", "validate_mmdp",
+    "trial_rng", "validate_mmdp",
 ]
 
 __version__ = "0.1.0"

@@ -10,9 +10,10 @@ structure, never on the mixture weight used to blend the two kernels.
 
 Synthesis reads the rewritten structure straight from the shared support
 rows (:attr:`Mmdp.support_rows`) and the pair's classification, without
-building the rewritten models. :func:`preprocess` is the explicit form of
-the rewrite, with its probabilities; it serves ``mdpdetect mec
---informative`` and the tests.
+building the rewritten models; ``mdpdetect mec --informative`` lists the
+informative components synthesis finds. :func:`preprocess` is the explicit
+form of the rewrite, with its probabilities, and :func:`informative_mdp`
+blends it; the tests check synthesis against them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .graphs import (
     reach_policy,
     reachable_states,
 )
-from .models import ROW_EQ_TOL, Mdp, Mmdp, SupportRows, TransitionSystem, fresh_name
+from .models import ROW_EQ_TOL, Mdp, Mmdp, SupportRows, fresh_name
 from .policy import ActiveSet, DetectionPolicy, PolicyEntry, active_set, single_entry_policy
 
 REVEALING = "revealing"
@@ -190,38 +191,6 @@ def preprocess(m1: Mdp, m2: Mdp) -> PreprocessedPair:
     return PreprocessedPair(m1=m1p, m2=m2p, bot1=bot1, bot2=bot2, isa=isa, classification=cls)
 
 
-def informative_graph(pair: PreprocessedPair) -> SupportGraph:
-    """Union support of the two rewritten kernels (mixture-weight independent), interned."""
-    m1, m2 = pair.m1, pair.m2
-    names = tuple(sorted(m1.states))
-    index = {s: i for i, s in enumerate(names)}
-    actions: list[str] = []
-    first: list[int] = []
-    succ: list[int] = []
-    for s in names:
-        first.append(len(actions))
-        for a in sorted(m1.actions[s]):
-            bits = 0
-            for row in (m1.row(s, a), m2.row(s, a)):
-                for t, p in row.items():
-                    if p > 0.0:
-                        bits |= 1 << index[t]
-            actions.append(a)
-            succ.append(bits)
-    first.append(len(actions))
-    return SupportGraph(names, index, actions, first, succ, (1 << len(names)) - 1)
-
-
-def informative_structure(pair: PreprocessedPair) -> TransitionSystem:
-    """Union support of the two rewritten kernels (mixture-weight independent)."""
-    return TransitionSystem(
-        states=pair.m1.states,
-        actions=dict(pair.m1.actions),
-        transitions=frozenset(informative_graph(pair).triples()),
-        initial=pair.m1.initial,
-    )
-
-
 def informative_mdp(pair: PreprocessedPair, gamma: float) -> Mdp:
     """Materialize the gamma-blend of the rewritten kernels (oracle helper)."""
     if not 0.0 < gamma < 1.0:
@@ -241,11 +210,6 @@ def informative_mdp(pair: PreprocessedPair, gamma: float) -> Mdp:
         initial=pair.m1.initial,
         name=f"blend({gamma})",
     )
-
-
-def informative_mecs(ts: TransitionSystem, isa: frozenset[tuple[str, str]]) -> tuple[Mec, ...]:
-    """End components of ``ts`` containing at least one pair from ``isa``."""
-    return tuple(c for c in mec_decompose(ts) if any(p in c for p in isa))
 
 
 @dataclass(frozen=True)
@@ -343,10 +307,10 @@ def _pair_graph(
 
     Returns the graph over ``frame`` and its ``isa`` rows: the informative
     rows at states that are not revealing, and the two terminal rows. The
-    graph is ``informative_graph(preprocess(...))`` with the terminals at
-    bits n and n + 1. At a revealing state the chosen row moves to both
-    terminals, and the rows the rewrite drops move outside the graph (bit
-    ``len(names)``), where no kernel keeps them. An informative row keeps
+    graph is the union support of the two kernels :func:`preprocess` builds,
+    with the terminals at bits n and n + 1. At a revealing state the chosen
+    row moves to both terminals, and the rows the rewrite drops move outside
+    the graph (bit ``len(names)``), where no kernel keeps them. An informative row keeps
     the successors both models allow, plus the terminal of each model that
     puts mass elsewhere; a neutral row keeps the union support.
     """

@@ -13,11 +13,11 @@ import sys
 from typing import Sequence
 
 from . import models
-from .binary import classify_pairs, informative_mecs, informative_structure, preprocess
+from .binary import bi_apd, classify_pairs
 from .errors import ContractError, DetectionError, ModelError
 from .general import general_apd, pairwise_isa
-from .graphs import mec_decompose
-from .models import Mmdp, induced_transition_system, mmdp_to_json, parse_mmdp, validate_mmdp
+from .graphs import mec_decompose, model_graph
+from .models import Mmdp, mmdp_to_json, parse_mmdp, validate_mmdp
 from .policy import DetectionPolicy, parse_policy, policy_to_json
 from .scenarios import gen_grid, gen_recsys, grid_spec_from_json, recsys_spec_from_json
 
@@ -150,14 +150,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.informative:
             if mmdp.n != 2:
                 raise ModelError("--informative applies to binary models only")
-            pair = preprocess(mmdp.models[0], mmdp.models[1])
-            ts = informative_structure(pair)
-            mecs = informative_mecs(ts, pair.isa)
+            listing = bi_apd(mmdp).diagnostics["informative_mecs"]
         else:
             index = args.model_index if args.model_index is not None else 1
-            ts = induced_transition_system(mmdp.model(index))
-            mecs = mec_decompose(ts)
-        _write(args.out, _json([c.as_dict() for c in mecs]))
+            listing = [c.as_dict() for c in mec_decompose(model_graph(mmdp, index))]
+        _write(args.out, _json(listing))
         return EXIT_OK
 
     if args.command == "synthesize":

@@ -1,4 +1,4 @@
-"""Qualitative graph algorithms on transition systems.
+"""Qualitative graph algorithms on the support structure.
 
 Everything here ignores probability values: maximal end components,
 almost-sure reachability, the deterministic reach table and the uniform
@@ -7,10 +7,10 @@ support structure alone.
 
 The algorithms run on a :class:`SupportGraph`, whose states are interned to
 bit positions: a set of states is one Python ``int``, and "the support of a
-row stays inside U" is ``succ & ~U == 0``. :func:`mec_decompose`,
-:func:`almost_sure_reach_set` and :func:`reach_policy` take a
-``TransitionSystem`` (interned on the spot) or a ``SupportGraph``, and answer
-in state and action names.
+row stays inside U" is ``succ & ~U == 0``. Synthesis builds its graphs from
+:attr:`Mmdp.support_rows`, and :func:`model_graph` reads one model's support
+from the same rows. :func:`mec_decompose`, :func:`almost_sure_reach_set` and
+:func:`reach_policy` answer in state and action names.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractError
-from .models import TransitionSystem
+from .models import Mmdp
 
 
 def bit_indices(bits: int) -> list[int]:
@@ -27,7 +27,7 @@ def bit_indices(bits: int) -> list[int]:
 
 
 class SupportGraph:
-    """A transition system over states interned to bit positions.
+    """A support structure over states interned to bit positions.
 
     ``names[i]`` is the state of bit ``i`` and ``index`` maps names back. The
     rows (state-action pairs) of state ``i`` are ``first[i] .. first[i + 1]``,
@@ -55,29 +55,6 @@ class SupportGraph:
         self.succ = succ
         self.domain = domain
 
-    @classmethod
-    def of(cls, ts: TransitionSystem | SupportGraph) -> SupportGraph:
-        """``ts`` itself if it is interned already, else its states interned in sorted order."""
-        if isinstance(ts, SupportGraph):
-            return ts
-        names = tuple(sorted(set(ts.states)))
-        index = {s: i for i, s in enumerate(names)}
-        outside = 1 << len(names)
-        successors = ts.successors
-        actions: list[str] = []
-        first: list[int] = []
-        succ: list[int] = []
-        for s in names:
-            first.append(len(actions))
-            for a in sorted(ts.actions.get(s, ())):
-                bits = 0
-                for t in successors[(s, a)]:
-                    bits |= 1 << index[t] if t in index else outside
-                actions.append(a)
-                succ.append(bits)
-        first.append(len(actions))
-        return cls(names, index, actions, first, succ, outside - 1)
-
     def over(self, succ: Sequence[int], domain: int) -> SupportGraph:
         """The same states and rows with other successor sets and another domain."""
         return SupportGraph(self.names, self.index, self.actions, self.first, succ, domain)
@@ -102,27 +79,37 @@ class SupportGraph:
             out |= 1 << self.actions.index(a, self.first[i], self.first[i + 1])
         return out
 
-    def triples(self) -> Iterable[tuple[str, str, str]]:
-        """Every transition (state, action, successor) of the system."""
-        names, actions, first, succ = self.names, self.actions, self.first, self.succ
-        for i in bit_indices(self.domain):
-            for r in range(first[i], first[i + 1]):
-                for j in bit_indices(succ[r]):
-                    yield (names[i], actions[r], names[j])
-
     def _holds(self, state: str) -> bool:
         i = self.index.get(state)
         return i is not None and self.domain >> i & 1 == 1
+
+
+def model_graph(mmdp: Mmdp, model: int) -> SupportGraph:
+    """The support of model ``model`` (1-based), read from :attr:`Mmdp.support_rows`.
+
+    Row ``r`` moves to the successors of every mask group of ``r`` that holds
+    the model's bit.
+    """
+    mmdp.model(model)  # the ModelError of an index outside 1..n
+    rows, bit = mmdp.support_rows, 1 << model - 1
+    succ = [0] * len(rows.actions)
+    for here in rows.groups:
+        for r, groups in here:
+            for mask, bits in groups:
+                if mask & bit:
+                    succ[r] |= bits
+    domain = (1 << len(rows.names)) - 1
+    return SupportGraph(rows.names, rows.index, rows.actions, rows.first, succ, domain)
 
 
 class Mec:
     """An end component: a state set plus, per state, the enabled action subset.
 
     Closure (every enabled action's successors stay inside) and strong
-    connectivity are guaranteed by construction in :func:`mec_decompose`.
-    A component found in a :class:`SupportGraph` also keeps its pairs as the
-    graph's row bitset ``rows``; it is None otherwise. A detection policy
-    plays :meth:`distribution` inside it.
+    connectivity are guaranteed by construction in :func:`mec_decompose`,
+    which also keeps the component's pairs as its graph's row bitset
+    ``rows``; ``rows`` is None only for a parsed or hand-built component. A
+    detection policy plays :meth:`distribution` inside it.
     """
 
     __slots__ = ("states", "actions", "rows")
@@ -144,17 +131,6 @@ class Mec:
         acts = sorted(self.actions.get(state, ()))
         return {a: 1.0 / len(acts) for a in acts}
 
-    def pairs(self) -> Iterable[tuple[str, str]]:
-        for s in sorted(self.states):
-            for a in sorted(self.actions[s]):
-                yield (s, a)
-
-    def __contains__(self, item: object) -> bool:
-        if isinstance(item, tuple) and len(item) == 2:
-            s, a = item
-            return s in self.states and a in self.actions.get(s, frozenset())
-        return item in self.states
-
     def _key(self) -> tuple:
         return tuple(sorted((s, tuple(sorted(a))) for s, a in self.actions.items()))
 
@@ -168,18 +144,17 @@ class Mec:
         return f"Mec({sorted(self.states)})"
 
     def as_dict(self) -> dict[str, list[str]]:
-        return {s: sorted(self.actions[s]) for s in sorted(self.states)}
+        return {s: sorted(self.actions.get(s, ())) for s in sorted(self.states)}
 
 
-def mec_decompose(ts: TransitionSystem | SupportGraph) -> tuple[Mec, ...]:
-    """The unique set of maximal end components of ``ts``, ordered by their sorted states.
+def mec_decompose(g: SupportGraph) -> tuple[Mec, ...]:
+    """The unique set of maximal end components of ``g``, ordered by their sorted states.
 
     Standard SCC refinement: starting from the full state set, repeatedly
     drop actions whose support leaves the current block, drop states with no
     actions left, and split blocks along their strongly connected components
     until nothing changes. Surviving blocks are exactly the MECs.
     """
-    g = SupportGraph.of(ts)
     names, actions, first, succ = g.names, g.actions, g.first, g.succ
     result = []
     work = [g.domain]
@@ -254,15 +229,12 @@ def _components(block: int, post: Mapping[int, int]) -> list[int]:
     return found
 
 
-def almost_sure_reach_set(
-    ts: TransitionSystem | SupportGraph, targets: Iterable[str]
-) -> frozenset[str]:
+def almost_sure_reach_set(g: SupportGraph, targets: Iterable[str]) -> frozenset[str]:
     """States from which some policy reaches ``targets`` with probability one.
 
     Double fixpoint: within a shrinking candidate set U, keep the states that
     can reach the targets using only actions whose full support stays in U.
     """
-    g = SupportGraph.of(ts)
     target_bits = _target_bits(g, frozenset(targets))
     first, succ = g.first, g.succ
     rows = [(1 << i, succ[r]) for i in bit_indices(g.domain) for r in range(first[i], first[i + 1])]
@@ -288,17 +260,14 @@ def almost_sure_reach_set(
         candidate = reached
 
 
-def reach_policy(
-    ts: TransitionSystem | SupportGraph, targets: Iterable[str], rmax: Iterable[str]
-) -> dict[str, str]:
+def reach_policy(g: SupportGraph, targets: Iterable[str], rmax: Iterable[str]) -> dict[str, str]:
     """Deterministic state -> action table reaching ``targets`` with probability one on ``rmax``.
 
-    Requires ``rmax == almost_sure_reach_set(ts, targets)``. At each state of
+    Requires ``rmax == almost_sure_reach_set(g, targets)``. At each state of
     ``rmax`` minus the targets, picks the admissible action (support inside
     ``rmax``) of minimal BFS distance to the targets, ties broken by action
     identifier order. The table lists the states in sorted order.
     """
-    g = SupportGraph.of(ts)
     target_set = frozenset(targets)
     target_bits = _target_bits(g, target_set)
     names, actions, first, succ = g.names, g.actions, g.first, g.succ
@@ -347,9 +316,8 @@ def _target_bits(g: SupportGraph, targets: frozenset[str]) -> int:
     return g.bits(targets)
 
 
-def reachable_states(ts: TransitionSystem | SupportGraph, start: str) -> frozenset[str]:
+def reachable_states(g: SupportGraph, start: str) -> frozenset[str]:
     """The states reachable from ``start`` under any actions, ``start`` included."""
-    g = SupportGraph.of(ts)
     first, succ = g.first, g.succ
     seen = frontier = 1 << g.index[start]
     while frontier:

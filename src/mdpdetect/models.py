@@ -1,4 +1,4 @@
-"""Core model types: MDPs, multi-model MDPs, transition systems, histories.
+"""Core model types: MDPs, multi-model MDPs and the support rows they share, histories.
 
 State and action identifiers are strings at the API and file level; numeric
 code (matrix construction, simulation) interns them to dense indices where it
@@ -94,15 +94,6 @@ class Mmdp:
             raise ModelError(f"model index {index} outside 1..{self.n}")
         return self.models[index - 1]
 
-    def support_masks(self, state: str, action: str) -> dict[str, int]:
-        """Successor -> bitmask of the models giving it positive probability at (state, action).
-
-        Bit ``i - 1`` stands for model ``i``; successors no model allows are
-        absent, and the keys come in sorted order. Built afresh on each call.
-        """
-        acc = _successor_masks(self.models, state, action)
-        return {t: acc[t] for t in sorted(acc)}
-
     @cached_property
     def support_rows(self) -> SupportRows:
         """The shared support structure over interned states, built on first use."""
@@ -123,8 +114,9 @@ class SupportRows:
     ``first[i] .. first[i + 1]``, in sorted action order, and ``actions[r]``
     names the action. ``groups[i]`` lists state ``i``'s rows in its declared
     action order as ``(r, ((mask, successors), ...))``: the row's successors
-    as one bitset per model bitmask of :meth:`Mmdp.support_masks`, masks
-    ascending. Read-only once built.
+    as one bitset per model bitmask, masks ascending: bit ``m - 1`` of a
+    mask stands for model ``m`` giving those successors positive
+    probability. Read-only once built.
     """
 
     def __init__(self, mmdp: Mmdp) -> None:
@@ -170,7 +162,7 @@ class SamplingRows:
     empty row. Row (state, action) covers the sorted union of the models'
     row keys, as entries ``lo .. lo + size`` of ``successors``, ``masks``,
     ``lik`` and ``cdf``: ``masks[e]`` is successor ``e``'s model bitmask, as
-    in :meth:`Mmdp.support_masks` (0 where no model allows it), ``lik[e, m]``
+    in :class:`SupportRows` (0 where no model allows it), ``lik[e, m]``
     is model ``m + 1``'s probability of it and ``cdf[e, m]`` the running sum
     from ``lo``. A successor outside the model's row adds 0.0, so the sums at
     the model's own successors are those of its sorted items. ``last[m]`` is
@@ -215,40 +207,6 @@ class SamplingRows:
 
 
 @dataclass(frozen=True)
-class TransitionSystem:
-    """Qualitative structure: which transitions are possible at all."""
-
-    states: tuple[str, ...]
-    actions: Mapping[str, tuple[str, ...]]
-    transitions: frozenset[tuple[str, str, str]]
-    initial: str
-
-    @cached_property
-    def successors(self) -> dict[tuple[str, str], frozenset[str]]:
-        succ: dict[tuple[str, str], set[str]] = {
-            (s, a): set() for s in self.states for a in self.actions.get(s, ())
-        }
-        for (s, a, t) in self.transitions:
-            succ[(s, a)].add(t)
-        return {k: frozenset(v) for k, v in succ.items()}
-
-    def validate(self) -> list[str]:
-        problems = []
-        state_set = set(self.states)
-        if self.initial not in state_set:
-            problems.append(f"initial state {self.initial!r} not in states")
-        for (s, a, t) in self.transitions:
-            if s not in state_set or t not in state_set:
-                problems.append(f"transition ({s},{a},{t}) touches unknown state")
-            elif a not in self.actions.get(s, ()):
-                problems.append(f"transition ({s},{a},{t}) uses unknown action")
-        for (s, a), succ in self.successors.items():
-            if not succ:
-                problems.append(f"action {a!r} at state {s!r} has no outgoing transition")
-        return problems
-
-
-@dataclass(frozen=True)
 class History:
     """Alternating state-action sequence s_0, a_0, s_1, ..., s_t."""
 
@@ -272,21 +230,6 @@ class History:
             if a not in mdp.actions.get(self.states[tau], ()):
                 problems.append(f"action {a!r} unavailable at step {tau}")
         return problems
-
-
-def induced_transition_system(mdp: Mdp) -> TransitionSystem:
-    """The unique transition system carrying the support of the kernel."""
-    triples = set()
-    for s in mdp.states:
-        for a in mdp.actions.get(s, ()):
-            for t in support(mdp.row(s, a)):
-                triples.add((s, a, t))
-    return TransitionSystem(
-        states=mdp.states,
-        actions=dict(mdp.actions),
-        transitions=frozenset(triples),
-        initial=mdp.initial,
-    )
 
 
 def validate_mmdp(mmdp: Mmdp) -> list[str]:

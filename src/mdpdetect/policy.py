@@ -24,19 +24,13 @@ def active_set(indices: Iterable[int]) -> ActiveSet:
     return tuple(sorted(set(indices)))
 
 
-def survivors(mmdp: Mmdp, active: ActiveSet, s: str, a: str, s2: str) -> ActiveSet:
-    """The models of ``active`` that give the transition (s, a, s2) positive probability.
-
-    The per-transition form of the one rule that eliminates a model: by
-    support, never by the size of a posterior. The package applies it as
-    ``members(mask, active)`` to the masks of ``Mmdp.sampling``; the tests and
-    the frozen references in ``tests/conftest.py`` call this form.
-    """
-    return members(mmdp.support_masks(s, a).get(s2, 0), active)
-
-
 def members(mask: int, active: ActiveSet) -> ActiveSet:
-    """The models of ``active`` whose bit (``i - 1`` for model ``i``) is set in ``mask``."""
+    """The models of ``active`` whose bit (``i - 1`` for model ``i``) is set in ``mask``.
+
+    The one rule that eliminates a model: by support, never by the size of a
+    posterior. Synthesis applies it to the model masks of
+    :attr:`Mmdp.support_rows`, and run time to those of :attr:`Mmdp.sampling`.
+    """
     return tuple([i for i in active if mask >> (i - 1) & 1])
 
 

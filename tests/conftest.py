@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 from collections import deque
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -14,11 +15,11 @@ import pytest
 from hypothesis import settings
 
 from mdpdetect.analysis import BcCurve
-from mdpdetect.binary import _decide, informative_graph, preprocess
+from mdpdetect.binary import PreprocessedPair, _decide, preprocess
 from mdpdetect.errors import ContractError, HorizonCapError, ImpossibleObservationError, ModelError
-from mdpdetect.graphs import Mec
-from mdpdetect.models import Mdp, Mmdp, TransitionSystem, serialize_mmdp
-from mdpdetect.policy import DetectionPolicy, active_set, serialize_policy, survivors
+from mdpdetect.graphs import Mec, SupportGraph, bit_indices
+from mdpdetect.models import Mdp, Mmdp, serialize_mmdp, support
+from mdpdetect.policy import DetectionPolicy, active_set, serialize_policy
 from mdpdetect.simulate import Trace, TraceStep, _check_priors, map_decide, trial_rng
 
 # every property test runs the same examples on every run, however long they take
@@ -116,9 +117,7 @@ def random_transition_system(rng, n_states=6, max_actions=3) -> TransitionSystem
             succs = rng.choice(n_states, size=n_succ, replace=False)
             for t in succs:
                 triples.add((s, a, states[int(t)]))
-    return TransitionSystem(
-        states=states, actions=actions, transitions=frozenset(triples), initial=states[0]
-    )
+    return TransitionSystem(states=states, actions=actions, transitions=frozenset(triples))
 
 
 def random_binary_mmdp(rng, n_states=5, max_actions=2, informative_share=0.6) -> Mmdp:
@@ -245,6 +244,102 @@ def random_stationary_policy(rng, mmdp) -> dict:
         weights = weights / weights.sum()
         table[s] = {a: float(w) for a, w in zip(acts, weights)}
     return table
+
+
+# ---------------------------------------------------------------------------
+# The string-keyed support structure that the oracles and the frozen graph
+# references below take, the structures the package built in that form before
+# it read every graph from the support rows, and the interning that turns one
+# into the `SupportGraph` the kernels of `mdpdetect.graphs` run on.
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class TransitionSystem:
+    """Qualitative structure: which transitions are possible at all."""
+
+    states: tuple[str, ...]
+    actions: Mapping[str, tuple[str, ...]]
+    transitions: frozenset[tuple[str, str, str]]
+
+    @cached_property
+    def successors(self) -> dict[tuple[str, str], frozenset[str]]:
+        succ: dict[tuple[str, str], set[str]] = {
+            (s, a): set() for s in self.states for a in self.actions.get(s, ())
+        }
+        for (s, a, t) in self.transitions:
+            succ[(s, a)].add(t)
+        return {k: frozenset(v) for k, v in succ.items()}
+
+
+def induced_system(mdp: Mdp) -> TransitionSystem:
+    """The unique transition system carrying the support of the kernel."""
+    triples = set()
+    for s in mdp.states:
+        for a in mdp.actions.get(s, ()):
+            for t in support(mdp.row(s, a)):
+                triples.add((s, a, t))
+    return TransitionSystem(
+        states=mdp.states, actions=dict(mdp.actions), transitions=frozenset(triples)
+    )
+
+
+def informative_graph(pair: PreprocessedPair) -> SupportGraph:
+    """Union support of the two rewritten kernels (mixture-weight independent), interned."""
+    m1, m2 = pair.m1, pair.m2
+    names = tuple(sorted(m1.states))
+    index = {s: i for i, s in enumerate(names)}
+    actions: list[str] = []
+    first: list[int] = []
+    succ: list[int] = []
+    for s in names:
+        first.append(len(actions))
+        for a in sorted(m1.actions[s]):
+            bits = 0
+            for row in (m1.row(s, a), m2.row(s, a)):
+                for t, p in row.items():
+                    if p > 0.0:
+                        bits |= 1 << index[t]
+            actions.append(a)
+            succ.append(bits)
+    first.append(len(actions))
+    return SupportGraph(names, index, actions, first, succ, (1 << len(names)) - 1)
+
+
+def informative_system(pair: PreprocessedPair) -> TransitionSystem:
+    """Union support of the two rewritten kernels (mixture-weight independent)."""
+    graph = informative_graph(pair)
+    names, actions, first, succ = graph.names, graph.actions, graph.first, graph.succ
+    triples = {
+        (names[i], actions[r], names[j])
+        for i in bit_indices(graph.domain)
+        for r in range(first[i], first[i + 1])
+        for j in bit_indices(succ[r])
+    }
+    return TransitionSystem(
+        states=pair.m1.states, actions=dict(pair.m1.actions), transitions=frozenset(triples)
+    )
+
+
+def graph_of(ts: TransitionSystem) -> SupportGraph:
+    """The states of ``ts`` interned in sorted order, each state's rows in sorted action order."""
+    names = tuple(sorted(set(ts.states)))
+    index = {s: i for i, s in enumerate(names)}
+    outside = 1 << len(names)
+    successors = ts.successors
+    actions: list[str] = []
+    first: list[int] = []
+    succ: list[int] = []
+    for s in names:
+        first.append(len(actions))
+        for a in sorted(ts.actions.get(s, ())):
+            bits = 0
+            for t in successors[(s, a)]:
+                bits |= 1 << index[t] if t in index else outside
+            actions.append(a)
+            succ.append(bits)
+    first.append(len(actions))
+    return SupportGraph(names, index, actions, first, succ, outside - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +789,7 @@ def _reference_expand_aug(mmdp, policy, pair, aug):
             w = pa * math.sqrt(ri.get(s2, 0.0) * rj.get(s2, 0.0))
             if w == 0.0:
                 continue
-            new_active = survivors(mmdp, active, s, a, s2)
+            new_active = reference_survivors(mmdp, active, s, a, s2)
             if new_active == active:
                 tgt = _reference_canonical_aug(policy, entry_key, mec_index, s2)
             else:
@@ -908,7 +1003,7 @@ def _reference_episode(mmdp, truth, controller, rng, beliefs, max_steps, thresho
         if steps is not None:
             steps.append(TraceStep(t=t, state=state, action=action, beliefs=beliefs))
         beliefs = _reference_update(beliefs, state, action, succ, mmdp)
-        remaining = survivors(mmdp, active, state, action, succ) if 0.0 in beliefs else active
+        remaining = reference_survivors(mmdp, active, state, action, succ) if 0.0 in beliefs else active
         state = succ
         t += 1
         if remaining == active:
@@ -936,7 +1031,8 @@ def reference_policy_to_json(policy: DetectionPolicy) -> str:
 # ---------------------------------------------------------------------------
 # Frozen lazy row caches: the support masks and the sampling rows an `Mmdp`
 # built row by row on first use, which the one-pass table `Mmdp.sampling`
-# replaced and must match row for row.
+# replaced and must match row for row, and the elimination rule read from
+# those masks.
 # ---------------------------------------------------------------------------
 
 
@@ -947,6 +1043,12 @@ def reference_support_masks(mmdp: Mmdp, state: str, action: str) -> dict[str, in
             if p > 0.0:
                 acc[succ] = acc.get(succ, 0) | 1 << bit
     return {t: acc[t] for t in sorted(acc)}
+
+
+def reference_survivors(mmdp: Mmdp, active, s: str, a: str, s2: str) -> tuple[int, ...]:
+    """The models of ``active`` that give the transition (s, a, s2) positive probability."""
+    mask = reference_support_masks(mmdp, s, a).get(s2, 0)
+    return tuple([i for i in active if mask >> (i - 1) & 1])
 
 
 class ReferenceSamplingRows:

@@ -17,20 +17,20 @@ from mdpdetect.binary import (
     _pair_graph,
     bi_apd,
     classify_pairs,
-    informative_graph,
     informative_mdp,
-    informative_mecs,
-    informative_structure,
     preprocess,
 )
 from mdpdetect.errors import ModelError
 from mdpdetect.graphs import bit_indices, mec_decompose
-from mdpdetect.models import ROW_EQ_TOL, Mmdp, induced_transition_system, support, validate_mmdp
+from mdpdetect.models import ROW_EQ_TOL, Mmdp, support, validate_mmdp
 from mdpdetect.simulate import monte_carlo_error, simulate
 
 from conftest import (
     example1_mmdp,
     identical_mmdp,
+    induced_system,
+    informative_graph,
+    informative_system,
     mk_mdp,
     random_binary_mmdp,
     random_detectable_binary,
@@ -208,7 +208,7 @@ def test_preprocess_identical_models_adds_unreachable_terminals():
     # original rows untouched
     for (s, a), row in mmdp.models[0].kernel.items():
         assert pair.m1.row(s, a) == row
-    ts = informative_structure(pair)
+    ts = informative_system(pair)
     reachable_terminals = {
         t for (_, _, t) in ts.transitions if t in (pair.bot1, pair.bot2)
     }
@@ -221,17 +221,18 @@ def test_preprocess_identical_models_adds_unreachable_terminals():
 
 def test_informative_structure_example1(example1):
     pair = preprocess(*example1.models)
-    ts = informative_structure(pair)
+    ts = informative_system(pair)
     assert ("2", "b2", pair.bot1) in ts.transitions
     assert ("2", "b2", pair.bot2) in ts.transitions
-    assert ts.validate() == []
+    # every transition leaves a state by an action it offers, and every action moves
+    assert all(succ and succ <= set(ts.states) for succ in ts.successors.values())
 
 
 def test_informative_structure_identical_is_original_plus_terminals():
     mmdp = identical_mmdp()
     pair = preprocess(*mmdp.models)
-    ts = informative_structure(pair)
-    base = induced_transition_system(mmdp.models[0])
+    ts = informative_system(pair)
+    base = induced_system(mmdp.models[0])
     terminal_loops = {
         (pair.bot1, f"a_{pair.bot1}", pair.bot1),
         (pair.bot2, f"a_{pair.bot2}", pair.bot2),
@@ -252,15 +253,13 @@ def test_informative_structure_gamma_independent(example1):
             }
         )
     assert supports[0] == supports[1]
-    assert supports[0] == set(informative_structure(pair).transitions)
+    assert supports[0] == set(informative_system(pair).transitions)
 
 
 def test_informative_mecs_example1_only_terminals(example1):
     pair = preprocess(*example1.models)
-    ts = informative_structure(pair)
-    mecs = informative_mecs(ts, pair.isa)
-    state_sets = sorted(sorted(c.states) for c in mecs)
-    assert state_sets == sorted([[pair.bot1], [pair.bot2]])
+    mecs = bi_apd(example1).diagnostics["informative_mecs"]
+    assert sorted(sorted(c) for c in mecs) == sorted([[pair.bot1], [pair.bot2]])
 
 
 def test_informative_mecs_recurrent_informative_loop():
@@ -268,10 +267,8 @@ def test_informative_mecs_recurrent_informative_loop():
     actions = {"p": ("a",), "q": ("b",)}
     m1 = mk_mdp(states, actions, {("p", "a"): {"p": 0.6, "q": 0.4}, ("q", "b"): {"p": 1.0}}, "p")
     m2 = mk_mdp(states, actions, {("p", "a"): {"p": 0.2, "q": 0.8}, ("q", "b"): {"p": 1.0}}, "p")
-    pair = preprocess(m1, m2)
-    ts = informative_structure(pair)
-    mecs = informative_mecs(ts, pair.isa)
-    assert {frozenset({"p", "q"})} <= {c.states for c in mecs}
+    mecs = bi_apd(Mmdp(models=(m1, m2))).diagnostics["informative_mecs"]
+    assert {"p": ["a"], "q": ["b"]} in mecs
 
 
 def _random_mmdp(rng, kind):
@@ -530,7 +527,7 @@ def test_bi_apd_outcome_gamma_free(example1):
     # the pipeline consumes only supports; any blend yields the same structure,
     # hence identical decisions from both initial states
     pair = preprocess(*example1.models)
-    reference = set(informative_structure(pair).transitions)
+    reference = set(informative_system(pair).transitions)
     for gamma in (0.1, 0.5, 0.9):
         blend = informative_mdp(pair, gamma)
         blended_support = {

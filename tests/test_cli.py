@@ -433,6 +433,7 @@ for argv in (
     ["classify", multi, "--out", out + "/multi.cls"],
     ["mec", grid, "--out", out + "/grid.mec"],
     ["mec", grid, "--informative", "--out", out + "/grid.imec"],
+    ["mec", multi, "--model", "3", "--out", out + "/multi.mec3"],
     ["synthesize", grid, "--out", out + "/grid.pol", "--diagnostics", out + "/grid.diag"],
     ["synthesize", multi, "--out", out + "/multi.pol"],
 ):

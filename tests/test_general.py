@@ -12,7 +12,7 @@ from mdpdetect.binary import bi_apd
 from mdpdetect.cli import _json, main
 from mdpdetect.errors import ModelError
 from mdpdetect.general import general_apd, pairwise_isa
-from mdpdetect.models import Mmdp, induced_transition_system, mmdp_to_json
+from mdpdetect.models import Mmdp, mmdp_to_json
 from mdpdetect.policy import policy_to_json
 from mdpdetect.scenarios import GridSpec, RecSysSpec, gen_grid, gen_recsys
 from mdpdetect.simulate import map_decide, simulate
@@ -20,6 +20,7 @@ from mdpdetect.simulate import map_decide, simulate
 from conftest import (
     example1_mmdp,
     identical_mmdp,
+    induced_system,
     mk_mdp,
     oracle_almost_sure_reach,
     oracle_mecs,
@@ -131,14 +132,14 @@ def _oracle_same_support_decision(mmdp):
     """Detection exists iff the initial state almost surely reaches a component
     that separates every model pair by some differing row."""
     models = mmdp.models
-    ts = induced_transition_system(models[0])
+    ts = induced_system(models[0])
     pairs = [(i, j) for i in range(mmdp.n) for j in range(i + 1, mmdp.n)]
     targets = set()
     for states, acts in oracle_mecs(ts):
         members = [(s, a) for s in states for a in acts[s]]
         if all(any(models[i].row(*p) != models[j].row(*p) for p in members) for i, j in pairs):
             targets |= states
-    return ts.initial in oracle_almost_sure_reach(ts, targets)
+    return mmdp.initial in oracle_almost_sure_reach(ts, targets)
 
 
 @settings(max_examples=80)
@@ -421,22 +422,23 @@ def test_general_apd_matches_the_reference_pair_decision(seed, n_models, n_state
 
 
 def test_synthesis_never_builds_the_rewritten_pair(monkeypatch, tmp_path):
-    """Synthesis reads each pair from the support rows; only the CLI's ``mec
-    --informative`` and the tests build the rewritten pair."""
+    """Synthesis reads each pair from the support rows, and so does the CLI's
+    ``mec --informative``; only the tests build the rewritten pair."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("synthesis built the rewritten model pair")
 
     monkeypatch.setattr(binary, "preprocess", refuse)
-    monkeypatch.setattr(binary, "informative_graph", refuse)
+    # the patch is live
+    with pytest.raises(AssertionError, match="rewritten model pair"):
+        binary.preprocess(*example1_mmdp().models)
     assert general_apd(_recursive_instance()).exists
     assert general_apd(gen_recsys(RecSysSpec(item_count=5, type_count=4, seed=0))).exists
     assert bi_apd(example1_mmdp(initial="2")).exists
     assert bi_apd(gen_grid(GridSpec(width=5, height=5, goal_region=frozenset({(4, 4)})))).exists
-    # the patch is live: `mec --informative` reaches it
     model = tmp_path / "example1.json"
     model.write_text(mmdp_to_json(example1_mmdp()))
-    with pytest.raises(AssertionError, match="rewritten model pair"):
-        main(["mec", str(model), "--informative", "--out", str(tmp_path / "imec.json")])
+    assert main(["mec", str(model), "--informative", "--out", str(tmp_path / "patched.json")]) == 0
     monkeypatch.undo()
     assert main(["mec", str(model), "--informative", "--out", str(tmp_path / "imec.json")]) == 0
+    assert (tmp_path / "patched.json").read_bytes() == (tmp_path / "imec.json").read_bytes()

@@ -1,9 +1,10 @@
 """Golden bytes: the CLI outputs on small fixed instances, pinned by sha256.
 
 The model JSON (written by ``mmdp_to_json``, or by ``mdpdetect gen`` for the
-scenarios), ``classify`` JSON, ``mec --model 2`` JSON, ``mec --informative``
-JSON (binary cases), policy JSON, ``--diagnostics`` JSON, single-trace CSV,
-batch JSON and bc CSV of every case below are fixed points. A refactor or a
+scenarios), ``classify`` JSON, ``mec`` JSON (model 1, model 2 and, with three
+or more models, model 3), ``mec --informative`` JSON (binary cases), policy
+JSON, ``--diagnostics`` JSON, single-trace CSV, batch JSON and bc CSV of
+every case below are fixed points. A refactor or a
 speed-up of the synthesis, the episode loop or the coefficient DP must
 reproduce them byte for byte. After a deliberate change of output, print the new digests with
 
@@ -33,6 +34,7 @@ RECSYS_5X4 = {"item_count": 5, "type_count": 4, "seed": 0}
 # a case with no detection policy pins its diagnostics only
 CASES = ("example1-from-1", "example1-from-2", "recursive", "grid-5x5", "recsys-5x4")
 BINARY = ("example1-from-1", "example1-from-2", "grid-5x5")
+MULTI = ("recursive", "recsys-5x4")
 
 # Digests of the outputs before the synthesis tail and the episode loop were
 # shared. The bc CSVs are pinned from the first version that sums successors
@@ -45,6 +47,7 @@ GOLDEN = {
     "example1-from-1/classify.json": "719d7a2c6d3616cd076dbb55ab594343b7bdce7c7014cc2bf4c0ffb66bb8229b",
     "example1-from-1/diag.json": "b87bc63a53a249e7682ee4a1a5b940022c3303df1ebaf27efb638e98573730b2",
     "example1-from-1/mec-informative.json": "d1bfd7e2f638732c00e3cdaaa5c94ff4d92bddfbf41f6d5f1a85f2324d52cf2b",
+    "example1-from-1/mec-model1.json": "415144510b8cef01734162ffb31f72f9f1bcf4ef35b7c2b0da848fcc11700bc0",
     "example1-from-1/mec-model2.json": "b230550e1e6304024327fde0d83ba508c1a872deaa623440a4bbe28b6f558e32",
     "example1-from-1/model.json": "f0a66fb176c3dc759770c320358a93f2fb70dd639aa1cf8788385a17a0e50134",
     "example1-from-2/batch-truth2.json": "ba873e7ab5cd4e3bff462e310540cc9f4be48f8cbacb61e3bd075df69761a8e6",
@@ -53,6 +56,7 @@ GOLDEN = {
     "example1-from-2/classify.json": "719d7a2c6d3616cd076dbb55ab594343b7bdce7c7014cc2bf4c0ffb66bb8229b",
     "example1-from-2/diag.json": "b2fd52d916b06f315deffa7fa5a9ed5a2f9082cc2eb4d2b8d5396903099d6527",
     "example1-from-2/mec-informative.json": "d1bfd7e2f638732c00e3cdaaa5c94ff4d92bddfbf41f6d5f1a85f2324d52cf2b",
+    "example1-from-2/mec-model1.json": "415144510b8cef01734162ffb31f72f9f1bcf4ef35b7c2b0da848fcc11700bc0",
     "example1-from-2/mec-model2.json": "b230550e1e6304024327fde0d83ba508c1a872deaa623440a4bbe28b6f558e32",
     "example1-from-2/model.json": "b42daf1d47417aacc750e6980f56bc846a5deb1e57c0945f46319829efde1310",
     "example1-from-2/policy.json": "70a6d4252527a8605ef384e30ed6d50c74017192852fdb0cc6c38e30439dd4f2",
@@ -63,6 +67,7 @@ GOLDEN = {
     "grid-5x5/classify.json": "2720734977cf314d4444188d1810459ab947bdb5f5640a07b9e558d11a591cea",
     "grid-5x5/diag.json": "6f58ce620468986d67e5917dbc00ac71e4c4474747d889b9a0ebd462ff8c2b34",
     "grid-5x5/mec-informative.json": "aaaea90e876caf6eb45c8485415829c516b4e9feb3e6dbbff515b7c42e103401",
+    "grid-5x5/mec-model1.json": "8bcab15442ad351ed2e265ff2c536017deb9c4990e400dbf557e3976df4def4a",
     "grid-5x5/mec-model2.json": "8bcab15442ad351ed2e265ff2c536017deb9c4990e400dbf557e3976df4def4a",
     "grid-5x5/model.json": "f4fadb6c37a5c8e4d0ce0d631479b53b785a6620734584dbca85f7008ef190dd",
     "grid-5x5/policy.json": "a782ce6e917bcaa8b7f69eb4e359ced6b77d91a378540ef9de76fcc970e92eff",
@@ -72,7 +77,9 @@ GOLDEN = {
     "recsys-5x4/bc.csv": "46f51f4cb20e98975a3a2e2beb19b7e48f4c6a2dff0129b8136ba6fded288649",
     "recsys-5x4/classify.json": "f9916040a6a79d7080fa091537370d396128f3d4ee5f5d991cc16e283d04ceca",
     "recsys-5x4/diag.json": "3a3ee473a98be81ecffb25b568b39496fe87fa04cd7644bbaf3b21dafd6ce4bb",
+    "recsys-5x4/mec-model1.json": "dbcac1f7753b91cefb6c13a8afad3642229572f3e74fd21d2ea2e33ab10b83e0",
     "recsys-5x4/mec-model2.json": "dbcac1f7753b91cefb6c13a8afad3642229572f3e74fd21d2ea2e33ab10b83e0",
+    "recsys-5x4/mec-model3.json": "dbcac1f7753b91cefb6c13a8afad3642229572f3e74fd21d2ea2e33ab10b83e0",
     "recsys-5x4/model.json": "8168637388e4cc92322485b151f3705aaf30f4627e62017fdfdbf970fb8e2533",
     "recsys-5x4/policy.json": "a11f316abde02490df0d39c8814fe1f62182916d74b56c04e9021d86d7014e7a",
     "recsys-5x4/trace.csv": "e0278d2c4b3edcf4e902c8d789e215df7b7ace96cab418c4a2573db318818c72",
@@ -81,7 +88,9 @@ GOLDEN = {
     "recursive/bc.csv": "113804c9be0d5ee1df23a81c2d4be6479d10fc097ca1ed4b20639c0c94fa97bb",
     "recursive/classify.json": "838574b079097545928cbd099cb6b6b456c222a8b1100b78f76028c4355dab0d",
     "recursive/diag.json": "b2281fe4b381633b040a30894b07702dcc8d223279aca7f1affe1df773762fa7",
+    "recursive/mec-model1.json": "469d2abc51f620abc6de95ac687709419ccc3f74816824b6c88175e489d4a7dd",
     "recursive/mec-model2.json": "469d2abc51f620abc6de95ac687709419ccc3f74816824b6c88175e489d4a7dd",
+    "recursive/mec-model3.json": "469d2abc51f620abc6de95ac687709419ccc3f74816824b6c88175e489d4a7dd",
     "recursive/model.json": "1bd10ab11ed99141bea6f2642691f8d3027e18b588cacbfa213d0d6bf5c76401",
     "recursive/policy.json": "e192932a5bc16d0c1b87592f7969dde7f62f3af027d55b98e783e5d077ecbfa7",
     "recursive/trace.csv": "a23ed1cb5a04d59684e89d500f3dcce7f2a26ca36a44f93daf96e743974741fe",
@@ -110,7 +119,10 @@ def golden_outputs(work: Path) -> dict[str, bytes]:
         out.mkdir()
         model = str(_model(case, work))
         listings = [["classify", model, "--out", str(out / "classify.json")],
+                    ["mec", model, "--out", str(out / "mec-model1.json")],
                     ["mec", model, "--model", "2", "--out", str(out / "mec-model2.json")]]
+        if case in MULTI:
+            listings.append(["mec", model, "--model", "3", "--out", str(out / "mec-model3.json")])
         if case in BINARY:
             listings.append(["mec", model, "--informative", "--out", str(out / "mec-informative.json")])
         for args in listings:

@@ -1,28 +1,40 @@
 """Graph layer: MEC decomposition, almost-sure reachability, reach tables, in-component choice."""
 
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdpdetect.binary import informative_mdp, informative_structure, preprocess
-from mdpdetect.errors import ContractError
+from mdpdetect.binary import informative_mdp, preprocess
+from mdpdetect.cli import main
+from mdpdetect.errors import ContractError, ModelError
 from mdpdetect.graphs import (
     Mec,
-    SupportGraph,
     almost_sure_reach_set,
     mec_decompose,
+    model_graph,
     reach_policy,
 )
-from mdpdetect.models import TransitionSystem
+from mdpdetect.models import mmdp_to_json
 from mdpdetect.policy import parse_policy
 
 from conftest import (
+    TransitionSystem,
     chain_reach_probability,
     example1_mmdp,
+    graph_of,
+    induced_system,
+    informative_graph,
+    informative_system,
     oracle_almost_sure_reach,
     oracle_mecs,
+    random_binary_mmdp,
     random_detectable_binary,
+    random_multi_mmdp,
     random_transition_system,
     reference_almost_sure_reach_set,
     reference_mec_decompose,
@@ -32,31 +44,30 @@ from conftest import (
 )
 
 
-def _ts(states, actions, triples, initial):
+def _ts(states, actions, triples):
     return TransitionSystem(
         states=tuple(states),
         actions={s: tuple(a) for s, a in actions.items()},
         transitions=frozenset(triples),
-        initial=initial,
     )
 
 
 def _e1_structure():
     mmdp = example1_mmdp()
     pair = preprocess(mmdp.models[0], mmdp.models[1])
-    return pair, informative_structure(pair)
+    return pair, informative_graph(pair)
 
 
 def test_mec_single_self_loop():
-    ts = _ts(("s",), {"s": ("a",)}, {("s", "a", "s")}, "s")
-    (mec,) = mec_decompose(ts)
+    ts = _ts(("s",), {"s": ("a",)}, {("s", "a", "s")})
+    (mec,) = mec_decompose(graph_of(ts))
     assert mec.states == {"s"}
     assert mec.actions["s"] == {"a"}
 
 
 def test_mec_example1_informative_structure():
-    pair, ts = _e1_structure()
-    mecs = mec_decompose(ts)
+    pair, graph = _e1_structure()
+    mecs = mec_decompose(graph)
     state_sets = sorted(sorted(c.states) for c in mecs)
     assert state_sets == sorted(
         [["3", "4"], ["6"], ["7"], [pair.bot1], [pair.bot2]]
@@ -69,7 +80,7 @@ def test_mec_matches_subset_enumeration_oracle():
         got = sorted(
             (
                 (frozenset(c.states), {s: c.actions[s] for s in c.states})
-                for c in mec_decompose(ts)
+                for c in mec_decompose(graph_of(ts))
             ),
             key=lambda c: sorted(c[0]),
         )
@@ -88,17 +99,16 @@ def test_mec_output_independent_of_state_order():
             [rename[s] for s in ts.states],
             {rename[s]: ts.actions[s] for s in ts.states},
             {(rename[s], a, rename[t]) for (s, a, t) in ts.transitions},
-            rename[ts.initial],
         )
-        got = {frozenset(rename[s] for s in c.states) for c in mec_decompose(ts)}
-        direct = {frozenset(c.states) for c in mec_decompose(ts2)}
+        got = {frozenset(rename[s] for s in c.states) for c in mec_decompose(graph_of(ts))}
+        direct = {frozenset(c.states) for c in mec_decompose(graph_of(ts2))}
         assert got == direct
 
 
 def test_mecs_disjoint_and_unmergeable():
     for seed in range(8):
         ts = random_transition_system(rng_for(70 + seed), n_states=6)
-        mecs = mec_decompose(ts)
+        mecs = mec_decompose(graph_of(ts))
         seen = set()
         for c in mecs:
             assert seen.isdisjoint(c.states)
@@ -120,12 +130,12 @@ def test_mecs_disjoint_and_unmergeable():
 
 def test_reach_set_trivial_targets_all_states():
     ts = random_transition_system(rng_for(3))
-    assert almost_sure_reach_set(ts, ts.states) == frozenset(ts.states)
+    assert almost_sure_reach_set(graph_of(ts), ts.states) == frozenset(ts.states)
 
 
 def test_reach_set_example1_membership():
-    pair, ts = _e1_structure()
-    rmax = almost_sure_reach_set(ts, {pair.bot1, pair.bot2})
+    pair, graph = _e1_structure()
+    rmax = almost_sure_reach_set(graph, {pair.bot1, pair.bot2})
     assert "2" in rmax
     assert "1" not in rmax
     assert rmax == frozenset({"2", "5", pair.bot1, pair.bot2})
@@ -133,7 +143,7 @@ def test_reach_set_example1_membership():
 
 def test_reach_set_example1_cross_checked_by_value_iteration():
     # quantitative confirmation on the half-blend kernel
-    pair, ts = _e1_structure()
+    pair, graph = _e1_structure()
     blend = informative_mdp(pair, 0.5)
     targets = {pair.bot1, pair.bot2}
     values = {s: 1.0 if s in targets else 0.0 for s in blend.states}
@@ -145,7 +155,7 @@ def test_reach_set_example1_cross_checked_by_value_iteration():
                 sum(p * values[t] for t, p in blend.row(s, a).items())
                 for a in blend.actions[s]
             )
-    rmax = almost_sure_reach_set(ts, targets)
+    rmax = almost_sure_reach_set(graph, targets)
     for s in blend.states:
         assert (values[s] > 1 - 1e-9) == (s in rmax), s
 
@@ -156,7 +166,7 @@ def test_reach_set_matches_policy_enumeration_oracle():
         rng = rng_for(300 + seed)
         k = int(rng.integers(1, 3))
         targets = {ts.states[int(i)] for i in rng.choice(len(ts.states), size=k, replace=False)}
-        got = almost_sure_reach_set(ts, targets)
+        got = almost_sure_reach_set(graph_of(ts), targets)
         assert got == oracle_almost_sure_reach(ts, targets)
 
 
@@ -166,14 +176,15 @@ def test_reach_set_monotone_in_targets():
         rng = rng_for(600 + seed)
         small = {ts.states[int(rng.integers(0, len(ts.states)))]}
         big = small | {ts.states[int(rng.integers(0, len(ts.states)))]}
-        assert almost_sure_reach_set(ts, small) <= almost_sure_reach_set(ts, big)
+        graph = graph_of(ts)
+        assert almost_sure_reach_set(graph, small) <= almost_sure_reach_set(graph, big)
 
 
 def test_reach_policy_example1_plays_b2():
-    pair, ts = _e1_structure()
+    pair, graph = _e1_structure()
     targets = {pair.bot1, pair.bot2}
-    rmax = almost_sure_reach_set(ts, targets)
-    table = reach_policy(ts, targets, rmax)
+    rmax = almost_sure_reach_set(graph, targets)
+    table = reach_policy(graph, targets, rmax)
     assert table["2"] == "b2"
     assert table["5"] == "b5"
     assert set(table) == {"2", "5"}
@@ -185,12 +196,12 @@ def test_reach_policy_supports_stay_inside_rmax():
     for seed in range(10):
         mmdp = random_detectable_binary(rng_for(700 + seed))
         pair = preprocess(mmdp.models[0], mmdp.models[1])
-        ts = informative_structure(pair)
-        targets = frozenset(
-            s for c in mec_decompose(ts) if any(p in c for p in pair.isa) for s in c.states
-        )
-        rmax = almost_sure_reach_set(ts, targets)
-        table = reach_policy(ts, targets, rmax)
+        ts = informative_system(pair)
+        graph = graph_of(ts)
+        isa_rows = graph.row_bits(pair.isa)
+        targets = frozenset(s for c in mec_decompose(graph) if c.rows & isa_rows for s in c.states)
+        rmax = almost_sure_reach_set(graph, targets)
+        table = reach_policy(graph, targets, rmax)
         for s, a in table.items():
             assert ts.successors[(s, a)] <= rmax, (s, a)
 
@@ -200,10 +211,11 @@ def test_reach_policy_reaches_with_probability_one():
         ts = random_transition_system(rng_for(900 + seed), n_states=6, max_actions=2)
         rng = rng_for(950 + seed)
         targets = {ts.states[int(i)] for i in rng.choice(len(ts.states), size=2, replace=False)}
-        rmax = almost_sure_reach_set(ts, targets)
+        graph = graph_of(ts)
+        rmax = almost_sure_reach_set(graph, targets)
         if not (rmax - targets):
             continue
-        table = reach_policy(ts, targets, rmax)
+        table = reach_policy(graph, targets, rmax)
         # materialize a compatible chain: uniform over the chosen action's support
         rows = {}
         for s in rmax:
@@ -222,10 +234,9 @@ def test_reach_policy_contract_breach_reported():
         ("a", "b"),
         {"a": ("go",), "b": ("stay",)},
         {("a", "go", "b"), ("b", "stay", "b")},
-        "a",
     )
     with pytest.raises(ContractError):
-        reach_policy(ts, targets={"a"}, rmax=frozenset({"a", "b"}))
+        reach_policy(graph_of(ts), targets={"a"}, rmax=frozenset({"a", "b"}))
 
 
 def test_mec_uniform_point_mass_and_halves():
@@ -251,9 +262,8 @@ def test_mec_uniform_visits_every_pair():
             ("r", "w", "q"),
             ("r", "x", "r"),
         },
-        "p",
     )
-    (mec,) = mec_decompose(ts)
+    (mec,) = mec_decompose(graph_of(ts))
     assert mec.states == {"p", "q", "r"}
     rng = np.random.Generator(np.random.Philox(key=(11, 0)))
     succ = ts.successors
@@ -287,7 +297,7 @@ def _structures(draw):
     for u in unreached:
         actions[u] = ("b",)
         triples.add((u, "b", draw(st.sampled_from(states))))
-    return _ts(states, actions, triples, states[0])
+    return _ts(states, actions, triples)
 
 
 def _outcome(fn, *args):
@@ -301,25 +311,25 @@ def _outcome(fn, *args):
 @settings(max_examples=400)
 @given(_structures(), st.data())
 def test_kernels_match_the_frozen_string_kernels(ts, data):
-    got, expected = mec_decompose(ts), reference_mec_decompose(ts)
+    graph = graph_of(ts)
+    got, expected = mec_decompose(graph), reference_mec_decompose(ts)
     assert [(c.states, c.actions) for c in got] == [(c.states, c.actions) for c in expected]
-    graph = SupportGraph.of(ts)
     for c in got:
-        assert c.rows == graph.row_bits(c.pairs())
+        assert c.rows == graph.row_bits((s, a) for s in c.states for a in c.actions[s])
 
     targets = data.draw(st.sets(st.sampled_from(ts.states)))
     rmax = reference_almost_sure_reach_set(ts, targets)
-    assert almost_sure_reach_set(ts, targets) == rmax
-    table = reach_policy(ts, targets, rmax)
+    assert almost_sure_reach_set(graph, targets) == rmax
+    table = reach_policy(graph, targets, rmax)
     assert list(table.items()) == list(reference_reach_policy(ts, targets, rmax).items())
 
     # contract breaches: a target outside the state space, a set that is not the reach set
     outside = (*targets, "nowhere")
-    assert _outcome(almost_sure_reach_set, ts, outside) == _outcome(
+    assert _outcome(almost_sure_reach_set, graph, outside) == _outcome(
         reference_almost_sure_reach_set, ts, outside
     )
     wrong = data.draw(st.sets(st.sampled_from(ts.states)))
-    got_policy = _outcome(reach_policy, ts, targets, wrong)
+    got_policy = _outcome(reach_policy, graph, targets, wrong)
     expected_policy = _outcome(reference_reach_policy, ts, targets, wrong)
     if isinstance(expected_policy, tuple):
         assert got_policy == expected_policy
@@ -346,9 +356,58 @@ def test_component_distribution_matches_the_frozen_uniform_rule(ts, states):
     """``Mec.distribution`` plays what ``mec_uniform_policy`` built: on the
     components of random systems, and on components read from a policy file,
     whose action lists may repeat an action and come in any order."""
-    for mec in mec_decompose(ts):
+    for mec in mec_decompose(graph_of(ts)):
         _same_distributions(_distributions(mec), reference_uniform_policy(mec))
     doc = {"entries": [{"active": [1, 2], "entry_state": "s", "mecs": [{"states": states}]}]}
     (entry,) = parse_policy(doc).entries.values()
     (mec,) = entry.mecs
     _same_distributions(_distributions(mec), reference_uniform_policy(mec))
+
+
+def _listing_text(components):
+    return json.dumps(components, indent=2, sort_keys=True) + "\n"
+
+
+def _fields(graph):
+    return (graph.names, dict(graph.index), list(graph.actions), list(graph.first),
+            list(graph.succ), graph.domain)
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["binary", "multi"]),
+       n_models=st.integers(2, 4))
+def test_mec_listings_match_the_frozen_string_structures(seed, kind, n_models):
+    """``model_graph`` is the frozen induced structure of the model, interned,
+    field by field; ``mec --model k`` lists its components, and ``mec
+    --informative`` lists the components of the frozen rewritten pair that
+    hold an informative row."""
+    rng = rng_for(seed)
+    n_states = int(rng.integers(2, 7))
+    if kind == "binary":
+        mmdp = random_binary_mmdp(rng, n_states=n_states)
+    else:
+        mmdp = random_multi_mmdp(rng, n_models=n_models, n_states=n_states, reveal_share=0.5)
+    with tempfile.TemporaryDirectory() as tmp:
+        model, out = Path(tmp) / "model.json", Path(tmp) / "out.json"
+        model.write_text(mmdp_to_json(mmdp))
+
+        def listing(*flags):
+            code = main(["mec", str(model), *flags, "--out", str(out)])
+            return code, out.read_text() if code == 0 else None
+
+        for k in range(1, mmdp.n + 1):
+            graph = graph_of(induced_system(mmdp.model(k)))
+            assert _fields(model_graph(mmdp, k)) == _fields(graph)
+            expected = [c.as_dict() for c in mec_decompose(graph)]
+            assert listing("--model", str(k)) == (0, _listing_text(expected))
+        for k in (0, mmdp.n + 1):
+            with pytest.raises(ModelError, match=rf"^model index {k} outside 1\.\.{mmdp.n}$"):
+                model_graph(mmdp, k)
+        if mmdp.n == 2:
+            pair = preprocess(*mmdp.models)
+            graph = informative_graph(pair)
+            isa_rows = graph.row_bits(pair.isa)
+            expected = [c.as_dict() for c in mec_decompose(graph) if c.rows & isa_rows]
+            assert listing("--informative") == (0, _listing_text(expected))
+        else:
+            assert listing("--informative") == (2, None)

@@ -24,7 +24,7 @@ import sys
 import mdpdetect
 
 assert "numpy" not in sys.modules
-assert len(mdpdetect.__all__) == 63 and set(mdpdetect.__all__) <= set(dir(mdpdetect))
+assert len(mdpdetect.__all__) == 60 and set(mdpdetect.__all__) <= set(dir(mdpdetect))
 assert "numpy" not in sys.modules
 for name in mdpdetect.__all__:
     getattr(mdpdetect, name)
@@ -58,13 +58,16 @@ def test_synthesis_and_elimination_by_support_load_no_numpy():
     _fresh("""
 import sys
 from mdpdetect.general import general_apd
-from mdpdetect.policy import survivors
+from mdpdetect.policy import members
 from mdpdetect.scenarios import gen_grid, grid_spec_from_json
 
 mmdp = gen_grid(grid_spec_from_json({"width": 3, "height": 3, "obstacles": [], "goal_region": [[2, 2]]}))
 assert general_apd(mmdp).exists
-mmdp.support_rows
-assert survivors(mmdp, (1, 2), "c0_0", "move", "c1_0") == (1, 2)
+rows = mmdp.support_rows
+i, j = rows.index["c0_0"], rows.index["c1_0"]
+(groups,) = [g for r, g in rows.groups[i] if rows.actions[r] == "move"]
+(mask,) = [mask for mask, bits in groups if bits >> j & 1]
+assert members(mask, (1, 2)) == (1, 2)
 assert "numpy" not in sys.modules
 mmdp.sampling
 assert "numpy" in sys.modules

@@ -1,4 +1,4 @@
-"""Model core: parsing, validation, serialization, induced structure."""
+"""Model core: parsing, validation, serialization, row tables."""
 
 import dataclasses
 import json
@@ -15,7 +15,6 @@ from mdpdetect.graphs import Mec
 from mdpdetect.models import (
     History,
     Mmdp,
-    induced_transition_system,
     mmdp_to_json,
     parse_mmdp,
     serialize_mmdp,
@@ -193,7 +192,6 @@ def test_sampling_table_matches_the_frozen_lazy_rows(n_models, n_states, leaky, 
         assert rows.masks[lo : lo + size] == [masks.get(t, 0) for t in successors]
         assert rows.lik[lo : lo + size].tolist() == frozen.lik[flo : flo + fsize].tolist()
         assert rows.cdf[lo : lo + size].tolist() == frozen.cdf[flo : flo + fsize].tolist()
-        assert list(mmdp.support_masks(s, a).items()) == list(masks.items())
     # the known rows, each once, and nothing else
     total = sum(rows.row(s, a)[1] for s, a in known)
     assert len(rows.successors) == len(rows.masks) == len(rows.lik) == len(rows.cdf) == total
@@ -315,7 +313,14 @@ def _two_state(kernel, states=("x", "y"), actions=None, name="M1"):
 ])
 def test_writers_match_json_dumps_on_values_outside_the_schema(models):
     mmdp = Mmdp(models=models)
-    _check_writers(mmdp, [stationary_uniform_policy(mmdp)], round_trip=False)
+    # a component state without an actions entry is written with no actions,
+    # which the parser refuses
+    entry = PolicyEntry(active=(1,), entry_state="s", reach={}, mecs=(Mec(mmdp.states[:1], {}),))
+    bare = DetectionPolicy(entries={((1,), "s"): entry})
+    _check_writers(mmdp, [stationary_uniform_policy(mmdp), bare], round_trip=False)
+    refusal = r"^entries\[0\]\.mecs\[0\]\.states: expected state -> nonempty action list$"
+    with pytest.raises(ModelError, match=refusal):
+        parse_policy(policy_to_json(bare))
 
 
 def test_writers_refuse_what_json_refuses():
@@ -371,42 +376,6 @@ def test_validate_probability_range():
     report = validate_mmdp(Mmdp(models=(m, m)))
     assert any("outside [0,1]" in line for line in report)
     assert any("sums to" in line for line in report)
-
-
-def test_induced_transition_system_example1(example1):
-    ts = induced_transition_system(example1.models[0])
-    assert ("1", "a1", "2") in ts.transitions
-    assert ("1", "a1", "3") in ts.transitions
-    assert len(ts.states) == 7
-    assert ts.validate() == []
-
-
-def test_induced_transition_system_deterministic_chain():
-    m = mk_mdp(
-        ("s1", "s2"),
-        {"s1": ("a",), "s2": ("a",)},
-        {("s1", "a"): {"s2": 1.0}, ("s2", "a"): {"s2": 1.0}},
-        "s1",
-    )
-    ts = induced_transition_system(m)
-    assert ts.transitions == frozenset({("s1", "a", "s2"), ("s2", "a", "s2")})
-
-
-def test_induced_transition_system_matches_support_oracle():
-    for seed in range(8):
-        mmdp = random_binary_mmdp(rng_for(100 + seed), n_states=4)
-        m = mmdp.models[0]
-        ts = induced_transition_system(m)
-        expected = set()
-        for (s, a), row in m.kernel.items():
-            for t, p in row.items():
-                if p > 0:
-                    expected.add((s, a, t))
-        assert set(ts.transitions) == expected
-        # exactly one triple per nonzero kernel entry
-        assert len(ts.transitions) == sum(
-            1 for row in m.kernel.values() for p in row.values() if p > 0
-        )
 
 
 def test_history_invariants(example1):

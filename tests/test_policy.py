@@ -11,13 +11,14 @@ from mdpdetect.analysis import error_bounds_binary
 from mdpdetect.binary import bi_apd
 from mdpdetect.errors import ModelError
 from mdpdetect.general import general_apd
+from mdpdetect.graphs import bit_indices
 from mdpdetect.policy import (
     active_set,
     entry_as_stationary,
+    members,
     parse_policy,
     policy_to_json,
     stationary_uniform_policy,
-    survivors,
 )
 
 from conftest import example1_mmdp, identical_mmdp, random_multi_mmdp, rng_for
@@ -32,17 +33,26 @@ def test_active_set_canonicalization():
 @settings(max_examples=60)
 @given(st.integers(3, 4), st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_survivors_match_the_kernel_supports(n_models, n_states, seed):
+    """``members`` of the model masks of the support rows, the masks synthesis
+    reads, keeps exactly the active models that allow a successor."""
     mmdp = random_multi_mmdp(rng_for(seed), n_models=n_models, n_states=n_states)
     subsets = [c for k in range(1, n_models + 1) for c in combinations(range(1, n_models + 1), k)]
-    for s in mmdp.states:
-        for a in mmdp.actions[s]:
-            masks = mmdp.support_masks(s, a)
-            assert list(masks) == sorted(masks)
+    rows = mmdp.support_rows
+    assert rows.names == tuple(sorted(mmdp.states))
+    for i, s in enumerate(rows.names):
+        assert rows.actions[rows.first[i] : rows.first[i + 1]] == tuple(sorted(mmdp.actions[s]))
+        assert [rows.actions[r] for r, _ in rows.groups[i]] == list(mmdp.actions[s])
+        for r, groups in rows.groups[i]:
+            a = rows.actions[r]
+            masks = [mask for mask, _ in groups]
+            assert masks == sorted(set(masks)) and 0 not in masks
+            mask_of = {rows.names[j]: mask for mask, bits in groups for j in bit_indices(bits)}
+            assert len(mask_of) == sum(len(bit_indices(bits)) for _, bits in groups)
             # every state, so also successors that no active model allows
             for s2 in mmdp.states:
                 for active in subsets:
-                    expected = tuple(i for i in active if mmdp.model(i).prob(s, a, s2) > 0.0)
-                    assert survivors(mmdp, active, s, a, s2) == expected
+                    expected = tuple(k for k in active if mmdp.model(k).prob(s, a, s2) > 0.0)
+                    assert members(mask_of.get(s2, 0), active) == expected
 
 
 def test_policy_json_round_trip_binary():

@@ -22,10 +22,10 @@ from mdpdetect.models import Mmdp, mmdp_to_json, parse_mmdp, validate_mmdp
 from mdpdetect.policy import (
     DetectionPolicy,
     PolicyEntry,
+    members,
     parse_policy,
     single_entry_policy,
     stationary_uniform_policy,
-    survivors,
 )
 from mdpdetect.simulate import (
     STOP_REASONS,
@@ -73,7 +73,10 @@ def test_belief_update_example1_values(example1):
 def test_belief_update_revealing_transition_collapses(example1):
     b = belief_update(BeliefState((0.5, 0.5)), "5", "b5", "5", example1)
     assert b.probs == (1.0, 0.0)  # an exact zero: model 2 gives (5, b5, 5) probability zero
-    assert survivors(example1, (1, 2), "5", "b5", "5") == (1,)
+    rows = example1.sampling
+    lo, size, _ = rows.row("5", "b5")
+    (mask,) = [rows.masks[e] for e in range(lo, lo + size) if rows.successors[e] == "5"]
+    assert members(mask, (1, 2)) == (1,)
 
 
 def test_belief_update_equal_likelihoods_keep_belief(example1):
