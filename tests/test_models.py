@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mdpdetect.errors import ModelError
 from mdpdetect.general import general_apd
-from mdpdetect.graphs import Mec
+from mdpdetect.graphs import Mec, bit_indices, model_graph
 from mdpdetect.models import (
     History,
     Mmdp,
@@ -376,6 +376,60 @@ def test_validate_probability_range():
     report = validate_mmdp(Mmdp(models=(m, m)))
     assert any("outside [0,1]" in line for line in report)
     assert any("sums to" in line for line in report)
+
+
+def _triples(graph):
+    """The (state, action, successor) triples of the rows of ``graph``."""
+    names, actions, first, succ = graph.names, graph.actions, graph.first, graph.succ
+    return {
+        (names[i], actions[r], names[j])
+        for i in bit_indices(graph.domain)
+        for r in range(first[i], first[i + 1])
+        for j in bit_indices(succ[r])
+    }
+
+
+def _closed(graph):
+    """Every row of the system has a successor, and every successor is a state of the system."""
+    rows = range(graph.first[0], graph.first[-1])
+    return all(graph.succ[r] != 0 and graph.succ[r] & ~graph.domain == 0 for r in rows)
+
+
+def test_induced_transition_system_example1(example1):
+    graph = model_graph(example1, 1)
+    assert ("1", "a1", "2") in _triples(graph)
+    assert ("1", "a1", "3") in _triples(graph)
+    assert len(graph.states) == 7
+    assert _closed(graph)
+
+
+def test_induced_transition_system_deterministic_chain():
+    m = mk_mdp(
+        ("s1", "s2"),
+        {"s1": ("a",), "s2": ("a",)},
+        {("s1", "a"): {"s2": 1.0}, ("s2", "a"): {"s2": 1.0}},
+        "s1",
+    )
+    mmdp = Mmdp(models=(m, dataclasses.replace(m, name="M2")))
+    for k in (1, 2):
+        assert _triples(model_graph(mmdp, k)) == {("s1", "a", "s2"), ("s2", "a", "s2")}
+
+
+def test_induced_transition_system_matches_support_oracle():
+    for seed in range(8):
+        mmdp = random_binary_mmdp(rng_for(100 + seed), n_states=4)
+        for k, m in enumerate(mmdp.models, start=1):
+            triples = _triples(model_graph(mmdp, k))
+            expected = set()
+            for (s, a), row in m.kernel.items():
+                for t, p in row.items():
+                    if p > 0:
+                        expected.add((s, a, t))
+            assert triples == expected
+            # exactly one triple per nonzero kernel entry
+            assert len(triples) == sum(
+                1 for row in m.kernel.values() for p in row.values() if p > 0
+            )
 
 
 def test_history_invariants(example1):
