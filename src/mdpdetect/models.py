@@ -134,6 +134,8 @@ class SupportRows:
             for a in declared[s]:
                 by_mask: dict[int, int] = {}
                 for t, mask in _successor_masks(models, s, a).items():
+                    if t not in index:
+                        raise ModelError(f"row ({s}, {a}) moves to {t!r}, which is not a state")
                     by_mask[mask] = by_mask.get(mask, 0) | 1 << index[t]
                 here.append((row[a], tuple(sorted(by_mask.items()))))
             groups.append(tuple(here))

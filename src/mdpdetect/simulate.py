@@ -5,6 +5,8 @@ runtime: the events they stand for surface as observed transitions of zero
 likelihood under some models, which zero those posteriors exactly and shrink
 the active set. The random streams are counter-based (Philox keyed per
 trial), so trials are independent and reproducible in any execution order.
+The kernel computes Philox4x64-10 itself, for every live trial in one array
+pass, and its uniforms equal those of ``trial_rng`` bit for bit.
 Every episode runs on one kernel, ``_lockstep``: a single trace of
 ``simulate`` is one trial of it, and Monte Carlo and the batches of
 ``batch_summary`` advance all their trials in lockstep, with the results a
@@ -22,7 +24,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +34,9 @@ from .models import Mmdp
 from .policy import DetectionPolicy, active_set, members
 
 _MASK64 = (1 << 64) - 1
-_BLOCK = 64  # uniforms a lockstep trial draws from its stream at a time (a multiple of 4)
+_BLOCK = 64  # uniforms a lockstep trial draws from its stream at a time at least (a multiple of 4)
+_WIDE = 4096  # counters a block covers at least, when few trials are live
+_CHUNK = 8192  # counters of one Philox pass at most, which keeps its temporaries in cache
 # stop codes of the lockstep kernel, indexing STOP_REASONS
 _THRESHOLD, _MAX_STEPS, _UNDETECTABLE = 0, 1, 2
 STOP_REASONS = ("threshold", "max_steps", "undetectable")
@@ -100,47 +104,48 @@ def map_decide(b: BeliefState | Sequence[float]) -> int:
 
 
 def trial_rng(seed: int, stream: int) -> np.random.Generator:
-    """Independent counter-based stream for (seed, stream index)."""
-    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
+    """Independent counter-based stream for (seed, stream index).
 
-
-def _philox_key(seed: int, stream: int) -> np.ndarray:
-    """The two-word Philox key of ``trial_rng(seed, stream)``: both values modulo 2**64.
-
-    Built as ``uint64`` words, so that no component passes through float64
-    and every seed and stream index below 2**64 has its own key.
+    The Philox4x64-10 generator keyed ``(seed, stream)``, both modulo 2**64
+    as exact ``uint64`` words, so every seed and stream index below 2**64
+    has its own stream. The lockstep kernel computes these very streams
+    itself, bit for bit, without ``numpy.random``.
     """
-    return np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-class _Rekeyed:
-    """One Philox generator that plays, in turn, the streams of ``trial_rng``.
+def _key(word: int, n: int) -> np.ndarray:
+    """``n`` copies of ``word`` modulo 2**64, as ``uint64`` key words."""
+    return np.full(n, word & _MASK64, np.uint64)
 
-    Setting a key through the generator's state costs a fraction of building
-    a new generator for every stream.
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and the low words of the 128-bit products ``m * x``, from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & np.uint64(0xFFFFFFFF), x >> np.uint64(32)
+    mid = x_hi * m_lo + (x_lo * m_lo >> np.uint64(32))
+    lo_hi = x_lo * m_hi + (mid & np.uint64(0xFFFFFFFF))
+    return x_hi * m_hi + (mid >> np.uint64(32)) + (lo_hi >> np.uint64(32)), x * np.uint64(m)
+
+
+def _philox(k0: np.ndarray, k1: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """The uniforms of Philox4x64-10 under every key ``(k0[i], k1[i])`` at each counter.
+
+    ``k0`` and ``k1`` are ``uint64`` columns, ``counters`` a ``uint64`` row of
+    first counter words (the other three are 0). Row ``i`` holds the four
+    doubles of each counter in turn, ``(w >> 11) * 2**-53`` of each output
+    word ``w``, as numpy's ``Philox`` and ``Generator.random`` make them.
     """
-
-    def __init__(self) -> None:
-        self.rng = np.random.Generator(np.random.Philox(0))
-        self._counter = np.zeros(4, np.uint64)
-        self._state: dict[str, Any] = {
-            "bit_generator": "Philox",
-            "state": {"counter": self._counter, "key": None},
-            "buffer": np.zeros(4, np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-    def at(self, key: np.ndarray, drawn: int = 0) -> np.random.Generator:
-        """The stream with Philox key ``key`` once ``drawn`` uniforms are taken.
-
-        ``drawn`` is a multiple of 4: each counter step yields four uniforms.
-        """
-        self._counter[0] = drawn // 4
-        self._state["state"]["key"] = key
-        self.rng.bit_generator.state = self._state
-        return self.rng
+    zero = np.zeros((1, 1), np.uint64)
+    c0, c1, c2, c3 = counters[None, :], zero, zero, zero
+    for r in range(10):  # the key takes a Weyl step before every round but the first
+        hi0, lo0 = _mulhilo(0xD2E7470EE14C6C93, c0)
+        hi1, lo1 = _mulhilo(0xCA5A826395121157, c2)
+        w0, w1 = (np.uint64(r * w & _MASK64) for w in (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B))
+        c0, c1, c2, c3 = hi1 ^ c1 ^ (k0 + w0), lo1, hi0 ^ c3 ^ (k1 + w1), lo0
+    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(k0), -1)
+    return (words >> np.uint64(11)) * 2.0**-53
 
 
 def _check_stops(threshold: float, max_steps: int) -> None:
@@ -171,7 +176,7 @@ def simulate(
     mmdp.model(truth)  # ModelError for an index outside 1..n
     path: list[tuple[str, str, str, list[float]]] = []
     final, _, stop_code = _lockstep(
-        mmdp, policy, _Streams([_philox_key(seed, 0)], 2 * max_steps), np.array([truth - 1]),
+        mmdp, policy, _Streams(_key(seed, 1), _key(0, 1), 2 * max_steps), np.array([truth - 1]),
         beliefs, max_steps, threshold, path,
     )
     steps = [TraceStep(t, s, a, tuple(b)) for t, (s, a, _, b) in enumerate(path)]
@@ -246,7 +251,7 @@ def _monte_carlo_trials(
     ``trial_rng(seed, i)`` and then plays ``t`` steps at most on the rest of
     it, with no threshold.
     """
-    streams = _Streams([_philox_key(seed, i) for i in range(trials)], 1 + 2 * t)
+    streams = _Streams(_key(seed, trials), np.arange(trials, dtype=np.uint64), 1 + 2 * t)
     truth = _draw_truth(streams.next(), theta)
     return (truth, *_lockstep(mmdp, policy, streams, truth, q, t))
 
@@ -414,35 +419,40 @@ def _below(
 class _Streams:
     """The uniforms of the live trials, drawn from each trial's own stream in blocks.
 
-    Trial ``i`` draws from the Philox stream with key ``keys[i]``, at most
-    ``need`` uniforms in all. Every live trial has drawn as many as every
-    other, so one position serves them all, and one rekeyed generator resumes
-    each stream in turn.
+    Trial ``i`` draws from the stream ``trial_rng`` gives the ``uint64`` key
+    ``(k0[i], k1[i])``, at most ``need`` uniforms in all. Every live trial has
+    drawn as many as every other, so one position serves them all, and one
+    pass of ``_philox`` over at most ``_CHUNK`` counters at a time fills the
+    next block of every live trial. When few trials are live the block
+    widens to about ``_WIDE`` counters a pass: the streams are counter-based,
+    so the uniforms do not depend on the width.
     """
 
-    def __init__(self, keys: list[np.ndarray], need: int) -> None:
-        self.keys = keys
-        self.stream = _Rekeyed()
-        self.need = need
-        self.ids = np.arange(len(keys))
-        self.block = np.empty((len(keys), 0))
+    def __init__(self, k0: np.ndarray, k1: np.ndarray, need: int) -> None:
+        self.k0, self.k1, self.need = k0, k1, need
+        self.block = np.empty((len(k0), 0))
         self.pos = 0
         self.drawn = 0
 
     def next(self) -> np.ndarray:
         """One uniform per live trial: its stream's next."""
         if self.pos == self.block.shape[1]:
-            width = min(_BLOCK, self.need - self.drawn)
-            at, keys, drawn = self.stream.at, self.keys, self.drawn
-            rows = [at(keys[i], drawn).random(width) for i in self.ids.tolist()]
-            self.block = np.array(rows).reshape(len(rows), width)
+            n = len(self.k0)
+            width = min(max(_BLOCK, -(-_WIDE // max(n, 1)) * 4), self.need - self.drawn)
+            start = self.drawn // 4 + 1
+            counters = np.arange(start, start + -(-width // 4), dtype=np.uint64)
+            self.block = np.empty((n, width))
+            rows = max(1, _CHUNK // len(counters))
+            for i in range(0, n, rows):
+                k0, k1 = self.k0[i:i + rows, None], self.k1[i:i + rows, None]
+                self.block[i:i + rows] = _philox(k0, k1, counters)[:, :width]
             self.drawn += width
             self.pos = 0
         self.pos += 1
         return self.block[:, self.pos - 1]
 
     def keep(self, keep: np.ndarray) -> None:
-        self.ids, self.block = self.ids[keep], self.block[keep]
+        self.k0, self.k1, self.block = self.k0[keep], self.k1[keep], self.block[keep]
 
 
 class _CompiledController:
@@ -567,13 +577,15 @@ def batch_summary(
         raise ModelError(f"trials must be at least 1, got {trials}")
     priors_t = _check_priors(priors, mmdp.n, "priors")
     _check_stops(threshold, max_steps)
+    index = np.arange(trials, dtype=np.uint64)
     if truth is None:
-        keys = [_philox_key(seed ^ 0x9E3779B97F4A7C15, i) for i in range(trials)]
-        truths = _draw_truth(_Streams(keys, 1).next(), priors_t)
+        truth_keys = _key(seed ^ 0x9E3779B97F4A7C15, trials)
+        truths = _draw_truth(_Streams(truth_keys, index, 1).next(), priors_t)
     else:
         mmdp.model(truth)  # ModelError for an index outside 1..n
         truths = np.full(trials, truth - 1)
-    streams = _Streams([_philox_key(seed + i, 0) for i in range(trials)], 2 * max_steps)
+    # trial i plays on the key (seed + i, 0), modulo 2**64
+    streams = _Streams(_key(seed, trials) + index, _key(0, trials), 2 * max_steps)
     beliefs, stop_step, stop_code = _lockstep(
         mmdp, policy, streams, truths, priors_t, max_steps, threshold
     )

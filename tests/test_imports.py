@@ -74,6 +74,26 @@ assert "numpy" in sys.modules
 """)
 
 
+def test_runtime_loads_no_numpy_random_and_warns_nothing_at_edge_seeds():
+    # the lockstep kernel computes the Philox streams itself; key words wrap silently
+    _fresh("""
+import sys
+import warnings
+from mdpdetect.binary import bi_apd
+from mdpdetect.scenarios import gen_grid, grid_spec_from_json
+from mdpdetect.simulate import batch_summary, monte_carlo_error, simulate
+
+mmdp = gen_grid(grid_spec_from_json({"width": 3, "height": 3, "obstacles": [], "goal_region": [[2, 2]]}))
+policy = bi_apd(mmdp).policy
+warnings.simplefilter("error")
+for seed in (0, 2**64 - 1, -1):
+    simulate(mmdp, 2, policy, seed)
+    batch_summary(mmdp, policy, 5, seed)
+    monte_carlo_error(mmdp, policy, 4, 100, seed)
+assert "numpy" in sys.modules and "numpy.random" not in sys.modules
+""")
+
+
 def _imports(tree):
     """``(node, at_import_time)`` for every import of ``tree``; function bodies run later."""
     stack = [(node, True) for node in tree.body]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdpdetect.binary import bi_apd
 from mdpdetect.errors import ModelError
 from mdpdetect.general import general_apd
 from mdpdetect.graphs import Mec, bit_indices, model_graph
@@ -430,6 +431,19 @@ def test_induced_transition_system_matches_support_oracle():
             assert len(triples) == sum(
                 1 for row in m.kernel.values() for p in row.values() if p > 0
             )
+
+
+@pytest.mark.parametrize("entry", [lambda mm: model_graph(mm, 1), general_apd, bi_apd])
+def test_a_successor_outside_the_states_is_a_model_error(entry):
+    """A hand-built, unvalidated pair whose row moves to a state it does not declare."""
+    actions = {"x": ("a",), "y": ("a",)}
+    loops = {("x", "a"): {"y": 1.0}, ("y", "a"): {"y": 1.0}}
+    ghost = {("x", "a"): {"ghost": 1.0}, ("y", "a"): {"y": 1.0}}
+    mm = Mmdp(models=(mk_mdp(("x", "y"), actions, loops, "x"), mk_mdp(("x", "y"), actions, ghost, "x")))
+    with pytest.raises(ModelError, match=r"row \(x, a\) moves to 'ghost'"):
+        entry(mm)
+    with pytest.raises(ModelError):
+        parse_mmdp(mmdp_to_json(mm))
 
 
 def test_history_invariants(example1):

@@ -32,8 +32,7 @@ from mdpdetect.simulate import (
     BeliefState,
     _check_priors,
     _monte_carlo_trials,
-    _philox_key,
-    _Rekeyed,
+    _Streams,
     batch_summary,
     belief_update,
     map_decide,
@@ -362,14 +361,61 @@ _EDGE_KEYS = (0, 1, 12345, 2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2*
 _EDGE_STREAMS = (0, 5, 2**63, 2**64 - 1, -1)
 
 
-def test_rekeyed_stream_matches_trial_rng_on_edge_keys():
-    stream = _Rekeyed()
-    for seed in (*_EDGE_KEYS, 7 ^ 0x9E3779B97F4A7C15):
-        for index in _EDGE_STREAMS:
-            expected = trial_rng(seed, index).random(70)
-            key = _philox_key(seed, index)
-            assert stream.at(key).random(70).tolist() == expected.tolist(), (seed, index)
-            assert stream.at(key, 64).random(6).tolist() == expected[64:].tolist(), (seed, index)
+def _stream_block(seeds, indices, offset, width, need=None):
+    """The uniforms ``offset .. offset + width`` that ``_Streams`` gives each trial.
+
+    Trial ``i`` has the key ``(seeds[i], indices[i])`` modulo 2**64 and draws
+    ``need`` uniforms at most (``offset + width`` by default), which sets
+    how wide a block it draws at a time.
+    """
+    mask = (1 << 64) - 1
+    streams = _Streams(
+        np.array([s & mask for s in seeds], np.uint64),
+        np.array([i & mask for i in indices], np.uint64),
+        offset + width if need is None else need,
+    )
+    streams.drawn = offset
+    return np.column_stack([streams.next() for _ in range(width)])
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+def test_streams_match_trial_rng_on_edge_keys(chunk, monkeypatch):
+    """All edge keys side by side, in one pass of counters or in passes of one or two trials.
+
+    With ``chunk`` 5 a pass holds at most 5 counters, or one trial. 600
+    uniforms take three blocks of these 60 trials.
+    """
+    if chunk is not None:
+        monkeypatch.setattr(importlib.import_module("mdpdetect.simulate"), "_CHUNK", chunk)
+    keys = list(itertools.product((*_EDGE_KEYS, 7 ^ 0x9E3779B97F4A7C15), _EDGE_STREAMS))
+    expected = np.array([trial_rng(seed, index).random(664) for seed, index in keys])
+    seeds, indices = zip(*keys)
+    for offset in (0, 64):
+        for width in (70, 7, 600):
+            block = _stream_block(seeds, indices, offset, width)
+            assert block.tolist() == expected[:, offset:offset + width].tolist(), (offset, width)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(-(2**65), 2**65),
+    index=st.integers(-(2**64), 2**65),
+    trials=st.integers(1, 300),
+    offset=st.integers(0, 60).map(lambda k: 4 * k),
+    width=st.integers(1, 300),
+    extra=st.integers(0, 20_000),
+)
+def test_streams_match_trial_rng(seed, index, trials, offset, width, extra):
+    """Trials on neighbouring streams, whatever the width of their blocks.
+
+    The width depends on how many trials are live and how many uniforms
+    each may still draw; with 64 trials or more a block is narrower than
+    the longest stretch drawn here.
+    """
+    indices = [index + k for k in range(trials)]
+    expected = [trial_rng(seed, i).random(offset + width)[offset:].tolist() for i in indices]
+    block = _stream_block([seed] * trials, indices, offset, width, offset + width + extra)
+    assert block.tolist() == expected
 
 
 def test_philox_key_is_seed_and_stream_modulo_2_to_the_64():
@@ -650,6 +696,18 @@ def test_batch_matches_frozen_reference(
         mmdp, policy, 40, batch_seed, truth=truth, max_steps=max_steps, threshold=threshold,
         priors=priors,
     )
+
+
+def test_batch_episode_keys_wrap_past_2_to_the_64():
+    """Trials 3, 4 and 5 of seed 2**64 - 3 play the episodes of seeds 0, 1 and 2."""
+    mmdp = example1_mmdp(initial="2")
+    policy = bi_apd(mmdp).policy
+    summary = _assert_batch_matches_reference(mmdp, policy, 6, 2**64 - 3)
+    assert summary["trials"] == 6 and summary["stop_reasons"]["threshold"] > 0
+    for seed in range(3):
+        assert simulate(mmdp, 1, policy, 2**64 + seed) == dataclasses.replace(
+            simulate(mmdp, 1, policy, seed), seed=2**64 + seed
+        )
 
 
 @pytest.mark.parametrize("pruned", [False, True])
