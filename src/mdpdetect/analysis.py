@@ -9,7 +9,7 @@ controller state. MAP error bounds come in binary and multi-hypothesis forms.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -239,12 +239,13 @@ def pairwise_bc_curve(
 ) -> dict[tuple[int, int], BcCurve]:
     """Exact B_ij(t) for t = 0..horizon per unordered model pair, with no horizon cap.
 
-    The augmented states reachable within ``horizon - 1`` steps are
-    enumerated once for all pairs, since their successors do not depend on
-    the pair; each pair keeps its own edge weights. Every step then advances
-    all pairs in one sparse pass, summing in a fixed order: sources in the
-    order the previous step first touched them, each source's edges in
-    action and successor order, and B(t) over the masses in first-touch order.
+    The DP runs on the controller table of ``_compiled``, the one the
+    lockstep kernel of ``simulate`` plays, over every augmented state the
+    policy can reach: their successors do not depend on the pair, and each
+    pair keeps its own edge weights. Every step then advances all pairs in
+    one sparse pass, summing in a fixed order: sources in the order the
+    previous step first touched them, each source's edges in action and
+    successor order, and B(t) over the masses in first-touch order.
     """
     if horizon < 0:
         raise ModelError("horizon must be nonnegative")
@@ -256,130 +257,96 @@ def pairwise_bc_curve(
         if i == j:
             raise ModelError("coefficient pairs need two distinct model indices")
         mmdp.model(i), mmdp.model(j)  # ModelError for an index outside 1..n
-    full = active_set(range(1, mmdp.n + 1))
-    start = _canonical_aug(policy, (full, mmdp.initial), None, mmdp.initial)
-    values = _AugGraph(mmdp, policy, start, pairs, horizon).curve_values()
+    values = _pair_curves(mmdp, _compiled(mmdp, policy), pairs, horizon)
     return {
         (i, j): BcCurve(values=tuple(v), pair=(i, j), policy_id="synthesized")
         for (i, j), v in zip(pairs, values)
     }
 
 
-class _AugGraph:
-    """The augmented states a DP of ``horizon`` steps expands, with per-pair edges.
+def _pair_curves(
+    mmdp: Mmdp, table: _CompiledController, pairs: Sequence[tuple[int, int]], horizon: int
+) -> list[list[float]]:
+    """B(0..horizon) per pair on the edges of ``table``, every pair advanced one sparse step at a time.
 
-    States are numbered breadth first from the start (0). Row
-    ``p * size + k`` holds the edges of state ``k`` under pair ``p``, in
-    summation order: ``indptr[row]:indptr[row + 1]`` indexes ``target`` (a
-    row of the same pair) and ``weight``. A negative target ``-(e + 1)``
-    stands for ``errors[e]``, which the DP of that pair raises on reaching
-    the edge.
+    Raises the error of the first failing pair, as a pair-by-pair run would.
     """
+    size, n_pairs = len(table.augs), len(pairs)
+    indptr, target, weight = _pair_edges(mmdp, table, pairs)
+    rows = np.arange(n_pairs, dtype=np.intp) * size  # live rows, first-touch order
+    mass = np.ones(n_pairs)
+    values: list[list[float]] = [[1.0] for _ in range(n_pairs)]
+    failed: dict[int, Exception] = {}
+    for _ in range(horizon):
+        # the edges of the live rows, row by row, each row's in summation order
+        lo = indptr[rows]
+        source, pos = _segments(lo, indptr[rows + 1] - lo)
+        to = target[pos]
+        term = mass[source] * weight[pos]
+        bad = np.flatnonzero(to < 0)
+        if len(bad):
+            for b in bad.tolist():
+                failed.setdefault(int(rows[source[b]]) // size, table.errors[-to[b] - 1])
+            keep = ~np.isin(rows[source] // size, list(failed))
+            to, term = to[keep], term[keep]
+        # targets in first-touch order; bincount adds each target's terms
+        # one after another, in input order
+        first = np.full(n_pairs * size, len(to))
+        np.minimum.at(first, to, np.arange(len(to)))
+        touched = np.flatnonzero(first < len(to))
+        rows = touched[np.argsort(first[touched])]
+        mass = np.bincount(to, weights=term, minlength=n_pairs * size)[rows]
+        cut = np.searchsorted(rows // size, np.arange(n_pairs + 1)).tolist()
+        masses = mass.tolist()
+        for p in range(n_pairs):
+            values[p].append(sum(masses[cut[p] : cut[p + 1]]))
+    if failed:
+        raise failed[min(failed)]
+    return values
 
-    def __init__(
-        self,
-        mmdp: Mmdp,
-        policy: DetectionPolicy,
-        start: _Aug,
-        pairs: Sequence[tuple[int, int]],
-        horizon: int,
-    ) -> None:
-        bits = {1 << (i - 1) | 1 << (j - 1) for i, j in pairs}
 
-        @functools.cache
-        def relevant(mask: int) -> bool:
-            """Some pair has both its models in ``mask``, so the edge may carry weight."""
-            return any(mask & b == b for b in bits)
+def _pair_edges(
+    mmdp: Mmdp, table: _CompiledController, pairs: Sequence[tuple[int, int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges of every compiled state under every pair, as ``(indptr, target, weight)``.
 
-        index: dict[_Aug, int] = {start: 0}
-        self.errors: list[Exception] = []
-        source: list[int] = []
-        target: list[int] = []
-        act_prob: list[float] = []
-        entry: list[int] = []  # the edge's entry of ``mmdp.sampling``; -1, a zero row
-        always: list[bool] = []  # an edge every pair takes, whatever its weight
-        frontier = [start]
-        for _ in range(horizon):
-            reached = []
-            for aug in frontier:
-                try:
-                    _, edges = _expand_aug(mmdp, policy, aug)
-                except ContractError as exc:
-                    # every pair's DP fails on entering this state: an edge
-                    # of every pair (all mask bits set), whatever its weight
-                    edges = [(-1, 0.0, "", -1, exc)]
-                for e, pa, _, mask, tgt in edges:
-                    if not relevant(mask):
-                        continue
-                    if isinstance(tgt, Exception):
-                        self.errors.append(tgt)
-                        t = -len(self.errors)
-                    else:
-                        t = index.get(tgt)
-                        if t is None:
-                            t = index[tgt] = len(index)
-                            reached.append(tgt)
-                    source.append(index[aug])
-                    target.append(t)
-                    act_prob.append(pa)
-                    entry.append(e)
-                    always.append(mask == -1)
-            frontier = reached
-        self.horizon = horizon
-        self.pairs = len(pairs)
-        self.size = size = len(index)
+    Row ``p * size + k`` holds the edges of state ``k`` of ``table`` under
+    pair ``p``, in summation order: ``indptr[row]:indptr[row + 1]`` indexes
+    ``target`` (a row of the same pair) and ``weight``. An edge weighs
+    ``pa * sqrt(P_i * P_j)``, as the scalar recurrence computes it, with
+    ``pa = 1 / count`` the probability of the action; a pair drops its
+    zero-weight edges. A negative target ``-(k + 1)`` raises
+    ``table.errors[k]`` when a pair's DP takes the edge: an edge into a state
+    the policy has no entry for raises on entering it, and the one edge out
+    of a state where ``_expand_aug`` finds no move, which every pair keeps,
+    on leaving it.
+    """
+    size, n_pairs = len(table.augs), len(pairs)
+    mi = np.array([i - 1 for i, _ in pairs], dtype=np.intp)
+    mj = np.array([j - 1 for _, j in pairs], dtype=np.intp)
+    slot, entry = _segments(table.lo, table.size)
+    source = np.repeat(np.arange(size), table.count)[slot]
+    lik = mmdp.sampling.lik[entry].T
+    weight = (1.0 / table.count[source]) * np.sqrt(lik[mi] * lik[mj])
+    # a successor no model allows weighs 0.0 unless a hand-built row holds a NaN or a negative
+    pair, edge = np.nonzero((weight != 0.0) & (table.target >= 0))
+    raises = np.array([exc is not None for exc in table.errors])
+    tgt = table.target[edge]
+    target = np.where((raises & (table.halt != _MAX_STEPS))[tgt], -1 - tgt, pair * size + tgt)
+    row = pair * size + source[edge]
+    # the one edge of each row at a state with no move, in its place among the rows
+    stuck = np.add.outer(np.arange(n_pairs) * size, np.flatnonzero(raises & (table.halt == _MAX_STEPS)))
+    at = np.searchsorted(row, stuck.ravel())
+    row = np.insert(row, at, stuck.ravel())
+    target = np.insert(target, at, -1 - stuck.ravel() % size)
+    weight = np.insert(weight[pair, edge], at, 0.0)
+    return np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n_pairs * size)))), target, weight
 
-        # the weight of an edge under pair (i, j) is pa * sqrt(P_i * P_j), as
-        # the scalar recurrence computes it; a pair drops its zero-weight edges
-        prob = np.append(mmdp.sampling.lik, np.zeros((1, mmdp.n)), axis=0)[entry].T
-        mi = np.array([i - 1 for i, _ in pairs], dtype=np.intp)
-        mj = np.array([j - 1 for _, j in pairs], dtype=np.intp)
-        weight = np.asarray(act_prob) * np.sqrt(prob[mi] * prob[mj])
-        pair, edge = np.nonzero((weight != 0.0) | np.asarray(always, dtype=bool))
-        tgt = np.asarray(target, dtype=np.intp)[edge]
-        self.target = np.where(tgt >= 0, pair * size + tgt, tgt)
-        self.weight = weight[pair, edge]
-        row = pair * size + np.asarray(source, dtype=np.intp)[edge]
-        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=self.pairs * size))))
 
-    def curve_values(self) -> list[list[float]]:
-        """B(0..horizon) per pair, every pair advanced by one sparse step at a time.
-
-        Raises the error of the first failing pair, as a pair-by-pair run would.
-        """
-        size = self.size
-        rows = np.arange(self.pairs, dtype=np.intp) * size  # live rows, first-touch order
-        mass = np.ones(self.pairs)
-        values: list[list[float]] = [[1.0] for _ in range(self.pairs)]
-        failed: dict[int, Exception] = {}
-        for _ in range(self.horizon):
-            # the edges of the live rows, row by row, each row's in summation order
-            lo = self.indptr[rows]
-            count = self.indptr[rows + 1] - lo
-            source = np.repeat(np.arange(len(rows)), count)
-            pos = np.arange(len(source)) + np.repeat(lo - (np.cumsum(count) - count), count)
-            target = self.target[pos]
-            term = mass[source] * self.weight[pos]
-            bad = np.flatnonzero(target < 0)
-            if len(bad):
-                for b in bad.tolist():
-                    failed.setdefault(int(rows[source[b]]) // size, self.errors[-target[b] - 1])
-                keep = ~np.isin(rows[source] // size, list(failed))
-                target, term = target[keep], term[keep]
-            # targets in first-touch order; bincount adds each target's terms
-            # one after another, in input order
-            first = np.full(self.pairs * size, len(target))
-            np.minimum.at(first, target, np.arange(len(target)))
-            touched = np.flatnonzero(first < len(target))
-            rows = touched[np.argsort(first[touched])]
-            mass = np.bincount(target, weights=term, minlength=self.pairs * size)[rows]
-            cut = np.searchsorted(rows // size, np.arange(self.pairs + 1)).tolist()
-            masses = mass.tolist()
-            for p in range(self.pairs):
-                values[p].append(sum(masses[cut[p] : cut[p + 1]]))
-        if failed:
-            raise failed[min(failed)]
-        return values
+def _segments(lo: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each position of the runs ``lo[i] .. lo[i] + size[i]``, run after run, and its run ``i``."""
+    run = np.repeat(np.arange(len(lo)), size)
+    return run, np.arange(len(run)) + np.repeat(lo - (np.cumsum(size) - size), size)
 
 
 def _canonical_aug(
@@ -395,17 +362,17 @@ def _canonical_aug(
 
 def _expand_aug(
     mmdp: Mmdp, policy: DetectionPolicy, aug: _Aug
-) -> tuple[list[tuple[str, float]], list[tuple[int, float, str, int, _Aug | ContractError]]]:
+) -> tuple[list[tuple[str, float]], list[tuple[int, str, int, _Aug | ContractError]]]:
     """The controller's move at one augmented state: its action distribution and every edge.
 
     The distribution is the component's, or the one reach action. Edges are
-    (entry of ``mmdp.sampling``, action probability, successor, the
-    successor's model bitmask, target), actions in distribution order and
-    each one's allowed successors sorted; a target the policy has no entry
-    for is given as the error its lookup raises. Raises ``ContractError``
-    wherever the controller has no move: no reach action and no component, a
-    state outside the committed one, an empty component distribution, or an
-    action some active model lacks.
+    (entry of ``mmdp.sampling``, successor, the successor's model bitmask,
+    target), actions in distribution order and each one's allowed successors
+    sorted; a target the policy has no entry for is given as the error its
+    lookup raises. Raises ``ContractError`` wherever the controller has no
+    move: no reach action and no component, a state outside the committed
+    one, an empty component distribution, or an action some active model
+    lacks.
     """
     entry_key, mec_index, s = aug
     entry = policy.entries[entry_key]
@@ -429,8 +396,8 @@ def _expand_aug(
             )
     active = entry.active
     rows = mmdp.sampling
-    edges: list[tuple[int, float, str, int, _Aug | ContractError]] = []
-    for a, pa in dist:
+    edges: list[tuple[int, str, int, _Aug | ContractError]] = []
+    for a, _ in dist:
         lo, size, _ = rows.row(s, a)
         offered = 0
         for e in range(lo, lo + size):
@@ -446,10 +413,116 @@ def _expand_aug(
                     tgt = _canonical_aug(policy, (new_active, s2), None, s2)
             except ContractError as exc:
                 tgt = exc
-            edges.append((e, pa, s2, mask, tgt))
+            edges.append((e, s2, mask, tgt))
         if members(offered, active) != active:
             raise ContractError(f"policy entry {entry_key} plays {a!r} at {s!r}, which does not offer it")
     return dist, edges
+
+
+# stop codes of the lockstep kernel, indexing ``simulate.STOP_REASONS``
+_THRESHOLD, _MAX_STEPS, _UNDETECTABLE = 0, 1, 2
+
+
+def _compiled(mmdp: Mmdp, policy: DetectionPolicy) -> _CompiledController:
+    """The controller table of ``policy`` on ``mmdp``, which bc and the lockstep kernel read.
+
+    The table kept on ``mmdp`` when it was compiled for this very policy
+    object; otherwise one is compiled and kept in its place. Raises
+    ``ContractError`` when the policy has no entry for the initial
+    configuration.
+    """
+    # one read of the slot: another thread may replace its pair at any time
+    held = mmdp._controller[0] if mmdp._controller else None
+    if held is not None and held[0] is policy:
+        return held[1]
+    full = active_set(range(1, mmdp.n + 1))
+    table = _CompiledController(
+        mmdp, policy, _canonical_aug(policy, (full, mmdp.initial), None, mmdp.initial)
+    )
+    mmdp._controller[:] = [(policy, table)]
+    return table
+
+
+class _CompiledController:
+    """A detection policy compiled into flat tables over the augmented states it can reach.
+
+    The augmented states ``(entry key, committed component, state)`` that the
+    controller can reach from ``start`` are numbered breadth first from
+    ``start`` (0). A move to a new active set the policy has no entry for
+    leads to the state ``((active set, s), None, s)``, one per such entry
+    key. State ``k`` has ``count[k]`` action slots from ``first[k]``, in
+    sorted action order; ``count[k]`` is 0 where a trial stops: at a lone
+    survivor, at a state without an entry, or where ``_expand_aug`` finds no
+    move. ``errors[k]`` is the ``ContractError`` of the lookup that found no
+    entry for state ``k``, or of ``_expand_aug`` finding no move there, and
+    ``None`` elsewhere. ``halt[k]`` is the stop code of a trial that plays no
+    step from ``k`` although the policy may act there: ``_THRESHOLD`` at a
+    lone survivor, ``_UNDETECTABLE`` at any other state without an entry and
+    ``_MAX_STEPS`` elsewhere. Slot ``g`` holds the action's running sum
+    ``act_cdf[g]``, the row ``lo[g]``, ``size[g]``, ``last[g]`` of (state,
+    action) in ``mmdp.sampling``, and the state each of its successors leads
+    to, as ``target[tlo[g] + j]`` (-1 for a successor no model allows), so
+    ``target`` lists the successors of every slot in turn. Every array is
+    read-only, and ``augs``, ``errors`` and ``actions`` are tuples: calls on
+    the same model and policy share the table.
+    """
+
+    def __init__(self, mmdp: Mmdp, policy: DetectionPolicy, start: _Aug) -> None:
+        rows = mmdp.sampling
+        augs: list[_Aug] = [start]
+        errors: list[ContractError | None] = [None]
+        index: dict[_Aug, int] = {start: 0}
+        actions: list[str] = []  # per slot, for error messages
+        count, first, halt = [], [], []
+        act_cdf, lo, size, last, tlo, target = [], [], [], [], [], []
+        # augs grows as new targets are numbered, so the loop visits them breadth first
+        for k, aug in enumerate(augs):
+            dist, edges = [], []
+            if len(aug[0][0]) == 1:
+                halt.append(_THRESHOLD)
+            elif errors[k] is not None:
+                halt.append(_UNDETECTABLE)
+            else:
+                halt.append(_MAX_STEPS)
+                try:
+                    dist, edges = _expand_aug(mmdp, policy, aug)
+                except ContractError as exc:  # no move here: the trial stops
+                    errors[k] = exc
+            targets = {}  # per entry of ``rows``
+            for e, s2, mask, tgt in edges:
+                exc = None
+                if isinstance(tgt, ContractError):
+                    exc, tgt = tgt, ((members(mask, aug[0][0]), s2), None, s2)
+                if tgt not in index:
+                    index[tgt] = len(augs)
+                    augs.append(tgt)
+                    errors.append(exc)
+                targets[e] = index[tgt]
+            dist = sorted(dist)
+            count.append(len(dist))
+            first.append(len(act_cdf))
+            act_cdf.extend(itertools.accumulate([p for _, p in dist]))
+            for a, _ in dist:
+                row_lo, row_size, row_last = rows.row(aug[2], a)
+                lo.append(row_lo)
+                size.append(row_size)
+                last.append(row_last)
+                tlo.append(len(target))
+                target.extend(targets.get(e, -1) for e in range(row_lo, row_lo + row_size))
+                actions.append(a)
+        self.augs, self.errors, self.actions = tuple(augs), tuple(errors), tuple(actions)
+        self.count = np.array(count, np.intp)
+        self.first = np.array(first, np.intp)
+        self.halt = np.array(halt, np.int8)
+        self.act_cdf = np.array(act_cdf, float)
+        self.lo = np.array(lo, np.intp)
+        self.size = np.array(size, np.intp)
+        self.last = np.array(last, np.intp).reshape(len(last), mmdp.n)
+        self.tlo = np.array(tlo, np.intp)
+        self.target = np.array(target, np.intp)
+        for array in (self.count, self.first, self.halt, self.act_cdf, self.lo, self.size,
+                      self.last, self.tlo, self.target):
+            array.setflags(write=False)
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,8 @@ class Mmdp:
     Read-only once built. The model keeps what it derives on first use:
     :attr:`support_rows` for synthesis, the one read-only row table
     :attr:`sampling` for run time, and the controller table that
-    ``simulate`` last compiled, with the policy it was compiled for.
+    ``simulate`` or ``pairwise_bc_curve`` last compiled, with the policy it
+    was compiled for.
     """
 
     models: tuple[Mdp, ...]

@@ -59,9 +59,10 @@ class PolicyEntry:
 class DetectionPolicy:
     """Memory policy: one entry per (active set, entry state) pair.
 
-    Read-only once built: ``simulate`` keeps the controller it compiles for a
-    policy on the model and reuses it whenever the same policy object plays
-    again, so a policy changed in place would play its old moves.
+    Read-only once built: ``simulate`` and ``pairwise_bc_curve`` keep the
+    controller they compile for a policy on the model and reuse it whenever
+    the same policy object plays again, so a policy changed in place would
+    play its old moves.
     """
 
     entries: Mapping[tuple[ActiveSet, str], PolicyEntry]

@@ -10,12 +10,13 @@ pass, and its uniforms equal those of ``trial_rng`` bit for bit.
 Every episode runs on one kernel, ``_lockstep``: a single trace of
 ``simulate`` is one trial of it, and Monte Carlo and the batches of
 ``batch_summary`` advance all their trials in lockstep, with the results a
-trial-by-trial loop would give. The kernel reads its moves from a controller
-table compiled over every augmented state the policy can reach from the
-initial one. The table is compiled once per model and policy and kept on the
-model: the first call on a pair pays for the whole pass, and repeat calls
-with the same policy object, such as the horizons of ``monte_carlo_curve``,
-compile nothing.
+trial-by-trial loop would give. The kernel reads its moves from the
+controller table of ``analysis._compiled``, over every augmented state the
+policy can reach from the initial one, which the coefficient curves of
+``pairwise_bc_curve`` read too. The table is compiled once per model and
+policy and kept on the model: the first call on a pair pays for the whole
+pass, and repeat calls with the same policy object, such as the horizons of
+``monte_carlo_curve`` or a bc run after Monte Carlo, compile nothing.
 """
 
 from __future__ import annotations
@@ -28,17 +29,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import _Aug, _canonical_aug, _check_priors, _expand_aug
+from .analysis import _MAX_STEPS, _THRESHOLD, _UNDETECTABLE, _check_priors, _compiled, _segments
 from .errors import ContractError, ImpossibleObservationError, ModelError
 from .models import Mmdp
-from .policy import DetectionPolicy, active_set, members
+from .policy import DetectionPolicy, active_set
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 64  # uniforms a lockstep trial draws from its stream at a time at least (a multiple of 4)
 _WIDE = 4096  # counters a block covers at least, when few trials are live
 _CHUNK = 8192  # counters of one Philox pass at most, which keeps its temporaries in cache
-# stop codes of the lockstep kernel, indexing STOP_REASONS
-_THRESHOLD, _MAX_STEPS, _UNDETECTABLE = 0, 1, 2
+# indexed by the stop codes of the lockstep kernel
 STOP_REASONS = ("threshold", "max_steps", "undetectable")
 
 
@@ -180,8 +180,7 @@ def simulate(
         beliefs, max_steps, threshold, path,
     )
     steps = [TraceStep(t, s, a, tuple(b)) for t, (s, a, _, b) in enumerate(path)]
-    # the final state is the last successor: a trial that stops at a new
-    # active set without an entry sits at a compiled state with no name
+    # the final state is the last successor, or the initial one before any step
     state = path[-1][2] if path else mmdp.initial
     steps.append(TraceStep(len(path), state, None, tuple(final[0].tolist())))
     return Trace(seed, truth, tuple(steps), STOP_REASONS[stop_code[0]])
@@ -297,28 +296,18 @@ def _lockstep(
     left active; as "undetectable" at a new active set the policy has no
     entry for; as "max_steps" after ``max_steps`` steps; and as
     "undetectable" at a state where ``_expand_aug`` finds no move. The codes
-    index ``STOP_REASONS``. An impossible observation is raised after every
-    trial with a smaller index has finished, as a trial-by-trial run would
-    raise it.
+    index ``STOP_REASONS``. An impossible observation, or an action the
+    truth has no row for, is raised after every trial with a smaller index
+    has finished, as a trial-by-trial run would raise it.
 
-    The moves come from the ``_CompiledController`` kept on ``mmdp`` when it
-    was compiled for this very policy object; otherwise one is compiled and
-    kept in its place.
+    The moves come from the controller table of ``analysis._compiled``.
     """
     full = active_set(range(1, mmdp.n + 1))
     if policy.entry(full, mmdp.initial) is None:
         raise ContractError(
             f"policy has no entry for the initial configuration ({full}, {mmdp.initial!r})"
         )
-    # one read of the slot: another thread may replace its pair at any time
-    held = mmdp._controller[0] if mmdp._controller else None
-    if held is not None and held[0] is policy:
-        table = held[1]
-    else:
-        table = _CompiledController(
-            mmdp, policy, _canonical_aug(policy, (full, mmdp.initial), None, mmdp.initial)
-        )
-        mmdp._controller[:] = [(policy, table)]
+    table = _compiled(mmdp, policy)
     rows = mmdp.sampling
     trials = len(truth)
     final = np.tile(np.asarray(beliefs, float), (trials, 1))
@@ -328,7 +317,7 @@ def _lockstep(
     # the trials still running, in trial order, with their augmented state,
     # beliefs and truth
     live = np.arange(trials)
-    state = np.ones(trials, np.intp)  # the start
+    state = np.zeros(trials, np.intp)  # the start
     b = final.copy()
     tr = np.asarray(truth)
     failed: dict[int, BaseException] = {}
@@ -368,8 +357,15 @@ def _lockstep(
             count = count[stop(count > 0, code, step)]
         first = table.first[state]
         slot = first + np.minimum(_below(table.act_cdf, first, count, streams.next()), count - 1)
-        # every model of the entry, the truth among them, has a successor
-        lo, last = table.lo[slot], table.last[slot, tr]
+        # every model of the entry has a successor; an eliminated truth may have no row
+        last = table.last[slot, tr]
+        if (last < 0).any():
+            k = int(np.flatnonzero(last < 0)[0])  # stop() drops every later trial
+            s, a = table.augs[state[k]][2], table.actions[slot[k]]
+            failed[int(live[k])] = ModelError(f"model {tr[k] + 1} has no row at ({s}, {a})")
+            keep = stop(last >= 0, _MAX_STEPS, step)
+            slot, last = slot[keep], last[keep]
+        lo = table.lo[slot]
         j = np.minimum(_below(rows.cdf, lo, table.size[slot], streams.next(), tr), last)
         entry = lo + j
         weighted = b * rows.lik[entry]
@@ -410,8 +406,7 @@ def _below(
     That is the index of the first value above ``u``, since each run of
     values is nondecreasing. A 2-D ``cdf`` is read in the trial's ``column``.
     """
-    row = np.repeat(np.arange(len(lo)), size)
-    pos = np.arange(len(row)) + np.repeat(lo - (np.cumsum(size) - size), size)
+    row, pos = _segments(lo, size)
     values = cdf[pos] if column is None else cdf[pos, column[row]]
     return np.bincount(row[values <= u[row]], minlength=len(lo))
 
@@ -453,84 +448,6 @@ class _Streams:
 
     def keep(self, keep: np.ndarray) -> None:
         self.k0, self.k1, self.block = self.k0[keep], self.k1[keep], self.block[keep]
-
-
-class _CompiledController:
-    """A detection policy compiled into flat tables over the augmented states it can reach.
-
-    The augmented states ``(entry key, committed component, state)`` of
-    ``analysis`` that the controller can reach from ``start`` are numbered
-    breadth first from ``start`` (1); 0 stands for every configuration in
-    which a trial stops because the policy has no entry for its new active
-    set of two or more models. A lone survivor the policy has no entry for is
-    the state ``((survivor,), None, s)``. State ``k`` has ``count[k]`` action
-    slots from ``first[k]``, in sorted action order; ``count[k]`` is 0 where
-    a trial stops: at a lone survivor, or where ``_expand_aug`` finds no
-    move and raises ``ContractError``. ``halt[k]`` is the stop code of a trial
-    that plays no step from ``k`` although the policy may act there:
-    ``_THRESHOLD`` at a lone survivor, ``_UNDETECTABLE`` at 0 and
-    ``_MAX_STEPS`` elsewhere. Slot ``g`` holds the action's running sum
-    ``act_cdf[g]``, the row ``lo[g]``, ``size[g]``, ``last[g]`` of (state,
-    action) in ``mmdp.sampling``, and the state each of its successors leads
-    to, as ``target[tlo[g] + j]``. Every array is read-only, and ``augs`` and
-    ``actions`` are tuples: calls on the same model and policy share the table.
-    """
-
-    def __init__(self, mmdp: Mmdp, policy: DetectionPolicy, start: _Aug) -> None:
-        rows = mmdp.sampling
-        augs: list[_Aug | None] = [None, start]
-        index: dict[_Aug, int] = {start: 1}
-        actions: list[str] = []  # per slot, for error messages
-        count, first, halt = [], [], []
-        act_cdf, lo, size, last, tlo, target = [], [], [], [], [], []
-        # augs grows as new targets are numbered, so the loop visits them breadth first
-        for aug in augs:
-            dist, edges = [], []
-            if aug is None:
-                halt.append(_UNDETECTABLE)
-            elif len(aug[0][0]) == 1:
-                halt.append(_THRESHOLD)
-            else:
-                halt.append(_MAX_STEPS)
-                try:
-                    dist, edges = _expand_aug(mmdp, policy, aug)
-                except ContractError:  # no move here: the trial stops
-                    pass
-            targets = {}  # per entry of ``rows``
-            for e, _, s2, mask, tgt in edges:
-                if isinstance(tgt, ContractError):
-                    left = members(mask, aug[0][0])
-                    # a lone survivor stops as one, entry or not; any other set at 0
-                    tgt = ((left, s2), None, s2) if len(left) == 1 else None
-                if tgt is not None and tgt not in index:
-                    index[tgt] = len(augs)
-                    augs.append(tgt)
-                targets[e] = index.get(tgt, 0)
-            dist = sorted(dist)
-            count.append(len(dist))
-            first.append(len(act_cdf))
-            act_cdf.extend(itertools.accumulate([p for _, p in dist]))
-            for a, _ in dist:
-                row_lo, row_size, row_last = rows.row(aug[2], a)
-                lo.append(row_lo)
-                size.append(row_size)
-                last.append(row_last)
-                tlo.append(len(target))
-                target.extend(targets.get(e, 0) for e in range(row_lo, row_lo + row_size))
-                actions.append(a)
-        self.augs, self.actions = tuple(augs), tuple(actions)
-        self.count = np.array(count, np.intp)
-        self.first = np.array(first, np.intp)
-        self.halt = np.array(halt, np.int8)
-        self.act_cdf = np.array(act_cdf, float)
-        self.lo = np.array(lo, np.intp)
-        self.size = np.array(size, np.intp)
-        self.last = np.array(last, np.intp).reshape(len(last), mmdp.n)
-        self.tlo = np.array(tlo, np.intp)
-        self.target = np.array(target, np.intp)
-        for array in (self.count, self.first, self.halt, self.act_cdf, self.lo, self.size,
-                      self.last, self.tlo, self.target):
-            array.setflags(write=False)
 
 
 def trace_to_csv(trace: Trace) -> str:

@@ -327,23 +327,17 @@ def _random_instance(rng, kind, n_states):
     return random_multi_mmdp(rng, n_models=int(kind[-1]), n_states=n_states)
 
 
-@settings(max_examples=240)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(["binary", "multi3", "multi4"]),
-    policy_kind=st.sampled_from(["synthesized", "uniform", "synthesized elsewhere", "truncated"]),
-    horizon=st.sampled_from([0, 1, 7, 30]),
-    single_pair=st.booleans(),
-)
-def test_pairwise_curve_matches_frozen_reference(seed, kind, policy_kind, horizon, single_pair):
-    """Same values, same CSV bytes and the same errors as the frozen per-pair DP.
+_KINDS = st.sampled_from(["binary", "multi3", "multi4"])
+_POLICY_KINDS = st.sampled_from(["synthesized", "uniform", "synthesized elsewhere", "truncated"])
+
+
+def _curve_case(seed, kind, policy_kind):
+    """A random instance, a policy to run on it, and the generator that drew them.
 
     A policy synthesized on a different instance over the same state names,
     or one with part of its reach tables removed, drives the DP into states
     its entries do not cover, so the error paths and their order are
-    exercised too. The reference runs on ``sanitized(mmdp, policy)``, so it
-    fails where the controller refuses a move; the message is compared
-    wherever the policy holds no such move.
+    exercised too.
     """
     rng = rng_for(seed)
     n_states = int(rng.integers(4, 7))
@@ -358,10 +352,55 @@ def test_pairwise_curve_matches_frozen_reference(seed, kind, policy_kind, horizo
             key: dataclasses.replace(e, reach={s: a for s, a in e.reach.items() if rng.random() < 0.7})
             for key, e in policy.entries.items()
         })
+    return rng, mmdp, policy
+
+
+@settings(max_examples=240)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=_KINDS,
+    policy_kind=_POLICY_KINDS,
+    horizon=st.sampled_from([0, 1, 7, 30]),
+    single_pair=st.booleans(),
+)
+def test_pairwise_curve_matches_frozen_reference(seed, kind, policy_kind, horizon, single_pair):
+    """Same values, same CSV bytes and the same errors as the frozen per-pair DP."""
+    rng, mmdp, policy = _curve_case(seed, kind, policy_kind)
     pairs = None
     if single_pair:
         i, j = sorted(rng.choice(np.arange(1, mmdp.n + 1), size=2, replace=False).tolist())
         pairs = [(i, j) if rng.random() < 0.5 else (j, i)]
+    _assert_curve_matches_reference(mmdp, policy, horizon, pairs)
+
+
+@settings(max_examples=120, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=_KINDS,
+    policy_kind=_POLICY_KINDS,
+    horizon=st.sampled_from([1, 7, 30]),
+)
+def test_pairwise_curve_on_a_table_monte_carlo_compiled_matches_frozen_reference(
+    seed, kind, policy_kind, horizon
+):
+    """bc reads the controller table that Monte Carlo compiled first on the same objects."""
+    _, mmdp, policy = _curve_case(seed, kind, policy_kind)
+    try:
+        monte_carlo_error(mmdp, policy, horizon, 100, seed)
+    except ContractError:  # no entry for the initial configuration: nothing is compiled
+        assert mmdp._controller == []
+    else:
+        assert mmdp._controller[0][0] is policy
+    _assert_curve_matches_reference(mmdp, policy, horizon, None)
+
+
+def _assert_curve_matches_reference(mmdp, policy, horizon, pairs):
+    """``pairwise_bc_curve`` against the frozen per-pair DP, errors included.
+
+    The reference runs on ``sanitized(mmdp, policy)``, so it fails where the
+    controller refuses a move; the message is compared wherever the policy
+    holds no such move.
+    """
     clean = sanitized(mmdp, policy)
     try:
         expected = reference_pairwise_bc_curve(mmdp, clean, horizon, pairs)

@@ -797,7 +797,7 @@ def test_batch_past_2_to_the_63_plays_a_stream_per_trial(monkeypatch):
 
 def _compiles(monkeypatch):
     """The policies ``_CompiledController`` is built for, one per compile."""
-    module = importlib.import_module("mdpdetect.simulate")
+    module = importlib.import_module("mdpdetect.analysis")
     compiled, built = module._CompiledController, []
 
     class Counting(compiled):
@@ -829,6 +829,17 @@ def test_the_controller_is_compiled_once_per_model_and_policy(monkeypatch):
     # another model compiles its own table
     simulate(example1_mmdp(initial="2"), 1, policy, seed=2)
     assert len(built) == 4
+
+
+def test_bc_and_monte_carlo_share_one_compile(monkeypatch):
+    built = _compiles(monkeypatch)
+    mmdp = example1_mmdp(initial="2")
+    policy = bi_apd(mmdp).policy
+    curves = pairwise_bc_curve(mmdp, policy, 20)
+    monte_carlo_error(mmdp, policy, 5, 100, seed=1)
+    batch_summary(mmdp, policy, 40, seed=1)
+    assert pairwise_bc_curve(mmdp, policy, 20) == curves
+    assert built == [policy]
 
 
 def test_monte_carlo_curve_compiles_once_for_every_horizon(monkeypatch):
@@ -873,6 +884,37 @@ def test_a_compiled_controller_is_read_only():
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[0]
     assert isinstance(table.augs, tuple) and isinstance(table.actions, tuple)
+    assert isinstance(table.errors, tuple) and len(table.errors) == len(table.augs)
+
+
+def test_an_action_the_truth_has_no_row_for_fails_the_trial():
+    """Model 1 is eliminated at z, where it has no row, and the policy plays on there.
+
+    Model 1's row (s, a) stores z with probability 0.0 as its last successor
+    and sums to 0.5, so the remainder moves to z and eliminates model 1,
+    which is still the truth. The kernel once read the row before (z, a)
+    there, and played z -> x, which no model allows.
+    """
+    states = ("s", "x", "z")
+    actions = {s: ("a",) for s in states}
+    kernels = [
+        {("s", "a"): {"x": 0.5, "z": 0.0}, ("x", "a"): {"x": 1.0}},
+        {("s", "a"): {"x": 0.5, "z": 0.5}, ("x", "a"): {"x": 1.0}, ("z", "a"): {"z": 1.0}},
+        {("s", "a"): {"x": 0.5, "z": 0.5}, ("x", "a"): {"x": 1.0}, ("z", "a"): {"z": 1.0}},
+    ]
+    mmdp = Mmdp(models=tuple(mk_mdp(states, actions, k, "s", f"M{i}") for i, k in enumerate(kernels)))
+    policy = DetectionPolicy(entries={
+        ((1, 2, 3), "s"): PolicyEntry((1, 2, 3), "s", reach={"s": "a"}),
+        ((2, 3), "z"): PolicyEntry((2, 3), "z", reach={"z": "a"}),
+    })
+    message = r"^model 1 has no row at \(z, a\)$"
+    with pytest.raises(ModelError, match=message):
+        simulate(mmdp, 1, policy, seed=1)
+    # seed 0 moves to x instead, where the policy has no move
+    trace = simulate(mmdp, 1, policy, seed=0)
+    assert [(step.state, step.action) for step in trace.steps] == [("s", "a"), ("x", None)]
+    with pytest.raises(ModelError, match=message):
+        batch_summary(mmdp, policy, 8, 0, truth=1)
 
 
 def _outcome(call):
