@@ -31,7 +31,6 @@ class BcCurve:
 
     values: tuple[float, ...]
     pair: tuple[int, int] = (1, 2)
-    policy_id: str = ""
 
     def check(self) -> list[str]:
         problems = []
@@ -57,16 +56,11 @@ class BcMatrix:
     matrix: np.ndarray
     states: tuple[str, ...]
     initial: str
-    policy_id: str = ""
 
     def bc_value(self, t: int) -> float:
         if t < 0:
             raise ModelError("horizon must be nonnegative")
-        v = np.zeros(len(self.states))
-        v[self.states.index(self.initial)] = 1.0
-        for _ in range(t):
-            v = v @ self.matrix
-        return float(v.sum())
+        return self.bc_curve(t).values[-1]
 
     def bc_curve(self, horizon: int) -> BcCurve:
         v = np.zeros(len(self.states))
@@ -75,7 +69,7 @@ class BcMatrix:
         for _ in range(horizon):
             v = v @ self.matrix
             values.append(float(v.sum()))
-        return BcCurve(values=tuple(values), policy_id=self.policy_id)
+        return BcCurve(values=tuple(values))
 
     def power_radius(self, iterations: int = 200) -> float:
         """Power-iteration estimate of the spectral radius."""
@@ -135,7 +129,7 @@ def bc_exact(
     return total
 
 
-def bc_matrix(m1: Mdp, m2: Mdp, policy: StationaryPolicy, policy_id: str = "") -> BcMatrix:
+def bc_matrix(m1: Mdp, m2: Mdp, policy: StationaryPolicy) -> BcMatrix:
     """The matrix route to B(t); exact for any horizon, no cap."""
     if isinstance(policy, DetectionPolicy):
         raise ModelError("matrix construction needs a stationary policy table")
@@ -150,7 +144,7 @@ def bc_matrix(m1: Mdp, m2: Mdp, policy: StationaryPolicy, policy_id: str = "") -
             r1, r2 = m1.row(s, a), m2.row(s, a)
             for s2 in set(r1) & set(r2):
                 w[si, index[s2]] += pa * math.sqrt(r1[s2] * r2[s2])
-    return BcMatrix(matrix=w, states=states, initial=m1.initial, policy_id=policy_id)
+    return BcMatrix(matrix=w, states=states, initial=m1.initial)
 
 
 @dataclass(frozen=True)
@@ -259,7 +253,7 @@ def pairwise_bc_curve(
         mmdp.model(i), mmdp.model(j)  # ModelError for an index outside 1..n
     values = _pair_curves(mmdp, _compiled(mmdp, policy), pairs, horizon)
     return {
-        (i, j): BcCurve(values=tuple(v), pair=(i, j), policy_id="synthesized")
+        (i, j): BcCurve(values=tuple(v), pair=(i, j))
         for (i, j), v in zip(pairs, values)
     }
 
@@ -314,6 +308,7 @@ def _pair_edges(
     pair ``p``, in summation order: ``indptr[row]:indptr[row + 1]`` indexes
     ``target`` (a row of the same pair) and ``weight``. An edge weighs
     ``pa * sqrt(P_i * P_j)``, as the scalar recurrence computes it, with
+    ``P_i`` read from ``mmdp.rows.lik`` at the slot's entries and
     ``pa = 1 / count`` the probability of the action; a pair drops its
     zero-weight edges. A negative target ``-(k + 1)`` raises
     ``table.errors[k]`` when a pair's DP takes the edge: an edge into a state
@@ -326,7 +321,7 @@ def _pair_edges(
     mj = np.array([j - 1 for _, j in pairs], dtype=np.intp)
     slot, entry = _segments(table.lo, table.size)
     source = np.repeat(np.arange(size), table.count)[slot]
-    lik = mmdp.sampling.lik[entry].T
+    lik = mmdp.rows.lik[entry].T
     weight = (1.0 / table.count[source]) * np.sqrt(lik[mi] * lik[mj])
     # a successor no model allows weighs 0.0 unless a hand-built row holds a NaN or a negative
     pair, edge = np.nonzero((weight != 0.0) & (table.target >= 0))
@@ -366,7 +361,7 @@ def _expand_aug(
     """The controller's move at one augmented state: its action distribution and every edge.
 
     The distribution is the component's, or the one reach action. Edges are
-    (entry of ``mmdp.sampling``, successor, the successor's model bitmask,
+    (entry of ``mmdp.rows``, successor, the successor's model mask there,
     target), actions in distribution order and each one's allowed successors
     sorted; a target the policy has no entry for is given as the error its
     lookup raises. Raises ``ContractError`` wherever the controller has no
@@ -395,7 +390,7 @@ def _expand_aug(
                 f"policy entry {entry_key} plays nothing at {s!r} in its component {mec_index}"
             )
     active = entry.active
-    rows = mmdp.sampling
+    rows = mmdp.rows
     edges: list[tuple[int, str, int, _Aug | ContractError]] = []
     for a, _ in dist:
         lo, size, _ = rows.row(s, a)
@@ -460,15 +455,16 @@ class _CompiledController:
     lone survivor, ``_UNDETECTABLE`` at any other state without an entry and
     ``_MAX_STEPS`` elsewhere. Slot ``g`` holds the action's running sum
     ``act_cdf[g]``, the row ``lo[g]``, ``size[g]``, ``last[g]`` of (state,
-    action) in ``mmdp.sampling``, and the state each of its successors leads
-    to, as ``target[tlo[g] + j]`` (-1 for a successor no model allows), so
-    ``target`` lists the successors of every slot in turn. Every array is
-    read-only, and ``augs``, ``errors`` and ``actions`` are tuples: calls on
-    the same model and policy share the table.
+    action) in ``mmdp.rows``, and the state each of its successors leads
+    to by the row's model masks, as ``target[tlo[g] + j]`` (-1 for a
+    successor no model allows), so ``target`` lists the successors of every
+    slot in turn. Every array is read-only, and ``augs``, ``errors`` and
+    ``actions`` are tuples: calls on the same model and policy share the
+    table.
     """
 
     def __init__(self, mmdp: Mmdp, policy: DetectionPolicy, start: _Aug) -> None:
-        rows = mmdp.sampling
+        rows = mmdp.rows
         augs: list[_Aug] = [start]
         errors: list[ContractError | None] = [None]
         index: dict[_Aug, int] = {start: 0}

@@ -8,9 +8,9 @@ decide almost-sure reachability of those components from the initial state.
 The decision and the synthesized policy depend only on the support
 structure, never on the mixture weight used to blend the two kernels.
 
-Synthesis reads the rewritten structure straight from the shared support
-rows (:attr:`Mmdp.support_rows`) and the pair's classification, without
-building the rewritten models; ``mdpdetect mec --informative`` lists the
+Synthesis reads the rewritten structure straight from the model masks of
+the shared row table (:attr:`Mmdp.rows`) and the pair's classification,
+without building the rewritten models; ``mdpdetect mec --informative`` lists the
 informative components synthesis finds. :func:`preprocess` is the explicit
 form of the rewrite, with its probabilities, and :func:`informative_mdp`
 blends it; the tests check synthesis against them.
@@ -31,7 +31,7 @@ from .graphs import (
     reach_policy,
     reachable_states,
 )
-from .models import ROW_EQ_TOL, Mdp, Mmdp, SupportRows, fresh_name
+from .models import ROW_EQ_TOL, Mdp, Mmdp, Rows, fresh_name
 from .policy import ActiveSet, DetectionPolicy, PolicyEntry, active_set, single_entry_policy
 
 REVEALING = "revealing"
@@ -233,11 +233,11 @@ def bi_apd(mmdp: Mmdp, initial: str | None = None) -> ApdOutcome:
         raise ModelError(f"binary synthesis needs exactly 2 models, got {mmdp.n}")
     if initial is None:
         initial = mmdp.initial
-    if initial not in mmdp.models[0].state_index:
+    if initial not in mmdp.rows.index:
         raise ModelError(f"unknown initial state {initial!r}")
     classification = classify_pairs(*mmdp.models)
     exists, entry, diagnostics = _binary_synthesis(
-        mmdp, _pair_frame(mmdp.support_rows), initial, active_set((1, 2)), {}, classification
+        mmdp, _pair_frame(mmdp.rows), initial, active_set((1, 2)), {}, classification
     )
     policy = single_entry_policy(entry) if entry is not None else None
     return ApdOutcome(exists=exists, policy=policy, diagnostics=diagnostics)
@@ -261,7 +261,7 @@ def _binary_synthesis(
     """
     decision = decisions.get(active)
     if decision is None:
-        graph, isa_rows = _pair_graph(mmdp.support_rows, frame, active, classification)
+        graph, isa_rows = _pair_graph(mmdp.rows, frame, active, classification)
         decision = decisions[active] = _decide(
             graph,
             lambda c: c.rows & isa_rows != 0,
@@ -276,7 +276,7 @@ def _binary_synthesis(
     return entry is not None, entry, diagnostics
 
 
-def _terminal_frame(rows: SupportRows, bases: tuple[str, str]) -> SupportGraph:
+def _terminal_frame(rows: Rows, bases: tuple[str, str]) -> SupportGraph:
     """The states and rows of ``rows`` plus two terminal states, with no successors yet.
 
     The terminals take fresh names from ``bases``, bits n and n + 1, and one
@@ -295,15 +295,15 @@ def _terminal_frame(rows: SupportRows, bases: tuple[str, str]) -> SupportGraph:
     )
 
 
-def _pair_frame(rows: SupportRows) -> SupportGraph:
+def _pair_frame(rows: Rows) -> SupportGraph:
     """The frame of every model pair's graph: the terminals of :func:`preprocess`."""
     return _terminal_frame(rows, ("bot1", "bot2"))
 
 
 def _pair_graph(
-    rows: SupportRows, frame: SupportGraph, pair: ActiveSet, cls: SaClassification
+    rows: Rows, frame: SupportGraph, pair: ActiveSet, cls: SaClassification
 ) -> tuple[SupportGraph, int]:
-    """The union support of the rewritten model ``pair``, read from the support rows.
+    """The union support of the rewritten model ``pair``, read from the ``groups`` of ``rows``.
 
     Returns the graph over ``frame`` and its ``isa`` rows: the informative
     rows at states that are not revealing, and the two terminal rows. The
@@ -314,7 +314,7 @@ def _pair_graph(
     the successors both models allow, plus the terminal of each model that
     puts mass elsewhere; a neutral row keeps the union support.
     """
-    n, r_end = len(rows.names), len(rows.actions)
+    n, r_end, groups = len(rows.names), len(rows.actions), rows.groups
     bot1, bot2, outside = 1 << n, 1 << n + 1, 1 << n + 2
     mask_i, mask_j = 1 << pair[0] - 1, 1 << pair[1] - 1
     labels, actions, first = cls.pair_labels, rows.actions, rows.first
@@ -324,9 +324,9 @@ def _pair_graph(
         if cls.state_labels[name] == REVEALING:
             succ[actions.index(cls.chosen_revealing[name], first[s], first[s + 1])] = bot1 | bot2
             continue
-        for r, groups in rows.groups[s]:
+        for r, here in groups[s]:
             common = only_i = only_j = 0
-            for mask, bits in groups:
+            for mask, bits in here:
                 if mask & mask_i:
                     if mask & mask_j:
                         common |= bits
@@ -426,3 +426,5 @@ def _check_shared_structure(m1: Mdp, m2: Mdp) -> None:
     for s in m1.states:
         if m1.actions.get(s) != m2.actions.get(s):
             raise ModelError(f"model pair disagrees on actions at state {s}")
+        if s not in m1.actions:
+            raise ModelError(f"state {s!r} has no entry in actions")

@@ -59,7 +59,7 @@ def general_apd(mmdp: Mmdp, initial: str | None = None, memoize: bool = True) ->
         raise ModelError(f"need at least 2 models, got {mmdp.n}")
     if initial is None:
         initial = mmdp.initial
-    if initial not in mmdp.models[0].state_index:
+    if initial not in mmdp.rows.index:
         raise ModelError(f"unknown initial state {initial!r}")
     if mmdp.n == 2:
         return bi_apd(mmdp, initial)
@@ -115,12 +115,12 @@ class _Context:
         "subdetection fails" (bit n) and "succeeds" (bit n + 1), each with one
         self-loop action.
         """
-        return _terminal_frame(self.mmdp.support_rows, ("botg0", "botg1"))
+        return _terminal_frame(self.mmdp.rows, ("botg0", "botg1"))
 
     @cached_property
     def pair_frame(self) -> SupportGraph:
         """The states and rows of every model pair's graph, shared by all pairs."""
-        return _pair_frame(self.mmdp.support_rows)
+        return _pair_frame(self.mmdp.rows)
 
 
 def _solve(
@@ -152,8 +152,8 @@ def _general_level(
     ctx: _Context, active: ActiveSet, initial: str, depth: int
 ) -> tuple[bool, dict[tuple[ActiveSet, str], PolicyEntry], dict[str, Any]]:
     """One BFS + recursion level of the synthesis for ``len(active) >= 3``."""
-    rows, frame = ctx.mmdp.support_rows, ctx.frame
-    names, row_actions = rows.names, rows.actions
+    rows, frame = ctx.mmdp.rows, ctx.frame
+    names, row_actions, groups = rows.names, rows.actions, rows.groups
     bot0, bot1 = len(names), len(names) + 1
     active_mask = sum(1 << (i - 1) for i in active)
 
@@ -175,10 +175,10 @@ def _general_level(
 
     while queue:
         s = queue.popleft()
-        for r, groups in rows.groups[s]:
+        for r, here in groups[s]:
             agree = 0
             partial = []
-            for mask, bits in groups:
+            for mask, bits in here:
                 mask &= active_mask
                 if mask == active_mask:
                     agree |= bits

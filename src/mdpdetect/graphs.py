@@ -8,7 +8,7 @@ support structure alone.
 The algorithms run on a :class:`SupportGraph`, whose states are interned to
 bit positions: a set of states is one Python ``int``, and "the support of a
 row stays inside U" is ``succ & ~U == 0``. Synthesis builds its graphs from
-:attr:`Mmdp.support_rows`, and :func:`model_graph` reads one model's support
+:attr:`Mmdp.rows`, and :func:`model_graph` reads one model's support
 from the same rows. :func:`mec_decompose`, :func:`almost_sure_reach_set` and
 :func:`reach_policy` answer in state and action names.
 """
@@ -85,13 +85,13 @@ class SupportGraph:
 
 
 def model_graph(mmdp: Mmdp, model: int) -> SupportGraph:
-    """The support of model ``model`` (1-based), read from :attr:`Mmdp.support_rows`.
+    """The support of model ``model`` (1-based), read from :attr:`Mmdp.rows`.
 
     Row ``r`` moves to the successors of every mask group of ``r`` that holds
     the model's bit.
     """
     mmdp.model(model)  # the ModelError of an index outside 1..n
-    rows, bit = mmdp.support_rows, 1 << model - 1
+    rows, bit = mmdp.rows, 1 << model - 1
     succ = [0] * len(rows.actions)
     for here in rows.groups:
         for r, groups in here:

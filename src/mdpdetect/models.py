@@ -1,4 +1,4 @@
-"""Core model types: MDPs, multi-model MDPs and the support rows they share, histories.
+"""Core model types: MDPs, multi-model MDPs and the rows they share, histories.
 
 State and action identifiers are strings at the API and file level; numeric
 code (matrix construction, simulation) interns them to dense indices where it
@@ -44,10 +44,6 @@ class Mdp:
     initial: str
     name: str = "M"
 
-    @cached_property
-    def state_index(self) -> dict[str, int]:
-        return {s: i for i, s in enumerate(self.states)}
-
     def row(self, state: str, action: str) -> Row:
         return self.kernel.get((state, action), {})
 
@@ -60,15 +56,14 @@ class Mmdp:
     """An ordered set of candidate MDPs over one shared structure skeleton.
 
     Read-only once built. The model keeps what it derives on first use:
-    :attr:`support_rows` for synthesis, the one read-only row table
-    :attr:`sampling` for run time, and the controller table that
-    ``simulate`` or ``pairwise_bc_curve`` last compiled, with the policy it
-    was compiled for.
+    :attr:`rows`, the one row table of synthesis and run time, and the
+    controller table that ``simulate`` or ``pairwise_bc_curve`` last
+    compiled, with the policy it was compiled for.
     """
 
     models: tuple[Mdp, ...]
     # at most one (policy, compiled controller) pair, replaced whole and never
-    # emptied once set; the table indexes ``sampling``
+    # emptied once set; the table indexes ``rows``
     _controller: list[tuple[Any, Any]] = field(
         default_factory=list, init=False, repr=False, compare=False
     )
@@ -96,117 +91,121 @@ class Mmdp:
         return self.models[index - 1]
 
     @cached_property
-    def support_rows(self) -> SupportRows:
-        """The shared support structure over interned states, built on first use."""
-        return SupportRows(self)
-
-    @cached_property
-    def sampling(self) -> SamplingRows:
-        """Every model's rows laid out for sampling successors, all built on first use."""
-        return SamplingRows(self)
+    def rows(self) -> Rows:
+        """The one row table of synthesis and run time, built on first use."""
+        return Rows(self)
 
 
-class SupportRows:
-    """The support structure the models share, over states interned to bit positions.
+class Rows:
+    """The rows the models share, over states interned to bit positions.
 
     ``names[i]`` is the state of bit ``i`` of a state bitset, in sorted name
     order, so ascending bits visit the states in sorted order; ``index`` maps
     names back. Row ``r`` is one (state, action) pair: state ``i`` owns rows
     ``first[i] .. first[i + 1]``, in sorted action order, and ``actions[r]``
-    names the action. ``groups[i]`` lists state ``i``'s rows in its declared
-    action order as ``(r, ((mask, successors), ...))``: the row's successors
-    as one bitset per model bitmask, masks ascending: bit ``m - 1`` of a
-    mask stands for model ``m`` giving those successors positive
-    probability. Read-only once built.
+    names the action; the pairs some model's kernel has but no state
+    declares come after them. Row (state, action) covers the sorted union of
+    the models' row keys, as entries ``lo .. lo + size`` of ``successors``
+    and ``masks``, where ``(lo, size, last) = row(state, action)``; any
+    other pair is an empty row. ``masks[e]`` has bit ``m - 1`` set where
+    model ``m`` gives successor ``e`` positive probability: the one rule by
+    which synthesis and run time eliminate a model. ``last[m]`` is the
+    position of model ``m + 1``'s last own successor, which takes any
+    remainder, or -1 for an empty row.
+
+    Each reader builds its own view on first use. Synthesis reads
+    ``groups``: ``groups[i]`` lists state ``i``'s rows in its declared action
+    order as ``(r, ((mask, successors), ...))``, the row's successors as one
+    bitset per model mask, masks ascending. Run time reads :meth:`row` and,
+    with numpy, ``lik`` and ``cdf``: ``lik[e, m]`` is model ``m + 1``'s
+    probability of entry ``e`` and ``cdf[e, m]`` the running sum from
+    ``lo``. A successor outside the model's row adds 0.0, so the sums at the
+    model's own successors are those of its sorted items. Read-only once
+    built; ``lik`` and ``cdf`` are not writable.
     """
 
     def __init__(self, mmdp: Mmdp) -> None:
+        self._models = models = mmdp.models
         self.names = tuple(sorted(mmdp.states))
-        self.index = index = {s: i for i, s in enumerate(self.names)}
-        models, declared = mmdp.models, mmdp.actions
-        actions: list[str] = []
-        first: list[int] = []
-        groups = []
+        self.index = {s: i for i, s in enumerate(self.names)}
+        keys: list[tuple[str, str]] = []
+        first = []
         for s in self.names:
-            row = {a: len(actions) + k for k, a in enumerate(sorted(declared[s]))}
-            first.append(len(actions))
-            actions.extend(row)
+            first.append(len(keys))
+            keys += [(s, a) for a in sorted(mmdp.actions.get(s, ()))]
+        first.append(len(keys))
+        self.first, self.actions = tuple(first), tuple([a for _, a in keys])
+        self._keys = list(dict.fromkeys(keys + [key for m in models for key in m.kernel]))
+        self.successors: list[str] = []
+        self.masks: list[int] = []
+        self._lo = [0]  # row r's entries are _lo[r] .. _lo[r + 1]
+        kernels = [(1 << bit, m.kernel) for bit, m in enumerate(models)]
+        for key in self._keys:
+            acc: dict[str, int] = {}
+            for bit, kernel in kernels:
+                for t, p in kernel.get(key, {}).items():
+                    acc[t] = acc.get(t, 0) | (bit if p > 0.0 else 0)
+            order = sorted(acc)
+            self.successors.extend(order)
+            self.masks.extend([acc[t] for t in order])
+            self._lo.append(len(self.successors))
+
+    def row(self, state: str, action: str) -> tuple[int, int, tuple[int, ...]]:
+        """``(lo, size, last)`` of row (state, action)."""
+        return self._index.get((state, action), (0, 0, (-1,) * len(self._models)))
+
+    @cached_property
+    def groups(self) -> tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]:
+        """The view of synthesis, built on first use.
+
+        Raises ``ModelError`` for a state without an action list, or for a
+        row that moves outside the states.
+        """
+        declared, index, first, lo = self._models[0].actions, self.index, self.first, self._lo
+        groups = []
+        for i, s in enumerate(self.names):
+            if s not in declared:
+                raise ModelError(f"state {s!r} has no entry in actions")
             here = []
             for a in declared[s]:
+                r = self.actions.index(a, first[i], first[i + 1])
                 by_mask: dict[int, int] = {}
-                for t, mask in _successor_masks(models, s, a).items():
-                    if t not in index:
-                        raise ModelError(f"row ({s}, {a}) moves to {t!r}, which is not a state")
-                    by_mask[mask] = by_mask.get(mask, 0) | 1 << index[t]
-                here.append((row[a], tuple(sorted(by_mask.items()))))
+                for t, mask in zip(self.successors[lo[r] : lo[r + 1]], self.masks[lo[r] : lo[r + 1]]):
+                    if mask:
+                        if t not in index:  # name the first the models list
+                            t = next(t for m in self._models for t, p in m.row(s, a).items()
+                                     if p > 0.0 and t not in index)
+                            raise ModelError(f"row ({s}, {a}) moves to {t!r}, which is not a state")
+                        by_mask[mask] = by_mask.get(mask, 0) | 1 << index[t]
+                here.append((r, tuple(sorted(by_mask.items()))))
             groups.append(tuple(here))
-        first.append(len(actions))
-        self.actions, self.first, self.groups = tuple(actions), tuple(first), tuple(groups)
+        return tuple(groups)
 
+    def __getattr__(self, name: str) -> Any:
+        # the view of run time: lik, cdf and the rows of row(), built together
+        if name not in ("lik", "cdf", "_index"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        import numpy as np  # only run time needs numpy; synthesis runs without it
 
-def _successor_masks(models: tuple[Mdp, ...], state: str, action: str) -> dict[str, int]:
-    """Successor -> bitmask of the ``models`` giving it positive probability at (state, action).
-
-    Bit ``k`` stands for ``models[k]``; successors no model allows are absent.
-    """
-    acc: dict[str, int] = {}
-    for bit, m in enumerate(models):
-        for succ, p in m.row(state, action).items():
-            if p > 0.0:
-                acc[succ] = acc.get(succ, 0) | 1 << bit
-    return acc
-
-
-class SamplingRows:
-    """The rows of all models at each (state, action), over their sorted successors.
-
-    One read-only table, built in one pass over the declared (state, action)
-    pairs and every other pair a model's kernel has; any other pair is an
-    empty row. Row (state, action) covers the sorted union of the models'
-    row keys, as entries ``lo .. lo + size`` of ``successors``, ``masks``,
-    ``lik`` and ``cdf``: ``masks[e]`` is successor ``e``'s model bitmask, as
-    in :class:`SupportRows` (0 where no model allows it), ``lik[e, m]``
-    is model ``m + 1``'s probability of it and ``cdf[e, m]`` the running sum
-    from ``lo``. A successor outside the model's row adds 0.0, so the sums at
-    the model's own successors are those of its sorted items. ``last[m]`` is
-    the position of the model's last own successor, which takes any
-    remainder, or -1 for an empty row. ``lik`` and ``cdf`` are not writable.
-    """
-
-    def __init__(self, mmdp: Mmdp) -> None:
-        import numpy as np  # only sampling needs numpy; synthesis runs without it
-
-        models = mmdp.models
-        keys = [(s, a) for s in mmdp.states for a in mmdp.actions.get(s, ())]
-        keys += [key for m in models for key in m.kernel]
-        self._index: dict[tuple[str, str], tuple[int, int, tuple[int, ...]]] = {}
-        self._empty = (0, 0, (-1,) * len(models))
-        self.successors: list[str] = []
-        lik, pos = [], []  # per entry: every model's probability, the position in its row
-        for key in dict.fromkeys(keys):
-            rows = [m.row(*key) for m in models]
-            row = sorted(set().union(*rows))
-            last = tuple([row.index(max(r)) if r else -1 for r in rows])
-            self._index[key] = (len(self.successors), len(row), last)
-            self.successors.extend(row)
-            lik.extend([r.get(t, 0.0) for t in row for r in rows])
-            pos.extend(range(len(row)))
-        self.lik = np.array(lik, float).reshape(-1, len(models))
-        # bit m of an entry's mask is set where model m + 1 gives it p > 0.0
-        packed = np.packbits(self.lik > 0.0, axis=1, bitorder="little")
-        self.masks = [int.from_bytes(bits, "little") for bits in packed]
+        models, successors, lo = self._models, self.successors, self._lo
+        probs: list[float] = []  # per entry: every model's probability
+        by_key = {}
+        for key, start, end in zip(self._keys, lo, lo[1:]):
+            here = [m.kernel.get(key, {}) for m in models]
+            row = successors[start:end]
+            by_key[key] = (start, end - start, tuple([row.index(max(p)) if p else -1 for p in here]))
+            probs.extend([p.get(t, 0.0) for t in row for p in here])
+        self.lik = np.array(probs, float).reshape(-1, len(models))
         # each row's running sums, one addition per entry in row order
         self.cdf = self.lik.copy()
-        pos = np.array(pos, np.intp)
+        pos = np.arange(len(successors)) - np.repeat(lo[:-1], np.diff(lo))
         for j in range(1, pos.max(initial=0) + 1):
             e = np.flatnonzero(pos == j)
             self.cdf[e] += self.cdf[e - 1]
         self.lik.setflags(write=False)
         self.cdf.setflags(write=False)
-
-    def row(self, state: str, action: str) -> tuple[int, int, tuple[int, ...]]:
-        """``(lo, size, last)`` of row (state, action)."""
-        return self._index.get((state, action), self._empty)
+        self._index = by_key
+        return getattr(self, name)
 
 
 @dataclass(frozen=True)

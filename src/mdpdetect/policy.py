@@ -28,8 +28,8 @@ def members(mask: int, active: ActiveSet) -> ActiveSet:
     """The models of ``active`` whose bit (``i - 1`` for model ``i``) is set in ``mask``.
 
     The one rule that eliminates a model: by support, never by the size of a
-    posterior. Synthesis applies it to the model masks of
-    :attr:`Mmdp.support_rows`, and run time to those of :attr:`Mmdp.sampling`.
+    posterior. Synthesis and run time apply it to the same model masks,
+    those of :attr:`Mmdp.rows`.
     """
     return tuple([i for i in active if mask >> (i - 1) & 1])
 

@@ -308,7 +308,7 @@ def _lockstep(
             f"policy has no entry for the initial configuration ({full}, {mmdp.initial!r})"
         )
     table = _compiled(mmdp, policy)
-    rows = mmdp.sampling
+    rows = mmdp.rows
     trials = len(truth)
     final = np.tile(np.asarray(beliefs, float), (trials, 1))
     stop_step = np.zeros(trials, np.intp)

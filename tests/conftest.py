@@ -754,7 +754,7 @@ def reference_pairwise_bc_curve(mmdp, policy, horizon, pairs=None, cap=None):
                     nxt[tgt] = nxt.get(tgt, 0.0) + w * wt
             mass = nxt
             values.append(sum(mass.values()))
-        curves[(i, j)] = BcCurve(values=tuple(values), pair=(i, j), policy_id="synthesized")
+        curves[(i, j)] = BcCurve(values=tuple(values), pair=(i, j))
     return curves
 
 
@@ -1029,10 +1029,10 @@ def reference_policy_to_json(policy: DetectionPolicy) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Frozen lazy row caches: the support masks and the sampling rows an `Mmdp`
-# built row by row on first use, which the one-pass table `Mmdp.sampling`
-# replaced and must match row for row, and the elimination rule read from
-# those masks.
+# Frozen row tables: the support masks and the sampling rows an `Mmdp` built
+# row by row on first use, and the support rows synthesis read, which the one
+# row table `Mmdp.rows` replaced and must match row for row; and the
+# elimination rule read from those masks.
 # ---------------------------------------------------------------------------
 
 
@@ -1049,6 +1049,31 @@ def reference_survivors(mmdp: Mmdp, active, s: str, a: str, s2: str) -> tuple[in
     """The models of ``active`` that give the transition (s, a, s2) positive probability."""
     mask = reference_support_masks(mmdp, s, a).get(s2, 0)
     return tuple([i for i in active if mask >> (i - 1) & 1])
+
+
+class ReferenceSupportRows:
+    """States interned in sorted order, rows numbered in sorted action order, and
+    each state's rows, in declared action order, as one successor bitset per model mask."""
+
+    def __init__(self, mmdp):
+        self.names = tuple(sorted(mmdp.states))
+        self.index = index = {s: i for i, s in enumerate(self.names)}
+        actions, first, groups = [], [], []
+        for s in self.names:
+            row = {a: len(actions) + k for k, a in enumerate(sorted(mmdp.actions[s]))}
+            first.append(len(actions))
+            actions.extend(row)
+            here = []
+            for a in mmdp.actions[s]:
+                by_mask = {}
+                for t, mask in reference_support_masks(mmdp, s, a).items():
+                    if t not in index:
+                        raise ModelError(f"row ({s}, {a}) moves to {t!r}, which is not a state")
+                    by_mask[mask] = by_mask.get(mask, 0) | 1 << index[t]
+                here.append((row[a], tuple(sorted(by_mask.items()))))
+            groups.append(tuple(here))
+        first.append(len(actions))
+        self.actions, self.first, self.groups = tuple(actions), tuple(first), tuple(groups)
 
 
 class ReferenceSamplingRows:

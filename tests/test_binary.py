@@ -287,7 +287,7 @@ def _model_pairs(mmdp):
 
 
 def _pair_graph_of(mmdp, i, j):
-    rows, cls = mmdp.support_rows, classify_pairs(mmdp.model(i), mmdp.model(j))
+    rows, cls = mmdp.rows, classify_pairs(mmdp.model(i), mmdp.model(j))
     return _pair_graph(rows, _pair_frame(rows), (i, j), cls)
 
 
@@ -388,7 +388,7 @@ def test_pair_decision_matches_frozen_reference(seed, kind):
     """Reach set, reach table, components and diagnostics equal the decision taken
     on ``informative_graph(preprocess(...))``, and so does every entry built from them."""
     mmdp = _random_mmdp(rng_for(seed), kind)
-    frame = _pair_frame(mmdp.support_rows)
+    frame = _pair_frame(mmdp.rows)
     for pair in _model_pairs(mmdp):
         m_i, m_j = mmdp.model(pair[0]), mmdp.model(pair[1])
         decisions = {}

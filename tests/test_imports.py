@@ -54,23 +54,44 @@ assert simulate is mdpdetect.simulate and not isinstance(trial_rng, types.Module
 
 
 def test_synthesis_and_elimination_by_support_load_no_numpy():
-    # only the row table of run time needs numpy
+    # synthesis reads the row table's support view; only its run-time view
+    # needs numpy, and run time leaves the support view unbuilt
     _fresh("""
 import sys
 from mdpdetect.general import general_apd
+from mdpdetect.models import mmdp_to_json, parse_mmdp
 from mdpdetect.policy import members
 from mdpdetect.scenarios import gen_grid, grid_spec_from_json
 
+three = parse_mmdp({"states": ["x", "y"], "actions": {"x": ["a"], "y": ["b"]}, "initial": "x", "models": [
+    {"delta": [{"from": "x", "action": "a", "to": t, "p": p} for t, p in row]
+     + [{"from": "y", "action": "b", "to": "x", "p": 1.0}]}
+    for row in ([("x", 0.5), ("y", 0.5)], [("x", 0.2), ("y", 0.8)], [("x", 1.0)])
+]})
+assert general_apd(three).exists
 mmdp = gen_grid(grid_spec_from_json({"width": 3, "height": 3, "obstacles": [], "goal_region": [[2, 2]]}))
-assert general_apd(mmdp).exists
-rows = mmdp.support_rows
+policy = general_apd(mmdp).policy
+rows = mmdp.rows
+for built in (three.rows, rows):
+    assert "groups" in vars(built) and "lik" not in vars(built) and "cdf" not in vars(built)
 i, j = rows.index["c0_0"], rows.index["c1_0"]
 (groups,) = [g for r, g in rows.groups[i] if rows.actions[r] == "move"]
 (mask,) = [mask for mask, bits in groups if bits >> j & 1]
 assert members(mask, (1, 2)) == (1, 2)
 assert "numpy" not in sys.modules
-mmdp.sampling
+rows.lik
 assert "numpy" in sys.modules
+
+from mdpdetect.analysis import pairwise_bc_curve
+from mdpdetect.simulate import monte_carlo_error, simulate
+for run in (
+    lambda m: simulate(m, 1, policy, 0),
+    lambda m: monte_carlo_error(m, policy, 3, 100, 0),
+    lambda m: pairwise_bc_curve(m, policy, 3),
+):
+    fresh = parse_mmdp(mmdp_to_json(mmdp))
+    run(fresh)
+    assert "lik" in vars(fresh.rows) and "groups" not in vars(fresh.rows)
 """)
 
 

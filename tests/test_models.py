@@ -32,6 +32,7 @@ from mdpdetect.policy import (
 
 from conftest import (
     ReferenceSamplingRows,
+    ReferenceSupportRows,
     example1_mmdp,
     mk_mdp,
     random_binary_mmdp,
@@ -147,7 +148,7 @@ def test_parse_duplicate_delta_entry_rejected():
 
 
 def test_sampling_rows_lay_out_every_model_over_the_sorted_successors(example1):
-    rows = example1.sampling
+    rows = example1.rows
     lo, size, last = rows.row("2", "b2")  # M1: 2 -> 0.5, 5 -> 0.5; M2: 2 -> 0.5, 6 -> 0.5
     assert rows.successors[lo : lo + size] == ["2", "5", "6"]
     assert rows.lik[lo : lo + size].tolist() == [[0.5, 0.5], [0.5, 0.0], [0.0, 0.5]]
@@ -180,7 +181,7 @@ def test_sampling_table_matches_the_frozen_lazy_rows(n_models, n_states, leaky, 
         first = mmdp.models[0]
         kernel = {**first.kernel, ("s0", "zz"): {"s1": 0.5, "s0": 0.5}}
         mmdp = Mmdp(models=(dataclasses.replace(first, kernel=kernel), *mmdp.models[1:]))
-    rows, frozen = mmdp.sampling, ReferenceSamplingRows(mmdp.models)
+    rows, frozen = mmdp.rows, ReferenceSamplingRows(mmdp.models)
     known = {(s, a) for s in mmdp.states for a in mmdp.actions[s]}
     known.update(key for m in mmdp.models for key in m.kernel)
     for s, a in [*sorted(known), ("s0", "nope"), ("nowhere", "a0")]:
@@ -199,6 +200,55 @@ def test_sampling_table_matches_the_frozen_lazy_rows(n_models, n_states, leaky, 
     for array in (rows.lik, rows.cdf):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0.5
+
+
+@settings(max_examples=120, derandomize=True)
+@given(
+    n_models=st.integers(2, 4),
+    n_states=st.integers(2, 6),
+    rename=st.booleans(),
+    leaky=st.booleans(),
+    undeclared=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_table_matches_the_frozen_support_rows(n_models, n_states, rename, leaky, undeclared, seed):
+    """The fields synthesis reads equal those of the support rows it read before.
+
+    Covers states and actions that sort out of declared order
+    (``renamed``), rows ending in an explicit ``"~": 0.0`` (``_leaky``), and
+    kernel rows no state declares, at a state and outside the states.
+    """
+    mmdp = random_multi_mmdp(rng_for(seed), n_models=n_models, n_states=n_states)
+    if rename:
+        mmdp = renamed(mmdp, lambda s: f"q{9 - int(s[1:])}", {"a0": "z", "a1": "a"}.get)
+    if leaky:
+        mmdp = _leaky(mmdp)
+    if undeclared:
+        first, s0 = mmdp.models[0], mmdp.states[0]
+        kernel = {**first.kernel, (s0, "zz"): {s0: 1.0}, ("nowhere", "a0"): {"nowhere": 1.0}}
+        mmdp = Mmdp(models=(dataclasses.replace(first, kernel=kernel), *mmdp.models[1:]))
+    rows, frozen = mmdp.rows, ReferenceSupportRows(mmdp)
+    assert (rows.names, rows.index, rows.first) == (frozen.names, frozen.index, frozen.first)
+    assert (rows.actions, rows.groups) == (frozen.actions, frozen.groups)
+
+
+@pytest.mark.parametrize("n_models", [2, 3])
+def test_a_state_without_an_action_list_is_a_model_error(n_models):
+    """A hand-built, unvalidated instance whose state ``y`` has no entry in ``actions``.
+
+    Synthesis refuses it, naming the state; run time reads ``y`` as a state
+    with no rows of its own, as the frozen lazy rows do.
+    """
+    kernel = {("x", "a"): {"x": 0.5, "y": 0.5}, ("y", "a"): {"y": 1.0}}
+    mm = Mmdp(models=tuple(mk_mdp(("x", "y"), {"x": ("a",)}, kernel, "x") for _ in range(n_models)))
+    for entry in [lambda m: model_graph(m, 1), general_apd] + [bi_apd] * (n_models == 2):
+        with pytest.raises(ModelError, match="state 'y' has no entry in actions"):
+            entry(mm)
+    rows, i = mm.rows, mm.rows.index["y"]
+    assert rows.first[i] == rows.first[i + 1] == len(rows.actions)
+    lo, size, last = rows.row("y", "a")
+    assert (size, last) == ReferenceSamplingRows(mm.models).row("y", "a")[1:]
+    assert rows.successors[lo : lo + size] == ["y"]
 
 
 def test_roundtrip_is_identity(example1):

@@ -37,7 +37,7 @@ def test_survivors_match_the_kernel_supports(n_models, n_states, seed):
     reads, keeps exactly the active models that allow a successor."""
     mmdp = random_multi_mmdp(rng_for(seed), n_models=n_models, n_states=n_states)
     subsets = [c for k in range(1, n_models + 1) for c in combinations(range(1, n_models + 1), k)]
-    rows = mmdp.support_rows
+    rows = mmdp.rows
     assert rows.names == tuple(sorted(mmdp.states))
     for i, s in enumerate(rows.names):
         assert rows.actions[rows.first[i] : rows.first[i + 1]] == tuple(sorted(mmdp.actions[s]))

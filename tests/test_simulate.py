@@ -72,7 +72,7 @@ def test_belief_update_example1_values(example1):
 def test_belief_update_revealing_transition_collapses(example1):
     b = belief_update(BeliefState((0.5, 0.5)), "5", "b5", "5", example1)
     assert b.probs == (1.0, 0.0)  # an exact zero: model 2 gives (5, b5, 5) probability zero
-    rows = example1.sampling
+    rows = example1.rows
     lo, size, _ = rows.row("5", "b5")
     (mask,) = [rows.masks[e] for e in range(lo, lo + size) if rows.successors[e] == "5"]
     assert members(mask, (1, 2)) == (1,)
