@@ -9,7 +9,6 @@ controller state. MAP error bounds come in binary and multi-hypothesis forms.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -344,30 +343,20 @@ def _segments(lo: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return run, np.arange(len(run)) + np.repeat(lo - (np.cumsum(size) - size), size)
 
 
-def _canonical_aug(
-    policy: DetectionPolicy, entry_key: tuple[ActiveSet, str], mec_index: int | None, state: str
-) -> _Aug:
-    entry = policy.entries.get(entry_key)
-    if entry is None:
-        raise ContractError(f"policy has no entry for {entry_key}")
-    if mec_index is None:
-        mec_index = entry.committed_mec(state)
-    return (entry_key, mec_index, state)
-
-
 def _expand_aug(
     mmdp: Mmdp, policy: DetectionPolicy, aug: _Aug
-) -> tuple[list[tuple[str, float]], list[tuple[int, str, int, _Aug | ContractError]]]:
-    """The controller's move at one augmented state: its action distribution and every edge.
+) -> list[tuple[str, float, tuple[int, int, tuple[int, ...]], list[_Aug | ContractError | None]]]:
+    """The controller's move at one augmented state: each action it plays, with its row and targets.
 
-    The distribution is the component's, or the one reach action. Edges are
-    (entry of ``mmdp.rows``, successor, the successor's model mask there,
-    target), actions in distribution order and each one's allowed successors
-    sorted; a target the policy has no entry for is given as the error its
-    lookup raises. Raises ``ContractError`` wherever the controller has no
-    move: no reach action and no component, a state outside the committed
-    one, an empty component distribution, or an action some active model
-    lacks.
+    ``(action, probability, (lo, size, last), targets)`` per action of the
+    component's distribution (in sorted order) or the one reach action, where
+    ``(lo, size, last)`` is row (state, action) of ``mmdp.rows`` and entry
+    ``lo + j`` leads to ``targets[j]`` by its model mask: ``None`` where no
+    model allows it, a state of the same entry where every active model does,
+    and else one of the entry of the models left, or the ``ContractError`` of
+    its lookup. Raises ``ContractError`` wherever the controller has no move:
+    no reach action and no component, a state outside the committed one, an
+    empty component distribution, or an action some active model lacks.
     """
     entry_key, mec_index, s = aug
     entry = policy.entries[entry_key]
@@ -384,34 +373,33 @@ def _expand_aug(
             raise ContractError(
                 f"policy entry {entry_key} leaves its component {mec_index} at {s!r}"
             )
-        dist = list(mec.distribution(s).items())
+        dist = mec.distribution(s).items()
         if not dist:
             raise ContractError(
                 f"policy entry {entry_key} plays nothing at {s!r} in its component {mec_index}"
             )
     active = entry.active
-    rows = mmdp.rows
-    edges: list[tuple[int, str, int, _Aug | ContractError]] = []
-    for a, _ in dist:
-        lo, size, _ = rows.row(s, a)
+    amask = sum({1 << (i - 1) for i in active})  # an edge whose mask holds it keeps every model
+    rows, mec_of = mmdp.rows, entry.mec_of
+    moves = []
+    for a, p in dist:
+        row = lo, size, _ = rows.row(s, a)
+        targets: list[_Aug | ContractError | None] = []
         offered = 0
-        for e in range(lo, lo + size):
-            mask, s2 = rows.masks[e], rows.successors[e]
-            if not mask:  # no model allows s2
-                continue
+        for mask, s2 in zip(rows.masks[lo : lo + size], rows.successors[lo : lo + size]):
             offered |= mask
-            new_active = members(mask, active)
-            try:
-                if new_active == active:
-                    tgt = _canonical_aug(policy, entry_key, mec_index, s2)
-                else:
-                    tgt = _canonical_aug(policy, (new_active, s2), None, s2)
-            except ContractError as exc:
-                tgt = exc
-            edges.append((e, s2, mask, tgt))
-        if members(offered, active) != active:
+            if mask & amask == amask and mask:
+                targets.append((entry_key, mec_of.get(s2) if mec_index is None else mec_index, s2))
+            elif not mask:  # no model allows s2
+                targets.append(None)
+            else:
+                found = policy.entries.get(key := (members(mask, active), s2))
+                targets.append(ContractError(f"policy has no entry for {key}") if found is None
+                               else (key, found.mec_of.get(s2), s2))
+        if offered & amask != amask:
             raise ContractError(f"policy entry {entry_key} plays {a!r} at {s!r}, which does not offer it")
-    return dist, edges
+        moves.append((a, p, row, targets))
+    return moves
 
 
 # stop codes of the lockstep kernel, indexing ``simulate.STOP_REASONS``
@@ -430,10 +418,11 @@ def _compiled(mmdp: Mmdp, policy: DetectionPolicy) -> _CompiledController:
     held = mmdp._controller[0] if mmdp._controller else None
     if held is not None and held[0] is policy:
         return held[1]
-    full = active_set(range(1, mmdp.n + 1))
-    table = _CompiledController(
-        mmdp, policy, _canonical_aug(policy, (full, mmdp.initial), None, mmdp.initial)
-    )
+    key = (active_set(range(1, mmdp.n + 1)), mmdp.initial)
+    entry = policy.entries.get(key)
+    if entry is None:
+        raise ContractError(f"policy has no entry for {key}")
+    table = _CompiledController(mmdp, policy, (key, entry.committed_mec(key[1]), key[1]))
     mmdp._controller[:] = [(policy, table)]
     return table
 
@@ -464,16 +453,16 @@ class _CompiledController:
     """
 
     def __init__(self, mmdp: Mmdp, policy: DetectionPolicy, start: _Aug) -> None:
-        rows = mmdp.rows
+        masks, successors = mmdp.rows.masks, mmdp.rows.successors
         augs: list[_Aug] = [start]
         errors: list[ContractError | None] = [None]
         index: dict[_Aug, int] = {start: 0}
         actions: list[str] = []  # per slot, for error messages
-        count, first, halt = [], [], []
-        act_cdf, lo, size, last, tlo, target = [], [], [], [], [], []
+        count, halt = [], []
+        act_cdf, lo, size, last, target = [], [], [], [], []
         # augs grows as new targets are numbered, so the loop visits them breadth first
         for k, aug in enumerate(augs):
-            dist, edges = [], []
+            moves = []
             if len(aug[0][0]) == 1:
                 halt.append(_THRESHOLD)
             elif errors[k] is not None:
@@ -481,40 +470,42 @@ class _CompiledController:
             else:
                 halt.append(_MAX_STEPS)
                 try:
-                    dist, edges = _expand_aug(mmdp, policy, aug)
+                    moves = _expand_aug(mmdp, policy, aug)
                 except ContractError as exc:  # no move here: the trial stops
                     errors[k] = exc
-            targets = {}  # per entry of ``rows``
-            for e, s2, mask, tgt in edges:
-                exc = None
-                if isinstance(tgt, ContractError):
-                    exc, tgt = tgt, ((members(mask, aug[0][0]), s2), None, s2)
-                if tgt not in index:
-                    index[tgt] = len(augs)
-                    augs.append(tgt)
-                    errors.append(exc)
-                targets[e] = index[tgt]
-            dist = sorted(dist)
-            count.append(len(dist))
-            first.append(len(act_cdf))
-            act_cdf.extend(itertools.accumulate([p for _, p in dist]))
-            for a, _ in dist:
-                row_lo, row_size, row_last = rows.row(aug[2], a)
+            # the slots in distribution order, which is action order; each
+            # new target is numbered where an edge first reaches it
+            count.append(len(moves))
+            cdf = 0.0
+            for a, p, (row_lo, row_size, row_last), keys in moves:
+                here = [index.get(key, -1) for key in keys]
+                if -1 in here:  # new targets, errors or successors no model allows
+                    for j, key in enumerate(keys):
+                        if here[j] < 0 and key is not None:
+                            exc = None
+                            if isinstance(key, ContractError):  # keyed by the models of aug's key
+                                s2 = successors[row_lo + j]
+                                exc, key = key, ((members(masks[row_lo + j], aug[0][0]), s2), None, s2)
+                            here[j] = t = index.setdefault(key, len(augs))
+                            if t == len(augs):
+                                augs.append(key)
+                                errors.append(exc)
+                cdf += p
+                act_cdf.append(cdf)
                 lo.append(row_lo)
                 size.append(row_size)
                 last.append(row_last)
-                tlo.append(len(target))
-                target.extend(targets.get(e, -1) for e in range(row_lo, row_lo + row_size))
+                target += here
                 actions.append(a)
         self.augs, self.errors, self.actions = tuple(augs), tuple(errors), tuple(actions)
         self.count = np.array(count, np.intp)
-        self.first = np.array(first, np.intp)
+        self.first = np.cumsum(self.count) - self.count
         self.halt = np.array(halt, np.int8)
         self.act_cdf = np.array(act_cdf, float)
         self.lo = np.array(lo, np.intp)
         self.size = np.array(size, np.intp)
         self.last = np.array(last, np.intp).reshape(len(last), mmdp.n)
-        self.tlo = np.array(tlo, np.intp)
+        self.tlo = np.cumsum(self.size) - self.size  # each slot lists its row's successors
         self.target = np.array(target, np.intp)
         for array in (self.count, self.first, self.halt, self.act_cdf, self.lo, self.size,
                       self.last, self.tlo, self.target):

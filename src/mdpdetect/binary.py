@@ -31,7 +31,7 @@ from .graphs import (
     reach_policy,
     reachable_states,
 )
-from .models import ROW_EQ_TOL, Mdp, Mmdp, Rows, fresh_name
+from .models import ROW_EQ_TOL, Mdp, Mmdp, Rows, actions_at, fresh_name
 from .policy import ActiveSet, DetectionPolicy, PolicyEntry, active_set, single_entry_policy
 
 REVEALING = "revealing"
@@ -426,5 +426,4 @@ def _check_shared_structure(m1: Mdp, m2: Mdp) -> None:
     for s in m1.states:
         if m1.actions.get(s) != m2.actions.get(s):
             raise ModelError(f"model pair disagrees on actions at state {s}")
-        if s not in m1.actions:
-            raise ModelError(f"state {s!r} has no entry in actions")
+        actions_at(m1.actions, s)  # ModelError for a state without an entry

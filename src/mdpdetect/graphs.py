@@ -129,7 +129,7 @@ class Mec:
     def distribution(self, state: str) -> dict[str, float]:
         """Uniform over the enabled actions at ``state``, in sorted order; empty if it has none."""
         acts = sorted(self.actions.get(state, ()))
-        return {a: 1.0 / len(acts) for a in acts}
+        return dict.fromkeys(acts, 1.0 / len(acts)) if acts else {}
 
     def _key(self) -> tuple:
         return tuple(sorted((s, tuple(sorted(a))) for s, a in self.actions.items()))

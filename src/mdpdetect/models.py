@@ -24,6 +24,13 @@ ROW_EQ_TOL = 1e-12
 Row = Mapping[str, float]
 
 
+def actions_at(actions: Mapping[str, tuple[str, ...]], state: str) -> tuple[str, ...]:
+    """``actions[state]``; ``ModelError`` for a state without an entry, as synthesis raises."""
+    if state not in actions:
+        raise ModelError(f"state {state!r} has no entry in actions")
+    return actions[state]
+
+
 def support(row: Row) -> frozenset[str]:
     """Successors with strictly positive probability."""
     return frozenset(s for s, p in row.items() if p > 0.0)
@@ -164,10 +171,8 @@ class Rows:
         declared, index, first, lo = self._models[0].actions, self.index, self.first, self._lo
         groups = []
         for i, s in enumerate(self.names):
-            if s not in declared:
-                raise ModelError(f"state {s!r} has no entry in actions")
             here = []
-            for a in declared[s]:
+            for a in actions_at(declared, s):
                 r = self.actions.index(a, first[i], first[i + 1])
                 by_mask: dict[int, int] = {}
                 for t, mask in zip(self.successors[lo[r] : lo[r + 1]], self.masks[lo[r] : lo[r + 1]]):
@@ -374,14 +379,14 @@ def serialize_mmdp(mmdp: Mmdp) -> dict[str, Any]:
     base = mmdp.models[0]
     out: dict[str, Any] = {
         "states": list(base.states),
-        "actions": {s: list(base.actions[s]) for s in base.states},
+        "actions": {s: list(actions_at(base.actions, s)) for s in base.states},
         "initial": base.initial,
         "models": [],
     }
     for m in mmdp.models:
         delta = []
         for s in m.states:
-            for a in m.actions[s]:
+            for a in actions_at(m.actions, s):
                 row = m.row(s, a)
                 for t in sorted(row):
                     delta.append({"from": s, "action": a, "to": t, "p": row[t]})
@@ -398,7 +403,7 @@ def mmdp_to_json(mmdp: Mmdp) -> str:
     that.
     """
     base = mmdp.models[0]
-    actions = {s: list(base.actions[s]) for s in base.states}
+    actions = {s: list(actions_at(base.actions, s)) for s in base.states}
     return _object([
         ("actions", _json(actions, "  ")),
         ("initial", _json(base.initial, "  ")),
@@ -415,7 +420,7 @@ def _model_json(m: Mdp) -> str:
     delta = []
     for s in m.states:
         source = _json(s, pad)
-        for a in m.actions[s]:
+        for a in actions_at(m.actions, s):
             head = f'{{\n{pad}"action": {_json(a, pad)},\n{pad}"from": {source},\n{pad}"p": '
             row = m.row(s, a)
             for t in sorted(row):

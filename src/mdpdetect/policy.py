@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 from .errors import ModelError
 from .graphs import Mec
-from .models import Mmdp, _json
+from .models import Mmdp, _json, actions_at
 
 ActiveSet = tuple[int, ...]  # sorted 1-based model indices
 
@@ -48,11 +49,13 @@ class PolicyEntry:
     mecs: tuple[Mec, ...] = field(default=())
 
     def committed_mec(self, state: str) -> int | None:
-        """Index of the informative component containing ``state``, if any."""
-        for k, mec in enumerate(self.mecs):
-            if state in mec.states:
-                return k
-        return None
+        """Index of the first informative component containing ``state``, if any."""
+        return self.mec_of.get(state)
+
+    @cached_property
+    def mec_of(self) -> dict[str, int]:
+        """Each component state's :meth:`committed_mec`, built on first use: the entry is read-only."""
+        return {s: k for k in reversed(range(len(self.mecs))) for s in self.mecs[k].states}
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,7 @@ def stationary_uniform_policy(mmdp: Mmdp) -> DetectionPolicy:
     runtime randomizes uniformly forever. Useful as a passive baseline and in
     bound checks; makes no detection claim.
     """
-    mec = Mec(mmdp.states, {s: mmdp.actions[s] for s in mmdp.states})
+    mec = Mec(mmdp.states, {s: actions_at(mmdp.actions, s) for s in mmdp.states})
     entry = PolicyEntry(
         active=active_set(range(1, mmdp.n + 1)),
         entry_state=mmdp.initial,
@@ -101,7 +104,7 @@ def entry_as_stationary(entry: PolicyEntry, mmdp: Mmdp) -> dict[str, dict[str, f
     """
     table: dict[str, dict[str, float]] = {}
     for s in mmdp.states:
-        table[s] = {mmdp.actions[s][0]: 1.0}
+        table[s] = {actions_at(mmdp.actions, s)[0]: 1.0}
     for s, a in entry.reach.items():
         if s in table:
             table[s] = {a: 1.0}

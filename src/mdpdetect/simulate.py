@@ -300,7 +300,9 @@ def _lockstep(
     truth has no row for, is raised after every trial with a smaller index
     has finished, as a trial-by-trial run would raise it.
 
-    The moves come from the controller table of ``analysis._compiled``.
+    The moves come from the controller table of ``analysis._compiled``. A
+    step searches the action slots only when some live trial has a choice
+    between two or more; the action's uniform is drawn either way.
     """
     full = active_set(range(1, mmdp.n + 1))
     if policy.entry(full, mmdp.initial) is None:
@@ -355,8 +357,9 @@ def _lockstep(
             halt = table.halt[state]
             code = np.where(halt == _MAX_STEPS, _UNDETECTABLE, halt)
             count = count[stop(count > 0, code, step)]
-        first = table.first[state]
-        slot = first + np.minimum(_below(table.act_cdf, first, count, streams.next()), count - 1)
+        u, slot = streams.next(), table.first[state]  # drawn even without a choice: streams stay aligned
+        if count.max(initial=1) > 1:  # some trial chooses between slots
+            slot = slot + np.minimum(_below(table.act_cdf, slot, count, u), count - 1)
         # every model of the entry has a successor; an eliminated truth may have no row
         last = table.last[slot, tr]
         if (last < 0).any():

@@ -1106,3 +1106,137 @@ class ReferenceSamplingRows:
             last = tuple([successors.index(max(r)) if r else -1 for r in rows])
             found = self.index[(state, action)] = (lo, size, last)
         return found
+
+
+# ---------------------------------------------------------------------------
+# Frozen compile of the controller table: `analysis._CompiledController` as it
+# numbered its states with one `_expand_aug` call per state that plays, with a
+# lookup of the target per edge, kept verbatim (the component of a state is
+# found by a scan of the entry's components, as `committed_mec` found it) so
+# that every array, state, action and error of the table stays the contract.
+# ---------------------------------------------------------------------------
+
+
+def reference_compile_start(policy, mmdp):
+    """The start state of the frozen compile, or the ``ContractError`` of its lookup."""
+    full = active_set(range(1, mmdp.n + 1))
+    return _frozen_canonical_aug(policy, (full, mmdp.initial), None, mmdp.initial)
+
+
+def _frozen_canonical_aug(policy, entry_key, mec_index, state):
+    entry = policy.entries.get(entry_key)
+    if entry is None:
+        raise ContractError(f"policy has no entry for {entry_key}")
+    if mec_index is None:
+        mec_index = next((k for k, mec in enumerate(entry.mecs) if state in mec.states), None)
+    return (entry_key, mec_index, state)
+
+
+def _frozen_expand_aug(mmdp, policy, aug):
+    entry_key, mec_index, s = aug
+    entry = policy.entries[entry_key]
+    if mec_index is None:
+        a = entry.reach.get(s)
+        if a is None:
+            raise ContractError(
+                f"policy entry {entry_key} covers neither reach nor component at {s!r}"
+            )
+        dist = [(a, 1.0)]
+    else:
+        mec = entry.mecs[mec_index]
+        if s not in mec.states:
+            raise ContractError(
+                f"policy entry {entry_key} leaves its component {mec_index} at {s!r}"
+            )
+        dist = list(mec.distribution(s).items())
+        if not dist:
+            raise ContractError(
+                f"policy entry {entry_key} plays nothing at {s!r} in its component {mec_index}"
+            )
+    active = entry.active
+    rows = mmdp.rows
+    edges = []
+    for a, _ in dist:
+        lo, size, _ = rows.row(s, a)
+        offered = 0
+        for e in range(lo, lo + size):
+            mask, s2 = rows.masks[e], rows.successors[e]
+            if not mask:  # no model allows s2
+                continue
+            offered |= mask
+            new_active = reference_members(mask, active)
+            try:
+                if new_active == active:
+                    tgt = _frozen_canonical_aug(policy, entry_key, mec_index, s2)
+                else:
+                    tgt = _frozen_canonical_aug(policy, (new_active, s2), None, s2)
+            except ContractError as exc:
+                tgt = exc
+            edges.append((e, s2, mask, tgt))
+        if reference_members(offered, active) != active:
+            raise ContractError(f"policy entry {entry_key} plays {a!r} at {s!r}, which does not offer it")
+    return dist, edges
+
+
+def reference_members(mask, active):
+    return tuple([i for i in active if mask >> (i - 1) & 1])
+
+
+# the stop codes of the lockstep kernel, as the frozen compile writes them
+_FROZEN_THRESHOLD, _FROZEN_MAX_STEPS, _FROZEN_UNDETECTABLE = 0, 1, 2
+
+
+class ReferenceCompiledController:
+    def __init__(self, mmdp, policy, start):
+        rows = mmdp.rows
+        augs = [start]
+        errors = [None]
+        index = {start: 0}
+        actions = []  # per slot, for error messages
+        count, first, halt = [], [], []
+        act_cdf, lo, size, last, tlo, target = [], [], [], [], [], []
+        # augs grows as new targets are numbered, so the loop visits them breadth first
+        for k, aug in enumerate(augs):
+            dist, edges = [], []
+            if len(aug[0][0]) == 1:
+                halt.append(_FROZEN_THRESHOLD)
+            elif errors[k] is not None:
+                halt.append(_FROZEN_UNDETECTABLE)
+            else:
+                halt.append(_FROZEN_MAX_STEPS)
+                try:
+                    dist, edges = _frozen_expand_aug(mmdp, policy, aug)
+                except ContractError as exc:  # no move here: the trial stops
+                    errors[k] = exc
+            targets = {}  # per entry of ``rows``
+            for e, s2, mask, tgt in edges:
+                exc = None
+                if isinstance(tgt, ContractError):
+                    exc, tgt = tgt, ((reference_members(mask, aug[0][0]), s2), None, s2)
+                if tgt not in index:
+                    index[tgt] = len(augs)
+                    augs.append(tgt)
+                    errors.append(exc)
+                targets[e] = index[tgt]
+            dist = sorted(dist)
+            count.append(len(dist))
+            first.append(len(act_cdf))
+            act_cdf.extend(itertools.accumulate([p for _, p in dist]))
+            for a, _ in dist:
+                row_lo, row_size, row_last = rows.row(aug[2], a)
+                lo.append(row_lo)
+                size.append(row_size)
+                last.append(row_last)
+                tlo.append(len(target))
+                target.extend(targets.get(e, -1) for e in range(row_lo, row_lo + row_size))
+                actions.append(a)
+        self.augs, self.errors, self.actions = tuple(augs), tuple(errors), tuple(actions)
+        self.count = np.array(count, np.intp)
+        self.first = np.array(first, np.intp)
+        self.halt = np.array(halt, np.int8)
+        self.act_cdf = np.array(act_cdf, float)
+        self.lo = np.array(lo, np.intp)
+        self.size = np.array(size, np.intp)
+        self.last = np.array(last, np.intp).reshape(len(last), mmdp.n)
+        self.tlo = np.array(tlo, np.intp)
+        self.target = np.array(target, np.intp)

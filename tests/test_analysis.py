@@ -17,6 +17,7 @@ from mdpdetect.analysis import (
     decay_fit,
     error_bounds_binary,
     error_bounds_multi,
+    _compiled,
     _expand_aug,
     pairwise_bc_curve,
 )
@@ -43,6 +44,8 @@ from conftest import (
     random_detectable_binary,
     random_multi_mmdp,
     random_stationary_policy,
+    ReferenceCompiledController,
+    reference_compile_start,
     reference_pairwise_bc_curve,
     rng_for,
     sanitized,
@@ -353,6 +356,84 @@ def _curve_case(seed, kind, policy_kind):
             for key, e in policy.entries.items()
         })
     return rng, mmdp, policy
+
+
+def _assert_compile_matches_frozen(mmdp, policy):
+    """The same controller table, or the same error, as the frozen compile.
+
+    Returns the frozen table's errors, or the error it raised.
+    """
+    try:
+        expected = ReferenceCompiledController(mmdp, policy, reference_compile_start(policy, mmdp))
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            _compiled(mmdp, policy)
+        assert str(raised.value) == str(exc)
+        return exc
+    table = _compiled(mmdp, policy)
+    assert (table.augs, table.actions) == (expected.augs, expected.actions)
+    assert [repr(e) for e in table.errors] == [repr(e) for e in expected.errors]
+    for name in ("count", "first", "halt", "act_cdf", "lo", "size", "last", "tlo", "target"):
+        got, want = getattr(table, name), getattr(expected, name)
+        assert (got.dtype, got.shape, got.tolist()) == (want.dtype, want.shape, want.tolist()), name
+        assert not got.flags.writeable, name
+    return expected.errors
+
+
+_COMPILE_POLICY_KINDS = (
+    "synthesized", "synthesized elsewhere", "sanitized", "uniform", "truncated", "pruned",
+)
+
+
+def _compile_case(seed, kind, policy_kind):
+    """A random instance and a policy to compile on it.
+
+    A policy synthesized elsewhere plays actions some active model lacks;
+    a sanitized one has those moves removed; a truncated one lacks part of
+    its reach tables, and a pruned one some of its entries, so that
+    targets without an entry occur beside those eliminated models lead to.
+    """
+    kinds = {"sanitized": "synthesized elsewhere", "pruned": "synthesized"}
+    rng, mmdp, policy = _curve_case(seed, kind, kinds.get(policy_kind, policy_kind))
+    if policy_kind == "sanitized":
+        policy = sanitized(mmdp, policy)
+    if policy_kind == "pruned":
+        full = tuple(range(1, mmdp.n + 1))
+        policy = DetectionPolicy(entries={
+            key: e for key, e in policy.entries.items() if key[0] == full or rng.random() < 0.5
+        })
+    return mmdp, policy
+
+
+@settings(max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=_KINDS,
+    policy_kind=st.sampled_from(_COMPILE_POLICY_KINDS),
+)
+def test_compiled_controller_matches_frozen_compile(seed, kind, policy_kind):
+    """Every array, state, action and error of the table as the frozen compile gives them."""
+    _assert_compile_matches_frozen(*_compile_case(seed, kind, policy_kind))
+
+
+def test_frozen_compile_sweep_meets_every_refusal():
+    """Seeded cases of every kind, which between them refuse a move for each reason."""
+    messages = []
+    for seed in range(40):
+        for kind in ("binary", "multi3", "multi4"):
+            for policy_kind in _COMPILE_POLICY_KINDS:
+                errors = _assert_compile_matches_frozen(*_compile_case(seed, kind, policy_kind))
+                if not isinstance(errors, Exception):
+                    messages += [str(e) for e in errors if e is not None]
+    for reason in ("which does not offer it", "policy has no entry for", "covers neither reach"):
+        assert any(reason in m for m in messages), reason
+
+
+def test_compile_without_an_entry_for_the_start():
+    mmdp = identical_mmdp()
+    policy = DetectionPolicy(entries={})
+    error = _assert_compile_matches_frozen(mmdp, policy)
+    assert str(error) == "policy has no entry for ((1, 2), 'x')"
 
 
 @settings(max_examples=240)

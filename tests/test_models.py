@@ -25,6 +25,8 @@ from mdpdetect.models import (
 from mdpdetect.policy import (
     DetectionPolicy,
     PolicyEntry,
+    active_set,
+    entry_as_stationary,
     parse_policy,
     policy_to_json,
     stationary_uniform_policy,
@@ -236,12 +238,17 @@ def test_row_table_matches_the_frozen_support_rows(n_models, n_states, rename, l
 def test_a_state_without_an_action_list_is_a_model_error(n_models):
     """A hand-built, unvalidated instance whose state ``y`` has no entry in ``actions``.
 
-    Synthesis refuses it, naming the state; run time reads ``y`` as a state
+    Synthesis, the model writers and the policies built from the model's
+    actions refuse it, naming the state; run time reads ``y`` as a state
     with no rows of its own, as the frozen lazy rows do.
     """
     kernel = {("x", "a"): {"x": 0.5, "y": 0.5}, ("y", "a"): {"y": 1.0}}
     mm = Mmdp(models=tuple(mk_mdp(("x", "y"), {"x": ("a",)}, kernel, "x") for _ in range(n_models)))
-    for entry in [lambda m: model_graph(m, 1), general_apd] + [bi_apd] * (n_models == 2):
+    played = PolicyEntry(active_set(range(1, n_models + 1)), "x", reach={"x": "a"})
+    for entry in [
+        lambda m: model_graph(m, 1), general_apd, serialize_mmdp, mmdp_to_json,
+        stationary_uniform_policy, lambda m: entry_as_stationary(played, m),
+    ] + [bi_apd] * (n_models == 2):
         with pytest.raises(ModelError, match="state 'y' has no entry in actions"):
             entry(mm)
     rows, i = mm.rows, mm.rows.index["y"]

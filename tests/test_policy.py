@@ -11,8 +11,9 @@ from mdpdetect.analysis import error_bounds_binary
 from mdpdetect.binary import bi_apd
 from mdpdetect.errors import ModelError
 from mdpdetect.general import general_apd
-from mdpdetect.graphs import bit_indices
+from mdpdetect.graphs import Mec, bit_indices
 from mdpdetect.policy import (
+    PolicyEntry,
     active_set,
     entry_as_stationary,
     members,
@@ -23,6 +24,14 @@ from mdpdetect.policy import (
 
 from conftest import example1_mmdp, identical_mmdp, random_multi_mmdp, rng_for
 from test_general import _recursive_instance
+
+
+def test_committed_mec_is_the_first_component_holding_the_state():
+    """Hand-built components may overlap; a state commits to the first one that holds it."""
+    entry = PolicyEntry((1, 2), "x", reach={"x": "a"}, mecs=(
+        Mec(("y",), {"y": ("a",)}), Mec(("x", "y"), {"x": ("a",), "y": ("b",)}), Mec(("x",), {"x": ("b",)}),
+    ))
+    assert [entry.committed_mec(s) for s in ("x", "y", "z")] == [1, 0, None]
 
 
 def test_active_set_canonicalization():

@@ -1274,3 +1274,93 @@ def test_support_elimination_check_reaches_a_lone_model():
         _check_support_elimination(mmdp, simulate(mmdp, truth, policy, seed, threshold=1 - 1e-12))
         for truth in (1, 2) for seed in range(10)
     )
+
+
+def _corridor_instance(reveal=False):
+    """A corridor of one-action states ``s0 → s1 → s2`` into a two-action component ``{c, d}``.
+
+    With ``reveal`` the first step already tells the models apart: model 1
+    moves to ``s1`` and model 2 to ``s2``.
+    """
+    states = ("s0", "s1", "s2", "c", "d")
+    actions = {"s0": ("a",), "s1": ("a",), "s2": ("a",), "c": ("l", "r"), "d": ("l", "r")}
+    shared = {
+        ("s0", "a"): {"s1": 1.0}, ("s1", "a"): {"s2": 1.0}, ("s2", "a"): {"c": 1.0},
+        ("c", "r"): {"c": 0.5, "d": 0.5}, ("d", "l"): {"c": 1.0},
+    }
+    k1 = {**shared, ("c", "l"): {"c": 0.7, "d": 0.3}, ("d", "r"): {"c": 0.2, "d": 0.8}}
+    k2 = {**shared, ("c", "l"): {"c": 0.4, "d": 0.6}, ("d", "r"): {"c": 0.5, "d": 0.5}}
+    if reveal:
+        k2[("s0", "a")] = {"s2": 1.0}
+    return Mmdp(models=(mk_mdp(states, actions, k1, "s0", "M1"), mk_mdp(states, actions, k2, "s0", "M2")))
+
+
+def _action_searches(monkeypatch):
+    """Per ``_below`` call on the controller's action CDF, how many trials it searched."""
+    module = importlib.import_module("mdpdetect.simulate")
+    below, searched = module._below, []
+
+    def recording(cdf, lo, size, u, column=None):
+        if column is None:
+            searched.append(len(lo))
+        return below(cdf, lo, size, u, column)
+
+    monkeypatch.setattr(module, "_below", recording)
+    return searched
+
+
+def test_the_action_search_runs_only_where_a_trial_has_a_choice(monkeypatch):
+    """Trials cross three one-action states before a component with two actions at each state.
+
+    The kernel skips the action search on the corridor and searches in the
+    component, and every result equals the frozen trial-by-trial loops.
+    """
+    mmdp = _corridor_instance()
+    policy = general_apd(mmdp).policy
+    entry = policy.entry((1, 2), "s0")
+    assert entry.reach == {"s0": "a", "s1": "a", "s2": "a"} and len(entry.mecs) == 1
+    searched = _action_searches(monkeypatch)
+    _assert_monte_carlo_matches_reference(mmdp, policy, 3, 100, 5)
+    assert searched == []  # three steps on the corridor: no trial has a choice
+    _assert_monte_carlo_matches_reference(mmdp, policy, 12, 100, 5)
+    # nine steps in the component, where every trial chooses, for the
+    # estimate and again for the outcomes the helper compares
+    assert searched == [100] * 18
+    for seed in range(4):
+        _assert_simulate_matches_reference(mmdp, 1 + seed % 2, policy, seed, max_steps=20)
+    summary = _assert_batch_matches_reference(mmdp, policy, 40, 3, max_steps=30, threshold=0.9)
+    assert summary["stop_reasons"]["threshold"] > 0
+
+
+@pytest.mark.parametrize("case", ["no move", "lone survivor"])
+def test_every_live_trial_stops_at_the_same_step(case, monkeypatch):
+    """All trials stop together, leaving the step with no live trial and no action slots.
+
+    Without a reach action at ``s2`` every trial finds no move there after
+    two steps; on the revealing corridor every trial keeps one model after
+    its first step.
+    """
+    if case == "no move":
+        mmdp = _corridor_instance()
+        policy = general_apd(mmdp).policy
+        policy = DetectionPolicy(entries={
+            key: dataclasses.replace(e, reach={s: a for s, a in e.reach.items() if s != "s2"})
+            for key, e in policy.entries.items()
+        })
+        reason, step = "undetectable", 2
+    else:
+        mmdp = _corridor_instance(reveal=True)
+        policy = stationary_uniform_policy(mmdp)
+        reason, step = "threshold", 1
+    searched = _action_searches(monkeypatch)
+    outcomes = _assert_monte_carlo_matches_reference(mmdp, policy, 10, 100, 7)
+    assert not isinstance(outcomes, Exception)
+    stops = _monte_carlo_trials(mmdp, policy, 10, 100, 7, (0.5, 0.5), (0.5, 0.5))[2:]
+    assert stops[0].tolist() == [step] * 100
+    assert [STOP_REASONS[c] for c in stops[1]] == [reason] * 100
+    summary = _assert_batch_matches_reference(mmdp, policy, 40, 2, max_steps=10)
+    assert summary["stop_reasons"][reason] == 40
+    for seed in range(3):
+        trace = _assert_simulate_matches_reference(mmdp, 1 + seed % 2, policy, seed, max_steps=10)
+        assert (trace.stop_reason, len(trace.steps)) == (reason, step + 1)
+    assert searched == []

@@ -7,8 +7,10 @@ import sys
 import time
 from pathlib import Path
 
+from mdpdetect.analysis import _MAX_STEPS, _compiled
 from mdpdetect.cli import main
-from mdpdetect.models import mmdp_to_json
+from mdpdetect.models import mmdp_to_json, parse_mmdp
+from mdpdetect.policy import parse_policy
 
 from test_general import _recursive_instance
 
@@ -56,3 +58,18 @@ def test_tracer_counts_the_bc_dynamic_program(tmp_path):
     )
     assert spans["analysis.bc_curve"][2] > 0
     assert counters["analysis.expand_calls"] > 0
+
+
+def test_tracer_counts_one_expansion_per_compiled_state_that_plays(tmp_path):
+    """``analysis.expand_calls`` reads the states the controller compile expands."""
+    model, policy = tmp_path / "model.json", tmp_path / "policy.json"
+    model.write_text(mmdp_to_json(_recursive_instance()))
+    assert main(["synthesize", str(model), "--out", str(policy)]) == 0
+    _, counters = _traced(
+        tmp_path, "simulate", str(model), str(policy), "--truth", "1", "--seed", "3",
+        "--out", str(tmp_path / "trace.csv"),
+    )
+    table = _compiled(parse_mmdp(model.read_text()), parse_policy(policy.read_text()))
+    plays = [k for k, halt in enumerate(table.halt.tolist()) if halt == _MAX_STEPS]
+    assert all(table.errors[k] is None for k in plays)  # no expansion raised, so each is counted
+    assert counters["analysis.expand_calls"] == len(plays) > 1
