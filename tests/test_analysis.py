@@ -429,6 +429,18 @@ def test_frozen_compile_sweep_meets_every_refusal():
         assert any(reason in m for m in messages), reason
 
 
+def test_compile_matches_frozen_where_an_active_model_lacks_a_played_row():
+    """Model 3 has no row for ``b`` at ``x``, which models 1 and 2 offer, and never moves to ``y``."""
+    states, actions = ("s0", "x", "y"), {"s0": ("a",), "x": ("a", "b"), "y": ("a",)}
+    loops = {("x", "a"): {"x": 1.0}, ("y", "a"): {"y": 1.0}}
+    shared = {**loops, ("s0", "a"): {"x": 0.5, "y": 0.5}, ("x", "b"): {"x": 0.5, "y": 0.5}}
+    kernels = (shared, shared, {**loops, ("s0", "a"): {"x": 1.0}})
+    mmdp = Mmdp(models=tuple(mk_mdp(states, actions, k, "s0", f"M{i}") for i, k in enumerate(kernels, 1)))
+    errors = [str(e) for e in _assert_compile_matches_frozen(mmdp, stationary_uniform_policy(mmdp))]
+    assert "policy entry ((1, 2, 3), 's0') plays 'b' at 'x', which does not offer it" in errors
+    assert "policy has no entry for ((1, 2), 'y')" in errors
+
+
 def test_compile_without_an_entry_for_the_start():
     mmdp = identical_mmdp()
     policy = DetectionPolicy(entries={})
