@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import isfinite
 from typing import Any, Callable, Mapping
 
 from .errors import ModelError
@@ -70,8 +71,18 @@ class SaClassification:
 
 
 def rows_equal(r1: Mapping[str, float], r2: Mapping[str, float]) -> bool:
-    keys = set(r1) | set(r2)
-    return all(abs(r1.get(k, 0.0) - r2.get(k, 0.0)) <= ROW_EQ_TOL for k in keys)
+    """Whether every successor's mass differs by at most ``ROW_EQ_TOL``; a missing key is 0.0.
+
+    Walks ``r1``, then the keys only ``r2`` has, and stops at the first
+    difference. A NaN difference is a difference.
+    """
+    for t, p in r1.items():
+        if not abs(p - r2.get(t, 0.0)) <= ROW_EQ_TOL:
+            return False
+    for t, q in r2.items():
+        if t not in r1 and not abs(q) <= ROW_EQ_TOL:
+            return False
+    return True
 
 
 def classify_pairs(m1: Mdp, m2: Mdp) -> SaClassification:
@@ -94,6 +105,9 @@ def classify_pairs(m1: Mdp, m2: Mdp) -> SaClassification:
             if not any(p > 0.0 and r2.get(t, 0.0) > 0.0 for t, p in r1.items()):
                 pair_labels[(s, a)] = REVEALING
                 revealing_actions.append(a)
+            elif r1 == r2 and isfinite(sum(r1.values())):
+                # exactly equal finite masses: rows_equal holds without the walk
+                pair_labels[(s, a)] = NEUTRAL
             elif not rows_equal(r1, r2):
                 pair_labels[(s, a)] = INFORMATIVE
                 informative_here = True
@@ -240,7 +254,7 @@ def bi_apd(mmdp: Mmdp, initial: str | None = None) -> ApdOutcome:
         mmdp, _pair_frame(mmdp.rows), initial, active_set((1, 2)), {}, classification
     )
     policy = single_entry_policy(entry) if entry is not None else None
-    return ApdOutcome(exists=exists, policy=policy, diagnostics=diagnostics)
+    return ApdOutcome(exists=exists, policy=policy, diagnostics=_listed(diagnostics))
 
 
 def _binary_synthesis(
@@ -349,8 +363,9 @@ class _Decision:
     An entry state in ``rmax`` gets the ``reach`` table and the informative
     components ``mecs``, in which the policy randomizes uniformly. Every entry
     of the decision shares both, read-only. ``diagnostics`` holds the lists
-    every entry reports. ``graph``, when kept, serves the walk that finds the
-    non-informative components an undetectable initial state reaches.
+    every entry reports, with the components as :class:`Mec` objects.
+    ``graph``, when kept, serves the walk that finds the non-informative
+    components an undetectable initial state reaches.
     """
 
     rmax: frozenset[str]
@@ -374,7 +389,8 @@ def _decide(
     ``terminals`` of ``graph`` stand for settled detection outcomes, so they
     appear neither in the reach table nor among the runtime components.
     ``extra`` diagnostics are reported after the common ones; ``witness``
-    keeps what the witness walk of :func:`_build` needs.
+    keeps what the witness walk of :func:`_build` needs. The diagnostics hold
+    the :class:`Mec` objects, not their listings.
     """
     mecs = mec_decompose(graph)
     inf_mecs = tuple(c for c in mecs if is_informative(c))
@@ -387,8 +403,8 @@ def _decide(
         mecs=tuple(c for c in inf_mecs if terminals.isdisjoint(c.states)),
         diagnostics={
             "rmax": tuple(sorted(rmax)),
-            "mecs": tuple(c.as_dict() for c in mecs),
-            "informative_mecs": tuple(c.as_dict() for c in inf_mecs),
+            "mecs": mecs,
+            "informative_mecs": inf_mecs,
             **(extra or {}),
         },
         graph=graph if witness else None,
@@ -403,7 +419,9 @@ def _build(
     Detection exists exactly when ``initial`` lies in the reach set. Returns
     the entry (None when no policy exists) and the diagnostics, which then
     name the non-informative components reachable from ``initial`` when the
-    decision kept its graph.
+    decision kept its graph. Components stay :class:`Mec` objects here:
+    most levels are subproblems whose diagnostics nobody reads, and
+    :func:`_listed` spells out the root's.
     """
     diagnostics: dict[str, Any] = {"active": list(active), "initial": initial}
     for key, values in decision.diagnostics.items():
@@ -414,10 +432,21 @@ def _build(
             diagnostics["witness_noninformative_mecs"] = [
                 c
                 for c in diagnostics["mecs"]
-                if c not in diagnostics["informative_mecs"] and not reachable.isdisjoint(c)
+                if not reachable.isdisjoint(c.states) and c not in diagnostics["informative_mecs"]
             ]
         return None, diagnostics
     return PolicyEntry(active, initial, decision.reach, decision.mecs), diagnostics
+
+
+def _listed(diagnostics: dict[str, Any]) -> dict[str, Any]:
+    """``diagnostics`` with each component list turned into :meth:`Mec.as_dict` mappings, in place.
+
+    Run once, on the root's diagnostics, which are the ones reported.
+    """
+    for key in ("mecs", "informative_mecs", "witness_noninformative_mecs"):
+        if key in diagnostics:
+            diagnostics[key] = [c.as_dict() for c in diagnostics[key]]
+    return diagnostics
 
 
 def _check_shared_structure(m1: Mdp, m2: Mdp) -> None:

@@ -23,6 +23,7 @@ from .binary import (
     _build,
     _decide,
     _Decision,
+    _listed,
     _pair_frame,
     _terminal_frame,
     bi_apd,
@@ -67,7 +68,7 @@ def general_apd(mmdp: Mmdp, initial: str | None = None, memoize: bool = True) ->
     ctx = _Context(mmdp=mmdp, memoize=memoize)
     full = active_set(range(1, mmdp.n + 1))
     exists, entries, diagnostics = _solve(ctx, full, initial, depth=0)
-    diagnostics = dict(diagnostics)
+    diagnostics = _listed(dict(diagnostics))
     diagnostics["cache"] = {"hits": ctx.hits, "misses": ctx.misses}
     policy = DetectionPolicy(entries=entries) if exists else None
     return ApdOutcome(exists=exists, policy=policy, diagnostics=diagnostics)

@@ -15,6 +15,8 @@ from the same rows. :func:`mec_decompose`, :func:`almost_sure_reach_set` and
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractError
@@ -154,44 +156,49 @@ def mec_decompose(g: SupportGraph) -> tuple[Mec, ...]:
     drop actions whose support leaves the current block, drop states with no
     actions left, and split blocks along their strongly connected components
     until nothing changes. Surviving blocks are exactly the MECs.
+
+    Each state carries the rows that stay in its block and the union of
+    their successors (``post``) from round to round and into the blocks a
+    split makes: a block's rows are a subset of its parent's, and a state
+    whose ``post`` stays inside the smaller block keeps both unchanged.
     """
     names, actions, first, succ = g.names, g.actions, g.first, g.succ
     result = []
-    work = [g.domain]
+    work: list[tuple[int, dict[int, list[int]], dict[int, int]]] = [(g.domain, {}, {})]
     while work:
-        block = work.pop()
+        block, closed, post = work.pop()
         while True:  # the states with an action whose support stays in the block
-            kept = 0
+            kept, kept_rows, kept_post, leaves = 0, {}, {}, ~block
             for i in bit_indices(block):
-                for r in range(first[i], first[i + 1]):
-                    if not succ[r] & ~block:
-                        kept |= 1 << i
-                        break
+                out = post.get(i)
+                if out is not None and not out & leaves:
+                    rows = closed[i]
+                else:
+                    rows = [
+                        r for r in closed.get(i, range(first[i], first[i + 1])) if not succ[r] & leaves
+                    ]
+                    out = reduce(or_, map(succ.__getitem__, rows), 0)
+                if rows:
+                    kept |= 1 << i
+                    kept_rows[i] = rows
+                    kept_post[i] = out
+            closed, post = kept_rows, kept_post
             if kept == block:
                 break
             block = kept
         if not block:
             continue
-        post = {}
-        for i in bit_indices(block):
-            out = 0
-            for r in range(first[i], first[i + 1]):
-                if not succ[r] & ~block:
-                    out |= succ[r]
-            post[i] = out
         components = _components(block, post)
         if len(components) > 1:
-            work.extend(components)
+            work.extend((c, closed, post) for c in components)
             continue
         acts: dict[str, list[str]] = {}
-        rows = 0
-        for i in bit_indices(block):
-            acts[names[i]] = kept_here = []
-            for r in range(first[i], first[i + 1]):
-                if not succ[r] & ~block:
-                    kept_here.append(actions[r])
-                    rows |= 1 << r
-        result.append(Mec(acts.keys(), acts, rows))
+        row_bits = 0
+        for i, rows in closed.items():
+            acts[names[i]] = [actions[r] for r in rows]
+            for r in rows:
+                row_bits |= 1 << r
+        result.append(Mec(acts.keys(), acts, row_bits))
     result.sort(key=lambda c: sorted(c.states))
     return tuple(result)
 
@@ -234,13 +241,20 @@ def almost_sure_reach_set(g: SupportGraph, targets: Iterable[str]) -> frozenset[
 
     Double fixpoint: within a shrinking candidate set U, keep the states that
     can reach the targets using only actions whose full support stays in U.
+    The sweeps visit only the rows of states outside the targets, which
+    ``reached`` holds from the start. Since U only shrinks, each outer round
+    filters the rows the previous round kept, not the full list.
     """
     target_bits = _target_bits(g, frozenset(targets))
     first, succ = g.first, g.succ
-    rows = [(1 << i, succ[r]) for i in bit_indices(g.domain) for r in range(first[i], first[i + 1])]
+    rows = [
+        (1 << i, succ[r])
+        for i in bit_indices(g.domain & ~target_bits)
+        for r in range(first[i], first[i + 1])
+    ]
     candidate = g.domain
     while True:
-        live = [(bit, t) for bit, t in rows if bit & candidate and not t & ~candidate]
+        live = rows = [(bit, t) for bit, t in rows if bit & candidate and not t & ~candidate]
         reached = target_bits
         grew = True
         while grew:

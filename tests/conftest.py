@@ -15,10 +15,20 @@ import pytest
 from hypothesis import settings
 
 from mdpdetect.analysis import BcCurve
-from mdpdetect.binary import PreprocessedPair, _decide, preprocess
+from mdpdetect.binary import (
+    INFORMATIVE,
+    NEUTRAL,
+    PLAIN,
+    REVEALING,
+    PreprocessedPair,
+    SaClassification,
+    _check_shared_structure,
+    _decide,
+    preprocess,
+)
 from mdpdetect.errors import ContractError, HorizonCapError, ImpossibleObservationError, ModelError
-from mdpdetect.graphs import Mec, SupportGraph, bit_indices
-from mdpdetect.models import Mdp, Mmdp, serialize_mmdp, support
+from mdpdetect.graphs import Mec, SupportGraph, almost_sure_reach_set, bit_indices, mec_decompose
+from mdpdetect.models import ROW_EQ_TOL, Mdp, Mmdp, fresh_name, serialize_mmdp, support
 from mdpdetect.policy import DetectionPolicy, active_set, serialize_policy
 from mdpdetect.simulate import Trace, TraceStep, _check_priors, map_decide, trial_rng
 
@@ -218,6 +228,31 @@ def random_multi_mmdp(rng, n_models=3, n_states=5, reveal_share=0.25) -> Mmdp:
     return Mmdp(models=models)
 
 
+def random_sparse_cut_mmdp(rng, n_models=3, n_states=5) -> Mmdp:
+    """Shared rows whose masses differ between models on a few rows only, some of
+    which cut a successor from one model's support (an explicit 0.0 stays in the row)."""
+    states = tuple(f"s{i}" for i in range(n_states))
+    actions = {s: tuple(f"a{j}" for j in range(int(rng.integers(1, 3)))) for s in states}
+    kernels = [dict() for _ in range(n_models)]
+    for s in states:
+        for a in actions[s]:
+            picks = rng.integers(0, n_states, size=int(rng.integers(1, 4)))
+            succs = tuple(dict.fromkeys(states[int(t)] for t in picks))
+            base = rng.uniform(0.2, 1.0, size=len(succs))
+            for k in kernels:
+                w = base.copy()
+                if len(succs) > 1 and rng.random() < 0.15:
+                    w = rng.uniform(0.2, 1.0, size=len(succs))
+                if len(succs) > 1 and rng.random() < 0.15:
+                    w[int(rng.integers(0, len(succs)))] = 0.0
+                w = w / w.sum()
+                k[(s, a)] = {t: float(p) for t, p in zip(succs, w)}
+    models = tuple(
+        mk_mdp(states, actions, kernels[m], states[0], f"M{m+1}") for m in range(n_models)
+    )
+    return Mmdp(models=models)
+
+
 def renamed(mmdp, state, action) -> Mmdp:
     """``mmdp`` with each state ``s`` renamed ``state(s)`` and each action ``a`` renamed ``action(a)``."""
 
@@ -340,6 +375,27 @@ def graph_of(ts: TransitionSystem) -> SupportGraph:
             succ.append(bits)
     first.append(len(actions))
     return SupportGraph(names, index, actions, first, succ, outside - 1)
+
+
+def system_of(graph: SupportGraph) -> TransitionSystem:
+    """The string-keyed system of the states in ``graph.domain``.
+
+    A successor outside the domain goes to one added sink state, which has
+    no actions and which no caller takes as a target.
+    """
+    names, actions, first, succ, domain = graph.names, graph.actions, graph.first, graph.succ, graph.domain
+    held = bit_indices(domain)
+    sink = fresh_name("sink", names)
+    acts: dict[str, tuple[str, ...]] = {}
+    triples = set()
+    for i in held:
+        acts[names[i]] = tuple(actions[first[i] : first[i + 1]])
+        for r in range(first[i], first[i + 1]):
+            for j in bit_indices(succ[r]):
+                triples.add((names[i], actions[r], names[j] if domain >> j & 1 else sink))
+    return TransitionSystem(
+        states=(*(names[i] for i in held), sink), actions=acts, transitions=frozenset(triples)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +706,109 @@ def reference_uniform_policy(mec: Mec) -> dict[str, dict[str, float]]:
         s: {a: 1.0 / len(mec.actions[s]) for a in sorted(mec.actions[s])}
         for s in sorted(mec.states)
     }
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference for the pair classification: the key-union tolerance test
+# and the labelling that `classify_pairs` ran before it stopped at the first
+# difference and passed exactly equal rows, kept so that its labels on explicit
+# zeros, one-sided keys, tolerance edges and NaN stay the contract.
+# ---------------------------------------------------------------------------
+
+
+def reference_rows_equal(r1: Mapping[str, float], r2: Mapping[str, float]) -> bool:
+    keys = set(r1) | set(r2)
+    return all(abs(r1.get(k, 0.0) - r2.get(k, 0.0)) <= ROW_EQ_TOL for k in keys)
+
+
+def reference_classify_pairs(m1: Mdp, m2: Mdp) -> SaClassification:
+    """Label every (state, action) pair of a shared-structure model pair."""
+    _check_shared_structure(m1, m2)
+    pair_labels: dict[tuple[str, str], str] = {}
+    state_labels: dict[str, str] = {}
+    chosen: dict[str, str] = {}
+    for s in m1.states:
+        revealing_actions = []
+        informative_here = False
+        for a in m1.actions[s]:
+            r1, r2 = m1.row(s, a), m2.row(s, a)
+            if not any(p > 0.0 and r2.get(t, 0.0) > 0.0 for t, p in r1.items()):
+                pair_labels[(s, a)] = REVEALING
+                revealing_actions.append(a)
+            elif not reference_rows_equal(r1, r2):
+                pair_labels[(s, a)] = INFORMATIVE
+                informative_here = True
+            else:
+                pair_labels[(s, a)] = NEUTRAL
+        if revealing_actions:
+            state_labels[s] = REVEALING
+            chosen[s] = min(revealing_actions)
+        elif informative_here:
+            state_labels[s] = INFORMATIVE
+        else:
+            state_labels[s] = PLAIN
+    return SaClassification(pair_labels=pair_labels, state_labels=state_labels, chosen_revealing=chosen)
+
+
+# ---------------------------------------------------------------------------
+# An existence oracle for any number of models that shares no structure with
+# `general_apd`: one almost-sure reach on the product of states and active sets.
+# ---------------------------------------------------------------------------
+
+
+def oracle_product_exists(mmdp: Mmdp, initial: str) -> bool:
+    """Whether detection from ``initial`` exists, decided on the belief-support product.
+
+    The product's states are ``(s, A)`` for the active sets ``A`` of at least
+    two models reachable from ``(initial, all models)``, plus one absorbing
+    ``WIN``. Row ``(s, a)`` at ``(s, A)`` moves, for every successor ``t`` of
+    the union support over ``A``, to ``(t, {i in A : P_i(s, a, t) > 0})``, or
+    to ``WIN`` when that set holds one model. The targets are ``WIN`` and
+    every end component, which lies inside one layer ``A``, that holds an
+    informative row of every model pair of ``A``. Detection exists iff
+    ``(initial, all models)`` reaches the targets with probability one.
+    """
+    win = "WIN"  # the other product states are JSON lists
+
+    def name(s: str, active: tuple[int, ...]) -> str:
+        return json.dumps([s, list(active)])
+
+    full = tuple(range(1, mmdp.n + 1))
+    actions: dict[str, tuple[str, ...]] = {win: ("stay",)}
+    triples = {(win, "stay", win)}
+    layer: dict[str, tuple[str, tuple[int, ...]]] = {}
+    queue = deque([(initial, full)])
+    seen = {(initial, full)}
+    while queue:
+        s, active = queue.popleft()
+        here = name(s, active)
+        layer[here] = (s, active)
+        actions[here] = tuple(mmdp.actions[s])
+        for a in actions[here]:
+            rows = {i: mmdp.model(i).row(s, a) for i in active}
+            for t in sorted({t for row in rows.values() for t, p in row.items() if p > 0.0}):
+                sub = tuple(i for i in active if rows[i].get(t, 0.0) > 0.0)
+                if len(sub) == 1:
+                    triples.add((here, a, win))
+                    continue
+                triples.add((here, a, name(t, sub)))
+                if (t, sub) not in seen:
+                    seen.add((t, sub))
+                    queue.append((t, sub))
+    graph = graph_of(TransitionSystem(states=(win, *layer), actions=actions, transitions=frozenset(triples)))
+    informative = {
+        (i, j): reference_classify_pairs(mmdp.model(i), mmdp.model(j)).informative_pairs
+        for i, j in itertools.combinations(full, 2)
+    }
+    targets = {win}
+    for c in mec_decompose(graph):
+        if win in c.states:
+            continue
+        active = layer[next(iter(c.states))][1]
+        pairs = {(layer[q][0], a) for q in c.states for a in c.actions[q]}
+        if all(pairs & informative[ij] for ij in itertools.combinations(active, 2)):
+            targets |= c.states
+    return name(initial, full) in almost_sure_reach_set(graph, targets)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Binary pipeline: classification, preprocessing, structure, synthesis."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +20,11 @@ from mdpdetect.binary import (
     classify_pairs,
     informative_mdp,
     preprocess,
+    rows_equal,
 )
 from mdpdetect.errors import ModelError
 from mdpdetect.graphs import bit_indices, mec_decompose
-from mdpdetect.models import ROW_EQ_TOL, Mmdp, support, validate_mmdp
+from mdpdetect.models import ROW_EQ_TOL, Mdp, Mmdp, support, validate_mmdp
 from mdpdetect.simulate import monte_carlo_error, simulate
 
 from conftest import (
@@ -35,7 +37,9 @@ from conftest import (
     random_binary_mmdp,
     random_detectable_binary,
     random_multi_mmdp,
+    reference_classify_pairs,
     reference_pair_decision,
+    reference_rows_equal,
     rng_for,
     sqrt_half_mmdp,
 )
@@ -81,6 +85,66 @@ def test_classify_constructed_supports():
     cls = classify_pairs(m1, m2)
     assert cls.pair_labels[("s", "a")] == REVEALING  # supports {1,2} vs {3}
     assert cls.pair_labels[("s", "b")] == INFORMATIVE  # same support, different masses
+
+
+_NAN = float("nan")
+_TOL_UP = math.nextafter(ROW_EQ_TOL, 1.0)
+# explicit zeros of both signs, the tolerance and its next float up (as a
+# difference from 0.0 and, nearly, from 0.5), NaN and infinity
+_MASSES = st.one_of(
+    st.sampled_from(
+        (0.0, -0.0, 0.25, 0.5, 1.0, ROW_EQ_TOL, _TOL_UP, 0.5 + ROW_EQ_TOL, 0.5 + _TOL_UP, _NAN, math.inf)
+    ),
+    st.builds(float, st.just("nan")),  # a NaN that is not the shared object
+)
+_ROWS = st.dictionaries(st.sampled_from("tuvw"), _MASSES, max_size=4)
+
+
+@st.composite
+def _row_pairs(draw):
+    """Two rows over the same successor names: the same dict, an equal copy, an edit, or unrelated."""
+    r1 = draw(_ROWS)
+    how = draw(st.sampled_from(["same", "copy", "edit", "fresh"]))
+    if how == "same":
+        return r1, r1
+    if how == "fresh":
+        return r1, draw(_ROWS)
+    r2 = dict(r1)
+    if how == "edit":
+        for t in draw(st.sets(st.sampled_from(sorted(r1)))) if r1 else ():
+            del r2[t]
+        r2.update(draw(_ROWS))
+    return r1, r2
+
+
+def test_rows_equal_tolerance_edges():
+    assert rows_equal({"t": 0.0}, {"t": ROW_EQ_TOL})
+    assert rows_equal({}, {"t": ROW_EQ_TOL}) and rows_equal({"t": -ROW_EQ_TOL}, {})
+    assert not rows_equal({"t": 0.0}, {"t": _TOL_UP})
+    assert not rows_equal({"u": 1.0}, {"u": 1.0, "t": _TOL_UP})
+    nan_row = {"t": 0.5, "u": _NAN}
+    assert not rows_equal(nan_row, nan_row)  # a NaN difference is a difference
+    assert not rows_equal({"t": math.inf}, {"t": math.inf})
+
+
+@settings(max_examples=400)
+@given(st.lists(st.lists(_row_pairs(), min_size=1, max_size=3), min_size=1, max_size=4))
+def test_classification_matches_the_frozen_labels(states_rows):
+    """Pair labels, state labels and chosen revealing actions equal those of the frozen
+    key-union classification, on hand-built rows with explicit zeros, one-sided keys,
+    tolerance edges, NaN and rows that are one dict."""
+    states = tuple(f"s{k}" for k in range(len(states_rows)))
+    actions = {s: tuple(f"a{j}" for j in range(len(rows))) for s, rows in zip(states, states_rows)}
+    kernels: tuple[dict, dict] = ({}, {})
+    for s, rows in zip(states, states_rows):
+        for a, (r1, r2) in zip(actions[s], rows):
+            kernels[0][(s, a)], kernels[1][(s, a)] = r1, r2
+            assert rows_equal(r1, r2) == reference_rows_equal(r1, r2)
+            assert rows_equal(r2, r1) == reference_rows_equal(r2, r1)
+    m1, m2 = (Mdp(states=states, actions=actions, kernel=k, initial=states[0]) for k in kernels)
+    got, expected = classify_pairs(m1, m2), reference_classify_pairs(m1, m2)
+    for field in ("pair_labels", "state_labels", "chosen_revealing"):
+        assert list(getattr(got, field).items()) == list(getattr(expected, field).items())
 
 
 def test_classify_requires_shared_structure(example1):

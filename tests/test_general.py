@@ -12,6 +12,7 @@ from mdpdetect.binary import bi_apd
 from mdpdetect.cli import _json, main
 from mdpdetect.errors import ModelError
 from mdpdetect.general import general_apd, pairwise_isa
+from mdpdetect.graphs import Mec
 from mdpdetect.models import Mmdp, mmdp_to_json
 from mdpdetect.policy import policy_to_json
 from mdpdetect.scenarios import GridSpec, RecSysSpec, gen_grid, gen_recsys
@@ -24,10 +25,18 @@ from conftest import (
     mk_mdp,
     oracle_almost_sure_reach,
     oracle_mecs,
+    oracle_product_exists,
     random_binary_mmdp,
     random_multi_mmdp,
+    random_sparse_cut_mmdp,
+    reference_almost_sure_reach_set,
+    reference_classify_pairs,
+    reference_mec_decompose,
     reference_pair_decision,
+    reference_reach_policy,
+    renamed,
     rng_for,
+    system_of,
 )
 
 
@@ -387,22 +396,23 @@ def test_general_unknown_initial_rejected():
         general_apd(_recursive_instance(), initial="ghost")
 
 
+def _outputs_from_every_state(mmdp):
+    """The policy JSON (None without a policy) and the diagnostics JSON from each initial state."""
+    out = []
+    for s in mmdp.states:
+        outcome = general_apd(mmdp, initial=s)
+        policy = policy_to_json(outcome.policy) if outcome.exists else None
+        out.append((policy, _json(outcome.diagnostics)))
+    return out
+
+
 @settings(max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1), n_models=st.integers(2, 4), n_states=st.integers(2, 6))
 def test_general_apd_matches_the_reference_pair_decision(seed, n_models, n_states):
     """Policy JSON and diagnostics, from every initial state, are those of a run whose
     pair decisions come from the frozen ``preprocess`` composition."""
     mmdp = random_multi_mmdp(rng_for(seed), n_models=n_models, n_states=n_states, reveal_share=0.6)
-
-    def outputs():
-        out = []
-        for s in mmdp.states:
-            outcome = general_apd(mmdp, initial=s)
-            policy = policy_to_json(outcome.policy) if outcome.exists else None
-            out.append((policy, _json(outcome.diagnostics)))
-        return out
-
-    got = outputs()
+    got = _outputs_from_every_state(mmdp)
     synthesis, seeded = binary._binary_synthesis, []
 
     def from_reference(mmdp_, frame, initial, active, decisions, classification):
@@ -416,7 +426,7 @@ def test_general_apd_matches_the_reference_pair_decision(seed, n_models, n_state
         mock.patch.object(binary, "_binary_synthesis", from_reference),
         mock.patch.object(general, "_binary_synthesis", from_reference),
     ):
-        assert outputs() == got
+        assert _outputs_from_every_state(mmdp) == got
     # a run over three or more models reaches a pair only after an elimination
     assert seeded or n_models > 2
 
@@ -442,3 +452,107 @@ def test_synthesis_never_builds_the_rewritten_pair(monkeypatch, tmp_path):
     monkeypatch.undo()
     assert main(["mec", str(model), "--informative", "--out", str(tmp_path / "imec.json")]) == 0
     assert (tmp_path / "patched.json").read_bytes() == (tmp_path / "imec.json").read_bytes()
+
+
+def _frozen_mec_decompose(graph):
+    mecs = reference_mec_decompose(system_of(graph))
+    for c in mecs:
+        c.rows = graph.row_bits((s, a) for s in c.states for a in c.actions[s])
+    return mecs
+
+
+def _frozen_reach_set(graph, targets):
+    return reference_almost_sure_reach_set(system_of(graph), targets)
+
+
+def _frozen_reach_policy(graph, targets, rmax):
+    return reference_reach_policy(system_of(graph), targets, rmax)
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2**32 - 1), n_models=st.integers(2, 4), n_states=st.integers(2, 6),
+       kind=st.sampled_from(["multi", "sparse", "binary"]))
+def test_general_apd_matches_a_run_on_the_frozen_kernels(seed, n_models, n_states, kind):
+    """Policy JSON and diagnostics, from every initial state, are those of a run whose
+    fixpoints and pair classifications come from the frozen string kernels."""
+    rng = rng_for(seed)
+    if kind == "multi":
+        mmdp = random_multi_mmdp(rng, n_models=n_models, n_states=n_states, reveal_share=0.5)
+    elif kind == "sparse":
+        mmdp = random_sparse_cut_mmdp(rng, n_models=n_models, n_states=n_states)
+    else:
+        mmdp = random_binary_mmdp(rng, n_states=n_states)
+    got = _outputs_from_every_state(mmdp)
+    with (
+        mock.patch.object(binary, "mec_decompose", _frozen_mec_decompose),
+        mock.patch.object(binary, "almost_sure_reach_set", _frozen_reach_set),
+        mock.patch.object(binary, "reach_policy", _frozen_reach_policy),
+        mock.patch.object(binary, "classify_pairs", reference_classify_pairs),
+        mock.patch.object(general, "classify_pairs", reference_classify_pairs),
+    ):
+        assert _outputs_from_every_state(mmdp) == got
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), n_models=st.integers(2, 5), n_states=st.integers(2, 7),
+       kind=st.sampled_from(["sparse", "sparse", "multi"]))
+def test_general_apd_existence_matches_the_product_oracle(seed, n_models, n_states, kind):
+    """Detection exists from a state exactly when the belief-support product reaches
+    its targets with probability one from that state and all models."""
+    rng = rng_for(seed)
+    if kind == "sparse":
+        mmdp = random_sparse_cut_mmdp(rng, n_models=n_models, n_states=n_states)
+    else:
+        mmdp = random_multi_mmdp(rng, n_models=n_models, n_states=n_states, reveal_share=0.5)
+    for s in mmdp.states:
+        assert general_apd(mmdp, initial=s).exists == oracle_product_exists(mmdp, s), s
+
+
+def test_product_oracle_sees_both_outcomes():
+    """The oracle's instances hold detectable and undetectable states alike."""
+    seen = Counter()
+    for seed in range(40):
+        mmdp = random_sparse_cut_mmdp(rng_for(seed), n_models=2 + seed % 4, n_states=3 + seed % 5)
+        seen.update(oracle_product_exists(mmdp, s) for s in mmdp.states)
+    assert seen[True] >= 20 and seen[False] >= 20
+    e1 = example1_mmdp()
+    assert [oracle_product_exists(e1, s) for s in e1.states] == [
+        general_apd(e1, initial=s).exists for s in e1.states
+    ]
+
+
+def _reported_components(diagnostics):
+    return sum(
+        len(diagnostics.get(key, ()))
+        for key in ("mecs", "informative_mecs", "witness_noninformative_mecs")
+    )
+
+
+@pytest.mark.parametrize("n_models", [2, 3, 4])
+def test_components_are_listed_only_for_the_root(monkeypatch, n_models):
+    """Only the root's diagnostics reach the output: a run spells out exactly the
+    components the root reports, however many levels and pairs it decides."""
+    as_dict, calls = Mec.as_dict, []
+
+    def counted(self):
+        calls.append(self)
+        return as_dict(self)
+
+    monkeypatch.setattr(Mec, "as_dict", counted)
+    decisions = levels = witnesses = 0
+    for seed in range(12):
+        mmdp = random_sparse_cut_mmdp(rng_for(900 + seed), n_models=n_models, n_states=6)
+        mmdp = renamed(mmdp, lambda s: f"q{s}", str.upper)
+        for s in mmdp.states:
+            del calls[:]
+            decide = mock.Mock(wraps=binary._decide)
+            with mock.patch.object(binary, "_decide", decide), mock.patch.object(general, "_decide", decide):
+                outcome = general_apd(mmdp, initial=s)
+            decisions += decide.call_count
+            levels += 1
+            witnesses += len(outcome.diagnostics.get("witness_noninformative_mecs", ()))
+            assert len(calls) == _reported_components(outcome.diagnostics)
+            assert all(isinstance(c, dict) for c in outcome.diagnostics["mecs"])
+    # with three or more models, the runs decided levels and pairs below their roots;
+    # with two, some roots name the components an undetectable state reaches
+    assert decisions > levels if n_models > 2 else decisions == levels and witnesses > 0

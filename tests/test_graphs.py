@@ -41,6 +41,7 @@ from conftest import (
     reference_reach_policy,
     reference_uniform_policy,
     rng_for,
+    system_of,
 )
 
 
@@ -335,6 +336,33 @@ def test_kernels_match_the_frozen_string_kernels(ts, data):
         assert got_policy == expected_policy
     else:
         assert list(got_policy.items()) == list(expected_policy.items())
+
+
+@settings(max_examples=400)
+@given(_structures(), st.data())
+def test_kernels_match_the_frozen_string_kernels_on_a_sub_domain(ts, data):
+    """Every synthesis level runs on a graph whose domain is smaller than its names.
+    On a strict sub-domain the kernels answer what the frozen kernels answer on the
+    sub-system in which every successor outside the domain goes to one action-less,
+    non-target sink."""
+    full = graph_of(ts)
+    held = data.draw(
+        st.sets(st.sampled_from(full.names), min_size=1, max_size=len(full.names) - 1)
+    )
+    graph = full.over(full.succ, full.bits(held))
+    sub = system_of(graph)
+    assert set(sub.states) - held == {"sink"}
+
+    got, expected = mec_decompose(graph), reference_mec_decompose(sub)
+    assert [(c.states, c.actions) for c in got] == [(c.states, c.actions) for c in expected]
+    for c in got:
+        assert c.rows == graph.row_bits((s, a) for s in c.states for a in c.actions[s])
+
+    targets = data.draw(st.sets(st.sampled_from(sorted(held))))
+    rmax = reference_almost_sure_reach_set(sub, targets)
+    assert almost_sure_reach_set(graph, targets) == rmax
+    table = reach_policy(graph, targets, rmax)
+    assert list(table.items()) == list(reference_reach_policy(sub, targets, rmax).items())
 
 
 def _distributions(mec):
