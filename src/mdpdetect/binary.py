@@ -264,30 +264,51 @@ def _binary_synthesis(
     active: ActiveSet,
     decisions: dict[ActiveSet, _Decision],
     classification: SaClassification,
+    reported: bool = True,
 ) -> tuple[bool, PolicyEntry | None, dict[str, Any]]:
     """Full binary pipeline for the model pair ``active``; returns (exists, entry, diagnostics).
 
+    The pair's decision comes from :func:`_pair_decision`, with ``reported``
+    passed on; only the entry depends on ``initial``.
+    """
+    decision = _pair_decision(mmdp, frame, active, decisions, classification, reported)
+    entry, diagnostics = _build(decision, initial, active)
+    return entry is not None, entry, diagnostics
+
+
+def _pair_decision(
+    mmdp: Mmdp,
+    frame: SupportGraph,
+    active: ActiveSet,
+    decisions: dict[ActiveSet, _Decision],
+    classification: SaClassification,
+    reported: bool = True,
+) -> _Decision:
+    """The decision of the model pair ``active``, looked up in ``decisions`` and stored there on a miss.
+
     ``frame`` is :func:`_pair_frame` of the models' support rows and
     ``classification`` the pair's classification on its original kernels.
-    Only the last step depends on ``initial``: the rest is looked up in
-    ``decisions`` under ``active`` and stored there on a miss, so one pass
-    over a model pair serves every initial state.
+    The decision does not depend on the initial state, so one pass over a
+    model pair serves every initial state. A decision taken ``reported``
+    also keeps what only reported diagnostics list: the kept informative and
+    the revealing pairs, and the graph that the witness walk of
+    :func:`_build` reads when the initial state is undetectable.
     """
     decision = decisions.get(active)
     if decision is None:
         graph, isa_rows = _pair_graph(mmdp.rows, frame, active, classification)
+        extra = {
+            "isa": tuple(sorted(classification.kept_informative_pairs)),
+            "revealing_pairs": tuple(sorted(classification.revealing_pairs)),
+        } if reported else None
         decision = decisions[active] = _decide(
             graph,
             lambda c: c.rows & isa_rows != 0,
             frozenset(frame.names[-2:]),
-            {
-                "isa": tuple(sorted(classification.kept_informative_pairs)),
-                "revealing_pairs": tuple(sorted(classification.revealing_pairs)),
-            },
-            witness=True,
+            extra,
+            witness=reported,
         )
-    entry, diagnostics = _build(decision, initial, active)
-    return entry is not None, entry, diagnostics
+    return decision
 
 
 def _terminal_frame(rows: Rows, bases: tuple[str, str]) -> SupportGraph:

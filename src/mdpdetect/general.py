@@ -7,6 +7,12 @@ detection outright (one survivor), or spawns a subproblem for the surviving
 subset from the successor state, solved recursively with memoization. The
 explored region plus two terminal states ("subdetection succeeds" / "fails")
 forms a transition system on which the binary machinery decides existence.
+
+That region is closed under every action, and end components and almost-sure
+reachability of a closed sub-system are those of the whole system restricted
+to it. So each active set's level is decided once, over every state, and the
+level of ``(active, initial)`` is that decision restricted to the states
+explored from ``initial``.
 """
 
 from __future__ import annotations
@@ -20,10 +26,10 @@ from .binary import (
     ApdOutcome,
     SaClassification,
     _binary_synthesis,
-    _build,
     _decide,
     _Decision,
     _listed,
+    _pair_decision,
     _pair_frame,
     _terminal_frame,
     bi_apd,
@@ -78,7 +84,7 @@ def general_apd(mmdp: Mmdp, initial: str | None = None, memoize: bool = True) ->
 class _Context:
     """Shared state of one synthesis run: the subproblem memo, the classification of
     every model pair on its original kernels with its informative rows, and the
-    initial-state-independent decision of every model pair solved so far."""
+    initial-state-independent decision of every active set decided so far."""
 
     mmdp: Mmdp
     memoize: bool
@@ -108,6 +114,11 @@ class _Context:
             cached = self.informative[key] = self.frame.row_bits(pairs)
         return cached
 
+    def key_decisions(self) -> dict[ActiveSet, _Decision]:
+        """The decisions one subproblem may read and add to: the run's when memoizing,
+        otherwise a fresh table, so that no decision is shared across subproblems."""
+        return self.decisions if self.memoize else {}
+
     @cached_property
     def frame(self) -> SupportGraph:
         """The states and rows of every level, with no successors yet.
@@ -122,6 +133,44 @@ class _Context:
     def pair_frame(self) -> SupportGraph:
         """The states and rows of every model pair's graph, shared by all pairs."""
         return _pair_frame(self.mmdp.rows)
+
+    @cached_property
+    def plain(self) -> tuple[list[int], list[_Step | None]]:
+        """What every level shares: the states whose rows each have one successor set,
+        the same for all models.
+
+        Returns the successor sets of a level with those states' rows filled in
+        and every other row empty, and the :func:`_step` of each such state
+        (None for every other state).
+        """
+        rows = self.mmdp.rows
+        everyone = active_set(range(1, self.mmdp.n + 1))
+        full = (1 << self.mmdp.n) - 1
+        n = len(rows.names)
+        succ = [0] * len(rows.actions) + [1 << n, 1 << n + 1]
+        steps: list[_Step | None] = []
+        for s, here in enumerate(rows.groups):
+            if all(len(groups) == 1 and groups[0][0] == full for _, groups in here):
+                # no row here rules a model out, so no decision is read
+                steps.append(_step(self, {}, everyone, s, succ))
+            else:
+                steps.append(None)
+        return succ, steps
+
+
+# An edge that rules out some active model: (row, successor, surviving models).
+_Edge = tuple[int, int, ActiveSet]
+# A state's part of a level: the successors its rows move to while every active
+# model agrees (a bitset, and in the order the rows reach them first), then its
+# edges that rule some active model out, in row and successor order.
+_Step = tuple[int, tuple[int, ...], tuple[_Edge, ...]]
+
+
+@dataclass(frozen=True)
+class _Level(_Decision):
+    """The decision of one active set's level over every state, and the :func:`_step` of each state."""
+
+    steps: tuple[_Step, ...]
 
 
 def _solve(
@@ -138,7 +187,8 @@ def _solve(
     if len(active) == 2:
         i, j = active
         exists, entry, diagnostics = _binary_synthesis(
-            ctx.mmdp, ctx.pair_frame, initial, active, ctx.decisions, ctx.classification(i, j)
+            ctx.mmdp, ctx.pair_frame, initial, active, ctx.key_decisions(), ctx.classification(i, j),
+            reported=False,
         )
         entries = {(active, initial): entry} if entry is not None else {}
         result = (exists, entries, diagnostics)
@@ -149,18 +199,91 @@ def _solve(
     return result
 
 
+def _decision(ctx: _Context, decisions: dict[ActiveSet, _Decision], active: ActiveSet) -> _Decision:
+    """The decision of ``active`` over every state: a pair's, or a level's."""
+    if len(active) == 2:
+        return _pair_decision(
+            ctx.mmdp, ctx.pair_frame, active, decisions, ctx.classification(*active), reported=False
+        )
+    level = decisions.get(active)
+    if level is None:
+        level = decisions[active] = _level(ctx, decisions, active)
+    return level
+
+
+def _level(ctx: _Context, decisions: dict[ActiveSet, _Decision], active: ActiveSet) -> _Level:
+    """The level of ``active`` over every state, decided once.
+
+    Every row keeps the successors all active models allow. A successor that
+    rules out some active model moves to "succeeds" when its survivors detect
+    from it (a lone survivor always does; a set of survivors when the
+    successor lies in their own decision's reach set) and to "fails"
+    otherwise. The decisions of the survivors come from ``decisions``.
+    """
+    frame = ctx.frame
+    plain_succ, plain_steps = ctx.plain
+    succ = list(plain_succ)
+    steps = tuple([
+        _step(ctx, decisions, active, s, succ) if step is None else step
+        for s, step in enumerate(plain_steps)
+    ])
+    graph = frame.over(succ, (1 << len(frame.names)) - 1)
+    pair_rows = [ctx.informative_rows(i, j) for k, i in enumerate(active) for j in active[k + 1 :]]
+    good = frozenset({frame.names[-1]})
+
+    def is_informative(c: Mec) -> bool:
+        """The good terminal, or a component informative for every active pair."""
+        return c.states == good or all(c.rows & rows_ij for rows_ij in pair_rows)
+
+    decision = _decide(graph, is_informative, frozenset(frame.names[-2:]))
+    return _Level(**vars(decision), steps=steps)
+
+
+def _step(
+    ctx: _Context, decisions: dict[ActiveSet, _Decision], active: ActiveSet, s: int, succ: list[int]
+) -> _Step:
+    """State ``s``'s part of the level of ``active``; writes its rows' successor sets into ``succ``."""
+    names = ctx.mmdp.rows.names
+    bot0, bot1 = 1 << len(names), 1 << len(names) + 1
+    active_mask = sum(1 << (i - 1) for i in active)
+    post = 0
+    order: dict[int, None] = {}
+    edges: list[_Edge] = []
+    for r, groups in ctx.mmdp.rows.groups[s]:
+        agree = 0
+        partial = []
+        for mask, bits in groups:
+            mask &= active_mask
+            if mask == active_mask:
+                agree |= bits
+            elif mask:
+                partial.append((mask, bits))
+        post |= agree
+        succ[r] = agree
+        order.update(dict.fromkeys(bit_indices(agree)))
+        # successors some active model rules out, in successor order
+        for s2, mask in sorted((s2, mask) for mask, bits in partial for s2 in bit_indices(bits)):
+            sub = members(mask, active)
+            edges.append((r, s2, sub))
+            detects = len(sub) == 1 or names[s2] in _decision(ctx, decisions, sub).rmax
+            succ[r] |= bot1 if detects else bot0
+    return post, tuple(order), tuple(edges)
+
+
 def _general_level(
     ctx: _Context, active: ActiveSet, initial: str, depth: int
 ) -> tuple[bool, dict[tuple[ActiveSet, str], PolicyEntry], dict[str, Any]]:
-    """One BFS + recursion level of the synthesis for ``len(active) >= 3``."""
-    rows, frame = ctx.mmdp.rows, ctx.frame
-    names, row_actions, groups = rows.names, rows.actions, rows.groups
-    bot0, bot1 = len(names), len(names) + 1
-    active_mask = sum(1 << (i - 1) for i in active)
+    """The BFS + recursion level of ``(active, initial)`` for ``len(active) >= 3``.
 
-    # succ[r]: the successors of row r in this level's structure
-    succ = [0] * len(row_actions) + [1 << bot0, 1 << bot1]
-    start = rows.index[initial]
+    The BFS walks the level of ``active`` from ``initial`` over the rows
+    every active model agrees on, and solves the subproblem of each edge that
+    rules some active model out. The explored states and the terminals are
+    closed under every action, so the entry and the diagnostics are the
+    level's, restricted to them.
+    """
+    level = _decision(ctx, ctx.key_decisions(), active)
+    names, index = ctx.frame.names, ctx.frame.index
+    start = index[initial]
     explored = 1 << start
     queue: deque[int] = deque([start])
     recursion_jobs: deque[tuple[ActiveSet, int, int, int]] = deque()
@@ -168,42 +291,28 @@ def _general_level(
     sub_entries: dict[tuple[ActiveSet, str], PolicyEntry] = {}
 
     def settle(r: int, s: int, s2: int, sub: ActiveSet, flag: int) -> None:
-        succ[r] |= 1 << (bot1 if flag else bot0)
         terminal_edges.append({
-            "state": names[s], "action": row_actions[r], "successor": names[s2],
+            "state": names[s], "action": ctx.frame.actions[r], "successor": names[s2],
             "support": list(sub), "flag": flag,
         })
 
     while queue:
         s = queue.popleft()
-        for r, here in groups[s]:
-            agree = 0
-            partial = []
-            for mask, bits in here:
-                mask &= active_mask
-                if mask == active_mask:
-                    agree |= bits
-                elif mask:
-                    partial.append((mask, bits))
-            succ[r] = agree
-            new = agree & ~explored
-            if new:
-                explored |= new
-                queue.extend(bit_indices(new))
-            if not partial:
-                continue
-            # successors some active model rules out, in successor order
-            for s2, mask in sorted((s2, mask) for mask, bits in partial for s2 in bit_indices(bits)):
-                sub = members(mask, active)
-                if len(sub) == 1:
-                    settle(r, s, s2, sub, flag=1)
-                elif len(sub) == 2:
-                    exists, entries, _ = _solve(ctx, sub, names[s2], depth + 1)
-                    if exists:
-                        sub_entries.update(entries)
-                    settle(r, s, s2, sub, flag=1 if exists else 0)
-                else:
-                    recursion_jobs.append((sub, r, s, s2))
+        post, order, edges = level.steps[s]
+        new = post & ~explored
+        if new:
+            explored |= new
+            queue.extend([t for t in order if new >> t & 1])
+        for r, s2, sub in edges:
+            if len(sub) == 1:
+                settle(r, s, s2, sub, flag=1)
+            elif len(sub) == 2:
+                exists, entries, _ = _solve(ctx, sub, names[s2], depth + 1)
+                if exists:
+                    sub_entries.update(entries)
+                settle(r, s, s2, sub, flag=1 if exists else 0)
+            else:
+                recursion_jobs.append((sub, r, s, s2))
 
     while recursion_jobs:
         sub, r, s, s2 = recursion_jobs.popleft()
@@ -213,21 +322,24 @@ def _general_level(
             sub_entries.update(entries)
         settle(r, s, s2, sub, flag=1 if exists else 0)
 
-    graph = frame.over(succ, explored | 1 << bot0 | 1 << bot1)
-    pair_rows = [ctx.informative_rows(i, j) for k, i in enumerate(active) for j in active[k + 1 :]]
-    good = frozenset({frame.names[bot1]})
+    inside = explored | 3 << len(names) - 2  # and the two terminals
 
-    def is_informative(c: Mec) -> bool:
-        """The good terminal, or a component informative for every active pair."""
-        return c.states == good or all(c.rows & rows_ij for rows_ij in pair_rows)
+    def held(c: Mec) -> bool:
+        """Whether the component lies inside: end components do not straddle a closed set."""
+        return inside >> index[next(iter(c.states))] & 1 == 1
 
-    entry, diagnostics = _build(
-        _decide(graph, is_informative, frozenset(frame.names[bot0:])), initial, active
-    )
-    diagnostics["explored"] = [names[i] for i in bit_indices(explored)]
-    diagnostics["terminal_edges"] = terminal_edges
-    if entry is None:
+    diagnostics: dict[str, Any] = {
+        "active": list(active),
+        "initial": initial,
+        "rmax": [s for s in level.diagnostics["rmax"] if inside >> index[s] & 1],
+        "mecs": [c for c in level.diagnostics["mecs"] if held(c)],
+        "informative_mecs": [c for c in level.diagnostics["informative_mecs"] if held(c)],
+        "explored": [names[i] for i in bit_indices(explored)],
+        "terminal_edges": terminal_edges,
+    }
+    if initial not in level.rmax:
         return False, {}, diagnostics
+    reach = {s: a for s, a in level.reach.items() if inside >> index[s] & 1}
     entries = dict(sub_entries)
-    entries[(active, initial)] = entry
+    entries[(active, initial)] = PolicyEntry(active, initial, reach, tuple(filter(held, level.mecs)))
     return True, entries, diagnostics

@@ -24,7 +24,19 @@ from .models import Mmdp
 
 
 def bit_indices(bits: int) -> list[int]:
-    """The positions of the set bits of ``bits``, ascending."""
+    """The positions of the set bits of ``bits``, ascending.
+
+    A sparse set, such as a search frontier over many states, is walked one
+    bit at a time; a dense one, such as a level's domain, through its binary
+    string.
+    """
+    if bits.bit_count() * 8 < bits.bit_length():
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return out
     return [i for i, c in enumerate(bin(bits)[:1:-1]) if c == "1"]
 
 

@@ -15,7 +15,7 @@ from typing import Any, Iterable, Mapping
 
 from .errors import ModelError
 from .graphs import Mec
-from .models import Mmdp, _json, actions_at
+from .models import Mmdp, _array, _json, _object, actions_at
 
 ActiveSet = tuple[int, ...]  # sorted 1-based model indices
 
@@ -142,11 +142,35 @@ def policy_to_json(policy: DetectionPolicy) -> str:
     """The policy file: :func:`serialize_policy` as indented JSON text with sorted keys.
 
     Byte for byte ``json.dumps(serialize_policy(policy), indent=2,
-    sort_keys=True) + "\\n"``, written by the JSON helpers of
-    :mod:`mdpdetect.models`; the oracle test
-    ``tests/test_models.py::test_writers_match_json_dumps`` holds it to that.
+    sort_keys=True) + "\\n"``, written straight from the entries and their
+    components by the JSON helpers of :mod:`mdpdetect.models`; the oracle
+    test ``tests/test_models.py::test_writers_match_json_dumps`` holds it to
+    that.
     """
-    return _json(serialize_policy(policy), "") + "\n"
+    # An entry sits at depth 2, its fields at depth 3, a component at depth 4
+    # and the action list of a component state at depth 6. Components share
+    # few distinct action lists, so each is written once.
+    lists: dict[frozenset[str], str] = {}
+    entries = []
+    for key in sorted(policy.entries):
+        e = policy.entries[key]
+        mecs = []
+        for mec in e.mecs:
+            states = []
+            for s in sorted(mec.states):
+                acts = mec.actions.get(s, frozenset())
+                text = lists.get(acts)
+                if text is None:
+                    text = lists[acts] = _json(sorted(acts), " " * 12)
+                states.append((s, text))
+            mecs.append(_object([("states", _object(states, " " * 10))], " " * 8))
+        entries.append(_object([
+            ("active", _json(list(e.active), " " * 6)),
+            ("entry_state", _json(e.entry_state, " " * 6)),
+            ("mecs", _array(mecs, " " * 6)),
+            ("reach", _object([(s, _json(a, " " * 8)) for s, a in sorted(e.reach.items())], " " * 6)),
+        ], " " * 4))
+    return _object([("entries", _array(entries, "  "))], "") + "\n"
 
 
 def parse_policy(document: str | Mapping[str, Any]) -> DetectionPolicy:

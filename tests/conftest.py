@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from mdpdetect import general
 from mdpdetect.analysis import BcCurve
 from mdpdetect.binary import (
     INFORMATIVE,
@@ -22,6 +23,7 @@ from mdpdetect.binary import (
     REVEALING,
     PreprocessedPair,
     SaClassification,
+    _build,
     _check_shared_structure,
     _decide,
     preprocess,
@@ -29,7 +31,7 @@ from mdpdetect.binary import (
 from mdpdetect.errors import ContractError, HorizonCapError, ImpossibleObservationError, ModelError
 from mdpdetect.graphs import Mec, SupportGraph, almost_sure_reach_set, bit_indices, mec_decompose
 from mdpdetect.models import ROW_EQ_TOL, Mdp, Mmdp, fresh_name, serialize_mmdp, support
-from mdpdetect.policy import DetectionPolicy, active_set, serialize_policy
+from mdpdetect.policy import DetectionPolicy, active_set, members, serialize_policy
 from mdpdetect.simulate import Trace, TraceStep, _check_priors, map_decide, trial_rng
 
 # every property test runs the same examples on every run, however long they take
@@ -834,6 +836,91 @@ def reference_pair_decision(m1, m2):
         },
         witness=True,
     )
+
+
+# ---------------------------------------------------------------------------
+# Frozen synthesis level: one breadth-first search, MEC decomposition and reach
+# fixpoint per subproblem (active set, entry state), the level `general_apd`
+# ran before it decided each active set once over every state. Patched in for
+# `general._general_level`, it recurses through `general._solve`.
+# ---------------------------------------------------------------------------
+
+
+def frozen_general_level(ctx, active, initial, depth):
+    rows, frame = ctx.mmdp.rows, ctx.frame
+    names, row_actions, groups = rows.names, rows.actions, rows.groups
+    bot0, bot1 = len(names), len(names) + 1
+    active_mask = sum(1 << (i - 1) for i in active)
+
+    succ = [0] * len(row_actions) + [1 << bot0, 1 << bot1]
+    start = rows.index[initial]
+    explored = 1 << start
+    queue = deque([start])
+    recursion_jobs = deque()
+    terminal_edges = []
+    sub_entries = {}
+
+    def settle(r, s, s2, sub, flag):
+        succ[r] |= 1 << (bot1 if flag else bot0)
+        terminal_edges.append({
+            "state": names[s], "action": row_actions[r], "successor": names[s2],
+            "support": list(sub), "flag": flag,
+        })
+
+    while queue:
+        s = queue.popleft()
+        for r, here in groups[s]:
+            agree = 0
+            partial = []
+            for mask, bits in here:
+                mask &= active_mask
+                if mask == active_mask:
+                    agree |= bits
+                elif mask:
+                    partial.append((mask, bits))
+            succ[r] = agree
+            new = agree & ~explored
+            if new:
+                explored |= new
+                queue.extend(bit_indices(new))
+            if not partial:
+                continue
+            for s2, mask in sorted((s2, mask) for mask, bits in partial for s2 in bit_indices(bits)):
+                sub = members(mask, active)
+                if len(sub) == 1:
+                    settle(r, s, s2, sub, flag=1)
+                elif len(sub) == 2:
+                    exists, entries, _ = general._solve(ctx, sub, names[s2], depth + 1)
+                    if exists:
+                        sub_entries.update(entries)
+                    settle(r, s, s2, sub, flag=1 if exists else 0)
+                else:
+                    recursion_jobs.append((sub, r, s, s2))
+
+    while recursion_jobs:
+        sub, r, s, s2 = recursion_jobs.popleft()
+        exists, entries, _ = general._solve(ctx, sub, names[s2], depth + 1)
+        if exists:
+            sub_entries.update(entries)
+        settle(r, s, s2, sub, flag=1 if exists else 0)
+
+    graph = frame.over(succ, explored | 1 << bot0 | 1 << bot1)
+    pair_rows = [ctx.informative_rows(i, j) for k, i in enumerate(active) for j in active[k + 1 :]]
+    good = frozenset({frame.names[bot1]})
+
+    def is_informative(c):
+        return c.states == good or all(c.rows & rows_ij for rows_ij in pair_rows)
+
+    entry, diagnostics = _build(
+        _decide(graph, is_informative, frozenset(frame.names[bot0:])), initial, active
+    )
+    diagnostics["explored"] = [names[i] for i in bit_indices(explored)]
+    diagnostics["terminal_edges"] = terminal_edges
+    if entry is None:
+        return False, {}, diagnostics
+    entries = dict(sub_entries)
+    entries[(active, initial)] = entry
+    return True, entries, diagnostics
 
 
 # ---------------------------------------------------------------------------

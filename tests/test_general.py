@@ -20,6 +20,7 @@ from mdpdetect.simulate import map_decide, simulate
 
 from conftest import (
     example1_mmdp,
+    frozen_general_level,
     identical_mmdp,
     induced_system,
     mk_mdp,
@@ -413,18 +414,18 @@ def test_general_apd_matches_the_reference_pair_decision(seed, n_models, n_state
     pair decisions come from the frozen ``preprocess`` composition."""
     mmdp = random_multi_mmdp(rng_for(seed), n_models=n_models, n_states=n_states, reveal_share=0.6)
     got = _outputs_from_every_state(mmdp)
-    synthesis, seeded = binary._binary_synthesis, []
+    pair_decision, seeded = binary._pair_decision, []
 
-    def from_reference(mmdp_, frame, initial, active, decisions, classification):
+    def from_reference(mmdp_, frame, active, decisions, classification, reported=True):
         if active not in decisions:
             i, j = active
             decisions[active] = reference_pair_decision(mmdp_.model(i), mmdp_.model(j))
             seeded.append(active)
-        return synthesis(mmdp_, frame, initial, active, decisions, classification)
+        return pair_decision(mmdp_, frame, active, decisions, classification, reported)
 
     with (
-        mock.patch.object(binary, "_binary_synthesis", from_reference),
-        mock.patch.object(general, "_binary_synthesis", from_reference),
+        mock.patch.object(binary, "_pair_decision", from_reference),
+        mock.patch.object(general, "_pair_decision", from_reference),
     ):
         assert _outputs_from_every_state(mmdp) == got
     # a run over three or more models reaches a pair only after an elimination
@@ -556,3 +557,89 @@ def test_components_are_listed_only_for_the_root(monkeypatch, n_models):
     # with three or more models, the runs decided levels and pairs below their roots;
     # with two, some roots name the components an undetectable state reaches
     assert decisions > levels if n_models > 2 else decisions == levels and witnesses > 0
+
+
+def _run_on_level(mmdp, initial, level):
+    """Each level key's existence and entry, the policy JSON and the diagnostics JSON of a
+    run from ``initial`` whose synthesis levels are ``level``."""
+    keys = {}
+
+    def recorded(ctx, active, initial_, depth):
+        result = level(ctx, active, initial_, depth)
+        keys[(active, initial_)] = (result[0], result[1].get((active, initial_)))
+        return result
+
+    with mock.patch.object(general, "_general_level", recorded):
+        outcome = general_apd(mmdp, initial=initial)
+    policy = policy_to_json(outcome.policy) if outcome.exists else None
+    return keys, policy, _json(outcome.diagnostics)
+
+
+@settings(max_examples=600)
+@given(seed=st.integers(0, 2**32 - 1), n_models=st.integers(2, 5), n_states=st.integers(2, 7),
+       kind=st.sampled_from(["sparse", "renamed", "multi"]))
+def test_general_levels_match_the_frozen_level(seed, n_models, n_states, kind):
+    """Every key's existence and entry, the policy file and the root's diagnostics, from
+    every initial state, are those of the frozen level that searched and decided each key
+    on its own. The sparse instances keep explicit 0.0 entries; the renamed ones reverse
+    the state order."""
+    rng = rng_for(seed)
+    if kind == "multi":
+        mmdp = random_multi_mmdp(rng, n_models=n_models, n_states=n_states, reveal_share=0.5)
+    else:
+        mmdp = random_sparse_cut_mmdp(rng, n_models=n_models, n_states=n_states)
+        if kind == "renamed":
+            mmdp = renamed(mmdp, lambda s: chr(ord("z") - int(s[1:])), str.upper)
+    for s in mmdp.states:
+        got = _run_on_level(mmdp, s, general._general_level)
+        assert got == _run_on_level(mmdp, s, frozen_general_level), s
+
+
+def test_general_memo_off_shares_no_decision_across_subproblems():
+    """Without the memo, each subproblem decides its active set afresh, so the memo-off
+    run stays an independent check of everything the memo shares. With the memo, each
+    active set is decided once."""
+    repeated = 0
+    for seed in range(10):
+        mmdp = random_multi_mmdp(rng_for(5000 + seed), n_models=4 + seed % 2, n_states=6)
+        for memoize in (True, False):
+            with (
+                mock.patch.object(general, "_solve", wraps=general._solve) as solve,
+                mock.patch.object(general, "_level", wraps=general._level) as level,
+                mock.patch.object(binary, "_pair_graph", wraps=binary._pair_graph) as pair_graph,
+            ):
+                general_apd(mmdp, memoize=memoize)
+            keys = Counter(c.args[1] for c in solve.call_args_list)
+            decided = Counter(c.args[2] for c in level.call_args_list + pair_graph.call_args_list)
+            if memoize:
+                assert set(decided.values()) == {1}
+            else:
+                assert all(decided[active] >= n for active, n in keys.items())
+                repeated += any(n > 1 for n in keys.values())
+    assert repeated >= 5
+
+
+def test_general_runs_no_witness_walk():
+    """Only ``bi_apd`` reports the non-informative components an undetectable state
+    reaches, so no pair subproblem below a ``general_apd`` root walks to them."""
+    walk = mock.Mock(wraps=binary.reachable_states)
+    synthesis, undetectable = general._binary_synthesis, []
+
+    def recorded(*args, **kwargs):
+        result = synthesis(*args, **kwargs)
+        if not result[0]:
+            undetectable.append(args[2:4])
+        return result
+
+    with (
+        mock.patch.object(binary, "reachable_states", walk),
+        mock.patch.object(general, "_binary_synthesis", recorded),
+    ):
+        for seed in range(30):
+            mmdp = random_sparse_cut_mmdp(rng_for(1700 + seed), n_models=3 + seed % 3, n_states=6)
+            for s in mmdp.states:
+                general_apd(mmdp, initial=s)
+        assert walk.call_count == 0
+        assert len(undetectable) >= 10
+        assert "witness_noninformative_mecs" in bi_apd(example1_mmdp(initial="1")).diagnostics
+        assert walk.call_count == 1

@@ -4,7 +4,9 @@ The model JSON (written by ``mmdp_to_json``, or by ``mdpdetect gen`` for the
 scenarios), ``classify`` JSON, ``mec`` JSON (model 1, model 2 and, with three
 or more models, model 3), ``mec --informative`` JSON (binary cases), policy
 JSON, ``--diagnostics`` JSON, single-trace CSV, batch JSON and bc CSV of
-every case below are fixed points. A refactor or a
+every case below are fixed points, and so are the policy and
+``--diagnostics`` JSON of the paper-scale recommender the benchmark
+synthesizes (``bench/specs/recsys-10x6.json``). A refactor or a
 speed-up of the synthesis, the episode loop or the coefficient DP must
 reproduce them byte for byte. After a deliberate change of output, print the new digests with
 
@@ -96,6 +98,14 @@ GOLDEN = {
     "recursive/trace.csv": "a23ed1cb5a04d59684e89d500f3dcce7f2a26ca36a44f93daf96e743974741fe",
 }
 
+# Pinned from the synthesis that searched and decided every (active set, entry
+# state) subproblem on its own, before each active set was decided once.
+PAPER_SCALE = {
+    "recsys-10x6/diag.json": "001179eb0c1817c7e16ae2d590765f09db2b20d85c102bd705b2e661926af839",
+    "recsys-10x6/policy.json": "a19d2f83dc3dc4ab5f46a12ee913c03fdcfc8583624edffd9c6b2f71d76acd0f",
+}
+PAPER_SPEC = Path(__file__).resolve().parents[1] / "bench" / "specs" / "recsys-10x6.json"
+
 
 def _model(case: str, work: Path) -> Path:
     path = work / case / "model.json"
@@ -142,6 +152,17 @@ def golden_outputs(work: Path) -> dict[str, bytes]:
     return outputs
 
 
+def paper_scale_outputs(work: Path) -> dict[str, bytes]:
+    """Synthesize the benchmark's recommender, with its diagnostics."""
+    out = work / "recsys-10x6"
+    out.mkdir()
+    model = str(out / "model.json")
+    assert main(["gen", "recsys", str(PAPER_SPEC), "--out", model]) == 0
+    assert main(["synthesize", model, "--out", str(out / "policy.json"),
+                 "--diagnostics", str(out / "diag.json")]) == 0
+    return {f"recsys-10x6/{name}": (out / name).read_bytes() for name in ("diag.json", "policy.json")}
+
+
 def digests(outputs: dict[str, bytes]) -> dict[str, str]:
     return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
 
@@ -153,7 +174,12 @@ def test_cli_outputs_match_golden_bytes(tmp_path):
     assert changed == []
 
 
+def test_paper_scale_synthesis_matches_golden_bytes(tmp_path):
+    assert digests(paper_scale_outputs(tmp_path)) == PAPER_SCALE
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        json.dump(digests(golden_outputs(Path(tmp))), sys.stdout, indent=4, sort_keys=True)
+        outputs = {**golden_outputs(Path(tmp)), **paper_scale_outputs(Path(tmp))}
+        json.dump(digests(outputs), sys.stdout, indent=4, sort_keys=True)
         print()

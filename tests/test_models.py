@@ -308,6 +308,17 @@ def _side_entries(mmdp):
     return DetectionPolicy(entries={(e.active, e.entry_state): e for e in entries})
 
 
+def _shared_action_lists(mmdp):
+    """Several entries whose components give many states the same action list."""
+    whole = Mec(mmdp.states, {s: mmdp.actions[s] for s in mmdp.states})
+    head = Mec(mmdp.states[:2], {s: mmdp.actions[s][:1] for s in mmdp.states[:2]})
+    entries = [
+        PolicyEntry(active=active, entry_state=s, reach={t: mmdp.actions[t][-1]}, mecs=(whole, head))
+        for active in ((1,), (1, 2)) for s, t in zip(mmdp.states, reversed(mmdp.states))
+    ]
+    return DetectionPolicy(entries={(e.active, e.entry_state): e for e in entries})
+
+
 def _check_writers(mmdp, policies, round_trip=True):
     text = mmdp_to_json(mmdp)
     assert text == reference_mmdp_to_json(mmdp)
@@ -332,8 +343,9 @@ def test_writers_match_json_dumps(seed, kind, prefix, suffix, odd_probability):
     """The model and policy writers give json.dumps(..., indent=2, sort_keys=True) byte for byte.
 
     On random instances with escaped names and odd probabilities, their
-    synthesized policies, the uniform baseline and hand-built entries; every
-    file parses back to what was written.
+    synthesized policies, the uniform baseline and hand-built entries, some
+    of whose components share action lists; every file parses back to what
+    was written.
     """
     rng = rng_for(seed)
     mmdp = random_binary_mmdp(rng) if kind == "binary" else random_multi_mmdp(rng, n_models=3)
@@ -341,7 +353,10 @@ def test_writers_match_json_dumps(seed, kind, prefix, suffix, odd_probability):
     if odd_probability is not None:
         mmdp = _with_probability(mmdp, odd_probability)
     assert validate_mmdp(mmdp) == []
-    policies = [stationary_uniform_policy(mmdp), _side_entries(mmdp), DetectionPolicy(entries={})]
+    policies = [
+        stationary_uniform_policy(mmdp), _side_entries(mmdp), _shared_action_lists(mmdp),
+        DetectionPolicy(entries={}),
+    ]
     outcome = general_apd(mmdp)
     if outcome.exists:
         policies.append(outcome.policy)

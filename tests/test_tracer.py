@@ -6,11 +6,15 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
+from mdpdetect import binary, general
 from mdpdetect.analysis import _MAX_STEPS, _compiled
 from mdpdetect.cli import main
+from mdpdetect.general import general_apd
 from mdpdetect.models import mmdp_to_json, parse_mmdp
 from mdpdetect.policy import parse_policy
+from mdpdetect.scenarios import RecSysSpec, gen_recsys
 
 from test_general import _recursive_instance
 
@@ -35,17 +39,32 @@ def _traced(tmp_path, *cli_args):
 
 
 def test_tracer_counts_synthesis_layers(tmp_path):
-    model = tmp_path / "model.json"
-    model.write_text(mmdp_to_json(_recursive_instance()))
-    spans, counters = _traced(
-        tmp_path, "synthesize", str(model), "--out", str(tmp_path / "policy.json")
-    )
-    for name in (
-        "general.level", "binary.synthesis", "graphs.mec", "graphs.reach", "graphs.reach_policy"
-    ):
-        assert spans[name][2] > 0, name  # [total seconds, self seconds, calls]
-    for name in ("graphs.mec_input_states", "general.explored_states"):
-        assert counters.get(name, 0) > 0, name
+    for k, mmdp in enumerate((_recursive_instance(), gen_recsys(RecSysSpec(item_count=6, type_count=5, seed=0)))):
+        (tmp_path / str(k)).mkdir()
+        model = tmp_path / str(k) / "model.json"
+        model.write_text(mmdp_to_json(mmdp))
+        spans, counters = _traced(
+            tmp_path / str(k), "synthesize", str(model), "--out", str(tmp_path / str(k) / "policy.json")
+        )
+        for name in (
+            "general.level", "binary.synthesis", "graphs.mec", "graphs.reach", "graphs.reach_policy"
+        ):
+            assert spans[name][2] > 0, name  # [total seconds, self seconds, calls]
+        for name in ("graphs.mec_input_states", "general.explored_states"):
+            assert counters.get(name, 0) > 0, name
+        # a level span per subproblem of three or more models; a MEC decomposition per
+        # active set decided, each once
+        with (
+            mock.patch.object(general, "_general_level", wraps=general._general_level) as level,
+            mock.patch.object(general, "_level", wraps=general._level) as decide_level,
+            mock.patch.object(binary, "_pair_graph", wraps=binary._pair_graph) as decide_pair,
+        ):
+            general_apd(mmdp)
+        keys = [c.args[1:3] for c in level.call_args_list]
+        decided = [c.args[2] for c in decide_level.call_args_list + decide_pair.call_args_list]
+        assert spans["general.level"][2] == len(keys) == len(set(keys))
+        assert spans["graphs.mec"][2] == len(decided) == len(set(decided))
+        assert {active for active, _ in keys} <= set(decided)
 
 
 def test_tracer_counts_the_bc_dynamic_program(tmp_path):
