@@ -57,11 +57,11 @@ class BcMatrix:
     initial: str
 
     def bc_value(self, t: int) -> float:
-        if t < 0:
-            raise ModelError("horizon must be nonnegative")
         return self.bc_curve(t).values[-1]
 
     def bc_curve(self, horizon: int) -> BcCurve:
+        if horizon < 0:
+            raise ModelError("horizon must be nonnegative")
         v = np.zeros(len(self.states))
         v[self.states.index(self.initial)] = 1.0
         values = [1.0]

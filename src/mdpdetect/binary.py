@@ -250,11 +250,28 @@ def bi_apd(mmdp: Mmdp, initial: str | None = None) -> ApdOutcome:
     if initial not in mmdp.rows.index:
         raise ModelError(f"unknown initial state {initial!r}")
     classification = classify_pairs(*mmdp.models)
-    exists, entry, diagnostics = _binary_synthesis(
-        mmdp, _pair_frame(mmdp.rows), initial, active_set((1, 2)), {}, classification
-    )
-    policy = single_entry_policy(entry) if entry is not None else None
-    return ApdOutcome(exists=exists, policy=policy, diagnostics=_listed(diagnostics))
+    frame, pair, decisions = _pair_frame(mmdp.rows), active_set((1, 2)), {}
+    exists, entry = _binary_synthesis(mmdp, frame, initial, pair, decisions, classification)
+    decision = decisions[pair]
+    diagnostics: dict[str, Any] = {
+        "active": list(pair),
+        "initial": initial,
+        "rmax": sorted(decision.rmax),
+        "mecs": [c.as_dict() for c in decision.components],
+        "informative_mecs": [c.as_dict() for c in decision.informative],
+        "isa": sorted(classification.kept_informative_pairs),
+        "revealing_pairs": sorted(classification.revealing_pairs),
+    }
+    if not exists:
+        # the non-informative components the initial state reaches explain the failure
+        reachable = reachable_states(_pair_graph(mmdp.rows, frame, pair, classification)[0], initial)
+        diagnostics["witness_noninformative_mecs"] = [
+            c.as_dict()
+            for c in decision.components
+            if not reachable.isdisjoint(c.states) and c not in decision.informative
+        ]
+    policy = single_entry_policy(entry) if exists else None
+    return ApdOutcome(exists=exists, policy=policy, diagnostics=diagnostics)
 
 
 def _binary_synthesis(
@@ -264,16 +281,14 @@ def _binary_synthesis(
     active: ActiveSet,
     decisions: dict[ActiveSet, _Decision],
     classification: SaClassification,
-    reported: bool = True,
-) -> tuple[bool, PolicyEntry | None, dict[str, Any]]:
-    """Full binary pipeline for the model pair ``active``; returns (exists, entry, diagnostics).
+) -> tuple[bool, PolicyEntry | None]:
+    """Full binary pipeline for the model pair ``active``; returns (exists, entry).
 
-    The pair's decision comes from :func:`_pair_decision`, with ``reported``
-    passed on; only the entry depends on ``initial``.
+    The pair's decision comes from :func:`_pair_decision`; only the entry
+    depends on ``initial``.
     """
-    decision = _pair_decision(mmdp, frame, active, decisions, classification, reported)
-    entry, diagnostics = _build(decision, initial, active)
-    return entry is not None, entry, diagnostics
+    entry = _build(_pair_decision(mmdp, frame, active, decisions, classification), initial, active)
+    return entry is not None, entry
 
 
 def _pair_decision(
@@ -282,31 +297,19 @@ def _pair_decision(
     active: ActiveSet,
     decisions: dict[ActiveSet, _Decision],
     classification: SaClassification,
-    reported: bool = True,
 ) -> _Decision:
     """The decision of the model pair ``active``, looked up in ``decisions`` and stored there on a miss.
 
     ``frame`` is :func:`_pair_frame` of the models' support rows and
     ``classification`` the pair's classification on its original kernels.
     The decision does not depend on the initial state, so one pass over a
-    model pair serves every initial state. A decision taken ``reported``
-    also keeps what only reported diagnostics list: the kept informative and
-    the revealing pairs, and the graph that the witness walk of
-    :func:`_build` reads when the initial state is undetectable.
+    model pair serves every initial state.
     """
     decision = decisions.get(active)
     if decision is None:
         graph, isa_rows = _pair_graph(mmdp.rows, frame, active, classification)
-        extra = {
-            "isa": tuple(sorted(classification.kept_informative_pairs)),
-            "revealing_pairs": tuple(sorted(classification.revealing_pairs)),
-        } if reported else None
         decision = decisions[active] = _decide(
-            graph,
-            lambda c: c.rows & isa_rows != 0,
-            frozenset(frame.names[-2:]),
-            extra,
-            witness=reported,
+            graph, lambda c: c.rows & isa_rows != 0, frozenset(frame.names[-2:])
         )
     return decision
 
@@ -383,25 +386,20 @@ class _Decision:
 
     An entry state in ``rmax`` gets the ``reach`` table and the informative
     components ``mecs``, in which the policy randomizes uniformly. Every entry
-    of the decision shares both, read-only. ``diagnostics`` holds the lists
-    every entry reports, with the components as :class:`Mec` objects.
-    ``graph``, when kept, serves the walk that finds the non-informative
-    components an undetectable initial state reaches.
+    of the decision shares both, read-only. ``components`` holds every end
+    component of the level's graph and ``informative`` those it accepts,
+    terminals included: the lists a root reports.
     """
 
     rmax: frozenset[str]
     reach: Mapping[str, str]
     mecs: tuple[Mec, ...]
-    diagnostics: Mapping[str, tuple]
-    graph: SupportGraph | None
+    components: tuple[Mec, ...]
+    informative: tuple[Mec, ...]
 
 
 def _decide(
-    graph: SupportGraph,
-    is_informative: Callable[[Mec], bool],
-    terminals: frozenset[str],
-    extra: Mapping[str, tuple] | None = None,
-    witness: bool = False,
+    graph: SupportGraph, is_informative: Callable[[Mec], bool], terminals: frozenset[str]
 ) -> _Decision:
     """The first step of the tail that ends every synthesis level.
 
@@ -409,9 +407,6 @@ def _decide(
     their almost-sure reach set and the policy that reaches them. The
     ``terminals`` of ``graph`` stand for settled detection outcomes, so they
     appear neither in the reach table nor among the runtime components.
-    ``extra`` diagnostics are reported after the common ones; ``witness``
-    keeps what the witness walk of :func:`_build` needs. The diagnostics hold
-    the :class:`Mec` objects, not their listings.
     """
     mecs = mec_decompose(graph)
     inf_mecs = tuple(c for c in mecs if is_informative(c))
@@ -422,52 +417,19 @@ def _decide(
         rmax=rmax,
         reach={s: a for s, a in reach.items() if s not in terminals},
         mecs=tuple(c for c in inf_mecs if terminals.isdisjoint(c.states)),
-        diagnostics={
-            "rmax": tuple(sorted(rmax)),
-            "mecs": mecs,
-            "informative_mecs": inf_mecs,
-            **(extra or {}),
-        },
-        graph=graph if witness else None,
+        components=mecs,
+        informative=inf_mecs,
     )
 
 
-def _build(
-    decision: _Decision, initial: str, active: ActiveSet
-) -> tuple[PolicyEntry | None, dict[str, Any]]:
-    """The last step of every synthesis: the entry for ``initial`` when detection exists.
+def _build(decision: _Decision, initial: str, active: ActiveSet) -> PolicyEntry | None:
+    """The last step of every synthesis: the entry for ``initial``, or None when no policy exists.
 
-    Detection exists exactly when ``initial`` lies in the reach set. Returns
-    the entry (None when no policy exists) and the diagnostics, which then
-    name the non-informative components reachable from ``initial`` when the
-    decision kept its graph. Components stay :class:`Mec` objects here:
-    most levels are subproblems whose diagnostics nobody reads, and
-    :func:`_listed` spells out the root's.
+    Detection exists exactly when ``initial`` lies in the reach set.
     """
-    diagnostics: dict[str, Any] = {"active": list(active), "initial": initial}
-    for key, values in decision.diagnostics.items():
-        diagnostics[key] = list(values)
     if initial not in decision.rmax:
-        if decision.graph is not None:
-            reachable = reachable_states(decision.graph, initial)
-            diagnostics["witness_noninformative_mecs"] = [
-                c
-                for c in diagnostics["mecs"]
-                if not reachable.isdisjoint(c.states) and c not in diagnostics["informative_mecs"]
-            ]
-        return None, diagnostics
-    return PolicyEntry(active, initial, decision.reach, decision.mecs), diagnostics
-
-
-def _listed(diagnostics: dict[str, Any]) -> dict[str, Any]:
-    """``diagnostics`` with each component list turned into :meth:`Mec.as_dict` mappings, in place.
-
-    Run once, on the root's diagnostics, which are the ones reported.
-    """
-    for key in ("mecs", "informative_mecs", "witness_noninformative_mecs"):
-        if key in diagnostics:
-            diagnostics[key] = [c.as_dict() for c in diagnostics[key]]
-    return diagnostics
+        return None
+    return PolicyEntry(active, initial, decision.reach, decision.mecs)
 
 
 def _check_shared_structure(m1: Mdp, m2: Mdp) -> None:

@@ -28,7 +28,6 @@ from .binary import (
     _binary_synthesis,
     _decide,
     _Decision,
-    _listed,
     _pair_decision,
     _pair_frame,
     _terminal_frame,
@@ -74,8 +73,13 @@ def general_apd(mmdp: Mmdp, initial: str | None = None, memoize: bool = True) ->
     ctx = _Context(mmdp=mmdp, memoize=memoize)
     full = active_set(range(1, mmdp.n + 1))
     exists, entries, diagnostics = _solve(ctx, full, initial, depth=0)
-    diagnostics = _listed(dict(diagnostics))
-    diagnostics["cache"] = {"hits": ctx.hits, "misses": ctx.misses}
+    # only the root's components are spelled out
+    diagnostics = {
+        **diagnostics,
+        "mecs": [c.as_dict() for c in diagnostics["mecs"]],
+        "informative_mecs": [c.as_dict() for c in diagnostics["informative_mecs"]],
+        "cache": {"hits": ctx.hits, "misses": ctx.misses},
+    }
     policy = DetectionPolicy(entries=entries) if exists else None
     return ApdOutcome(exists=exists, policy=policy, diagnostics=diagnostics)
 
@@ -158,8 +162,8 @@ class _Context:
         return succ, steps
 
 
-# An edge that rules out some active model: (row, successor, surviving models).
-_Edge = tuple[int, int, ActiveSet]
+# An edge that rules out some active model: (state, row, successor, surviving models).
+_Edge = tuple[int, int, int, ActiveSet]
 # A state's part of a level: the successors its rows move to while every active
 # model agrees (a bitset, and in the order the rows reach them first), then its
 # edges that rule some active model out, in row and successor order.
@@ -185,13 +189,11 @@ def _solve(
             return ctx.memo[key]
         ctx.misses += 1
     if len(active) == 2:
-        i, j = active
-        exists, entry, diagnostics = _binary_synthesis(
-            ctx.mmdp, ctx.pair_frame, initial, active, ctx.key_decisions(), ctx.classification(i, j),
-            reported=False,
+        exists, entry = _binary_synthesis(
+            ctx.mmdp, ctx.pair_frame, initial, active, ctx.key_decisions(), ctx.classification(*active)
         )
-        entries = {(active, initial): entry} if entry is not None else {}
-        result = (exists, entries, diagnostics)
+        # a pair below the root reports nothing
+        result = (exists, {(active, initial): entry} if exists else {}, {})
     else:
         result = _general_level(ctx, active, initial, depth)
     if ctx.memoize:
@@ -202,9 +204,7 @@ def _solve(
 def _decision(ctx: _Context, decisions: dict[ActiveSet, _Decision], active: ActiveSet) -> _Decision:
     """The decision of ``active`` over every state: a pair's, or a level's."""
     if len(active) == 2:
-        return _pair_decision(
-            ctx.mmdp, ctx.pair_frame, active, decisions, ctx.classification(*active), reported=False
-        )
+        return _pair_decision(ctx.mmdp, ctx.pair_frame, active, decisions, ctx.classification(*active))
     level = decisions.get(active)
     if level is None:
         level = decisions[active] = _level(ctx, decisions, active)
@@ -264,7 +264,7 @@ def _step(
         # successors some active model rules out, in successor order
         for s2, mask in sorted((s2, mask) for mask, bits in partial for s2 in bit_indices(bits)):
             sub = members(mask, active)
-            edges.append((r, s2, sub))
+            edges.append((s, r, s2, sub))
             detects = len(sub) == 1 or names[s2] in _decision(ctx, decisions, sub).rmax
             succ[r] |= bot1 if detects else bot0
     return post, tuple(order), tuple(edges)
@@ -276,51 +276,38 @@ def _general_level(
     """The BFS + recursion level of ``(active, initial)`` for ``len(active) >= 3``.
 
     The BFS walks the level of ``active`` from ``initial`` over the rows
-    every active model agrees on, and solves the subproblem of each edge that
-    rules some active model out. The explored states and the terminals are
-    closed under every action, so the entry and the diagnostics are the
-    level's, restricted to them.
+    every active model agrees on and collects each edge that rules some active
+    model out. The edges to a lone survivor or a pair are then settled in the
+    order found, before those to larger sets. The explored states and the
+    terminals are closed under every action, so the entry and the diagnostics
+    are the level's, restricted to them.
     """
     level = _decision(ctx, ctx.key_decisions(), active)
     names, index = ctx.frame.names, ctx.frame.index
     start = index[initial]
     explored = 1 << start
     queue: deque[int] = deque([start])
-    recursion_jobs: deque[tuple[ActiveSet, int, int, int]] = deque()
-    terminal_edges: list[dict[str, Any]] = []
-    sub_entries: dict[tuple[ActiveSet, str], PolicyEntry] = {}
-
-    def settle(r: int, s: int, s2: int, sub: ActiveSet, flag: int) -> None:
-        terminal_edges.append({
-            "state": names[s], "action": ctx.frame.actions[r], "successor": names[s2],
-            "support": list(sub), "flag": flag,
-        })
-
+    edges: list[_Edge] = []
     while queue:
-        s = queue.popleft()
-        post, order, edges = level.steps[s]
+        post, order, state_edges = level.steps[queue.popleft()]
         new = post & ~explored
         if new:
             explored |= new
             queue.extend([t for t in order if new >> t & 1])
-        for r, s2, sub in edges:
-            if len(sub) == 1:
-                settle(r, s, s2, sub, flag=1)
-            elif len(sub) == 2:
-                exists, entries, _ = _solve(ctx, sub, names[s2], depth + 1)
-                if exists:
-                    sub_entries.update(entries)
-                settle(r, s, s2, sub, flag=1 if exists else 0)
-            else:
-                recursion_jobs.append((sub, r, s, s2))
+        edges.extend(state_edges)
 
-    while recursion_jobs:
-        sub, r, s, s2 = recursion_jobs.popleft()
-        assert len(sub) < len(active), "active sets must shrink on recursion"
-        exists, entries, _ = _solve(ctx, sub, names[s2], depth + 1)
-        if exists:
+    terminal_edges: list[dict[str, Any]] = []
+    sub_entries: dict[tuple[ActiveSet, str], PolicyEntry] = {}
+    for s, r, s2, sub in sorted(edges, key=lambda edge: len(edge[3]) > 2):
+        exists = len(sub) == 1
+        if not exists:
+            assert len(sub) < len(active), "active sets must shrink on recursion"
+            exists, entries, _ = _solve(ctx, sub, names[s2], depth + 1)
             sub_entries.update(entries)
-        settle(r, s, s2, sub, flag=1 if exists else 0)
+        terminal_edges.append({
+            "state": names[s], "action": ctx.frame.actions[r], "successor": names[s2],
+            "support": list(sub), "flag": int(exists),
+        })
 
     inside = explored | 3 << len(names) - 2  # and the two terminals
 
@@ -331,15 +318,14 @@ def _general_level(
     diagnostics: dict[str, Any] = {
         "active": list(active),
         "initial": initial,
-        "rmax": [s for s in level.diagnostics["rmax"] if inside >> index[s] & 1],
-        "mecs": [c for c in level.diagnostics["mecs"] if held(c)],
-        "informative_mecs": [c for c in level.diagnostics["informative_mecs"] if held(c)],
+        "rmax": sorted(s for s in level.rmax if inside >> index[s] & 1),
+        "mecs": [c for c in level.components if held(c)],
+        "informative_mecs": [c for c in level.informative if held(c)],
         "explored": [names[i] for i in bit_indices(explored)],
         "terminal_edges": terminal_edges,
     }
     if initial not in level.rmax:
         return False, {}, diagnostics
     reach = {s: a for s, a in level.reach.items() if inside >> index[s] & 1}
-    entries = dict(sub_entries)
-    entries[(active, initial)] = PolicyEntry(active, initial, reach, tuple(filter(held, level.mecs)))
-    return True, entries, diagnostics
+    sub_entries[(active, initial)] = PolicyEntry(active, initial, reach, tuple(filter(held, level.mecs)))
+    return True, sub_entries, diagnostics

@@ -29,7 +29,14 @@ from mdpdetect.binary import (
     preprocess,
 )
 from mdpdetect.errors import ContractError, HorizonCapError, ImpossibleObservationError, ModelError
-from mdpdetect.graphs import Mec, SupportGraph, almost_sure_reach_set, bit_indices, mec_decompose
+from mdpdetect.graphs import (
+    Mec,
+    SupportGraph,
+    almost_sure_reach_set,
+    bit_indices,
+    mec_decompose,
+    reachable_states,
+)
 from mdpdetect.models import ROW_EQ_TOL, Mdp, Mmdp, fresh_name, serialize_mmdp, support
 from mdpdetect.policy import DetectionPolicy, active_set, members, serialize_policy
 from mdpdetect.simulate import Trace, TraceStep, _check_priors, map_decide, trial_rng
@@ -817,7 +824,8 @@ def oracle_product_exists(mmdp: Mmdp, initial: str) -> bool:
 # Frozen reference for the pair decision: the rewritten model pair built by
 # `preprocess` and read back into bits, the composition that synthesis used
 # before it read the pair graph from the support rows, kept so that its reach
-# sets, components and diagnostics stay the contract.
+# sets and components, and the report `bi_apd` writes from them, stay the
+# contract.
 # ---------------------------------------------------------------------------
 
 
@@ -826,16 +834,35 @@ def reference_pair_decision(m1, m2):
     pair = preprocess(m1, m2)
     graph = informative_graph(pair)
     isa_rows = graph.row_bits(pair.isa)
-    return _decide(
-        graph,
-        lambda c: c.rows & isa_rows != 0,
-        frozenset({pair.bot1, pair.bot2}),
-        {
-            "isa": tuple(sorted(pair.isa_original)),
-            "revealing_pairs": tuple(sorted(pair.classification.revealing_pairs)),
-        },
-        witness=True,
-    )
+    return _decide(graph, lambda c: c.rows & isa_rows != 0, frozenset({pair.bot1, pair.bot2}))
+
+
+def reference_pair_report(m1, m2, initial):
+    """The diagnostics of ``bi_apd`` on the model pair ``(m1, m2)`` from ``initial``.
+
+    ``isa`` and the revealing pairs come from the rewritten pair; an
+    undetectable ``initial`` also names the non-informative components it
+    reaches in the rewritten pair's union support.
+    """
+    pair = preprocess(m1, m2)
+    decision = reference_pair_decision(m1, m2)
+    report = {
+        "active": [1, 2],
+        "initial": initial,
+        "rmax": sorted(decision.rmax),
+        "mecs": [c.as_dict() for c in decision.components],
+        "informative_mecs": [c.as_dict() for c in decision.informative],
+        "isa": sorted(pair.isa_original),
+        "revealing_pairs": sorted(pair.classification.revealing_pairs),
+    }
+    if initial not in decision.rmax:
+        reachable = reachable_states(informative_graph(pair), initial)
+        report["witness_noninformative_mecs"] = [
+            c.as_dict()
+            for c in decision.components
+            if c not in decision.informative and not reachable.isdisjoint(c.states)
+        ]
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -911,11 +938,17 @@ def frozen_general_level(ctx, active, initial, depth):
     def is_informative(c):
         return c.states == good or all(c.rows & rows_ij for rows_ij in pair_rows)
 
-    entry, diagnostics = _build(
-        _decide(graph, is_informative, frozenset(frame.names[bot0:])), initial, active
-    )
-    diagnostics["explored"] = [names[i] for i in bit_indices(explored)]
-    diagnostics["terminal_edges"] = terminal_edges
+    decision = _decide(graph, is_informative, frozenset(frame.names[bot0:]))
+    entry = _build(decision, initial, active)
+    diagnostics = {
+        "active": list(active),
+        "initial": initial,
+        "rmax": sorted(decision.rmax),
+        "mecs": list(decision.components),
+        "informative_mecs": list(decision.informative),
+        "explored": [names[i] for i in bit_indices(explored)],
+        "terminal_edges": terminal_edges,
+    }
     if entry is None:
         return False, {}, diagnostics
     entries = dict(sub_entries)

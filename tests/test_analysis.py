@@ -95,6 +95,15 @@ def test_bc_matrix_identical_models_is_stochastic():
     assert all(v == pytest.approx(1.0, abs=1e-12) for v in curve.values)
 
 
+def test_bc_matrix_rejects_a_negative_horizon(example1):
+    """The curve refuses a negative horizon, as ``bc_value`` and ``pairwise_bc_curve`` do."""
+    w = bc_matrix(*example1.models, _uniform_table(example1))
+    for call in (w.bc_curve, w.bc_value):
+        with pytest.raises(ModelError, match="horizon must be nonnegative"):
+            call(-3)
+    assert w.bc_curve(0).values == (1.0,)
+
+
 def test_bc_matrix_sqrt_half_structure():
     mmdp = sqrt_half_mmdp()
     w = bc_matrix(*mmdp.models, _uniform_table(mmdp))

@@ -37,8 +37,10 @@ from conftest import (
     random_binary_mmdp,
     random_detectable_binary,
     random_multi_mmdp,
+    random_sparse_cut_mmdp,
     reference_classify_pairs,
     reference_pair_decision,
+    reference_pair_report,
     reference_rows_equal,
     rng_for,
     sqrt_half_mmdp,
@@ -449,8 +451,8 @@ def test_pair_graph_neutral_row_keeps_the_union_support():
 @settings(max_examples=150)
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["labeled", "binary", "multi"]))
 def test_pair_decision_matches_frozen_reference(seed, kind):
-    """Reach set, reach table, components and diagnostics equal the decision taken
-    on ``informative_graph(preprocess(...))``, and so does every entry built from them."""
+    """Reach set, reach table and components equal the decision taken on
+    ``informative_graph(preprocess(...))``, and so does every entry built from them."""
     mmdp = _random_mmdp(rng_for(seed), kind)
     frame = _pair_frame(mmdp.rows)
     for pair in _model_pairs(mmdp):
@@ -458,11 +460,31 @@ def test_pair_decision_matches_frozen_reference(seed, kind):
         decisions = {}
         _binary_synthesis(mmdp, frame, mmdp.initial, pair, decisions, classify_pairs(m_i, m_j))
         got, ref = decisions[pair], reference_pair_decision(m_i, m_j)
-        assert (got.rmax, got.reach, got.mecs, got.diagnostics) == (
-            ref.rmax, ref.reach, ref.mecs, ref.diagnostics,
+        assert (got.rmax, got.reach, got.mecs, got.components, got.informative) == (
+            ref.rmax, ref.reach, ref.mecs, ref.components, ref.informative,
         )
         for s in mmdp.states:
             assert _build(got, s, pair) == _build(ref, s, pair)
+
+
+def test_bi_apd_reports_the_reference_diagnostics():
+    """From every state of every model pair, ``bi_apd`` reports what the rewritten pair
+    built by ``preprocess`` gives: its reach set, components, ``isa`` and revealing
+    pairs, and for an undetectable state the non-informative components it reaches."""
+    witnessed = detectable = 0
+    for seed in range(40):
+        rng = rng_for(3100 + seed)
+        instances = [_random_mmdp(rng, kind) for kind in ("labeled", "binary", "multi")]
+        instances.append(random_sparse_cut_mmdp(rng, n_models=2 + seed % 3, n_states=3 + seed % 5))
+        for mmdp in instances:
+            for i, j in _model_pairs(mmdp):
+                m_i, m_j = mmdp.model(i), mmdp.model(j)
+                for s in mmdp.states:
+                    diagnostics = bi_apd(Mmdp(models=(m_i, m_j)), s).diagnostics
+                    assert diagnostics == reference_pair_report(m_i, m_j, s), (seed, i, j, s)
+                    witnessed += bool(diagnostics.get("witness_noninformative_mecs"))
+                    detectable += "witness_noninformative_mecs" not in diagnostics
+    assert witnessed >= 100 and detectable >= 100
 
 
 def test_bi_apd_example1_decisions():

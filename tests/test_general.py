@@ -416,12 +416,12 @@ def test_general_apd_matches_the_reference_pair_decision(seed, n_models, n_state
     got = _outputs_from_every_state(mmdp)
     pair_decision, seeded = binary._pair_decision, []
 
-    def from_reference(mmdp_, frame, active, decisions, classification, reported=True):
+    def from_reference(mmdp_, frame, active, decisions, classification):
         if active not in decisions:
             i, j = active
             decisions[active] = reference_pair_decision(mmdp_.model(i), mmdp_.model(j))
             seeded.append(active)
-        return pair_decision(mmdp_, frame, active, decisions, classification, reported)
+        return pair_decision(mmdp_, frame, active, decisions, classification)
 
     with (
         mock.patch.object(binary, "_pair_decision", from_reference),

@@ -5,6 +5,11 @@ import types
 from pathlib import Path
 
 import mdpdetect
+from mdpdetect import general_apd
+from mdpdetect.models import mmdp_to_json
+
+from conftest import example1_mmdp, random_sparse_cut_mmdp, rng_for
+from test_general import _recursive_instance
 
 SRC = Path(mdpdetect.__file__).parent
 
@@ -51,3 +56,28 @@ def test_no_module_imports_a_name_it_never_uses():
         }
         unused |= {(path.name, name) for name in imported - read - exported}
     assert unused == _TRACER_BINDINGS
+
+
+def _readme_quickstart():
+    """The first python block of the README."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    return text.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quickstart_runs_on_detectable_and_undetectable_models(tmp_path, monkeypatch, capsys):
+    """The quickstart runs on a binary undetectable model and on 3-model models with and
+    without a detection policy; only binary roots name a witness."""
+    cases = {
+        "binary-undetectable": (example1_mmdp(initial="1"), False),
+        "three-detectable": (_recursive_instance(), True),
+        "three-undetectable": (random_sparse_cut_mmdp(rng_for(1700), n_models=3, n_states=6), False),
+    }
+    code = compile(_readme_quickstart(), "README.md", "exec")
+    for name, (mmdp, exists) in cases.items():
+        assert general_apd(mmdp).exists is exists, name
+        work = tmp_path / name
+        work.mkdir()
+        (work / "model.json").write_text(mmdp_to_json(mmdp))
+        monkeypatch.chdir(work)
+        exec(code, {})
+        assert capsys.readouterr().out, name
