@@ -243,18 +243,30 @@ def _load_mmdp(path: str):
 
 
 def _load_policy(path: str, mmdp: Mmdp) -> DetectionPolicy:
-    """The policy file at ``path``; a state or action it plays that the model lacks is a breach."""
+    """The policy file at ``path``; an active set that is empty or names a model
+    outside ``1..n``, or a state or action it plays that the model lacks, is a breach.
+    """
     policy = parse_policy(_read(path))
     offered = {s: frozenset(acts) for s, acts in mmdp.actions.items()}
+    # each (state, actions) pair is checked once: components share their action sets
+    checked: set[tuple] = set()
     for key, entry in policy.entries.items():
+        if not entry.active or entry.active[0] < 1 or entry.active[-1] > mmdp.n:
+            raise ContractError(
+                f"policy entry {key} keeps models {list(entry.active)}, not a nonempty subset of 1..{mmdp.n}"
+            )
         plays = [(entry.entry_state, ()), *((s, (a,)) for s, a in entry.reach.items())]
         plays += [item for mec in entry.mecs for item in mec.actions.items()]
-        for s, acts in plays:
+        for play in plays:
+            if play in checked:
+                continue
+            s, acts = play
             if s not in offered:
                 raise ContractError(f"policy entry {key} names {s!r}, which is not a model state")
             if not offered[s].issuperset(acts):
                 a = min(set(acts) - offered[s])
                 raise ContractError(f"policy entry {key} plays {a!r} at {s!r}, which does not offer it")
+            checked.add(play)
     return policy
 
 

@@ -15,7 +15,7 @@ from typing import Any, Iterable, Mapping
 
 from .errors import ModelError
 from .graphs import Mec
-from .models import Mmdp, _array, _json, _object, actions_at
+from .models import Mmdp, _array, _collector_paused, _json, _object, actions_at
 
 ActiveSet = tuple[int, ...]  # sorted 1-based model indices
 
@@ -173,7 +173,9 @@ def policy_to_json(policy: DetectionPolicy) -> str:
     return _object([("entries", _array(entries, "  "))], "") + "\n"
 
 
+@_collector_paused
 def parse_policy(document: str | Mapping[str, Any]) -> DetectionPolicy:
+    """Parse and check a policy document; raise ModelError with the offending path."""
     if isinstance(document, str):
         try:
             doc = json.loads(document)
@@ -184,6 +186,7 @@ def parse_policy(document: str | Mapping[str, Any]) -> DetectionPolicy:
     if not isinstance(doc, Mapping) or not isinstance(doc.get("entries"), list):
         raise ModelError("policy document: expected {'entries': [...]}")
     entries: dict[tuple[ActiveSet, str], PolicyEntry] = {}
+    known: dict[tuple[str, ...] | frozenset[str], frozenset[str]] = {}
     for i, raw in enumerate(doc["entries"]):
         path = f"entries[{i}]"
         if not isinstance(raw, Mapping):
@@ -206,15 +209,11 @@ def parse_policy(document: str | Mapping[str, Any]) -> DetectionPolicy:
             raise ModelError(f"{path}.mecs: expected an array")
         mecs = []
         for j, mec_raw in enumerate(mecs_raw):
-            mpath = f"{path}.mecs[{j}]"
             states = mec_raw.get("states") if isinstance(mec_raw, Mapping) else None
-            if not isinstance(states, Mapping) or not all(
-                isinstance(s, str) and isinstance(acts, list) and acts
-                and all(isinstance(a, str) for a in acts)
-                for s, acts in states.items()
-            ):
-                raise ModelError(f"{mpath}.states: expected state -> nonempty action list")
-            mecs.append(Mec(states.keys(), states))
+            actions = _component_actions(states, known)
+            if actions is None:
+                raise ModelError(f"{path}.mecs[{j}].states: expected state -> nonempty action list")
+            mecs.append(Mec(actions.keys(), actions))
         key = (active_set(active_raw), entry_state)
         if key in entries:
             raise ModelError(f"{path}: duplicate entry for active set {list(key[0])} at {entry_state!r}")
@@ -222,3 +221,32 @@ def parse_policy(document: str | Mapping[str, Any]) -> DetectionPolicy:
             active=key[0], entry_state=entry_state, reach=dict(reach), mecs=tuple(mecs)
         )
     return DetectionPolicy(entries=entries)
+
+
+def _component_actions(states: Any, known: dict) -> dict[str, frozenset[str]] | None:
+    """Each state's action set from a component's ``states`` object; None unless
+    it maps strings to nonempty lists of strings.
+
+    ``known`` holds the sets of the lists already checked, keyed by the list as
+    a tuple and by the set itself (a tuple never equals a set), so each distinct
+    list is checked once and equal sets are one object: a policy lists the same
+    few action sets at thousands of component states.
+    """
+    if not isinstance(states, Mapping):
+        return None
+    actions = {}
+    for s, acts in states.items():
+        if not isinstance(s, str) or not isinstance(acts, list):
+            return None
+        listed = tuple(acts)
+        try:
+            shared = known.get(listed)
+        except TypeError:  # an unhashable item, so not a string
+            return None
+        if shared is None:
+            if not acts or not all(isinstance(a, str) for a in acts):
+                return None
+            shared = frozenset(acts)
+            shared = known[listed] = known.setdefault(shared, shared)
+        actions[s] = shared
+    return actions

@@ -38,7 +38,7 @@ from mdpdetect.graphs import (
     reachable_states,
 )
 from mdpdetect.models import ROW_EQ_TOL, Mdp, Mmdp, fresh_name, serialize_mmdp, support
-from mdpdetect.policy import DetectionPolicy, active_set, members, serialize_policy
+from mdpdetect.policy import DetectionPolicy, PolicyEntry, active_set, members, serialize_policy
 from mdpdetect.simulate import Trace, TraceStep, _check_priors, map_decide, trial_rng
 
 # every property test runs the same examples on every run, however long they take
@@ -1290,6 +1290,79 @@ def _reference_episode(mmdp, truth, controller, rng, beliefs, max_steps, thresho
         else:
             active = remaining
             entered = False
+
+
+# ---------------------------------------------------------------------------
+# Frozen policy reader: the parser that checked every component state's action
+# list on its own and gave each state its own set, and the check of a parsed
+# policy against the model that the CLI ran on every play of every entry. The
+# reader that checks each distinct list and play once must give equal entries
+# and the same messages.
+# ---------------------------------------------------------------------------
+
+
+def reference_parse_policy(document) -> DetectionPolicy:
+    if isinstance(document, str):
+        try:
+            doc = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise ModelError(f"policy document is not valid JSON: {exc}") from exc
+    else:
+        doc = document
+    if not isinstance(doc, Mapping) or not isinstance(doc.get("entries"), list):
+        raise ModelError("policy document: expected {'entries': [...]}")
+    entries: dict = {}
+    for i, raw in enumerate(doc["entries"]):
+        path = f"entries[{i}]"
+        if not isinstance(raw, Mapping):
+            raise ModelError(f"{path}: expected an object")
+        active_raw = raw.get("active")
+        if not isinstance(active_raw, list) or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in active_raw
+        ):
+            raise ModelError(f"{path}.active: expected an array of integers")
+        entry_state = raw.get("entry_state")
+        if not isinstance(entry_state, str):
+            raise ModelError(f"{path}.entry_state: expected a string")
+        reach = raw.get("reach", {})
+        if not isinstance(reach, Mapping) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in reach.items()
+        ):
+            raise ModelError(f"{path}.reach: expected a string-to-string object")
+        mecs_raw = raw.get("mecs", [])
+        if not isinstance(mecs_raw, list):
+            raise ModelError(f"{path}.mecs: expected an array")
+        mecs = []
+        for j, mec_raw in enumerate(mecs_raw):
+            mpath = f"{path}.mecs[{j}]"
+            states = mec_raw.get("states") if isinstance(mec_raw, Mapping) else None
+            if not isinstance(states, Mapping) or not all(
+                isinstance(s, str) and isinstance(acts, list) and acts
+                and all(isinstance(a, str) for a in acts)
+                for s, acts in states.items()
+            ):
+                raise ModelError(f"{mpath}.states: expected state -> nonempty action list")
+            mecs.append(Mec(states.keys(), states))
+        key = (active_set(active_raw), entry_state)
+        if key in entries:
+            raise ModelError(f"{path}: duplicate entry for active set {list(key[0])} at {entry_state!r}")
+        entries[key] = PolicyEntry(
+            active=key[0], entry_state=entry_state, reach=dict(reach), mecs=tuple(mecs)
+        )
+    return DetectionPolicy(entries=entries)
+
+
+def reference_check_policy(policy: DetectionPolicy, mmdp: Mmdp) -> None:
+    offered = {s: frozenset(acts) for s, acts in mmdp.actions.items()}
+    for key, entry in policy.entries.items():
+        plays = [(entry.entry_state, ()), *((s, (a,)) for s, a in entry.reach.items())]
+        plays += [item for mec in entry.mecs for item in mec.actions.items()]
+        for s, acts in plays:
+            if s not in offered:
+                raise ContractError(f"policy entry {key} names {s!r}, which is not a model state")
+            if not offered[s].issuperset(acts):
+                a = min(set(acts) - offered[s])
+                raise ContractError(f"policy entry {key} plays {a!r} at {s!r}, which does not offer it")
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,36 @@
 """Command-line surface: subcommands, file outputs, exit-code contract."""
 
+import copy
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mdpdetect import cli
 from mdpdetect.analysis import pairwise_bc_curve
 from mdpdetect.cli import main
 from mdpdetect.errors import ContractError, ModelError
-from mdpdetect.models import Mmdp, mmdp_to_json, serialize_mmdp
-from mdpdetect.policy import parse_policy, policy_to_json, stationary_uniform_policy
+from mdpdetect.models import Mmdp, fresh_name, mmdp_to_json, serialize_mmdp
+from mdpdetect.policy import active_set, parse_policy, policy_to_json, stationary_uniform_policy
 from mdpdetect.simulate import simulate
 
-from conftest import example1_mmdp, identical_mmdp, mk_mdp, random_multi_mmdp, rng_for
+from conftest import (
+    example1_mmdp,
+    identical_mmdp,
+    mk_mdp,
+    random_multi_mmdp,
+    reference_check_policy,
+    reference_parse_policy,
+    rng_for,
+)
+from test_policy import _random_instance, _replace_key, _synthesized_document
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -378,6 +392,115 @@ def test_policy_files_are_checked_against_the_model(tmp_path, capsys, kind, comm
     assert err.startswith("contract breach: policy entry ((1, 2), ")
     assert ("'zz'" if "action" in kind else "'q'") in err
     assert not out.exists()
+
+
+# entries for a model index outside 1..2, or for no model at all
+OFF_MODEL_ACTIVE = {
+    "model 9": [1, 9],
+    "model 0": [0, 1],
+    "no model": [],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OFF_MODEL_ACTIVE))
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_policy_active_sets_are_checked_against_the_model(tmp_path, capsys, kind, command):
+    """An entry whose active set is empty or names a model the file lacks is a
+    breach, though the controller never enters it."""
+    model, policy, out = tmp_path / "m.json", tmp_path / "p.json", tmp_path / "out"
+    model.write_text(mmdp_to_json(_fork_mmdp()))
+    working = _fork_policy(reach={"s0": "a"}, mecs=[{"x": ["a"]}, {"y": ["a"]}])
+    doc = json.loads(working)
+    doc["entries"].append({"active": OFF_MODEL_ACTIVE[kind], "entry_state": "x", "reach": {}})
+    policy.write_text(json.dumps(doc))
+    name, *options = _COMMANDS[command]
+    assert main([name, str(model), str(policy), *options, "--out", str(out)]) == 4
+    key = (tuple(sorted(OFF_MODEL_ACTIVE[kind])), "x")
+    assert capsys.readouterr().err == (
+        f"contract breach: policy entry {key} keeps models {list(key[0])}, "
+        "not a nonempty subset of 1..2\n"
+    )
+    assert not out.exists()
+    # without the extra entry the same command runs
+    policy.write_text(working)
+    assert main([name, str(model), str(policy), *options, "--out", str(out)]) == 0
+
+
+def _checked_with(check, text):
+    """The class and message of the error ``check(text)`` raises, or None if it accepts."""
+    try:
+        check(text)
+    except (ModelError, ContractError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _off_model(doc, mmdp, pick):
+    """``doc`` with one to three plays the model lacks, on entries drawn from ``pick``."""
+    doc = copy.deepcopy(doc)
+    fresh = fresh_name("q", mmdp.states)
+    for _ in range(pick.randint(1, 3)):
+        entry = pick.choice(doc["entries"])
+        spots = [(mec["states"], s) for mec in entry["mecs"] for s in mec["states"]]
+        kinds = ["reach state", "entry state"]
+        kinds += ["reach action"] * bool(entry["reach"]) + ["component action", "component state"] * bool(spots)
+        kind = pick.choice(kinds)
+        if kind == "reach state":
+            entry["reach"][fresh] = "a0"
+        elif kind == "entry state":
+            entry["entry_state"] = fresh
+        elif kind == "reach action":
+            s = pick.choice(sorted(entry["reach"]))
+            entry["reach"][s] = fresh_name("zz", mmdp.actions.get(s, ()))
+        else:
+            states, s = pick.choice(spots)
+            if kind == "component action":
+                offered = mmdp.actions.get(s, ())
+                states[s].insert(pick.randrange(len(states[s]) + 1), fresh_name("zz", offered))
+            else:
+                _replace_key(states, s, fresh)
+    return doc
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), n_models=st.integers(2, 5), n_states=st.integers(2, 6),
+       sparse=st.booleans())
+def test_off_model_policies_are_refused_as_the_frozen_check_refuses_them(
+    tmp_path_factory, seed, n_models, n_states, sparse
+):
+    """The CLI names the first off-model play in file order with the frozen check's
+    message, though it checks each distinct play once; an entry for models outside
+    ``1..n``, which the frozen check let through, is refused by name."""
+    mmdp = _random_instance(seed, n_models, n_states, sparse)
+    doc = _synthesized_document(mmdp)
+    if not doc["entries"]:
+        return
+    path = tmp_path_factory.mktemp("policy") / "p.json"
+
+    def load(text):
+        path.write_text(text)
+        return cli._load_policy(str(path), mmdp)
+
+    def frozen(text):
+        reference_check_policy(reference_parse_policy(text), mmdp)
+
+    text = json.dumps(doc)
+    assert load(text).entries == parse_policy(text).entries
+    pick = random.Random(seed)
+    for _ in range(3):
+        text = json.dumps(_off_model(doc, mmdp, pick))
+        got = _checked_with(load, text)
+        assert got is not None and got == _checked_with(frozen, text)
+    mutated = copy.deepcopy(doc)
+    entry = pick.choice(mutated["entries"])
+    entry["active"] = pick.choice([[], [0, *entry["active"]], [*entry["active"], mmdp.n + 1], [mmdp.n + 1]])
+    key = (active_set(entry["active"]), entry["entry_state"])
+    text = json.dumps(mutated)
+    assert _checked_with(frozen, text) is None
+    assert _checked_with(load, text) == (
+        "ContractError",
+        f"policy entry {key} keeps models {list(key[0])}, not a nonempty subset of 1..{mmdp.n}",
+    )
 
 
 @pytest.mark.parametrize("mecs, where", [

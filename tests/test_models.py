@@ -1,8 +1,10 @@
 """Model core: parsing, validation, serialization, row tables."""
 
 import dataclasses
+import gc
 import json
 from types import MappingProxyType
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -527,3 +529,30 @@ def test_history_invariants(example1):
         History(states=("1",), actions=("a1",))
     wrong_action = History(states=("1", "2"), actions=("b9",))
     assert any("unavailable" in p for p in wrong_action.check(example1.models[0]))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("parse, good, bad", [
+    (parse_mmdp, mmdp_to_json(example1_mmdp()), '{"states": ["x"]}'),
+    (parse_policy, policy_to_json(bi_apd(example1_mmdp(initial="2")).policy), '{"entries": [{"active": 1}]}'),
+])
+def test_parsers_leave_the_collector_as_they_found_it(parse, good, bad, enabled):
+    """The parsers pause the cyclic garbage collector while they run, and leave it
+    on or off as the caller had it, whether they return or raise."""
+    paused, loads = [], json.loads
+
+    def recorded(text):
+        paused.append(not gc.isenabled())
+        return loads(text)
+
+    try:
+        gc.enable() if enabled else gc.disable()
+        with mock.patch("json.loads", recorded):
+            parse(good)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ModelError):
+                parse(bad)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert paused == [True, True]

@@ -1,6 +1,8 @@
 """Policy container: canonical active sets, JSON round trip, flattening."""
 
+import copy
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -13,6 +15,7 @@ from mdpdetect.errors import ModelError
 from mdpdetect.general import general_apd
 from mdpdetect.graphs import Mec, bit_indices
 from mdpdetect.policy import (
+    DetectionPolicy,
     PolicyEntry,
     active_set,
     entry_as_stationary,
@@ -21,8 +24,16 @@ from mdpdetect.policy import (
     policy_to_json,
     stationary_uniform_policy,
 )
+from mdpdetect.scenarios import RecSysSpec, gen_recsys
 
-from conftest import example1_mmdp, identical_mmdp, random_multi_mmdp, rng_for
+from conftest import (
+    example1_mmdp,
+    identical_mmdp,
+    random_multi_mmdp,
+    random_sparse_cut_mmdp,
+    reference_parse_policy,
+    rng_for,
+)
 from test_general import _recursive_instance
 
 
@@ -144,3 +155,125 @@ def test_error_bounds_sandwich_property():
         theta = float(rng.uniform(0.05, 0.95))
         bounds = error_bounds_binary(b, q, theta)
         assert bounds.lower <= min(bounds.upper, 1.0) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The reader checks each distinct component action list once and shares one
+# set among the states that list it; it must read every document as the frozen
+# reader of `conftest` does.
+# ---------------------------------------------------------------------------
+
+
+def _read_with(parse, document):
+    """What ``parse`` makes of ``document``: its entries in file order with their
+    component state sets, or the message of the ``ModelError`` it raises."""
+    try:
+        policy = parse(document)
+    except ModelError as exc:
+        return "invalid", str(exc)
+    return "parsed", [(key, entry, [mec.states for mec in entry.mecs]) for key, entry in policy.entries.items()]
+
+
+def _synthesized_document(mmdp):
+    """The entries synthesized from every initial state of ``mmdp``, as one policy document."""
+    entries = {}
+    for s in mmdp.states:
+        outcome = general_apd(mmdp, initial=s)
+        if outcome.exists:
+            entries.update(outcome.policy.entries)
+    return json.loads(policy_to_json(DetectionPolicy(entries)))
+
+
+def _random_instance(seed, n_models, n_states, sparse):
+    rng = rng_for(seed)
+    if sparse:
+        return random_sparse_cut_mmdp(rng, n_models=n_models, n_states=n_states)
+    return random_multi_mmdp(rng, n_models=n_models, n_states=n_states, reveal_share=0.5)
+
+
+def _component_states(doc):
+    """Every (component states object, state) of ``doc``, in file order."""
+    return [(mec["states"], s) for e in doc["entries"] for mec in e["mecs"] for s in mec["states"]]
+
+
+def _replace_key(mapping, old, new):
+    """``mapping`` with key ``old`` renamed ``new`` in place, keeping its position."""
+    items = list(mapping.items())
+    mapping.clear()
+    mapping.update((new if k == old else k, v) for k, v in items)
+
+
+def _malformed_variants(doc, pick):
+    """Mutations of ``doc`` that the reader must refuse, each with its name; a kind
+    that ``doc`` has no place for is left out."""
+    variants = []
+    spots = _component_states(doc)
+    if spots:
+        def at(kind, value_of):
+            mutated = copy.deepcopy(doc)
+            states, s = pick.choice(_component_states(mutated))
+            value = value_of(list(states[s]))
+            if kind == "non-string state key":
+                _replace_key(states, s, value)
+            else:
+                states[s] = value
+            variants.append((kind, mutated))
+
+        at("emptied list", lambda acts: [])
+        bad = [3, None, True, 1.5, ["a0"], {"a0": 1}]
+        at("non-string action", lambda acts: [*acts[:1], pick.choice(bad), *acts[1:]])
+        at("non-list value", lambda acts: pick.choice(
+            [tuple(acts), "".join(acts), acts[0], dict.fromkeys(acts), None]
+        ))
+        at("non-string state key", lambda acts: pick.choice([3, None, ("s0",), 1.5]))
+        if len(spots) > 1:
+            first = pick.randrange(len(spots) - 1)
+            mutated = copy.deepcopy(doc)
+            where = _component_states(mutated)
+            good = list(where[first][0][where[first][1]])
+            states, s = where[pick.randrange(first + 1, len(where))]
+            states[s] = pick.choice([tuple(good), [*good, 3], [*good[:-1], None], [*good, ["a0"]]])
+            variants.append(("bad list after an identical good list", mutated))
+    if doc["entries"]:
+        mutated = copy.deepcopy(doc)
+        entry = copy.deepcopy(pick.choice(mutated["entries"]))
+        entry["active"] = entry["active"][::-1]
+        entry["reach"] = {}
+        mutated["entries"].insert(pick.randrange(len(mutated["entries"]) + 1), entry)
+        variants.append(("duplicate entry", mutated))
+    return variants
+
+
+@settings(max_examples=440)
+@given(seed=st.integers(0, 2**32 - 1), n_models=st.integers(2, 5), n_states=st.integers(2, 6),
+       sparse=st.booleans())
+def test_parse_policy_matches_the_frozen_reader(seed, n_models, n_states, sparse):
+    """Synthesized policy files, and every malformed mutation of them, read as the
+    frozen reader reads them: equal entries in the same order, or the same message.
+    Equal component action sets come out as one object."""
+    doc = _synthesized_document(_random_instance(seed, n_models, n_states, sparse))
+    pick = random.Random(seed)
+    # a reordered list is still valid, and shares the set of its sorted twin
+    if _component_states(doc):
+        states, s = pick.choice(_component_states(doc))
+        states[s] = states[s][::-1]
+    for document in (json.dumps(doc), doc):
+        got = _read_with(parse_policy, document)
+        assert got[0] == "parsed" and got == _read_with(reference_parse_policy, document)
+    sets = [acts for entry in parse_policy(doc).entries.values() for mec in entry.mecs
+            for acts in mec.actions.values()]
+    assert len({id(acts) for acts in sets}) == len(set(sets))
+    for kind, mutated in _malformed_variants(doc, pick):
+        got = _read_with(parse_policy, mutated)
+        assert got[0] == "invalid", kind
+        assert got == _read_with(reference_parse_policy, mutated), kind
+
+
+def test_a_parsed_policy_holds_one_object_per_distinct_action_set():
+    """On recsys 10×6, 15,700 component states list 7 distinct action sets; the
+    parsed policy holds each set once, shared by every state that lists it."""
+    mmdp = gen_recsys(RecSysSpec(item_count=10, type_count=6, seed=0))
+    policy = parse_policy(policy_to_json(general_apd(mmdp).policy))
+    sets = [acts for entry in policy.entries.values() for mec in entry.mecs for acts in mec.actions.values()]
+    assert len(sets) == 15_700 and len(set(sets)) == 7
+    assert len({id(acts) for acts in sets}) == len(set(sets))
