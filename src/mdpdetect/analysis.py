@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add  # reduce(add, xs, 0) sums as sum() did before 3.12 compensated floats
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -208,8 +210,9 @@ def _check_priors(priors: Sequence[float] | None, n: int, what: str) -> tuple[fl
         raise ModelError(f"{what}: entries must be finite, got {priors!r}")
     if any(p <= 0.0 for p in priors):
         raise ModelError(f"{what}: entries must be strictly positive")
-    if abs(sum(priors) - 1.0) > 1e-9:
-        raise ModelError(f"{what}: entries sum to {sum(priors)!r}, expected 1")
+    total = reduce(add, priors, 0)
+    if abs(total - 1.0) > 1e-9:
+        raise ModelError(f"{what}: entries sum to {total!r}, expected 1")
     return priors
 
 
@@ -292,7 +295,7 @@ def _pair_curves(
         cut = np.searchsorted(rows // size, np.arange(n_pairs + 1)).tolist()
         masses = mass.tolist()
         for p in range(n_pairs):
-            values[p].append(sum(masses[cut[p] : cut[p + 1]]))
+            values[p].append(reduce(add, masses[cut[p] : cut[p + 1]], 0))
     if failed:
         raise failed[min(failed)]
     return values

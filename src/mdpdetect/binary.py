@@ -9,18 +9,20 @@ The decision and the synthesized policy depend only on the support
 structure, never on the mixture weight used to blend the two kernels.
 
 Synthesis reads the rewritten structure straight from the model masks of
-the shared row table (:attr:`Mmdp.rows`) and the pair's classification,
-without building the rewritten models; ``mdpdetect mec --informative`` lists the
-informative components synthesis finds. :func:`preprocess` is the explicit
-form of the rewrite, with its probabilities, and :func:`informative_mdp`
-blends it; the tests check synthesis against them.
+the shared row table (:attr:`Mmdp.rows`) and the bitset of the pair's
+informative rows, without building the rewritten models;
+``mdpdetect mec --informative`` lists the informative components synthesis
+finds. :func:`preprocess` is the explicit form of the rewrite, with its
+probabilities, and :func:`informative_mdp` blends it; the tests check
+synthesis against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import isfinite
+from operator import add  # reduce(add, xs, 0) sums as sum() did before 3.12 compensated floats
 from typing import Any, Callable, Mapping
 
 from .errors import ModelError
@@ -105,7 +107,7 @@ def classify_pairs(m1: Mdp, m2: Mdp) -> SaClassification:
             if not any(p > 0.0 and r2.get(t, 0.0) > 0.0 for t, p in r1.items()):
                 pair_labels[(s, a)] = REVEALING
                 revealing_actions.append(a)
-            elif r1 == r2 and isfinite(sum(r1.values())):
+            elif r1 == r2 and isfinite(reduce(add, r1.values(), 0)):
                 # exactly equal finite masses: rows_equal holds without the walk
                 pair_labels[(s, a)] = NEUTRAL
             elif not rows_equal(r1, r2):
@@ -155,8 +157,9 @@ def preprocess(m1: Mdp, m2: Mdp) -> PreprocessedPair:
 
     Revealing states retain exactly one (the chosen) revealing action, whose
     mass is redirected entirely to the respective terminal. At informative
-    pairs, the mass each model puts outside the common support moves to its
-    terminal. Neutral rows are copied unchanged.
+    pairs, the positive mass each model puts outside the common support moves
+    to its terminal, so a terminal is reached exactly when the model masks of
+    :attr:`Mmdp.rows` say so. Neutral rows are copied unchanged.
     """
     cls = classify_pairs(m1, m2)
     bot1 = fresh_name("bot1", m1.states)
@@ -187,7 +190,8 @@ def preprocess(m1: Mdp, m2: Mdp) -> PreprocessedPair:
                 common = {t for t, p in rows[0].items() if p > 0.0 and rows[1].get(t, 0.0) > 0.0}
                 for i in range(2):
                     new_row = {t: p for t, p in rows[i].items() if t in common}
-                    rerouted = sum(p for t, p in rows[i].items() if t not in common)
+                    outside = [p for t, p in rows[i].items() if t not in common and p > 0.0]
+                    rerouted = reduce(add, outside, 0)
                     if rerouted > 0.0:
                         new_row[bots[i]] = rerouted
                     kernels[i][(s, a)] = new_row
@@ -251,7 +255,8 @@ def bi_apd(mmdp: Mmdp, initial: str | None = None) -> ApdOutcome:
         raise ModelError(f"unknown initial state {initial!r}")
     classification = classify_pairs(*mmdp.models)
     frame, pair, decisions = _pair_frame(mmdp.rows), active_set((1, 2)), {}
-    exists, entry = _binary_synthesis(mmdp, frame, initial, pair, decisions, classification)
+    informative = frame.row_bits(classification.informative_pairs)
+    exists, entry = _binary_synthesis(mmdp, frame, initial, pair, decisions, informative)
     decision = decisions[pair]
     diagnostics: dict[str, Any] = {
         "active": list(pair),
@@ -264,7 +269,7 @@ def bi_apd(mmdp: Mmdp, initial: str | None = None) -> ApdOutcome:
     }
     if not exists:
         # the non-informative components the initial state reaches explain the failure
-        reachable = reachable_states(_pair_graph(mmdp.rows, frame, pair, classification)[0], initial)
+        reachable = reachable_states(_pair_graph(mmdp.rows, frame, pair, informative)[0], initial)
         diagnostics["witness_noninformative_mecs"] = [
             c.as_dict()
             for c in decision.components
@@ -280,14 +285,14 @@ def _binary_synthesis(
     initial: str,
     active: ActiveSet,
     decisions: dict[ActiveSet, _Decision],
-    classification: SaClassification,
+    informative: int,
 ) -> tuple[bool, PolicyEntry | None]:
     """Full binary pipeline for the model pair ``active``; returns (exists, entry).
 
     The pair's decision comes from :func:`_pair_decision`; only the entry
     depends on ``initial``.
     """
-    entry = _build(_pair_decision(mmdp, frame, active, decisions, classification), initial, active)
+    entry = _build(_pair_decision(mmdp, frame, active, decisions, informative), initial, active)
     return entry is not None, entry
 
 
@@ -296,18 +301,18 @@ def _pair_decision(
     frame: SupportGraph,
     active: ActiveSet,
     decisions: dict[ActiveSet, _Decision],
-    classification: SaClassification,
+    informative: int,
 ) -> _Decision:
     """The decision of the model pair ``active``, looked up in ``decisions`` and stored there on a miss.
 
     ``frame`` is :func:`_pair_frame` of the models' support rows and
-    ``classification`` the pair's classification on its original kernels.
+    ``informative`` the bitset of the pair's informative rows on its original kernels.
     The decision does not depend on the initial state, so one pass over a
     model pair serves every initial state.
     """
     decision = decisions.get(active)
     if decision is None:
-        graph, isa_rows = _pair_graph(mmdp.rows, frame, active, classification)
+        graph, isa_rows = _pair_graph(mmdp.rows, frame, active, informative)
         decision = decisions[active] = _decide(
             graph, lambda c: c.rows & isa_rows != 0, frozenset(frame.names[-2:])
         )
@@ -339,32 +344,31 @@ def _pair_frame(rows: Rows) -> SupportGraph:
 
 
 def _pair_graph(
-    rows: Rows, frame: SupportGraph, pair: ActiveSet, cls: SaClassification
+    rows: Rows, frame: SupportGraph, pair: ActiveSet, informative: int
 ) -> tuple[SupportGraph, int]:
     """The union support of the rewritten model ``pair``, read from the ``groups`` of ``rows``.
 
-    Returns the graph over ``frame`` and its ``isa`` rows: the informative
+    Returns the graph over ``frame`` and its ``isa`` rows: the ``informative``
     rows at states that are not revealing, and the two terminal rows. The
     graph is the union support of the two kernels :func:`preprocess` builds,
-    with the terminals at bits n and n + 1. At a revealing state the chosen
-    row moves to both terminals, and the rows the rewrite drops move outside
-    the graph (bit ``len(names)``), where no kernel keeps them. An informative row keeps
-    the successors both models allow, plus the terminal of each model that
-    puts mass elsewhere; a neutral row keeps the union support.
+    with the terminals at bits n and n + 1. A row is revealing when no
+    successor's model mask holds both models. A state's lowest-numbered
+    revealing row, the chosen one, moves to both terminals, and the rows the
+    rewrite drops move outside the graph (bit ``len(names)``), where no kernel
+    keeps them. An informative row keeps the successors both models allow,
+    plus the terminal of each model that puts mass elsewhere; a neutral row
+    keeps the union support.
     """
-    n, r_end, groups = len(rows.names), len(rows.actions), rows.groups
+    n, r_end = len(rows.names), len(rows.actions)
     bot1, bot2, outside = 1 << n, 1 << n + 1, 1 << n + 2
     mask_i, mask_j = 1 << pair[0] - 1, 1 << pair[1] - 1
-    labels, actions, first = cls.pair_labels, rows.actions, rows.first
     succ = [outside] * r_end + [bot1, bot2]
     isa_rows = 3 << r_end
-    for s, name in enumerate(rows.names):
-        if cls.state_labels[name] == REVEALING:
-            succ[actions.index(cls.chosen_revealing[name], first[s], first[s + 1])] = bot1 | bot2
-            continue
-        for r, here in groups[s]:
+    for here in rows.groups:
+        split = []
+        for r, groups in here:
             common = only_i = only_j = 0
-            for mask, bits in here:
+            for mask, bits in groups:
                 if mask & mask_i:
                     if mask & mask_j:
                         common |= bits
@@ -372,7 +376,13 @@ def _pair_graph(
                         only_i |= bits
                 elif mask & mask_j:
                     only_j |= bits
-            if labels[(name, actions[r])] == INFORMATIVE:
+            split.append((r, common, only_i, only_j))
+        revealing = [r for r, common, _, _ in split if not common]
+        if revealing:
+            succ[min(revealing)] = bot1 | bot2
+            continue
+        for r, common, only_i, only_j in split:
+            if informative >> r & 1:
                 isa_rows |= 1 << r
                 succ[r] = common | (bot1 if only_i else 0) | (bot2 if only_j else 0)
             else:

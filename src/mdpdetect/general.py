@@ -24,7 +24,6 @@ from typing import Any
 
 from .binary import (
     ApdOutcome,
-    SaClassification,
     _binary_synthesis,
     _decide,
     _Decision,
@@ -86,36 +85,26 @@ def general_apd(mmdp: Mmdp, initial: str | None = None, memoize: bool = True) ->
 
 @dataclass
 class _Context:
-    """Shared state of one synthesis run: the subproblem memo, the classification of
-    every model pair on its original kernels with its informative rows, and the
-    initial-state-independent decision of every active set decided so far."""
+    """Shared state of one synthesis run: the subproblem memo, the informative rows
+    of every model pair on its original kernels, and the initial-state-independent
+    decision of every active set decided so far."""
 
     mmdp: Mmdp
     memoize: bool
     memo: dict[tuple[ActiveSet, str], tuple[bool, dict, dict]] = field(default_factory=dict)
-    classifications: dict[ActiveSet, SaClassification] = field(default_factory=dict)
     decisions: dict[ActiveSet, _Decision] = field(default_factory=dict)
     informative: dict[ActiveSet, int] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
 
-    def classification(self, i: int, j: int) -> SaClassification:
-        """One classification per pair, shared by the level tests and the binary pipeline."""
-        key = active_set((i, j))
-        cached = self.classifications.get(key)
-        if cached is None:
-            cached = self.classifications[key] = classify_pairs(
-                self.mmdp.model(key[0]), self.mmdp.model(key[1])
-            )
-        return cached
-
     def informative_rows(self, i: int, j: int) -> int:
-        """The rows of ``frame`` that are informative for the (i, j) pair."""
+        """The rows informative for the (i, j) pair: one classification per pair, shared
+        by the level tests and the binary pipeline, whose frames number the model rows alike."""
         key = active_set((i, j))
         cached = self.informative.get(key)
         if cached is None:
-            pairs = self.classification(i, j).informative_pairs
-            cached = self.informative[key] = self.frame.row_bits(pairs)
+            cls = classify_pairs(self.mmdp.model(key[0]), self.mmdp.model(key[1]))
+            cached = self.informative[key] = self.frame.row_bits(cls.informative_pairs)
         return cached
 
     def key_decisions(self) -> dict[ActiveSet, _Decision]:
@@ -190,7 +179,7 @@ def _solve(
         ctx.misses += 1
     if len(active) == 2:
         exists, entry = _binary_synthesis(
-            ctx.mmdp, ctx.pair_frame, initial, active, ctx.key_decisions(), ctx.classification(*active)
+            ctx.mmdp, ctx.pair_frame, initial, active, ctx.key_decisions(), ctx.informative_rows(*active)
         )
         # a pair below the root reports nothing
         result = (exists, {(active, initial): entry} if exists else {}, {})
@@ -204,7 +193,7 @@ def _solve(
 def _decision(ctx: _Context, decisions: dict[ActiveSet, _Decision], active: ActiveSet) -> _Decision:
     """The decision of ``active`` over every state: a pair's, or a level's."""
     if len(active) == 2:
-        return _pair_decision(ctx.mmdp, ctx.pair_frame, active, decisions, ctx.classification(*active))
+        return _pair_decision(ctx.mmdp, ctx.pair_frame, active, decisions, ctx.informative_rows(*active))
     level = decisions.get(active)
     if level is None:
         level = decisions[active] = _level(ctx, decisions, active)

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import reduce
+from operator import add  # reduce(add, xs, 0) sums as sum() did before 3.12 compensated floats
 from typing import Any, Mapping, Sequence
 
 from .errors import ModelError
@@ -70,7 +72,7 @@ def gen_grid(spec: GridSpec) -> Mmdp:
         ns = neighbors(c)
         d = region_distance(c)
         weights = [2.0 if region_distance(n) < d else 1.0 for n in ns]
-        total = sum(weights)
+        total = reduce(add, weights, 0)
         return {cell_id(n): w / total for n, w in zip(ns, weights)}
 
     def region_row(c: Cell, stay: float, leave: float) -> dict[str, float]:
@@ -298,7 +300,7 @@ def gen_recsys(spec: RecSysSpec) -> Mmdp:
         row = {it: mass * scale for it, mass in p.items() if it != rec}
         row[rec] = target
         row = {it: m for it, m in row.items() if m > 0.0}
-        total = sum(row.values())
+        total = reduce(add, row.values(), 0)
         return {it: m / total for it, m in row.items()}
 
     boost_table = [{a: boosted(k, a) for a in items} for k in range(spec.type_count)]
@@ -319,7 +321,7 @@ def gen_recsys(spec: RecSysSpec) -> Mmdp:
                             "choose a smaller alpha"
                         )
                     item_row = {it: m for it, m in item_row.items() if it != lowest}
-                    total = sum(item_row.values())
+                    total = reduce(add, item_row.values(), 0)
                     item_row = {it: m / total for it, m in item_row.items()}
                 kernel[(s, a)] = {
                     state_of[next_history(h, it)]: m for it, m in item_row.items()
@@ -336,38 +338,28 @@ def gen_recsys(spec: RecSysSpec) -> Mmdp:
 
 
 def grid_spec_from_json(doc: str | Mapping[str, Any]) -> GridSpec:
-    data = _load(doc)
-    try:
-        return GridSpec(
-            width=int(data["width"]),
-            height=int(data["height"]),
-            obstacles=frozenset(_cells(data.get("obstacles", []), "obstacles")),
-            goal_region=frozenset(_cells(data.get("goal_region", []), "goal_region")),
-            p_stay=float(data.get("p_stay", 0.35)),
-            p_leave=float(data.get("p_leave", 0.15)),
-            p_stay_active=float(data.get("p_stay_active", 0.15)),
-            p_leave_active=float(data.get("p_leave_active", 0.35)),
-            initial=_cell(data.get("initial", [0, 0]), "initial"),
-        )
-    except KeyError as exc:
-        raise ModelError(f"grid spec: missing required field {exc.args[0]!r}") from exc
+    return _spec_from_json(GridSpec, doc, "grid spec")
 
 
 def recsys_spec_from_json(doc: str | Mapping[str, Any]) -> RecSysSpec:
+    return _spec_from_json(RecSysSpec, doc, "recsys spec")
+
+
+def _spec_from_json(cls: type, doc: str | Mapping[str, Any], spec: str) -> Any:
+    """The spec dataclass ``cls`` read from the JSON object ``doc``.
+
+    Each field present is checked by the reader of its annotation; an absent
+    one takes the dataclass default. ``ModelError`` names ``spec`` and the
+    field.
+    """
     data = _load(doc)
-    try:
-        alpha = data.get("alpha")
-        return RecSysSpec(
-            item_count=int(data["item_count"]),
-            type_count=int(data["type_count"]),
-            seed=int(data["seed"]),
-            alpha=None if alpha is None else float(alpha),
-            history_length=int(data.get("history_length", 2)),
-            distinct_rankings=bool(data.get("distinct_rankings", True)),
-            revealing_rows=bool(data.get("revealing_rows", True)),
-        )
-    except KeyError as exc:
-        raise ModelError(f"recsys spec: missing required field {exc.args[0]!r}") from exc
+    values = {}
+    for f in fields(cls):
+        if f.name in data:
+            values[f.name] = _READERS[f.type](data[f.name], f"{spec}: {f.name}")
+        elif f.default is MISSING:
+            raise ModelError(f"{spec}: missing required field {f.name!r}")
+    return cls(**values)
 
 
 def _load(doc: str | Mapping[str, Any]) -> Mapping[str, Any]:
@@ -381,6 +373,29 @@ def _load(doc: str | Mapping[str, Any]) -> Mapping[str, Any]:
     return doc
 
 
+def _int(raw: Any, path: str) -> int:
+    """An integral JSON number; a boolean is not one."""
+    if isinstance(raw, bool) or not (isinstance(raw, int) or type(raw) is float and raw.is_integer()):
+        raise ModelError(f"{path}: expected an integer, got {raw!r}")
+    return int(raw)
+
+
+def _float(raw: Any, path: str) -> float:
+    """A JSON number as a float; a boolean is not one."""
+    if not isinstance(raw, bool) and isinstance(raw, (int, float)):
+        try:
+            return float(raw)
+        except OverflowError:
+            pass
+    raise ModelError(f"{path}: expected a number, got {raw!r}")
+
+
+def _bool(raw: Any, path: str) -> bool:
+    if not isinstance(raw, bool):
+        raise ModelError(f"{path}: expected true or false, got {raw!r}")
+    return raw
+
+
 def _cell(raw: Any, path: str) -> Cell:
     if (
         not isinstance(raw, Sequence)
@@ -391,7 +406,18 @@ def _cell(raw: Any, path: str) -> Cell:
     return (raw[0], raw[1])
 
 
-def _cells(raw: Any, path: str) -> list[Cell]:
+def _cells(raw: Any, path: str) -> frozenset[Cell]:
     if not isinstance(raw, list):
         raise ModelError(f"{path}: expected an array of [x, y] pairs")
-    return [_cell(c, f"{path}[{i}]") for i, c in enumerate(raw)]
+    return frozenset(_cell(c, f"{path}[{i}]") for i, c in enumerate(raw))
+
+
+# the reader of each annotation the spec dataclasses use
+_READERS = {
+    "int": _int,
+    "float": _float,
+    "float | None": lambda raw, path: None if raw is None else _float(raw, path),
+    "bool": _bool,
+    "Cell": _cell,
+    "frozenset[Cell]": _cells,
+}

@@ -25,6 +25,8 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from functools import reduce
+from operator import add  # reduce(add, xs, 0) sums as sum() did before 3.12 compensated floats
 from typing import Sequence
 
 import numpy as np
@@ -52,8 +54,9 @@ class BeliefState:
         problems = []
         if any(p < 0.0 for p in self.probs):
             problems.append("negative posterior entry")
-        if abs(sum(self.probs) - 1.0) > 1e-9:
-            problems.append(f"posteriors sum to {sum(self.probs)!r}")
+        total = reduce(add, self.probs, 0)
+        if abs(total - 1.0) > 1e-9:
+            problems.append(f"posteriors sum to {total!r}")
         return problems
 
 
@@ -82,10 +85,7 @@ def belief_update(b: BeliefState, s: str, a: str, s_next: str, mmdp: Mmdp) -> Be
     exact posterior of zero and can never re-enter the active set.
     """
     weighted = [p * m.prob(s, a, s_next) for p, m in zip(b.probs, mmdp.models)]
-    # in model order, on every Python version (since 3.12, sum() compensates)
-    denom = 0.0
-    for w in weighted:
-        denom += w
+    denom = reduce(add, weighted, 0)
     if denom <= 0.0:
         raise ImpossibleObservationError(
             f"transition ({s}, {a}, {s_next}) is impossible under the current belief support"

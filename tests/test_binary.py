@@ -92,10 +92,12 @@ def test_classify_constructed_supports():
 _NAN = float("nan")
 _TOL_UP = math.nextafter(ROW_EQ_TOL, 1.0)
 # explicit zeros of both signs, the tolerance and its next float up (as a
-# difference from 0.0 and, nearly, from 0.5), NaN and infinity
+# difference from 0.0 and, nearly, from 0.5), NaN, both infinities and a
+# negative mass
 _MASSES = st.one_of(
     st.sampled_from(
-        (0.0, -0.0, 0.25, 0.5, 1.0, ROW_EQ_TOL, _TOL_UP, 0.5 + ROW_EQ_TOL, 0.5 + _TOL_UP, _NAN, math.inf)
+        (0.0, -0.0, 0.25, 0.5, 1.0, ROW_EQ_TOL, _TOL_UP, 0.5 + ROW_EQ_TOL, 0.5 + _TOL_UP, _NAN, math.inf,
+         -0.25, -math.inf)
     ),
     st.builds(float, st.just("nan")),  # a NaN that is not the shared object
 )
@@ -134,10 +136,16 @@ def test_rows_equal_tolerance_edges():
 def test_classification_matches_the_frozen_labels(states_rows):
     """Pair labels, state labels and chosen revealing actions equal those of the frozen
     key-union classification, on hand-built rows with explicit zeros, one-sided keys,
-    tolerance edges, NaN and rows that are one dict."""
-    states = tuple(f"s{k}" for k in range(len(states_rows)))
+    tolerance edges, NaN, infinite and negative masses and rows that are one dict; and
+    the pair graph read from the model masks is the union support of ``preprocess``'s
+    rewrite on the same rows."""
+    # the successor names are states too, each with a self-loop both models share
+    states = (*(f"s{k}" for k in range(len(states_rows))), *"tuvw")
     actions = {s: tuple(f"a{j}" for j in range(len(rows))) for s, rows in zip(states, states_rows)}
     kernels: tuple[dict, dict] = ({}, {})
+    for t in "tuvw":
+        actions[t] = ("loop",)
+        kernels[0][(t, "loop")] = kernels[1][(t, "loop")] = {t: 1.0}
     for s, rows in zip(states, states_rows):
         for a, (r1, r2) in zip(actions[s], rows):
             kernels[0][(s, a)], kernels[1][(s, a)] = r1, r2
@@ -147,6 +155,7 @@ def test_classification_matches_the_frozen_labels(states_rows):
     got, expected = classify_pairs(m1, m2), reference_classify_pairs(m1, m2)
     for field in ("pair_labels", "state_labels", "chosen_revealing"):
         assert list(getattr(got, field).items()) == list(getattr(expected, field).items())
+    _assert_pair_graph_matches_the_rewrite(Mmdp(models=(m1, m2)), 1, 2)
 
 
 def test_classify_requires_shared_structure(example1):
@@ -354,7 +363,8 @@ def _model_pairs(mmdp):
 
 def _pair_graph_of(mmdp, i, j):
     rows, cls = mmdp.rows, classify_pairs(mmdp.model(i), mmdp.model(j))
-    return _pair_graph(rows, _pair_frame(rows), (i, j), cls)
+    frame = _pair_frame(rows)
+    return _pair_graph(rows, frame, (i, j), frame.row_bits(cls.informative_pairs))
 
 
 def _enabled_rows(graph):
@@ -458,7 +468,8 @@ def test_pair_decision_matches_frozen_reference(seed, kind):
     for pair in _model_pairs(mmdp):
         m_i, m_j = mmdp.model(pair[0]), mmdp.model(pair[1])
         decisions = {}
-        _binary_synthesis(mmdp, frame, mmdp.initial, pair, decisions, classify_pairs(m_i, m_j))
+        informative = frame.row_bits(classify_pairs(m_i, m_j).informative_pairs)
+        _binary_synthesis(mmdp, frame, mmdp.initial, pair, decisions, informative)
         got, ref = decisions[pair], reference_pair_decision(m_i, m_j)
         assert (got.rmax, got.reach, got.mecs, got.components, got.informative) == (
             ref.rmax, ref.reach, ref.mecs, ref.components, ref.informative,

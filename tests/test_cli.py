@@ -306,6 +306,42 @@ def test_gen_invalid_spec_exit_2(tmp_path, capsys):
     assert "goal region" in capsys.readouterr().err
 
 
+_GRID = {"width": 3, "height": 3, "goal_region": [[2, 2]]}
+_RECSYS = {"item_count": 4, "type_count": 2, "seed": 5}
+
+
+@pytest.mark.parametrize(
+    "kind, spec, field",
+    [
+        ("grid", {**_GRID, "width": "a"}, "width"),
+        ("grid", {**_GRID, "width": None}, "width"),
+        ("grid", {**_GRID, "height": True}, "height"),
+        ("grid", {**_GRID, "height": 3.5}, "height"),
+        ("grid", {**_GRID, "p_stay": "x"}, "p_stay"),
+        ("grid", {**_GRID, "p_leave": 10**400}, "p_leave"),
+        ("grid", {**_GRID, "p_leave_active": False}, "p_leave_active"),
+        ("grid", {**_GRID, "initial": [0, None]}, "initial"),
+        ("grid", {**_GRID, "obstacles": "none"}, "obstacles"),
+        ("recsys", {**_RECSYS, "item_count": "x"}, "item_count"),
+        ("recsys", {**_RECSYS, "item_count": 4.9}, "item_count"),
+        ("recsys", {**_RECSYS, "type_count": True}, "type_count"),
+        ("recsys", {**_RECSYS, "seed": "7"}, "seed"),
+        ("recsys", {**_RECSYS, "alpha": "0.1"}, "alpha"),
+        ("recsys", {**_RECSYS, "history_length": [2]}, "history_length"),
+        ("recsys", {**_RECSYS, "distinct_rankings": "false"}, "distinct_rankings"),
+        ("recsys", {**_RECSYS, "revealing_rows": 1}, "revealing_rows"),
+    ],
+)
+def test_gen_rejects_a_mistyped_spec_field(tmp_path, capsys, kind, spec, field):
+    """A field of the wrong JSON type is an invalid spec, named on one line; no file is written."""
+    spec_path, out = tmp_path / "spec.json", tmp_path / "model.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["gen", kind, str(spec_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{kind} spec: {field}" in err
+    assert not out.exists()
+
+
 def test_bc_bytes_do_not_depend_on_hash_seed(tmp_path):
     # string hashing, and so set iteration order, changes with PYTHONHASHSEED;
     # the coefficient sums must not follow it

@@ -17,11 +17,15 @@ and say in the change log why the bytes moved.
 
 from __future__ import annotations
 
+import builtins
+import contextlib
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from mdpdetect.cli import main
 from mdpdetect.models import mmdp_to_json
@@ -165,6 +169,62 @@ def paper_scale_outputs(work: Path) -> dict[str, bytes]:
 
 def digests(outputs: dict[str, bytes]) -> dict[str, str]:
     return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+
+
+def _compensated_sum(items):
+    """``sum`` as Python 3.12 computes it: compensated (Neumaier) when every item is an exact
+    float, and the builtin otherwise."""
+    items = list(items)
+    if not items or not all(type(x) is float for x in items):
+        return builtins.sum(items)
+    total = compensation = 0.0
+    for x in items:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def _sum_sensitive_outputs(work: Path) -> dict[str, bytes]:
+    """``gen``, ``bc`` and ``bc --bounds`` on every case that has a policy."""
+    outputs: dict[str, bytes] = {}
+    for case in CASES:
+        out = work / case
+        out.mkdir()
+        model = str(_model(case, work))
+        policy = str(out / "policy.json")
+        if main(["synthesize", model, "--out", policy]) != 0:
+            continue
+        n = len(json.loads((out / "model.json").read_text())["models"])
+        q, theta = [repr(1 / n)] * n, [repr(2 * k / (n * (n + 1))) for k in range(1, n + 1)]
+        priors = f"{','.join(q)}:{','.join(theta)}"
+        for args in (
+            ["bc", model, policy, "--horizon", "12", "--out", str(out / "bc.csv")],
+            ["bc", model, policy, "--horizon", "12", "--bounds", priors, "--out", str(out / "bounds.csv")],
+        ):
+            assert main(args) == 0, args
+        for name in ("model.json", "bc.csv", "bounds.csv"):
+            outputs[f"{case}/{name}"] = (out / name).read_bytes()
+    return outputs
+
+
+def test_outputs_do_not_depend_on_how_sum_adds_floats(tmp_path):
+    """Since Python 3.12 the builtin ``sum`` compensates float sums; the package's
+    outputs must be the same bytes on every supported interpreter."""
+    import mdpdetect.analysis  # noqa: F401  (bound on first use by the CLI)
+    import mdpdetect.simulate  # noqa: F401
+
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "compensated").mkdir()
+    plain = _sum_sensitive_outputs(tmp_path / "plain")
+    modules = [m for name, m in sys.modules.items() if name.startswith("mdpdetect.")]
+    with contextlib.ExitStack() as stack:
+        for module in modules:
+            stack.enter_context(mock.patch.object(module, "sum", _compensated_sum, create=True))
+        compensated = _sum_sensitive_outputs(tmp_path / "compensated")
+    assert compensated == plain
+    got = digests(compensated)
+    assert [name for name in got if name in GOLDEN and got[name] != GOLDEN[name]] == []
 
 
 def test_cli_outputs_match_golden_bytes(tmp_path):
