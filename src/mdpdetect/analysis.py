@@ -241,7 +241,10 @@ def pairwise_bc_curve(
     pair keeps its own edge weights. Every step then advances all pairs in
     one sparse pass, summing in a fixed order: sources in the order the
     previous step first touched them, each source's edges in action and
-    successor order, and B(t) over the masses in first-touch order.
+    successor order, and B(t) over the masses in first-touch order. Which
+    edges a step takes, and in what order, depends only on that first-touch
+    order of its sources, so a step whose order recurs reuses the edge
+    layout built for it (see ``_pair_curves``).
     """
     if horizon < 0:
         raise ModelError("horizon must be nonnegative")
@@ -265,6 +268,13 @@ def _pair_curves(
 ) -> list[list[float]]:
     """B(0..horizon) per pair on the edges of ``table``, every pair advanced one sparse step at a time.
 
+    A step's layout ``(source, to, w, next rows, cut)`` depends only on the
+    live rows in first-touch order, not on their mass. That order is
+    periodic once every reachable row is live (period 1 on recsys, 2 on a
+    grid), so the layouts of the last two steps without a failing edge are
+    kept by order and reused; another step builds its own. Either way the
+    step sums the same terms in the same order.
+
     Raises the error of the first failing pair, as a pair-by-pair run would.
     """
     size, n_pairs = len(table.augs), len(pairs)
@@ -273,26 +283,34 @@ def _pair_curves(
     mass = np.ones(n_pairs)
     values: list[list[float]] = [[1.0] for _ in range(n_pairs)]
     failed: dict[int, Exception] = {}
+    # a layout with no failing edge stays clean whenever its order recurs
+    clean: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int]]] = {}
     for _ in range(horizon):
-        # the edges of the live rows, row by row, each row's in summation order
-        lo = indptr[rows]
-        source, pos = _segments(lo, indptr[rows + 1] - lo)
-        to = target[pos]
-        term = mass[source] * weight[pos]
-        bad = np.flatnonzero(to < 0)
-        if len(bad):
-            for b in bad.tolist():
-                failed.setdefault(int(rows[source[b]]) // size, table.errors[-to[b] - 1])
-            keep = ~np.isin(rows[source] // size, list(failed))
-            to, term = to[keep], term[keep]
-        # targets in first-touch order; bincount adds each target's terms
-        # one after another, in input order
-        first = np.full(n_pairs * size, len(to))
-        np.minimum.at(first, to, np.arange(len(to)))
-        touched = np.flatnonzero(first < len(to))
-        rows = touched[np.argsort(first[touched])]
-        mass = np.bincount(to, weights=term, minlength=n_pairs * size)[rows]
-        cut = np.searchsorted(rows // size, np.arange(n_pairs + 1)).tolist()
+        layout = clean.get(key := rows.tobytes())
+        if layout is None:
+            # the edges of the live rows, row by row, each row's in summation order
+            lo = indptr[rows]
+            source, pos = _segments(lo, indptr[rows + 1] - lo)
+            to, w = target[pos], weight[pos]
+            bad = np.flatnonzero(to < 0)
+            if len(bad):
+                for b in bad.tolist():
+                    failed.setdefault(int(rows[source[b]]) // size, table.errors[-to[b] - 1])
+                keep = ~np.isin(rows[source] // size, list(failed))
+                source, to, w = source[keep], to[keep], w[keep]
+            # targets in first-touch order
+            first = np.full(n_pairs * size, len(to))
+            np.minimum.at(first, to, np.arange(len(to)))
+            touched = np.flatnonzero(first < len(to))
+            nxt = touched[np.argsort(first[touched])]
+            layout = source, to, w, nxt, np.searchsorted(nxt // size, np.arange(n_pairs + 1)).tolist()
+            if not len(bad):
+                if len(clean) == 2:
+                    del clean[next(iter(clean))]
+                clean[key] = layout
+        source, to, w, rows, cut = layout
+        # bincount adds each target's terms one after another, in input order
+        mass = np.bincount(to, weights=mass[source] * w, minlength=n_pairs * size)[rows]
         masses = mass.tolist()
         for p in range(n_pairs):
             values[p].append(reduce(add, masses[cut[p] : cut[p + 1]], 0))

@@ -350,9 +350,13 @@ def _spec_from_json(cls: type, doc: str | Mapping[str, Any], spec: str) -> Any:
 
     Each field present is checked by the reader of its annotation; an absent
     one takes the dataclass default. ``ModelError`` names ``spec`` and the
-    field.
+    field, also for a field ``cls`` does not have.
     """
     data = _load(doc)
+    known = {f.name for f in fields(cls)}
+    for name in data:
+        if name not in known:
+            raise ModelError(f"{spec}: unknown field {name!r}")
     values = {}
     for f in fields(cls):
         if f.name in data:
@@ -376,7 +380,7 @@ def _load(doc: str | Mapping[str, Any]) -> Mapping[str, Any]:
 def _int(raw: Any, path: str) -> int:
     """An integral JSON number; a boolean is not one."""
     if isinstance(raw, bool) or not (isinstance(raw, int) or type(raw) is float and raw.is_integer()):
-        raise ModelError(f"{path}: expected an integer, got {raw!r}")
+        raise ModelError(f"{path}: expected an integer, got {_json_text(raw)}")
     return int(raw)
 
 
@@ -387,13 +391,21 @@ def _float(raw: Any, path: str) -> float:
             return float(raw)
         except OverflowError:
             pass
-    raise ModelError(f"{path}: expected a number, got {raw!r}")
+    raise ModelError(f"{path}: expected a number, got {_json_text(raw)}")
 
 
 def _bool(raw: Any, path: str) -> bool:
     if not isinstance(raw, bool):
-        raise ModelError(f"{path}: expected true or false, got {raw!r}")
+        raise ModelError(f"{path}: expected true or false, got {_json_text(raw)}")
     return raw
+
+
+def _json_text(raw: Any) -> str:
+    """``raw`` spelt as JSON, as a spec file holds it; ``repr`` where JSON has no spelling."""
+    try:
+        return json.dumps(raw)
+    except (TypeError, ValueError):  # a Python object handed in as a spec, or a cycle
+        return repr(raw)
 
 
 def _cell(raw: Any, path: str) -> Cell:

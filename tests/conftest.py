@@ -7,7 +7,8 @@ import itertools
 import json
 import math
 from collections import deque
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import settings
 
 from mdpdetect import general
-from mdpdetect.analysis import BcCurve
+from mdpdetect.analysis import BcCurve, _pair_edges
 from mdpdetect.binary import (
     INFORMATIVE,
     NEUTRAL,
@@ -1075,6 +1076,54 @@ def _reference_expand_aug(mmdp, policy, pair, aug):
                 tgt = _reference_canonical_aug(policy, (new_active, s2), None, s2)
             out.append((tgt, w))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The sparse step loop of `analysis._pair_curves` as it was when every step
+# rebuilt its edge layout, frozen verbatim: the reference for the layouts the
+# library keeps and reuses. It shares only the edge table of
+# `analysis._pair_edges` with the library.
+# ---------------------------------------------------------------------------
+
+
+def frozen_pair_curves(mmdp, table, pairs, horizon):
+    size, n_pairs = len(table.augs), len(pairs)
+    indptr, target, weight = _pair_edges(mmdp, table, pairs)
+    rows = np.arange(n_pairs, dtype=np.intp) * size  # live rows, first-touch order
+    mass = np.ones(n_pairs)
+    values = [[1.0] for _ in range(n_pairs)]
+    failed = {}
+    for _ in range(horizon):
+        # the edges of the live rows, row by row, each row's in summation order
+        lo = indptr[rows]
+        source, pos = _frozen_segments(lo, indptr[rows + 1] - lo)
+        to = target[pos]
+        term = mass[source] * weight[pos]
+        bad = np.flatnonzero(to < 0)
+        if len(bad):
+            for b in bad.tolist():
+                failed.setdefault(int(rows[source[b]]) // size, table.errors[-to[b] - 1])
+            keep = ~np.isin(rows[source] // size, list(failed))
+            to, term = to[keep], term[keep]
+        # targets in first-touch order; bincount adds each target's terms
+        # one after another, in input order
+        first = np.full(n_pairs * size, len(to))
+        np.minimum.at(first, to, np.arange(len(to)))
+        touched = np.flatnonzero(first < len(to))
+        rows = touched[np.argsort(first[touched])]
+        mass = np.bincount(to, weights=term, minlength=n_pairs * size)[rows]
+        cut = np.searchsorted(rows // size, np.arange(n_pairs + 1)).tolist()
+        masses = mass.tolist()
+        for p in range(n_pairs):
+            values[p].append(reduce(add, masses[cut[p] : cut[p + 1]], 0))
+    if failed:
+        raise failed[min(failed)]
+    return values
+
+
+def _frozen_segments(lo, size):
+    run = np.repeat(np.arange(len(lo)), size)
+    return run, np.arange(len(run)) + np.repeat(lo - (np.cumsum(size) - size), size)
 
 
 # ---------------------------------------------------------------------------

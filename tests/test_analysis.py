@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdpdetect.analysis
 from mdpdetect.analysis import (
     BcCurve,
     bc_exact,
@@ -38,11 +39,13 @@ from mdpdetect.simulate import batch_summary, monte_carlo_error, simulate
 
 from conftest import (
     example1_mmdp,
+    frozen_pair_curves,
     identical_mmdp,
     mk_mdp,
     random_binary_mmdp,
     random_detectable_binary,
     random_multi_mmdp,
+    random_sparse_cut_mmdp,
     random_stationary_policy,
     ReferenceCompiledController,
     reference_compile_start,
@@ -336,7 +339,8 @@ def test_pairwise_curve_reports_the_first_state_it_cannot_expand():
 def _random_instance(rng, kind, n_states):
     if kind == "binary":
         return random_binary_mmdp(rng, n_states=n_states)
-    return random_multi_mmdp(rng, n_models=int(kind[-1]), n_states=n_states)
+    make = random_sparse_cut_mmdp if kind.startswith("sparse") else random_multi_mmdp
+    return make(rng, n_models=int(kind[-1]), n_states=n_states)
 
 
 _KINDS = st.sampled_from(["binary", "multi3", "multi4"])
@@ -529,6 +533,101 @@ def _assert_curve_matches_reference(mmdp, policy, horizon, pairs):
     for key, curve in curves.items():
         assert curve == expected[key]
     assert curve_csv(curves) == curve_csv(expected)
+
+
+def _assert_curve_matches_frozen_loop(mmdp, policy, horizon, pairs=None):
+    """``pairwise_bc_curve`` against the frozen step loop on the same table: the
+    same ``repr`` of every value, or the same exception type and message.
+    """
+    keys = pairs or [(i, j) for i in range(1, mmdp.n + 1) for j in range(i + 1, mmdp.n + 1)]
+    try:
+        values = frozen_pair_curves(mmdp, _compiled(mmdp, policy), keys, horizon)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            pairwise_bc_curve(mmdp, policy, horizon, pairs)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        return
+    expected = {key: BcCurve(values=tuple(v), pair=key) for key, v in zip(keys, values)}
+    assert repr(pairwise_bc_curve(mmdp, policy, horizon, pairs)) == repr(expected)
+
+
+@settings(max_examples=320, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["binary", "multi2", "multi3", "multi4", "multi5", "sparse3", "sparse5"]),
+    policy_kind=st.sampled_from(_COMPILE_POLICY_KINDS),
+    horizon=st.sampled_from(range(61)),
+    which_pairs=st.sampled_from(["all", "one", "some"]),
+)
+def test_pairwise_curve_matches_the_frozen_step_loop(seed, kind, policy_kind, horizon, which_pairs):
+    """Reused edge layouts sum what the frozen loop's rebuilt ones sum, and fail where it fails.
+
+    Pruned policies lack some entries below the root, so a pair can fail
+    mid-horizon while the others go on.
+    """
+    mmdp, policy = _compile_case(seed, kind, policy_kind)
+    everything = [(i, j) for i in range(1, mmdp.n + 1) for j in range(i + 1, mmdp.n + 1)]
+    rng = rng_for(seed)
+    pairs = {
+        "all": None,
+        "one": [everything[int(rng.integers(len(everything)))][::-1]],
+        "some": [everything[k] for k in rng.permutation(len(everything))[: max(1, len(everything) // 2)]],
+    }[which_pairs]
+    _assert_curve_matches_frozen_loop(mmdp, policy, horizon, pairs)
+
+
+def _ring(period, lead=0):
+    """Three models on a ring ``r0 .. r{period-1}`` that each leave for ``leak`` at their own rate.
+
+    Once the ring is entered, the live rows are ``leak`` and one ring state,
+    so their first-touch order has the ring's period. With ``lead`` set, a
+    path ``p0 .. p{lead-1}`` leads to the ring, and at its end the first two
+    models may also move to ``y``, where the uniform policy has no entry for
+    their active set: pair (1, 2) fails at step ``lead`` and the other pairs
+    go on round the ring.
+    """
+    path, ring = [f"p{k}" for k in range(lead)], [f"r{k}" for k in range(period)]
+    states = (*path, *ring, "leak", "y")
+    kernels = []
+    for m, stay in enumerate((0.5, 0.7, 0.9)):
+        kernel = {("leak", "a"): {"leak": 1.0}, ("y", "a"): {"y": 1.0}}
+        for k, s in enumerate(path):
+            kernel[(s, "a")] = {(path + ring)[k + 1]: 1.0}
+        if path and m < 2:
+            kernel[(path[-1], "a")] = {"r0": 0.5, "y": 0.5}
+        for k, s in enumerate(ring):
+            kernel[(s, "a")] = {ring[(k + 1) % period]: stay, "leak": 1.0 - stay}
+        kernels.append(kernel)
+    actions = {s: ("a",) for s in states}
+    start = states[0]
+    return Mmdp(models=tuple(mk_mdp(states, actions, k, start, f"M{i}") for i, k in enumerate(kernels, 1)))
+
+
+@pytest.mark.parametrize("period, layouts_built", [(1, 2), (2, 3), (3, 12)])
+def test_pairwise_curve_reuses_the_layouts_of_a_periodic_order(monkeypatch, period, layouts_built):
+    """A live-row order of period 1 or 2 reuses its layouts from its second
+    turn on; period 3 outruns the two kept layouts and builds one every step.
+    """
+    mmdp = _ring(period)
+    policy = stationary_uniform_policy(mmdp)
+    _assert_curve_matches_frozen_loop(mmdp, policy, 12)
+    segments = mdpdetect.analysis._segments
+    built = []
+    monkeypatch.setattr(mdpdetect.analysis, "_segments", lambda *a: built.append(1) or segments(*a))
+    pairwise_bc_curve(mmdp, policy, 12)
+    assert len(built) == 1 + layouts_built  # one for the edge table of _pair_edges
+
+
+@pytest.mark.parametrize("period", [1, 2, 3])
+def test_pairwise_curve_fails_mid_horizon_as_the_frozen_loop_does(period):
+    """A pair that fails at step 4 fails the call, whatever the others reuse after it."""
+    mmdp = _ring(period, lead=4)
+    policy = stationary_uniform_policy(mmdp)
+    for horizon in (3, 4, 5, 12, 30):
+        _assert_curve_matches_frozen_loop(mmdp, policy, horizon)
+    assert pairwise_bc_curve(mmdp, policy, 3)[(1, 2)].values == (1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ContractError, match=r"no entry for \(\(1, 2\), 'y'\)"):
+        pairwise_bc_curve(mmdp, policy, 4)
 
 
 def test_decay_fit_exact_geometric():

@@ -333,12 +333,34 @@ _RECSYS = {"item_count": 4, "type_count": 2, "seed": 5}
     ],
 )
 def test_gen_rejects_a_mistyped_spec_field(tmp_path, capsys, kind, spec, field):
-    """A field of the wrong JSON type is an invalid spec, named on one line; no file is written."""
+    """A field of the wrong JSON type is an invalid spec, named on one line; no file is written.
+
+    A number or boolean field's message spells the offending value as the
+    spec file does: ``true``, ``null``, ``"7"``.
+    """
     spec_path, out = tmp_path / "spec.json", tmp_path / "model.json"
     spec_path.write_text(json.dumps(spec))
     assert main(["gen", kind, str(spec_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{kind} spec: {field}" in err
+    if field not in ("initial", "obstacles"):  # a cell's message shows no value
+        assert err.endswith(f", got {json.dumps(spec[field])}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, spec, field",
+    [("grid", _GRID, "p_stya"), ("recsys", _RECSYS, "alhpa")],
+)
+def test_gen_rejects_an_unknown_spec_field(tmp_path, capsys, kind, spec, field):
+    """A field the spec does not have is an invalid spec, not a default silently kept."""
+    spec_path, out = tmp_path / "spec.json", tmp_path / "model.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["gen", kind, str(spec_path), "--out", str(out)]) == 0
+    out.unlink()
+    spec_path.write_text(json.dumps({**spec, field: 0.9}))
+    assert main(["gen", kind, str(spec_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(f"{kind} spec: unknown field {field!r}\n")
     assert not out.exists()
 
 

@@ -238,3 +238,6 @@ def test_spec_json_parsing():
         recsys_spec_from_json('{"item_count": 10}')
     with pytest.raises(ModelError, match="goal_region"):
         grid_spec_from_json('{"width": 3, "height": 3, "goal_region": [[2]]}')
+    # a mapping built in Python may hold a value JSON cannot spell
+    with pytest.raises(ModelError, match=r"width: expected an integer, got \{3\}$"):
+        grid_spec_from_json({"width": {3}, "height": 3, "goal_region": [[2, 2]]})
