@@ -11,15 +11,6 @@ import importlib as _importlib
 import sys as _sys
 import types as _types
 
-from .binary import (
-    ApdOutcome,
-    PreprocessedPair,
-    SaClassification,
-    bi_apd,
-    classify_pairs,
-    informative_mdp,
-    preprocess,
-)
 from .errors import (
     ContractError,
     DetectionError,
@@ -27,7 +18,6 @@ from .errors import (
     ImpossibleObservationError,
     ModelError,
 )
-from .general import general_apd, pairwise_isa
 from .graphs import (
     Mec,
     SupportGraph,
@@ -55,7 +45,6 @@ from .policy import (
     serialize_policy,
     stationary_uniform_policy,
 )
-from .scenarios import GridSpec, RecSysSpec, gen_grid, gen_recsys
 
 __all__ = [
     "active_set", "almost_sure_reach_set", "ApdOutcome", "batch_summary", "bc_exact", "bc_matrix",
@@ -74,9 +63,16 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-# The numpy-backed names load on first use (PEP 562), so that synthesis,
-# validation and the grid generator run without importing numpy.
+# The synthesis, scenario and numpy-backed names load on first use (PEP 562):
+# validation, synthesis and the grid generator run without numpy, and the
+# run-time commands without the synthesis and scenario modules.
 _LAZY = {
+    **dict.fromkeys((
+        "ApdOutcome", "PreprocessedPair", "SaClassification", "bi_apd", "classify_pairs",
+        "informative_mdp", "preprocess",
+    ), "binary"),
+    **dict.fromkeys(("general_apd", "pairwise_isa"), "general"),
+    **dict.fromkeys(("GridSpec", "RecSysSpec", "gen_grid", "gen_recsys"), "scenarios"),
     **dict.fromkeys((
         "BcCurve", "BcMatrix", "DecayFit", "ErrorBounds", "bc_exact", "bc_matrix", "decay_fit",
         "error_bounds_binary", "error_bounds_multi", "pairwise_bc_curve",
@@ -86,11 +82,12 @@ _LAZY = {
         "monte_carlo_curve", "monte_carlo_error", "simulate", "trace_to_csv", "trial_rng",
     ), "simulate"),
 }
+_MODULES = ("analysis", "binary", "general", "scenarios")
 
 
 def __getattr__(name: str):
-    if name == "analysis":
-        return _importlib.import_module(".analysis", __name__)
+    if name in _MODULES:
+        return _importlib.import_module(f".{name}", __name__)
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(_importlib.import_module(f".{_LAZY[name]}", __name__), name)
@@ -98,7 +95,7 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__, "analysis"})
+    return sorted({*globals(), *__all__, *_MODULES})
 
 
 class _Package(_types.ModuleType):

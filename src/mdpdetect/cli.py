@@ -13,17 +13,18 @@ import sys
 from typing import Sequence
 
 from . import models
-from .binary import bi_apd, classify_pairs
 from .errors import ContractError, DetectionError, ModelError
-from .general import general_apd, pairwise_isa
 from .graphs import mec_decompose, model_graph
 from .models import Mmdp, mmdp_to_json, parse_mmdp
 from .policy import DetectionPolicy, parse_policy, policy_to_json
-from .scenarios import gen_grid, gen_recsys, grid_spec_from_json, recsys_spec_from_json
 
-# Only ``simulate`` and ``bc`` load numpy: their names bind on first use.
-_NUMERIC = {
+# Each command imports only the modules it runs: these names bind on first use,
+# so only ``simulate`` and ``bc`` load numpy, and neither loads synthesis.
+_LAZY = {
     **dict.fromkeys(("bounds_csv", "curve_csv", "error_bounds_multi", "pairwise_bc_curve"), "analysis"),
+    **dict.fromkeys(("bi_apd", "classify_pairs"), "binary"),
+    **dict.fromkeys(("general_apd", "pairwise_isa"), "general"),
+    **dict.fromkeys(("gen_grid", "gen_recsys", "grid_spec_from_json", "recsys_spec_from_json"), "scenarios"),
     **dict.fromkeys(("batch_summary", "simulate", "trace_to_csv"), "simulate"),
 }
 
@@ -119,6 +120,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "classify":
+        _bind("binary", "general")
         mmdp = _load_mmdp(args.model)
         if mmdp.n == 2:
             cls = classify_pairs(mmdp.models[0], mmdp.models[1])
@@ -141,6 +143,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "mec":
+        _bind("binary")
         mmdp = _load_mmdp(args.model)
         if args.informative:
             if mmdp.n != 2:
@@ -153,8 +156,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "synthesize":
-        mmdp = _load_mmdp(args.model)
-        outcome = general_apd(mmdp, initial=args.initial)
+        _bind("general")
+        # the model is freed before the policy text is built, which sets the process's peak memory
+        outcome = general_apd(_load_mmdp(args.model), initial=args.initial)
         if args.diagnostics:
             _write(args.diagnostics, _json(outcome.diagnostics))
         if not outcome.exists:
@@ -164,7 +168,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "simulate":
-        _bind_numeric()
+        _bind("simulate")
         mmdp = _load_mmdp(args.model)
         policy = _load_policy(args.policy, mmdp)
         if args.trials is None:
@@ -184,7 +188,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "bc":
-        _bind_numeric()
+        _bind("analysis")
         mmdp = _load_mmdp(args.model)
         if args.pair and args.bounds and mmdp.n > 2:
             raise _UsageError(
@@ -209,6 +213,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "gen":
+        _bind("scenarios")
         raw = _read(args.spec)
         if args.kind == "grid":
             mmdp = gen_grid(grid_spec_from_json(raw))
@@ -221,16 +226,17 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def __getattr__(name: str):
-    if name not in _NUMERIC:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f".{_NUMERIC[name]}", __package__), name)
+    value = globals()[name] = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
     return value
 
 
-def _bind_numeric() -> None:
-    """Bind every name of ``_NUMERIC`` here, keeping a binding made from outside."""
-    for name in _NUMERIC.keys() - globals().keys():
-        __getattr__(name)
+def _bind(*modules: str) -> None:
+    """Bind here every name of ``_LAZY`` from ``modules``, keeping a binding made from outside."""
+    for name in _LAZY.keys() - globals().keys():
+        if _LAZY[name] in modules:
+            __getattr__(name)
 
 
 def _load_mmdp(path: str):

@@ -12,7 +12,9 @@ import gc
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import cached_property, partial, wraps
+from itertools import repeat
+from operator import lt
 from typing import Any, Iterable, Mapping
 
 from .errors import ModelError
@@ -23,6 +25,8 @@ PROB_SUM_TOL = 1e-9
 ROW_EQ_TOL = 1e-12
 
 Row = Mapping[str, float]
+
+_positive = partial(lt, 0.0)  # p > 0.0
 
 
 def actions_at(actions: Mapping[str, tuple[str, ...]], state: str) -> tuple[str, ...]:
@@ -121,15 +125,23 @@ class Rows:
     position of model ``m + 1``'s last own successor, which takes any
     remainder, or -1 for an empty row.
 
+    One pass over the rows builds all of this together with every model's
+    probability of each entry, read per row with C-level calls (0.0 for a
+    successor outside the model's row); the masks are then read off those
+    probabilities. Where the models' rows share one key set, as nearly all
+    rows of a generated model do, every model's ``last`` is the row's last
+    entry; only the other rows look up each model's largest key.
+
     Each reader builds its own view on first use. Synthesis reads
     ``groups``: ``groups[i]`` lists state ``i``'s rows in its declared action
     order as ``(r, ((mask, successors), ...))``, the row's successors as one
     bitset per model mask, masks ascending. Run time reads :meth:`row` and,
-    with numpy, ``lik`` and ``cdf``: ``lik[e, m]`` is model ``m + 1``'s
-    probability of entry ``e`` and ``cdf[e, m]`` the running sum from
-    ``lo``. A successor outside the model's row adds 0.0, so the sums at the
-    model's own successors are those of its sorted items. Read-only once
-    built; ``lik`` and ``cdf`` are not writable.
+    with numpy, ``lik`` and ``cdf``, which wrap the pass's probabilities:
+    ``lik[e, m]`` is model ``m + 1``'s probability of entry ``e`` and
+    ``cdf[e, m]`` the running sum from ``lo``. A successor outside the
+    model's row adds 0.0, so the sums at the model's own successors are
+    those of its sorted items. Read-only once built; ``lik`` and ``cdf`` are
+    not writable.
     """
 
     def __init__(self, mmdp: Mmdp) -> None:
@@ -143,20 +155,33 @@ class Rows:
             keys += [(s, a) for a in sorted(mmdp.actions.get(s, ()))]
         first.append(len(keys))
         self.first, self.actions = tuple(first), tuple([a for _, a in keys])
-        self._keys = list(dict.fromkeys(keys + [key for m in models for key in m.kernel]))
         self.successors: list[str] = []
-        self.masks: list[int] = []
         self._lo = [0]  # row r's entries are _lo[r] .. _lo[r + 1]
-        kernels = [(1 << bit, m.kernel) for bit, m in enumerate(models)]
-        for key in self._keys:
-            acc: dict[str, int] = {}
-            for bit, kernel in kernels:
-                for t, p in kernel.get(key, {}).items():
-                    acc[t] = acc.get(t, 0) | (bit if p > 0.0 else 0)
-            order = sorted(acc)
-            self.successors.extend(order)
-            self.masks.extend([acc[t] for t in order])
+        self._index: dict[tuple[str, str], tuple[int, int, tuple[int, ...]]] = {}
+        self._columns: list[list[Any]] = [[] for _ in models]  # model m + 1's probability of each entry
+        empty: Row = {}
+        for key in dict.fromkeys(keys + [key for m in models for key in m.kernel]):
+            here = [m.kernel.get(key, empty) for m in models]
+            order = sorted(here[0])
+            listed = [list(r) == order for r in here]  # a row listing its keys in sorted order
+            if all(listed) or all([r.keys() == here[0].keys() for r in here]):
+                last = (len(order) - 1,) * len(models)
+            else:  # the models' rows differ in their keys
+                order = sorted(set().union(*here))
+                listed = [list(r) == order for r in here]
+                last = tuple([order.index(max(r)) if r else -1 for r in here])
+            for column, r, s in zip(self._columns, here, listed):
+                column += r.values() if s else map(r.get, order, repeat(0.0))
+            self._index[key] = (len(self.successors), len(order), last)
+            self.successors += order
             self._lo.append(len(self.successors))
+        # a model's bit is cleared where its probability is not p > 0.0: 0.0, outside its row, negative or NaN
+        self.masks = [(1 << len(models)) - 1] * len(self.successors)
+        for bit, column in enumerate(self._columns):
+            if not all(map(_positive, column)):
+                for e, p in enumerate(column):
+                    if not p > 0.0:
+                        self.masks[e] &= ~(1 << bit)
 
     def row(self, state: str, action: str) -> tuple[int, int, tuple[int, ...]]:
         """``(lo, size, last)`` of row (state, action)."""
@@ -187,31 +212,29 @@ class Rows:
             groups.append(tuple(here))
         return tuple(groups)
 
-    def __getattr__(self, name: str) -> Any:
-        # the view of run time: lik, cdf and the rows of row(), built together
-        if name not in ("lik", "cdf", "_index"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @cached_property
+    def lik(self) -> Any:
+        """The run-time view of probabilities, built on first use; loads numpy."""
         import numpy as np  # only run time needs numpy; synthesis runs without it
 
-        models, successors, lo = self._models, self.successors, self._lo
-        probs: list[float] = []  # per entry: every model's probability
-        by_key = {}
-        for key, start, end in zip(self._keys, lo, lo[1:]):
-            here = [m.kernel.get(key, {}) for m in models]
-            row = successors[start:end]
-            by_key[key] = (start, end - start, tuple([row.index(max(p)) if p else -1 for p in here]))
-            probs.extend([p.get(t, 0.0) for t in row for p in here])
-        self.lik = np.array(probs, float).reshape(-1, len(models))
+        columns = np.array(self._columns, float, order="F")  # laid out entry by entry, so .T is lik
+        columns.setflags(write=False)
+        del self._columns  # the array holds the probabilities now
+        return columns.T
+
+    @cached_property
+    def cdf(self) -> Any:
+        """The run-time view of running sums, built on first use; loads numpy."""
+        import numpy as np
+
         # each row's running sums, one addition per entry in row order
-        self.cdf = self.lik.copy()
-        pos = np.arange(len(successors)) - np.repeat(lo[:-1], np.diff(lo))
+        cdf, lo = self.lik.copy(), self._lo
+        pos = np.arange(len(self.successors)) - np.repeat(lo[:-1], np.diff(lo))
         for j in range(1, pos.max(initial=0) + 1):
             e = np.flatnonzero(pos == j)
-            self.cdf[e] += self.cdf[e - 1]
-        self.lik.setflags(write=False)
-        self.cdf.setflags(write=False)
-        self._index = by_key
-        return getattr(self, name)
+            cdf[e] += cdf[e - 1]
+        cdf.setflags(write=False)
+        return cdf
 
 
 @dataclass(frozen=True)
@@ -257,6 +280,12 @@ def validate_mmdp(mmdp: Mmdp) -> list[str]:
                     problems.append(f"shared-structure violation at state {s}")
         if m.initial != base.initial:
             problems.append(f"shared-structure violation: initial of {m.name} differs from {base.name}")
+    for m in mmdp.models:
+        known = set(m.states)
+        problems.extend(
+            f"model {m.name}: actions listed for {s!r}, which is not a state"
+            for s in m.actions if s not in known
+        )
     return problems
 
 

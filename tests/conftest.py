@@ -9,7 +9,7 @@ import math
 from collections import deque
 from functools import cached_property, reduce
 from operator import add
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 import pytest
@@ -38,7 +38,16 @@ from mdpdetect.graphs import (
     mec_decompose,
     reachable_states,
 )
-from mdpdetect.models import ROW_EQ_TOL, Mdp, Mmdp, fresh_name, serialize_mmdp, support
+from mdpdetect.models import (
+    PROB_SUM_TOL,
+    ROW_EQ_TOL,
+    Mdp,
+    Mmdp,
+    actions_at,
+    fresh_name,
+    serialize_mmdp,
+    support,
+)
 from mdpdetect.policy import DetectionPolicy, PolicyEntry, active_set, members, serialize_policy
 from mdpdetect.simulate import Trace, TraceStep, _check_priors, map_decide, trial_rng
 
@@ -1641,3 +1650,252 @@ class ReferenceCompiledController:
         self.last = np.array(last, np.intp).reshape(len(last), mmdp.n)
         self.tlo = np.array(tlo, np.intp)
         self.target = np.array(target, np.intp)
+
+
+# ---------------------------------------------------------------------------
+# Frozen model load: `parse_mmdp` (its walk and `validate_mmdp`'s report) and
+# the row table `Rows` with its run-time view (`lik`, `cdf` and the rows of
+# `row()`, built together by `__getattr__`), kept verbatim as they were before
+# the row table read its probabilities in the same pass as its masks, so that
+# every parsed model, row table field and `ModelError` text stays the contract.
+# ---------------------------------------------------------------------------
+
+
+class FrozenRows:
+    """The row table: masks in the first pass, the run-time view in a second."""
+
+    def __init__(self, mmdp: Mmdp) -> None:
+        self._models = models = mmdp.models
+        self.names = tuple(sorted(mmdp.states))
+        self.index = {s: i for i, s in enumerate(self.names)}
+        keys: list[tuple[str, str]] = []
+        first = []
+        for s in self.names:
+            first.append(len(keys))
+            keys += [(s, a) for a in sorted(mmdp.actions.get(s, ()))]
+        first.append(len(keys))
+        self.first, self.actions = tuple(first), tuple([a for _, a in keys])
+        self._keys = list(dict.fromkeys(keys + [key for m in models for key in m.kernel]))
+        self.successors: list[str] = []
+        self.masks: list[int] = []
+        self._lo = [0]  # row r's entries are _lo[r] .. _lo[r + 1]
+        kernels = [(1 << bit, m.kernel) for bit, m in enumerate(models)]
+        for key in self._keys:
+            acc: dict[str, int] = {}
+            for bit, kernel in kernels:
+                for t, p in kernel.get(key, {}).items():
+                    acc[t] = acc.get(t, 0) | (bit if p > 0.0 else 0)
+            order = sorted(acc)
+            self.successors.extend(order)
+            self.masks.extend([acc[t] for t in order])
+            self._lo.append(len(self.successors))
+
+    def row(self, state: str, action: str) -> tuple[int, int, tuple[int, ...]]:
+        """``(lo, size, last)`` of row (state, action)."""
+        return self._index.get((state, action), (0, 0, (-1,) * len(self._models)))
+
+    @cached_property
+    def groups(self) -> tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]:
+        """The view of synthesis, built on first use.
+
+        Raises ``ModelError`` for a state without an action list, or for a
+        row that moves outside the states.
+        """
+        declared, index, first, lo = self._models[0].actions, self.index, self.first, self._lo
+        groups = []
+        for i, s in enumerate(self.names):
+            here = []
+            for a in actions_at(declared, s):
+                r = self.actions.index(a, first[i], first[i + 1])
+                by_mask: dict[int, int] = {}
+                for t, mask in zip(self.successors[lo[r] : lo[r + 1]], self.masks[lo[r] : lo[r + 1]]):
+                    if mask:
+                        if t not in index:  # name the first the models list
+                            t = next(t for m in self._models for t, p in m.row(s, a).items()
+                                     if p > 0.0 and t not in index)
+                            raise ModelError(f"row ({s}, {a}) moves to {t!r}, which is not a state")
+                        by_mask[mask] = by_mask.get(mask, 0) | 1 << index[t]
+                here.append((r, tuple(sorted(by_mask.items()))))
+            groups.append(tuple(here))
+        return tuple(groups)
+
+    def __getattr__(self, name: str) -> Any:
+        # the view of run time: lik, cdf and the rows of row(), built together
+        if name not in ("lik", "cdf", "_index"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        import numpy as np  # only run time needs numpy; synthesis runs without it
+
+        models, successors, lo = self._models, self.successors, self._lo
+        probs: list[float] = []  # per entry: every model's probability
+        by_key = {}
+        for key, start, end in zip(self._keys, lo, lo[1:]):
+            here = [m.kernel.get(key, {}) for m in models]
+            row = successors[start:end]
+            by_key[key] = (start, end - start, tuple([row.index(max(p)) if p else -1 for p in here]))
+            probs.extend([p.get(t, 0.0) for t in row for p in here])
+        self.lik = np.array(probs, float).reshape(-1, len(models))
+        # each row's running sums, one addition per entry in row order
+        self.cdf = self.lik.copy()
+        pos = np.arange(len(successors)) - np.repeat(lo[:-1], np.diff(lo))
+        for j in range(1, pos.max(initial=0) + 1):
+            e = np.flatnonzero(pos == j)
+            self.cdf[e] += self.cdf[e - 1]
+        self.lik.setflags(write=False)
+        self.cdf.setflags(write=False)
+        self._index = by_key
+        return getattr(self, name)
+
+
+def frozen_validate_mmdp(mmdp: Mmdp) -> list[str]:
+    """Report every invariant violation; an empty report means valid."""
+    problems: list[str] = []
+    if mmdp.n < 2:
+        problems.append(f"an MMDP needs at least 2 models, got {mmdp.n}")
+    base = mmdp.models[0]
+    for m in mmdp.models:
+        problems.extend(_frozen_validate_mdp(m))
+    for m in mmdp.models[1:]:
+        if m.states != base.states:
+            problems.append(f"shared-structure violation: states of {m.name} differ from {base.name}")
+        else:
+            for s in base.states:
+                if m.actions.get(s) != base.actions.get(s):
+                    problems.append(f"shared-structure violation at state {s}")
+        if m.initial != base.initial:
+            problems.append(f"shared-structure violation: initial of {m.name} differs from {base.name}")
+    return problems
+
+
+def _frozen_validate_mdp(m: Mdp) -> list[str]:
+    problems: list[str] = []
+    state_set = set(m.states)
+    if len(state_set) != len(m.states):
+        problems.append(f"model {m.name}: duplicate state identifiers")
+    if m.initial not in state_set:
+        problems.append(f"model {m.name}: initial state {m.initial!r} not in states")
+    for s in m.states:
+        acts = m.actions.get(s, ())
+        if not acts:
+            problems.append(f"model {m.name}: state {s} has no actions")
+        if len(set(acts)) != len(acts):
+            problems.append(f"model {m.name}: duplicate actions at state {s}")
+    for (s, a) in m.kernel:
+        if s not in state_set:
+            problems.append(f"model {m.name}: kernel row at unknown state {s!r}")
+        elif a not in m.actions.get(s, ()):
+            problems.append(f"model {m.name}: kernel row at ({s}, {a}) but {a!r} not in actions({s})")
+    for s in m.states:
+        for a in m.actions.get(s, ()):
+            row = m.kernel.get((s, a))
+            if row is None:
+                problems.append(f"model {m.name}: missing distribution at ({s}, {a})")
+                continue
+            total = 0.0
+            for succ, p in row.items():
+                if succ not in state_set:
+                    problems.append(f"model {m.name}: dangling successor {succ!r} at ({s}, {a})")
+                if not 0.0 <= p <= 1.0:
+                    problems.append(f"model {m.name}: probability {p} outside [0,1] at ({s}, {a})")
+                total += p
+            if abs(total - 1.0) > PROB_SUM_TOL:
+                problems.append(
+                    f"model {m.name}: distribution at ({s}, {a}) sums to {total!r}"
+                    f" (expected 1 within {PROB_SUM_TOL})"
+                )
+    return problems
+
+
+def frozen_parse_mmdp(document: str | Mapping[str, Any]) -> Mmdp:
+    """Parse and validate a model document; raise ModelError with the offending path."""
+    if isinstance(document, str):
+        try:
+            doc = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise ModelError(f"document is not valid JSON: {exc}") from exc
+    else:
+        doc = document
+    if not isinstance(doc, Mapping):
+        raise ModelError("document: expected a JSON object")
+
+    states = _frozen_expect_str_list(doc, "states")
+    actions_raw = _frozen_expect(doc, "actions", Mapping, "object")
+    actions: dict[str, tuple[str, ...]] = {}
+    for s, acts in actions_raw.items():
+        if not isinstance(acts, list) or not all(isinstance(a, str) for a in acts):
+            raise ModelError(f"actions[{s!r}]: expected a list of strings")
+        actions[s] = tuple(acts)
+    initial = _frozen_expect(doc, "initial", str, "string")
+    models_raw = _frozen_expect(doc, "models", list, "array")
+    if not models_raw:
+        raise ModelError("models: expected a nonempty array")
+
+    models = []
+    for mi, mraw in enumerate(models_raw):
+        path = f"models[{mi}]"
+        if not isinstance(mraw, Mapping):
+            raise ModelError(f"{path}: expected an object")
+        name = mraw.get("name", f"M{mi + 1}")
+        if not isinstance(name, str):
+            raise ModelError(f"{path}.name: expected a string")
+        delta = mraw.get("delta")
+        if not isinstance(delta, list):
+            raise ModelError(f"{path}.delta: expected an array")
+        kernel: dict[tuple[str, str], dict[str, float]] = {}
+        for ei, entry in enumerate(delta):
+            # a plain object with plain string and number fields passes without
+            # the checks below, which name the entry's path in their messages
+            plain = type(entry) is dict
+            if plain:
+                src, act, dst = entry.get("from"), entry.get("action"), entry.get("to")
+                p = entry.get("p")
+                plain = (
+                    type(src) is str and type(act) is str and type(dst) is str
+                    and type(p) in (float, int)
+                )
+            if not plain:
+                src, act, dst, p = _frozen_check_delta_entry(entry, f"{path}.delta[{ei}]")
+            row = kernel.setdefault((src, act), {})
+            if dst in row:
+                raise ModelError(f"{path}.delta[{ei}]: duplicate entry for ({src}, {act}, {dst})")
+            if p != 0.0:
+                row[dst] = float(p)
+        models.append(
+            Mdp(states=tuple(states), actions=actions, kernel=kernel, initial=initial, name=name)
+        )
+
+    mmdp = Mmdp(models=tuple(models))
+    report = frozen_validate_mmdp(mmdp)
+    if report:
+        raise ModelError("invalid model: " + "; ".join(report))
+    return mmdp
+
+
+def _frozen_check_delta_entry(entry: Any, epath: str) -> tuple[str, str, str, int | float]:
+    if not isinstance(entry, Mapping):
+        raise ModelError(f"{epath}: expected an object")
+    src = _frozen_expect(entry, "from", str, "string", epath)
+    act = _frozen_expect(entry, "action", str, "string", epath)
+    dst = _frozen_expect(entry, "to", str, "string", epath)
+    p = entry.get("p")
+    if not isinstance(p, (int, float)) or isinstance(p, bool):
+        raise ModelError(f"{epath}.p: expected a number")
+    return src, act, dst, p
+
+
+def _frozen_expect(doc: Mapping, key: str, typ: type, typename: str, prefix: str = "") -> Any:
+    path = f"{prefix}.{key}" if prefix else key
+    if key not in doc:
+        raise ModelError(f"{path}: missing required field")
+    value = doc[key]
+    if typ is str and isinstance(value, bool):
+        raise ModelError(f"{path}: expected a {typename}")
+    if not isinstance(value, typ):
+        raise ModelError(f"{path}: expected a {typename}")
+    return value
+
+
+def _frozen_expect_str_list(doc: Mapping, key: str) -> list[str]:
+    value = _frozen_expect(doc, key, list, "array")
+    if not all(isinstance(x, str) for x in value):
+        raise ModelError(f"{key}: expected an array of strings")
+    return value

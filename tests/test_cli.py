@@ -385,6 +385,25 @@ def test_bc_bytes_do_not_depend_on_hash_seed(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_synthesis_and_batch_bytes_do_not_depend_on_hash_seed(tmp_path):
+    """The policy, its diagnostics and a batch summary are the same bytes under any string hashing."""
+    model = tmp_path / "model.json"
+    model.write_text(mmdp_to_json(random_multi_mmdp(rng_for(3), n_models=4, n_states=6)))
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+        policy, diagnostics, batch = (tmp_path / f"{kind}-{hash_seed}" for kind in ("pol", "diag", "batch"))
+        for argv in (
+            ["synthesize", str(model), "--out", str(policy), "--diagnostics", str(diagnostics)],
+            ["simulate", str(model), str(policy), "--trials", "50", "--seed", "2", "--out", str(batch)],
+        ):
+            subprocess.run([sys.executable, "-m", "mdpdetect.cli", *argv], env=env, check=True)
+        outputs.append([path.read_bytes() for path in (policy, diagnostics, batch)])
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][2])["trials"] == 50
+
+
 def _fork_mmdp():
     """From s0, action a reaches x or y in both models (0.3 / 0.6 to x); x and y loop."""
     states = ("s0", "x", "y")
@@ -449,6 +468,26 @@ def test_policy_files_are_checked_against_the_model(tmp_path, capsys, kind, comm
     err = capsys.readouterr().err
     assert err.startswith("contract breach: policy entry ((1, 2), ")
     assert ("'zz'" if "action" in kind else "'q'") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_actions_for_a_name_that_is_not_a_state_are_invalid_input(tmp_path, capsys, command):
+    """Such a model is refused before its policy is read, so a policy playing at that name
+    never runs."""
+    doc = serialize_mmdp(_fork_mmdp())
+    doc["actions"]["zz"] = ["a"]
+    model, policy, out = tmp_path / "m.json", tmp_path / "p.json", tmp_path / "out"
+    model.write_text(json.dumps(doc))
+    policy.write_text(_fork_policy(reach={"s0": "a", "zz": "a"}, mecs=[{"x": ["a"]}, {"y": ["a"]}]))
+    name, *options = _COMMANDS[command]
+    assert main([name, str(model), str(policy), *options, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "invalid input: invalid model: model M0: actions listed for 'zz', which is not a state; "
+        "model M1: actions listed for 'zz', which is not a state\n"
+    )
+    assert not out.exists()
+    assert main(["synthesize", str(model), "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -679,3 +718,35 @@ def test_the_cli_calls_the_bindings_a_tracer_replaces(tmp_path, model_file, monk
         monkeypatch.setattr(cli, name, spy)
         assert main([*argv, "--out", str(tmp_path / "out")]) == 0
     assert calls == ["batch_summary", "pairwise_bc_curve"]
+
+
+# Run in a fresh interpreter, where the CLI has bound none of its names yet:
+# each wrapper installed from outside, as bench/tracer.py installs them, is
+# the binding the command calls.
+_WRAPPED_FROM_OUTSIDE = """
+import sys
+import mdpdetect.cli as cli
+
+spec, model, policy = sys.argv[1:]
+calls = []
+for name in ("general_apd", "gen_recsys", "parse_mmdp"):
+    def wrapper(*args, _name=name, _real=getattr(cli, name), **kwargs):
+        calls.append(_name)
+        return _real(*args, **kwargs)
+
+    setattr(cli, name, wrapper)
+assert cli.main(["gen", "recsys", spec, "--out", model]) == 0
+assert cli.main(["synthesize", model, "--out", policy]) == 0
+assert calls == ["gen_recsys", "parse_mmdp", "general_apd"], calls
+"""
+
+
+def test_the_cli_calls_wrappers_installed_before_its_first_command(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"item_count": 3, "type_count": 2, "seed": 1}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    paths = [str(spec), str(tmp_path / "m.json"), str(tmp_path / "p.json")]
+    run = subprocess.run(
+        [sys.executable, "-c", _WRAPPED_FROM_OUTSIDE, *paths], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr

@@ -115,6 +115,52 @@ assert "numpy" in sys.modules and "numpy.random" not in sys.modules
 """)
 
 
+@pytest.fixture(scope="module")
+def command_files(tmp_path_factory):
+    """A three-model file with its policy, and a grid spec."""
+    from mdpdetect.cli import main
+    from mdpdetect.models import mmdp_to_json
+
+    from conftest import random_multi_mmdp, rng_for
+
+    work = tmp_path_factory.mktemp("commands")
+    model, policy, spec = work / "model.json", work / "policy.json", work / "grid-spec.json"
+    model.write_text(mmdp_to_json(random_multi_mmdp(rng_for(0), n_models=3, n_states=4)))
+    assert main(["synthesize", str(model), "--out", str(policy)]) == 0
+    spec.write_text('{"width": 3, "height": 2, "goal_region": [[2, 1]]}')
+    return {"model": str(model), "policy": str(policy), "spec": str(spec), "out": str(work / "out")}
+
+
+_SYNTHESIS = ("mdpdetect.binary", "mdpdetect.general")
+# per command: its arguments, and the modules it must leave unloaded
+_SCENARIOS = ("mdpdetect.scenarios",)
+_COMMAND_IMPORTS = {
+    "simulate": (["{model}", "{policy}", "--trials", "5", "--seed", "1"], (*_SYNTHESIS, *_SCENARIOS)),
+    "bc": (["{model}", "{policy}", "--horizon", "4"], (*_SYNTHESIS, *_SCENARIOS)),
+    "gen": (["grid", "{spec}"], ("numpy", *_SYNTHESIS)),
+    "validate": (["{model}"], ("numpy", *_SYNTHESIS, *_SCENARIOS)),
+    "classify": (["{model}"], ("numpy", *_SCENARIOS)),
+    "mec": (["{model}"], ("numpy", *_SCENARIOS)),
+    "synthesize": (["{model}"], ("numpy", *_SCENARIOS)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_IMPORTS))
+def test_each_command_imports_only_what_it_runs(command_files, command):
+    args, absent = _COMMAND_IMPORTS[command]
+    argv = [command, *(arg.format(**command_files) for arg in args)]
+    if command != "validate":
+        argv += ["--out", command_files["out"]]
+    _fresh(f"""
+import sys
+from mdpdetect.cli import main
+
+assert main({argv!r}) == 0
+loaded = sorted(set({absent!r}) & set(sys.modules))
+assert not loaded, loaded
+""")
+
+
 def _imports(tree):
     """``(node, at_import_time)`` for every import of ``tree``; function bodies run later."""
     stack = [(node, True) for node in tree.body]

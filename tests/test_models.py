@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import json
+import math
 from types import MappingProxyType
 from unittest import mock
 
@@ -35,12 +36,15 @@ from mdpdetect.policy import (
 )
 
 from conftest import (
+    FrozenRows,
     ReferenceSamplingRows,
     ReferenceSupportRows,
     example1_mmdp,
+    frozen_parse_mmdp,
     mk_mdp,
     random_binary_mmdp,
     random_multi_mmdp,
+    random_sparse_cut_mmdp,
     reference_mmdp_to_json,
     reference_policy_to_json,
     reference_support_masks,
@@ -451,6 +455,211 @@ def test_validate_probability_range():
     report = validate_mmdp(Mmdp(models=(m, m)))
     assert any("outside [0,1]" in line for line in report)
     assert any("sums to" in line for line in report)
+
+
+def test_actions_listed_for_a_name_that_is_not_a_state_are_refused_last():
+    """Every other violation keeps its message and place; this one comes after them all."""
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["actions"]["zz"] = ["a"]
+    with pytest.raises(ModelError) as err:
+        parse_mmdp(doc)
+    assert str(err.value) == (
+        "invalid model: model M1: actions listed for 'zz', which is not a state; "
+        "model M2: actions listed for 'zz', which is not a state"
+    )
+    doc["models"][1]["delta"][0]["p"] = 0.5
+    with pytest.raises(ModelError) as err:
+        parse_mmdp(doc)
+    assert str(err.value).startswith("invalid model: model M2: distribution at (x, a) sums to 0.5")
+    assert str(err.value).endswith("; model M2: actions listed for 'zz', which is not a state")
+    # hand-built, one model only
+    m = mk_mdp(("x",), {"x": ("a",)}, {("x", "a"): {"x": 1.0}}, "x")
+    hacked = dataclasses.replace(m, actions={"x": ("a",), "y": ("a",)}, name="M2")
+    report = validate_mmdp(Mmdp(models=(m, hacked)))
+    assert report == ["model M2: actions listed for 'y', which is not a state"]
+
+
+def _edits(doc, pick):
+    """Single-field changes of ``doc`` by name; ``pick`` chooses the model, entry and state they change."""
+    k = pick % len(doc["models"])
+    delta = doc["models"][k]["delta"]
+    i = pick % len(delta)
+    entry, state = delta[i], doc["states"][pick % len(doc["states"])]
+    other, p = doc["states"][(pick + 1) % len(doc["states"])], delta[i]["p"]
+    return {
+        "none": lambda: None,
+        "states type": lambda: doc.update(states="s0"),
+        "state type": lambda: doc["states"].__setitem__(0, 0),
+        "actions type": lambda: doc.update(actions=[]),
+        "action list type": lambda: doc["actions"].__setitem__(state, "a0"),
+        "initial type": lambda: doc.update(initial=True),
+        "models type": lambda: doc.update(models={}),
+        "no models": lambda: doc.update(models=[]),
+        "one model": lambda: doc.update(models=doc["models"][:1]),
+        "model type": lambda: doc["models"].__setitem__(k, []),
+        "name type": lambda: doc["models"][k].update(name=5),
+        "no name": lambda: doc["models"][k].pop("name"),
+        "delta type": lambda: doc["models"][k].update(delta={}),
+        "entry not an object": lambda: delta.__setitem__(i, [entry["from"], entry["action"], entry["to"], p]),
+        "no from": lambda: entry.pop("from"),
+        "no action": lambda: entry.pop("action"),
+        "no to": lambda: entry.pop("to"),
+        "no p": lambda: entry.pop("p"),
+        "from type": lambda: entry.update({"from": 1}),
+        "action type": lambda: entry.update(action=None),
+        "to type": lambda: entry.update(to=["s0"]),
+        "p type": lambda: entry.update(p=str(p)),
+        "p bool": lambda: entry.update(p=True),
+        "p nan": lambda: entry.update(p=math.nan),
+        "p inf": lambda: entry.update(p=math.inf),
+        "p -inf": lambda: entry.update(p=-math.inf),
+        "p negative": lambda: entry.update(p=-p),
+        "p above 1": lambda: entry.update(p=p + 1.0),
+        "p int": lambda: entry.update(p=round(p)),
+        "sum off by 5e-10": lambda: entry.update(p=p + 5e-10),
+        "sum off by 2e-9": lambda: entry.update(p=p + 2e-9),
+        "explicit zero": lambda: delta.append({**entry, "to": other, "p": 0.0}),
+        "duplicate entry": lambda: delta.append(dict(entry)),
+        "undeclared action": lambda: delta.append({**entry, "action": "zz"}),
+        "unknown state": lambda: delta.append({**entry, "from": "nowhere"}),
+        "dangling successor": lambda: entry.update(to="nowhere"),
+        "missing row": lambda: doc["models"][k].update(
+            delta=[e for e in delta if (e["from"], e["action"]) != (entry["from"], entry["action"])]
+        ),
+        "actions for a non-state": lambda: doc["actions"].update(zz=["a0"]),
+        "state without actions": lambda: doc["actions"].__setitem__(state, []),
+        "state missing from actions": lambda: doc["actions"].pop(state),
+        "duplicate action": lambda: doc["actions"][state].append(doc["actions"][state][0]),
+        "duplicate state": lambda: doc["states"].append(state),
+        "unknown initial": lambda: doc.update(initial="nowhere"),
+    }
+
+
+_MUTATIONS = sorted(_edits(serialize_mmdp(example1_mmdp()), 0))
+
+
+def _expected_load(doc):
+    """The frozen parse's model or its ``ModelError`` text, plus the one refusal it lacked."""
+    try:
+        mmdp, message = frozen_parse_mmdp(doc), None
+    except ModelError as exc:
+        mmdp, message = None, str(exc)
+    if message is None or message.startswith("invalid model: "):
+        names = [m.get("name", f"M{i + 1}") for i, m in enumerate(doc["models"])]
+        extra = [f"model {name}: actions listed for {s!r}, which is not a state"
+                 for name in names for s in doc["actions"] if s not in doc["states"]]
+        if extra:
+            report = [message.removeprefix("invalid model: ")] if message else []
+            mmdp, message = None, "invalid model: " + "; ".join(report + extra)
+    return mmdp, message
+
+
+def _assert_same_tables(rows, frozen, mmdp):
+    """Every field of ``rows`` equals the frozen table's, ``groups`` or its error included."""
+    assert (rows.names, rows.index, rows.first) == (frozen.names, frozen.index, frozen.first)
+    assert rows.actions == frozen.actions
+    assert (rows.successors, rows.masks, rows._lo) == (frozen.successors, frozen.masks, frozen._lo)
+    keys = {(s, a) for s in mmdp.states for a in mmdp.actions.get(s, ())}
+    keys.update(key for m in mmdp.models for key in m.kernel)
+    for key in [*sorted(keys), (mmdp.states[0], "nope"), ("nowhere", "a0")]:
+        assert rows.row(*key) == frozen.row(*key), key
+    for ours, theirs in ((rows.lik, frozen.lik), (rows.cdf, frozen.cdf)):
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert np.array_equal(ours, theirs, equal_nan=True)
+        assert not ours.flags.writeable
+    try:
+        expected = frozen.groups
+    except ModelError as exc:
+        with pytest.raises(ModelError) as err:
+            rows.groups
+        assert str(err.value) == str(exc)
+    else:
+        assert rows.groups == expected
+
+
+@settings(max_examples=600, derandomize=True)
+@given(
+    kind=st.sampled_from(["binary", "multi", "sparse cut"]),
+    n_models=st.integers(2, 5),
+    n_states=st.integers(2, 6),
+    mutation=st.sampled_from(_MUTATIONS),
+    pick=st.integers(0, 2**16),
+    as_text=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_parse_and_table_match_the_frozen_load(kind, n_models, n_states, mutation, pick, as_text, seed):
+    """Each document loads to the frozen parse's model and row table, or fails with its message.
+
+    The one difference is the refusal of an action list for a name that is
+    not a state, whose message comes after every other.
+    """
+    rng = rng_for(seed)
+    if kind == "binary":
+        mmdp = random_binary_mmdp(rng, n_states=n_states)
+    elif kind == "multi":
+        mmdp = random_multi_mmdp(rng, n_models=n_models, n_states=n_states)
+    else:
+        mmdp = random_sparse_cut_mmdp(rng, n_models=n_models, n_states=n_states)
+    doc = serialize_mmdp(mmdp)
+    _edits(doc, pick)[mutation]()
+    document = json.dumps(doc) if as_text else doc
+    expected, message = _expected_load(json.loads(document) if as_text else doc)
+    try:
+        got, got_message = parse_mmdp(document), None
+    except ModelError as exc:
+        got, got_message = None, str(exc)
+    assert got_message == message
+    if expected is not None:
+        assert got == expected
+        _assert_same_tables(got.rows, FrozenRows(expected), expected)
+
+
+def _odd_rows(mmdp, rng):
+    """``mmdp`` with rows a parse never gives: unsorted keys, masses of 0.0, negative, NaN, infinite
+    or int, keys and rows in one model only, empty rows, rows at undeclared actions or unknown states."""
+    odd = [0.0, -0.25, math.nan, math.inf, 1, 0]
+    models = []
+    for k, m in enumerate(mmdp.models):
+        kernel = {}
+        for key, row in m.kernel.items():
+            items = list(row.items())
+            if rng.random() < 0.5:
+                items.reverse()
+            if rng.random() < 0.2:
+                items[int(rng.integers(0, len(items)))] = (items[0][0], odd[int(rng.integers(0, len(odd)))])
+            if rng.random() < 0.15:
+                items.append((f"only{k}", float(rng.random())))
+            if rng.random() < 0.05:
+                items = []
+            if rng.random() < 0.05 and k:
+                continue  # a row the first model has and this one lacks
+            kernel[key] = dict(items)
+        if rng.random() < 0.3:
+            kernel[(mmdp.states[0], f"zz{k}")] = {mmdp.states[-1]: 1.0}
+        if rng.random() < 0.2:
+            kernel[("nowhere", "a0")] = {"nowhere": 0.5, mmdp.states[0]: 0.5}
+        models.append(dataclasses.replace(m, kernel=kernel))
+    return Mmdp(models=tuple(models))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    kind=st.sampled_from(["binary", "multi", "sparse cut"]),
+    n_models=st.integers(2, 5),
+    n_states=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_table_of_odd_hand_built_rows_matches_the_frozen_table(kind, n_models, n_states, seed):
+    """The one row pass gives the frozen masks, ``last``, ``lik`` and ``cdf`` on any row contents."""
+    rng = rng_for(seed)
+    if kind == "binary":
+        mmdp = random_binary_mmdp(rng, n_states=n_states)
+    elif kind == "multi":
+        mmdp = random_multi_mmdp(rng, n_models=n_models, n_states=n_states)
+    else:
+        mmdp = random_sparse_cut_mmdp(rng, n_models=n_models, n_states=n_states)
+    odd = _odd_rows(mmdp, rng)
+    _assert_same_tables(odd.rows, FrozenRows(odd), odd)
 
 
 def _triples(graph):
