@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add  # reduce(add, xs, 0) sums as sum() did before 3.12 compensated floats
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ContractError, HorizonCapError, ModelError
-from .models import Mdp, Mmdp
+from .models import Mdp, Mmdp, _left_sum
 from .policy import ActiveSet, DetectionPolicy, active_set, members
 
 StationaryPolicy = Mapping[str, Mapping[str, float]]
@@ -210,7 +208,7 @@ def _check_priors(priors: Sequence[float] | None, n: int, what: str) -> tuple[fl
         raise ModelError(f"{what}: entries must be finite, got {priors!r}")
     if any(p <= 0.0 for p in priors):
         raise ModelError(f"{what}: entries must be strictly positive")
-    total = reduce(add, priors, 0)
+    total = _left_sum(priors)
     if abs(total - 1.0) > 1e-9:
         raise ModelError(f"{what}: entries sum to {total!r}, expected 1")
     return priors
@@ -313,7 +311,7 @@ def _pair_curves(
         mass = np.bincount(to, weights=mass[source] * w, minlength=n_pairs * size)[rows]
         masses = mass.tolist()
         for p in range(n_pairs):
-            values[p].append(reduce(add, masses[cut[p] : cut[p + 1]], 0))
+            values[p].append(_left_sum(masses[cut[p] : cut[p + 1]]))
     if failed:
         raise failed[min(failed)]
     return values
@@ -366,7 +364,7 @@ def _segments(lo: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def _expand_aug(
     mmdp: Mmdp, policy: DetectionPolicy, aug: _Aug
-) -> list[tuple[str, float, tuple[int, int, tuple[int, ...]], list[_Aug | ContractError | None]]]:
+) -> list[tuple[str, float, tuple[int, int, tuple[int, ...]], list[_Aug | None]]]:
     """The controller's move at one augmented state: each action it plays, with its row and targets.
 
     ``(action, probability, (lo, size, last), targets)`` per action of the
@@ -374,10 +372,11 @@ def _expand_aug(
     ``(lo, size, last)`` is row (state, action) of ``mmdp.rows`` and entry
     ``lo + j`` leads to ``targets[j]`` by its model mask: ``None`` where no
     model allows it, a state of the same entry where every active model does,
-    and else one of the entry of the models left, or the ``ContractError`` of
-    its lookup. Raises ``ContractError`` wherever the controller has no move:
-    no reach action and no component, a state outside the committed one, an
-    empty component distribution, or an action some active model lacks.
+    and else ``((models left, s2), component, s2)``, with no component when
+    the policy has no entry for that key. Raises ``ContractError`` wherever
+    the controller has no move: no reach action and no component, a state
+    outside the committed one, an empty component distribution, or an action
+    some active model lacks.
     """
     entry_key, mec_index, s = aug
     entry = policy.entries[entry_key]
@@ -405,7 +404,7 @@ def _expand_aug(
     moves = []
     for a, p in dist:
         row = lo, size, _ = rows.row(s, a)
-        targets: list[_Aug | ContractError | None] = []
+        targets: list[_Aug | None] = []
         offered = 0
         for mask, s2 in zip(rows.masks[lo : lo + size], rows.successors[lo : lo + size]):
             offered |= mask
@@ -415,16 +414,16 @@ def _expand_aug(
                 targets.append(None)
             else:
                 found = policy.entries.get(key := (members(mask, active), s2))
-                targets.append(ContractError(f"policy has no entry for {key}") if found is None
-                               else (key, found.mec_of.get(s2), s2))
+                targets.append((key, None if found is None else found.mec_of.get(s2), s2))
         if offered & amask != amask:
             raise ContractError(f"policy entry {entry_key} plays {a!r} at {s!r}, which does not offer it")
         moves.append((a, p, row, targets))
     return moves
 
 
-# stop codes of the lockstep kernel, indexing ``simulate.STOP_REASONS``
+# the stop codes of the lockstep kernel, and the reason each one names
 _THRESHOLD, _MAX_STEPS, _UNDETECTABLE = 0, 1, 2
+STOP_REASONS = ("threshold", "max_steps", "undetectable")
 
 
 def _compiled(mmdp: Mmdp, policy: DetectionPolicy) -> _CompiledController:
@@ -453,13 +452,15 @@ class _CompiledController:
 
     The augmented states ``(entry key, committed component, state)`` that the
     controller can reach from ``start`` are numbered breadth first from
-    ``start`` (0). A move to a new active set the policy has no entry for
-    leads to the state ``((active set, s), None, s)``, one per such entry
-    key. State ``k`` has ``count[k]`` action slots from ``first[k]``, in
-    sorted action order; ``count[k]`` is 0 where a trial stops: at a lone
-    survivor, at a state without an entry, or where ``_expand_aug`` finds no
-    move. ``errors[k]`` is the ``ContractError`` of the lookup that found no
-    entry for state ``k``, or of ``_expand_aug`` finding no move there, and
+    ``start`` (0), each new one as ``_expand_aug`` names it. A move to a
+    new active set the policy has no entry for leads to the state
+    ``((active set, s), None, s)``, one per such entry key. State ``k`` has
+    ``count[k]`` action slots from ``first[k]``, in sorted action order;
+    ``count[k]`` is 0 where a trial stops: at a lone survivor, at a state
+    without an entry, or where ``_expand_aug`` finds no move. ``errors[k]``
+    is ``ContractError("policy has no entry for <key>")`` where the policy
+    has no entry for the key of state ``k`` (the table's one test of it),
+    the ``ContractError`` of ``_expand_aug`` where it finds no move, and
     ``None`` elsewhere. ``halt[k]`` is the stop code of a trial that plays no
     step from ``k`` although the policy may act there: ``_THRESHOLD`` at a
     lone survivor, ``_UNDETECTABLE`` at any other state without an entry and
@@ -474,7 +475,6 @@ class _CompiledController:
     """
 
     def __init__(self, mmdp: Mmdp, policy: DetectionPolicy, start: _Aug) -> None:
-        masks, successors = mmdp.rows.masks, mmdp.rows.successors
         augs: list[_Aug] = [start]
         errors: list[ContractError | None] = [None]
         index: dict[_Aug, int] = {start: 0}
@@ -500,17 +500,14 @@ class _CompiledController:
             cdf = 0.0
             for a, p, (row_lo, row_size, row_last), keys in moves:
                 here = [index.get(key, -1) for key in keys]
-                if -1 in here:  # new targets, errors or successors no model allows
+                if -1 in here:  # new targets or successors no model allows
                     for j, key in enumerate(keys):
                         if here[j] < 0 and key is not None:
-                            exc = None
-                            if isinstance(key, ContractError):  # keyed by the models of aug's key
-                                s2 = successors[row_lo + j]
-                                exc, key = key, ((members(masks[row_lo + j], aug[0][0]), s2), None, s2)
                             here[j] = t = index.setdefault(key, len(augs))
                             if t == len(augs):
                                 augs.append(key)
-                                errors.append(exc)
+                                errors.append(None if key[0] in policy.entries
+                                              else ContractError(f"policy has no entry for {key[0]}"))
                 cdf += p
                 act_cdf.append(cdf)
                 lo.append(row_lo)

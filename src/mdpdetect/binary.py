@@ -20,9 +20,8 @@ synthesis against them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from math import isfinite
-from operator import add  # reduce(add, xs, 0) sums as sum() did before 3.12 compensated floats
 from typing import Any, Callable, Mapping
 
 from .errors import ModelError
@@ -34,7 +33,7 @@ from .graphs import (
     reach_policy,
     reachable_states,
 )
-from .models import ROW_EQ_TOL, Mdp, Mmdp, Rows, actions_at, fresh_name
+from .models import ROW_EQ_TOL, Mdp, Mmdp, Rows, _left_sum, actions_at, fresh_name
 from .policy import ActiveSet, DetectionPolicy, PolicyEntry, active_set, single_entry_policy
 
 REVEALING = "revealing"
@@ -59,8 +58,10 @@ class SaClassification:
     def kept_informative_pairs(self) -> frozenset[tuple[str, str]]:
         """The informative pairs at states that are not revealing: those the rewrite keeps.
 
-        The rewrite makes no other pair of the original states informative;
-        synthesis and :func:`preprocess` both take ``isa`` from here.
+        The rewrite makes no other pair of the original states informative.
+        :func:`preprocess` takes ``isa`` from here, and the reports of
+        :func:`bi_apd` and ``mdpdetect classify`` list it. Synthesis does not
+        read it: ``_pair_graph`` drops the revealing states' rows itself.
         """
         return frozenset(p for p in self.informative_pairs if self.state_labels[p[0]] != REVEALING)
 
@@ -107,7 +108,7 @@ def classify_pairs(m1: Mdp, m2: Mdp) -> SaClassification:
             if not any(p > 0.0 and r2.get(t, 0.0) > 0.0 for t, p in r1.items()):
                 pair_labels[(s, a)] = REVEALING
                 revealing_actions.append(a)
-            elif r1 == r2 and isfinite(reduce(add, r1.values(), 0)):
+            elif r1 == r2 and isfinite(_left_sum(r1.values())):
                 # exactly equal finite masses: rows_equal holds without the walk
                 pair_labels[(s, a)] = NEUTRAL
             elif not rows_equal(r1, r2):
@@ -191,7 +192,7 @@ def preprocess(m1: Mdp, m2: Mdp) -> PreprocessedPair:
                 for i in range(2):
                     new_row = {t: p for t, p in rows[i].items() if t in common}
                     outside = [p for t, p in rows[i].items() if t not in common and p > 0.0]
-                    rerouted = reduce(add, outside, 0)
+                    rerouted = _left_sum(outside)
                     if rerouted > 0.0:
                         new_row[bots[i]] = rerouted
                     kernels[i][(s, a)] = new_row

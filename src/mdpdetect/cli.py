@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import sys
 from typing import Sequence
 
@@ -159,12 +160,19 @@ def _dispatch(args: argparse.Namespace) -> int:
         _bind("general")
         # the model is freed before the policy text is built, which sets the process's peak memory
         outcome = general_apd(_load_mmdp(args.model), initial=args.initial)
+        # a failed run removes the diagnostics file if it created it
+        made = args.diagnostics not in (None, "-") and not os.path.lexists(args.diagnostics)
         if args.diagnostics:
             _write(args.diagnostics, _json(outcome.diagnostics))
         if not outcome.exists:
             print("no detection policy exists from the requested initial state", file=sys.stderr)
             return EXIT_NO_POLICY
-        _write(args.out, policy_to_json(outcome.policy))
+        try:
+            _write(args.out, policy_to_json(outcome.policy))
+        except _UsageError:
+            if made:
+                os.remove(args.diagnostics)
+            raise
         return EXIT_OK
 
     if args.command == "simulate":

@@ -12,9 +12,9 @@ import gc
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial, wraps
+from functools import cached_property, partial, reduce, wraps
 from itertools import repeat
-from operator import lt
+from operator import add, lt
 from typing import Any, Iterable, Mapping
 
 from .errors import ModelError
@@ -27,6 +27,11 @@ ROW_EQ_TOL = 1e-12
 Row = Mapping[str, float]
 
 _positive = partial(lt, 0.0)  # p > 0.0
+
+
+def _left_sum(xs: Iterable[float]) -> float:
+    """``xs`` added left to right, as ``sum()`` did before Python 3.12 compensated float sums."""
+    return reduce(add, xs, 0)
 
 
 def actions_at(actions: Mapping[str, tuple[str, ...]], state: str) -> tuple[str, ...]:
@@ -360,16 +365,20 @@ def _collector_paused(parse):
     return paused
 
 
+def _decode(document: Any, what: str) -> Any:
+    """``document`` decoded if it is JSON text, else as given; ``ModelError`` names ``what``."""
+    if not isinstance(document, str):
+        return document
+    try:
+        return json.loads(document)
+    except json.JSONDecodeError as exc:
+        raise ModelError(f"{what} is not valid JSON: {exc}") from exc
+
+
 @_collector_paused
 def parse_mmdp(document: str | Mapping[str, Any]) -> Mmdp:
     """Parse and validate a model document; raise ModelError with the offending path."""
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"document is not valid JSON: {exc}") from exc
-    else:
-        doc = document
+    doc = _decode(document, "document")
     if not isinstance(doc, Mapping):
         raise ModelError("document: expected a JSON object")
 
@@ -557,8 +566,6 @@ def _expect(doc: Mapping, key: str, typ: type, typename: str, prefix: str = "") 
     if key not in doc:
         raise ModelError(f"{path}: missing required field")
     value = doc[key]
-    if typ is str and isinstance(value, bool):
-        raise ModelError(f"{path}: expected a {typename}")
     if not isinstance(value, typ):
         raise ModelError(f"{path}: expected a {typename}")
     return value

@@ -8,14 +8,13 @@ semantics live in :mod:`mdpdetect.simulate`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 from .errors import ModelError
 from .graphs import Mec
-from .models import Mmdp, _array, _collector_paused, _json, _object, actions_at
+from .models import Mmdp, _array, _collector_paused, _decode, _json, _object, actions_at
 
 ActiveSet = tuple[int, ...]  # sorted 1-based model indices
 
@@ -176,13 +175,7 @@ def policy_to_json(policy: DetectionPolicy) -> str:
 @_collector_paused
 def parse_policy(document: str | Mapping[str, Any]) -> DetectionPolicy:
     """Parse and check a policy document; raise ModelError with the offending path."""
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"policy document is not valid JSON: {exc}") from exc
-    else:
-        doc = document
+    doc = _decode(document, "policy document")
     if not isinstance(doc, Mapping) or not isinstance(doc.get("entries"), list):
         raise ModelError("policy document: expected {'entries': [...]}")
     entries: dict[tuple[ActiveSet, str], PolicyEntry] = {}

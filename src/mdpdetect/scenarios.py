@@ -9,12 +9,10 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import MISSING, dataclass, field, fields
-from functools import reduce
-from operator import add  # reduce(add, xs, 0) sums as sum() did before 3.12 compensated floats
 from typing import Any, Mapping, Sequence
 
 from .errors import ModelError
-from .models import Mdp, Mmdp
+from .models import Mdp, Mmdp, _decode, _left_sum
 
 Cell = tuple[int, int]
 
@@ -72,7 +70,7 @@ def gen_grid(spec: GridSpec) -> Mmdp:
         ns = neighbors(c)
         d = region_distance(c)
         weights = [2.0 if region_distance(n) < d else 1.0 for n in ns]
-        total = reduce(add, weights, 0)
+        total = _left_sum(weights)
         return {cell_id(n): w / total for n, w in zip(ns, weights)}
 
     def region_row(c: Cell, stay: float, leave: float) -> dict[str, float]:
@@ -300,7 +298,7 @@ def gen_recsys(spec: RecSysSpec) -> Mmdp:
         row = {it: mass * scale for it, mass in p.items() if it != rec}
         row[rec] = target
         row = {it: m for it, m in row.items() if m > 0.0}
-        total = reduce(add, row.values(), 0)
+        total = _left_sum(row.values())
         return {it: m / total for it, m in row.items()}
 
     boost_table = [{a: boosted(k, a) for a in items} for k in range(spec.type_count)]
@@ -321,7 +319,7 @@ def gen_recsys(spec: RecSysSpec) -> Mmdp:
                             "choose a smaller alpha"
                         )
                     item_row = {it: m for it, m in item_row.items() if it != lowest}
-                    total = reduce(add, item_row.values(), 0)
+                    total = _left_sum(item_row.values())
                     item_row = {it: m / total for it, m in item_row.items()}
                 kernel[(s, a)] = {
                     state_of[next_history(h, it)]: m for it, m in item_row.items()
@@ -352,7 +350,9 @@ def _spec_from_json(cls: type, doc: str | Mapping[str, Any], spec: str) -> Any:
     one takes the dataclass default. ``ModelError`` names ``spec`` and the
     field, also for a field ``cls`` does not have.
     """
-    data = _load(doc)
+    data = _decode(doc, "spec")
+    if not isinstance(data, Mapping):
+        raise ModelError("spec: expected a JSON object")
     known = {f.name for f in fields(cls)}
     for name in data:
         if name not in known:
@@ -364,17 +364,6 @@ def _spec_from_json(cls: type, doc: str | Mapping[str, Any], spec: str) -> Any:
         elif f.default is MISSING:
             raise ModelError(f"{spec}: missing required field {f.name!r}")
     return cls(**values)
-
-
-def _load(doc: str | Mapping[str, Any]) -> Mapping[str, Any]:
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"spec is not valid JSON: {exc}") from exc
-    if not isinstance(doc, Mapping):
-        raise ModelError("spec: expected a JSON object")
-    return doc
 
 
 def _int(raw: Any, path: str) -> int:

@@ -25,23 +25,19 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from functools import reduce
-from operator import add  # reduce(add, xs, 0) sums as sum() did before 3.12 compensated floats
 from typing import Sequence
 
 import numpy as np
 
-from .analysis import _MAX_STEPS, _THRESHOLD, _UNDETECTABLE, _check_priors, _compiled, _segments
+from .analysis import STOP_REASONS, _MAX_STEPS, _THRESHOLD, _UNDETECTABLE, _check_priors, _compiled, _segments
 from .errors import ContractError, ImpossibleObservationError, ModelError
-from .models import Mmdp
+from .models import Mmdp, _left_sum
 from .policy import DetectionPolicy, active_set
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 64  # uniforms a lockstep trial draws from its stream at a time at least (a multiple of 4)
 _WIDE = 4096  # counters a block covers at least, when few trials are live
 _CHUNK = 8192  # counters of one Philox pass at most, which keeps its temporaries in cache
-# indexed by the stop codes of the lockstep kernel
-STOP_REASONS = ("threshold", "max_steps", "undetectable")
 
 
 @dataclass(frozen=True)
@@ -54,7 +50,7 @@ class BeliefState:
         problems = []
         if any(p < 0.0 for p in self.probs):
             problems.append("negative posterior entry")
-        total = reduce(add, self.probs, 0)
+        total = _left_sum(self.probs)
         if abs(total - 1.0) > 1e-9:
             problems.append(f"posteriors sum to {total!r}")
         return problems
@@ -85,7 +81,7 @@ def belief_update(b: BeliefState, s: str, a: str, s_next: str, mmdp: Mmdp) -> Be
     exact posterior of zero and can never re-enter the active set.
     """
     weighted = [p * m.prob(s, a, s_next) for p, m in zip(b.probs, mmdp.models)]
-    denom = reduce(add, weighted, 0)
+    denom = _left_sum(weighted)
     if denom <= 0.0:
         raise ImpossibleObservationError(
             f"transition ({s}, {a}, {s_next}) is impossible under the current belief support"

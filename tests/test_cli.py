@@ -19,6 +19,7 @@ from mdpdetect.cli import main
 from mdpdetect.errors import ContractError, ModelError
 from mdpdetect.models import Mmdp, fresh_name, mmdp_to_json, serialize_mmdp
 from mdpdetect.policy import active_set, parse_policy, policy_to_json, stationary_uniform_policy
+from mdpdetect.scenarios import RecSysSpec, gen_recsys, recsys_profile
 from mdpdetect.simulate import simulate
 
 from conftest import (
@@ -88,7 +89,8 @@ def test_missing_file_is_usage_error(capsys):
 
 @pytest.mark.parametrize("flag", ["--out", "--diagnostics"])
 def test_unwritable_output_is_usage_error(model_file, tmp_path, flag, capsys):
-    """An output path in a missing directory exits 1 with one line, not a traceback."""
+    """An output path in a missing directory exits 1 with one line, not a
+    traceback, and leaves neither output file behind."""
     paths = {"--out": str(tmp_path / "p.json"), "--diagnostics": str(tmp_path / "d.json")}
     paths[flag] = str(tmp_path / "missing" / "out.json")
     args = ["synthesize", model_file, "--initial", "2"]
@@ -96,6 +98,7 @@ def test_unwritable_output_is_usage_error(model_file, tmp_path, flag, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: cannot write {paths[flag]}: ")
     assert err.count("\n") == 1
+    assert not any(map(os.path.exists, paths.values()))
 
 
 def test_bad_arguments_are_usage_errors(capsys):
@@ -750,3 +753,108 @@ def test_the_cli_calls_wrappers_installed_before_its_first_command(tmp_path):
         [sys.executable, "-c", _WRAPPED_FROM_OUTSIDE, *paths], env=env, capture_output=True, text=True
     )
     assert run.returncode == 0, run.stderr
+
+
+# ---------------------------------------------------------------------------
+# Refusals of outside input: each exits with its code and one stderr line,
+# and leaves no output file.
+# ---------------------------------------------------------------------------
+
+_NOT_JSON = "{not json"
+_NOT_JSON_ERROR = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+
+
+def _refused(tmp_path, capsys, argv, code, line):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, line", [
+    (_NOT_JSON, f"document is not valid JSON: {_NOT_JSON_ERROR}"),
+    ("[1, 2]", "document: expected a JSON object"),
+])
+def test_a_model_document_that_is_no_json_object_is_refused(tmp_path, capsys, text, line):
+    model = tmp_path / "m.json"
+    model.write_text(text)
+    _refused(tmp_path, capsys, ["synthesize", str(model)], 2, f"invalid input: {line}")
+
+
+@pytest.mark.parametrize("text, line", [
+    (_NOT_JSON, f"policy document is not valid JSON: {_NOT_JSON_ERROR}"),
+    (json.dumps({"entries": [3]}), "entries[0]: expected an object"),
+    (_fork_policy(mecs=[["s0"]]), "entries[0].mecs[0].states: expected state -> nonempty action list"),
+])
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_a_malformed_policy_document_is_refused(tmp_path, capsys, text, line, command):
+    model, policy = tmp_path / "m.json", tmp_path / "p.json"
+    model.write_text(mmdp_to_json(_fork_mmdp()))
+    policy.write_text(text)
+    name, *options = _COMMANDS[command]
+    _refused(tmp_path, capsys, [name, str(model), str(policy), *options], 2, f"invalid input: {line}")
+
+
+@pytest.mark.parametrize("kind", ["grid", "recsys"])
+@pytest.mark.parametrize("text, line", [
+    (_NOT_JSON, f"spec is not valid JSON: {_NOT_JSON_ERROR}"),
+    ("[1, 2]", "spec: expected a JSON object"),
+])
+def test_a_spec_document_that_is_no_json_object_is_refused(tmp_path, capsys, kind, text, line):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    _refused(tmp_path, capsys, ["gen", kind, str(spec)], 2, f"invalid input: {line}")
+
+
+@pytest.mark.parametrize("spec, line", [
+    ({**_GRID, "width": 0}, "grid dimensions must be positive"),
+    ({**_GRID, "obstacles": [[5, 1]]}, "obstacles cell (5, 1) outside the 3x3 grid"),
+    ({**_GRID, "p_stay": 0.7, "p_leave": 0.4}, "p_stay + p_leave exceeds 1"),
+    ({**_GRID, "p_stay_active": 0.7, "p_leave_active": 0.4}, "p_stay_active + p_leave_active exceeds 1"),
+    ({**_GRID, "obstacles": [[1, 0], [0, 1]]}, "degenerate spec: free cell (0, 0) has no free neighbor"),
+])
+def test_a_degenerate_grid_spec_is_refused(tmp_path, capsys, spec, line):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    _refused(tmp_path, capsys, ["gen", "grid", str(path)], 2, f"invalid input: {line}")
+
+
+def test_a_degenerate_recsys_spec_is_refused(tmp_path, capsys):
+    base = {"item_count": 3, "type_count": 2, "seed": 0}
+    bound = recsys_profile(RecSysSpec(**base)).alpha_bound
+    path = tmp_path / "spec.json"
+    for spec, line in (
+        ({**base, "type_count": 1}, "need at least 2 customer types"),
+        ({**base, "alpha": bound},
+         "alpha at its upper bound collapses the revealing row; choose a smaller alpha"),
+    ):
+        path.write_text(json.dumps(spec))
+        _refused(tmp_path, capsys, ["gen", "recsys", str(path)], 2, f"invalid input: {line}")
+
+
+@pytest.mark.parametrize("flags, line", [
+    (["--pair", "1"], "--pair must look like 'i,j', got '1'"),
+    (["--pair", "1,x"], "--pair must look like 'i,j', got '1,x'"),
+    (["--pair", "2,2"], "--pair needs two distinct model indices"),
+    (["--bounds", "0.5,0.5"], "--bounds must look like 'q1,..,qN:theta1,..,thetaN'"),
+    (["--bounds", "a,b:c,d"], "--bounds contains a non-number: 'a,b:c,d'"),
+    (["--bounds", "0.5:0.5,0.5"], "--bounds needs 2 entries on each side"),
+])
+def test_malformed_bc_flags_are_usage_errors(tmp_path, capsys, flags, line):
+    model, policy = tmp_path / "m.json", tmp_path / "p.json"
+    model.write_text(mmdp_to_json(_fork_mmdp()))
+    policy.write_text(_fork_policy(reach={"s0": "a"}))
+    # one step covered by the reach action: the curves exist, so only the flags fail
+    argv = ["bc", str(model), str(policy), "--horizon", "1", *flags]
+    _refused(tmp_path, capsys, argv, 1, f"usage error: {line}")
+
+
+@pytest.mark.parametrize("field", ["distinct_rankings", "revealing_rows"])
+@pytest.mark.parametrize("value", [True, False])
+def test_a_recsys_spec_may_set_its_boolean_fields(tmp_path, field, value):
+    spec = {"item_count": 3, "type_count": 2, "seed": 4, field: value}
+    path, out = tmp_path / "spec.json", tmp_path / "m.json"
+    path.write_text(json.dumps(spec))
+    assert main(["gen", "recsys", str(path), "--out", str(out)]) == 0
+    assert out.read_text() == mmdp_to_json(gen_recsys(RecSysSpec(**spec)))

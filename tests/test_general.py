@@ -1,5 +1,6 @@
 """Multi-model synthesis: pairwise sets, the shared-structure base case, BFS + recursion."""
 
+import json
 from collections import Counter
 from unittest import mock
 
@@ -643,3 +644,63 @@ def test_general_runs_no_witness_walk():
         assert len(undetectable) >= 10
         assert "witness_noninformative_mecs" in bi_apd(example1_mmdp(initial="1")).diagnostics
         assert walk.call_count == 1
+
+
+# State names that the detection terminals of a pair (bot1, bot2) and of a
+# general level (botg0, botg1) would take, and names in the same sort order
+# that collide with none of them.
+_COLLIDING = ("bot1", "bot1_", "bot2", "botg0", "botg1")
+_CLEAR = ("c1", "c1_", "c2", "cg0", "cg1")
+
+
+def _named(mmdp, names):
+    """``mmdp`` with state ``s<i>`` renamed ``names[i]`` for each i below ``len(names)``."""
+    return renamed(mmdp, lambda s: names[int(s[1:])] if int(s[1:]) < len(names) else s, str)
+
+
+def _colliding_policy(text):
+    """A policy file of the ``_CLEAR`` states with the ``_COLLIDING`` names instead."""
+    rename = dict(zip(_CLEAR, _COLLIDING))
+
+    def state(s):
+        return rename.get(s, s)
+
+    doc = json.loads(text)
+    for entry in doc["entries"]:
+        entry["entry_state"] = state(entry["entry_state"])
+        entry["reach"] = {state(s): a for s, a in entry["reach"].items()}
+        for mec in entry["mecs"]:
+            mec["states"] = {state(s): acts for s, acts in mec["states"].items()}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_terminals_take_names_no_state_has():
+    """States that bear the names the terminals would take give the same
+    answer and the same policy file, up to renaming, as states named in the
+    same order that collide with nothing; no terminal of the diagnostics takes
+    a state's name."""
+    cases = collided = 0
+    for seed in range(160):
+        rng = rng_for(4200 + seed)
+        n_models, n_states = 2 + seed % 3, 3 + seed % 5
+        kind = seed % 3
+        if kind == 0:
+            mmdp = random_binary_mmdp(rng, n_states=n_states)
+        elif kind == 1:
+            mmdp = random_multi_mmdp(rng, n_models=n_models, n_states=n_states)
+        else:
+            mmdp = random_sparse_cut_mmdp(rng, n_models=n_models, n_states=n_states)
+        colliding, clear = _named(mmdp, _COLLIDING), _named(mmdp, _CLEAR)
+        for k, s in enumerate(mmdp.states):
+            got = general_apd(colliding, initial=colliding.states[k])
+            want = general_apd(clear, initial=clear.states[k])
+            assert got.exists == want.exists, (seed, s)
+            if got.exists:
+                assert policy_to_json(got.policy) == _colliding_policy(policy_to_json(want.policy)), (seed, s)
+            terminals = {
+                t for mec in got.diagnostics["mecs"] for t, acts in mec.items() if acts == [f"a_{t}"]
+            }
+            assert len(terminals) == 2 and terminals.isdisjoint(colliding.states), (seed, s, terminals)
+            collided += any(t.endswith("_") for t in terminals)
+            cases += 1
+    assert cases == 800 and collided >= 700, (cases, collided)
