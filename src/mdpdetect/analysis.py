@@ -430,9 +430,10 @@ def _compiled(mmdp: Mmdp, policy: DetectionPolicy) -> _CompiledController:
     """The controller table of ``policy`` on ``mmdp``, which bc and the lockstep kernel read.
 
     The table kept on ``mmdp`` when it was compiled for this very policy
-    object; otherwise one is compiled and kept in its place. Raises
-    ``ContractError`` when the policy has no entry for the initial
-    configuration.
+    object; otherwise one is compiled and kept in its place. The one check
+    of the start, for bc and the lockstep kernel alike: raises
+    ``ContractError("policy has no entry for the initial configuration
+    <key>")`` when the policy has no entry for it.
     """
     # one read of the slot: another thread may replace its pair at any time
     held = mmdp._controller[0] if mmdp._controller else None
@@ -441,7 +442,7 @@ def _compiled(mmdp: Mmdp, policy: DetectionPolicy) -> _CompiledController:
     key = (active_set(range(1, mmdp.n + 1)), mmdp.initial)
     entry = policy.entries.get(key)
     if entry is None:
-        raise ContractError(f"policy has no entry for {key}")
+        raise ContractError(f"policy has no entry for the initial configuration {key}")
     table = _CompiledController(mmdp, policy, (key, entry.committed_mec(key[1]), key[1]))
     mmdp._controller[:] = [(policy, table)]
     return table
@@ -499,21 +500,18 @@ class _CompiledController:
             count.append(len(moves))
             cdf = 0.0
             for a, p, (row_lo, row_size, row_last), keys in moves:
-                here = [index.get(key, -1) for key in keys]
-                if -1 in here:  # new targets or successors no model allows
-                    for j, key in enumerate(keys):
-                        if here[j] < 0 and key is not None:
-                            here[j] = t = index.setdefault(key, len(augs))
-                            if t == len(augs):
-                                augs.append(key)
-                                errors.append(None if key[0] in policy.entries
-                                              else ContractError(f"policy has no entry for {key[0]}"))
+                for key in keys:
+                    if key not in index and key is not None:
+                        index[key] = len(augs)
+                        augs.append(key)
+                        errors.append(None if key[0] in policy.entries
+                                      else ContractError(f"policy has no entry for {key[0]}"))
                 cdf += p
                 act_cdf.append(cdf)
                 lo.append(row_lo)
                 size.append(row_size)
                 last.append(row_last)
-                target += here
+                target += [index.get(key, -1) for key in keys]  # -1: no model allows it
                 actions.append(a)
         self.augs, self.errors, self.actions = tuple(augs), tuple(errors), tuple(actions)
         self.count = np.array(count, np.intp)

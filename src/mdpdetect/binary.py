@@ -306,7 +306,8 @@ def _pair_decision(
 ) -> _Decision:
     """The decision of the model pair ``active``, looked up in ``decisions`` and stored there on a miss.
 
-    ``frame`` is :func:`_pair_frame` of the models' support rows and
+    ``frame`` is a :func:`_terminal_frame` of the models' support rows
+    (:func:`_pair_frame` where a report names the terminals) and
     ``informative`` the bitset of the pair's informative rows on its original kernels.
     The decision does not depend on the initial state, so one pass over a
     model pair serves every initial state.

@@ -28,7 +28,6 @@ from .binary import (
     _decide,
     _Decision,
     _pair_decision,
-    _pair_frame,
     _terminal_frame,
     bi_apd,
     classify_pairs,
@@ -99,7 +98,7 @@ class _Context:
 
     def informative_rows(self, i: int, j: int) -> int:
         """The rows informative for the (i, j) pair: one classification per pair, shared
-        by the level tests and the binary pipeline, whose frames number the model rows alike."""
+        by the level tests and the binary pipeline, which both read the rows of ``frame``."""
         key = active_set((i, j))
         cached = self.informative.get(key)
         if cached is None:
@@ -114,18 +113,15 @@ class _Context:
 
     @cached_property
     def frame(self) -> SupportGraph:
-        """The states and rows of every level, with no successors yet.
+        """The states and rows of every level and every model pair's graph, with no successors yet.
 
         The models' states and rows come first; then the terminal states
         "subdetection fails" (bit n) and "succeeds" (bit n + 1), each with one
-        self-loop action.
+        self-loop action. A pair's graph puts its own two terminals at those
+        bits and rows; a pair below the root reports nothing and its entry
+        drops the terminals, so their names never reach an output.
         """
         return _terminal_frame(self.mmdp.rows, ("botg0", "botg1"))
-
-    @cached_property
-    def pair_frame(self) -> SupportGraph:
-        """The states and rows of every model pair's graph, shared by all pairs."""
-        return _pair_frame(self.mmdp.rows)
 
     @cached_property
     def plain(self) -> tuple[list[int], list[_Step | None]]:
@@ -179,7 +175,7 @@ def _solve(
         ctx.misses += 1
     if len(active) == 2:
         exists, entry = _binary_synthesis(
-            ctx.mmdp, ctx.pair_frame, initial, active, ctx.key_decisions(), ctx.informative_rows(*active)
+            ctx.mmdp, ctx.frame, initial, active, ctx.key_decisions(), ctx.informative_rows(*active)
         )
         # a pair below the root reports nothing
         result = (exists, {(active, initial): entry} if exists else {}, {})
@@ -193,7 +189,7 @@ def _solve(
 def _decision(ctx: _Context, decisions: dict[ActiveSet, _Decision], active: ActiveSet) -> _Decision:
     """The decision of ``active`` over every state: a pair's, or a level's."""
     if len(active) == 2:
-        return _pair_decision(ctx.mmdp, ctx.pair_frame, active, decisions, ctx.informative_rows(*active))
+        return _pair_decision(ctx.mmdp, ctx.frame, active, decisions, ctx.informative_rows(*active))
     level = decisions.get(active)
     if level is None:
         level = decisions[active] = _level(ctx, decisions, active)

@@ -3,7 +3,8 @@
 A policy is a table keyed by (active set, entry state). Each entry carries a
 deterministic reach table and the informative end components found at that
 level, in which it randomizes uniformly (:meth:`Mec.distribution`). Execution
-semantics live in :mod:`mdpdetect.simulate`.
+semantics live in ``analysis._expand_aug`` and ``analysis._CompiledController``,
+which :mod:`mdpdetect.simulate` and ``pairwise_bc_curve`` both read.
 """
 
 from __future__ import annotations

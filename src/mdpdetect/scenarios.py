@@ -49,19 +49,33 @@ def cell_id(cell: Cell) -> str:
 def gen_grid(spec: GridSpec) -> Mmdp:
     """Two-model MMDP (normal, intruder) over the free cells of the grid."""
     _validate_grid(spec)
-    free = [
+    # built column by column: a degenerate spec names the first isolated cell
+    # in this set's iteration order
+    free_set = {
         (x, y)
-        for y in range(spec.height)
         for x in range(spec.width)
+        for y in range(spec.height)
         if (x, y) not in spec.obstacles
-    ]
-    free_set = set(free)
-    goal = set(spec.goal_region) & free_set
+    }
+    goal = spec.goal_region  # in bounds and free, as validated
 
     def neighbors(c: Cell) -> list[Cell]:
         x, y = c
-        cand = [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
-        return [n for n in cand if n in free_set]
+        return [n for n in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)) if n in free_set]
+
+    for c in free_set:
+        if not neighbors(c):
+            raise ModelError(f"degenerate spec: free cell {c} has no free neighbor")
+    seen = {spec.initial}
+    frontier = deque([spec.initial])
+    while frontier:
+        for n in neighbors(frontier.popleft()):
+            if n not in seen:
+                seen.add(n)
+                frontier.append(n)
+    if not seen & goal:
+        raise ModelError("degenerate spec: goal region unreachable from the initial cell")
+    free = sorted(free_set, key=lambda c: (c[1], c[0]))  # the states, row by row
 
     def region_distance(c: Cell) -> int:
         return min(abs(c[0] - g[0]) + abs(c[1] - g[1]) for g in goal)
@@ -129,8 +143,7 @@ def _validate_grid(spec: GridSpec) -> None:
                 raise ModelError(f"{name} cell {c} outside the {spec.width}x{spec.height} grid")
     if spec.obstacles & spec.goal_region:
         raise ModelError("goal region and obstacles must be disjoint")
-    goal = set(spec.goal_region) - set(spec.obstacles)
-    if not goal:
+    if not spec.goal_region:
         raise ModelError("degenerate spec: empty goal region")
     for p in (spec.p_stay, spec.p_leave, spec.p_stay_active, spec.p_leave_active):
         if not 0.0 <= p <= 1.0:
@@ -141,31 +154,6 @@ def _validate_grid(spec: GridSpec) -> None:
         raise ModelError("p_stay_active + p_leave_active exceeds 1")
     if not in_bounds(spec.initial) or spec.initial in spec.obstacles:
         raise ModelError(f"initial cell {spec.initial} must be a free in-bounds cell")
-
-    free = {
-        (x, y)
-        for x in range(spec.width)
-        for y in range(spec.height)
-        if (x, y) not in spec.obstacles
-    }
-
-    def neighbors(c: Cell) -> list[Cell]:
-        x, y = c
-        return [n for n in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)) if n in free]
-
-    for c in free:
-        if not neighbors(c):
-            raise ModelError(f"degenerate spec: free cell {c} has no free neighbor")
-    seen = {spec.initial}
-    frontier = deque([spec.initial])
-    while frontier:
-        c = frontier.popleft()
-        for n in neighbors(c):
-            if n not in seen:
-                seen.add(n)
-                frontier.append(n)
-    if not seen & goal:
-        raise ModelError("degenerate spec: goal region unreachable from the initial cell")
 
 
 @dataclass(frozen=True)

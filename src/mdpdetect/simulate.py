@@ -32,7 +32,7 @@ import numpy as np
 from .analysis import STOP_REASONS, _MAX_STEPS, _THRESHOLD, _UNDETECTABLE, _check_priors, _compiled, _segments
 from .errors import ContractError, ImpossibleObservationError, ModelError
 from .models import Mmdp, _left_sum
-from .policy import DetectionPolicy, active_set
+from .policy import DetectionPolicy
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 64  # uniforms a lockstep trial draws from its stream at a time at least (a multiple of 4)
@@ -296,15 +296,12 @@ def _lockstep(
     truth has no row for, is raised after every trial with a smaller index
     has finished, as a trial-by-trial run would raise it.
 
-    The moves come from the controller table of ``analysis._compiled``. A
-    step searches the action slots only when some live trial has a choice
-    between two or more; the action's uniform is drawn either way.
+    The moves come from the controller table of ``analysis._compiled``, which
+    alone checks that the policy has an entry for the start (its
+    ``ContractError`` is raised before any trial plays). A step searches the
+    action slots only when some live trial has a choice between two or more;
+    the action's uniform is drawn either way.
     """
-    full = active_set(range(1, mmdp.n + 1))
-    if policy.entry(full, mmdp.initial) is None:
-        raise ContractError(
-            f"policy has no entry for the initial configuration ({full}, {mmdp.initial!r})"
-        )
     table = _compiled(mmdp, policy)
     rows = mmdp.rows
     trials = len(truth)

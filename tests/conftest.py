@@ -16,7 +16,7 @@ import pytest
 from hypothesis import settings
 
 from mdpdetect import general
-from mdpdetect.analysis import BcCurve, _pair_edges
+from mdpdetect.analysis import BcCurve, _compiled, _pair_edges
 from mdpdetect.binary import (
     INFORMATIVE,
     NEUTRAL,
@@ -451,6 +451,72 @@ def oracle_mecs(ts: TransitionSystem):
         if not dominated:
             maximal.append((states_a, {s: acts_a[s] for s in states_a}))
     return sorted(maximal, key=lambda c: sorted(c[0]))
+
+
+def oracle_map_error(mmdp, policy, t, q, theta, cap=6):
+    """The exact MAP error after ``t`` steps, by enumerating every history of length at most ``t``.
+
+    Histories run on the controller table of ``_compiled``: each slot is
+    played with probability ``1 / count`` (the value ``_pair_edges`` uses),
+    each model's probability of the history is carried from ``rows.lik``, and
+    the beliefs start at ``q`` and are updated with the lockstep kernel's
+    arithmetic (``b * lik``, a denominator summed model by model, then a
+    division). A history stops at a state with ``count == 0``. The error sums
+    ``theta[k] * P_k(h)`` over every model ``k`` that the MAP rule (the first
+    maximum) does not pick. Refuses horizons above ``cap``.
+    """
+    if t > cap:
+        raise HorizonCapError(f"horizon {t} exceeds the enumeration cap {cap}")
+    table, lik = _compiled(mmdp, policy), mmdp.rows.lik
+    error = 0.0
+    stack = [(0, np.ones(mmdp.n), np.asarray(q, float), t)]
+    while stack:
+        k, prob, b, left = stack.pop()
+        count = int(table.count[k])
+        if left == 0 or count == 0:
+            pick = int(np.argmax(b))
+            error += sum(theta[m] * prob[m] for m in range(mmdp.n) if m != pick)
+            continue
+        for g in range(table.first[k], table.first[k] + count):
+            for j in range(table.size[g]):
+                row = lik[table.lo[g] + j]
+                weighted = b * row
+                denom = weighted[0]
+                for m in range(1, mmdp.n):
+                    denom += weighted[m]
+                if denom > 0.0:  # else no model with a positive belief allows the entry
+                    stack.append((int(table.target[table.tlo[g] + j]), prob * row / count, weighted / denom, left - 1))
+    return error
+
+
+def binomial_limit(p: float, n: int, delta: float, upper: bool) -> float:
+    """Chernoff limit for a mean of n Bernoulli(p) draws (a copy of ``bench/checks.py``'s).
+
+    Returns x with P(mean >= x) <= delta (upper) or P(mean <= x) <= delta
+    (lower), from P <= exp(-n KL(x || p)).
+    """
+    target = math.log(1.0 / delta) / n
+    if upper:
+        if p >= 1.0 or _kl(1.0, p) < target:
+            return 1.0
+        lo, hi = p, 1.0
+    else:
+        if p <= 0.0 or _kl(0.0, p) < target:
+            return 0.0
+        lo, hi = 0.0, p
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (_kl(mid, p) < target) == upper:
+            lo = mid
+        else:
+            hi = mid
+    return hi if upper else lo
+
+
+def _kl(x: float, p: float) -> float:
+    def term(a: float, b: float) -> float:
+        return 0.0 if a == 0.0 else a * math.log(a / b)
+    return term(x, p) + term(1.0 - x, 1.0 - p)
 
 
 def _strongly_connected(subset, acts, succ):
@@ -1024,6 +1090,8 @@ def reference_pairwise_bc_curve(mmdp, policy, horizon, pairs=None, cap=None):
             (i, j) for i in range(1, mmdp.n + 1) for j in range(i + 1, mmdp.n + 1)
         ]
     full = active_set(range(1, mmdp.n + 1))
+    if (full, mmdp.initial) not in policy.entries:  # the start text of the compile
+        raise ContractError(f"policy has no entry for the initial configuration {(full, mmdp.initial)}")
     start = _reference_canonical_aug(policy, (full, mmdp.initial), None, mmdp.initial)
     curves = {}
     for (i, j) in pairs:
@@ -1530,6 +1598,8 @@ class ReferenceSamplingRows:
 def reference_compile_start(policy, mmdp):
     """The start state of the frozen compile, or the ``ContractError`` of its lookup."""
     full = active_set(range(1, mmdp.n + 1))
+    if (full, mmdp.initial) not in policy.entries:  # the start text of the compile
+        raise ContractError(f"policy has no entry for the initial configuration {(full, mmdp.initial)}")
     return _frozen_canonical_aug(policy, (full, mmdp.initial), None, mmdp.initial)
 
 

@@ -38,10 +38,12 @@ from mdpdetect.policy import (
 from mdpdetect.simulate import batch_summary, monte_carlo_error, simulate
 
 from conftest import (
+    binomial_limit,
     example1_mmdp,
     frozen_pair_curves,
     identical_mmdp,
     mk_mdp,
+    oracle_map_error,
     random_binary_mmdp,
     random_detectable_binary,
     random_multi_mmdp,
@@ -458,7 +460,7 @@ def test_compile_without_an_entry_for_the_start():
     mmdp = identical_mmdp()
     policy = DetectionPolicy(entries={})
     error = _assert_compile_matches_frozen(mmdp, policy)
-    assert str(error) == "policy has no entry for ((1, 2), 'x')"
+    assert str(error) == "policy has no entry for the initial configuration ((1, 2), 'x')"
 
 
 @settings(max_examples=240)
@@ -723,3 +725,72 @@ def test_a_component_state_without_actions_plays_nothing(actions):
     policy = DetectionPolicy(entries={((1, 2), "x"): entry})
     with pytest.raises(ContractError, match=r"plays nothing at 'x' in its component 0"):
         _expand_aug(mmdp, policy, (((1, 2), "x"), 0, "x"))
+
+
+_MAP_TRIALS = 2000
+
+
+def _map_error_case(seed, kind, n_models, random_priors):
+    """A random instance of ``kind`` with ``n_models`` models (2 for a binary one) and priors ``(q, theta)``."""
+    rng = rng_for(seed)
+    n_states = int(rng.integers(3, 6))
+    if kind == "binary":
+        mmdp = random_binary_mmdp(rng, n_states=n_states)
+    else:
+        make = random_sparse_cut_mmdp if kind == "sparse" else random_multi_mmdp
+        mmdp = make(rng, n_models=n_models, n_states=n_states)
+    priors = []
+    for _ in range(2):
+        w = rng.uniform(0.1, 1.0, size=mmdp.n) if random_priors else np.ones(mmdp.n)
+        priors.append(tuple((w / w.sum()).tolist()))
+    return mmdp, *priors
+
+
+def _assert_exact_error_between_bounds_and_monte_carlo(mmdp, policy, q, theta, seed):
+    """At t = 1..4 the exact MAP error lies (a) within the bounds of the bc curves and
+    (b) within the Chernoff limits, at a false-alarm rate of 1e-9, of Monte Carlo."""
+    curves = pairwise_bc_curve(mmdp, policy, 4)
+    for t in range(1, 5):
+        exact = oracle_map_error(mmdp, policy, t, q, theta)
+        b = np.zeros((mmdp.n, mmdp.n))
+        for (i, j), curve in curves.items():
+            b[i - 1, j - 1] = b[j - 1, i - 1] = curve.values[t]
+        bounds = error_bounds_multi(b, q, theta)
+        assert bounds.lower - 1e-12 <= exact <= bounds.upper + 1e-12, (t, exact, bounds)
+        estimate, _ = monte_carlo_error(mmdp, policy, t, _MAP_TRIALS, seed, q, theta)
+        if exact == 0.0:  # no history the policy plays leads the MAP rule astray
+            assert estimate == 0.0, t
+            continue
+        lo = binomial_limit(exact, _MAP_TRIALS, 1e-9, upper=False)
+        hi = binomial_limit(exact, _MAP_TRIALS, 1e-9, upper=True)
+        assert lo <= estimate <= hi, (t, exact, estimate)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["binary", "multi", "sparse"]),
+    n_models=st.integers(3, 5),
+    random_priors=st.booleans(),
+)
+def test_exact_map_error_of_synthesized_policies_meets_bc_bounds_and_monte_carlo(
+    seed, kind, n_models, random_priors
+):
+    mmdp, q, theta = _map_error_case(seed, kind, n_models, random_priors)
+    policy = general_apd(mmdp).policy
+    if policy is not None:
+        _assert_exact_error_between_bounds_and_monte_carlo(mmdp, policy, q, theta, seed)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), random_priors=st.booleans())
+def test_exact_map_error_of_the_uniform_baseline_meets_bc_bounds_and_monte_carlo(seed, random_priors):
+    """Binary instances only: bc of the baseline on three or more models stops at a missing entry."""
+    mmdp, q, theta = _map_error_case(seed, "binary", 2, random_priors)
+    _assert_exact_error_between_bounds_and_monte_carlo(mmdp, stationary_uniform_policy(mmdp), q, theta, seed)
+
+
+def test_exact_map_error_refuses_a_horizon_above_its_cap():
+    mmdp = sqrt_half_mmdp()
+    with pytest.raises(HorizonCapError):
+        oracle_map_error(mmdp, bi_apd(mmdp).policy, 3, (0.5, 0.5), (0.5, 0.5), cap=2)

@@ -18,9 +18,15 @@ from mdpdetect.analysis import pairwise_bc_curve
 from mdpdetect.cli import main
 from mdpdetect.errors import ContractError, ModelError
 from mdpdetect.models import Mmdp, fresh_name, mmdp_to_json, serialize_mmdp
-from mdpdetect.policy import active_set, parse_policy, policy_to_json, stationary_uniform_policy
+from mdpdetect.policy import (
+    DetectionPolicy,
+    active_set,
+    parse_policy,
+    policy_to_json,
+    stationary_uniform_policy,
+)
 from mdpdetect.scenarios import RecSysSpec, gen_recsys, recsys_profile
-from mdpdetect.simulate import simulate
+from mdpdetect.simulate import batch_summary, monte_carlo_curve, monte_carlo_error, simulate
 
 from conftest import (
     example1_mmdp,
@@ -213,6 +219,36 @@ def test_simulate_contract_breach_exit_4(tmp_path, model_file, capsys):
     )
     assert code == 4
     assert "initial configuration" in capsys.readouterr().err
+
+
+def test_every_run_refuses_a_policy_without_the_initial_entry_in_one_text(tmp_path, capsys):
+    """The compile alone checks the start, so the library and the CLI print one text."""
+    text = "policy has no entry for the initial configuration ((1, 2), 'x')"
+    mmdp, policy = identical_mmdp(), DetectionPolicy(entries={})
+    for run in (
+        lambda: simulate(mmdp, 1, policy, seed=0),
+        lambda: batch_summary(mmdp, policy, 10, seed=0),
+        lambda: monte_carlo_error(mmdp, policy, 3, 100, seed=0),
+        lambda: monte_carlo_curve(mmdp, policy, [1, 3], 100, seed=0),
+        lambda: pairwise_bc_curve(mmdp, policy, 3),
+    ):
+        with pytest.raises(ContractError) as raised:
+            run()
+        assert str(raised.value) == text
+    model_path, policy_path = tmp_path / "model.json", tmp_path / "empty.json"
+    model_path.write_text(mmdp_to_json(mmdp))
+    policy_path.write_text('{"entries": []}')
+    capsys.readouterr()
+    for i, extra in enumerate([
+        ["simulate", "--truth", "1", "--seed", "1"],
+        ["simulate", "--trials", "10", "--seed", "1"],
+        ["bc", "--horizon", "3"],
+    ]):
+        out = tmp_path / f"out{i}"
+        argv = [extra[0], str(model_path), str(policy_path), *extra[1:], "--out", str(out)]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == f"contract breach: {text}\n"
+        assert not out.exists()
 
 
 def test_bc_curve_and_bounds(tmp_path, model_file):

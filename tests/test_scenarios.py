@@ -117,6 +117,22 @@ def test_grid_degenerate_specs_rejected(spec, fragment):
         gen_grid(spec)
 
 
+@pytest.mark.parametrize(
+    "width, height, obstacles, cell",
+    [
+        (3, 3, [(1, 0), (0, 1), (1, 2), (2, 1)], (0, 0)),
+        (5, 3, [(1, 0), (0, 1), (3, 0), (4, 1), (2, 1), (2, 2)], (4, 0)),
+        (7, 7, [(1, 0), (0, 1), (6, 5), (5, 6), (3, 2), (2, 3), (4, 3), (3, 4)], (3, 3)),
+    ],
+)
+def test_grid_with_several_isolated_cells_names_the_same_one(width, height, obstacles, cell):
+    """Which isolated cell the message names is pinned, not just that one is named."""
+    spec = GridSpec(width=width, height=height, obstacles=frozenset(obstacles), goal_region=frozenset({(1, 1)}))
+    with pytest.raises(ModelError) as raised:
+        gen_grid(spec)
+    assert str(raised.value) == f"degenerate spec: free cell {cell} has no free neighbor"
+
+
 def test_recsys_paper_scale_state_count():
     mmdp = gen_recsys(RecSysSpec(item_count=10, type_count=6, seed=0))
     assert len(mmdp.states) == 111
