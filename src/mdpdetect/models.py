@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce, wraps
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, lt
 from typing import Any, Iterable, Mapping
 
@@ -460,37 +460,93 @@ def mmdp_to_json(mmdp: Mmdp) -> str:
 
     Byte for byte ``json.dumps(serialize_mmdp(mmdp), indent=2,
     sort_keys=True) + "\\n"``, written straight from the models; the oracle
-    test ``tests/test_models.py::test_writers_match_json_dumps`` holds it to
-    that.
+    tests in ``tests/test_models.py`` hold it to that. Each distinct piece
+    is rendered once per call: the fields before ``"p"`` and the successor
+    names of a (state, action) row once for all models, each probability
+    once for all entries that have it. The file is joined once from the
+    list of pieces.
     """
     base = mmdp.models[0]
     actions = {s: list(actions_at(base.actions, s)) for s in base.states}
-    return _object([
-        ("actions", _json(actions, "  ")),
-        ("initial", _json(base.initial, "  ")),
-        ("models", _array([_model_json(m) for m in mmdp.models], "  ")),
-        ("states", _json(list(base.states), "  ")),
-    ], "") + "\n"
+    parts = [
+        '{\n  "actions": ', _json(actions, "  "),
+        ',\n  "initial": ', _json(base.initial, "  "),
+        ',\n  "models": [\n    ',
+    ]
+    written: dict[tuple[str, str], tuple[str, list[str], list[str]]] = {}
+    masses = _Masses()
+    for m in mmdp.models:
+        _model_parts(m, parts, written, masses)
+        parts.append(",\n    ")
+    parts[-1] = "\n  ]"
+    parts += ',\n  "states": ', _json(list(base.states), "  "), "\n}\n"
+    return "".join(parts)
 
 
-def _model_json(m: Mdp) -> str:
-    """One item of the file's ``models`` array, at depth 2."""
-    # an entry of ``delta`` sits at depth 4 and its fields at depth 5; the
-    # fields before "p" are written once per row
+class _Masses(dict):
+    """The text of each probability of type ``float``, rendered on first use.
+
+    Only nonzero finite values are kept, as ``0.0 == -0.0`` would share a
+    key; ints, bools and float subclasses never reach this table, as
+    ``1 == 1.0 == True`` would too.
+    """
+
+    def __missing__(self, p: float) -> str:
+        text = _json(p, "")
+        if p and math.isfinite(p):
+            self[p] = text
+        return text
+
+
+_FLOAT = {float}
+_UNSEEN = (None, None, None)
+
+
+def _model_parts(m: Mdp, parts: list[str], written: dict, masses: _Masses) -> None:
+    """Append the pieces of one item of the file's ``models`` array, at depth 2.
+
+    ``written`` holds, for each (state, action) of string names, its entries'
+    text before ``"p"``, and the sorted successors of its last row with their
+    names; ``masses`` holds the text of each probability. Both are shared by
+    every model of one file.
+    """
+    # an entry of ``delta`` sits at depth 4 and its fields at depth 5
     pad = " " * 10
-    delta = []
+    mid = f',\n{pad}"to": '
+    sep = "\n        },\n        "
+    parts.append('{\n      "delta": [\n        ')
+    first = len(parts)
     for s in m.states:
-        source = _json(s, pad)
+        source = None
         for a in actions_at(m.actions, s):
-            head = f'{{\n{pad}"action": {_json(a, pad)},\n{pad}"from": {source},\n{pad}"p": '
             row = m.row(s, a)
-            for t in sorted(row):
-                # a finite float and a string name inline, anything else through _json
-                p = row[t]
-                prob = float.__repr__(p) if type(p) is float and math.isfinite(p) else _json(p, pad)
-                succ = _string(t) if type(t) is str else _json(t, pad)
-                delta.append(f'{head}{prob},\n{pad}"to": {succ}\n        }}')
-    return _object([("delta", _array(delta, " " * 6)), ("name", _json(m.name, " " * 6))], " " * 4)
+            if not row:
+                continue
+            succs = sorted(row)
+            key = (s, a) if type(s) is str and type(a) is str else None
+            head, known, names = written.get(key, _UNSEEN)
+            if head is None:
+                if source is None:
+                    source = _json(s, pad)
+                head = f'{{\n{pad}"action": {_json(a, pad)},\n{pad}"from": {source},\n{pad}"p": '
+            if known != succs:
+                try:
+                    names = list(map(_string, succs))
+                except TypeError:  # a name that is not a string
+                    names, key = [_json(t, pad) for t in succs], None
+                if key is not None:
+                    written[key] = head, succs, names
+            probs = list(map(row.__getitem__, succs))
+            if set(map(type, probs)) == _FLOAT:
+                texts = map(masses.__getitem__, probs)
+            else:
+                texts = [_json(p, pad) for p in probs]
+            parts += chain.from_iterable(zip(repeat(head), texts, repeat(mid), names, repeat(sep)))
+    if len(parts) == first:
+        parts[-1] = '{\n      "delta": []'
+    else:
+        parts[-1] = "\n        }\n      ]"
+    parts += ',\n      "name": ', _json(m.name, " " * 6), "\n    }"
 
 
 # ---------------------------------------------------------------------------

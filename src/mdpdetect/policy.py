@@ -15,7 +15,7 @@ from typing import Any, Iterable, Mapping
 
 from .errors import ModelError
 from .graphs import Mec
-from .models import Mmdp, _array, _collector_paused, _decode, _json, _object, actions_at
+from .models import Mmdp, _collector_paused, _decode, _json, _object, actions_at
 
 ActiveSet = tuple[int, ...]  # sorted 1-based model indices
 
@@ -144,33 +144,53 @@ def policy_to_json(policy: DetectionPolicy) -> str:
     Byte for byte ``json.dumps(serialize_policy(policy), indent=2,
     sort_keys=True) + "\\n"``, written straight from the entries and their
     components by the JSON helpers of :mod:`mdpdetect.models`; the oracle
-    test ``tests/test_models.py::test_writers_match_json_dumps`` holds it to
-    that.
+    tests in ``tests/test_models.py`` hold it to that. Each component is
+    written once however many entries list it, and the file is joined once
+    from the list of pieces.
     """
-    # An entry sits at depth 2, its fields at depth 3, a component at depth 4
-    # and the action list of a component state at depth 6. Components share
-    # few distinct action lists, so each is written once.
+    # An entry sits at depth 2, its fields at depth 3 and a component at depth 4
+    components: dict[int, str] = {}  # by the component's id: equal ones may differ in states
     lists: dict[frozenset[str], str] = {}
-    entries = []
+    parts = ['{\n  "entries": ', "[\n    "]
     for key in sorted(policy.entries):
         e = policy.entries[key]
-        mecs = []
+        parts += (
+            '{\n      "active": ', _json(list(e.active), " " * 6),
+            ',\n      "entry_state": ', _json(e.entry_state, " " * 6),
+            ',\n      "mecs": ', "[\n        ",
+        )
         for mec in e.mecs:
-            states = []
-            for s in sorted(mec.states):
-                acts = mec.actions.get(s, frozenset())
-                text = lists.get(acts)
-                if text is None:
-                    text = lists[acts] = _json(sorted(acts), " " * 12)
-                states.append((s, text))
-            mecs.append(_object([("states", _object(states, " " * 10))], " " * 8))
-        entries.append(_object([
-            ("active", _json(list(e.active), " " * 6)),
-            ("entry_state", _json(e.entry_state, " " * 6)),
-            ("mecs", _array(mecs, " " * 6)),
-            ("reach", _object([(s, _json(a, " " * 8)) for s, a in sorted(e.reach.items())], " " * 6)),
-        ], " " * 4))
-    return _object([("entries", _array(entries, "  "))], "") + "\n"
+            text = components.get(id(mec))
+            if text is None:
+                text = components[id(mec)] = _component_json(mec, lists)
+            parts += text, ",\n        "
+        parts[-1] = "\n      ]" if e.mecs else "[]"
+        reach = [(s, _json(a, " " * 8)) for s, a in sorted(e.reach.items())]
+        parts += ',\n      "reach": ', _object(reach, " " * 6), "\n    },\n    "
+    parts[-1] = "\n    }\n  ]\n}\n" if policy.entries else "[]\n}\n"
+    return "".join(parts)
+
+
+def _component_json(mec: Mec, lists: dict[frozenset[str], str]) -> str:
+    """One item of an entry's ``mecs`` array, at depth 4.
+
+    ``lists`` holds the text of each action set of strings already written:
+    components share few distinct action lists.
+    """
+    # the action list of a component state sits at depth 6
+    states = []
+    for s in sorted(mec.states):
+        acts = mec.actions.get(s, frozenset())
+        text = lists.get(acts)
+        if text is None:
+            text = _json(sorted(acts), " " * 12)
+            if set(map(type, acts)) <= _STR:  # 1, 1.0 and True would share a key
+                lists[acts] = text
+        states.append((s, text))
+    return _object([("states", _object(states, " " * 10))], " " * 8)
+
+
+_STR = {str}
 
 
 @_collector_paused

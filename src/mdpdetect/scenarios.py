@@ -49,21 +49,21 @@ def cell_id(cell: Cell) -> str:
 def gen_grid(spec: GridSpec) -> Mmdp:
     """Two-model MMDP (normal, intruder) over the free cells of the grid."""
     _validate_grid(spec)
-    # built column by column: a degenerate spec names the first isolated cell
-    # in this set's iteration order
-    free_set = {
+    # the states, row by row; a degenerate spec names its first isolated cell in this order
+    free = [
         (x, y)
-        for x in range(spec.width)
         for y in range(spec.height)
+        for x in range(spec.width)
         if (x, y) not in spec.obstacles
-    }
+    ]
+    free_set = set(free)
     goal = spec.goal_region  # in bounds and free, as validated
 
     def neighbors(c: Cell) -> list[Cell]:
         x, y = c
         return [n for n in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)) if n in free_set]
 
-    for c in free_set:
+    for c in free:
         if not neighbors(c):
             raise ModelError(f"degenerate spec: free cell {c} has no free neighbor")
     seen = {spec.initial}
@@ -75,7 +75,6 @@ def gen_grid(spec: GridSpec) -> Mmdp:
                 frontier.append(n)
     if not seen & goal:
         raise ModelError("degenerate spec: goal region unreachable from the initial cell")
-    free = sorted(free_set, key=lambda c: (c[1], c[0]))  # the states, row by row
 
     def region_distance(c: Cell) -> int:
         return min(abs(c[0] - g[0]) + abs(c[1] - g[1]) for g in goal)
@@ -265,12 +264,10 @@ def gen_recsys(spec: RecSysSpec) -> Mmdp:
     revealing = profile.revealing
 
     histories = _histories(items)
-
-    def next_history(h: tuple[str, ...], bought: str) -> tuple[str, ...]:
-        return (h + (bought,))[-2:]
-
-    states = tuple(_state_id(h) for h in histories)
-    state_of = {h: _state_id(h) for h in histories}
+    states = tuple(map(_state_id, histories))
+    state_of = dict(zip(histories, states))
+    # each state's successor by the item bought: the history of its last two purchases
+    after = [{it: state_of[(h + (it,))[-2:]] for it in items} for h in histories]
 
     # Per type: purchase distribution over items, then the recommended boost.
     v_sorted = sorted(profile.v, reverse=True)
@@ -296,8 +293,7 @@ def gen_recsys(spec: RecSysSpec) -> Mmdp:
     for k in range(spec.type_count):
         kernel: dict[tuple[str, str], dict[str, float]] = {}
         lowest = items[profile.rankings[k][-1]]
-        for h in histories:
-            s = state_of[h]
+        for s, succ in zip(states, after):
             for a in items:
                 item_row = boost_table[k][a]
                 if revealing.get(k) == (s, a):
@@ -309,9 +305,7 @@ def gen_recsys(spec: RecSysSpec) -> Mmdp:
                     item_row = {it: m for it, m in item_row.items() if it != lowest}
                     total = _left_sum(item_row.values())
                     item_row = {it: m / total for it, m in item_row.items()}
-                kernel[(s, a)] = {
-                    state_of[next_history(h, it)]: m for it, m in item_row.items()
-                }
+                kernel[(s, a)] = dict(zip(map(succ.__getitem__, item_row), item_row.values()))
         models.append(
             Mdp(states=states, actions=actions, kernel=kernel, initial="start", name=f"type{k + 1}")
         )

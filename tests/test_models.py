@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import math
+import tracemalloc
 from types import MappingProxyType
 from unittest import mock
 
@@ -34,6 +35,7 @@ from mdpdetect.policy import (
     policy_to_json,
     stationary_uniform_policy,
 )
+from mdpdetect.scenarios import RecSysSpec, gen_recsys
 
 from conftest import (
     FrozenRows,
@@ -407,6 +409,65 @@ def test_writers_refuse_what_json_refuses():
     for write in (mmdp_to_json, reference_mmdp_to_json):
         with pytest.raises(TypeError):
             write(mmdp)
+
+
+def test_writers_keep_equal_values_of_different_types_apart():
+    """The writers render each distinct piece once, but values that compare
+    equal and print differently are never one piece: ``1 == 1.0 == True``,
+    ``0.0 == -0.0``, NaN, and components that are equal but list other states."""
+    one, nan, inf = np.float64(1.0), float("nan"), float("inf")
+    rows = [  # the rows of (x, a) and (y, a) in each model
+        ({"x": 0.5, "y": 0.5}, {"x": 1.0}),
+        ({"x": 0.5, "y": 0.5}, {"x": 1}),
+        ({"x": True}, {"x": one, "y": 0.0}),
+        ({"x": 1.0, "y": -0.0}, {"x": True}),
+        ({"x": 1, "y": nan}, {"x": nan, "y": 0.0}),
+        ({"x": inf, "y": -inf}, {"x": -0.0, "y": 1.0}),
+    ]
+    models = [
+        _two_state({("x", "a"): first, ("y", "a"): second}, name=f"M{i}")
+        for i, (first, second) in enumerate(rows)
+    ]
+    # successor and state names that are equal to a name of another type
+    models += [
+        _two_state({("x", "a"): {1: 1.0}, ("y", "a"): {1: 1.0}}),
+        _two_state({("x", "a"): {True: 1.0}, ("y", "a"): {1.0: 1.0}}),
+        _two_state({(1, "a"): {"x": 1.0}}, states=(1, 2)),
+        _two_state({(True, "a"): {"x": 1.0}}, states=(True, 2)),
+    ]
+    for order in (models, models[::-1]):
+        mmdp = Mmdp(models=tuple(order))
+        assert mmdp_to_json(mmdp) == reference_mmdp_to_json(mmdp)
+
+    # `both` equals `head` (components compare their action tables only) but
+    # also lists a state without actions; `shared` is one object in three entries
+    head = Mec(("x",), {"x": ("a",)})
+    both = Mec(("x", "y"), {"x": ("a",)})
+    assert both == head
+    shared = Mec(("x", "y"), {"x": ("a", "b"), "y": ("b",)})
+    typed = [Mec(("x",), {"x": (1,)}), Mec(("y",), {"y": (True,)}), Mec(("x",), {"x": (1.0,)})]
+    entries = [
+        PolicyEntry(active=(1,), entry_state="x", reach={}, mecs=(head, shared)),
+        PolicyEntry(active=(2,), entry_state="x", reach={}, mecs=(shared, both)),
+        PolicyEntry(active=(1, 2), entry_state="x", reach={"y": "a"}, mecs=(both, head, shared)),
+        PolicyEntry(active=(1, 2), entry_state="y", reach={}, mecs=tuple(typed)),
+        PolicyEntry(active=(3,), entry_state="y", reach={}, mecs=tuple(typed[::-1])),
+    ]
+    for order in (entries, entries[::-1]):
+        policy = DetectionPolicy(entries={(e.active, e.entry_state): e for e in order})
+        assert policy_to_json(policy) == reference_policy_to_json(policy)
+
+
+def test_model_writer_peaks_below_two_and_a_half_times_its_text():
+    """The model file is joined once from shared pieces, not copied through nested joins."""
+    mmdp = gen_recsys(RecSysSpec(item_count=10, type_count=6, seed=0))
+    tracemalloc.start()
+    try:
+        text = mmdp_to_json(mmdp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text), (peak, len(text))
 
 
 def test_validate_clean_example(example1):

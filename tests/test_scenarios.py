@@ -121,12 +121,14 @@ def test_grid_degenerate_specs_rejected(spec, fragment):
     "width, height, obstacles, cell",
     [
         (3, 3, [(1, 0), (0, 1), (1, 2), (2, 1)], (0, 0)),
-        (5, 3, [(1, 0), (0, 1), (3, 0), (4, 1), (2, 1), (2, 2)], (4, 0)),
-        (7, 7, [(1, 0), (0, 1), (6, 5), (5, 6), (3, 2), (2, 3), (4, 3), (3, 4)], (3, 3)),
+        (5, 3, [(1, 0), (0, 1), (3, 0), (4, 1), (2, 1), (2, 2)], (0, 0)),
+        (7, 7, [(1, 0), (0, 1), (6, 5), (5, 6), (3, 2), (2, 3), (4, 3), (3, 4)], (0, 0)),
+        # row order names (4, 0); column order would name (0, 2)
+        (5, 3, [(3, 0), (4, 1), (0, 1), (1, 2)], (4, 0)),
     ],
 )
 def test_grid_with_several_isolated_cells_names_the_same_one(width, height, obstacles, cell):
-    """Which isolated cell the message names is pinned, not just that one is named."""
+    """The message names the first isolated cell in row order, the order of the states."""
     spec = GridSpec(width=width, height=height, obstacles=frozenset(obstacles), goal_region=frozenset({(1, 1)}))
     with pytest.raises(ModelError) as raised:
         gen_grid(spec)
