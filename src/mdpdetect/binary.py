@@ -95,27 +95,36 @@ def classify_pairs(m1: Mdp, m2: Mdp) -> SaClassification:
     the distributions differ but the supports intersect, neutral otherwise.
     A state is revealing when some action there is revealing; informative
     when it is not revealing and some action there is informative.
+
+    Reads both kernels directly; a row is revealing when the walk of its
+    ``m1`` entries finds no successor both models give positive mass.
     """
     _check_shared_structure(m1, m2)
     pair_labels: dict[tuple[str, str], str] = {}
     state_labels: dict[str, str] = {}
     chosen: dict[str, str] = {}
+    row1, row2, empty = m1.kernel.get, m2.kernel.get, {}
     for s in m1.states:
         revealing_actions = []
         informative_here = False
         for a in m1.actions[s]:
-            r1, r2 = m1.row(s, a), m2.row(s, a)
-            if not any(p > 0.0 and r2.get(t, 0.0) > 0.0 for t, p in r1.items()):
-                pair_labels[(s, a)] = REVEALING
+            key = (s, a)
+            r1, r2 = row1(key, empty), row2(key, empty)
+            for t, p in r1.items():
+                if p > 0.0 and r2.get(t, 0.0) > 0.0:
+                    break
+            else:
+                pair_labels[key] = REVEALING
                 revealing_actions.append(a)
-            elif r1 == r2 and isfinite(_left_sum(r1.values())):
+                continue
+            if r1 == r2 and isfinite(_left_sum(r1.values())):
                 # exactly equal finite masses: rows_equal holds without the walk
-                pair_labels[(s, a)] = NEUTRAL
+                pair_labels[key] = NEUTRAL
             elif not rows_equal(r1, r2):
-                pair_labels[(s, a)] = INFORMATIVE
+                pair_labels[key] = INFORMATIVE
                 informative_here = True
             else:
-                pair_labels[(s, a)] = NEUTRAL
+                pair_labels[key] = NEUTRAL
         if revealing_actions:
             state_labels[s] = REVEALING
             chosen[s] = min(revealing_actions)

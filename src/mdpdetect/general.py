@@ -120,8 +120,18 @@ class _Context:
         self-loop action. A pair's graph puts its own two terminals at those
         bits and rows; a pair below the root reports nothing and its entry
         drops the terminals, so their names never reach an output.
+
+        Its seed holds the rows and successor union of each state of
+        :attr:`plain`, which every level graph and every pair graph share.
         """
-        return _terminal_frame(self.mmdp.rows, ("botg0", "botg1"))
+        frame = _terminal_frame(self.mmdp.rows, ("botg0", "botg1"))
+        first, steps = frame.first, self.plain[1]
+        shared = [s for s, step in enumerate(steps) if step is not None]
+        frame.seed = (
+            {s: list(range(first[s], first[s + 1])) for s in shared},
+            {s: steps[s][0] for s in shared},
+        )
+        return frame
 
     @cached_property
     def plain(self) -> tuple[list[int], list[_Step | None]]:

@@ -16,6 +16,7 @@ from the same rows. :func:`mec_decompose`, :func:`almost_sure_reach_set` and
 from __future__ import annotations
 
 from functools import reduce
+from itertools import compress
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
@@ -23,12 +24,16 @@ from .errors import ContractError
 from .models import Mmdp
 
 
+# the digits of a binary string as the bytes 0 and 1
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def bit_indices(bits: int) -> list[int]:
     """The positions of the set bits of ``bits``, ascending.
 
     A sparse set, such as a search frontier over many states, is walked one
     bit at a time; a dense one, such as a level's domain, through its binary
-    string.
+    string, whose reversed digits select the positions at C level.
     """
     if bits.bit_count() * 8 < bits.bit_length():
         out = []
@@ -37,7 +42,7 @@ def bit_indices(bits: int) -> list[int]:
             out.append(low.bit_length() - 1)
             bits ^= low
         return out
-    return [i for i, c in enumerate(bin(bits)[:1:-1]) if c == "1"]
+    return list(compress(range(bits.bit_length()), bin(bits)[:1:-1].encode().translate(_DIGITS)))
 
 
 class SupportGraph:
@@ -49,9 +54,16 @@ class SupportGraph:
     states of the bitset ``succ[r]``. The system holds the states of the
     bitset ``domain``; the rows of the other states are ignored. A successor
     outside ``names`` is bit ``len(names)``, which no domain holds.
+
+    ``seed`` is None or a pair ``(closed, post)`` of dicts over some states of
+    the domain: ``closed[i]`` lists every row of state ``i``, in order, and
+    ``post[i]`` is the union of their successor sets, which lies in the
+    domain. Whoever sets it promises that those rows keep those successors
+    in this graph and in every graph :meth:`over` makes from it;
+    :func:`mec_decompose` then starts from it instead of reading the rows.
     """
 
-    __slots__ = ("names", "index", "actions", "first", "succ", "domain")
+    __slots__ = ("names", "index", "actions", "first", "succ", "domain", "seed")
 
     def __init__(
         self,
@@ -68,10 +80,13 @@ class SupportGraph:
         self.first = first
         self.succ = succ
         self.domain = domain
+        self.seed: tuple[dict[int, list[int]], dict[int, int]] | None = None
 
     def over(self, succ: Sequence[int], domain: int) -> SupportGraph:
-        """The same states and rows with other successor sets and another domain."""
-        return SupportGraph(self.names, self.index, self.actions, self.first, succ, domain)
+        """The same states, rows and seed with other successor sets and another domain."""
+        graph = SupportGraph(self.names, self.index, self.actions, self.first, succ, domain)
+        graph.seed = self.seed
+        return graph
 
     @property
     def states(self) -> tuple[str, ...]:
@@ -172,16 +187,21 @@ def mec_decompose(g: SupportGraph) -> tuple[Mec, ...]:
     Each state carries the rows that stay in its block and the union of
     their successors (``post``) from round to round and into the blocks a
     split makes: a block's rows are a subset of its parent's, and a state
-    whose ``post`` stays inside the smaller block keeps both unchanged.
+    whose ``post`` stays inside the smaller block keeps both unchanged. The
+    first round starts from ``g.seed`` when it is set, so a seeded state
+    keeps its rows without reading them. After a block's first round its
+    states are the keys of the rows it kept, and later rounds walk those.
     """
     names, actions, first, succ = g.names, g.actions, g.first, g.succ
     result = []
-    work: list[tuple[int, dict[int, list[int]], dict[int, int]]] = [(g.domain, {}, {})]
+    closed, post = g.seed or ({}, {})
+    work: list[tuple[int, dict[int, list[int]], dict[int, int]]] = [(g.domain, closed, post)]
     while work:
         block, closed, post = work.pop()
+        states: Iterable[int] = bit_indices(block)
         while True:  # the states with an action whose support stays in the block
             kept, kept_rows, kept_post, leaves = 0, {}, {}, ~block
-            for i in bit_indices(block):
+            for i in states:
                 out = post.get(i)
                 if out is not None and not out & leaves:
                     rows = closed[i]
@@ -194,7 +214,8 @@ def mec_decompose(g: SupportGraph) -> tuple[Mec, ...]:
                     kept |= 1 << i
                     kept_rows[i] = rows
                     kept_post[i] = out
-            closed, post = kept_rows, kept_post
+            states = closed = kept_rows
+            post = kept_post
             if kept == block:
                 break
             block = kept

@@ -377,7 +377,14 @@ def _decode(document: Any, what: str) -> Any:
 
 @_collector_paused
 def parse_mmdp(document: str | Mapping[str, Any]) -> Mmdp:
-    """Parse and validate a model document; raise ModelError with the offending path."""
+    """Parse and validate a model document; raise ModelError with the offending path.
+
+    Every ``from`` and ``to`` name of a state becomes the one string object
+    of that state in ``states``, so the kernels hold one copy per name. The
+    walk keeps the row dict of the previous entry while the entries share
+    their ``(from, action)``, and looks the row up again otherwise, so rows
+    listed out of order or split apart parse the same.
+    """
     doc = _decode(document, "document")
     if not isinstance(doc, Mapping):
         raise ModelError("document: expected a JSON object")
@@ -394,6 +401,9 @@ def parse_mmdp(document: str | Mapping[str, Any]) -> Mmdp:
     if not models_raw:
         raise ModelError("models: expected a nonempty array")
 
+    # each state name as the one string object of ``states``; a kernel built
+    # from the decoded names would hold a separate copy per delta entry
+    interned = {s: s for s in states}
     models = []
     for mi, mraw in enumerate(models_raw):
         path = f"models[{mi}]"
@@ -406,6 +416,7 @@ def parse_mmdp(document: str | Mapping[str, Any]) -> Mmdp:
         if not isinstance(delta, list):
             raise ModelError(f"{path}.delta: expected an array")
         kernel: dict[tuple[str, str], dict[str, float]] = {}
+        last: tuple[Any, Any] = (None, None)  # the (from, action) of the previous entry
         for ei, entry in enumerate(delta):
             # a plain object with plain string and number fields passes without
             # the checks below, which name the entry's path in their messages
@@ -419,11 +430,13 @@ def parse_mmdp(document: str | Mapping[str, Any]) -> Mmdp:
                 )
             if not plain:
                 src, act, dst, p = _check_delta_entry(entry, f"{path}.delta[{ei}]")
-            row = kernel.setdefault((src, act), {})
+            if src != last[0] or act != last[1]:
+                last = (interned.get(src, src), act)
+                row = kernel.setdefault(last, {})
             if dst in row:
                 raise ModelError(f"{path}.delta[{ei}]: duplicate entry for ({src}, {act}, {dst})")
             if p != 0.0:
-                row[dst] = float(p)
+                row[interned.get(dst, dst)] = float(p)
         models.append(
             Mdp(states=tuple(states), actions=actions, kernel=kernel, initial=initial, name=name)
         )

@@ -490,18 +490,24 @@ def oracle_map_error(mmdp, policy, t, q, theta, cap=6):
 
 
 def binomial_limit(p: float, n: int, delta: float, upper: bool) -> float:
-    """Chernoff limit for a mean of n Bernoulli(p) draws (a copy of ``bench/checks.py``'s).
+    """Chernoff limit for a mean of n Bernoulli(p) draws (a copy of ``bench/checks.py``'s,
+    which still divides by zero at p = 0 with ``upper`` and at p = 1 without).
 
     Returns x with P(mean >= x) <= delta (upper) or P(mean <= x) <= delta
-    (lower), from P <= exp(-n KL(x || p)).
+    (lower), from P <= exp(-n KL(x || p)). At p = 0 every mean is 0, and at
+    p = 1 every mean is 1, so either limit is p there.
     """
+    if p <= 0.0:
+        return 0.0
+    if p >= 1.0:
+        return 1.0
     target = math.log(1.0 / delta) / n
     if upper:
-        if p >= 1.0 or _kl(1.0, p) < target:
+        if _kl(1.0, p) < target:
             return 1.0
         lo, hi = p, 1.0
     else:
-        if p <= 0.0 or _kl(0.0, p) < target:
+        if _kl(0.0, p) < target:
             return 0.0
         lo, hi = 0.0, p
     for _ in range(200):

@@ -794,3 +794,14 @@ def test_exact_map_error_refuses_a_horizon_above_its_cap():
     mmdp = sqrt_half_mmdp()
     with pytest.raises(HorizonCapError):
         oracle_map_error(mmdp, bi_apd(mmdp).policy, 3, (0.5, 0.5), (0.5, 0.5), cap=2)
+
+
+@pytest.mark.parametrize("upper", [True, False])
+def test_binomial_limit_is_p_where_every_draw_is_the_same(upper):
+    """At p = 0 and p = 1 every mean equals p, so both Chernoff limits are p; inside,
+    the limits stay on their side of p and close in on it as n grows."""
+    assert binomial_limit(0.0, 100, 1e-9, upper=upper) == 0.0
+    assert binomial_limit(1.0, 100, 1e-9, upper=upper) == 1.0
+    for p in (1e-300, 0.3, 1.0 - 1e-12):
+        wide, narrow = (binomial_limit(p, n, 1e-9, upper=upper) for n in (100, 10**6))
+        assert (p <= narrow <= wide) if upper else (wide <= narrow <= p)

@@ -2,6 +2,8 @@
 
 import json
 from collections import Counter
+from functools import reduce
+from operator import or_
 from unittest import mock
 
 import pytest
@@ -13,7 +15,7 @@ from mdpdetect.binary import bi_apd
 from mdpdetect.cli import _json, main
 from mdpdetect.errors import ModelError
 from mdpdetect.general import general_apd, pairwise_isa
-from mdpdetect.graphs import Mec
+from mdpdetect.graphs import Mec, SupportGraph, mec_decompose
 from mdpdetect.models import Mmdp, mmdp_to_json
 from mdpdetect.policy import policy_to_json
 from mdpdetect.scenarios import GridSpec, RecSysSpec, gen_grid, gen_recsys
@@ -704,3 +706,62 @@ def test_terminals_take_names_no_state_has():
             collided += any(t.endswith("_") for t in terminals)
             cases += 1
     assert cases == 800 and collided >= 700, (cases, collided)
+
+
+def _decomposed_graphs(mmdp, initials):
+    """Every graph that synthesis from each of ``initials`` decomposes: its levels and pairs."""
+    graphs, decompose = [], binary.mec_decompose
+
+    def record(graph):
+        graphs.append(graph)
+        return decompose(graph)
+
+    with mock.patch.object(binary, "mec_decompose", record):
+        for s in initials:
+            general_apd(mmdp, initial=s)
+    return graphs
+
+
+def _assert_seeded_decompositions_match_the_reference(graphs):
+    """Each graph's seed keeps its promise, and the graph decomposes, with its seed and
+    without, into the frozen string kernel's components. Returns how many states were seeded."""
+    seeded = 0
+    for graph in graphs:
+        assert graph.seed is not None  # a run over three or more models seeds every graph
+        closed, post = graph.seed
+        for i, rows in closed.items():
+            assert rows == list(range(graph.first[i], graph.first[i + 1]))
+            assert post[i] == reduce(or_, [graph.succ[r] for r in rows], 0)
+            assert post[i] & ~graph.domain == 0
+        seeded += len(closed)
+        bare = SupportGraph(graph.names, graph.index, graph.actions, graph.first, graph.succ, graph.domain)
+        assert bare.seed is None
+        expected = [(c.states, c.actions) for c in reference_mec_decompose(system_of(graph))]
+        for got in (mec_decompose(graph), mec_decompose(bare)):
+            assert [(c.states, c.actions) for c in got] == expected
+            for c in got:
+                assert c.rows == graph.row_bits((s, a) for s in c.states for a in c.actions[s])
+    return seeded
+
+
+@settings(max_examples=300, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_models=st.integers(3, 5), n_states=st.integers(2, 6),
+       kind=st.sampled_from(["multi", "sparse"]))
+def test_seeded_mec_decomposition_matches_the_reference_on_every_level_and_pair(
+    seed, n_models, n_states, kind
+):
+    rng = rng_for(seed)
+    if kind == "multi":
+        mmdp = random_multi_mmdp(rng, n_models=n_models, n_states=n_states)
+    else:
+        mmdp = random_sparse_cut_mmdp(rng, n_models=n_models, n_states=n_states)
+    _assert_seeded_decompositions_match_the_reference(_decomposed_graphs(mmdp, mmdp.states))
+
+
+@pytest.mark.parametrize("items, types", [(5, 4), (6, 5)])
+def test_seeded_mec_decomposition_matches_the_reference_on_recsys(items, types):
+    mmdp = gen_recsys(RecSysSpec(item_count=items, type_count=types, seed=0))
+    graphs = _decomposed_graphs(mmdp, [mmdp.initial])
+    seeded = _assert_seeded_decompositions_match_the_reference(graphs)
+    # nearly every state's rows are shared by every graph
+    assert seeded > 0.8 * sum(len(g.names) - 2 for g in graphs), (seeded, len(graphs))

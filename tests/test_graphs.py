@@ -15,6 +15,7 @@ from mdpdetect.errors import ContractError, ModelError
 from mdpdetect.graphs import (
     Mec,
     almost_sure_reach_set,
+    bit_indices,
     mec_decompose,
     model_graph,
     reach_policy,
@@ -439,3 +440,28 @@ def test_mec_listings_match_the_frozen_string_structures(seed, kind, n_models):
             assert listing("--informative") == (0, _listing_text(expected))
         else:
             assert listing("--informative") == (2, None)
+
+
+def _set_bits(x):
+    return [i for i in range(x.bit_length()) if x >> i & 1]
+
+
+def test_bit_indices_on_edge_words():
+    """0, powers of two and all-ones words, around the byte and word sizes and at the bench's widths."""
+    widths = (1, 2, 7, 8, 9, 63, 64, 65, 113, 1602, 2000)
+    for x in (0, *(1 << w - 1 for w in widths), *((1 << w) - 1 for w in widths)):
+        assert bit_indices(x) == _set_bits(x), x
+
+
+@settings(max_examples=400, derandomize=True)
+@given(
+    width=st.integers(1, 2000),
+    density=st.sampled_from([0.01, 0.05, 0.1, 0.124, 0.126, 0.2, 0.5, 0.9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bit_indices_match_the_set_bits(width, density, seed):
+    """Both forms, sparse (fewer than one bit in eight) and dense, list the set bits in order."""
+    rng = np.random.default_rng(seed)
+    bits = np.flatnonzero(rng.random(width) < density).tolist()
+    x = sum(1 << i for i in bits) | 1 << width - 1
+    assert bit_indices(x) == _set_bits(x)

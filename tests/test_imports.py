@@ -117,7 +117,7 @@ assert "numpy" in sys.modules and "numpy.random" not in sys.modules
 
 @pytest.fixture(scope="module")
 def command_files(tmp_path_factory):
-    """A three-model file with its policy, and a grid spec."""
+    """A three-model file with its policy, a grid spec and a recommender spec."""
     from mdpdetect.cli import main
     from mdpdetect.models import mmdp_to_json
 
@@ -128,16 +128,25 @@ def command_files(tmp_path_factory):
     model.write_text(mmdp_to_json(random_multi_mmdp(rng_for(0), n_models=3, n_states=4)))
     assert main(["synthesize", str(model), "--out", str(policy)]) == 0
     spec.write_text('{"width": 3, "height": 2, "goal_region": [[2, 1]]}')
-    return {"model": str(model), "policy": str(policy), "spec": str(spec), "out": str(work / "out")}
+    recsys = work / "recsys-spec.json"
+    recsys.write_text('{"item_count": 4, "type_count": 3, "seed": 0}')
+    return {
+        "model": str(model), "policy": str(policy), "spec": str(spec), "recsys": str(recsys),
+        "out": str(work / "out"),
+    }
 
 
 _SYNTHESIS = ("mdpdetect.binary", "mdpdetect.general")
-# per command: its arguments, and the modules it must leave unloaded
 _SCENARIOS = ("mdpdetect.scenarios",)
+_RUN_TIME = ("mdpdetect.analysis", "mdpdetect.simulate")
+# per command (a test id: the first word is the command): its arguments, and
+# the modules it must leave unloaded
 _COMMAND_IMPORTS = {
     "simulate": (["{model}", "{policy}", "--trials", "5", "--seed", "1"], (*_SYNTHESIS, *_SCENARIOS)),
     "bc": (["{model}", "{policy}", "--horizon", "4"], (*_SYNTHESIS, *_SCENARIOS)),
-    "gen": (["grid", "{spec}"], ("numpy", *_SYNTHESIS)),
+    "gen": (["grid", "{spec}"], ("numpy", *_SYNTHESIS, *_RUN_TIME)),
+    # the profile draws with numpy but simulates nothing
+    "gen recsys": (["recsys", "{recsys}"], (*_SYNTHESIS, *_RUN_TIME)),
     "validate": (["{model}"], ("numpy", *_SYNTHESIS, *_SCENARIOS)),
     "classify": (["{model}"], ("numpy", *_SCENARIOS)),
     "mec": (["{model}"], ("numpy", *_SCENARIOS)),
@@ -148,7 +157,7 @@ _COMMAND_IMPORTS = {
 @pytest.mark.parametrize("command", sorted(_COMMAND_IMPORTS))
 def test_each_command_imports_only_what_it_runs(command_files, command):
     args, absent = _COMMAND_IMPORTS[command]
-    argv = [command, *(arg.format(**command_files) for arg in args)]
+    argv = [command.split()[0], *(arg.format(**command_files) for arg in args)]
     if command != "validate":
         argv += ["--out", command_files["out"]]
     _fresh(f"""

@@ -826,3 +826,61 @@ def test_parsers_leave_the_collector_as_they_found_it(parse, good, bad, enabled)
     finally:
         gc.enable()
     assert paused == [True, True]
+
+
+def test_parsed_kernels_hold_one_string_per_state_name():
+    """Every row-key state and every successor of a parsed kernel is the state's own
+    name object in ``states``, however the decoder built the entries' names."""
+    mmdp = gen_recsys(RecSysSpec(item_count=4, type_count=3, seed=0))
+    for document in (mmdp_to_json(mmdp), json.loads(mmdp_to_json(mmdp))):
+        parsed = parse_mmdp(document)
+        name = {s: s for s in parsed.states}
+        for m in parsed.models:
+            for (s, _), row in m.kernel.items():
+                assert s is name[s]
+                assert all(t is name[t] for t in row)
+        assert all(s is name[s] for s in parsed.rows.names)
+
+
+def _shuffled_delta(doc, rng, duplicate):
+    """``doc`` with each model's entries in a random order, so rows come split apart and
+    out of order; with ``duplicate``, one entry of positive mass listed again in its model."""
+    for m in doc["models"]:
+        delta = m["delta"]
+        if duplicate:
+            positive = [entry for entry in delta if entry["p"] != 0.0]
+            delta.append(dict(positive[int(rng.integers(0, len(positive)))]))
+        m["delta"] = [delta[i] for i in rng.permutation(len(delta))]
+    return doc
+
+
+@settings(max_examples=200, derandomize=True)
+@given(
+    kind=st.sampled_from(["binary", "multi", "sparse cut"]),
+    n_models=st.integers(2, 4),
+    n_states=st.integers(2, 6),
+    duplicate=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rows_split_apart_and_out_of_order_parse_as_the_frozen_parse(kind, n_models, n_states, duplicate, seed):
+    """A document whose entries are shuffled parses equal to the frozen parse, and a
+    duplicate entry anywhere gives the frozen parse's message."""
+    rng = rng_for(seed)
+    if kind == "binary":
+        mmdp = random_binary_mmdp(rng, n_states=n_states)
+    elif kind == "multi":
+        mmdp = random_multi_mmdp(rng, n_models=n_models, n_states=n_states)
+    else:
+        mmdp = random_sparse_cut_mmdp(rng, n_models=n_models, n_states=n_states)
+    document = json.dumps(_shuffled_delta(serialize_mmdp(mmdp), rng, duplicate))
+    try:
+        expected, message = frozen_parse_mmdp(document), None
+    except ModelError as exc:
+        expected, message = None, str(exc)
+    try:
+        got, got_message = parse_mmdp(document), None
+    except ModelError as exc:
+        got, got_message = None, str(exc)
+    assert got_message == message
+    assert got == expected
+    assert (message is not None and "duplicate entry" in message) == duplicate

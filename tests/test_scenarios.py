@@ -205,6 +205,22 @@ def test_recsys_profile_has_its_own_draws_for_every_seed():
     assert len(profiles) == 4
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, -1, 2**63 + 1, 2**64 - 1, 2**64 + 5])
+def test_recsys_profile_draws_from_the_trial_stream_of_its_seed(seed):
+    """The profile's generator gives, bit for bit, the draws of ``trial_rng(seed, 0)``."""
+    import numpy as np
+
+    from mdpdetect.scenarios import _profile_rng
+    from mdpdetect.simulate import trial_rng
+
+    ours, theirs = _profile_rng(seed), trial_rng(seed, 0)
+    for draw in (
+        lambda g: g.exponential(1.0, 50), lambda g: g.uniform(0.0, 3.0, 50),
+        lambda g: g.permutation(20), lambda g: g.integers(0, 2**62, 50), lambda g: g.random(50),
+    ):
+        assert np.array_equal(draw(ours).view(np.uint64), draw(theirs).view(np.uint64))
+
+
 def test_recsys_exactly_one_revealing_row_per_type():
     spec = RecSysSpec(item_count=4, type_count=3, seed=1)
     mmdp = gen_recsys(spec)
