@@ -33,6 +33,7 @@ from .models import (
     mmdp_to_json,
     parse_mmdp,
     serialize_mmdp,
+    trial_rng,
     validate_mmdp,
 )
 from .policy import (
@@ -79,7 +80,7 @@ _LAZY = {
     ), "analysis"),
     **dict.fromkeys((
         "BeliefState", "Trace", "TraceStep", "batch_summary", "belief_update", "map_decide",
-        "monte_carlo_curve", "monte_carlo_error", "simulate", "trace_to_csv", "trial_rng",
+        "monte_carlo_curve", "monte_carlo_error", "simulate", "trace_to_csv",
     ), "simulate"),
 }
 _MODULES = ("analysis", "binary", "general", "scenarios")

@@ -259,15 +259,12 @@ def bi_apd(mmdp: Mmdp, initial: str | None = None) -> ApdOutcome:
     """
     if mmdp.n != 2:
         raise ModelError(f"binary synthesis needs exactly 2 models, got {mmdp.n}")
-    if initial is None:
-        initial = mmdp.initial
-    if initial not in mmdp.rows.index:
-        raise ModelError(f"unknown initial state {initial!r}")
+    initial = _start(mmdp, initial)
     classification = classify_pairs(*mmdp.models)
-    frame, pair, decisions = _pair_frame(mmdp.rows), active_set((1, 2)), {}
+    frame, pair, decisions = _terminal_frame(mmdp.rows, ("bot1", "bot2")), active_set((1, 2)), {}
     informative = frame.row_bits(classification.informative_pairs)
-    exists, entry = _binary_synthesis(mmdp, frame, initial, pair, decisions, informative)
-    decision = decisions[pair]
+    entry = _binary_synthesis(mmdp, frame, initial, pair, decisions, informative)
+    exists, decision = entry is not None, decisions[pair]
     diagnostics: dict[str, Any] = {
         "active": list(pair),
         "initial": initial,
@@ -289,6 +286,15 @@ def bi_apd(mmdp: Mmdp, initial: str | None = None) -> ApdOutcome:
     return ApdOutcome(exists=exists, policy=policy, diagnostics=diagnostics)
 
 
+def _start(mmdp: Mmdp, initial: str | None) -> str:
+    """The entry state of a synthesis run: ``initial``, or the model's by default."""
+    if initial is None:
+        initial = mmdp.initial
+    if initial not in mmdp.rows.index:
+        raise ModelError(f"unknown initial state {initial!r}")
+    return initial
+
+
 def _binary_synthesis(
     mmdp: Mmdp,
     frame: SupportGraph,
@@ -296,14 +302,18 @@ def _binary_synthesis(
     active: ActiveSet,
     decisions: dict[ActiveSet, _Decision],
     informative: int,
-) -> tuple[bool, PolicyEntry | None]:
-    """Full binary pipeline for the model pair ``active``; returns (exists, entry).
+) -> PolicyEntry | None:
+    """Full binary pipeline for the model pair ``active``: the entry for ``initial``,
+    or None when no policy exists.
 
     The pair's decision comes from :func:`_pair_decision`; only the entry
-    depends on ``initial``.
+    depends on ``initial``. Detection exists exactly when ``initial`` lies in
+    the reach set.
     """
-    entry = _build(_pair_decision(mmdp, frame, active, decisions, informative), initial, active)
-    return entry is not None, entry
+    decision = _pair_decision(mmdp, frame, active, decisions, informative)
+    if initial not in decision.rmax:
+        return None
+    return PolicyEntry(active, initial, decision.reach, decision.mecs)
 
 
 def _pair_decision(
@@ -315,8 +325,7 @@ def _pair_decision(
 ) -> _Decision:
     """The decision of the model pair ``active``, looked up in ``decisions`` and stored there on a miss.
 
-    ``frame`` is a :func:`_terminal_frame` of the models' support rows
-    (:func:`_pair_frame` where a report names the terminals) and
+    ``frame`` is a :func:`_terminal_frame` of the models' support rows and
     ``informative`` the bitset of the pair's informative rows on its original kernels.
     The decision does not depend on the initial state, so one pass over a
     model pair serves every initial state.
@@ -347,11 +356,6 @@ def _terminal_frame(rows: Rows, bases: tuple[str, str]) -> SupportGraph:
         succ=(),
         domain=0,
     )
-
-
-def _pair_frame(rows: Rows) -> SupportGraph:
-    """The frame of every model pair's graph: the terminals of :func:`preprocess`."""
-    return _terminal_frame(rows, ("bot1", "bot2"))
 
 
 def _pair_graph(
@@ -441,16 +445,6 @@ def _decide(
         components=mecs,
         informative=inf_mecs,
     )
-
-
-def _build(decision: _Decision, initial: str, active: ActiveSet) -> PolicyEntry | None:
-    """The last step of every synthesis: the entry for ``initial``, or None when no policy exists.
-
-    Detection exists exactly when ``initial`` lies in the reach set.
-    """
-    if initial not in decision.rmax:
-        return None
-    return PolicyEntry(active, initial, decision.reach, decision.mecs)
 
 
 def _check_shared_structure(m1: Mdp, m2: Mdp) -> None:

@@ -28,6 +28,7 @@ from .binary import (
     _decide,
     _Decision,
     _pair_decision,
+    _start,
     _terminal_frame,
     bi_apd,
     classify_pairs,
@@ -44,7 +45,7 @@ from .graphs import (  # noqa: F401
     mec_decompose,
     reach_policy,
 )
-from .models import Mmdp
+from .models import Mmdp, Rows
 from .policy import ActiveSet, DetectionPolicy, PolicyEntry, active_set, members
 
 PairSet = frozenset[tuple[str, str]]
@@ -59,15 +60,11 @@ def pairwise_isa(mmdp: Mmdp, i: int, j: int) -> PairSet:
 
 def general_apd(mmdp: Mmdp, initial: str | None = None, memoize: bool = True) -> ApdOutcome:
     """Decide and synthesize detection for any number of candidate models."""
-    if mmdp.n < 2:
-        raise ModelError(f"need at least 2 models, got {mmdp.n}")
-    if initial is None:
-        initial = mmdp.initial
-    if initial not in mmdp.rows.index:
-        raise ModelError(f"unknown initial state {initial!r}")
     if mmdp.n == 2:
         return bi_apd(mmdp, initial)
-
+    if mmdp.n < 2:
+        raise ModelError(f"need at least 2 models, got {mmdp.n}")
+    initial = _start(mmdp, initial)
     ctx = _Context(mmdp=mmdp, memoize=memoize)
     full = active_set(range(1, mmdp.n + 1))
     exists, entries, diagnostics = _solve(ctx, full, initial, depth=0)
@@ -82,16 +79,25 @@ def general_apd(mmdp: Mmdp, initial: str | None = None, memoize: bool = True) ->
     return ApdOutcome(exists=exists, policy=policy, diagnostics=diagnostics)
 
 
+# An edge that rules out some active model: (state, row, successor, surviving models).
+_Edge = tuple[int, int, int, ActiveSet]
+# A state's part of a level: the successors its rows move to while every active
+# model agrees (a bitset, and in the order the rows reach them first), then its
+# edges that rule some active model out, in row and successor order.
+_Step = tuple[int, tuple[int, ...], tuple[_Edge, ...]]
+
+
 @dataclass
 class _Context:
     """Shared state of one synthesis run: the subproblem memo, the informative rows
     of every model pair on its original kernels, and the initial-state-independent
-    decision of every active set decided so far."""
+    decision and the :func:`_step` of each state of every active set decided so far."""
 
     mmdp: Mmdp
     memoize: bool
     memo: dict[tuple[ActiveSet, str], tuple[bool, dict, dict]] = field(default_factory=dict)
     decisions: dict[ActiveSet, _Decision] = field(default_factory=dict)
+    steps: dict[ActiveSet, tuple[_Step, ...]] = field(default_factory=dict)
     informative: dict[ActiveSet, int] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
@@ -150,26 +156,10 @@ class _Context:
         steps: list[_Step | None] = []
         for s, here in enumerate(rows.groups):
             if all(len(groups) == 1 and groups[0][0] == full for _, groups in here):
-                # no row here rules a model out, so no decision is read
-                steps.append(_step(self, {}, everyone, s, succ))
+                steps.append(_step(rows, everyone, s, succ))
             else:
                 steps.append(None)
         return succ, steps
-
-
-# An edge that rules out some active model: (state, row, successor, surviving models).
-_Edge = tuple[int, int, int, ActiveSet]
-# A state's part of a level: the successors its rows move to while every active
-# model agrees (a bitset, and in the order the rows reach them first), then its
-# edges that rule some active model out, in row and successor order.
-_Step = tuple[int, tuple[int, ...], tuple[_Edge, ...]]
-
-
-@dataclass(frozen=True)
-class _Level(_Decision):
-    """The decision of one active set's level over every state, and the :func:`_step` of each state."""
-
-    steps: tuple[_Step, ...]
 
 
 def _solve(
@@ -184,11 +174,11 @@ def _solve(
             return ctx.memo[key]
         ctx.misses += 1
     if len(active) == 2:
-        exists, entry = _binary_synthesis(
+        entry = _binary_synthesis(
             ctx.mmdp, ctx.frame, initial, active, ctx.key_decisions(), ctx.informative_rows(*active)
         )
         # a pair below the root reports nothing
-        result = (exists, {(active, initial): entry} if exists else {}, {})
+        result = (False, {}, {}) if entry is None else (True, {(active, initial): entry}, {})
     else:
         result = _general_level(ctx, active, initial, depth)
     if ctx.memoize:
@@ -206,8 +196,8 @@ def _decision(ctx: _Context, decisions: dict[ActiveSet, _Decision], active: Acti
     return level
 
 
-def _level(ctx: _Context, decisions: dict[ActiveSet, _Decision], active: ActiveSet) -> _Level:
-    """The level of ``active`` over every state, decided once.
+def _level(ctx: _Context, decisions: dict[ActiveSet, _Decision], active: ActiveSet) -> _Decision:
+    """The level of ``active`` over every state, decided once; its steps go to ``ctx.steps``.
 
     Every row keeps the successors all active models allow. A successor that
     rules out some active model moves to "succeeds" when its survivors detect
@@ -218,10 +208,15 @@ def _level(ctx: _Context, decisions: dict[ActiveSet, _Decision], active: ActiveS
     frame = ctx.frame
     plain_succ, plain_steps = ctx.plain
     succ = list(plain_succ)
-    steps = tuple([
-        _step(ctx, decisions, active, s, succ) if step is None else step
+    steps = ctx.steps[active] = tuple([
+        _step(ctx.mmdp.rows, active, s, succ) if step is None else step
         for s, step in enumerate(plain_steps)
     ])
+    fails, succeeds = 1 << len(frame.names) - 2, 1 << len(frame.names) - 1
+    for _, _, state_edges in steps:
+        for _, r, s2, sub in state_edges:
+            detects = len(sub) == 1 or frame.names[s2] in _decision(ctx, decisions, sub).rmax
+            succ[r] |= succeeds if detects else fails
     graph = frame.over(succ, (1 << len(frame.names)) - 1)
     pair_rows = [ctx.informative_rows(i, j) for k, i in enumerate(active) for j in active[k + 1 :]]
     good = frozenset({frame.names[-1]})
@@ -230,21 +225,17 @@ def _level(ctx: _Context, decisions: dict[ActiveSet, _Decision], active: ActiveS
         """The good terminal, or a component informative for every active pair."""
         return c.states == good or all(c.rows & rows_ij for rows_ij in pair_rows)
 
-    decision = _decide(graph, is_informative, frozenset(frame.names[-2:]))
-    return _Level(**vars(decision), steps=steps)
+    return _decide(graph, is_informative, frozenset(frame.names[-2:]))
 
 
-def _step(
-    ctx: _Context, decisions: dict[ActiveSet, _Decision], active: ActiveSet, s: int, succ: list[int]
-) -> _Step:
-    """State ``s``'s part of the level of ``active``; writes its rows' successor sets into ``succ``."""
-    names = ctx.mmdp.rows.names
-    bot0, bot1 = 1 << len(names), 1 << len(names) + 1
+def _step(rows: Rows, active: ActiveSet, s: int, succ: list[int]) -> _Step:
+    """State ``s``'s part of the level of ``active``; writes into ``succ`` the successors
+    each of its rows moves to while every active model agrees."""
     active_mask = sum(1 << (i - 1) for i in active)
     post = 0
     order: dict[int, None] = {}
     edges: list[_Edge] = []
-    for r, groups in ctx.mmdp.rows.groups[s]:
+    for r, groups in rows.groups[s]:
         agree = 0
         partial = []
         for mask, bits in groups:
@@ -258,10 +249,7 @@ def _step(
         order.update(dict.fromkeys(bit_indices(agree)))
         # successors some active model rules out, in successor order
         for s2, mask in sorted((s2, mask) for mask, bits in partial for s2 in bit_indices(bits)):
-            sub = members(mask, active)
-            edges.append((s, r, s2, sub))
-            detects = len(sub) == 1 or names[s2] in _decision(ctx, decisions, sub).rmax
-            succ[r] |= bot1 if detects else bot0
+            edges.append((s, r, s2, members(mask, active)))
     return post, tuple(order), tuple(edges)
 
 
@@ -278,13 +266,14 @@ def _general_level(
     are the level's, restricted to them.
     """
     level = _decision(ctx, ctx.key_decisions(), active)
+    steps = ctx.steps[active]
     names, index = ctx.frame.names, ctx.frame.index
     start = index[initial]
     explored = 1 << start
     queue: deque[int] = deque([start])
     edges: list[_Edge] = []
     while queue:
-        post, order, state_edges = level.steps[queue.popleft()]
+        post, order, state_edges = steps[queue.popleft()]
         new = post & ~explored
         if new:
             explored |= new

@@ -26,6 +26,8 @@ ROW_EQ_TOL = 1e-12
 
 Row = Mapping[str, float]
 
+_MASK64 = (1 << 64) - 1
+
 _positive = partial(lt, 0.0)  # p > 0.0
 
 
@@ -44,6 +46,21 @@ def actions_at(actions: Mapping[str, tuple[str, ...]], state: str) -> tuple[str,
 def support(row: Row) -> frozenset[str]:
     """Successors with strictly positive probability."""
     return frozenset(s for s, p in row.items() if p > 0.0)
+
+
+def trial_rng(seed: int, stream: int) -> Any:
+    """Independent counter-based stream for (seed, stream index), a ``numpy.random.Generator``.
+
+    The Philox4x64-10 generator keyed ``(seed, stream)``, both modulo 2**64
+    as exact ``uint64`` words, so every seed and stream index below 2**64
+    has its own stream. The recommender profile draws from
+    ``trial_rng(seed, 0)``; the lockstep kernel of ``simulate`` computes
+    these very streams itself, bit for bit, without ``numpy.random``.
+    """
+    import numpy as np
+
+    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)

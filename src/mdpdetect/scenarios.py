@@ -12,7 +12,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Mapping, Sequence
 
 from .errors import ModelError
-from .models import Mdp, Mmdp, _decode, _left_sum
+from .models import Mdp, Mmdp, _decode, _left_sum, trial_rng
 
 Cell = tuple[int, int]
 
@@ -197,18 +197,6 @@ def _state_id(h: tuple[str, ...]) -> str:
     return "start" if not h else "s_" + "_".join(h)
 
 
-def _profile_rng(seed: int) -> Any:
-    """The stream of the profile's draws: ``simulate.trial_rng(seed, 0)``, bit for bit.
-
-    Built here, so that ``gen recsys`` loads neither ``simulate`` nor
-    ``analysis``; only the draws need numpy, and grids need none.
-    """
-    import numpy as np
-
-    key = np.array([seed & (1 << 64) - 1, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def recsys_profile(spec: RecSysSpec) -> RecsysProfile:
     """Replay the generator's seeded draws without building the models."""
     if spec.item_count < 3:
@@ -218,7 +206,7 @@ def recsys_profile(spec: RecSysSpec) -> RecsysProfile:
     if spec.history_length != 2:
         raise ModelError("only purchase histories of length 2 are supported")
 
-    rng = _profile_rng(spec.seed)
+    rng = trial_rng(spec.seed, 0)
     items = tuple(f"i{k}" for k in range(spec.item_count))
 
     # Uniform simplex point via exponential spacings.

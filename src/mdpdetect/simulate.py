@@ -31,10 +31,9 @@ import numpy as np
 
 from .analysis import STOP_REASONS, _MAX_STEPS, _THRESHOLD, _UNDETECTABLE, _check_priors, _compiled, _segments
 from .errors import ContractError, ImpossibleObservationError, ModelError
-from .models import Mmdp, _left_sum
+from .models import _MASK64, Mmdp, _left_sum
 from .policy import DetectionPolicy
 
-_MASK64 = (1 << 64) - 1
 _BLOCK = 64  # uniforms a lockstep trial draws from its stream at a time at least (a multiple of 4)
 _WIDE = 4096  # counters a block covers at least, when few trials are live
 _CHUNK = 8192  # counters of one Philox pass at most, which keeps its temporaries in cache
@@ -97,18 +96,6 @@ def map_decide(b: BeliefState | Sequence[float]) -> int:
         if probs[i] > probs[best]:
             best = i
     return best + 1
-
-
-def trial_rng(seed: int, stream: int) -> np.random.Generator:
-    """Independent counter-based stream for (seed, stream index).
-
-    The Philox4x64-10 generator keyed ``(seed, stream)``, both modulo 2**64
-    as exact ``uint64`` words, so every seed and stream index below 2**64
-    has its own stream. The lockstep kernel computes these very streams
-    itself, bit for bit, without ``numpy.random``.
-    """
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _key(word: int, n: int) -> np.ndarray:

@@ -24,7 +24,6 @@ from mdpdetect.binary import (
     REVEALING,
     PreprocessedPair,
     SaClassification,
-    _build,
     _check_shared_structure,
     _decide,
     preprocess,
@@ -47,9 +46,10 @@ from mdpdetect.models import (
     fresh_name,
     serialize_mmdp,
     support,
+    trial_rng,
 )
 from mdpdetect.policy import DetectionPolicy, PolicyEntry, active_set, members, serialize_policy
-from mdpdetect.simulate import Trace, TraceStep, _check_priors, map_decide, trial_rng
+from mdpdetect.simulate import Trace, TraceStep, _check_priors, map_decide
 
 # every property test runs the same examples on every run, however long they take
 settings.register_profile("mdpdetect", deadline=None, derandomize=True, database=None)
@@ -1021,7 +1021,7 @@ def frozen_general_level(ctx, active, initial, depth):
         return c.states == good or all(c.rows & rows_ij for rows_ij in pair_rows)
 
     decision = _decide(graph, is_informative, frozenset(frame.names[bot0:]))
-    entry = _build(decision, initial, active)
+    entry = PolicyEntry(active, initial, decision.reach, decision.mecs) if initial in decision.rmax else None
     diagnostics = {
         "active": list(active),
         "initial": initial,

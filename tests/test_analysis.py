@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -101,12 +102,26 @@ def test_bc_matrix_identical_models_is_stochastic():
 
 
 def test_bc_matrix_rejects_a_negative_horizon(example1):
-    """The curve refuses a negative horizon, as ``bc_value`` and ``pairwise_bc_curve`` do."""
-    w = bc_matrix(*example1.models, _uniform_table(example1))
-    for call in (w.bc_curve, w.bc_value):
+    """The curve refuses a negative horizon, as ``bc_value``, ``bc_exact`` and ``pairwise_bc_curve`` do."""
+    table = _uniform_table(example1)
+    w = bc_matrix(*example1.models, table)
+    exact = partial(bc_exact, *example1.models, table)
+    curves = partial(pairwise_bc_curve, example1, stationary_uniform_policy(example1))
+    for call in (w.bc_curve, w.bc_value, exact, curves):
         with pytest.raises(ModelError, match="horizon must be nonnegative"):
             call(-3)
     assert w.bc_curve(0).values == (1.0,)
+
+
+@pytest.mark.parametrize("values, problems", [
+    ((), ["curve must start at 1"]),
+    ((0.5, 0.25), ["curve must start at 1"]),
+    ((1.0, 0.5, 0.75), ["curve increases at t=1"]),
+    ((1.0, -0.5), ["curve leaves [0, 1]"]),
+    ((1.0, 1.5), ["curve increases at t=0", "curve leaves [0, 1]"]),
+])
+def test_bc_curve_check_names_each_problem(values, problems):
+    assert BcCurve(values=values).check() == problems
 
 
 def test_bc_matrix_sqrt_half_structure():
@@ -715,6 +730,22 @@ def test_non_finite_priors_are_refused(where, bad, tmp_path, capsys):
     assert main([*args, "--bounds", f"{bad},1:0.5,0.5"]) == 2
     assert "entries must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("priors, message", [
+    ((0.5, 0.25, 0.25), "expected 2 entries, got 3"),
+    ((1.0,), "expected 2 entries, got 1"),
+    ((0.0, 1.0), "entries must be strictly positive"),
+    ((1.5, -0.5), "entries must be strictly positive"),
+])
+@pytest.mark.parametrize("where", list(_PRIOR_CALLS))
+def test_priors_of_the_wrong_length_or_sign_are_refused(where, priors, message):
+    if where == "error_bounds_multi" and len(priors) != 2:
+        # the matrix shape is checked first
+        message = rf"coefficient matrix shape \(2, 2\) does not match {len(priors)} priors"
+    mmdp = example1_mmdp(initial="2")
+    with pytest.raises(ModelError, match=message):
+        _PRIOR_CALLS[where](mmdp, bi_apd(mmdp).policy, priors)
 
 
 @pytest.mark.parametrize("actions", [{}, {"x": ()}], ids=["missing", "empty"])

@@ -1,5 +1,6 @@
 """Binary pipeline: classification, preprocessing, structure, synthesis."""
 
+import dataclasses
 import itertools
 import math
 
@@ -13,9 +14,8 @@ from mdpdetect.binary import (
     PLAIN,
     REVEALING,
     _binary_synthesis,
-    _build,
-    _pair_frame,
     _pair_graph,
+    _terminal_frame,
     bi_apd,
     classify_pairs,
     informative_mdp,
@@ -315,6 +315,18 @@ def test_informative_structure_identical_is_original_plus_terminals():
     assert ts.transitions == base.transitions | terminal_loops
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1.0, -0.5, 1.5, math.nan])
+def test_informative_mdp_refuses_a_gamma_outside_the_open_unit_interval(example1, gamma):
+    with pytest.raises(ModelError, match=r"gamma must lie in \(0, 1\)"):
+        informative_mdp(preprocess(*example1.models), gamma)
+
+
+@pytest.mark.parametrize("change", [{"states": ("ghost",)}, {"initial": "ghost"}], ids=["states", "initial"])
+def test_classify_pairs_refuses_models_that_do_not_share_states(example1, change):
+    with pytest.raises(ModelError, match="model pair does not share states and initial state"):
+        classify_pairs(example1.models[0], dataclasses.replace(example1.models[1], **change))
+
+
 def test_informative_structure_gamma_independent(example1):
     pair = preprocess(*example1.models)
     supports = []
@@ -363,7 +375,7 @@ def _model_pairs(mmdp):
 
 def _pair_graph_of(mmdp, i, j):
     rows, cls = mmdp.rows, classify_pairs(mmdp.model(i), mmdp.model(j))
-    frame = _pair_frame(rows)
+    frame = _terminal_frame(rows, ("bot1", "bot2"))
     return _pair_graph(rows, frame, (i, j), frame.row_bits(cls.informative_pairs))
 
 
@@ -464,7 +476,7 @@ def test_pair_decision_matches_frozen_reference(seed, kind):
     """Reach set, reach table and components equal the decision taken on
     ``informative_graph(preprocess(...))``, and so does every entry built from them."""
     mmdp = _random_mmdp(rng_for(seed), kind)
-    frame = _pair_frame(mmdp.rows)
+    frame = _terminal_frame(mmdp.rows, ("bot1", "bot2"))
     for pair in _model_pairs(mmdp):
         m_i, m_j = mmdp.model(pair[0]), mmdp.model(pair[1])
         decisions = {}
@@ -475,7 +487,9 @@ def test_pair_decision_matches_frozen_reference(seed, kind):
             ref.rmax, ref.reach, ref.mecs, ref.components, ref.informative,
         )
         for s in mmdp.states:
-            assert _build(got, s, pair) == _build(ref, s, pair)
+            assert _binary_synthesis(mmdp, frame, s, pair, {pair: got}, informative) == _binary_synthesis(
+                mmdp, frame, s, pair, {pair: ref}, informative
+            )
 
 
 def test_bi_apd_reports_the_reference_diagnostics():

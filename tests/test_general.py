@@ -400,6 +400,30 @@ def test_general_unknown_initial_rejected():
         general_apd(_recursive_instance(), initial="ghost")
 
 
+def _two_alike_and_a_leak():
+    """M1 and M3 loop at ``s0``; M2 moves from ``s0`` to the absorbing ``t`` with probability 0.5."""
+    states, actions = ("s0", "t"), {"s0": ("a",), "t": ("a",)}
+    loop, leak, stay = {"s0": 1.0}, {"s0": 0.5, "t": 0.5}, {"t": 1.0}
+    return Mmdp(models=tuple(
+        mk_mdp(states, actions, {("s0", "a"): row, ("t", "a"): stay}, "s0", f"M{m + 1}")
+        for m, row in enumerate((loop, leak, loop))
+    ))
+
+
+def test_two_models_alike_everywhere_are_undetectable_as_a_pair():
+    mmdp = _two_alike_and_a_leak()
+    assert bi_apd(Mmdp(models=(mmdp.model(1), mmdp.model(3)))).exists is False
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a level counts the exit only M2 can take as reachable under M1 and M3 too, "
+    "so it answers that detection exists"
+))
+def test_no_detection_among_three_when_two_are_alike_everywhere():
+    """No policy tells M1 from M3, so none detects among all three models."""
+    assert general_apd(_two_alike_and_a_leak()).exists is False
+
+
 def _outputs_from_every_state(mmdp):
     """The policy JSON (None without a policy) and the diagnostics JSON from each initial state."""
     out = []
@@ -630,7 +654,7 @@ def test_general_runs_no_witness_walk():
 
     def recorded(*args, **kwargs):
         result = synthesis(*args, **kwargs)
-        if not result[0]:
+        if result is None:
             undetectable.append(args[2:4])
         return result
 

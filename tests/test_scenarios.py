@@ -5,7 +5,7 @@ import pytest
 from mdpdetect.binary import bi_apd, classify_pairs
 from mdpdetect.errors import ModelError
 from mdpdetect.general import pairwise_isa
-from mdpdetect.models import serialize_mmdp, validate_mmdp
+from mdpdetect.models import serialize_mmdp, trial_rng, validate_mmdp
 from mdpdetect.scenarios import (
     GridSpec,
     RecSysSpec,
@@ -207,18 +207,15 @@ def test_recsys_profile_has_its_own_draws_for_every_seed():
 
 @pytest.mark.parametrize("seed", [0, 1, 7, -1, 2**63 + 1, 2**64 - 1, 2**64 + 5])
 def test_recsys_profile_draws_from_the_trial_stream_of_its_seed(seed):
-    """The profile's generator gives, bit for bit, the draws of ``trial_rng(seed, 0)``."""
-    import numpy as np
-
-    from mdpdetect.scenarios import _profile_rng
-    from mdpdetect.simulate import trial_rng
-
-    ours, theirs = _profile_rng(seed), trial_rng(seed, 0)
-    for draw in (
-        lambda g: g.exponential(1.0, 50), lambda g: g.uniform(0.0, 3.0, 50),
-        lambda g: g.permutation(20), lambda g: g.integers(0, 2**62, 50), lambda g: g.random(50),
-    ):
-        assert np.array_equal(draw(ours).view(np.uint64), draw(theirs).view(np.uint64))
+    """The profile's simplex point, mixing weight and first ranking are, to the last
+    bit, the draws of ``trial_rng(seed, 0)`` in that order."""
+    profile = recsys_profile(RecSysSpec(item_count=6, type_count=3, seed=seed))
+    rng = trial_rng(seed, 0)
+    raw = rng.exponential(1.0, 6)
+    v = raw / raw.sum()
+    assert profile.v == tuple(v.tolist())
+    assert profile.alpha == rng.uniform(0.0, 1.0 / float(v.max()) - 1.0)
+    assert profile.rankings[0] == tuple(rng.permutation(6).tolist())
 
 
 def test_recsys_exactly_one_revealing_row_per_type():

@@ -18,7 +18,7 @@ from mdpdetect.binary import bi_apd
 from mdpdetect.errors import ContractError, ImpossibleObservationError, ModelError
 from mdpdetect.general import general_apd
 from mdpdetect.graphs import Mec
-from mdpdetect.models import Mmdp, mmdp_to_json, parse_mmdp, validate_mmdp
+from mdpdetect.models import Mmdp, mmdp_to_json, parse_mmdp, trial_rng, validate_mmdp
 from mdpdetect.policy import (
     DetectionPolicy,
     PolicyEntry,
@@ -40,7 +40,6 @@ from mdpdetect.simulate import (
     monte_carlo_error,
     simulate,
     trace_to_csv,
-    trial_rng,
 )
 
 from conftest import (
@@ -60,6 +59,16 @@ from conftest import (
 from test_analysis import _random_instance
 from test_cli import _fork_mmdp, _fork_policy
 from test_general import _recursive_instance
+
+
+@pytest.mark.parametrize("probs, problems", [
+    ((0.25, 0.75), []),
+    ((1.5, -0.5), ["negative posterior entry"]),
+    ((0.5, 0.25), ["posteriors sum to 0.75"]),
+    ((-0.5, 0.25), ["negative posterior entry", "posteriors sum to -0.25"]),
+])
+def test_belief_state_check_names_each_problem(probs, problems):
+    assert BeliefState(probs).check() == problems
 
 
 def test_belief_update_example1_values(example1):
