@@ -179,12 +179,19 @@ def error_bounds_multi(
 ) -> ErrorBounds:
     """Multi-hypothesis bounds from the pairwise coefficient matrix.
 
-    Reduces exactly to the binary bounds when there are two hypotheses.
+    Reduces exactly to the binary bounds when there are two hypotheses. The
+    square matrix fixes the number of hypotheses; ``q`` and ``theta`` must
+    each be a distribution over that many.
     """
-    b = np.asarray(bc, dtype=float)
-    n = len(q)
-    if b.shape != (n, n) or len(theta) != n:
-        raise ModelError(f"coefficient matrix shape {b.shape} does not match {n} priors")
+    try:
+        b = np.asarray(bc, dtype=float)
+    except ValueError:  # rows of different lengths, or an entry that is not a number
+        raise ModelError("coefficient matrix: expected a square matrix of numbers") from None
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        raise ModelError(f"coefficient matrix: expected a square matrix, got shape {b.shape}")
+    n = len(b)
+    if q is None or theta is None:  # _check_priors would read None as uniform
+        raise ModelError(f"{'estimated' if q is None else 'true'} priors: expected {n} entries, got None")
     q = _check_priors(q, n, "estimated priors")
     theta = _check_priors(theta, n, "true priors")
     lower = 0.5 * max(

@@ -127,16 +127,11 @@ class _Context:
         bits and rows; a pair below the root reports nothing and its entry
         drops the terminals, so their names never reach an output.
 
-        Its seed holds the rows and successor union of each state of
-        :attr:`plain`, which every level graph and every pair graph share.
+        Its seed holds the successor union of each state of :attr:`plain`,
+        whose rows every level graph and every pair graph share.
         """
         frame = _terminal_frame(self.mmdp.rows, ("botg0", "botg1"))
-        first, steps = frame.first, self.plain[1]
-        shared = [s for s, step in enumerate(steps) if step is not None]
-        frame.seed = (
-            {s: list(range(first[s], first[s + 1])) for s in shared},
-            {s: steps[s][0] for s in shared},
-        )
+        frame.seed = {s: step[0] for s, step in enumerate(self.plain[1]) if step is not None}
         return frame
 
     @cached_property

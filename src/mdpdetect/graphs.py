@@ -55,11 +55,10 @@ class SupportGraph:
     bitset ``domain``; the rows of the other states are ignored. A successor
     outside ``names`` is bit ``len(names)``, which no domain holds.
 
-    ``seed`` is None or a pair ``(closed, post)`` of dicts over some states of
-    the domain: ``closed[i]`` lists every row of state ``i``, in order, and
-    ``post[i]`` is the union of their successor sets, which lies in the
-    domain. Whoever sets it promises that those rows keep those successors
-    in this graph and in every graph :meth:`over` makes from it;
+    ``seed`` is None or a dict over some states of the domain: ``seed[i]``
+    is the union of the successor sets of every row of state ``i``, which
+    lies in the domain. Whoever sets it promises that those rows keep those
+    successors in this graph and in every graph :meth:`over` makes from it;
     :func:`mec_decompose` then starts from it instead of reading the rows.
     """
 
@@ -80,7 +79,7 @@ class SupportGraph:
         self.first = first
         self.succ = succ
         self.domain = domain
-        self.seed: tuple[dict[int, list[int]], dict[int, int]] | None = None
+        self.seed: dict[int, int] | None = None
 
     def over(self, succ: Sequence[int], domain: int) -> SupportGraph:
         """The same states, rows and seed with other successor sets and another domain."""
@@ -189,26 +188,23 @@ def mec_decompose(g: SupportGraph) -> tuple[Mec, ...]:
     split makes: a block's rows are a subset of its parent's, and a state
     whose ``post`` stays inside the smaller block keeps both unchanged. The
     first round starts from ``g.seed`` when it is set, so a seeded state
-    keeps its rows without reading them. After a block's first round its
-    states are the keys of the rows it kept, and later rounds walk those.
+    whose successor union stays inside keeps all its rows without reading
+    them. After a block's first round its states are the keys of the rows
+    it kept, and later rounds walk those.
     """
     names, actions, first, succ = g.names, g.actions, g.first, g.succ
     result = []
-    closed, post = g.seed or ({}, {})
-    work: list[tuple[int, dict[int, list[int]], dict[int, int]]] = [(g.domain, closed, post)]
+    work: list[tuple[int, dict[int, Sequence[int]], dict[int, int]]] = [(g.domain, {}, g.seed or {})]
     while work:
         block, closed, post = work.pop()
         states: Iterable[int] = bit_indices(block)
         while True:  # the states with an action whose support stays in the block
             kept, kept_rows, kept_post, leaves = 0, {}, {}, ~block
             for i in states:
+                rows = closed.get(i) or range(first[i], first[i + 1])
                 out = post.get(i)
-                if out is not None and not out & leaves:
-                    rows = closed[i]
-                else:
-                    rows = [
-                        r for r in closed.get(i, range(first[i], first[i + 1])) if not succ[r] & leaves
-                    ]
+                if out is None or out & leaves:
+                    rows = [r for r in rows if not succ[r] & leaves]
                     out = reduce(or_, map(succ.__getitem__, rows), 0)
                 if rows:
                     kept |= 1 << i

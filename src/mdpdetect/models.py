@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce, wraps
-from itertools import chain, repeat
+from itertools import repeat
 from operator import add, lt
 from typing import Any, Iterable, Mapping
 
@@ -490,25 +490,51 @@ def mmdp_to_json(mmdp: Mmdp) -> str:
 
     Byte for byte ``json.dumps(serialize_mmdp(mmdp), indent=2,
     sort_keys=True) + "\\n"``, written straight from the models; the oracle
-    tests in ``tests/test_models.py`` hold it to that. Each distinct piece
-    is rendered once per call: the fields before ``"p"`` and the successor
-    names of a (state, action) row once for all models, each probability
-    once for all entries that have it. The file is joined once from the
-    list of pieces.
+    tests in ``tests/test_models.py`` hold it to that. One loop over models,
+    states, actions and sorted successors writes every entry; three caches,
+    kept for one call, render each piece once: the fields before ``"p"`` of
+    each (state, action) of string names, each string successor name, and
+    each float probability. Other names and probabilities go through
+    :func:`_json` every time, so values that compare equal but print
+    differently (``1 == 1.0 == True``, ``0.0 == -0.0``) never share a piece.
     """
     base = mmdp.models[0]
     actions = {s: list(actions_at(base.actions, s)) for s in base.states}
+    # an entry of ``delta`` sits at depth 4 and its fields at depth 5
+    pad = " " * 10
+    mid = f',\n{pad}"to": '
+    sep = "\n        },\n        "
+    heads: dict[tuple[str, str], str] = {}
+    names: dict[str, str] = {}
+    masses = _Masses()
     parts = [
         '{\n  "actions": ', _json(actions, "  "),
         ',\n  "initial": ', _json(base.initial, "  "),
         ',\n  "models": [\n    ',
     ]
-    written: dict[tuple[str, str], tuple[str, list[str], list[str]]] = {}
-    masses = _Masses()
     for m in mmdp.models:
-        _model_parts(m, parts, written, masses)
-        parts.append(",\n    ")
-    parts[-1] = "\n  ]"
+        parts.append('{\n      "delta": [\n        ')
+        opening = len(parts)
+        for s in m.states:
+            for a in actions_at(m.actions, s):
+                head = heads.get((s, a))
+                if head is None:
+                    head = f'{{\n{pad}"action": {_json(a, pad)},\n{pad}"from": {_json(s, pad)},\n{pad}"p": '
+                    if type(s) is str and type(a) is str:
+                        heads[s, a] = head
+                row = m.row(s, a)
+                for t in sorted(row):
+                    succ = names.get(t)
+                    if succ is None:
+                        succ = _json(t, pad)
+                        if type(t) is str:
+                            names[t] = succ
+                    p = row[t]
+                    parts += head, masses[p] if type(p) is float else _json(p, pad), mid, succ, sep
+        # the last entry closes the array; with no entries, the array is empty
+        parts[-1] = "\n        }\n      ]" if len(parts) > opening else '{\n      "delta": []'
+        parts += ',\n      "name": ', _json(m.name, " " * 6), "\n    },\n    "
+    parts[-1] = "\n    }\n  ]"
     parts += ',\n  "states": ', _json(list(base.states), "  "), "\n}\n"
     return "".join(parts)
 
@@ -526,57 +552,6 @@ class _Masses(dict):
         if p and math.isfinite(p):
             self[p] = text
         return text
-
-
-_FLOAT = {float}
-_UNSEEN = (None, None, None)
-
-
-def _model_parts(m: Mdp, parts: list[str], written: dict, masses: _Masses) -> None:
-    """Append the pieces of one item of the file's ``models`` array, at depth 2.
-
-    ``written`` holds, for each (state, action) of string names, its entries'
-    text before ``"p"``, and the sorted successors of its last row with their
-    names; ``masses`` holds the text of each probability. Both are shared by
-    every model of one file.
-    """
-    # an entry of ``delta`` sits at depth 4 and its fields at depth 5
-    pad = " " * 10
-    mid = f',\n{pad}"to": '
-    sep = "\n        },\n        "
-    parts.append('{\n      "delta": [\n        ')
-    first = len(parts)
-    for s in m.states:
-        source = None
-        for a in actions_at(m.actions, s):
-            row = m.row(s, a)
-            if not row:
-                continue
-            succs = sorted(row)
-            key = (s, a) if type(s) is str and type(a) is str else None
-            head, known, names = written.get(key, _UNSEEN)
-            if head is None:
-                if source is None:
-                    source = _json(s, pad)
-                head = f'{{\n{pad}"action": {_json(a, pad)},\n{pad}"from": {source},\n{pad}"p": '
-            if known != succs:
-                try:
-                    names = list(map(_string, succs))
-                except TypeError:  # a name that is not a string
-                    names, key = [_json(t, pad) for t in succs], None
-                if key is not None:
-                    written[key] = head, succs, names
-            probs = list(map(row.__getitem__, succs))
-            if set(map(type, probs)) == _FLOAT:
-                texts = map(masses.__getitem__, probs)
-            else:
-                texts = [_json(p, pad) for p in probs]
-            parts += chain.from_iterable(zip(repeat(head), texts, repeat(mid), names, repeat(sep)))
-    if len(parts) == first:
-        parts[-1] = '{\n      "delta": []'
-    else:
-        parts[-1] = "\n        }\n      ]"
-    parts += ',\n      "name": ', _json(m.name, " " * 6), "\n    }"
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import mdpdetect.analysis
 from mdpdetect.analysis import (
     BcCurve,
+    BcMatrix,
     bc_exact,
     bc_matrix,
     bounds_csv,
@@ -36,6 +37,7 @@ from mdpdetect.policy import (
     policy_to_json,
     stationary_uniform_policy,
 )
+from mdpdetect.scenarios import RecSysSpec, gen_recsys
 from mdpdetect.simulate import batch_summary, monte_carlo_error, simulate
 
 from conftest import (
@@ -149,6 +151,21 @@ def test_bc_matrix_matches_enumeration_on_random_instances():
         ), seed
 
 
+def test_bc_routes_skip_actions_of_probability_zero(example1):
+    """A policy action listed with probability 0.0 leaves both routes unchanged."""
+    table = {s: {example1.actions[s][0]: 1.0} for s in example1.states}
+    padded = {s: {**dict.fromkeys(example1.actions[s], 0.0), **row} for s, row in table.items()}
+    assert padded != table  # some state offers a second action
+    w, padded_w = (bc_matrix(*example1.models, policy) for policy in (table, padded))
+    assert np.array_equal(padded_w.matrix, w.matrix)
+    for t in range(5):
+        assert bc_exact(*example1.models, padded, t) == bc_exact(*example1.models, table, t)
+
+
+def test_power_radius_of_a_zero_matrix_is_zero():
+    assert BcMatrix(matrix=np.zeros((2, 2)), states=("x", "y"), initial="x").power_radius() == 0.0
+
+
 def test_bc_matrix_invariants():
     for seed in range(20):
         rng = rng_for(6500 + seed)
@@ -238,6 +255,25 @@ def test_error_bounds_multi_validates_input():
         error_bounds_multi([[0.0, 0.5]], [0.5, 0.5], [0.5, 0.5])
     with pytest.raises(ModelError):
         error_bounds_multi([[0.0, 0.5], [0.5, 0.0]], [0.5, 0.5], [0.7, 0.4])
+
+
+_SQUARE = [[0.0, 0.5], [0.5, 0.0]]
+
+
+@pytest.mark.parametrize("bc, q, theta, message", [
+    (_SQUARE, (0.5, 0.25, 0.25), (0.5, 0.5), r"^estimated priors: expected 2 entries, got 3$"),
+    (_SQUARE, (0.5, 0.5), (0.5, 0.25, 0.25), r"^true priors: expected 2 entries, got 3$"),
+    ([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5]], (0.5, 0.5), (0.5, 0.5),
+     r"^coefficient matrix: expected a square matrix, got shape \(2, 3\)$"),
+    ([[0.0, 0.5], [0.5]], (0.5, 0.5), (0.5, 0.5), r"^coefficient matrix: expected a square matrix of numbers$"),
+    (_SQUARE, None, (0.5, 0.5), r"^estimated priors: expected 2 entries, got None$"),
+    (_SQUARE, (0.5, 0.5), None, r"^true priors: expected 2 entries, got None$"),
+])
+def test_error_bounds_multi_names_the_argument_at_fault(bc, q, theta, message):
+    """The matrix fixes the number of hypotheses; a prior of another length, or
+    none at all, is reported under its own name, not as a matrix fault."""
+    with pytest.raises(ModelError, match=message):
+        error_bounds_multi(bc, q, theta)
 
 
 def test_pairwise_curve_identical_models_constant_one():
@@ -740,9 +776,6 @@ def test_non_finite_priors_are_refused(where, bad, tmp_path, capsys):
 ])
 @pytest.mark.parametrize("where", list(_PRIOR_CALLS))
 def test_priors_of_the_wrong_length_or_sign_are_refused(where, priors, message):
-    if where == "error_bounds_multi" and len(priors) != 2:
-        # the matrix shape is checked first
-        message = rf"coefficient matrix shape \(2, 2\) does not match {len(priors)} priors"
     mmdp = example1_mmdp(initial="2")
     with pytest.raises(ModelError, match=message):
         _PRIOR_CALLS[where](mmdp, bi_apd(mmdp).policy, priors)
@@ -819,6 +852,17 @@ def test_exact_map_error_of_the_uniform_baseline_meets_bc_bounds_and_monte_carlo
     """Binary instances only: bc of the baseline on three or more models stops at a missing entry."""
     mmdp, q, theta = _map_error_case(seed, "binary", 2, random_priors)
     _assert_exact_error_between_bounds_and_monte_carlo(mmdp, stationary_uniform_policy(mmdp), q, theta, seed)
+
+
+@pytest.mark.xfail(strict=True, raises=ContractError, reason=(
+    "the one-entry baseline has no entry for the active set left once a played "
+    "transition eliminates a model outside the pair, so bc stops where Monte Carlo runs"
+))
+def test_bc_runs_the_uniform_baseline_on_three_models():
+    mmdp = gen_recsys(RecSysSpec(item_count=5, type_count=3, seed=0))
+    policy = stationary_uniform_policy(mmdp)
+    monte_carlo_error(mmdp, policy, 5, 200, 1)  # the same policy plays to the end here
+    assert set(pairwise_bc_curve(mmdp, policy, 10)) == {(1, 2), (1, 3), (2, 3)}
 
 
 def test_exact_map_error_refuses_a_horizon_above_its_cap():

@@ -133,23 +133,23 @@ def test_mec_listing(model_file, capsys):
 def test_synthesize_success_and_failure(tmp_path, model_file):
     code, policy_path, diag_path = _synthesize(tmp_path, model_file, initial="2")
     assert code == 0
-    policy = json.loads(open(policy_path).read())
+    policy = json.loads(Path(policy_path).read_text())
     (entry,) = policy["entries"]
     assert entry["reach"]["2"] == "b2"
-    diag = json.loads(open(diag_path).read())
+    diag = json.loads(Path(diag_path).read_text())
     assert diag["initial"] == "2"
 
     code, _, diag_path = _synthesize(tmp_path, model_file, initial="1")
     assert code == 3
-    diag = json.loads(open(diag_path).read())
+    diag = json.loads(Path(diag_path).read_text())
     assert diag["witness_noninformative_mecs"]
 
 
 def test_synthesize_outputs_are_reproducible(tmp_path, model_file):
     _, first, _ = _synthesize(tmp_path, model_file)
-    text_a = open(first, "rb").read()
+    text_a = Path(first).read_bytes()
     _, second, _ = _synthesize(tmp_path, model_file)
-    assert open(second, "rb").read() == text_a
+    assert Path(second).read_bytes() == text_a
 
 
 def test_simulate_trace_and_batch(tmp_path, model_file):
@@ -162,7 +162,7 @@ def test_simulate_trace_and_batch(tmp_path, model_file):
         )
         == 0
     )
-    lines = open(trace_path).read().splitlines()
+    lines = Path(trace_path).read_text().splitlines()
     assert lines[0] == "t,state,action,b_1,b_2"
     assert lines[1].startswith("0,2,b2")
 
@@ -174,7 +174,7 @@ def test_simulate_trace_and_batch(tmp_path, model_file):
         )
         == 0
     )
-    summary = json.loads(open(batch_path).read())
+    summary = json.loads(Path(batch_path).read_text())
     assert summary["trials"] == 25
     assert summary["threshold_accuracy"] == 1.0
 
@@ -257,7 +257,7 @@ def test_bc_curve_and_bounds(tmp_path, model_file):
     assert (
         main(["bc", model_file, policy_path, "--horizon", "4", "--out", curve_path]) == 0
     )
-    lines = open(curve_path).read().splitlines()
+    lines = Path(curve_path).read_text().splitlines()
     assert lines[0] == "t,B"
     assert lines[1] == "0,1.0"
     assert lines[2] == "1,0.5"
@@ -270,7 +270,7 @@ def test_bc_curve_and_bounds(tmp_path, model_file):
         )
         == 0
     )
-    lines = open(bounds_path).read().splitlines()
+    lines = Path(bounds_path).read_text().splitlines()
     assert lines[0] == "t,lower,upper_raw,upper_clamped"
     assert lines[1] == "0,0.25,0.5,0.5"
 
@@ -327,7 +327,7 @@ def test_gen_commands(tmp_path, capsys):
     )
     out_path = str(tmp_path / "grid_model.json")
     assert main(["gen", "grid", str(grid_spec), "--out", out_path]) == 0
-    model = json.loads(open(out_path).read())
+    model = json.loads(Path(out_path).read_text())
     assert len(model["states"]) == 8
     assert len(model["models"]) == 2
 

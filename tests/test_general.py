@@ -752,12 +752,11 @@ def _assert_seeded_decompositions_match_the_reference(graphs):
     seeded = 0
     for graph in graphs:
         assert graph.seed is not None  # a run over three or more models seeds every graph
-        closed, post = graph.seed
-        for i, rows in closed.items():
-            assert rows == list(range(graph.first[i], graph.first[i + 1]))
-            assert post[i] == reduce(or_, [graph.succ[r] for r in rows], 0)
-            assert post[i] & ~graph.domain == 0
-        seeded += len(closed)
+        for i, out in graph.seed.items():
+            rows = range(graph.first[i], graph.first[i + 1])
+            assert out == reduce(or_, [graph.succ[r] for r in rows], 0)
+            assert out & ~graph.domain == 0
+        seeded += len(graph.seed)
         bare = SupportGraph(graph.names, graph.index, graph.actions, graph.first, graph.succ, graph.domain)
         assert bare.seed is None
         expected = [(c.states, c.actions) for c in reference_mec_decompose(system_of(graph))]

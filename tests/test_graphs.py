@@ -67,6 +67,15 @@ def test_mec_single_self_loop():
     assert mec.actions["s"] == {"a"}
 
 
+def test_equal_components_are_one_set_member():
+    """Components compare and hash by their action tables, whatever container built them."""
+    one = Mec(("x", "y"), {"x": ("a", "b"), "y": ("a",)})
+    same = Mec(["y", "x"], {"y": ["a"], "x": ["b", "a"]})
+    other = Mec(("x", "y"), {"x": ("a",), "y": ("a",)})
+    assert one == same and hash(one) == hash(same)
+    assert len({one, same, other}) == 2
+
+
 def test_mec_example1_informative_structure():
     pair, graph = _e1_structure()
     mecs = mec_decompose(graph)

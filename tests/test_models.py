@@ -411,6 +411,18 @@ def test_writers_refuse_what_json_refuses():
             write(mmdp)
 
 
+@pytest.mark.parametrize("state", [("x", 1), b"x"], ids=["tuple", "bytes"])
+def test_the_model_writer_refuses_a_key_with_the_text_json_gives(state):
+    """A state name json cannot write as an object key stops the writer with json's own message."""
+    mmdp = Mmdp(models=(_two_state({(state, "a"): {state: 1.0}}, states=(state,)),))
+    with pytest.raises(TypeError) as expected:
+        json.dumps({state: 0})
+    assert str(expected.value).startswith("keys must be str, int, float, bool or None")
+    with pytest.raises(TypeError) as refused:
+        mmdp_to_json(mmdp)
+    assert str(refused.value) == str(expected.value)
+
+
 def test_writers_keep_equal_values_of_different_types_apart():
     """The writers render each distinct piece once, but values that compare
     equal and print differently are never one piece: ``1 == 1.0 == True``,
