@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import isfinite
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping, Sequence
 
 from .errors import ModelError
 from .graphs import (
@@ -97,7 +96,8 @@ def classify_pairs(m1: Mdp, m2: Mdp) -> SaClassification:
     when it is not revealing and some action there is informative.
 
     Reads both kernels directly; a row is revealing when the walk of its
-    ``m1`` entries finds no successor both models give positive mass.
+    ``m1`` entries finds no successor both models give positive mass, and
+    :func:`rows_equal` tells a neutral row from an informative one.
     """
     _check_shared_structure(m1, m2)
     pair_labels: dict[tuple[str, str], str] = {}
@@ -117,10 +117,7 @@ def classify_pairs(m1: Mdp, m2: Mdp) -> SaClassification:
                 pair_labels[key] = REVEALING
                 revealing_actions.append(a)
                 continue
-            if r1 == r2 and isfinite(_left_sum(r1.values())):
-                # exactly equal finite masses: rows_equal holds without the walk
-                pair_labels[key] = NEUTRAL
-            elif not rows_equal(r1, r2):
+            if not rows_equal(r1, r2):
                 pair_labels[key] = INFORMATIVE
                 informative_here = True
             else:
@@ -333,9 +330,7 @@ def _pair_decision(
     decision = decisions.get(active)
     if decision is None:
         graph, isa_rows = _pair_graph(mmdp.rows, frame, active, informative)
-        decision = decisions[active] = _decide(
-            graph, lambda c: c.rows & isa_rows != 0, frozenset(frame.names[-2:])
-        )
+        decision = decisions[active] = _decide(graph, (isa_rows,), frozenset(frame.names[-2:]))
     return decision
 
 
@@ -423,18 +418,17 @@ class _Decision:
     informative: tuple[Mec, ...]
 
 
-def _decide(
-    graph: SupportGraph, is_informative: Callable[[Mec], bool], terminals: frozenset[str]
-) -> _Decision:
+def _decide(graph: SupportGraph, needs: Sequence[int], terminals: frozenset[str]) -> _Decision:
     """The first step of the tail that ends every synthesis level.
 
-    Keeps the end components of ``graph`` that ``is_informative`` accepts, takes
-    their almost-sure reach set and the policy that reaches them. The
-    ``terminals`` of ``graph`` stand for settled detection outcomes, so they
-    appear neither in the reach table nor among the runtime components.
+    Keeps the informative end components of ``graph``, those whose rows meet
+    every row bitset in ``needs``, takes their almost-sure reach set and the
+    policy that reaches them. The ``terminals`` of ``graph`` stand for settled
+    detection outcomes, so they appear neither in the reach table nor among
+    the runtime components.
     """
     mecs = mec_decompose(graph)
-    inf_mecs = tuple(c for c in mecs if is_informative(c))
+    inf_mecs = tuple(c for c in mecs if all(c.rows & rows for rows in needs))
     targets = frozenset(s for c in inf_mecs for s in c.states)
     rmax = almost_sure_reach_set(graph, targets)
     reach = reach_policy(graph, targets, rmax)

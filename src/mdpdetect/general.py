@@ -67,7 +67,7 @@ def general_apd(mmdp: Mmdp, initial: str | None = None, memoize: bool = True) ->
     initial = _start(mmdp, initial)
     ctx = _Context(mmdp=mmdp, memoize=memoize)
     full = active_set(range(1, mmdp.n + 1))
-    exists, entries, diagnostics = _solve(ctx, full, initial, depth=0)
+    exists, entries, diagnostics = _solve(ctx, full, initial)
     # only the root's components are spelled out
     diagnostics = {
         **diagnostics,
@@ -108,8 +108,7 @@ class _Context:
         key = active_set((i, j))
         cached = self.informative.get(key)
         if cached is None:
-            cls = classify_pairs(self.mmdp.model(key[0]), self.mmdp.model(key[1]))
-            cached = self.informative[key] = self.frame.row_bits(cls.informative_pairs)
+            cached = self.informative[key] = self.frame.row_bits(pairwise_isa(self.mmdp, *key))
         return cached
 
     def key_decisions(self) -> dict[ActiveSet, _Decision]:
@@ -158,10 +157,9 @@ class _Context:
 
 
 def _solve(
-    ctx: _Context, active: ActiveSet, initial: str, depth: int
+    ctx: _Context, active: ActiveSet, initial: str
 ) -> tuple[bool, dict[tuple[ActiveSet, str], PolicyEntry], dict[str, Any]]:
     """Memoized dispatch on the active-set size."""
-    assert depth <= ctx.mmdp.n - 2, "recursion deeper than the model count allows"
     key = (active, initial)
     if ctx.memoize:
         if key in ctx.memo:
@@ -175,7 +173,7 @@ def _solve(
         # a pair below the root reports nothing
         result = (False, {}, {}) if entry is None else (True, {(active, initial): entry}, {})
     else:
-        result = _general_level(ctx, active, initial, depth)
+        result = _general_level(ctx, active, initial)
     if ctx.memoize:
         ctx.memo[key] = result
     return result
@@ -199,6 +197,10 @@ def _level(ctx: _Context, decisions: dict[ActiveSet, _Decision], active: ActiveS
     from it (a lone survivor always does; a set of survivors when the
     successor lies in their own decision's reach set) and to "fails"
     otherwise. The decisions of the survivors come from ``decisions``.
+
+    A component is informative when its rows meet each active pair's
+    informative rows or the row of "succeeds": "succeeds" is one, and so is
+    every component informative for every active pair.
     """
     frame = ctx.frame
     plain_succ, plain_steps = ctx.plain
@@ -213,14 +215,9 @@ def _level(ctx: _Context, decisions: dict[ActiveSet, _Decision], active: ActiveS
             detects = len(sub) == 1 or frame.names[s2] in _decision(ctx, decisions, sub).rmax
             succ[r] |= succeeds if detects else fails
     graph = frame.over(succ, (1 << len(frame.names)) - 1)
-    pair_rows = [ctx.informative_rows(i, j) for k, i in enumerate(active) for j in active[k + 1 :]]
-    good = frozenset({frame.names[-1]})
-
-    def is_informative(c: Mec) -> bool:
-        """The good terminal, or a component informative for every active pair."""
-        return c.states == good or all(c.rows & rows_ij for rows_ij in pair_rows)
-
-    return _decide(graph, is_informative, frozenset(frame.names[-2:]))
+    good = 1 << len(frame.actions) - 1  # the one row of "succeeds"
+    needs = [ctx.informative_rows(i, j) | good for k, i in enumerate(active) for j in active[k + 1 :]]
+    return _decide(graph, needs, frozenset(frame.names[-2:]))
 
 
 def _step(rows: Rows, active: ActiveSet, s: int, succ: list[int]) -> _Step:
@@ -249,7 +246,7 @@ def _step(rows: Rows, active: ActiveSet, s: int, succ: list[int]) -> _Step:
 
 
 def _general_level(
-    ctx: _Context, active: ActiveSet, initial: str, depth: int
+    ctx: _Context, active: ActiveSet, initial: str
 ) -> tuple[bool, dict[tuple[ActiveSet, str], PolicyEntry], dict[str, Any]]:
     """The BFS + recursion level of ``(active, initial)`` for ``len(active) >= 3``.
 
@@ -281,7 +278,7 @@ def _general_level(
         exists = len(sub) == 1
         if not exists:
             assert len(sub) < len(active), "active sets must shrink on recursion"
-            exists, entries, _ = _solve(ctx, sub, names[s2], depth + 1)
+            exists, entries, _ = _solve(ctx, sub, names[s2])
             sub_entries.update(entries)
         terminal_edges.append({
             "state": names[s], "action": ctx.frame.actions[r], "successor": names[s2],

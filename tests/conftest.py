@@ -916,7 +916,7 @@ def reference_pair_decision(m1, m2):
     pair = preprocess(m1, m2)
     graph = informative_graph(pair)
     isa_rows = graph.row_bits(pair.isa)
-    return _decide(graph, lambda c: c.rows & isa_rows != 0, frozenset({pair.bot1, pair.bot2}))
+    return _decide(graph, (isa_rows,), frozenset({pair.bot1, pair.bot2}))
 
 
 def reference_pair_report(m1, m2, initial):
@@ -955,7 +955,7 @@ def reference_pair_report(m1, m2, initial):
 # ---------------------------------------------------------------------------
 
 
-def frozen_general_level(ctx, active, initial, depth):
+def frozen_general_level(ctx, active, initial):
     rows, frame = ctx.mmdp.rows, ctx.frame
     names, row_actions, groups = rows.names, rows.actions, rows.groups
     bot0, bot1 = len(names), len(names) + 1
@@ -999,7 +999,7 @@ def frozen_general_level(ctx, active, initial, depth):
                 if len(sub) == 1:
                     settle(r, s, s2, sub, flag=1)
                 elif len(sub) == 2:
-                    exists, entries, _ = general._solve(ctx, sub, names[s2], depth + 1)
+                    exists, entries, _ = general._solve(ctx, sub, names[s2])
                     if exists:
                         sub_entries.update(entries)
                     settle(r, s, s2, sub, flag=1 if exists else 0)
@@ -1008,19 +1008,15 @@ def frozen_general_level(ctx, active, initial, depth):
 
     while recursion_jobs:
         sub, r, s, s2 = recursion_jobs.popleft()
-        exists, entries, _ = general._solve(ctx, sub, names[s2], depth + 1)
+        exists, entries, _ = general._solve(ctx, sub, names[s2])
         if exists:
             sub_entries.update(entries)
         settle(r, s, s2, sub, flag=1 if exists else 0)
 
     graph = frame.over(succ, explored | 1 << bot0 | 1 << bot1)
-    pair_rows = [ctx.informative_rows(i, j) for k, i in enumerate(active) for j in active[k + 1 :]]
-    good = frozenset({frame.names[bot1]})
-
-    def is_informative(c):
-        return c.states == good or all(c.rows & rows_ij for rows_ij in pair_rows)
-
-    decision = _decide(graph, is_informative, frozenset(frame.names[bot0:]))
+    good = 1 << len(frame.actions) - 1  # the one row of the good terminal
+    needs = [ctx.informative_rows(i, j) | good for k, i in enumerate(active) for j in active[k + 1 :]]
+    decision = _decide(graph, needs, frozenset(frame.names[bot0:]))
     entry = PolicyEntry(active, initial, decision.reach, decision.mecs) if initial in decision.rmax else None
     diagnostics = {
         "active": list(active),

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from mdpdetect import cli
 from mdpdetect.analysis import pairwise_bc_curve
 from mdpdetect.cli import main
-from mdpdetect.errors import ContractError, ModelError
+from mdpdetect.errors import ContractError, HorizonCapError, ModelError
 from mdpdetect.models import Mmdp, fresh_name, mmdp_to_json, serialize_mmdp
 from mdpdetect.policy import (
     DetectionPolicy,
@@ -105,6 +105,18 @@ def test_unwritable_output_is_usage_error(model_file, tmp_path, flag, capsys):
     assert err.startswith(f"usage error: cannot write {paths[flag]}: ")
     assert err.count("\n") == 1
     assert not any(map(os.path.exists, paths.values()))
+
+
+def test_other_package_errors_exit_1_with_one_line(model_file, monkeypatch, capsys):
+    """A package error that is neither invalid input nor a contract breach exits 1
+    with one ``error:`` line, not a traceback."""
+
+    def capped(_args):
+        raise HorizonCapError("horizon 30 exceeds the cap 12")
+
+    monkeypatch.setattr(cli, "_dispatch", capped)
+    assert main(["validate", model_file]) == 1
+    assert capsys.readouterr().err == "error: horizon 30 exceeds the cap 12\n"
 
 
 def test_bad_arguments_are_usage_errors(capsys):

@@ -6,6 +6,7 @@ from functools import reduce
 from operator import or_
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -424,6 +425,86 @@ def test_no_detection_among_three_when_two_are_alike_everywhere():
     assert general_apd(_two_alike_and_a_leak()).exists is False
 
 
+def _seed_103_among_three():
+    """Models 1, 2 and 4 of a random sparse-cut instance; 1 and 4 are alike from ``s0``."""
+    m4 = random_sparse_cut_mmdp(np.random.default_rng(103), n_models=4, n_states=6)
+    return Mmdp(models=(m4.model(1), m4.model(2), m4.model(4)))
+
+
+def test_the_alike_pair_of_the_seed_103_instance_is_undetectable():
+    mmdp = _seed_103_among_three()
+    assert bi_apd(Mmdp(models=(mmdp.model(1), mmdp.model(3))), initial="s0").exists is False
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a level counts exits that only some active models can take as reachable under "
+    "the others too, so it answers that detection exists"
+))
+def test_no_detection_among_three_of_the_seed_103_instance():
+    """No policy tells its models 1 and 4 apart from ``s0``, so none detects among the three."""
+    assert general_apd(_seed_103_among_three(), initial="s0").exists is False
+
+
+def test_decisions_keep_the_components_of_the_informative_rule():
+    """Every decision of a pair or a level keeps exactly the components the detection
+    condition calls informative: for a pair, those holding an informative row of the
+    rewritten pair; for a level, the good terminal and those holding an informative row
+    of every active pair, read from a classification of each pair of its own."""
+    calls = Counter()
+    levels: list = []
+    decide, level = binary._decide, general._level
+
+    def recorded_level(ctx, decisions, active):
+        levels.append(active)
+        try:
+            return level(ctx, decisions, active)
+        finally:
+            levels.pop()
+
+    def checked(graph, needs, terminals):
+        decision = decide(graph, needs, terminals)
+        if len(needs) == 1:
+            (isa_rows,) = needs
+            assert isa_rows >> len(graph.actions) - 2 == 3  # both terminal rows
+            kept = [c for c in decision.components if c.rows & isa_rows != 0]
+            calls["pair"] += 1
+        else:
+            active = levels[-1]
+            pair_rows = [
+                graph.row_bits(pairwise_isa(mmdp, i, j))
+                for k, i in enumerate(active) for j in active[k + 1 :]
+            ]
+            good = frozenset({graph.names[-1]})
+            kept = [
+                c for c in decision.components
+                if c.states == good or all(c.rows & rows_ij for rows_ij in pair_rows)
+            ]
+            calls["level"] += 1
+            calls["level kept more than the good terminal"] += len(kept) > 1
+        assert list(decision.informative) == kept
+        calls["rejected"] += len(kept) < len(decision.components)
+        return decision
+
+    with (
+        mock.patch.object(binary, "_decide", checked),
+        mock.patch.object(general, "_decide", checked),
+        mock.patch.object(general, "_level", recorded_level),
+    ):
+        for seed in range(320):
+            n_models, n_states = 2 + seed % 4, 2 + seed % 5
+            if seed // 4 % 2:
+                mmdp = random_multi_mmdp(rng_for(7000 + seed), n_models=n_models, n_states=n_states)
+            else:
+                mmdp = random_sparse_cut_mmdp(rng_for(7000 + seed), n_models=n_models, n_states=n_states)
+            for s in mmdp.states:
+                if n_models == 2:
+                    bi_apd(mmdp, initial=s)
+                else:
+                    general_apd(mmdp, initial=s, memoize=seed % 3 != 0)
+    # the runs decided pairs and levels, and some decisions dropped components
+    assert min(calls.values()) > 0, calls
+
+
 def _outputs_from_every_state(mmdp):
     """The policy JSON (None without a policy) and the diagnostics JSON from each initial state."""
     out = []
@@ -591,8 +672,8 @@ def _run_on_level(mmdp, initial, level):
     run from ``initial`` whose synthesis levels are ``level``."""
     keys = {}
 
-    def recorded(ctx, active, initial_, depth):
-        result = level(ctx, active, initial_, depth)
+    def recorded(ctx, active, initial_):
+        result = level(ctx, active, initial_)
         keys[(active, initial_)] = (result[0], result[1].get((active, initial_)))
         return result
 

@@ -76,6 +76,10 @@ def test_equal_components_are_one_set_member():
     assert len({one, same, other}) == 2
 
 
+def test_a_component_shows_its_sorted_states():
+    assert repr(Mec({"y", "x"}, {"x": ("a",), "y": ("a",)})) == "Mec(['x', 'y'])"
+
+
 def test_mec_example1_informative_structure():
     pair, graph = _e1_structure()
     mecs = mec_decompose(graph)
@@ -351,7 +355,8 @@ def test_kernels_match_the_frozen_string_kernels(ts, data):
 @settings(max_examples=400)
 @given(_structures(), st.data())
 def test_kernels_match_the_frozen_string_kernels_on_a_sub_domain(ts, data):
-    """Every synthesis level runs on a graph whose domain is smaller than its names.
+    """The frozen synthesis level of the tests decides on a graph whose domain, the explored
+    states and the terminals, is smaller than its names.
     On a strict sub-domain the kernels answer what the frozen kernels answer on the
     sub-system in which every successor outside the domain goes to one action-less,
     non-target sink."""

@@ -805,6 +805,7 @@ def test_a_successor_outside_the_states_is_a_model_error(entry):
 def test_history_invariants(example1):
     h = History(states=("1", "2"), actions=("a1",))
     assert h.check(example1.models[0]) == []
+    assert h.horizon == 1 and History(states=("1",)).horizon == 0
     bad_start = History(states=("2",), actions=())
     assert bad_start.check(example1.models[0])
     with pytest.raises(ModelError):
