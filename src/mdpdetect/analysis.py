@@ -472,14 +472,21 @@ class _CompiledController:
     ``None`` elsewhere. ``halt[k]`` is the stop code of a trial that plays no
     step from ``k`` although the policy may act there: ``_THRESHOLD`` at a
     lone survivor, ``_UNDETECTABLE`` at any other state without an entry and
-    ``_MAX_STEPS`` elsewhere. Slot ``g`` holds the action's running sum
-    ``act_cdf[g]``, the row ``lo[g]``, ``size[g]``, ``last[g]`` of (state,
-    action) in ``mmdp.rows``, and the state each of its successors leads
-    to by the row's model masks, as ``target[tlo[g] + j]`` (-1 for a
-    successor no model allows), so ``target`` lists the successors of every
-    slot in turn. Every array is read-only, and ``augs``, ``errors`` and
-    ``actions`` are tuples: calls on the same model and policy share the
-    table.
+    ``_MAX_STEPS`` elsewhere. Slot ``g`` holds the row ``lo[g]``,
+    ``size[g]``, ``last[g]`` of (state, action) in ``mmdp.rows``, and the
+    state each of its successors leads to by the row's model masks, as
+    ``target[tlo[g] + j]`` (-1 for a successor no model allows), so
+    ``target`` lists the successors of every slot in turn.
+
+    Two padded tables serve the lockstep kernel's searches, each a running
+    sum in item order with ``+inf`` past the items, so a search is one
+    gather, one compare and one count: ``act_cdf[k, c]`` sums the action
+    probabilities of state ``k``'s slots up to its slot ``c``, and
+    ``step_cdf[g, m, j]`` sums model ``m + 1``'s probabilities of slot
+    ``g``'s successors up to its ``j``-th (``mmdp.rows.lik`` from ``lo[g]``,
+    0.0 for a successor outside the model's row). Every array is read-only,
+    and ``augs``, ``errors`` and ``actions`` are tuples: calls on the same
+    model and policy share the table.
     """
 
     def __init__(self, mmdp: Mmdp, policy: DetectionPolicy, start: _Aug) -> None:
@@ -488,7 +495,7 @@ class _CompiledController:
         index: dict[_Aug, int] = {start: 0}
         actions: list[str] = []  # per slot, for error messages
         count, halt = [], []
-        act_cdf, lo, size, last, target = [], [], [], [], []
+        act_p, lo, size, last, target = [], [], [], [], []
         # augs grows as new targets are numbered, so the loop visits them breadth first
         for k, aug in enumerate(augs):
             moves = []
@@ -505,7 +512,6 @@ class _CompiledController:
             # the slots in distribution order, which is action order; each
             # new target is numbered where an edge first reaches it
             count.append(len(moves))
-            cdf = 0.0
             for a, p, (row_lo, row_size, row_last), keys in moves:
                 for key in keys:
                     if key not in index and key is not None:
@@ -513,8 +519,7 @@ class _CompiledController:
                         augs.append(key)
                         errors.append(None if key[0] in policy.entries
                                       else ContractError(f"policy has no entry for {key[0]}"))
-                cdf += p
-                act_cdf.append(cdf)
+                act_p.append(p)
                 lo.append(row_lo)
                 size.append(row_size)
                 last.append(row_last)
@@ -524,15 +529,30 @@ class _CompiledController:
         self.count = np.array(count, np.intp)
         self.first = np.cumsum(self.count) - self.count
         self.halt = np.array(halt, np.int8)
-        self.act_cdf = np.array(act_cdf, float)
+        self.act_cdf = _running_sums(np.array(act_p, float)[:, None], self.first, self.count)[:, 0]
         self.lo = np.array(lo, np.intp)
         self.size = np.array(size, np.intp)
         self.last = np.array(last, np.intp).reshape(len(last), mmdp.n)
         self.tlo = np.cumsum(self.size) - self.size  # each slot lists its row's successors
         self.target = np.array(target, np.intp)
+        self.step_cdf = _running_sums(mmdp.rows.lik, self.lo, self.size)
         for array in (self.count, self.first, self.halt, self.act_cdf, self.lo, self.size,
-                      self.last, self.tlo, self.target):
+                      self.last, self.tlo, self.target, self.step_cdf):
             array.setflags(write=False)
+
+
+def _running_sums(values: np.ndarray, lo: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """``out[i, m, k]``: the running sum of column ``m`` of ``values`` over the run
+    ``lo[i] .. lo[i] + size[i]`` up to its ``k``-th row, ``+inf`` for ``k >= size[i]``.
+
+    One addition per row in run order, as a running total gives it.
+    """
+    run, pos = _segments(lo, size)
+    out = np.zeros((len(lo), values.shape[1], size.max(initial=0)))
+    out[run, :, pos - lo[run]] = values[pos]
+    out = np.cumsum(out, axis=2)
+    out.transpose(0, 2, 1)[np.arange(out.shape[2]) >= size[:, None]] = np.inf
+    return out
 
 
 @dataclass(frozen=True)

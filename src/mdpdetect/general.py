@@ -126,11 +126,12 @@ class _Context:
         bits and rows; a pair below the root reports nothing and its entry
         drops the terminals, so their names never reach an output.
 
-        Its seed holds the successor union of each state of :attr:`plain`,
-        whose rows every level graph and every pair graph share.
+        Its seed holds the successor union and the row list of each state of
+        :attr:`plain`, whose rows every level graph and every pair graph share.
         """
         frame = _terminal_frame(self.mmdp.rows, ("botg0", "botg1"))
         frame.seed = {s: step[0] for s, step in enumerate(self.plain[1]) if step is not None}
+        frame.seed_rows = {s: list(range(frame.first[s], frame.first[s + 1])) for s in frame.seed}
         return frame
 
     @cached_property

@@ -60,9 +60,12 @@ class SupportGraph:
     lies in the domain. Whoever sets it promises that those rows keep those
     successors in this graph and in every graph :meth:`over` makes from it;
     :func:`mec_decompose` then starts from it instead of reading the rows.
+    ``seed_rows`` is None or lists the rows ``first[i] .. first[i + 1]`` of
+    each seeded state ``i``, one list for every graph :meth:`over` makes,
+    which :func:`mec_decompose` keeps for a state whose union stays inside.
     """
 
-    __slots__ = ("names", "index", "actions", "first", "succ", "domain", "seed")
+    __slots__ = ("names", "index", "actions", "first", "succ", "domain", "seed", "seed_rows")
 
     def __init__(
         self,
@@ -80,11 +83,12 @@ class SupportGraph:
         self.succ = succ
         self.domain = domain
         self.seed: dict[int, int] | None = None
+        self.seed_rows: dict[int, list[int]] | None = None
 
     def over(self, succ: Sequence[int], domain: int) -> SupportGraph:
         """The same states, rows and seed with other successor sets and another domain."""
         graph = SupportGraph(self.names, self.index, self.actions, self.first, succ, domain)
-        graph.seed = self.seed
+        graph.seed, graph.seed_rows = self.seed, self.seed_rows
         return graph
 
     @property
@@ -187,14 +191,16 @@ def mec_decompose(g: SupportGraph) -> tuple[Mec, ...]:
     their successors (``post``) from round to round and into the blocks a
     split makes: a block's rows are a subset of its parent's, and a state
     whose ``post`` stays inside the smaller block keeps both unchanged. The
-    first round starts from ``g.seed`` when it is set, so a seeded state
-    whose successor union stays inside keeps all its rows without reading
-    them. After a block's first round its states are the keys of the rows
-    it kept, and later rounds walk those.
+    first round starts from ``g.seed`` and ``g.seed_rows`` when they are
+    set, so a seeded state whose successor union stays inside keeps its
+    row list without reading the rows. After a block's first round its
+    states are the keys of the rows it kept, and later rounds walk those.
     """
     names, actions, first, succ = g.names, g.actions, g.first, g.succ
     result = []
-    work: list[tuple[int, dict[int, Sequence[int]], dict[int, int]]] = [(g.domain, {}, g.seed or {})]
+    work: list[tuple[int, dict[int, Sequence[int]], dict[int, int]]] = [
+        (g.domain, g.seed_rows or {}, g.seed or {})
+    ]
     while work:
         block, closed, post = work.pop()
         states: Iterable[int] = bit_indices(block)

@@ -158,12 +158,9 @@ class Rows:
     ``groups``: ``groups[i]`` lists state ``i``'s rows in its declared action
     order as ``(r, ((mask, successors), ...))``, the row's successors as one
     bitset per model mask, masks ascending. Run time reads :meth:`row` and,
-    with numpy, ``lik`` and ``cdf``, which wrap the pass's probabilities:
-    ``lik[e, m]`` is model ``m + 1``'s probability of entry ``e`` and
-    ``cdf[e, m]`` the running sum from ``lo``. A successor outside the
-    model's row adds 0.0, so the sums at the model's own successors are
-    those of its sorted items. Read-only once built; ``lik`` and ``cdf`` are
-    not writable.
+    with numpy, ``lik``, which wraps the pass's probabilities: ``lik[e, m]``
+    is model ``m + 1``'s probability of entry ``e`` (0.0 for a successor
+    outside the model's row). Read-only once built; ``lik`` is not writable.
     """
 
     def __init__(self, mmdp: Mmdp) -> None:
@@ -243,20 +240,6 @@ class Rows:
         columns.setflags(write=False)
         del self._columns  # the array holds the probabilities now
         return columns.T
-
-    @cached_property
-    def cdf(self) -> Any:
-        """The run-time view of running sums, built on first use; loads numpy."""
-        import numpy as np
-
-        # each row's running sums, one addition per entry in row order
-        cdf, lo = self.lik.copy(), self._lo
-        pos = np.arange(len(self.successors)) - np.repeat(lo[:-1], np.diff(lo))
-        for j in range(1, pos.max(initial=0) + 1):
-            e = np.flatnonzero(pos == j)
-            cdf[e] += cdf[e - 1]
-        cdf.setflags(write=False)
-        return cdf
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ Every episode runs on one kernel, ``_lockstep``: a single trace of
 trial-by-trial loop would give. The kernel reads its moves from the
 controller table of ``analysis._compiled``, over every augmented state the
 policy can reach from the initial one, which the coefficient curves of
-``pairwise_bc_curve`` read too. The table is compiled once per model and
+``pairwise_bc_curve`` read too: it picks each action and each successor
+from the table's padded running sums, with one gather, one compare and one
+count for all live trials. The table is compiled once per model and
 policy and kept on the model: the first call on a pair pays for the whole
 pass, and repeat calls with the same policy object, such as the horizons of
 ``monte_carlo_curve`` or a bc run after Monte Carlo, compile nothing.
@@ -29,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import STOP_REASONS, _MAX_STEPS, _THRESHOLD, _UNDETECTABLE, _check_priors, _compiled, _segments
+from .analysis import STOP_REASONS, _MAX_STEPS, _THRESHOLD, _UNDETECTABLE, _check_priors, _compiled
 from .errors import ContractError, ImpossibleObservationError, ModelError
 from .models import _MASK64, Mmdp, _left_sum
 from .policy import DetectionPolicy
@@ -285,7 +287,10 @@ def _lockstep(
 
     The moves come from the controller table of ``analysis._compiled``, which
     alone checks that the policy has an entry for the start (its
-    ``ContractError`` is raised before any trial plays). A step searches the
+    ``ContractError`` is raised before any trial plays). A search counts the
+    running sums at most the uniform in one padded row of the table,
+    ``act_cdf[state]`` for the action and ``step_cdf[slot, truth]`` for the
+    successor, and clamps the count to the last item. A step searches the
     action slots only when some live trial has a choice between two or more;
     the action's uniform is drawn either way.
     """
@@ -339,7 +344,7 @@ def _lockstep(
             count = count[stop(count > 0, code, step)]
         u, slot = streams.next(), table.first[state]  # drawn even without a choice: streams stay aligned
         if count.max(initial=1) > 1:  # some trial chooses between slots
-            slot = slot + np.minimum(_below(table.act_cdf, slot, count, u), count - 1)
+            slot = slot + _pick(table.act_cdf, state, u, count - 1)
         # every model of the entry has a successor; an eliminated truth may have no row
         last = table.last[slot, tr]
         if (last < 0).any():
@@ -348,9 +353,8 @@ def _lockstep(
             failed[int(live[k])] = ModelError(f"model {tr[k] + 1} has no row at ({s}, {a})")
             keep = stop(last >= 0, _MAX_STEPS, step)
             slot, last = slot[keep], last[keep]
-        lo = table.lo[slot]
-        j = np.minimum(_below(rows.cdf, lo, table.size[slot], streams.next(), tr), last)
-        entry = lo + j
+        j = _pick(table.step_cdf, (slot, tr), streams.next(), last)
+        entry = table.lo[slot] + j
         weighted = b * rows.lik[entry]
         denom = weighted[:, 0].copy()
         for m in range(1, mmdp.n):
@@ -377,21 +381,13 @@ def _lockstep(
     return final, stop_step, stop_code
 
 
-def _below(
-    cdf: np.ndarray,
-    lo: np.ndarray,
-    size: np.ndarray,
-    u: np.ndarray,
-    column: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per trial, how many of its ``size`` CDF values from ``lo`` are at most its ``u``.
+def _pick(cdf: np.ndarray, at: np.ndarray | tuple, u: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Per trial, how many of its running sums ``cdf[at]`` are at most its ``u``, clamped to its ``last``.
 
-    That is the index of the first value above ``u``, since each run of
-    values is nondecreasing. A 2-D ``cdf`` is read in the trial's ``column``.
+    On nondecreasing sums that is the first item whose sum exceeds ``u``;
+    the ``+inf`` padding never counts.
     """
-    row, pos = _segments(lo, size)
-    values = cdf[pos] if column is None else cdf[pos, column[row]]
-    return np.bincount(row[values <= u[row]], minlength=len(lo))
+    return np.minimum((cdf[at] <= u[:, None]).sum(1), last)
 
 
 class _Streams:

@@ -41,6 +41,7 @@ from mdpdetect.scenarios import RecSysSpec, gen_recsys
 from mdpdetect.simulate import batch_summary, monte_carlo_error, simulate
 
 from conftest import (
+    FrozenRows,
     binomial_limit,
     example1_mmdp,
     frozen_pair_curves,
@@ -439,10 +440,24 @@ def _assert_compile_matches_frozen(mmdp, policy):
     table = _compiled(mmdp, policy)
     assert (table.augs, table.actions) == (expected.augs, expected.actions)
     assert [repr(e) for e in table.errors] == [repr(e) for e in expected.errors]
-    for name in ("count", "first", "halt", "act_cdf", "lo", "size", "last", "tlo", "target"):
+    for name in ("count", "first", "halt", "lo", "size", "last", "tlo", "target"):
         got, want = getattr(table, name), getattr(expected, name)
         assert (got.dtype, got.shape, got.tolist()) == (want.dtype, want.shape, want.tolist()), name
         assert not got.flags.writeable, name
+    # the padded search tables: each state's action sums and each slot's row
+    # sums, bit for bit as the frozen flat sums and the frozen row table's, +inf past them
+    width = expected.count.max(initial=0)
+    assert table.act_cdf.shape == (len(expected.augs), width)
+    for k, (first, count) in enumerate(zip(expected.first.tolist(), expected.count.tolist())):
+        want = np.concatenate((expected.act_cdf[first : first + count], np.full(width - count, np.inf)))
+        assert table.act_cdf[k].tobytes() == want.tobytes(), k
+    frozen_cdf, width = FrozenRows(mmdp).cdf, expected.size.max(initial=0)
+    assert table.step_cdf.shape == (len(expected.lo), mmdp.n, width)
+    for g, (lo, size) in enumerate(zip(expected.lo.tolist(), expected.size.tolist())):
+        want = np.concatenate((frozen_cdf[lo : lo + size], np.full((width - size, mmdp.n), np.inf)))
+        assert table.step_cdf[g].T.tobytes() == want.tobytes(), g
+    for array in (table.act_cdf, table.step_cdf):
+        assert array.dtype == np.float64 and not array.flags.writeable
     return expected.errors
 
 

@@ -833,13 +833,15 @@ def _assert_seeded_decompositions_match_the_reference(graphs):
     seeded = 0
     for graph in graphs:
         assert graph.seed is not None  # a run over three or more models seeds every graph
+        assert graph.seed_rows.keys() == graph.seed.keys()
         for i, out in graph.seed.items():
             rows = range(graph.first[i], graph.first[i + 1])
+            assert graph.seed_rows[i] == list(rows)
             assert out == reduce(or_, [graph.succ[r] for r in rows], 0)
             assert out & ~graph.domain == 0
         seeded += len(graph.seed)
         bare = SupportGraph(graph.names, graph.index, graph.actions, graph.first, graph.succ, graph.domain)
-        assert bare.seed is None
+        assert bare.seed is None and bare.seed_rows is None
         expected = [(c.states, c.actions) for c in reference_mec_decompose(system_of(graph))]
         for got in (mec_decompose(graph), mec_decompose(bare)):
             assert [(c.states, c.actions) for c in got] == expected

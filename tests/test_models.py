@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdpdetect.analysis import _compiled, _running_sums
 from mdpdetect.binary import bi_apd
 from mdpdetect.errors import ModelError
 from mdpdetect.general import general_apd
@@ -162,7 +163,9 @@ def test_sampling_rows_lay_out_every_model_over_the_sorted_successors(example1):
     lo, size, last = rows.row("2", "b2")  # M1: 2 -> 0.5, 5 -> 0.5; M2: 2 -> 0.5, 6 -> 0.5
     assert rows.successors[lo : lo + size] == ["2", "5", "6"]
     assert rows.lik[lo : lo + size].tolist() == [[0.5, 0.5], [0.5, 0.0], [0.0, 0.5]]
-    assert rows.cdf[lo : lo + size].tolist() == [[0.5, 0.5], [1.0, 0.5], [1.0, 1.0]]
+    table = _compiled(example1, stationary_uniform_policy(example1))
+    g = table.lo.tolist().index(lo)  # the uniform controller plays b2 at 2
+    assert table.step_cdf[g, :, :size].T.tolist() == [[0.5, 0.5], [1.0, 0.5], [1.0, 1.0]]
     assert last == (1, 2)
     assert rows.row("2", "b2") == (lo, size, last)  # built once
     _, size2, last2 = rows.row("2", "nope")  # no model has the pair: an empty row
@@ -203,13 +206,13 @@ def test_sampling_table_matches_the_frozen_lazy_rows(n_models, n_states, leaky, 
         masks = reference_support_masks(mmdp, s, a)
         assert rows.masks[lo : lo + size] == [masks.get(t, 0) for t in successors]
         assert rows.lik[lo : lo + size].tolist() == frozen.lik[flo : flo + fsize].tolist()
-        assert rows.cdf[lo : lo + size].tolist() == frozen.cdf[flo : flo + fsize].tolist()
+        sums = _running_sums(rows.lik, np.array([lo]), np.array([size]))[0].T
+        assert sums.tolist() == frozen.cdf[flo : flo + fsize].tolist()
     # the known rows, each once, and nothing else
     total = sum(rows.row(s, a)[1] for s, a in known)
-    assert len(rows.successors) == len(rows.masks) == len(rows.lik) == len(rows.cdf) == total
-    for array in (rows.lik, rows.cdf):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0, 0] = 0.5
+    assert len(rows.successors) == len(rows.masks) == len(rows.lik) == total
+    with pytest.raises(ValueError, match="read-only"):
+        rows.lik[0, 0] = 0.5
 
 
 @settings(max_examples=120, derandomize=True)
@@ -636,10 +639,15 @@ def _assert_same_tables(rows, frozen, mmdp):
     keys.update(key for m in mmdp.models for key in m.kernel)
     for key in [*sorted(keys), (mmdp.states[0], "nope"), ("nowhere", "a0")]:
         assert rows.row(*key) == frozen.row(*key), key
-    for ours, theirs in ((rows.lik, frozen.lik), (rows.cdf, frozen.cdf)):
-        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
-        assert np.array_equal(ours, theirs, equal_nan=True)
-        assert not ours.flags.writeable
+    assert rows.lik.dtype == frozen.lik.dtype and rows.lik.shape == frozen.lik.shape
+    assert np.array_equal(rows.lik, frozen.lik, equal_nan=True)
+    assert not rows.lik.flags.writeable
+    # every row's running sums as a compiled controller's step_cdf holds a slot's, +inf past the row
+    lo = np.array(rows._lo)
+    sums = _running_sums(rows.lik, lo[:-1], np.diff(lo)).transpose(0, 2, 1)
+    inside = np.arange(sums.shape[1]) < np.diff(lo)[:, None]
+    assert np.array_equal(sums[inside], frozen.cdf, equal_nan=True)
+    assert (sums[~inside] == np.inf).all()
     try:
         expected = frozen.groups
     except ModelError as exc:
@@ -723,7 +731,8 @@ def _odd_rows(mmdp, rng):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_row_table_of_odd_hand_built_rows_matches_the_frozen_table(kind, n_models, n_states, seed):
-    """The one row pass gives the frozen masks, ``last``, ``lik`` and ``cdf`` on any row contents."""
+    """The one row pass gives the frozen masks, ``last`` and ``lik`` on any row contents,
+    and the running sums of ``lik`` the frozen ``cdf``."""
     rng = rng_for(seed)
     if kind == "binary":
         mmdp = random_binary_mmdp(rng, n_states=n_states)

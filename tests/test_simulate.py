@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdpdetect.analysis import error_bounds_binary, pairwise_bc_curve
+from mdpdetect.analysis import _compiled, error_bounds_binary, pairwise_bc_curve
 from mdpdetect.binary import bi_apd
 from mdpdetect.errors import ContractError, ImpossibleObservationError, ModelError
 from mdpdetect.general import general_apd
@@ -887,7 +887,7 @@ def test_a_compiled_controller_is_read_only():
     assert held is policy
     arrays = {k: v for k, v in vars(table).items() if isinstance(v, np.ndarray)}
     assert set(arrays) == {
-        "count", "first", "halt", "act_cdf", "lo", "size", "last", "tlo", "target"
+        "count", "first", "halt", "act_cdf", "lo", "size", "last", "tlo", "target", "step_cdf"
     }
     for array in arrays.values():
         with pytest.raises(ValueError, match="read-only"):
@@ -1305,16 +1305,16 @@ def _corridor_instance(reveal=False):
 
 
 def _action_searches(monkeypatch):
-    """Per ``_below`` call on the controller's action CDF, how many trials it searched."""
+    """Per ``_pick`` call on the controller's per-state action table, how many trials it searched."""
     module = importlib.import_module("mdpdetect.simulate")
-    below, searched = module._below, []
+    pick, searched = module._pick, []
 
-    def recording(cdf, lo, size, u, column=None):
-        if column is None:
-            searched.append(len(lo))
-        return below(cdf, lo, size, u, column)
+    def recording(cdf, at, u, last):
+        if cdf.ndim == 2:  # act_cdf; step_cdf has a model axis too
+            searched.append(len(u))
+        return pick(cdf, at, u, last)
 
-    monkeypatch.setattr(module, "_below", recording)
+    monkeypatch.setattr(module, "_pick", recording)
     return searched
 
 
@@ -1373,3 +1373,50 @@ def test_every_live_trial_stops_at_the_same_step(case, monkeypatch):
         trace = _assert_simulate_matches_reference(mmdp, 1 + seed % 2, policy, seed, max_steps=10)
         assert (trace.stop_reason, len(trace.steps)) == (reason, step + 1)
     assert searched == []
+
+
+def _skewed_instance():
+    """Three models whose row at ``(s0, a)`` has 44 successors in all, beside rows of one or two.
+
+    Model 1 lists ``w00 .. w41`` with ``w05`` at an explicit 0.0, so its row is
+    short (41/42 of the mass) and its last successor takes the rest; model 2
+    lists ``w02 .. w43`` and model 3 ``w00 .. w41`` again with other masses, so
+    the last successor differs by model. At ``y`` model 3 lists a key the
+    others lack. Every other row keeps one support for all models.
+    """
+    wide = [f"w{i:02d}" for i in range(44)]
+    states = ("s0", "x", "y", *wide)
+    actions = {"s0": ("a", "b"), "x": ("a", "b"), "y": ("a",), **{w: ("a",) for w in wide}}
+    kernels = []
+    for m in range(3):
+        keys = wide[2:] if m == 1 else wide[:42]
+        row = {w: (0.0 if m == 0 and w == "w05" else (1.0 + m * (i % 3)) / 42) for i, w in enumerate(keys)}
+        if m == 2:
+            row = {w: p / sum(row.values()) for w, p in row.items()}
+        kernel = {
+            ("s0", "a"): row,
+            ("s0", "b"): {"x": 0.5, "y": 0.5} if m != 1 else {"x": 0.3, "y": 0.7},
+            ("x", "a"): {"s0": 1.0},
+            ("x", "b"): {"x": 0.2 + 0.2 * m, "y": 0.8 - 0.2 * m},
+            ("y", "a"): {"s0": 0.9, "y": 0.1} if m == 2 else {"s0": 1.0},
+            **{(w, "a"): {"s0": 0.5 + 0.1 * m, "x": 0.5 - 0.1 * m} for w in wide},
+        }
+        kernels.append(kernel)
+    return Mmdp(models=tuple(mk_mdp(states, actions, k, "s0", f"M{m}") for m, k in enumerate(kernels, 1)))
+
+
+def test_a_wide_row_beside_narrow_ones_plays_as_the_reference_loops():
+    """The padded tables of a 44-wide row and rows of one or two successors, with a
+    short row, a 0.0 entry and a last successor that differs by model."""
+    mmdp = _skewed_instance()
+    lo, size, last = mmdp.rows.row("s0", "a")
+    assert (size, last) == (44, (41, 43, 41))
+    for policy in (stationary_uniform_policy(mmdp), general_apd(mmdp).policy):
+        table = _compiled(mmdp, policy)
+        assert table.step_cdf.shape[2] == 44 and table.size.min() == 1
+        for seed in range(3):
+            outcomes = _assert_monte_carlo_matches_reference(mmdp, policy, 40, 200, seed)
+            assert not isinstance(outcomes, Exception)
+            _assert_batch_matches_reference(mmdp, policy, 60, seed, max_steps=40, threshold=0.9)
+            for truth in (1, 2, 3):
+                _assert_simulate_matches_reference(mmdp, truth, policy, seed, max_steps=60)
