@@ -479,20 +479,21 @@ class _CompiledController:
     ``target`` lists the successors of every slot in turn.
 
     Two padded tables serve the lockstep kernel's searches, each a running
-    sum in item order with ``+inf`` past the items, so a search is one
-    gather, one compare and one count: ``act_cdf[k, c]`` sums the action
-    probabilities of state ``k``'s slots up to its slot ``c``, and
-    ``step_cdf[g, m, j]`` sums model ``m + 1``'s probabilities of slot
-    ``g``'s successors up to its ``j``-th (``mmdp.rows.lik`` from ``lo[g]``,
-    0.0 for a successor outside the model's row). Every array is read-only,
-    and ``augs``, ``errors`` and ``actions`` are tuples: calls on the same
-    model and policy share the table.
+    sum in item order with ``+inf`` past the items and a width padded to a
+    multiple of 8, so a search is one flat gather, one compare and one
+    count of bytes: ``act_cdf[k, c]`` sums the action probabilities of
+    state ``k``'s slots up to its slot ``c``, and ``step_cdf[g * n + m, j]``
+    sums model ``m + 1``'s probabilities of slot ``g``'s successors up to
+    its ``j``-th (``mmdp.rows.lik`` from ``lo[g]``, 0.0 for a successor
+    outside the model's row), ``n`` being the number of models. Every array
+    is read-only, and ``augs``, ``errors`` and ``actions`` are tuples: calls
+    on the same model and policy share the table.
     """
 
     def __init__(self, mmdp: Mmdp, policy: DetectionPolicy, start: _Aug) -> None:
         augs: list[_Aug] = [start]
         errors: list[ContractError | None] = [None]
-        index: dict[_Aug, int] = {start: 0}
+        index: dict[_Aug | None, int] = {start: 0, None: -1}  # -1: no model allows it
         actions: list[str] = []  # per slot, for error messages
         count, halt = [], []
         act_p, lo, size, last, target = [], [], [], [], []
@@ -514,22 +515,23 @@ class _CompiledController:
             count.append(len(moves))
             for a, p, (row_lo, row_size, row_last), keys in moves:
                 for key in keys:
-                    if key not in index and key is not None:
-                        index[key] = len(augs)
+                    number = index.get(key)
+                    if number is None:
+                        number = index[key] = len(augs)
                         augs.append(key)
                         errors.append(None if key[0] in policy.entries
                                       else ContractError(f"policy has no entry for {key[0]}"))
+                    target.append(number)
                 act_p.append(p)
                 lo.append(row_lo)
                 size.append(row_size)
                 last.append(row_last)
-                target += [index.get(key, -1) for key in keys]  # -1: no model allows it
                 actions.append(a)
         self.augs, self.errors, self.actions = tuple(augs), tuple(errors), tuple(actions)
         self.count = np.array(count, np.intp)
         self.first = np.cumsum(self.count) - self.count
         self.halt = np.array(halt, np.int8)
-        self.act_cdf = _running_sums(np.array(act_p, float)[:, None], self.first, self.count)[:, 0]
+        self.act_cdf = _running_sums(np.array(act_p, float)[:, None], self.first, self.count)
         self.lo = np.array(lo, np.intp)
         self.size = np.array(size, np.intp)
         self.last = np.array(last, np.intp).reshape(len(last), mmdp.n)
@@ -542,17 +544,20 @@ class _CompiledController:
 
 
 def _running_sums(values: np.ndarray, lo: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """``out[i, m, k]``: the running sum of column ``m`` of ``values`` over the run
-    ``lo[i] .. lo[i] + size[i]`` up to its ``k``-th row, ``+inf`` for ``k >= size[i]``.
+    """``out[i * c + m, k]``: the running sum of column ``m`` of the ``c`` columns of
+    ``values`` over the run ``lo[i] .. lo[i] + size[i]`` up to its ``k``-th row,
+    ``+inf`` for ``k >= size[i]``.
 
-    One addition per row in run order, as a running total gives it.
+    One addition per row in run order, as a running total gives it. The
+    width is the longest run's, padded with ``+inf`` to a multiple of 8, so
+    a row's comparison with a number reads as whole ``uint64`` words.
     """
     run, pos = _segments(lo, size)
-    out = np.zeros((len(lo), values.shape[1], size.max(initial=0)))
+    out = np.zeros((len(lo), values.shape[1], -(-size.max(initial=0) // 8) * 8))
     out[run, :, pos - lo[run]] = values[pos]
     out = np.cumsum(out, axis=2)
     out.transpose(0, 2, 1)[np.arange(out.shape[2]) >= size[:, None]] = np.inf
-    return out
+    return out.reshape(len(lo) * values.shape[1], out.shape[2])
 
 
 @dataclass(frozen=True)

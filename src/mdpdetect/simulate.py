@@ -6,7 +6,8 @@ likelihood under some models, which zero those posteriors exactly and shrink
 the active set. The random streams are counter-based (Philox keyed per
 trial), so trials are independent and reproducible in any execution order.
 The kernel computes Philox4x64-10 itself, for every live trial in one array
-pass, and its uniforms equal those of ``trial_rng`` bit for bit.
+pass that runs both multiplies of a round as one stacked array, and its
+uniforms equal those of ``trial_rng`` bit for bit.
 Every episode runs on one kernel, ``_lockstep``: a single trace of
 ``simulate`` is one trial of it, and Monte Carlo and the batches of
 ``batch_summary`` advance all their trials in lockstep, with the results a
@@ -14,11 +15,13 @@ trial-by-trial loop would give. The kernel reads its moves from the
 controller table of ``analysis._compiled``, over every augmented state the
 policy can reach from the initial one, which the coefficient curves of
 ``pairwise_bc_curve`` read too: it picks each action and each successor
-from the table's padded running sums, with one gather, one compare and one
-count for all live trials. The table is compiled once per model and
-policy and kept on the model: the first call on a pair pays for the whole
-pass, and repeat calls with the same policy object, such as the horizons of
-``monte_carlo_curve`` or a bc run after Monte Carlo, compile nothing.
+from the table's padded running sums, with one flat ``np.take`` gather,
+one compare and one count of the comparison's bytes, read 8 at a time as
+``uint64`` words, for all live trials. The table is compiled once per model
+and policy and kept on the model: the first call on a pair pays for the
+whole pass, and repeat calls with the same policy object, such as the
+horizons of ``monte_carlo_curve`` or a bc run after Monte Carlo, compile
+nothing.
 """
 
 from __future__ import annotations
@@ -79,15 +82,23 @@ def belief_update(b: BeliefState, s: str, a: str, s_next: str, mmdp: Mmdp) -> Be
     """Posterior after observing the transition (s, a, s_next).
 
     Models assigning the observed transition probability zero drop to an
-    exact posterior of zero and can never re-enter the active set.
+    exact posterior of zero and can never re-enter the active set. Raises
+    ``ModelError`` when the weighted likelihoods sum to NaN or an infinity,
+    as a hand-built row with a non-finite mass makes them.
     """
     weighted = [p * m.prob(s, a, s_next) for p, m in zip(b.probs, mmdp.models)]
     denom = _left_sum(weighted)
+    if not math.isfinite(denom):
+        raise ModelError(_non_finite(s, a, s_next, denom))
     if denom <= 0.0:
         raise ImpossibleObservationError(
             f"transition ({s}, {a}, {s_next}) is impossible under the current belief support"
         )
     return BeliefState(probs=tuple([w / denom for w in weighted]))
+
+
+def _non_finite(s: str, a: str, s_next: str, denom: float) -> str:
+    return f"the weighted likelihoods of transition ({s}, {a}, {s_next}) sum to {denom!r}"
 
 
 def map_decide(b: BeliefState | Sequence[float]) -> int:
@@ -105,13 +116,12 @@ def _key(word: int, n: int) -> np.ndarray:
     return np.full(n, word & _MASK64, np.uint64)
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The high and the low words of the 128-bit products ``m * x``, from 32-bit halves."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & np.uint64(0xFFFFFFFF), x >> np.uint64(32)
-    mid = x_hi * m_lo + (x_lo * m_lo >> np.uint64(32))
-    lo_hi = x_lo * m_hi + (mid & np.uint64(0xFFFFFFFF))
-    return x_hi * m_hi + (mid >> np.uint64(32)) + (lo_hi >> np.uint64(32)), x * np.uint64(m)
+# Philox4x64's two round multipliers and two Weyl key steps, one per stacked word
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64)[:, None, None]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64)[:, None, None]
+_LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _32
+_BYTES, _TOP_BYTE = np.uint64(0x0101010101010101), np.uint64(56)  # a byte count of a uint64 word
 
 
 def _philox(k0: np.ndarray, k1: np.ndarray, counters: np.ndarray) -> np.ndarray:
@@ -121,16 +131,53 @@ def _philox(k0: np.ndarray, k1: np.ndarray, counters: np.ndarray) -> np.ndarray:
     first counter words (the other three are 0). Row ``i`` holds the four
     doubles of each counter in turn, ``(w >> 11) * 2**-53`` of each output
     word ``w``, as numpy's ``Philox`` and ``Generator.random`` make them.
+
+    The first round multiplies the counters alone, as every other word is 0,
+    so it runs on one row before the keys spread it over the trials; the
+    other nine run on every trial, in buffers the pass allocates once.
     """
-    zero = np.zeros((1, 1), np.uint64)
-    c0, c1, c2, c3 = counters[None, :], zero, zero, zero
-    for r in range(10):  # the key takes a Weyl step before every round but the first
-        hi0, lo0 = _mulhilo(0xD2E7470EE14C6C93, c0)
-        hi1, lo1 = _mulhilo(0xCA5A826395121157, c2)
-        w0, w1 = (np.uint64(r * w & _MASK64) for w in (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B))
-        c0, c1, c2, c3 = hi1 ^ c1 ^ (k0 + w0), lo1, hi0 ^ c3 ^ (k1 + w1), lo0
-    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(k0), -1)
-    return (words >> np.uint64(11)) * 2.0**-53
+    key = np.stack([k0, k1])
+    x = np.zeros((2, 1, len(counters)), np.uint64)
+    x[0] = counters
+    x, y = _philox_round(x, np.zeros_like(x), [np.empty_like(x) for _ in range(4)])
+    x = x ^ key
+    y = np.broadcast_to(y, x.shape).copy()
+    scratch = [np.empty_like(x) for _ in range(4)]
+    for _ in range(9):  # the key takes a Weyl step before every round but the first
+        key += _PHILOX_W
+        x, y = _philox_round(x, y, scratch)
+        x ^= key
+    words = np.empty((len(k0), len(counters), 4), np.uint64)
+    words[..., 0::2] = x.transpose(1, 2, 0)
+    words[..., 1::2] = y.transpose(1, 2, 0)
+    words >>= np.uint64(11)
+    return (words * 2.0**-53).reshape(len(k0), -1)
+
+
+def _philox_round(
+    x: np.ndarray, y: np.ndarray, scratch: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Philox4x64 round before its key: the words ``(c0, c2)`` stacked in ``x``,
+    ``(c1, c3)`` in ``y``, become ``(hi1 ^ c1, hi0 ^ c3)`` and ``(lo1, lo0)``.
+
+    Both multiplies run as one pass over the stacked words, each 128-bit
+    product from 32-bit halves, in the four ``scratch`` buffers of ``x``'s
+    shape; the results take the buffers of ``y`` and ``x``.
+    """
+    x_lo, hi, mid, t = scratch
+    np.bitwise_and(x, _LO32, out=x_lo)
+    np.right_shift(x, _32, out=hi)
+    np.multiply(x_lo, _PHILOX_M_LO, out=mid)
+    mid >>= _32
+    mid += np.multiply(hi, _PHILOX_M_LO, out=t)  # x_hi * m_lo + (x_lo * m_lo >> 32)
+    x_lo *= _PHILOX_M_HI
+    x_lo += np.bitwise_and(mid, _LO32, out=t)  # x_lo * m_hi + (mid & 0xFFFFFFFF)
+    hi *= _PHILOX_M_HI
+    hi += np.right_shift(mid, _32, out=mid)
+    hi += np.right_shift(x_lo, _32, out=x_lo)  # the high words
+    x *= _PHILOX_M  # the low words
+    y ^= hi[::-1]
+    return y, x[::-1]
 
 
 def _check_stops(threshold: float, max_steps: int) -> None:
@@ -285,17 +332,23 @@ def _lockstep(
     truth has no row for, is raised after every trial with a smaller index
     has finished, as a trial-by-trial run would raise it.
 
+    An observation whose weighted likelihoods sum to NaN or an infinity (a
+    hand-built row with a non-finite mass) raises ``ModelError`` the same
+    way, as ``belief_update`` would.
+
     The moves come from the controller table of ``analysis._compiled``, which
     alone checks that the policy has an entry for the start (its
     ``ContractError`` is raised before any trial plays). A search counts the
     running sums at most the uniform in one padded row of the table,
-    ``act_cdf[state]`` for the action and ``step_cdf[slot, truth]`` for the
-    successor, and clamps the count to the last item. A step searches the
-    action slots only when some live trial has a choice between two or more;
-    the action's uniform is drawn either way.
+    ``act_cdf[state]`` for the action and ``step_cdf[slot * n + truth]`` for
+    the successor, and clamps the count to the last item. A step searches
+    the action slots only when some live trial has a choice between two or
+    more; the action's uniform is drawn either way. Every per-trial read of
+    the table is one ``np.take`` on flat indices, and the threshold test and
+    the belief update run over the few model columns, not along the rows.
     """
     table = _compiled(mmdp, policy)
-    rows = mmdp.rows
+    rows, n = mmdp.rows, mmdp.n
     trials = len(truth)
     final = np.tile(np.asarray(beliefs, float), (trials, 1))
     stop_step = np.zeros(trials, np.intp)
@@ -326,68 +379,88 @@ def _lockstep(
         streams.keep(keep)
         return keep
 
-    for step in range(max_steps + 1):
-        if threshold is not None and len(live):
-            below = b.max(axis=1) < threshold
-            if not below.all():
-                stop(below, _THRESHOLD, step)
-        if not len(live):
-            break
-        if step == max_steps:
-            stop(np.zeros(len(live), bool), table.halt[state], step)
-            break
-        count = table.count[state]
-        if count.min() == 0:
-            # a lone survivor, a missing entry, or else no move at the state
-            halt = table.halt[state]
-            code = np.where(halt == _MAX_STEPS, _UNDETECTABLE, halt)
-            count = count[stop(count > 0, code, step)]
-        u, slot = streams.next(), table.first[state]  # drawn even without a choice: streams stay aligned
-        if count.max(initial=1) > 1:  # some trial chooses between slots
-            slot = slot + _pick(table.act_cdf, state, u, count - 1)
-        # every model of the entry has a successor; an eliminated truth may have no row
-        last = table.last[slot, tr]
-        if (last < 0).any():
-            k = int(np.flatnonzero(last < 0)[0])  # stop() drops every later trial
-            s, a = table.augs[state[k]][2], table.actions[slot[k]]
-            failed[int(live[k])] = ModelError(f"model {tr[k] + 1} has no row at ({s}, {a})")
-            keep = stop(last >= 0, _MAX_STEPS, step)
-            slot, last = slot[keep], last[keep]
-        j = _pick(table.step_cdf, (slot, tr), streams.next(), last)
-        entry = table.lo[slot] + j
-        weighted = b * rows.lik[entry]
-        denom = weighted[:, 0].copy()
-        for m in range(1, mmdp.n):
-            denom += weighted[:, m]
-        if (denom <= 0.0).any():
-            k = int(np.flatnonzero(denom <= 0.0)[0])  # stop() drops every later trial
-            s, a, s_next = table.augs[state[k]][2], table.actions[slot[k]], rows.successors[entry[k]]
-            failed[int(live[k])] = ImpossibleObservationError(
-                f"transition ({s}, {a}, {s_next}) is impossible under the current belief support"
-            )
-            keep = stop(denom > 0.0, _MAX_STEPS, step)
-            weighted, denom, slot, j = weighted[keep], denom[keep], slot[keep], j[keep]
-        if path is not None:
-            path.extend(zip(
-                [table.augs[k][2] for k in state.tolist()],
-                [table.actions[g] for g in slot.tolist()],
-                [rows.successors[e] for e in (table.lo[slot] + j).tolist()],
-                b.tolist(),
-            ))
-        b = weighted / denom[:, None]
-        state = table.target[table.tlo[slot] + j]
+    # a non-finite mass of a hand-built row makes 0 * inf or an overflow in the
+    # belief update, which its test of the sums raises as ModelError
+    with np.errstate(invalid="ignore", over="ignore"):
+        for step in range(max_steps + 1):
+            if threshold is not None and len(live):
+                top = b[:, 0].copy()
+                for m in range(1, n):
+                    np.maximum(top, b[:, m], out=top)
+                below = top < threshold
+                if not below.all():
+                    stop(below, _THRESHOLD, step)
+            if not len(live):
+                break
+            if step == max_steps:
+                stop(np.zeros(len(live), bool), table.halt[state], step)
+                break
+            count = np.take(table.count, state)
+            if count.min() == 0:
+                # a lone survivor, a missing entry, or else no move at the state
+                halt = table.halt[state]
+                code = np.where(halt == _MAX_STEPS, _UNDETECTABLE, halt)
+                count = count[stop(count > 0, code, step)]
+            # the action's uniform is drawn even without a choice: streams stay aligned
+            u, slot = streams.next(), np.take(table.first, state)
+            if count.max(initial=1) > 1:  # some trial chooses between slots
+                slot = slot + _pick(table.act_cdf, state, u, count - 1)
+            flat = slot * n + tr
+            # every model of the entry has a successor; an eliminated truth may have no row
+            last = np.take(table.last, flat)
+            if (last < 0).any():
+                k = int(np.flatnonzero(last < 0)[0])  # stop() drops every later trial
+                s, a = table.augs[state[k]][2], table.actions[slot[k]]
+                failed[int(live[k])] = ModelError(f"model {tr[k] + 1} has no row at ({s}, {a})")
+                keep = stop(last >= 0, _MAX_STEPS, step)
+                slot, flat, last = slot[keep], flat[keep], last[keep]
+            j = _pick(table.step_cdf, flat, streams.next(), last)
+            entry = np.take(table.lo, slot) + j
+            weighted = b * np.take(rows.lik, entry, axis=0)
+            denom = weighted[:, 0].copy()
+            for m in range(1, n):
+                denom += weighted[:, m]
+            ok = denom > 0.0
+            ok &= denom < np.inf
+            if not ok.all():
+                k = int(np.flatnonzero(~ok)[0])  # stop() drops every later trial
+                s, a, s_next = table.augs[state[k]][2], table.actions[slot[k]], rows.successors[entry[k]]
+                if math.isfinite(denom[k]):
+                    failed[int(live[k])] = ImpossibleObservationError(
+                        f"transition ({s}, {a}, {s_next}) is impossible under the current belief support"
+                    )
+                else:
+                    failed[int(live[k])] = ModelError(_non_finite(s, a, s_next, float(denom[k])))
+                keep = stop(ok, _MAX_STEPS, step)
+                weighted, denom, slot, j = weighted[keep], denom[keep], slot[keep], j[keep]
+            if path is not None:
+                path.extend(zip(
+                    [table.augs[k][2] for k in state.tolist()],
+                    [table.actions[g] for g in slot.tolist()],
+                    [rows.successors[e] for e in (table.lo[slot] + j).tolist()],
+                    b.tolist(),
+                ))
+            b = weighted / denom[:, None]
+            state = np.take(table.target, np.take(table.tlo, slot) + j)
     if failed:
         raise failed[min(failed)]
     return final, stop_step, stop_code
 
 
-def _pick(cdf: np.ndarray, at: np.ndarray | tuple, u: np.ndarray, last: np.ndarray) -> np.ndarray:
+def _pick(cdf: np.ndarray, at: np.ndarray, u: np.ndarray, last: np.ndarray) -> np.ndarray:
     """Per trial, how many of its running sums ``cdf[at]`` are at most its ``u``, clamped to its ``last``.
 
     On nondecreasing sums that is the first item whose sum exceeds ``u``;
-    the ``+inf`` padding never counts.
+    the ``+inf`` padding never counts, and neither does a NaN. The rows of
+    ``cdf`` are a multiple of 8 wide, so the comparison's bytes (0 or 1)
+    read as ``uint64`` words, and a word times ``0x0101010101010101`` holds
+    the count of its true bytes in its top byte, whatever the byte order.
+    The counts of a row's words then add up exactly at any width.
     """
-    return np.minimum((cdf[at] <= u[:, None]).sum(1), last)
+    words = (np.take(cdf, at, axis=0) <= u[:, None]).view(np.uint64)
+    words *= _BYTES
+    words >>= _TOP_BYTE
+    return np.minimum(words.sum(1).view(np.int64), last)
 
 
 class _Streams:

@@ -1365,6 +1365,8 @@ def _reference_update(probs, s, a, s_next, mmdp):
     denom = 0.0
     for w in weighted:  # sum() as it added floats before Python 3.12
         denom += w
+    if not math.isfinite(denom):  # a non-finite mass of a hand-built row
+        raise ModelError(f"the weighted likelihoods of transition ({s}, {a}, {s_next}) sum to {denom!r}")
     if denom <= 0.0:
         raise ImpossibleObservationError(
             f"transition ({s}, {a}, {s_next}) is impossible under the current belief support"

@@ -445,17 +445,18 @@ def _assert_compile_matches_frozen(mmdp, policy):
         assert (got.dtype, got.shape, got.tolist()) == (want.dtype, want.shape, want.tolist()), name
         assert not got.flags.writeable, name
     # the padded search tables: each state's action sums and each slot's row
-    # sums, bit for bit as the frozen flat sums and the frozen row table's, +inf past them
-    width = expected.count.max(initial=0)
+    # sums per model, bit for bit as the frozen flat sums and the frozen row
+    # table's, +inf past them to the widest run rounded up to a multiple of 8
+    width = -(-expected.count.max(initial=0) // 8) * 8
     assert table.act_cdf.shape == (len(expected.augs), width)
     for k, (first, count) in enumerate(zip(expected.first.tolist(), expected.count.tolist())):
         want = np.concatenate((expected.act_cdf[first : first + count], np.full(width - count, np.inf)))
         assert table.act_cdf[k].tobytes() == want.tobytes(), k
-    frozen_cdf, width = FrozenRows(mmdp).cdf, expected.size.max(initial=0)
-    assert table.step_cdf.shape == (len(expected.lo), mmdp.n, width)
+    frozen_cdf, width = FrozenRows(mmdp).cdf, -(-expected.size.max(initial=0) // 8) * 8
+    assert table.step_cdf.shape == (len(expected.lo) * mmdp.n, width)
     for g, (lo, size) in enumerate(zip(expected.lo.tolist(), expected.size.tolist())):
         want = np.concatenate((frozen_cdf[lo : lo + size], np.full((width - size, mmdp.n), np.inf)))
-        assert table.step_cdf[g].T.tobytes() == want.tobytes(), g
+        assert table.step_cdf[g * mmdp.n : (g + 1) * mmdp.n].T.tobytes() == want.tobytes(), g
     for array in (table.act_cdf, table.step_cdf):
         assert array.dtype == np.float64 and not array.flags.writeable
     return expected.errors

@@ -165,7 +165,8 @@ def test_sampling_rows_lay_out_every_model_over_the_sorted_successors(example1):
     assert rows.lik[lo : lo + size].tolist() == [[0.5, 0.5], [0.5, 0.0], [0.0, 0.5]]
     table = _compiled(example1, stationary_uniform_policy(example1))
     g = table.lo.tolist().index(lo)  # the uniform controller plays b2 at 2
-    assert table.step_cdf[g, :, :size].T.tolist() == [[0.5, 0.5], [1.0, 0.5], [1.0, 1.0]]
+    assert table.step_cdf[2 * g : 2 * g + 2, :size].T.tolist() == [[0.5, 0.5], [1.0, 0.5], [1.0, 1.0]]
+    assert (table.step_cdf[2 * g : 2 * g + 2, size:] == np.inf).all()
     assert last == (1, 2)
     assert rows.row("2", "b2") == (lo, size, last)  # built once
     _, size2, last2 = rows.row("2", "nope")  # no model has the pair: an empty row
@@ -206,8 +207,10 @@ def test_sampling_table_matches_the_frozen_lazy_rows(n_models, n_states, leaky, 
         masks = reference_support_masks(mmdp, s, a)
         assert rows.masks[lo : lo + size] == [masks.get(t, 0) for t in successors]
         assert rows.lik[lo : lo + size].tolist() == frozen.lik[flo : flo + fsize].tolist()
-        sums = _running_sums(rows.lik, np.array([lo]), np.array([size]))[0].T
-        assert sums.tolist() == frozen.cdf[flo : flo + fsize].tolist()
+        sums = _running_sums(rows.lik, np.array([lo]), np.array([size]))
+        assert sums.shape == (n_models, -(-size // 8) * 8)
+        assert sums[:, :size].T.tolist() == frozen.cdf[flo : flo + fsize].tolist()
+        assert (sums[:, size:] == np.inf).all()
     # the known rows, each once, and nothing else
     total = sum(rows.row(s, a)[1] for s, a in known)
     assert len(rows.successors) == len(rows.masks) == len(rows.lik) == total
@@ -644,7 +647,9 @@ def _assert_same_tables(rows, frozen, mmdp):
     assert not rows.lik.flags.writeable
     # every row's running sums as a compiled controller's step_cdf holds a slot's, +inf past the row
     lo = np.array(rows._lo)
-    sums = _running_sums(rows.lik, lo[:-1], np.diff(lo)).transpose(0, 2, 1)
+    sums = _running_sums(rows.lik, lo[:-1], np.diff(lo))
+    assert sums.shape[1] % 8 == 0
+    sums = sums.reshape(len(lo) - 1, mmdp.n, sums.shape[1]).transpose(0, 2, 1)
     inside = np.arange(sums.shape[1]) < np.diff(lo)[:, None]
     assert np.array_equal(sums[inside], frozen.cdf, equal_nan=True)
     assert (sums[~inside] == np.inf).all()

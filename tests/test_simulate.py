@@ -1,5 +1,6 @@
 """Runtime: belief updates, MAP rule, policy execution, Monte-Carlo batches."""
 
+import bisect
 import csv
 import dataclasses
 import importlib
@@ -7,6 +8,7 @@ import io
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from mdpdetect.simulate import (
     BeliefState,
     _check_priors,
     _monte_carlo_trials,
+    _pick,
     _Streams,
     batch_summary,
     belief_update,
@@ -437,6 +440,49 @@ def test_philox_key_is_seed_and_stream_modulo_2_to_the_64():
     # seeds that a float64 conversion would merge with their neighbours or with 0
     firsts = {trial_rng(s, 0).random() for s in (-1, 0, 2**63 + 1, 2**63 + 2)}
     assert len(firsts) == 4
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(width=st.sampled_from([1, 7, 8, 9, 16, 17, 44, 300]), data=st.data())
+def test_the_byte_counted_pick_matches_bisect_right(width, data):
+    """``_pick`` against ``bisect_right`` on each row's sums before its first NaN, clamped to ``last``.
+
+    A table row holds the running sums of up to ``width`` masses, a NaN
+    among them included, and ``+inf`` past them to a multiple of 8. A
+    uniform hits a sum exactly, lies just below one or anywhere in [0, 1).
+    ``last`` is the row's last item, as the action search's ``count - 1``
+    clamps, or an earlier one, as a model's last successor in a shared row
+    clamps. A width of 300 counts past what one byte holds.
+    """
+    padded = -(-width // 8) * 8
+    n_rows = data.draw(st.integers(1, 5))
+    table, sizes = np.full((n_rows, padded), np.inf), []
+    for r in range(n_rows):
+        size = width if r == 0 else data.draw(st.integers(1, width))
+        masses = data.draw(st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.1, 1 / 3]), min_size=size, max_size=size))
+        nan_at = data.draw(st.none() | st.integers(0, size - 1))
+        if nan_at is not None:
+            masses[nan_at] = math.nan
+        table[r, :size] = list(itertools.accumulate(masses))
+        sizes.append(size)
+    at = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=12))
+    u, last, expected = [], [], []
+    for r in at:
+        sums = table[r, :sizes[r]].tolist()
+        finite = sums[:next((i for i, x in enumerate(sums) if math.isnan(x)), len(sums))]
+        kind = data.draw(st.sampled_from(["at a sum", "just below a sum", "anywhere"]))
+        if kind == "anywhere" or not finite:
+            value = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+        else:
+            value = data.draw(st.sampled_from(finite))
+            if kind == "just below a sum":
+                value = math.nextafter(value, -math.inf)
+        cap = sizes[r] - 1 if data.draw(st.booleans()) else data.draw(st.integers(0, sizes[r] - 1))
+        u.append(value)
+        last.append(cap)
+        expected.append(min(bisect.bisect_right(finite, value), cap))
+    picked = _pick(table, np.array(at), np.array(u), np.array(last, np.intp))
+    assert picked.dtype == np.int64 and picked.tolist() == expected
 
 
 def test_monte_carlo_draws_the_truth_in_string_order():
@@ -926,6 +972,62 @@ def test_an_action_the_truth_has_no_row_for_fails_the_trial():
         batch_summary(mmdp, policy, 8, 0, truth=1)
 
 
+def _non_finite_instance(mass, eliminated=False):
+    """Models over ``s0 .. s3`` in which model 2 gives ``(s0, a, s3)`` the mass ``mass``.
+
+    With ``eliminated`` a third model leaves the active set on ``(s0, a,
+    s1)``, which it gives 0.0, and gives ``(s3, a, s0)`` the mass ``mass``,
+    so a zero belief may meet it there. The mass sits on the last successor
+    of its row, where the kernel's search and the reference sampler agree on
+    what a NaN running sum picks. Returns the model and a policy that plays
+    ``a`` everywhere.
+    """
+    states = ("s0", "s1", "s2", "s3")
+    actions = {s: ("a",) for s in states}
+    back = {(s, "a"): {"s0": 1.0} for s in states[1:]}
+    kernels = [
+        {("s0", "a"): {"s0": 0.8, "s1": 0.1, "s3": 0.1}, **back},
+        {("s0", "a"): {"s0": 0.8, "s1": 0.1, "s3": 0.1 if eliminated else mass}, **back},
+    ]
+    if eliminated:
+        kernels.append({("s0", "a"): {"s0": 0.8, "s1": 0.0, "s3": 0.1}, **back, ("s3", "a"): {"s0": mass}})
+    mmdp = Mmdp(models=tuple(mk_mdp(states, actions, k, "s0", f"M{i}") for i, k in enumerate(kernels, 1)))
+    everywhere = {s: "a" for s in states}
+    entries = {((1, 2), "s1"): PolicyEntry((1, 2), "s1", reach=everywhere)} if eliminated else {}
+    every = tuple(range(1, mmdp.n + 1))
+    entries[(every, "s0")] = PolicyEntry(every, "s0", reach=everywhere)
+    return mmdp, DetectionPolicy(entries=entries)
+
+
+@pytest.mark.parametrize("eliminated", [False, True])
+@pytest.mark.parametrize("mass", [math.nan, math.inf])
+def test_a_non_finite_mass_on_the_observed_transition_raises_model_error(mass, eliminated):
+    """The weighted likelihoods of the observed transition sum to NaN or an infinity.
+
+    ``belief_update`` and every lockstep run raise ``ModelError`` naming the
+    transition, the latter for the lowest failing trial as the trial-by-trial
+    loops do, where numpy would divide to NaN beliefs. With ``eliminated`` the
+    mass meets a belief of 0.0 (``0 * inf`` is NaN); no numpy warning shows.
+    """
+    mmdp, policy = _non_finite_instance(mass, eliminated)
+    observed = ("s3", "a", "s0") if eliminated else ("s0", "a", "s3")
+    beliefs = BeliefState((0.5, 0.5, 0.0) if eliminated else (0.5, 0.5))
+    want = "nan" if math.isnan(mass) or eliminated else "inf"
+    message = f"^the weighted likelihoods of transition \\({', '.join(observed)}\\) sum to {want}$"
+    with pytest.raises(ModelError, match=message):
+        belief_update(beliefs, *observed, mmdp)
+    assert belief_update(beliefs, "s0", "a", "s0", mmdp).check() == []
+    raised = []
+    for seed in range(3):
+        raised.append(_assert_monte_carlo_matches_reference(mmdp, policy, 8, 100, seed))
+        raised.append(_assert_batch_matches_reference(mmdp, policy, 20, seed, max_steps=30))
+        for truth in range(1, mmdp.n + 1):
+            raised.append(_assert_simulate_matches_reference(mmdp, truth, policy, seed, max_steps=30))
+    errors = [e for e in raised if isinstance(e, Exception)]
+    assert errors and all(type(e) is ModelError and "weighted likelihoods" in str(e) for e in errors)
+    assert any(re.match(message, str(e)) for e in errors)
+
+
 def _outcome(call):
     try:
         return call()
@@ -1304,13 +1406,13 @@ def _corridor_instance(reveal=False):
     return Mmdp(models=(mk_mdp(states, actions, k1, "s0", "M1"), mk_mdp(states, actions, k2, "s0", "M2")))
 
 
-def _action_searches(monkeypatch):
-    """Per ``_pick`` call on the controller's per-state action table, how many trials it searched."""
+def _action_searches(monkeypatch, mmdp):
+    """Per ``_pick`` call on the action table of ``mmdp``'s controller, how many trials it searched."""
     module = importlib.import_module("mdpdetect.simulate")
     pick, searched = module._pick, []
 
     def recording(cdf, at, u, last):
-        if cdf.ndim == 2:  # act_cdf; step_cdf has a model axis too
+        if cdf is mmdp._controller[0][1].act_cdf:
             searched.append(len(u))
         return pick(cdf, at, u, last)
 
@@ -1328,7 +1430,7 @@ def test_the_action_search_runs_only_where_a_trial_has_a_choice(monkeypatch):
     policy = general_apd(mmdp).policy
     entry = policy.entry((1, 2), "s0")
     assert entry.reach == {"s0": "a", "s1": "a", "s2": "a"} and len(entry.mecs) == 1
-    searched = _action_searches(monkeypatch)
+    searched = _action_searches(monkeypatch, mmdp)
     _assert_monte_carlo_matches_reference(mmdp, policy, 3, 100, 5)
     assert searched == []  # three steps on the corridor: no trial has a choice
     _assert_monte_carlo_matches_reference(mmdp, policy, 12, 100, 5)
@@ -1361,7 +1463,7 @@ def test_every_live_trial_stops_at_the_same_step(case, monkeypatch):
         mmdp = _corridor_instance(reveal=True)
         policy = stationary_uniform_policy(mmdp)
         reason, step = "threshold", 1
-    searched = _action_searches(monkeypatch)
+    searched = _action_searches(monkeypatch, mmdp)
     outcomes = _assert_monte_carlo_matches_reference(mmdp, policy, 10, 100, 7)
     assert not isinstance(outcomes, Exception)
     stops = _monte_carlo_trials(mmdp, policy, 10, 100, 7, (0.5, 0.5), (0.5, 0.5))[2:]
@@ -1413,7 +1515,7 @@ def test_a_wide_row_beside_narrow_ones_plays_as_the_reference_loops():
     assert (size, last) == (44, (41, 43, 41))
     for policy in (stationary_uniform_policy(mmdp), general_apd(mmdp).policy):
         table = _compiled(mmdp, policy)
-        assert table.step_cdf.shape[2] == 44 and table.size.min() == 1
+        assert table.step_cdf.shape == (3 * len(table.lo), 48) and table.size.min() == 1
         for seed in range(3):
             outcomes = _assert_monte_carlo_matches_reference(mmdp, policy, 40, 200, seed)
             assert not isinstance(outcomes, Exception)
