@@ -242,14 +242,15 @@ def pairwise_bc_curve(
 
     The DP runs on the controller table of ``_compiled``, the one the
     lockstep kernel of ``simulate`` plays, over every augmented state the
-    policy can reach: their successors do not depend on the pair, and each
-    pair keeps its own edge weights. Every step then advances all pairs in
-    one sparse pass, summing in a fixed order: sources in the order the
-    previous step first touched them, each source's edges in action and
-    successor order, and B(t) over the masses in first-touch order. Which
-    edges a step takes, and in what order, depends only on that first-touch
-    order of its sources, so a step whose order recurs reuses the edge
-    layout built for it (see ``_pair_curves``).
+    policy can reach: their successors do not depend on the pair. It runs
+    one pair at a time, in the given order, on that pair's own edge weights.
+    Each step is one sparse pass that sums in a fixed order: sources in the
+    order the previous step first touched them, each source's edges in
+    action and successor order, and B(t) over the masses in first-touch
+    order. Which edges a step takes, and in what order, depends only on that
+    first-touch order of its sources, so a step whose order recurs reuses
+    the edge layout built for it (see ``_pair_curves``). Raises the error of
+    the first pair that fails.
     """
     if horizon < 0:
         raise ModelError("horizon must be nonnegative")
@@ -271,96 +272,83 @@ def pairwise_bc_curve(
 def _pair_curves(
     mmdp: Mmdp, table: _CompiledController, pairs: Sequence[tuple[int, int]], horizon: int
 ) -> list[list[float]]:
-    """B(0..horizon) per pair on the edges of ``table``, every pair advanced one sparse step at a time.
+    """B(0..horizon) per pair on the edges of ``table``, one pair after another.
 
-    A step's layout ``(source, to, w, next rows, cut)`` depends only on the
-    live rows in first-touch order, not on their mass. That order is
-    periodic once every reachable row is live (period 1 on recsys, 2 on a
-    grid), so the layouts of the last two steps without a failing edge are
-    kept by order and reused; another step builds its own. Either way the
-    step sums the same terms in the same order.
+    A pair's edges are the slot entries of ``table`` in summation order,
+    state by state, each weighing ``pa * sqrt(P_i * P_j)`` as the scalar
+    recurrence computes it: ``P_i`` read from ``mmdp.rows.lik``, and
+    ``pa = 1 / count`` the probability of the action. Zero weights are
+    dropped. A negative target ``-(k + 1)`` raises ``table.errors[k]`` when
+    the DP takes the edge: an edge into a state the policy has no entry for
+    raises on entering it, and the one weight-0 edge out of a state where
+    ``_expand_aug`` finds no move on leaving it. Before its DP, a pair
+    raises ``ModelError`` at the first slot entry, in slot order, where
+    ``P_i`` or ``P_j`` is negative or the weight is not finite, as a
+    hand-built row can make them.
 
-    Raises the error of the first failing pair, as a pair-by-pair run would.
+    A step's layout ``(source, to, w, next rows)`` depends only on the live
+    rows in first-touch order, not on their mass. That order is periodic
+    once every reachable row is live (period 1 on recsys, 2 on a grid), so
+    the layouts of the last two steps are kept by order and reused; another
+    step builds its own. Either way the step sums the same terms in the same
+    order. The first pair in the given order whose DP fails raises.
     """
-    size, n_pairs = len(table.augs), len(pairs)
-    indptr, target, weight = _pair_edges(mmdp, table, pairs)
-    rows = np.arange(n_pairs, dtype=np.intp) * size  # live rows, first-touch order
-    mass = np.ones(n_pairs)
-    values: list[list[float]] = [[1.0] for _ in range(n_pairs)]
-    failed: dict[int, Exception] = {}
-    # a layout with no failing edge stays clean whenever its order recurs
-    clean: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int]]] = {}
-    for _ in range(horizon):
-        layout = clean.get(key := rows.tobytes())
-        if layout is None:
-            # the edges of the live rows, row by row, each row's in summation order
-            lo = indptr[rows]
-            source, pos = _segments(lo, indptr[rows + 1] - lo)
-            to, w = target[pos], weight[pos]
-            bad = np.flatnonzero(to < 0)
-            if len(bad):
-                for b in bad.tolist():
-                    failed.setdefault(int(rows[source[b]]) // size, table.errors[-to[b] - 1])
-                keep = ~np.isin(rows[source] // size, list(failed))
-                source, to, w = source[keep], to[keep], w[keep]
-            # targets in first-touch order
-            first = np.full(n_pairs * size, len(to))
-            np.minimum.at(first, to, np.arange(len(to)))
-            touched = np.flatnonzero(first < len(to))
-            nxt = touched[np.argsort(first[touched])]
-            layout = source, to, w, nxt, np.searchsorted(nxt // size, np.arange(n_pairs + 1)).tolist()
-            if not len(bad):
-                if len(clean) == 2:
-                    del clean[next(iter(clean))]
-                clean[key] = layout
-        source, to, w, rows, cut = layout
-        # bincount adds each target's terms one after another, in input order
-        mass = np.bincount(to, weights=mass[source] * w, minlength=n_pairs * size)[rows]
-        masses = mass.tolist()
-        for p in range(n_pairs):
-            values[p].append(_left_sum(masses[cut[p] : cut[p + 1]]))
-    if failed:
-        raise failed[min(failed)]
-    return values
-
-
-def _pair_edges(
-    mmdp: Mmdp, table: _CompiledController, pairs: Sequence[tuple[int, int]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The edges of every compiled state under every pair, as ``(indptr, target, weight)``.
-
-    Row ``p * size + k`` holds the edges of state ``k`` of ``table`` under
-    pair ``p``, in summation order: ``indptr[row]:indptr[row + 1]`` indexes
-    ``target`` (a row of the same pair) and ``weight``. An edge weighs
-    ``pa * sqrt(P_i * P_j)``, as the scalar recurrence computes it, with
-    ``P_i`` read from ``mmdp.rows.lik`` at the slot's entries and
-    ``pa = 1 / count`` the probability of the action; a pair drops its
-    zero-weight edges. A negative target ``-(k + 1)`` raises
-    ``table.errors[k]`` when a pair's DP takes the edge: an edge into a state
-    the policy has no entry for raises on entering it, and the one edge out
-    of a state where ``_expand_aug`` finds no move, which every pair keeps,
-    on leaving it.
-    """
-    size, n_pairs = len(table.augs), len(pairs)
-    mi = np.array([i - 1 for i, _ in pairs], dtype=np.intp)
-    mj = np.array([j - 1 for _, j in pairs], dtype=np.intp)
+    size = len(table.augs)
     slot, entry = _segments(table.lo, table.size)
     source = np.repeat(np.arange(size), table.count)[slot]
     lik = mmdp.rows.lik[entry].T
-    weight = (1.0 / table.count[source]) * np.sqrt(lik[mi] * lik[mj])
-    # a successor no model allows weighs 0.0 unless a hand-built row holds a NaN or a negative
-    pair, edge = np.nonzero((weight != 0.0) & (table.target >= 0))
+    pa = 1.0 / table.count[source]
     raises = np.array([exc is not None for exc in table.errors])
-    tgt = table.target[edge]
-    target = np.where((raises & (table.halt != _MAX_STEPS))[tgt], -1 - tgt, pair * size + tgt)
-    row = pair * size + source[edge]
-    # the one edge of each row at a state with no move, in its place among the rows
-    stuck = np.add.outer(np.arange(n_pairs) * size, np.flatnonzero(raises & (table.halt == _MAX_STEPS)))
-    at = np.searchsorted(row, stuck.ravel())
-    row = np.insert(row, at, stuck.ravel())
-    target = np.insert(target, at, -1 - stuck.ravel() % size)
-    weight = np.insert(weight[pair, edge], at, 0.0)
-    return np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n_pairs * size)))), target, weight
+    stuck = np.flatnonzero(raises & (table.halt == _MAX_STEPS))
+    allowed = table.target >= 0
+    into = np.where((raises & (table.halt != _MAX_STEPS))[table.target], -1 - table.target, table.target)
+    curves = []
+    for i, j in pairs:
+        with np.errstate(invalid="ignore", over="ignore"):
+            weight = pa * np.sqrt(lik[i - 1] * lik[j - 1])
+        bad = (lik[i - 1] < 0.0) | (lik[j - 1] < 0.0) | ~np.isfinite(weight)
+        if bad.any():
+            e = int(np.argmax(bad))
+            m = i if not 0.0 <= lik[i - 1, e] < math.inf else j
+            raise ModelError(
+                f"model {m} gives transition ({table.augs[source[e]][2]}, {table.actions[slot[e]]}, "
+                f"{mmdp.rows.successors[entry[e]]}) the mass {float(lik[m - 1, e])!r}, "
+                f"so pair ({i}, {j}) weighs it {float(weight[e])!r}"
+            )
+        # the pair's edges, state by state, with the one edge of each state with no move in its place
+        edge = np.flatnonzero((weight != 0.0) & allowed)
+        at = np.searchsorted(source[edge], stuck)
+        row = np.insert(source[edge], at, stuck)
+        target = np.insert(into[edge], at, -1 - stuck)
+        weight = np.insert(weight[edge], at, 0.0)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=size))))
+        rows = np.zeros(1, np.intp)  # live rows, first-touch order
+        mass = np.ones(1)
+        values = [1.0]
+        kept: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+        for _ in range(horizon):
+            layout = kept.get(key := rows.tobytes())
+            if layout is None:
+                # the edges of the live rows, row by row, each row's in summation order
+                lo = indptr[rows]
+                src, pos = _segments(lo, indptr[rows + 1] - lo)
+                to = target[pos]
+                if (to < 0).any():
+                    raise table.errors[-to[np.argmax(to < 0)] - 1]
+                # targets in first-touch order
+                first = np.full(size, len(to))
+                np.minimum.at(first, to, np.arange(len(to)))
+                touched = np.flatnonzero(first < len(to))
+                layout = src, to, weight[pos], touched[np.argsort(first[touched])]
+                if len(kept) == 2:
+                    del kept[next(iter(kept))]
+                kept[key] = layout
+            src, to, w, rows = layout
+            # bincount adds each target's terms one after another, in input order
+            mass = np.bincount(to, weights=mass[src] * w, minlength=size)[rows]
+            values.append(_left_sum(mass.tolist()))
+        curves.append(values)
+    return curves
 
 
 def _segments(lo: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

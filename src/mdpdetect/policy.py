@@ -98,20 +98,19 @@ def stationary_uniform_policy(mmdp: Mmdp) -> DetectionPolicy:
 def entry_as_stationary(entry: PolicyEntry, mmdp: Mmdp) -> dict[str, dict[str, float]]:
     """Flatten one policy entry into a stationary Markovian action table.
 
-    Component states randomize uniformly over the enabled actions, reach
-    states play their deterministic action, and every other state falls back
-    to its first action (unreachable under the policy from the entry state).
+    Component states randomize uniformly over the enabled actions of the
+    component they commit to (:attr:`PolicyEntry.mec_of`, the first that
+    holds them, as the controller plays), reach states play their
+    deterministic action, and every other state falls back to its first
+    action (unreachable under the policy from the entry state).
     """
-    table: dict[str, dict[str, float]] = {}
-    for s in mmdp.states:
-        table[s] = {actions_at(mmdp.actions, s)[0]: 1.0}
+    table = {s: {actions_at(mmdp.actions, s)[0]: 1.0} for s in mmdp.states}
     for s, a in entry.reach.items():
         if s in table:
             table[s] = {a: 1.0}
-    for mec in entry.mecs:
-        for s in mec.states:
-            if s in table:
-                table[s] = mec.distribution(s)
+    for s, k in entry.mec_of.items():
+        if s in table:
+            table[s] = entry.mecs[k].distribution(s)
     return table
 
 

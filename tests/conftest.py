@@ -16,7 +16,7 @@ import pytest
 from hypothesis import settings
 
 from mdpdetect import general
-from mdpdetect.analysis import BcCurve, _compiled, _pair_edges
+from mdpdetect.analysis import _MAX_STEPS, BcCurve, _compiled
 from mdpdetect.binary import (
     INFORMATIVE,
     NEUTRAL,
@@ -457,7 +457,7 @@ def oracle_map_error(mmdp, policy, t, q, theta, cap=6):
     """The exact MAP error after ``t`` steps, by enumerating every history of length at most ``t``.
 
     Histories run on the controller table of ``_compiled``: each slot is
-    played with probability ``1 / count`` (the value ``_pair_edges`` uses),
+    played with probability ``1 / count`` (the value the bc DP uses),
     each model's probability of the history is carried from ``rows.lik``, and
     the beliefs start at ``q`` and are updated with the lockstep kernel's
     arithmetic (``b * lik``, a denominator summed model by model, then a
@@ -1159,15 +1159,16 @@ def _reference_expand_aug(mmdp, policy, pair, aug):
 
 # ---------------------------------------------------------------------------
 # The sparse step loop of `analysis._pair_curves` as it was when every step
-# rebuilt its edge layout, frozen verbatim: the reference for the layouts the
-# library keeps and reuses. It shares only the edge table of
-# `analysis._pair_edges` with the library.
+# rebuilt its edge layout and advanced all pairs at once, on the all-pairs
+# edge table of the retired `analysis._pair_edges`, both frozen verbatim: the
+# reference for the per-pair DP and the layouts it keeps and reuses. It
+# shares only the compiled controller table with the library.
 # ---------------------------------------------------------------------------
 
 
 def frozen_pair_curves(mmdp, table, pairs, horizon):
     size, n_pairs = len(table.augs), len(pairs)
-    indptr, target, weight = _pair_edges(mmdp, table, pairs)
+    indptr, target, weight = _frozen_pair_edges(mmdp, table, pairs)
     rows = np.arange(n_pairs, dtype=np.intp) * size  # live rows, first-touch order
     mass = np.ones(n_pairs)
     values = [[1.0] for _ in range(n_pairs)]
@@ -1198,6 +1199,29 @@ def frozen_pair_curves(mmdp, table, pairs, horizon):
     if failed:
         raise failed[min(failed)]
     return values
+
+
+def _frozen_pair_edges(mmdp, table, pairs):
+    size, n_pairs = len(table.augs), len(pairs)
+    mi = np.array([i - 1 for i, _ in pairs], dtype=np.intp)
+    mj = np.array([j - 1 for _, j in pairs], dtype=np.intp)
+    slot, entry = _frozen_segments(table.lo, table.size)
+    source = np.repeat(np.arange(size), table.count)[slot]
+    lik = mmdp.rows.lik[entry].T
+    weight = (1.0 / table.count[source]) * np.sqrt(lik[mi] * lik[mj])
+    # a successor no model allows weighs 0.0 unless a hand-built row holds a NaN or a negative
+    pair, edge = np.nonzero((weight != 0.0) & (table.target >= 0))
+    raises = np.array([exc is not None for exc in table.errors])
+    tgt = table.target[edge]
+    target = np.where((raises & (table.halt != _MAX_STEPS))[tgt], -1 - tgt, pair * size + tgt)
+    row = pair * size + source[edge]
+    # the one edge of each row at a state with no move, in its place among the rows
+    stuck = np.add.outer(np.arange(n_pairs) * size, np.flatnonzero(raises & (table.halt == _MAX_STEPS)))
+    at = np.searchsorted(row, stuck.ravel())
+    row = np.insert(row, at, stuck.ravel())
+    target = np.insert(target, at, -1 - stuck.ravel() % size)
+    weight = np.insert(weight[pair, edge], at, 0.0)
+    return np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n_pairs * size)))), target, weight
 
 
 def _frozen_segments(lo, size):

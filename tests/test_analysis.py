@@ -390,6 +390,40 @@ def test_pairwise_curve_reports_the_first_state_it_cannot_expand():
         pairwise_bc_curve(mmdp, policy, 2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, -0.25, math.inf])
+def test_pairwise_curve_refuses_a_mass_that_is_negative_or_not_finite(bad):
+    """A hand-built row with such a mass raises ``ModelError`` naming the model and
+    the transition, as ``belief_update`` and the kernel do, and no numpy warning."""
+    kernels = [
+        {("s", "a"): {"s": 0.5, "t": 0.5}, ("t", "a"): {"t": 1.0}},
+        {("s", "a"): {"s": 0.5, "t": bad}, ("t", "a"): {"t": 1.0}},
+    ]
+    actions = {"s": ("a",), "t": ("a",)}
+    mmdp = Mmdp(models=tuple(mk_mdp(("s", "t"), actions, k, "s", f"M{i}") for i, k in enumerate(kernels)))
+    with pytest.raises(ModelError, match=rf"^model 2 gives transition \(s, a, t\) the mass {bad!r}, "):
+        pairwise_bc_curve(mmdp, stationary_uniform_policy(mmdp), 3)
+
+
+def test_entry_as_stationary_plays_the_first_component_where_components_overlap():
+    """Two closed components over {s, t} play ``a`` and ``b`` at ``s``; as the
+    controller does, ``s`` commits to the first, where only ``a`` tells the
+    models apart."""
+    kernels = [
+        {("s", "a"): {"s": 0.2, "t": 0.8}, ("s", "b"): {"t": 1.0}, ("t", "a"): {"s": 1.0}},
+        {("s", "a"): {"s": 0.5, "t": 0.5}, ("s", "b"): {"t": 1.0}, ("t", "a"): {"s": 1.0}},
+    ]
+    actions = {"s": ("a", "b"), "t": ("a",)}
+    mmdp = Mmdp(models=tuple(mk_mdp(("s", "t"), actions, k, "s", f"M{i}") for i, k in enumerate(kernels)))
+    entry = PolicyEntry((1, 2), "s", reach={}, mecs=(
+        Mec(("s", "t"), {"s": ("a",), "t": ("a",)}), Mec(("s", "t"), {"s": ("b",), "t": ("a",)}),
+    ))
+    table = entry_as_stationary(entry, mmdp)
+    assert table == {"s": {"a": 1.0}, "t": {"a": 1.0}}
+    controller = pairwise_bc_curve(mmdp, DetectionPolicy(entries={((1, 2), "s"): entry}), 3)[(1, 2)]
+    assert controller.values[1] == math.sqrt(0.1) + math.sqrt(0.4)
+    assert bc_matrix(*mmdp.models, table).bc_curve(3).values == pytest.approx(controller.values, abs=1e-15)
+
+
 def _random_instance(rng, kind, n_states):
     if kind == "binary":
         return random_binary_mmdp(rng, n_states=n_states)
@@ -674,8 +708,9 @@ def _ring(period, lead=0):
 
 @pytest.mark.parametrize("period, layouts_built", [(1, 2), (2, 3), (3, 12)])
 def test_pairwise_curve_reuses_the_layouts_of_a_periodic_order(monkeypatch, period, layouts_built):
-    """A live-row order of period 1 or 2 reuses its layouts from its second
-    turn on; period 3 outruns the two kept layouts and builds one every step.
+    """Per pair, a live-row order of period 1 or 2 reuses its layouts from its
+    second turn on; period 3 outruns the two kept layouts and builds one every
+    step.
     """
     mmdp = _ring(period)
     policy = stationary_uniform_policy(mmdp)
@@ -684,7 +719,8 @@ def test_pairwise_curve_reuses_the_layouts_of_a_periodic_order(monkeypatch, peri
     built = []
     monkeypatch.setattr(mdpdetect.analysis, "_segments", lambda *a: built.append(1) or segments(*a))
     pairwise_bc_curve(mmdp, policy, 12)
-    assert len(built) == 1 + layouts_built  # one for the edge table of _pair_edges
+    # one for the slot entries the pairs share, then each of the three pairs' own layouts
+    assert len(built) == 1 + 3 * layouts_built
 
 
 @pytest.mark.parametrize("period", [1, 2, 3])
