@@ -195,10 +195,10 @@ def error_bounds_multi(
     q = _check_priors(q, n, "estimated priors")
     theta = _check_priors(theta, n, "true priors")
     lower = 0.5 * max(
-        sum(min(theta[i], theta[k]) * b[i, k] ** 2 for i in range(n) if i != k)
+        _left_sum(min(theta[i], theta[k]) * b[i, k] ** 2 for i in range(n) if i != k)
         for k in range(n)
     )
-    upper = max(theta[i] / q[i] for i in range(n)) * sum(
+    upper = max(theta[i] / q[i] for i in range(n)) * _left_sum(
         math.sqrt(q[i] * q[j]) * b[i, j] for i in range(n) for j in range(i + 1, n)
     )
     return ErrorBounds(lower=float(lower), upper=float(upper))
@@ -291,7 +291,9 @@ def _pair_curves(
     once every reachable row is live (period 1 on recsys, 2 on a grid), so
     the layouts of the last two steps are kept by order and reused; another
     step builds its own. Either way the step sums the same terms in the same
-    order. The first pair in the given order whose DP fails raises.
+    order, and B(t) folds its masses left to right from 0.0 with ``np.cumsum``,
+    the numpy form of ``models._left_sum``, so every B(t) is a float. The
+    first pair in the given order whose DP fails raises.
     """
     size = len(table.augs)
     slot, entry = _segments(table.lo, table.size)
@@ -346,7 +348,7 @@ def _pair_curves(
             src, to, w, rows = layout
             # bincount adds each target's terms one after another, in input order
             mass = np.bincount(to, weights=mass[src] * w, minlength=size)[rows]
-            values.append(_left_sum(mass.tolist()))
+            values.append(float(np.cumsum(mass)[-1]) + 0.0 if len(mass) else 0.0)
         curves.append(values)
     return curves
 

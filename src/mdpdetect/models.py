@@ -32,8 +32,9 @@ _positive = partial(lt, 0.0)  # p > 0.0
 
 
 def _left_sum(xs: Iterable[float]) -> float:
-    """``xs`` added left to right, as ``sum()`` did before Python 3.12 compensated float sums."""
-    return reduce(add, xs, 0)
+    """``xs`` added left to right from ``0.0``, as ``sum()`` did before Python 3.12 compensated
+    float sums; ``0.0`` when empty. The bc DP folds each step the same way in numpy."""
+    return reduce(add, xs, 0.0)
 
 
 def actions_at(actions: Mapping[str, tuple[str, ...]], state: str) -> tuple[str, ...]:

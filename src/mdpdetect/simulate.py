@@ -88,17 +88,19 @@ def belief_update(b: BeliefState, s: str, a: str, s_next: str, mmdp: Mmdp) -> Be
     """
     weighted = [p * m.prob(s, a, s_next) for p, m in zip(b.probs, mmdp.models)]
     denom = _left_sum(weighted)
-    if not math.isfinite(denom):
-        raise ModelError(_non_finite(s, a, s_next, denom))
-    if denom <= 0.0:
-        raise ImpossibleObservationError(
-            f"transition ({s}, {a}, {s_next}) is impossible under the current belief support"
-        )
+    if not 0.0 < denom < math.inf:
+        raise _rejected(s, a, s_next, denom)
     return BeliefState(probs=tuple([w / denom for w in weighted]))
 
 
-def _non_finite(s: str, a: str, s_next: str, denom: float) -> str:
-    return f"the weighted likelihoods of transition ({s}, {a}, {s_next}) sum to {denom!r}"
+def _rejected(s: str, a: str, s_next: str, denom: float) -> ImpossibleObservationError | ModelError:
+    """The error of observing (s, a, s_next) when the weighted likelihoods sum to ``denom``,
+    which is not in (0, inf): ``ModelError`` when not finite, else impossible under the belief."""
+    if not math.isfinite(denom):
+        return ModelError(f"the weighted likelihoods of transition ({s}, {a}, {s_next}) sum to {denom!r}")
+    return ImpossibleObservationError(
+        f"transition ({s}, {a}, {s_next}) is impossible under the current belief support"
+    )
 
 
 def map_decide(b: BeliefState | Sequence[float]) -> int:
@@ -425,12 +427,7 @@ def _lockstep(
             if not ok.all():
                 k = int(np.flatnonzero(~ok)[0])  # stop() drops every later trial
                 s, a, s_next = table.augs[state[k]][2], table.actions[slot[k]], rows.successors[entry[k]]
-                if math.isfinite(denom[k]):
-                    failed[int(live[k])] = ImpossibleObservationError(
-                        f"transition ({s}, {a}, {s_next}) is impossible under the current belief support"
-                    )
-                else:
-                    failed[int(live[k])] = ModelError(_non_finite(s, a, s_next, float(denom[k])))
+                failed[int(live[k])] = _rejected(s, a, s_next, float(denom[k]))
                 keep = stop(ok, _MAX_STEPS, step)
                 weighted, denom, slot, j = weighted[keep], denom[keep], slot[keep], j[keep]
             if path is not None:

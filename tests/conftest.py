@@ -1078,7 +1078,10 @@ def sanitized(mmdp, policy):
 # ---------------------------------------------------------------------------
 # Frozen reference for the coefficient-curve DP: the per-pair dictionary
 # recurrence that `analysis.pairwise_bc_curve` replaced, kept verbatim so that
-# its values, its summation order and its errors stay the contract.
+# its values, its summation order and its errors stay the contract. Only its
+# fold of B(t) changed: a left fold from 0.0 in place of the builtin `sum`,
+# which compensates float sums from Python 3.12 and gave the int 0 for a pair
+# whose mass has left every state.
 # ---------------------------------------------------------------------------
 
 
@@ -1112,7 +1115,10 @@ def reference_pairwise_bc_curve(mmdp, policy, horizon, pairs=None, cap=None):
                 for tgt, wt in table:
                     nxt[tgt] = nxt.get(tgt, 0.0) + w * wt
             mass = nxt
-            values.append(sum(mass.values()))
+            total = 0.0
+            for w in mass.values():  # sum() as it added floats before Python 3.12
+                total += w
+            values.append(total)
         curves[(i, j)] = BcCurve(values=tuple(values), pair=(i, j))
     return curves
 
@@ -1160,9 +1166,11 @@ def _reference_expand_aug(mmdp, policy, pair, aug):
 # ---------------------------------------------------------------------------
 # The sparse step loop of `analysis._pair_curves` as it was when every step
 # rebuilt its edge layout and advanced all pairs at once, on the all-pairs
-# edge table of the retired `analysis._pair_edges`, both frozen verbatim: the
-# reference for the per-pair DP and the layouts it keeps and reuses. It
-# shares only the compiled controller table with the library.
+# edge table of the retired `analysis._pair_edges`, both frozen verbatim but
+# for the fold of each pair's masses, which starts from 0.0 as the library's
+# does, so a fully separated pair reads 0.0: the reference for the per-pair
+# DP and the layouts it keeps and reuses. It shares only the compiled
+# controller table with the library.
 # ---------------------------------------------------------------------------
 
 
@@ -1195,7 +1203,7 @@ def frozen_pair_curves(mmdp, table, pairs, horizon):
         cut = np.searchsorted(rows // size, np.arange(n_pairs + 1)).tolist()
         masses = mass.tolist()
         for p in range(n_pairs):
-            values[p].append(reduce(add, masses[cut[p] : cut[p + 1]], 0))
+            values[p].append(reduce(add, masses[cut[p] : cut[p + 1]], 0.0))
     if failed:
         raise failed[min(failed)]
     return values

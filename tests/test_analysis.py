@@ -6,7 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mdpdetect.analysis
@@ -29,7 +29,7 @@ from mdpdetect.cli import main
 from mdpdetect.errors import ContractError, HorizonCapError, ModelError
 from mdpdetect.general import general_apd
 from mdpdetect.graphs import Mec
-from mdpdetect.models import Mmdp, mmdp_to_json
+from mdpdetect.models import Mmdp, _left_sum, mmdp_to_json
 from mdpdetect.policy import (
     DetectionPolicy,
     PolicyEntry,
@@ -402,6 +402,51 @@ def test_pairwise_curve_refuses_a_mass_that_is_negative_or_not_finite(bad):
     mmdp = Mmdp(models=tuple(mk_mdp(("s", "t"), actions, k, "s", f"M{i}") for i, k in enumerate(kernels)))
     with pytest.raises(ModelError, match=rf"^model 2 gives transition \(s, a, t\) the mass {bad!r}, "):
         pairwise_bc_curve(mmdp, stationary_uniform_policy(mmdp), 3)
+
+
+def test_a_fully_separated_pair_reads_the_float_zero(tmp_path):
+    """Once the pair's mass has left every live row, B(t) is ``0.0``, a float, and ``bc``
+    writes it so."""
+    states = ("s", "t", "u")
+    actions = {s: ("a",) for s in states}
+    kernels = [{("s", "a"): {to: 1.0}, ("t", "a"): {"t": 1.0}, ("u", "a"): {"u": 1.0}} for to in "tu"]
+    mmdp = Mmdp(models=tuple(mk_mdp(states, actions, k, "s", f"M{i}") for i, k in enumerate(kernels)))
+    policy = stationary_uniform_policy(mmdp)
+    values = pairwise_bc_curve(mmdp, policy, 3)[(1, 2)].values
+    assert values == (1.0, 0.0, 0.0, 0.0)
+    assert [type(v) for v in values] == [float] * 4
+    (tmp_path / "model.json").write_text(mmdp_to_json(mmdp))
+    (tmp_path / "policy.json").write_text(policy_to_json(policy))
+    out = tmp_path / "bc.csv"
+    assert main(["bc", str(tmp_path / "model.json"), str(tmp_path / "policy.json"),
+                 "--horizon", "3", "--out", str(out)]) == 0
+    assert out.read_text() == "t,B\n0,1.0\n1,0.0\n2,0.0\n3,0.0\n"
+
+
+# a positive weight from 1e-158 to ~10, so two small masses multiply to a subnormal
+_WEIGHT = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-158, 0))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.lists(st.tuples(_WEIGHT, _WEIGHT), min_size=1, max_size=8))
+@example([(1.0, 1.0), (1e-155, 1e-155), (3e-3, 7e-80)])
+def test_one_step_folds_the_masses_left_to_right(weights):
+    """B(1) from a state whose successors are all absorbing is ``_left_sum`` of
+    ``sqrt(p_k * q_k)`` over the successors in sorted order, bit for bit."""
+    succ = [f"k{k}" for k in reversed(range(len(weights)))]  # listed against sorted order
+    rows = []
+    for column in zip(*weights):
+        total = _left_sum(column)
+        rows.append(dict(zip(succ, [w / total for w in column])))
+    states = ("s", *succ)
+    actions = {s: ("a",) for s in states}
+    kernels = [{("s", "a"): row, **{(k, "a"): {k: 1.0} for k in succ}} for row in rows]
+    mmdp = Mmdp(models=tuple(mk_mdp(states, actions, k, "s", f"M{i}") for i, k in enumerate(kernels)))
+    p, q = (mmdp.model(i).row("s", "a") for i in (1, 2))
+    expected = _left_sum(math.sqrt(p[k] * q[k]) for k in sorted(succ))
+    got = pairwise_bc_curve(mmdp, stationary_uniform_policy(mmdp), 1)[(1, 2)].values[1]
+    assert type(got) is float
+    assert got.hex() == expected.hex()
 
 
 def test_entry_as_stationary_plays_the_first_component_where_components_overlap():

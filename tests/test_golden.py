@@ -5,8 +5,8 @@ scenarios), ``classify`` JSON, ``mec`` JSON (model 1, model 2 and, with three
 or more models, model 3), ``mec --informative`` JSON (binary cases), policy
 JSON, ``--diagnostics`` JSON, single-trace CSV, batch JSON and bc CSV of
 every case below are fixed points, and so are the policy and
-``--diagnostics`` JSON of the paper-scale recommender the benchmark
-synthesizes (``bench/specs/recsys-10x6.json``). A refactor or a
+``--diagnostics`` JSON and the bc CSV (at the benchmark's horizon) of both
+benchmark workloads (``bench/specs/``). A refactor or a
 speed-up of the synthesis, the episode loop or the coefficient DP must
 reproduce them byte for byte. After a deliberate change of output, print the new digests with
 
@@ -102,13 +102,21 @@ GOLDEN = {
     "recursive/trace.csv": "a23ed1cb5a04d59684e89d500f3dcce7f2a26ca36a44f93daf96e743974741fe",
 }
 
-# Pinned from the synthesis that searched and decided every (active set, entry
-# state) subproblem on its own, before each active set was decided once.
+# The recommender's policy and diagnostics are pinned from the synthesis that
+# searched and decided every (active set, entry state) subproblem on its own,
+# before each active set was decided once. The bc CSVs, and the grid's policy
+# and diagnostics, are pinned from the tree whose bc DP folded each step's
+# masses with models._left_sum.
 PAPER_SCALE = {
+    "grid-40x40/bc.csv": "129eea278b67457151a5936e059c8d6c755f566b8de4b8bd1a8684e72439c3f7",
+    "grid-40x40/diag.json": "0fb48d573b5e92f9b3ea8a4f833aa9e28f88091e7053ea8657c3eca4a840be2c",
+    "grid-40x40/policy.json": "192c8f574168041f737e35edab813f2ab45a692a288ba1163a6b0b56f34b390d",
+    "recsys-10x6/bc.csv": "cb33ad0214340d1273626a60ce9b417f7f90b3a4b0208b1537d1ede66f48a860",
     "recsys-10x6/diag.json": "001179eb0c1817c7e16ae2d590765f09db2b20d85c102bd705b2e661926af839",
     "recsys-10x6/policy.json": "a19d2f83dc3dc4ab5f46a12ee913c03fdcfc8583624edffd9c6b2f71d76acd0f",
 }
-PAPER_SPEC = Path(__file__).resolve().parents[1] / "bench" / "specs" / "recsys-10x6.json"
+SPECS = Path(__file__).resolve().parents[1] / "bench" / "specs"
+BENCH_HORIZON = {"grid-40x40": 300, "recsys-10x6": 40}
 
 
 def _model(case: str, work: Path) -> Path:
@@ -157,14 +165,18 @@ def golden_outputs(work: Path) -> dict[str, bytes]:
 
 
 def paper_scale_outputs(work: Path) -> dict[str, bytes]:
-    """Synthesize the benchmark's recommender, with its diagnostics."""
-    out = work / "recsys-10x6"
-    out.mkdir()
-    model = str(out / "model.json")
-    assert main(["gen", "recsys", str(PAPER_SPEC), "--out", model]) == 0
-    assert main(["synthesize", model, "--out", str(out / "policy.json"),
-                 "--diagnostics", str(out / "diag.json")]) == 0
-    return {f"recsys-10x6/{name}": (out / name).read_bytes() for name in ("diag.json", "policy.json")}
+    """Synthesize both benchmark workloads, with diagnostics, and run bc at the benchmark's horizon."""
+    outputs: dict[str, bytes] = {}
+    for workload, horizon in BENCH_HORIZON.items():
+        out = work / workload
+        out.mkdir()
+        model, policy = str(out / "model.json"), str(out / "policy.json")
+        assert main(["gen", workload.split("-")[0], str(SPECS / f"{workload}.json"), "--out", model]) == 0
+        assert main(["synthesize", model, "--out", policy, "--diagnostics", str(out / "diag.json")]) == 0
+        assert main(["bc", model, policy, "--horizon", str(horizon), "--out", str(out / "bc.csv")]) == 0
+        for name in ("bc.csv", "diag.json", "policy.json"):
+            outputs[f"{workload}/{name}"] = (out / name).read_bytes()
+    return outputs
 
 
 def digests(outputs: dict[str, bytes]) -> dict[str, str]:

@@ -1,11 +1,14 @@
 """The package's public surface."""
 
 import ast
+import re
+import shlex
 import types
 from pathlib import Path
 
 import mdpdetect
 from mdpdetect import general_apd
+from mdpdetect.cli import main
 from mdpdetect.models import mmdp_to_json
 
 from conftest import example1_mmdp, random_sparse_cut_mmdp, rng_for
@@ -58,10 +61,12 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == _TRACER_BINDINGS
 
 
+README = Path(__file__).parents[1] / "README.md"
+
+
 def _readme_quickstart():
     """The first python block of the README."""
-    text = (Path(__file__).parents[1] / "README.md").read_text()
-    return text.split("```python\n", 1)[1].split("```", 1)[0]
+    return README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
 
 
 def test_readme_quickstart_runs_on_detectable_and_undetectable_models(tmp_path, monkeypatch, capsys):
@@ -81,3 +86,21 @@ def test_readme_quickstart_runs_on_detectable_and_undetectable_models(tmp_path, 
         monkeypatch.chdir(work)
         exec(code, {})
         assert capsys.readouterr().out, name
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    """Every ``mdpdetect`` line of the README's CLI block exits 0 on the spec its ``echo``
+    writes, and leaves each file it names with ``--out`` or ``--diagnostics``."""
+    block = README.read_text().split("```bash\n")[2].split("```", 1)[0]
+    spec, name = re.search(r"^echo '(.*?)' > (\S+)$", block, re.M | re.S).groups()
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_text(spec)
+    lines = [line for line in block.splitlines() if line.startswith("mdpdetect ")]
+    commands = [shlex.split(line, comments=True)[1:] for line in lines]
+    assert [args[0] for args in commands] == [
+        "gen", "validate", "classify", "mec", "synthesize", "simulate", "simulate", "bc", "bc"]
+    for args in commands:
+        assert main(args) == 0, args
+        for flag in ("--out", "--diagnostics"):
+            if flag in args:
+                assert Path(args[args.index(flag) + 1]).is_file(), args
